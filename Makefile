@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race bench bench-json trace-smoke fuzz-smoke chaos-smoke serve-smoke acc-json acc-smoke ci
+.PHONY: all vet build test race bench bench-json bench-check trace-smoke fuzz-smoke chaos-smoke serve-smoke acc-json acc-smoke ci
 
 all: ci
 
@@ -47,7 +47,7 @@ bench:
 	$(GO) run ./cmd/lqsbench -parallel 0 -bench-json bench.json
 
 # Wall-clock benchmark trajectory: run the go-test benchmarks (one per
-# paper figure, plus the estimator and row-vs-batch micro-benchmarks) and
+# paper figure, plus the estimator and batch-size micro-benchmarks) and
 # convert the output into a committed JSON artifact. Compare BENCH_*.json
 # across PRs to see where execution time went. Override the label per PR:
 # `make bench-json BENCH_LABEL=pr8`.
@@ -107,4 +107,12 @@ acc-smoke:
 	$(GO) run ./cmd/lqsbench -accuracy -acc-label ci -acc-json .acc-smoke.json
 	@rm -f .acc-smoke.json && echo "acc-smoke: OK"
 
-ci: vet build test race trace-smoke fuzz-smoke chaos-smoke serve-smoke acc-smoke
+# The repo benchmark (bench/, driven by BENCHMARK.json) is a module of its
+# own that imports internal/ through a replace directive, so `go build
+# ./...` and `go test ./...` above never compile it. Vet it and run its
+# short tests here, so an internal/ API change that breaks it fails CI
+# rather than the next benchmark run.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test -short .
+
+ci: vet build test race trace-smoke fuzz-smoke chaos-smoke serve-smoke acc-smoke bench-check

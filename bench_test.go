@@ -119,16 +119,18 @@ func BenchmarkTracedExecution(b *testing.B) {
 	}
 }
 
-// --- Batch-vs-row micro-benchmarks -----------------------------------------
+// --- Batch-size micro-benchmarks -------------------------------------------
 //
-// Each pair runs one query end to end in the classic row-at-a-time engine
-// and in the vectorized batch engine (batch size 1024). Results and final
-// counters are identical (see the exec batch differential battery); the
-// pair isolates the wall-clock effect of vectorization — compiled
-// predicates, page-run scans, and per-batch checkpointing.
+// Each pair runs one query end to end at batch size 1 (*RowMode:
+// row-at-a-time execution) and at batch size 1024 (*BatchMode). Results and
+// final counters are identical (see the exec batch-size equivalence
+// battery); the pair isolates the wall-clock effect of moving rows by the
+// batch — fewer calls between operators and per-batch checkpointing. The
+// names predate the single engine and are kept so the BENCH_*.json series
+// stays comparable.
 
 // benchQuery runs one named workload query end to end at the given batch
-// size (0 = row mode) per iteration.
+// size per iteration.
 func benchQuery(b *testing.B, w *workload.Workload, name string, batch int) {
 	var q workload.Query
 	for _, c := range w.Queries {
@@ -148,13 +150,13 @@ func benchQuery(b *testing.B, w *workload.Workload, name string, batch int) {
 	}
 }
 
-// BatchBenchSize is the batch size the batch-mode micro-benchmarks (and
-// lqsbench's batch section) use: the engine's columnstore row-group size,
-// so a scan batch aligns with a storage row group.
+// BatchBenchSize is the batch size the *BatchMode micro-benchmarks use: the
+// engine's columnstore row-group size, so a scan batch aligns with a
+// storage row group.
 const BatchBenchSize = 1024
 
 func BenchmarkQ6RowMode(b *testing.B) {
-	benchQuery(b, benchSuite().Workload("TPC-H"), "Q6", 0)
+	benchQuery(b, benchSuite().Workload("TPC-H"), "Q6", 1)
 }
 
 func BenchmarkQ6BatchMode(b *testing.B) {
@@ -162,7 +164,7 @@ func BenchmarkQ6BatchMode(b *testing.B) {
 }
 
 func BenchmarkQ1RowMode(b *testing.B) {
-	benchQuery(b, benchSuite().Workload("TPC-H"), "Q1", 0)
+	benchQuery(b, benchSuite().Workload("TPC-H"), "Q1", 1)
 }
 
 func BenchmarkQ1BatchMode(b *testing.B) {
@@ -170,7 +172,7 @@ func BenchmarkQ1BatchMode(b *testing.B) {
 }
 
 func BenchmarkQ6ColumnstoreRowMode(b *testing.B) {
-	benchQuery(b, benchSuite().Workload("TPC-H ColumnStore"), "Q6", 0)
+	benchQuery(b, benchSuite().Workload("TPC-H ColumnStore"), "Q6", 1)
 }
 
 func BenchmarkQ6ColumnstoreBatchMode(b *testing.B) {

@@ -6,9 +6,9 @@
 //
 //	go test -run '^$' -bench . -benchmem . | go run ./cmd/benchjson -label pr7 -o BENCH_pr7.json
 //
-// Besides the raw per-benchmark numbers it derives row-vs-batch speedups
-// from every <Name>RowMode / <Name>BatchMode benchmark pair, so the
-// vectorization headline is readable straight from the artifact.
+// Besides the raw per-benchmark numbers it derives batch-size speedups
+// from every <Name>RowMode / <Name>BatchMode benchmark pair (batch size 1
+// vs 1024), so that headline is readable straight from the artifact.
 package main
 
 import (

@@ -9,11 +9,8 @@
 //	lqsbench -seed 7         # different data/workload seed
 //	lqsbench -parallel 8     # trace with 8 workers (0 = GOMAXPROCS)
 //	lqsbench -dop 4          # run queries with intra-query parallel zones
-//	lqsbench -batch 1024     # row-vs-batch wall-clock speedups (vectorized
-//	                         # execution; results/counters byte-identical)
 //	lqsbench -bench-json -   # machine-readable timings on stdout; -dop > 1
-//	                         # adds per-query virtual-time speedups and
-//	                         # -batch > 0 the wall-clock batch section
+//	                         # adds per-query virtual-time speedups
 //	lqsbench -list           # list experiment IDs
 //
 //	lqsbench -run none -trace-dir out   # per-query Chrome traces + explains
@@ -78,12 +75,6 @@ type benchReport struct {
 	// when -dop > 1.
 	DOP         int                  `json:"dop,omitempty"`
 	DOPSpeedups []metrics.DOPSpeedup `json:"dop_speedups,omitempty"`
-	// Batch and BatchSpeedups report vectorized execution: each query's
-	// wall-clock time in row mode vs batch mode at -batch, present only
-	// when -batch > 0. Unlike the DOP section these are real times — batch
-	// mode leaves the simulated clock untouched and buys host CPU instead.
-	Batch         int                    `json:"batch,omitempty"`
-	BatchSpeedups []metrics.BatchSpeedup `json:"batch_speedups,omitempty"`
 }
 
 func main() {
@@ -94,7 +85,6 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		parallel = flag.Int("parallel", 1, "tracing workers: 1 = serial, 0 = GOMAXPROCS")
 		dop      = flag.Int("dop", 1, "intra-query degree of parallelism for -trace-dir runs and the -bench-json speedup section (1 = serial)")
-		batch    = flag.Int("batch", 0, "vectorized batch size: measure row-vs-batch wall-clock speedups on the -trace-workload (0 = off)")
 		benchOut = flag.String("bench-json", "", "write machine-readable timings to this file ('-' = stdout); parallel runs add a serial reference pass for speedup")
 		traceDir = flag.String("trace-dir", "", "emit per-query Chrome trace-event JSON and estimator explains into this directory")
 		traceWl  = flag.String("trace-workload", "tpch", "workload to trace for -trace-dir: tpch, tpch-cs, tpcds, real1, real2, real3")
@@ -215,29 +205,6 @@ func main() {
 		})
 	}
 	report.WallSeconds = time.Since(totalStart).Seconds()
-
-	if *batch > 0 {
-		// Wall-clock row-vs-batch speedups on the -trace-workload: batch
-		// mode produces byte-identical results and counters, so the only
-		// observable difference worth reporting is host CPU.
-		w, err := workloadByName(*traceWl, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		limit := 0
-		if !*full {
-			limit = 8
-		}
-		report.Batch = *batch
-		report.BatchSpeedups = metrics.MeasureBatchSpeedups(w, *batch, limit)
-		fmt.Printf("batch-mode wall-clock speedups (%s, batch size %d, best of 3):\n", w.Name, *batch)
-		for _, s := range report.BatchSpeedups {
-			fmt.Printf("  %-12s row %9.3f ms   batch %9.3f ms   %5.2fx\n",
-				s.Query, float64(s.RowNS)/1e6, float64(s.BatchNS)/1e6, s.Speedup)
-		}
-		fmt.Println()
-	}
 
 	if *benchOut == "" {
 		return

@@ -70,6 +70,11 @@ type manifest struct {
 // manifest. The corpus is frozen history: a diff here means an estimator
 // change altered behavior on real recorded poll streams, which is exactly
 // what the reviewer needs to see.
+//
+// It also pins the engine to the corpus: each capture recipe is re-executed
+// live and must reproduce the committed poll stream exactly. The captures
+// were recorded by the row-mode engine that batch size 1 replaced, so this
+// is the check that the two are the same engine.
 func TestCommittedTraceCorpus(t *testing.T) {
 	if *regen {
 		regenerateCorpus(t)
@@ -100,6 +105,11 @@ func TestCommittedTraceCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		live, err := capture(spec)
+		if err != nil {
+			t.Fatalf("re-executing %s: %v", spec.name, err)
+		}
+		compareTraceFiles(t, spec.name, live, tf)
 		tr := tf.Trace()
 		for _, mode := range Modes() {
 			got := Measure(tf.Workload, tf.Query, Record(p, cat, tr, mode))
@@ -143,6 +153,56 @@ func compareAccuracy(t *testing.T, name string, got, want QueryAccuracy) {
 	feq("mean_abs_err", got.MeanAbsErr, want.MeanAbsErr)
 	feq("terminal_err", got.TerminalErr, want.TerminalErr)
 	feq("bounds_coverage", got.BoundsCoverage, want.BoundsCoverage)
+}
+
+// compareTraceFiles requires a live re-execution to equal the committed
+// capture: snapshot times, raw per-(node, thread) rows, degradation marks,
+// start/end time and true cardinalities.
+func compareTraceFiles(t *testing.T, name string, live, committed *TraceFile) {
+	t.Helper()
+	if live.StartedAt != committed.StartedAt || live.EndedAt != committed.EndedAt {
+		t.Errorf("%s: live run spans [%v, %v], committed capture [%v, %v]",
+			name, live.StartedAt, live.EndedAt, committed.StartedAt, committed.EndedAt)
+	}
+	if fmt.Sprint(live.TrueRows) != fmt.Sprint(committed.TrueRows) {
+		t.Errorf("%s: live true cardinalities %v, committed %v", name, live.TrueRows, committed.TrueRows)
+	}
+	if len(live.Snapshots) != len(committed.Snapshots) {
+		t.Fatalf("%s: live run took %d polls, committed capture %d", name, len(live.Snapshots), len(committed.Snapshots))
+	}
+	for i := range committed.Snapshots {
+		// Counters are cumulative: the first differing poll is the finding.
+		if !compareSnapshotFiles(t, fmt.Sprintf("%s poll %d", name, i), &live.Snapshots[i], &committed.Snapshots[i]) {
+			break
+		}
+	}
+	if (live.Final == nil) != (committed.Final == nil) {
+		t.Fatalf("%s: final snapshot present live=%v committed=%v", name, live.Final != nil, committed.Final != nil)
+	}
+	if committed.Final != nil {
+		compareSnapshotFiles(t, name+" final", live.Final, committed.Final)
+	}
+}
+
+func compareSnapshotFiles(t *testing.T, name string, live, committed *SnapshotFile) bool {
+	t.Helper()
+	if live.At != committed.At || live.Degraded != committed.Degraded || live.DegradeReason != committed.DegradeReason {
+		t.Errorf("%s: live at %v (degraded=%v %q), committed at %v (degraded=%v %q)", name,
+			live.At, live.Degraded, live.DegradeReason, committed.At, committed.Degraded, committed.DegradeReason)
+		return false
+	}
+	if len(live.Threads) != len(committed.Threads) {
+		t.Errorf("%s: %d thread rows live, %d committed", name, len(live.Threads), len(committed.Threads))
+		return false
+	}
+	for i := range committed.Threads {
+		if live.Threads[i] != committed.Threads[i] {
+			t.Errorf("%s: thread row %d differs:\nlive:      %+v\ncommitted: %+v",
+				name, i, live.Threads[i], committed.Threads[i])
+			return false
+		}
+	}
+	return true
 }
 
 func tracePath(name string) string {

@@ -6,109 +6,6 @@ import (
 	"lqs/internal/plan"
 )
 
-// streamAgg aggregates input already ordered on the group columns: fully
-// pipelined, one group in flight at a time.
-type streamAgg struct {
-	base
-	child  Operator
-	curKey types.Row
-	states []expr.AggState
-	idCols []int
-	open   bool
-	done   bool
-}
-
-func newStreamAgg(n *plan.Node, child Operator) *streamAgg {
-	s := &streamAgg{child: child}
-	s.init(n)
-	s.idCols = identityCols(len(n.GroupCols))
-	return s
-}
-
-func (s *streamAgg) Open(ctx *Ctx) {
-	s.opened(ctx)
-	s.child.Open(ctx)
-}
-
-func (s *streamAgg) Rewind(ctx *Ctx) {
-	s.c.Rebinds++
-	s.curKey = nil
-	s.states = nil
-	s.open = false
-	s.done = false
-	s.child.Rewind(ctx)
-}
-
-func (s *streamAgg) freshStates() []expr.AggState {
-	states := make([]expr.AggState, len(s.node.Aggs))
-	for i, a := range s.node.Aggs {
-		states[i] = expr.NewAggState(a)
-	}
-	return states
-}
-
-func (s *streamAgg) result() types.Row {
-	out := make(types.Row, 0, len(s.node.GroupCols)+len(s.states))
-	out = append(out, s.curKey...)
-	for _, st := range s.states {
-		out = append(out, st.Result())
-	}
-	return out
-}
-
-func (s *streamAgg) Next(ctx *Ctx) (types.Row, bool) {
-	if s.done {
-		return nil, false
-	}
-	for {
-		row, ok := s.child.Next(ctx)
-		if !ok {
-			s.done = true
-			// Emit the final group; a scalar aggregate (no group columns)
-			// emits exactly one row even over empty input.
-			if s.open || len(s.node.GroupCols) == 0 {
-				if !s.open {
-					s.curKey = types.Row{}
-					s.states = s.freshStates()
-				}
-				out := s.result()
-				s.emit()
-				return out, true
-			}
-			return nil, false
-		}
-		s.c.InputRows++
-		ctx.chargeCPU(&s.c, ctx.CM.CPUTuple+float64(len(s.node.Aggs))*ctx.CM.CPUAggUpdate)
-		// Project the group key only when a new group starts: within a
-		// group the boundary comparison needs no per-row allocation.
-		if !s.open {
-			s.open = true
-			s.curKey = projectCols(row, s.node.GroupCols)
-			s.states = s.freshStates()
-		} else if !types.EqualCols(row, s.curKey, s.node.GroupCols, s.idCols) {
-			out := s.result()
-			s.curKey = projectCols(row, s.node.GroupCols)
-			s.states = s.freshStates()
-			for i := range s.states {
-				s.states[i].Add(row)
-			}
-			s.emit()
-			return out, true
-		}
-		for i := range s.states {
-			s.states[i].Add(row)
-		}
-	}
-}
-
-func (s *streamAgg) Close(ctx *Ctx) {
-	if s.c.Closed {
-		return
-	}
-	s.child.Close(ctx)
-	s.closed(ctx)
-}
-
 func projectCols(row types.Row, cols []int) types.Row {
 	out := make(types.Row, len(cols))
 	for i, c := range cols {

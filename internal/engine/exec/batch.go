@@ -7,17 +7,19 @@ import (
 	"lqs/internal/plan"
 )
 
-// This file is the vectorized execution path: operators that produce rows
-// a batch at a time instead of one GetNext call per row. The contract with
-// the row-mode executor is strict (DESIGN §4g, pinned by the differential
-// battery in internal/metrics):
+// This file holds the batch-native operators — heap, constant and
+// columnstore scans, Filter, Compute Scalar, Stream Aggregate — and the
+// adapters that join them to the row-at-a-time operators (joins, sorts,
+// hash aggregate, spools, seeks, exchanges). There is one implementation of
+// each; ctx.BatchSize decides how many rows move per call (DESIGN §4g):
 //
-//   - Output rows are byte-identical to row mode at any batch size.
 //   - Every clock advance and counter mutation happens per row, in the
-//     same order and granularity as row mode, so final counters — and at
-//     batch size 1, every polled snapshot — are identical. Only the
-//     checkpoint (poller yield, chaos consultation, cancellation check) is
-//     amortized to one per batch via Ctx.checkpointBatch.
+//     same order at any batch size, so output rows and final counters do
+//     not depend on it. Only the checkpoint (poller yield, chaos
+//     consultation, cancellation check) is taken once per batch via
+//     Ctx.checkpointBatch.
+//   - At batch size 1 that is one checkpoint per row: row-at-a-time
+//     execution, the reference every larger batch size is held to.
 //   - At batch sizes above 1, producer stages run up to one batch ahead of
 //     their consumers, so mid-query snapshots may show bounded progress
 //     skew between pipeline stages; totals are unaffected.
@@ -25,7 +27,7 @@ import (
 // Hot loops use compiled predicates/expressions (expr.CompilePred,
 // expr.CompileExpr), which evaluate exactly like the interpreted forms.
 
-// BatchOperator is the vectorized sibling of Operator. NextBatch appends
+// BatchOperator is the batch form of Operator. NextBatch appends
 // up to min(ctx.BatchSize, cap(dst)) rows to dst (passed in empty,
 // capacity reused across calls) and returns the extended slice; an empty
 // result means the operator is exhausted. Non-empty results may be shorter
@@ -51,7 +53,7 @@ func batchLimit(ctx *Ctx, dst []types.Row) int {
 
 // batchNative reports whether a plan node has a native batch
 // implementation. Everything else (joins, sorts, spools, exchanges) runs
-// in row mode behind an adapter until it gets a native port.
+// row at a time behind an adapter until it gets a native port.
 func batchNative(n *plan.Node) bool {
 	switch n.Physical {
 	case plan.TableScan, plan.ConstantScan, plan.ColumnstoreIndexScan,
@@ -64,7 +66,7 @@ func batchNative(n *plan.Node) bool {
 // BuildBatchOperator constructs the batch operator tree for n. Nodes
 // without a native batch implementation are built as row operators behind
 // a rowToBatch adapter (their own children recurse through BuildOperator
-// and may re-enter batch mode below).
+// and re-enter batch-native subtrees below).
 func BuildBatchOperator(n *plan.Node, ctx *Ctx) BatchOperator {
 	switch n.Physical {
 	case plan.TableScan:
@@ -88,11 +90,11 @@ func BuildBatchOperator(n *plan.Node, ctx *Ctx) BatchOperator {
 // doubling toward ctx.BatchSize while demand is sustained. A consumer that
 // abandons the stream early — the inner side of a nested-loops join pulls
 // a handful of rows, then rewinds — would otherwise pay a full batch of
-// vectorized read-ahead per rebind and run *slower* than row mode.
+// read-ahead per rebind and run *slower* than at batch size 1.
 const batchRampInitial = 32
 
-// batchToRow adapts a batch subtree for a row-mode consumer (or the query
-// root). It owns the batch buffer and carries no counters of its own: its
+// batchToRow adapts a batch subtree for a row-at-a-time consumer (or the
+// query root). It owns the batch buffer and carries no counters of its own: its
 // Counters are the adapted operator's, so the DMV sees the plan node, not
 // the adapter.
 type batchToRow struct {
@@ -159,7 +161,7 @@ func (a *batchToRow) Rewind(ctx *Ctx) {
 	a.b.Rewind(ctx)
 }
 
-// rowToBatch adapts a row-mode operator for a batch consumer. Like
+// rowToBatch adapts a row-at-a-time operator for a batch consumer. Like
 // batchToRow it is pure plumbing: no charges, no counters of its own.
 type rowToBatch struct {
 	op  Operator
@@ -193,9 +195,19 @@ func (a *rowToBatch) Rewind(ctx *Ctx) {
 	a.op.Rewind(ctx)
 }
 
-// storageFilterCompiled is storageFilter with a precompiled pushed
-// predicate: the storage-engine-level filtering of §4.3 (pushed predicate,
-// then bitmap probe), rejecting rows before they count toward k_i.
+// asBatch returns op as a batch child: the subtree under a batchToRow
+// adapter directly, anything else behind a rowToBatch.
+func asBatch(op Operator) BatchOperator {
+	if a, ok := op.(*batchToRow); ok {
+		return a.b
+	}
+	return &rowToBatch{op: op}
+}
+
+// storageFilterCompiled is the storage-engine-level filtering of §4.3: the
+// compiled pushed predicate, then the bitmap probe. Rows it rejects never
+// count toward the scan's k_i — which is precisely what breaks driver-node
+// assumptions in §4.3.
 func storageFilterCompiled(ctx *Ctx, n *plan.Node, pushed expr.PredFn, row types.Row) bool {
 	if pushed != nil && !pushed(row) {
 		return false
@@ -212,10 +224,9 @@ func storageFilterCompiled(ctx *Ctx, n *plan.Node, pushed expr.PredFn, row types
 	return true
 }
 
-// batchTableScan is the vectorized heap scan. It iterates page runs
-// (HeapCursor.NextPageRows) instead of per-row cursor calls; the charge
-// sequence per page — one I/O charge when the page is entered, then
-// per-row CPU — is identical to the row-mode scan's.
+// batchTableScan reads a heap sequentially, a page run at a time
+// (HeapCursor.NextPageRows): one I/O charge when a page is entered, then
+// per-row CPU.
 type batchTableScan struct {
 	base
 	cur      *storage.HeapCursor
@@ -240,6 +251,9 @@ func (s *batchTableScan) Open(ctx *Ctx) {
 	s.opened(ctx)
 	h := ctx.DB.Heap(s.node.Table)
 	if ctx.Parts > 1 {
+		// Parallel worker: claim this worker's contiguous page range. The
+		// per-partition PagesTotal values sum exactly to the serial total,
+		// so aggregated per-thread DMV rows match a serial scan's.
 		s.cur = h.PartitionCursor(ctx.DB.Pool, ctx.Part, ctx.Parts)
 		s.c.PagesTotal = h.PartitionPages(ctx.Part, ctx.Parts)
 		return
@@ -296,7 +310,7 @@ func (s *batchTableScan) Close(ctx *Ctx) {
 	s.closed(ctx)
 }
 
-// batchConstantScan emits literal rows a batch at a time.
+// batchConstantScan emits literal rows.
 type batchConstantScan struct {
 	base
 	pos int
@@ -333,17 +347,20 @@ func (s *batchConstantScan) Close(ctx *Ctx) {
 	s.closed(ctx)
 }
 
-// batchColumnstoreScan reads row groups exactly like the row-mode
-// columnstore scan (which is already internally batched per §4.7) but
-// serves the filtered rows out by the batch. A row group is only read when
-// the buffer is empty, so the charge order matches row mode: the demand
-// that drains the last buffered row is the one that pays for the next
-// group.
+// batchColumnstoreScan reads a columnstore index a row group at a time
+// (§4.7): segment reads are charged per group, per-row CPU is far below the
+// heap scan's, and the SegmentsProcessed/SegmentsTotal counters drive the
+// client's batch-mode progress fraction. A row group is only read when the
+// buffer is empty, so the charge order is the same at any batch size: the
+// demand that drains the last buffered row is the one that pays for the
+// next group.
 type batchColumnstoreScan struct {
 	base
-	cs       *storage.ColumnStore
-	cols     []int
-	group    int
+	cs    *storage.ColumnStore
+	cols  []int
+	group int
+	// gLo/gHi bound the row groups this instance reads: the full range
+	// serially, one contiguous partition per parallel worker.
 	gLo, gHi int
 	buf      []types.Row
 	pos      int
@@ -404,6 +421,8 @@ func (s *batchColumnstoreScan) NextBatch(ctx *Ctx, dst []types.Row) []types.Row 
 		batch := s.cs.ReadRowGroup(s.group, s.cols, ctx.DB.Pool, &io)
 		s.group++
 		ctx.chargeSegments(&s.c, int64(len(s.cols)), io)
+		// Pushed predicates and bitmap probes run over the whole row
+		// group, charged at batch-rate CPU.
 		out := batch[:0]
 		for _, row := range batch {
 			if storageFilterCompiled(ctx, s.node, s.pushed, row) && (s.pred == nil || s.pred(row)) {
@@ -496,10 +515,10 @@ func (f *batchFilter) Close(ctx *Ctx) {
 }
 
 // batchCompute appends computed expressions to each row of a child batch.
-// Output rows are materialized into one fresh backing array per batch (a
-// single allocation amortizing row mode's per-row allocation). The backing
-// must be fresh, not recycled: consumers — sorts, hash builds, spools,
-// exchange buffers — retain row references past the batch lifetime.
+// Output rows are materialized into one fresh backing array per batch (one
+// allocation per batch, not per row). The backing must be fresh, not
+// recycled: consumers — sorts, hash builds, spools, exchange buffers —
+// retain row references past the batch lifetime.
 type batchCompute struct {
 	base
 	child BatchOperator
@@ -578,10 +597,10 @@ func (c *batchCompute) Close(ctx *Ctx) {
 	c.closed(ctx)
 }
 
-// batchStreamAgg aggregates ordered input a child batch at a time. Group
-// keys are projected only at group boundaries (row mode pays the same
-// projection; see streamAgg) and the boundary comparison uses a cached
-// identity column list.
+// batchStreamAgg aggregates input already ordered on the group columns, a
+// child batch at a time, with one group in flight. Group keys are projected
+// only at group boundaries — within a group the boundary comparison needs
+// no per-row allocation — and it uses a cached identity column list.
 type batchStreamAgg struct {
 	base
 	child  BatchOperator

@@ -179,13 +179,11 @@ type Ctx struct {
 	// shaped by it.
 	DOP int
 
-	// BatchSize selects vectorized execution: when it exceeds 0, operators
-	// with native batch implementations (scans, filter, compute scalar,
-	// stream aggregate) are built as BatchOperators producing up to
-	// BatchSize rows per NextBatch call, with checkpoints amortized to one
-	// per batch. 0 (the default) is classic row-at-a-time execution. Set at
-	// query construction (NewQueryBatch) — the operator tree is shaped by
-	// it.
+	// BatchSize is how many rows the batch-native operators (scans, filter,
+	// compute scalar, stream aggregate) produce per NextBatch call, with
+	// one checkpoint per batch; always at least 1, and 1 is row-at-a-time
+	// execution. Set at query construction (NewQueryBatch), which sizes the
+	// operators' buffers from it.
 	BatchSize int
 
 	// Thread is this context's DMV thread ordinal (0 = coordinator, w+1 =
@@ -280,43 +278,23 @@ func (ctx *Ctx) interrupted() *QueryError {
 	return nil
 }
 
-// checkpoint is the per-charge interrupt and yield point: it records the
-// operator currently doing work, periodically yields the counter mutex so
-// concurrent snapshots can drain, and aborts execution (by typed panic,
-// converted to a QueryError at the Step recovery boundary) when a
-// cancellation or deadline is pending. Every charge funnels through it, so
-// cancellation latency is bounded by one row's work — even inside blocking
-// Sort/Hash phases that produce no output for a long time.
-func (ctx *Ctx) checkpoint(c *Counters) {
-	if c != nil {
-		ctx.cur = c
-	}
-	ctx.chargeOps++
-	if ctx.chargeOps >= yieldEvery {
-		ctx.chargeOps = 0
-		// Only the coordinator holds (and may yield) the counter mutex;
-		// worker contexts synchronize with snapshots through the gather's
-		// batch protocol instead.
-		if ctx.parent == nil {
-			ctx.mu.Unlock()
-			ctx.mu.Lock()
-		}
-	}
-	if ctx.Chaos != nil && c != nil {
-		ctx.chaosCharge(c)
-	}
-	if qe := ctx.interrupted(); qe != nil {
-		panic(qe)
-	}
-}
+// checkpoint is the interrupt and yield point every charge funnels through:
+// it records the operator currently doing work, periodically yields the
+// counter mutex so concurrent snapshots can drain, and aborts execution (by
+// typed panic, converted to a QueryError at the Step recovery boundary)
+// when a cancellation or deadline is pending. Row-at-a-time operators take
+// it on every charge, so their cancellation latency is bounded by one
+// row's work — even inside blocking Sort/Hash phases that produce no output
+// for a long time.
+func (ctx *Ctx) checkpoint(c *Counters) { ctx.checkpointBatch(c, 1) }
 
-// checkpointBatch is the amortized interrupt point of batch operators: one
-// call covers `charges` preceding chargeCPURow calls. The yield cadence is
-// preserved exactly (chargeOps accumulates the real charge count, so
-// concurrent pollers wait no longer than under row mode), while the chaos
+// checkpointBatch is the checkpoint of batch operators: one call covers
+// `charges` preceding chargeCPURow calls. The yield cadence follows the
+// real charge count (chargeOps accumulates it, so concurrent pollers wait
+// no longer at a large batch size than at batch size 1), while the chaos
 // consultation and the cancellation/deadline check run once per batch —
-// cancellation latency grows from one row's work to one batch's work,
-// which is the documented batch-mode contract (DESIGN §4g).
+// cancellation latency is one batch's work, which at batch size 1 is one
+// row's (DESIGN §4g).
 func (ctx *Ctx) checkpointBatch(c *Counters, charges int) {
 	if charges <= 0 {
 		return
@@ -327,6 +305,9 @@ func (ctx *Ctx) checkpointBatch(c *Counters, charges int) {
 	ctx.chargeOps += charges
 	if ctx.chargeOps >= yieldEvery {
 		ctx.chargeOps = 0
+		// Only the coordinator holds (and may yield) the counter mutex;
+		// worker contexts synchronize with snapshots through the gather's
+		// batch protocol instead.
 		if ctx.parent == nil {
 			ctx.mu.Unlock()
 			ctx.mu.Lock()
@@ -441,9 +422,9 @@ func (ctx *Ctx) chargeCPU(c *Counters, ns float64) {
 
 // chargeCPURow is chargeCPU without the trailing checkpoint: batch
 // operators advance the clock and the counters row by row — so the virtual
-// timeline of every charge is identical to row mode — and amortize the
-// checkpoint (poller yield, chaos, cancellation) to one checkpointBatch
-// call per batch.
+// timeline of every charge is the same at any batch size — and take the
+// checkpoint (poller yield, chaos, cancellation) once per batch through
+// checkpointBatch.
 func (ctx *Ctx) chargeCPURow(c *Counters, ns float64) {
 	if ns <= 0 {
 		return

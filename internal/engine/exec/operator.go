@@ -88,37 +88,26 @@ func (b *base) emit() {
 
 // BuildOperator constructs the operator tree for a finalized, estimated
 // plan. The ctx must be the one later used to run the query (bitmap
-// registration happens here). When ctx.BatchSize selects vectorized
-// execution, subtrees rooted at batch-native nodes are built as
-// BatchOperators behind a batchToRow adapter, so row-mode parents (and the
-// query root) are oblivious to the execution mode below them.
+// registration happens here). Subtrees rooted at batch-native nodes are
+// built as BatchOperators behind a batchToRow adapter, so row-at-a-time
+// parents (and the query root) see an ordinary Operator.
 func BuildOperator(n *plan.Node, ctx *Ctx) Operator {
-	if ctx.BatchSize > 0 && batchNative(n) {
+	if batchNative(n) {
 		return newBatchToRow(BuildBatchOperator(n, ctx))
 	}
 	return buildRowOperator(n, ctx)
 }
 
-// buildRowOperator constructs the classic row-at-a-time operator for n.
-// Children recurse through BuildOperator and may re-enter batch mode.
+// buildRowOperator constructs the row-at-a-time operator for a node with
+// no batch-native implementation. Children recurse through BuildOperator.
 func buildRowOperator(n *plan.Node, ctx *Ctx) Operator {
 	switch n.Physical {
-	case plan.TableScan:
-		return newTableScan(n)
 	case plan.ClusteredIndexScan, plan.IndexScan:
 		return newIndexScan(n)
 	case plan.ClusteredIndexSeek, plan.IndexSeek:
 		return newIndexSeek(n)
 	case plan.RIDLookup:
 		return newRIDLookup(n, BuildOperator(n.Children[0], ctx))
-	case plan.ConstantScan:
-		return newConstantScan(n)
-	case plan.ColumnstoreIndexScan:
-		return newColumnstoreScan(n)
-	case plan.Filter:
-		return newFilter(n, BuildOperator(n.Children[0], ctx))
-	case plan.ComputeScalar:
-		return newComputeScalar(n, BuildOperator(n.Children[0], ctx))
 	case plan.SegmentOp:
 		return newSegment(n, BuildOperator(n.Children[0], ctx))
 	case plan.Concatenation:
@@ -131,8 +120,6 @@ func buildRowOperator(n *plan.Node, ctx *Ctx) Operator {
 		return newSort(n, BuildOperator(n.Children[0], ctx))
 	case plan.TopNSort:
 		return newTopNSort(n, BuildOperator(n.Children[0], ctx))
-	case plan.StreamAggregate:
-		return newStreamAgg(n, BuildOperator(n.Children[0], ctx))
 	case plan.HashAggregate:
 		return newHashAgg(n, BuildOperator(n.Children[0], ctx))
 	case plan.HashJoin:

@@ -311,9 +311,9 @@ func buildStage2(n, rep *plan.Node, src Operator) Operator {
 	child := buildStage2(n.Children[0], rep, src)
 	switch n.Physical {
 	case plan.Filter:
-		return newFilter(n, child)
+		return newBatchToRow(newBatchFilter(n, asBatch(child)))
 	case plan.ComputeScalar:
-		return newComputeScalar(n, child)
+		return newBatchToRow(newBatchCompute(n, asBatch(child)))
 	case plan.HashAggregate:
 		return newHashAgg(n, child)
 	}
@@ -388,10 +388,6 @@ func registerWorkerCounters(ctx *Ctx, op Operator, thread int, seen map[*Counter
 	}
 	switch t := op.(type) {
 	case *producerWrap:
-		registerWorkerCounters(ctx, t.child, thread, seen)
-	case *filter:
-		registerWorkerCounters(ctx, t.child, thread, seen)
-	case *computeScalar:
 		registerWorkerCounters(ctx, t.child, thread, seen)
 	case *hashAgg:
 		registerWorkerCounters(ctx, t.child, thread, seen)

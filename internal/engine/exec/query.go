@@ -45,21 +45,21 @@ func NewQuery(p *plan.Plan, db *storage.Database, cm *opt.CostModel, clock *sim.
 // aggregated counters, and the virtual-time stream stay deterministic at
 // any DOP; only the simulated elapsed time changes.
 func NewQueryDOP(p *plan.Plan, db *storage.Database, cm *opt.CostModel, clock *sim.Clock, dop int) *Query {
-	return NewQueryBatch(p, db, cm, clock, dop, 0)
+	return NewQueryBatch(p, db, cm, clock, dop, 1)
 }
 
-// NewQueryBatch is NewQueryDOP with vectorized execution: batchSize > 0
-// builds batch-native pipelines (scans, filter, compute scalar, stream
-// aggregate) producing up to batchSize rows per call, with checkpoints
-// amortized per batch; 0 is classic row-at-a-time execution. Results and
-// final counters are identical at any batch size (and byte-identical
-// snapshot trajectories at batchSize 1); see DESIGN §4g.
+// NewQueryBatch is NewQueryDOP at an explicit batch size: the batch-native
+// operators (scans, filter, compute scalar, stream aggregate) produce up to
+// batchSize rows per call with one checkpoint per batch. Batch size 1 —
+// what any batchSize below 1 means, and what NewQuery and NewQueryDOP run —
+// is row-at-a-time execution. Results and final counters are identical at
+// any batch size; see DESIGN §4g.
 func NewQueryBatch(p *plan.Plan, db *storage.Database, cm *opt.CostModel, clock *sim.Clock, dop, batchSize int) *Query {
 	if dop < 1 {
 		dop = 1
 	}
-	if batchSize < 0 {
-		batchSize = 0
+	if batchSize < 1 {
+		batchSize = 1
 	}
 	q := &Query{
 		Plan: p,
@@ -92,10 +92,6 @@ func (q *Query) index(op Operator) {
 		q.indexBatch(t.b)
 	case *ridLookup:
 		q.index(t.child)
-	case *filter:
-		q.index(t.child)
-	case *computeScalar:
-		q.index(t.child)
 	case *segment:
 		q.index(t.child)
 	case *concat:
@@ -105,8 +101,6 @@ func (q *Query) index(op Operator) {
 	case *sortOp:
 		q.index(t.child)
 	case *topNSort:
-		q.index(t.child)
-	case *streamAgg:
 		q.index(t.child)
 	case *hashAgg:
 		q.index(t.child)

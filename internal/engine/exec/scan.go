@@ -7,99 +7,13 @@ import (
 	"lqs/internal/plan"
 )
 
-// tableScan reads a heap sequentially, evaluating pushed-down storage
-// predicates and bitmap probes before rows become visible to the operator's
-// output (so its Rows counter — k_i — reflects only surviving rows, which
-// is precisely what breaks driver-node assumptions in §4.3).
-type tableScan struct {
-	base
-	cur      *storage.HeapCursor
-	pushCost float64
-	predCost float64
-}
-
-func newTableScan(n *plan.Node) *tableScan {
-	s := &tableScan{}
-	s.init(n)
-	s.pushCost = float64(expr.Cost(n.PushedPred))
-	s.predCost = float64(expr.Cost(n.Pred))
-	return s
-}
-
-func (s *tableScan) Open(ctx *Ctx) {
-	s.opened(ctx)
-	h := ctx.DB.Heap(s.node.Table)
-	if ctx.Parts > 1 {
-		// Parallel worker: claim this worker's contiguous page range. The
-		// per-partition PagesTotal values sum exactly to the serial total,
-		// so aggregated per-thread DMV rows match a serial scan's.
-		s.cur = h.PartitionCursor(ctx.DB.Pool, ctx.Part, ctx.Parts)
-		s.c.PagesTotal = h.PartitionPages(ctx.Part, ctx.Parts)
-		return
-	}
-	s.cur = h.Cursor(ctx.DB.Pool)
-	s.c.PagesTotal = h.NumPages()
-}
-
-func (s *tableScan) Rewind(ctx *Ctx) {
-	s.c.Rebinds++
-	s.cur.Reset()
-}
-
-func (s *tableScan) Next(ctx *Ctx) (types.Row, bool) {
-	for {
-		row, _, ok := s.cur.Next()
-		ctx.chargeIO(&s.c, s.cur.DrainIO())
-		if !ok {
-			return nil, false
-		}
-		ctx.chargeCPU(&s.c, ctx.CM.CPUTuple+s.pushCost*ctx.CM.CPUExprUnit)
-		if !storageFilter(ctx, s.node, &s.c, row) {
-			continue
-		}
-		if s.node.Pred != nil {
-			ctx.chargeCPU(&s.c, s.predCost*ctx.CM.CPUExprUnit)
-			if !expr.EvalPred(s.node.Pred, row) {
-				continue
-			}
-		}
-		s.emit()
-		return row, true
-	}
-}
-
-func (s *tableScan) Close(ctx *Ctx) {
-	if s.c.Closed {
-		return
-	}
-	s.closed(ctx)
-}
-
-// storageFilter applies the storage-engine-level predicates of §4.3: the
-// pushed predicate and the bitmap probe. Rows it rejects never count
-// toward the scan's k_i.
-func storageFilter(ctx *Ctx, n *plan.Node, c *Counters, row types.Row) bool {
-	if n.PushedPred != nil && !expr.EvalPred(n.PushedPred, row) {
-		return false
-	}
-	if n.BitmapSource != nil {
-		bf := ctx.Bitmaps[n.BitmapSource.ID]
-		if bf == nil {
-			panic("exec: scan references an unregistered bitmap")
-		}
-		if !bf.probe(types.Row(row).HashCols(n.BitmapProbeCols)) {
-			return false
-		}
-	}
-	return true
-}
-
 // indexScan reads a B-tree's leaf level in key order. Covered columns are
 // materialized without extra I/O (covering-index semantics).
 type indexScan struct {
 	base
 	cur      *storage.BTreeCursor
 	heap     *storage.Heap
+	pushed   expr.PredFn
 	pushCost float64
 	predCost float64
 }
@@ -109,6 +23,7 @@ func newIndexScan(n *plan.Node) *indexScan {
 	s.init(n)
 	s.pushCost = float64(expr.Cost(n.PushedPred))
 	s.predCost = float64(expr.Cost(n.Pred))
+	s.pushed = expr.CompilePred(n.PushedPred)
 	return s
 }
 
@@ -147,7 +62,7 @@ func (s *indexScan) Next(ctx *Ctx) (types.Row, bool) {
 			row = s.heap.RowNoIO(e.RID)
 		}
 		ctx.chargeCPU(&s.c, ctx.CM.CPUTuple+s.pushCost*ctx.CM.CPUExprUnit)
-		if !storageFilter(ctx, s.node, &s.c, row) {
+		if !storageFilterCompiled(ctx, s.node, s.pushed, row) {
 			continue
 		}
 		if s.node.Pred != nil {
@@ -162,125 +77,6 @@ func (s *indexScan) Next(ctx *Ctx) (types.Row, bool) {
 }
 
 func (s *indexScan) Close(ctx *Ctx) {
-	if s.c.Closed {
-		return
-	}
-	s.closed(ctx)
-}
-
-// constantScan emits literal rows.
-type constantScan struct {
-	base
-	pos int
-}
-
-func newConstantScan(n *plan.Node) *constantScan {
-	s := &constantScan{}
-	s.init(n)
-	return s
-}
-
-func (s *constantScan) Open(ctx *Ctx)   { s.opened(ctx) }
-func (s *constantScan) Rewind(ctx *Ctx) { s.c.Rebinds++; s.pos = 0 }
-
-func (s *constantScan) Next(ctx *Ctx) (types.Row, bool) {
-	if s.pos >= len(s.node.ConstRows) {
-		return nil, false
-	}
-	ctx.chargeCPU(&s.c, ctx.CM.CPUTuple)
-	row := s.node.ConstRows[s.pos]
-	s.pos++
-	s.emit()
-	return row, true
-}
-
-func (s *constantScan) Close(ctx *Ctx) {
-	if s.c.Closed {
-		return
-	}
-	s.closed(ctx)
-}
-
-// columnstoreScan reads a columnstore index row group at a time in batch
-// mode (§4.7): segment reads are charged per batch, per-row CPU is far
-// below row-mode, and the SegmentsProcessed/SegmentsTotal counters drive
-// the client's batch-mode progress fraction.
-type columnstoreScan struct {
-	base
-	cs    *storage.ColumnStore
-	cols  []int
-	group int
-	// gLo/gHi bound the row groups this instance reads: the full range
-	// serially, one contiguous partition per parallel worker.
-	gLo, gHi int
-	buf      []types.Row
-	pos      int
-}
-
-func newColumnstoreScan(n *plan.Node) *columnstoreScan {
-	s := &columnstoreScan{}
-	s.init(n)
-	return s
-}
-
-func (s *columnstoreScan) Open(ctx *Ctx) {
-	s.opened(ctx)
-	s.cs = ctx.DB.ColumnStore(s.node.Table, s.node.Index)
-	s.cols = s.node.AccessedCols
-	if len(s.cols) == 0 {
-		s.cols = make([]int, s.cs.NumColumns())
-		for i := range s.cols {
-			s.cols[i] = i
-		}
-	}
-	s.gLo, s.gHi = 0, s.cs.NumRowGroups()
-	if ctx.Parts > 1 {
-		s.gLo, s.gHi = s.cs.PartitionGroups(ctx.Part, ctx.Parts)
-		s.c.SegmentsTotal = int64(s.gHi-s.gLo) * int64(len(s.cols))
-	} else {
-		s.c.SegmentsTotal = s.cs.TotalSegments(len(s.cols))
-	}
-	s.group = s.gLo
-	s.c.PagesTotal = s.c.SegmentsTotal
-}
-
-func (s *columnstoreScan) Rewind(ctx *Ctx) {
-	s.c.Rebinds++
-	s.group = s.gLo
-	s.buf = nil
-	s.pos = 0
-}
-
-func (s *columnstoreScan) Next(ctx *Ctx) (types.Row, bool) {
-	for {
-		if s.pos < len(s.buf) {
-			row := s.buf[s.pos]
-			s.pos++
-			s.emit()
-			return row, true
-		}
-		if s.group >= s.gHi {
-			return nil, false
-		}
-		var io storage.IOCounts
-		batch := s.cs.ReadRowGroup(s.group, s.cols, ctx.DB.Pool, &io)
-		s.group++
-		ctx.chargeSegments(&s.c, int64(len(s.cols)), io)
-		// Batch-mode filtering: evaluate pushed predicates and bitmap
-		// probes over the whole batch, charging batch-rate CPU.
-		out := batch[:0]
-		for _, row := range batch {
-			if storageFilter(ctx, s.node, &s.c, row) && expr.EvalPred(s.node.Pred, row) {
-				out = append(out, row)
-			}
-		}
-		ctx.chargeCPU(&s.c, float64(len(batch))*ctx.CM.CPUBatchRow)
-		s.buf = out
-		s.pos = 0
-	}
-}
-
-func (s *columnstoreScan) Close(ctx *Ctx) {
 	if s.c.Closed {
 		return
 	}

@@ -1,107 +1,9 @@
 package exec
 
 import (
-	"lqs/internal/engine/expr"
 	"lqs/internal/engine/types"
 	"lqs/internal/plan"
 )
-
-// filter passes rows satisfying its predicate.
-type filter struct {
-	base
-	child    Operator
-	predCost float64
-}
-
-func newFilter(n *plan.Node, child Operator) *filter {
-	f := &filter{child: child}
-	f.init(n)
-	f.predCost = float64(expr.Cost(n.Pred))
-	return f
-}
-
-func (f *filter) Open(ctx *Ctx) {
-	f.opened(ctx)
-	f.child.Open(ctx)
-}
-
-func (f *filter) Rewind(ctx *Ctx) {
-	f.c.Rebinds++
-	f.child.Rewind(ctx)
-}
-
-func (f *filter) Next(ctx *Ctx) (types.Row, bool) {
-	for {
-		row, ok := f.child.Next(ctx)
-		if !ok {
-			return nil, false
-		}
-		ctx.chargeCPU(&f.c, ctx.CM.CPUTuple+f.predCost*ctx.CM.CPUExprUnit)
-		if expr.EvalPred(f.node.Pred, row) {
-			f.emit()
-			return row, true
-		}
-	}
-}
-
-func (f *filter) Close(ctx *Ctx) {
-	if f.c.Closed {
-		return
-	}
-	f.child.Close(ctx)
-	f.closed(ctx)
-}
-
-// computeScalar appends computed expressions to each row.
-type computeScalar struct {
-	base
-	child Operator
-	cost  float64
-}
-
-func newComputeScalar(n *plan.Node, child Operator) *computeScalar {
-	c := &computeScalar{child: child}
-	c.init(n)
-	total := 0
-	for _, e := range n.Exprs {
-		total += expr.Cost(e)
-	}
-	c.cost = float64(total)
-	return c
-}
-
-func (c *computeScalar) Open(ctx *Ctx) {
-	c.opened(ctx)
-	c.child.Open(ctx)
-}
-
-func (c *computeScalar) Rewind(ctx *Ctx) {
-	c.c.Rebinds++
-	c.child.Rewind(ctx)
-}
-
-func (c *computeScalar) Next(ctx *Ctx) (types.Row, bool) {
-	row, ok := c.child.Next(ctx)
-	if !ok {
-		return nil, false
-	}
-	ctx.chargeCPU(&c.c, ctx.CM.CPUTuple+c.cost*ctx.CM.CPUExprUnit)
-	out := make(types.Row, 0, len(row)+len(c.node.Exprs))
-	out = append(out, row...)
-	for _, e := range c.node.Exprs {
-		out = append(out, e.Eval(row))
-	}
-	c.emit()
-	return out, true
-}
-
-func (c *computeScalar) Close(ctx *Ctx) {
-	if c.c.Closed {
-		return
-	}
-	c.child.Close(ctx)
-	c.closed(ctx)
-}
 
 // segment passes rows through while tracking group boundaries on its
 // grouping columns (consumers observe groups positionally).

@@ -4,8 +4,8 @@ import (
 	"lqs/internal/engine/types"
 )
 
-// This file compiles expression trees into closures for the vectorized
-// batch executor. The interpreted Eval path walks the tree with one
+// This file compiles expression trees into closures for the executor's
+// scan, filter and compute hot loops. The interpreted Eval path walks the tree with one
 // interface dispatch per node per row, which profiling shows dominates
 // scan-heavy queries; the compiled form resolves the tree shape once and
 // evaluates each row with direct calls. Compiled evaluation is an exact

@@ -147,7 +147,7 @@ func (c *HeapCursor) Next() (row types.Row, rid int64, ok bool) {
 
 // NextPageRows returns all unread rows of the next page as one run,
 // charging the page read into the cursor exactly as Next would when
-// crossing onto it. ok=false at end of range. The vectorized scan iterates
+// crossing onto it. ok=false at end of range. The table scan iterates
 // page runs to avoid per-row cursor calls; the I/O charge sequence is
 // identical to per-row iteration, which charges a page when its first row
 // is pulled.

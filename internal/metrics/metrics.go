@@ -70,15 +70,15 @@ func TraceQueryEvents(w *workload.Workload, q workload.Query, interval sim.Durat
 // final aggregated counters are byte-identical to the serial run; only the
 // simulated elapsed time (and the per-thread DMV rows) differ.
 func TraceQueryEventsDOP(w *workload.Workload, q workload.Query, interval sim.Duration, eventCap, dop int) (*plan.Plan, *dmv.Trace, *trace.Recorder) {
-	return TraceQueryEventsBatch(w, q, interval, eventCap, dop, 0)
+	return TraceQueryEventsBatch(w, q, interval, eventCap, dop, 1)
 }
 
-// TraceQueryEventsBatch is TraceQueryEventsDOP with vectorized batch
-// execution: batch > 0 runs batch-native subtrees through the columnar
-// executor at that batch size (0 is classic row mode). Result rows and
-// final counters are byte-identical to row mode at any batch size; mid-run
-// snapshots are exact at batch size 1 and boundedly skewed above it (see
-// the exec batch differential battery).
+// TraceQueryEventsBatch is TraceQueryEventsDOP at an explicit batch size
+// (anything below 1 means 1, row-at-a-time execution, which is what the
+// other TraceQuery* forms run). Result rows and final counters are
+// byte-identical at any batch size; mid-run snapshots above batch size 1
+// are boundedly skewed relative to it (see the exec batch-size equivalence
+// battery).
 func TraceQueryEventsBatch(w *workload.Workload, q workload.Query, interval sim.Duration, eventCap, dop, batch int) (*plan.Plan, *dmv.Trace, *trace.Recorder) {
 	tracedQueries.Add(1)
 	root := q.Build(w.Builder())

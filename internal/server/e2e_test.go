@@ -211,27 +211,37 @@ func TestE2EStreamFrames(t *testing.T) {
 	if last.Frame.Rows != 6 || last.Frame.Progress < 1-1e-6 {
 		t.Fatalf("terminal frame contents: %+v", last.Frame)
 	}
-	var prev FrameJSON
-	for i, fr := range frames {
-		f := fr.Frame
-		if f.Progress < -floatEps || f.Progress > 1+floatEps {
-			t.Fatalf("frame %d progress out of bounds: %v", i, f.Progress)
-		}
-		if len(f.Ops) == 0 {
-			t.Fatalf("frame %d has no per-operator rows", i)
-		}
-		if i > 0 {
-			if f.Progress < prev.Progress-floatEps || f.AtUS < prev.AtUS || f.Rows < prev.Rows {
-				t.Fatalf("frame %d regressed vs %d: %+v then %+v", i, i-1, prev, f)
-			}
-		}
-		prev = f
-	}
+	checkFramesMonotone(t, "stream", frames)
 
 	// The direct poll agrees with the stream's terminal frame.
 	st := waitTerminal(t, ts, sub.ID)
 	if st.Progress != last.Frame.Progress || st.Rows != last.Frame.Rows {
 		t.Fatalf("poll %+v disagrees with terminal frame %+v", st, last.Frame)
+	}
+}
+
+// checkFramesMonotone requires one connection's frames, the immediate first
+// frame included, to be bounded, to carry per-operator rows, and never to
+// step back in progress, virtual time or result rows. It reports with
+// t.Errorf so concurrent stream readers can call it.
+func checkFramesMonotone(t *testing.T, who string, frames []sseFrameRec) {
+	t.Helper()
+	for i, fr := range frames {
+		f := fr.Frame
+		if f.Progress < -floatEps || f.Progress > 1+floatEps {
+			t.Errorf("%s: frame %d progress out of bounds: %v", who, i, f.Progress)
+		}
+		if len(f.Ops) == 0 {
+			t.Errorf("%s: frame %d has no per-operator rows", who, i)
+		}
+		if i == 0 {
+			continue
+		}
+		prev := frames[i-1].Frame
+		if f.Progress < prev.Progress-floatEps || f.AtUS < prev.AtUS || f.Rows < prev.Rows {
+			t.Errorf("%s: frame %d regressed vs %d: at_us %d→%d progress %v→%v rows %d→%d",
+				who, i, i-1, prev.AtUS, f.AtUS, prev.Progress, f.Progress, prev.Rows, f.Rows)
+		}
 	}
 }
 

@@ -9,11 +9,14 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"lqs/internal/lqs"
 )
 
 // TestAdmissionControl: with MaxConcurrent=1 a second submission gets a
@@ -83,15 +86,20 @@ func openStream(t *testing.T, url string) (*http.Response, *bufio.Scanner, conte
 	return resp, sc, cancel
 }
 
-// waitFirstFrame reads lines until one data: frame arrived.
-func waitFirstFrame(t *testing.T, sc *bufio.Scanner) {
+// waitFirstFrame reads lines until one data: frame arrived and returns it.
+func waitFirstFrame(t *testing.T, sc *bufio.Scanner) FrameJSON {
 	t.Helper()
 	for sc.Scan() {
-		if strings.HasPrefix(sc.Text(), "data: ") {
-			return
+		if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+			var f FrameJSON
+			if err := json.Unmarshal([]byte(data), &f); err != nil {
+				t.Fatalf("bad SSE frame %q: %v", data, err)
+			}
+			return f
 		}
 	}
 	t.Fatal("stream closed before the first frame")
+	return FrameJSON{}
 }
 
 // TestClientDisconnectDetaches: a client dropping its SSE connection
@@ -197,5 +205,51 @@ func TestCancelDuringStreamDeliversTerminalFrame(t *testing.T) {
 	late := readSSE(t, lateResp.Body)
 	if len(late) != 1 || late[0].Event != "terminal" || late[0].Frame.State != "CANCELLED" {
 		t.Fatalf("late subscriber frames: %+v", late)
+	}
+}
+
+// TestStreamSkipsFrameOlderThanFirst: the handler writes an immediate first
+// frame right after subscribing, and a fan-out frame snapshotted before it
+// can reach the mailbox afterwards. The connection must not step back to
+// it. StreamTick is an hour, so the only fan-out frame is the stale one
+// this test broadcasts itself.
+func TestStreamSkipsFrameOlderThanFirst(t *testing.T) {
+	srv, ts := newTestServer(t, Config{
+		Pace:       20 * time.Millisecond, // Q1 ~800ms wall: running until cancelled below
+		StreamTick: time.Hour,
+	})
+	sub := submit(t, ts, QuerySpec{Query: "Q1"})
+	resp, sc, cancel := openStream(t, fmt.Sprintf("%s/queries/%d/stream", ts.URL, sub.ID))
+	defer resp.Body.Close()
+	defer cancel()
+
+	first := waitFirstFrame(t, sc)
+	if first.Terminal || len(first.Ops) == 0 {
+		t.Fatalf("first frame: %+v", first)
+	}
+
+	srv.mu.Lock()
+	h := srv.queries[lqs.QueryID(sub.ID)]
+	srv.mu.Unlock()
+	stale := first
+	stale.AtUS--
+	stale.Progress = 0
+	h.fan.broadcast(stale, time.Now())
+
+	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/queries/%d", ts.URL, sub.ID), nil)
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+
+	rest := readSSE(t, streamReader{sc})
+	if len(rest) == 0 || rest[len(rest)-1].Event != "terminal" {
+		t.Fatalf("stream did not end with a terminal frame: %+v", rest)
+	}
+	for _, fr := range rest {
+		if fr.Frame.AtUS < first.AtUS {
+			t.Fatalf("%s frame at %dus written after the first frame at %dus", fr.Event, fr.Frame.AtUS, first.AtUS)
+		}
 	}
 }

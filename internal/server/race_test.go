@@ -64,6 +64,7 @@ func TestConcurrentHammer(t *testing.T) {
 					if len(frames) == 0 || frames[len(frames)-1].Event != "terminal" {
 						t.Errorf("worker %d stream frames: %d", w, len(frames))
 					}
+					checkFramesMonotone(t, fmt.Sprintf("worker %d query %d", w, sub.ID), frames)
 				case 2: // cancel racing completion; either outcome is legal
 					req, _ := http.NewRequest(http.MethodDelete,
 						fmt.Sprintf("%s/queries/%d", ts.URL, sub.ID), nil)
@@ -142,6 +143,7 @@ func TestConcurrentStreamersShareOnePoller(t *testing.T) {
 				t.Errorf("client %d got no frames", c)
 				return
 			}
+			checkFramesMonotone(t, fmt.Sprintf("client %d", c), frames)
 			terminals[c] = frames[len(frames)-1].Frame
 		}(c)
 	}

@@ -5,7 +5,8 @@ package server
 // snapshot per StreamTick and pushes it to every subscriber whose chosen
 // interval has elapsed. Slow readers never stall the poll cadence — each
 // subscriber channel is latest-wins, so a stalled client simply skips
-// intermediate frames. The terminal frame is always delivered.
+// intermediate frames. The terminal frame is always delivered, and a
+// connection never sees a progress frame older than one it already wrote.
 
 import (
 	"encoding/json"
@@ -26,6 +27,7 @@ type subscriber struct {
 // sseEvent is one server-sent event ready for the wire.
 type sseEvent struct {
 	event string // "progress" or "terminal"
+	atUS  int64  // a progress frame's virtual time (FrameJSON.AtUS)
 	data  []byte
 }
 
@@ -77,7 +79,7 @@ func (f *fanout) broadcast(frame FrameJSON, now time.Time) {
 	if err != nil {
 		return
 	}
-	ev := sseEvent{event: "progress", data: data}
+	ev := sseEvent{event: "progress", atUS: frame.AtUS, data: data}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for s := range f.subs {
@@ -177,9 +179,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer s.obs.Gauge("server/sse_clients").Add(-1)
 	defer h.fan.unsubscribe(sub)
 
-	// Immediate first frame so clients render without waiting a tick.
-	first, _ := json.Marshal(h.frame())
+	// Immediate first frame so clients render without waiting a tick. The
+	// fan-out may have snapshotted a frame before this one and deliver it
+	// after: lastAt keeps the connection from stepping back to it.
+	f := h.frame()
+	first, _ := json.Marshal(f)
 	writeEvent(w, fl, sseEvent{event: "progress", data: first})
+	lastAt := f.AtUS
 
 	for {
 		select {
@@ -191,10 +197,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return
 			}
-			writeEvent(w, fl, ev)
 			if ev.event == "terminal" {
+				writeEvent(w, fl, ev)
 				return
 			}
+			if ev.atUS < lastAt {
+				continue
+			}
+			lastAt = ev.atUS
+			writeEvent(w, fl, ev)
 		}
 	}
 }
