@@ -1,11 +1,19 @@
 GO ?= go
 
-.PHONY: all vet build test race bench bench-json bench-check trace-smoke fuzz-smoke chaos-smoke serve-smoke acc-json acc-smoke ci
+.PHONY: all vet sort-guard build test race bench bench-json bench-check bench-build trace-smoke fuzz-smoke chaos-smoke serve-smoke acc-json acc-smoke ci
 
 all: ci
 
 vet:
 	$(GO) vet ./...
+
+# The engine sorts with the typed slices.Sort*/SortFunc family: the
+# reflection-swapper sort.Slice/sort.SliceStable cost 3x on the database
+# build and stay only in tests, as the reference the new sorts are checked
+# against.
+sort-guard:
+	@! grep -rnE 'sort\.Slice(Stable)?\(' --include='*.go' --exclude='*_test.go' internal/engine \
+		|| { echo "sort-guard: sort.Slice/sort.SliceStable in non-test engine code"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -115,4 +123,9 @@ acc-smoke:
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test -short .
 
-ci: vet build test race trace-smoke fuzz-smoke chaos-smoke serve-smoke acc-smoke bench-check
+# Run each database-build benchmark once so they cannot rot; the numbers
+# that matter are taken with -benchtime 5x -count 3 (see CHANGES.md).
+bench-build:
+	$(GO) test ./internal/workload -run '^$$' -bench Build -benchtime 1x
+
+ci: vet sort-guard build test race trace-smoke fuzz-smoke chaos-smoke serve-smoke acc-smoke bench-check bench-build

@@ -6,7 +6,6 @@ package catalog
 
 import (
 	"fmt"
-	"sort"
 
 	"lqs/internal/engine/types"
 )
@@ -183,33 +182,40 @@ type ColumnStats struct {
 	NullFrac float64
 }
 
-// BuildStats computes statistics for the table from the supplied column
-// extractor: col(i) must return all values of column ordinal i in storage
+// BuildStats computes statistics for the table from its rows in storage
 // order. buckets controls histogram resolution (SQL Server uses up to 200
 // steps; tests use fewer). The statistics sample every row — sampling error
 // is not a phenomenon the paper studies, while skew-induced estimation
 // error (which it does study) survives full scans intact.
-func (t *Table) BuildStats(buckets int, col func(i int) []types.Value) {
+func (t *Table) BuildStats(buckets int, rows []types.Row) {
+	// One row-major pass extracts every column at once: the rows are read
+	// sequentially instead of once per column at a row-wide stride.
+	keys := make([]columnKeys, len(t.Columns))
+	for c := range keys {
+		keys[c].hint = len(rows)
+	}
+	for _, row := range rows {
+		for c := range keys {
+			keys[c].add(row[c])
+		}
+	}
 	st := &TableStats{Rows: float64(t.RowCount), Cols: make([]*ColumnStats, len(t.Columns))}
-	for i := range t.Columns {
-		vals := col(i)
-		cs := &ColumnStats{}
-		nonNull := make([]types.Value, 0, len(vals))
-		nulls := 0
-		for _, v := range vals {
-			if v.IsNull() {
-				nulls++
-			} else {
-				nonNull = append(nonNull, v)
+	for c := range keys {
+		k := &keys[c]
+		hist := k.histogram(buckets, func() []types.Value {
+			vals := make([]types.Value, 0, len(rows)-k.nulls)
+			for _, row := range rows {
+				if !row[c].IsNull() {
+					vals = append(vals, row[c])
+				}
 			}
+			return vals
+		})
+		cs := &ColumnStats{Hist: hist, Distinct: hist.DistinctTotal}
+		if len(rows) > 0 {
+			cs.NullFrac = float64(k.nulls) / float64(len(rows))
 		}
-		if len(vals) > 0 {
-			cs.NullFrac = float64(nulls) / float64(len(vals))
-		}
-		sort.Slice(nonNull, func(a, b int) bool { return types.Compare(nonNull[a], nonNull[b]) < 0 })
-		cs.Hist = buildHistogramSorted(nonNull, buckets)
-		cs.Distinct = cs.Hist.DistinctTotal
-		st.Cols[i] = cs
+		st.Cols[c] = cs
 	}
 	t.Stats = st
 }

@@ -198,12 +198,13 @@ func TestHistogramEmpty(t *testing.T) {
 func TestBuildStats(t *testing.T) {
 	tb := testTable()
 	tb.RowCount = 4
-	data := [][]types.Value{
-		intVals(1, 2, 2, 3),
-		{types.Str("a"), types.Str("b"), types.Str("b"), types.Null()},
-		{types.Float(1), types.Float(2), types.Float(3), types.Float(4)},
+	rows := []types.Row{
+		{types.Int(1), types.Str("a"), types.Float(1)},
+		{types.Int(2), types.Str("b"), types.Float(2)},
+		{types.Int(2), types.Str("b"), types.Float(3)},
+		{types.Int(3), types.Null(), types.Float(4)},
 	}
-	tb.BuildStats(8, func(i int) []types.Value { return data[i] })
+	tb.BuildStats(8, rows)
 	st := tb.Stats
 	if st == nil || st.Rows != 4 {
 		t.Fatalf("stats rows = %+v", st)
@@ -228,5 +229,109 @@ func TestHistogramStringValues(t *testing.T) {
 	}
 	if got := h.SelectivityLT(types.Str("z"), false); got != 1 {
 		t.Errorf("lt z = %v", got)
+	}
+}
+
+// sameHistogram compares two histograms step by step. Values must agree in
+// kind and under types.Equal — bitwise except for the ±0 pair, whose order
+// within a run no sort defines.
+func sameHistogram(t *testing.T, name string, got, want *Histogram) {
+	t.Helper()
+	sameValue := func(a, b types.Value) bool { return a.K == b.K && types.Equal(a, b) }
+	if got.TotalRows != want.TotalRows || got.DistinctTotal != want.DistinctTotal ||
+		!sameValue(got.Min, want.Min) || !sameValue(got.Max, want.Max) || len(got.Buckets) != len(want.Buckets) {
+		t.Fatalf("%s: got %v, want %v", name, got, want)
+	}
+	for i, b := range got.Buckets {
+		w := want.Buckets[i]
+		if !sameValue(b.Upper, w.Upper) || b.EqRows != w.EqRows || b.RangeRows != w.RangeRows || b.RangeDistinct != w.RangeDistinct {
+			t.Fatalf("%s: bucket %d got %+v, want %+v", name, i, b, w)
+		}
+	}
+}
+
+// TestTypedHistogramMatchesGenericPath: statistics built through the typed
+// payload sort must equal the generic-comparator path — Values sorted under
+// types.Compare — on every column shape, and a column the payload order
+// cannot represent (mixed kinds, NaN) must be routed to that path.
+func TestTypedHistogramMatchesGenericPath(t *testing.T) {
+	rng := sim.NewRNG(11)
+	gen := func(n int, f func(i int) types.Value) []types.Value {
+		out := make([]types.Value, n)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
+	}
+	words := []string{"", "a", "ab", "b", "ba", "zz", "Z"}
+	cases := map[string][]types.Value{
+		"empty":      nil,
+		"all-null":   gen(50, func(int) types.Value { return types.Null() }),
+		"int-dups":   gen(3000, func(int) types.Value { return types.Int(rng.Int63n(40) - 20) }),
+		"int-wide":   gen(3000, func(int) types.Value { return types.Int(int64(rng.Uint64())) }),
+		"int-sorted": gen(1000, func(i int) types.Value { return types.Int(int64(i / 3)) }),
+		"int-nulls": gen(2000, func(i int) types.Value {
+			if i%7 == 0 {
+				return types.Null()
+			}
+			return types.Int(rng.Int63n(300))
+		}),
+		"float": gen(3000, func(int) types.Value { return types.Float(rng.Float64()*200 - 100) }),
+		"float-zeros": gen(500, func(i int) types.Value {
+			return types.Float([]float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1)}[rng.Intn(6)])
+		}),
+		"float-nan": gen(500, func(i int) types.Value {
+			if i%50 == 3 {
+				return types.Float(math.NaN())
+			}
+			return types.Float(float64(rng.Intn(30)))
+		}),
+		"string": gen(2000, func(int) types.Value { return types.Str(words[rng.Intn(len(words))]) }),
+		"mixed-num": gen(1000, func(i int) types.Value {
+			if i%2 == 0 {
+				return types.Int(rng.Int63n(50))
+			}
+			return types.Float(float64(rng.Intn(50)) + 0.5)
+		}),
+		"mixed-all": gen(1000, func(i int) types.Value {
+			switch rng.Intn(4) {
+			case 0:
+				return types.Null()
+			case 1:
+				return types.Int(rng.Int63n(9))
+			case 2:
+				return types.Float(rng.Float64())
+			default:
+				return types.Str(words[rng.Intn(len(words))])
+			}
+		}),
+	}
+	for name, vals := range cases {
+		for _, buckets := range []int{1, 8, 64} {
+			var nonNull []types.Value
+			for _, v := range vals {
+				if !v.IsNull() {
+					nonNull = append(nonNull, v)
+				}
+			}
+			want := genericHistogram(nonNull, buckets)
+			sameHistogram(t, name, BuildHistogram(vals, buckets), want)
+
+			tb := NewTable("t", Column{"c", types.KindInt})
+			rows := make([]types.Row, len(vals))
+			for i, v := range vals {
+				rows[i] = types.Row{v}
+			}
+			tb.RowCount = int64(len(rows))
+			tb.BuildStats(buckets, rows)
+			cs := tb.Stats.Cols[0]
+			sameHistogram(t, name+"/stats", cs.Hist, want)
+			if cs.Distinct != want.DistinctTotal {
+				t.Errorf("%s: distinct %v, want %v", name, cs.Distinct, want.DistinctTotal)
+			}
+			if nulls := len(vals) - len(nonNull); len(vals) > 0 && cs.NullFrac != float64(nulls)/float64(len(vals)) {
+				t.Errorf("%s: null fraction %v with %d/%d NULLs", name, cs.NullFrac, nulls, len(vals))
+			}
+		}
 	}
 }

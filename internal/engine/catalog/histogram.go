@@ -1,7 +1,9 @@
 package catalog
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"lqs/internal/engine/types"
@@ -27,11 +29,12 @@ type Histogram struct {
 	Min, Max      types.Value
 }
 
-// buildHistogramSorted builds a histogram from values already sorted
-// ascending. It produces at most maxBuckets steps; every distinct value at
-// a bucket boundary gets exact EqRows, which mirrors how real engines pin
-// frequent values to steps.
-func buildHistogramSorted(sorted []types.Value, maxBuckets int) *Histogram {
+// buildHistogramSorted builds a histogram from keys already sorted
+// ascending: eq tells adjacent keys apart and val turns a key back into
+// the Value it was extracted from. It produces at most maxBuckets steps;
+// every distinct value at a bucket boundary gets exact EqRows, which
+// mirrors how real engines pin frequent values to steps.
+func buildHistogramSorted[K any](sorted []K, eq func(a, b K) bool, val func(K) types.Value, maxBuckets int) *Histogram {
 	h := &Histogram{}
 	n := len(sorted)
 	if n == 0 {
@@ -41,103 +44,126 @@ func buildHistogramSorted(sorted []types.Value, maxBuckets int) *Histogram {
 		maxBuckets = 1
 	}
 	h.TotalRows = float64(n)
-	h.Min = sorted[0]
-	h.Max = sorted[n-1]
-
-	// Group into runs of equal values first.
-	type run struct {
-		v     types.Value
-		count int
-	}
-	runs := make([]run, 0, min(n, 4096))
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && types.Equal(sorted[j], sorted[i]) {
-			j++
-		}
-		runs = append(runs, run{sorted[i], j - i})
-		i = j
-	}
-	h.DistinctTotal = float64(len(runs))
+	h.Min = val(sorted[0])
+	h.Max = val(sorted[n-1])
 
 	perBucket := (n + maxBuckets - 1) / maxBuckets
-	var cur Bucket
-	var curRows int
-	var curDistinct int
-	flush := func(boundary run) {
-		cur.Upper = boundary.v
-		cur.EqRows = float64(boundary.count)
-		cur.RangeRows = float64(curRows)
-		cur.RangeDistinct = float64(curDistinct)
-		h.Buckets = append(h.Buckets, cur)
-		cur = Bucket{}
-		curRows, curDistinct = 0, 0
-	}
-	for i, rn := range runs {
-		// A run becomes the boundary when the accumulated range plus the
-		// run itself reaches the target depth, or it is the last run.
-		if curRows+rn.count >= perBucket || i == len(runs)-1 {
-			flush(rn)
-		} else {
-			curRows += rn.count
-			curDistinct++
+	var distinct, rangeRows, rangeDistinct int
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && eq(sorted[j], sorted[i]) {
+			j++
 		}
+		distinct++
+		// A run of equal values becomes the boundary when the accumulated
+		// range plus the run itself reaches the target depth, or it is
+		// the last run.
+		if count := j - i; rangeRows+count >= perBucket || j == n {
+			h.Buckets = append(h.Buckets, Bucket{
+				Upper:         val(sorted[i]),
+				EqRows:        float64(count),
+				RangeRows:     float64(rangeRows),
+				RangeDistinct: float64(rangeDistinct),
+			})
+			rangeRows, rangeDistinct = 0, 0
+		} else {
+			rangeRows += count
+			rangeDistinct++
+		}
+		i = j
 	}
+	h.DistinctTotal = float64(distinct)
 	return h
 }
 
-// BuildHistogram sorts a copy of values and builds an equi-depth histogram
-// with at most maxBuckets steps. Null values must be filtered out by the
-// caller (Table.BuildStats does this).
-func BuildHistogram(values []types.Value, maxBuckets int) *Histogram {
-	cp := make([]types.Value, len(values))
-	copy(cp, values)
-	sortValues(cp)
-	return buildHistogramSorted(cp, maxBuckets)
+// columnKeys accumulates one column's non-NULL values as bare int64,
+// float64 or string payloads (8-16 bytes each, against 40 for a Value) so
+// they can be sorted without the generic comparator. The kind is taken from
+// the values themselves; within one kind the payload order is exactly
+// types.Compare's.
+type columnKeys struct {
+	kind  types.Kind // of the first non-NULL value
+	mixed bool       // another kind or a NaN was seen: payload order no longer applies
+	nulls int
+	hint  int // expected number of values
+
+	ints   []int64
+	floats []float64
+	strs   []string
 }
 
-func sortValues(vs []types.Value) {
-	// insertion-free: delegate to sort.Slice via a tiny local import-free
-	// shim is not worth it; use a simple quicksort to keep the package
-	// dependency surface minimal? Standard library is allowed and clearer.
-	quickSortValues(vs, 0, len(vs)-1)
-}
-
-func quickSortValues(vs []types.Value, lo, hi int) {
-	for lo < hi {
-		if hi-lo < 12 {
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && types.Compare(vs[j], vs[j-1]) < 0; j-- {
-					vs[j], vs[j-1] = vs[j-1], vs[j]
-				}
-			}
-			return
+func (k *columnKeys) add(v types.Value) {
+	switch {
+	case v.K == types.KindNull:
+		k.nulls++
+		return
+	case k.kind == types.KindNull:
+		k.kind = v.K
+		switch v.K {
+		case types.KindInt:
+			k.ints = make([]int64, 0, k.hint)
+		case types.KindFloat:
+			k.floats = make([]float64, 0, k.hint)
+		case types.KindString:
+			k.strs = make([]string, 0, k.hint)
 		}
-		mid := lo + (hi-lo)/2
-		pivot := vs[mid]
-		i, j := lo, hi
-		for i <= j {
-			for types.Compare(vs[i], pivot) < 0 {
-				i++
-			}
-			for types.Compare(vs[j], pivot) > 0 {
-				j--
-			}
-			if i <= j {
-				vs[i], vs[j] = vs[j], vs[i]
-				i++
-				j--
-			}
-		}
-		// Recurse into the smaller side to bound stack depth.
-		if j-lo < hi-i {
-			quickSortValues(vs, lo, j)
-			lo = i
-		} else {
-			quickSortValues(vs, i, hi)
-			hi = j
-		}
+	case v.K != k.kind:
+		k.mixed = true
+		return
 	}
+	switch v.K {
+	case types.KindInt:
+		k.ints = append(k.ints, v.I)
+	case types.KindFloat:
+		k.mixed = k.mixed || v.F != v.F
+		k.floats = append(k.floats, v.F)
+	case types.KindString:
+		k.strs = append(k.strs, v.S)
+	default:
+		k.mixed = true
+	}
+}
+
+// histogram sorts the accumulated payloads and builds their histogram. A
+// mixed column instead takes the generic path over its whole Values,
+// fetched by nonNull.
+func (k *columnKeys) histogram(maxBuckets int, nonNull func() []types.Value) *Histogram {
+	switch {
+	case k.mixed:
+		return genericHistogram(nonNull(), maxBuckets)
+	case k.kind == types.KindInt:
+		return payloadHistogram(k.ints, types.Int, maxBuckets)
+	case k.kind == types.KindFloat:
+		return payloadHistogram(k.floats, types.Float, maxBuckets)
+	case k.kind == types.KindString:
+		return payloadHistogram(k.strs, types.Str, maxBuckets)
+	default: // empty or all NULL
+		return &Histogram{}
+	}
+}
+
+// genericHistogram sorts vals in place under types.Compare, the order every
+// kind mix shares, and builds their histogram.
+func genericHistogram(vals []types.Value, maxBuckets int) *Histogram {
+	slices.SortFunc(vals, types.Compare)
+	return buildHistogramSorted(vals, types.Equal, func(v types.Value) types.Value { return v }, maxBuckets)
+}
+
+func payloadHistogram[K cmp.Ordered](keys []K, val func(K) types.Value, maxBuckets int) *Histogram {
+	slices.Sort(keys)
+	return buildHistogramSorted(keys, func(a, b K) bool { return a == b }, val, maxBuckets)
+}
+
+// BuildHistogram builds an equi-depth histogram with at most maxBuckets
+// steps over the non-NULL values; values itself is left untouched.
+func BuildHistogram(values []types.Value, maxBuckets int) *Histogram {
+	k := columnKeys{hint: len(values)}
+	for _, v := range values {
+		k.add(v)
+	}
+	return k.histogram(maxBuckets, func() []types.Value {
+		return slices.DeleteFunc(slices.Clone(values), types.Value.IsNull)
+	})
 }
 
 // SelectivityEq estimates the fraction of rows equal to v.
@@ -240,11 +266,4 @@ func clamp01(f float64) float64 {
 		return 1
 	}
 	return f
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -558,3 +558,59 @@ func BenchmarkHashJoinExec(bm *testing.B) {
 		q.Run()
 	}
 }
+
+// The exchange must retain what it buffers, not everything that ever
+// crossed it: consumed slots are released and the queue is sized by its
+// high-water occupancy.
+func TestExchangeReleasesEmittedRows(t *testing.T) {
+	const total = 3000 // rows in u
+	build := func(startup, ahead int) (*Query, *exchange) {
+		db := testDB(t)
+		bb := b(db)
+		ex := bb.ExchangeNode(bb.TableScan("u", nil, nil), plan.GatherStreams)
+		ex.ExchangeStartup = startup
+		ex.ExchangeAhead = ahead
+		p := plan.Finalize(ex)
+		opt.NewEstimator(db.Catalog).Estimate(p)
+		q := NewQuery(p, db, opt.DefaultCostModel(), sim.NewClock())
+		return q, q.Operator(ex.ID).(*exchange)
+	}
+
+	// Whole input buffered by the start-up burst: after N of M rows the
+	// live window is M-N, and the slice holds no more than twice that.
+	q, e := build(2*total, 1)
+	for _, n := range []int{1, 1000, 2500, 2999} {
+		q.Step(n - int(q.RowsReturned()))
+		live := len(e.queue) - e.head
+		if live != total-n || e.c.BufferedRows != int64(live) {
+			t.Fatalf("after %d rows: live window %d, BufferedRows %d, want %d", n, live, e.c.BufferedRows, total-n)
+		}
+		if len(e.queue) > 2*live+1 {
+			t.Fatalf("after %d rows: queue still spans %d slots for %d live rows", n, len(e.queue), live)
+		}
+	}
+
+	// Steady state (one row pulled per row emitted): occupancy never
+	// exceeds the start-up burst, so neither may the queue's capacity
+	// scale with the rows that have passed through.
+	const startup = 100
+	q, e = build(startup, 1)
+	highWater := 0
+	for {
+		if more, err := q.Step(1); err != nil || !more {
+			break
+		}
+		if live := len(e.queue) - e.head; live > highWater {
+			highWater = live
+		}
+	}
+	if q.RowsReturned() != total {
+		t.Fatalf("exchange delivered %d rows, want %d", q.RowsReturned(), total)
+	}
+	if highWater > startup+1 {
+		t.Fatalf("high-water occupancy %d, want <= %d", highWater, startup+1)
+	}
+	if cap(e.queue) > 4*highWater {
+		t.Fatalf("queue capacity %d after %d rows with high-water occupancy %d", cap(e.queue), total, highWater)
+	}
+}

@@ -1,8 +1,9 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lqs/internal/engine/types"
 	"lqs/internal/plan"
@@ -673,11 +674,11 @@ func (g *gather) mergeTraces() {
 	if len(all) == 0 {
 		return
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].At != all[j].At {
-			return all[i].At < all[j].At
+	slices.SortStableFunc(all, func(a, b trace.Event) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
 		}
-		return all[i].Thread < all[j].Thread
+		return cmp.Compare(a.Thread, b.Thread)
 	})
 	g.rootCtx.Trace.Ingest(all)
 }

@@ -1,8 +1,9 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"lqs/internal/engine/storage"
@@ -74,11 +75,11 @@ func NewQueryBatch(p *plan.Plan, db *storage.Database, cm *opt.CostModel, clock 
 		q.all = append(q.all, c)
 	}
 	q.all = append(q.all, q.Ctx.threadCounters...)
-	sort.Slice(q.all, func(i, j int) bool {
-		if q.all[i].NodeID != q.all[j].NodeID {
-			return q.all[i].NodeID < q.all[j].NodeID
+	slices.SortFunc(q.all, func(a, b *Counters) int {
+		if c := cmp.Compare(a.NodeID, b.NodeID); c != 0 {
+			return c
 		}
-		return q.all[i].Thread < q.all[j].Thread
+		return cmp.Compare(a.Thread, b.Thread)
 	})
 	return q
 }

@@ -2,7 +2,7 @@ package exec
 
 import (
 	"container/heap"
-	"sort"
+	"slices"
 
 	"lqs/internal/engine/types"
 	"lqs/internal/plan"
@@ -63,8 +63,8 @@ func (s *sortOp) fill(ctx *Ctx) {
 	// do, so its operators report closed while the sort works and emits.
 	s.child.Close(ctx)
 	cols, desc := s.node.SortCols, s.node.SortDesc
-	sort.SliceStable(s.rows, func(i, j int) bool {
-		return types.CompareCols(s.rows[i], s.rows[j], cols, cols, desc) < 0
+	slices.SortStableFunc(s.rows, func(a, b types.Row) int {
+		return types.CompareCols(a, b, cols, cols, desc)
 	})
 	s.spillMerge(ctx)
 	// The final merge pass is charged on output (per row in Next).

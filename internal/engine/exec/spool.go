@@ -149,6 +149,23 @@ func (e *exchange) pull(ctx *Ctx, n int) {
 	e.c.BufferedRows = int64(len(e.queue) - e.head)
 }
 
+// popRow removes the head of the queue. The consumed slot is cleared and,
+// once the consumed prefix outgrows the live window, the window slides to
+// the front, so the queue retains (and is sized by) what is buffered, not
+// everything that ever crossed the exchange.
+func (e *exchange) popRow() types.Row {
+	row := e.queue[e.head]
+	e.queue[e.head] = nil
+	e.head++
+	if e.head > len(e.queue)/2 {
+		n := copy(e.queue, e.queue[e.head:])
+		clear(e.queue[n:])
+		e.queue = e.queue[:n]
+		e.head = 0
+	}
+	return row
+}
+
 func (e *exchange) Next(ctx *Ctx) (types.Row, bool) {
 	if !e.started {
 		e.started = true
@@ -167,8 +184,7 @@ func (e *exchange) Next(ctx *Ctx) (types.Row, bool) {
 			return nil, false
 		}
 	}
-	row := e.queue[e.head]
-	e.head++
+	row := e.popRow()
 	ahead := e.node.ExchangeAhead
 	if ahead == 0 {
 		ahead = defaultExchangeAhead

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"lqs/internal/engine/types"
@@ -45,17 +47,100 @@ func compareKeys(a, b []types.Value) int {
 	return 0
 }
 
-// BuildBTree bulk-builds a tree from entries (sorted in place by key). The
-// leaf packing factor derives from the average entry width so clustered
-// indexes (full rows) occupy proportionally more pages than narrow
-// secondary indexes.
-func BuildBTree(objectID uint32, entries []IndexEntry) *BTree {
-	sort.SliceStable(entries, func(i, j int) bool {
-		if c := compareKeys(entries[i].Key, entries[j].Key); c != 0 {
-			return c < 0
+// compareEntries is the index order: key, then RID. RIDs are unique within
+// an index, so this is a total order and the sorted sequence is unique —
+// every correct sort produces the same leaf layout.
+func compareEntries(a, b IndexEntry) int {
+	if c := compareKeys(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.RID, b.RID)
+}
+
+// sortEntries puts entries in index order. Serial primary keys arrive
+// sorted and cost one verification pass. A key that is one column of one
+// kind — judged from the entries themselves — is sorted as a compact
+// (payload, RID, position) permutation; composite, mixed-kind, NULL- or
+// NaN-bearing keys take the generic comparator.
+func sortEntries(entries []IndexEntry) {
+	if slices.IsSortedFunc(entries, compareEntries) {
+		return
+	}
+	switch singleKeyKind(entries) {
+	case types.KindInt:
+		sortByPayload(entries, func(v types.Value) int64 { return v.I })
+	case types.KindFloat:
+		sortByPayload(entries, func(v types.Value) float64 { return v.F })
+	case types.KindString:
+		sortByPayload(entries, func(v types.Value) string { return v.S })
+	default:
+		slices.SortFunc(entries, compareEntries)
+	}
+}
+
+// singleKeyKind returns the kind shared by every entry's key when all keys
+// are a single non-NULL, non-NaN column of that kind, else KindNull.
+func singleKeyKind(entries []IndexEntry) types.Kind {
+	kind := types.KindNull
+	for i := range entries {
+		k := entries[i].Key
+		if len(k) != 1 || k[0].K == types.KindNull || (k[0].K == types.KindFloat && k[0].F != k[0].F) {
+			return types.KindNull
 		}
-		return entries[i].RID < entries[j].RID
+		if i == 0 {
+			kind = k[0].K
+		} else if k[0].K != kind {
+			return types.KindNull
+		}
+	}
+	return kind
+}
+
+// sortByPayload sorts entries whose keys are a single column of one kind
+// by comparing bare payloads: the permutation is sorted on (payload, RID),
+// then applied to entries in place by following its cycles. Within one
+// kind the payload order is exactly types.Compare's.
+func sortByPayload[K cmp.Ordered](entries []IndexEntry, payload func(types.Value) K) {
+	type slot struct {
+		key K
+		rid int64
+		pos int32 // index in entries; -1 once placed
+	}
+	perm := make([]slot, len(entries))
+	for i := range entries {
+		perm[i] = slot{payload(entries[i].Key[0]), entries[i].RID, int32(i)}
+	}
+	slices.SortFunc(perm, func(a, b slot) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.rid, b.rid)
 	})
+	for i := range perm {
+		if perm[i].pos < 0 {
+			continue
+		}
+		first := entries[i]
+		j := i
+		for {
+			src := int(perm[j].pos)
+			perm[j].pos = -1
+			if src == i {
+				entries[j] = first
+				break
+			}
+			entries[j] = entries[src]
+			j = src
+		}
+	}
+}
+
+// BuildBTree bulk-builds a tree from entries (sorted in place by key, then
+// RID). The leaf packing factor derives from the average entry width so
+// clustered indexes (full rows) occupy proportionally more pages than
+// narrow secondary indexes.
+func BuildBTree(objectID uint32, entries []IndexEntry) *BTree {
+	sortEntries(entries)
 	t := &BTree{objectID: objectID, fanout: 256, n: len(entries)}
 	if len(entries) == 0 {
 		return t
@@ -79,6 +164,9 @@ func BuildBTree(objectID uint32, entries []IndexEntry) *BTree {
 	if perLeaf < 2 {
 		perLeaf = 2
 	}
+	nLeaves := (len(entries) + perLeaf - 1) / perLeaf
+	t.leaves = make([][]IndexEntry, 0, nLeaves)
+	t.firstKeys = make([][]types.Value, 0, nLeaves)
 	for i := 0; i < len(entries); i += perLeaf {
 		j := i + perLeaf
 		if j > len(entries) {

@@ -43,9 +43,12 @@ func BuildColumnStore(objectID uint32, rows []types.Row, numCols int) *ColumnSto
 		if end > len(rows) {
 			end = len(rows)
 		}
-		g := rowGroup{rows: end - start, segs: make([]Segment, numCols)}
+		n := end - start
+		g := rowGroup{rows: n, segs: make([]Segment, numCols)}
+		// One allocation per row group, cut into per-column segments.
+		vals := make([]types.Value, numCols*n)
 		for c := 0; c < numCols; c++ {
-			seg := Segment{Values: make([]types.Value, 0, end-start)}
+			seg := Segment{Values: vals[c*n : c*n : (c+1)*n]}
 			for r := start; r < end; r++ {
 				v := rows[r][c]
 				seg.Values = append(seg.Values, v)

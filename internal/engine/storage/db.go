@@ -40,7 +40,9 @@ func (db *Database) allocObj() uint32 {
 }
 
 // Load stores rows into the named table's heap, seals page packing, builds
-// every declared index, and records the row count in the catalog. It
+// every declared index, and records the row count in the catalog. The
+// caller transfers ownership of the rows: they are immutable from here on,
+// and the heap, the index keys and the clustered leaves all alias them. It
 // panics if the table is unknown or a row has the wrong arity — loader
 // bugs, not runtime conditions.
 func (db *Database) Load(table string, rows []types.Row) {
@@ -51,33 +53,20 @@ func (db *Database) Load(table string, rows []types.Row) {
 		}
 	}
 	h := NewHeap(db.allocObj())
-	for _, r := range rows {
-		h.Append(r)
-	}
+	h.rows = make([]types.Row, len(rows))
+	copy(h.rows, rows)
 	h.Seal()
 	db.heaps[table] = h
 	t.RowCount = h.NumRows()
 	t.Pages = h.NumPages()
-	db.buildIndexes(t, rows)
+	db.buildIndexes(t, h.rows)
 }
 
 func (db *Database) buildIndexes(t *catalog.Table, rows []types.Row) {
 	for _, ix := range t.Indexes {
 		switch ix.Kind {
 		case catalog.BTree:
-			entries := make([]IndexEntry, len(rows))
-			for i, r := range rows {
-				key := make([]types.Value, len(ix.KeyCols))
-				for k, c := range ix.KeyCols {
-					key[k] = r[c]
-				}
-				e := IndexEntry{Key: key, RID: int64(i)}
-				if ix.Clustered {
-					e.Row = r
-				}
-				entries[i] = e
-			}
-			bt := BuildBTree(db.allocObj(), entries)
+			bt := BuildBTree(db.allocObj(), indexEntries(ix, rows))
 			ix.LeafPages = bt.NumLeafPages()
 			ix.Height = bt.Height()
 			db.btrees[t.Name+"."+ix.Name] = bt
@@ -87,6 +76,36 @@ func (db *Database) buildIndexes(t *catalog.Table, rows []types.Row) {
 			db.colstores[t.Name+"."+ix.Name] = cs
 		}
 	}
+}
+
+// indexEntries returns one unsorted entry per row. A single-column key is
+// the capacity-clipped sub-slice of the row itself; a composite key is cut
+// from one arena per index.
+func indexEntries(ix *catalog.Index, rows []types.Row) []IndexEntry {
+	entries := make([]IndexEntry, len(rows))
+	nk := len(ix.KeyCols)
+	var arena []types.Value
+	if nk != 1 {
+		arena = make([]types.Value, 0, nk*len(rows))
+	}
+	for i, r := range rows {
+		e := IndexEntry{RID: int64(i)}
+		if nk == 1 {
+			c := ix.KeyCols[0]
+			e.Key = r[c : c+1 : c+1]
+		} else {
+			start := len(arena)
+			for _, c := range ix.KeyCols {
+				arena = append(arena, r[c])
+			}
+			e.Key = arena[start:len(arena):len(arena)]
+		}
+		if ix.Clustered {
+			e.Row = r
+		}
+		entries[i] = e
+	}
+	return entries
 }
 
 // Heap returns the named table's heap; it panics if the table has no data.
@@ -141,13 +160,7 @@ func (db *Database) BuildAllStats(buckets int) {
 		if h == nil {
 			continue
 		}
-		t.BuildStats(buckets, func(i int) []types.Value {
-			vals := make([]types.Value, 0, len(h.rows))
-			for _, r := range h.rows {
-				vals = append(vals, r[i])
-			}
-			return vals
-		})
+		t.BuildStats(buckets, h.rows)
 	}
 }
 

@@ -2,10 +2,14 @@ package lqs
 
 import (
 	"errors"
+	"sync"
 	"testing"
+	"time"
 
+	"lqs/internal/engine/dmv"
 	"lqs/internal/engine/exec"
 	"lqs/internal/progress"
+	"lqs/internal/sim"
 )
 
 // TestRegistryConcurrentPolling races List/Poll against the executor
@@ -162,5 +166,64 @@ func TestRegistryUnknownID(t *testing.T) {
 	}
 	if _, err := reg.Wait(QueryID(42)); err == nil {
 		t.Fatal("Wait on unknown id succeeded")
+	}
+}
+
+// slowCapture is a healthy DMV hook that takes a while: it models a poller
+// descheduled between capturing the counters and handing the snapshot on,
+// which on a loaded machine is long enough for the query to finish.
+type slowCapture struct{}
+
+func (slowCapture) OnPoll(_ sim.Duration, snap *dmv.Snapshot) (*dmv.Snapshot, bool) {
+	time.Sleep(100 * time.Microsecond)
+	return snap, false
+}
+
+// TestSharedSnapshotTerminalStateMatchesCounters polls many short shared
+// queries to completion, two pollers each, through a slow capture hook. A
+// snapshot is one hand-off: whenever it reports SUCCEEDED its counters must
+// be the final ones — progress 1 and every operator closed or never
+// opened. Reading the state after the counter lock is dropped pairs
+// SUCCEEDED with whatever pre-terminal counters the capture saw.
+func TestSharedSnapshotTerminalStateMatchesCounters(t *testing.T) {
+	db := testDB(t)
+	iters := 100
+	if testing.Short() {
+		iters = 20
+	}
+	for i := 0; i < iters; i++ {
+		reg := NewQueryRegistry()
+		s := Start(db, testPlan(db), progress.LQSOptions())
+		s.SetSnapshotFault(slowCapture{})
+		id := reg.Launch("q", s)
+		var wg sync.WaitGroup
+		for p := 0; p < 2; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					snap := s.Snapshot()
+					if !snap.State.Terminal() {
+						continue
+					}
+					if snap.State != exec.StateSucceeded || snap.Progress < 0.999 {
+						t.Errorf("query %d: state %v with progress %v", i, snap.State, snap.Progress)
+					}
+					for _, op := range snap.Ops {
+						if op.Active {
+							t.Errorf("query %d: state %v with node %d (%s) still active", i, snap.State, op.NodeID, op.Name)
+						}
+					}
+					return
+				}
+			}()
+		}
+		if _, err := reg.Wait(id); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
 	}
 }

@@ -184,30 +184,37 @@ func (s *Session) applyFault(snap *dmv.Snapshot) *dmv.Snapshot {
 
 // Snapshot polls the DMV surface and estimates progress right now. On a
 // shared session (registry-launched) it synchronizes with the executor, so
-// it is safe to call concurrently with the query running.
+// it is safe to call concurrently with the query running: counters, state
+// and error are read under one hold of the counter lock — the executor
+// finishes and fails under that lock — so a terminal state is never paired
+// with pre-terminal counters.
 func (s *Session) Snapshot() *QuerySnapshot {
 	if s.shared {
 		s.snapMu.Lock()
 		defer s.snapMu.Unlock()
-		out := s.snapshot(s.applyFault(dmv.CaptureSync(s.Query)))
+		s.Query.LockCounters()
+		snap, state, err := dmv.Capture(s.Query), s.Query.State(), s.Query.Err()
+		s.Query.UnlockCounters()
+		out := s.snapshot(s.applyFault(snap), state, err)
 		s.record(out)
 		return out
 	}
-	out := s.snapshot(s.applyFault(dmv.Capture(s.Query)))
+	out := s.snapshot(s.applyFault(dmv.Capture(s.Query)), s.Query.State(), s.Query.Err())
 	s.snapMu.Lock()
 	s.record(out)
 	s.snapMu.Unlock()
 	return out
 }
 
-// snapshot builds the display state for one captured DMV snapshot.
-func (s *Session) snapshot(snap *dmv.Snapshot) *QuerySnapshot {
+// snapshot builds the display state for one captured DMV snapshot and the
+// lifecycle state read with it.
+func (s *Session) snapshot(snap *dmv.Snapshot, state exec.QueryState, err error) *QuerySnapshot {
 	est := s.Estimator.Estimate(snap)
 	out := &QuerySnapshot{
 		At:              snap.At,
 		Progress:        est.Query,
-		State:           s.Query.State(),
-		Err:             s.Query.Err(),
+		State:           state,
+		Err:             err,
 		Ops:             make([]OpStatus, len(s.plan.Nodes)),
 		ActivePipelines: make([]bool, len(s.Estimator.Decomp.Pipelines)),
 		Degraded:        est.Degraded,

@@ -102,8 +102,12 @@ func genTable(rng *sim.RNG, name string, n int64, cols []colSpec) (*catalog.Tabl
 	}
 	t := catalog.NewTable(name, cc...)
 	rows := make([]types.Row, n)
+	// One value arena per table; each row is a capacity-clipped window so
+	// an append to a row can never reach its neighbour.
+	w := int64(len(cols))
+	arena := make([]types.Value, n*w)
 	for i := int64(0); i < n; i++ {
-		row := make(types.Row, len(cols))
+		row := types.Row(arena[i*w : (i+1)*w : (i+1)*w])
 		for j, c := range cols {
 			row[j] = c.gen(rng, i)
 		}
