@@ -23,8 +23,8 @@
 //	lqsbench -accuracy -acc-json ACC.json   # write the ACC_*.json artifact
 //	lqsbench -accuracy -full                # every query of both workloads
 //
-// Output is byte-identical at every -parallel setting: workers trace
-// against private regenerated workloads and results merge in query order.
+// Output is byte-identical at every -parallel setting: workers trace on
+// private views of the workload and results merge in query order.
 // That extends to -trace-dir: the emitted trace files carry virtual
 // timestamps only, so they are byte-identical across serial and parallel
 // runs of the same seed.

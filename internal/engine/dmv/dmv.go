@@ -12,6 +12,8 @@
 package dmv
 
 import (
+	"slices"
+
 	"lqs/internal/engine/exec"
 	"lqs/internal/obs"
 	"lqs/internal/plan"
@@ -395,13 +397,16 @@ func (p *Poller) trim(tr *Trace) {
 // History returns the retained snapshots for a query, oldest first, along
 // with the count of snapshots the flight recorder discarded. It remains
 // queryable after the query completes — the point of a flight recorder.
-// An unregistered query yields (nil, 0).
+// An unregistered query yields (nil, 0). The slice is a copy, and a
+// recorded snapshot is never written again (record aggregates it first),
+// so a caller on another goroutine needs the query's counter lock for this
+// call only, not while it reads what it got.
 func (p *Poller) History(q *exec.Query) ([]*Snapshot, int64) {
 	tr := p.traces[q]
 	if tr == nil {
 		return nil, 0
 	}
-	return tr.Snapshots, tr.DroppedSnapshots
+	return slices.Clone(tr.Snapshots), tr.DroppedSnapshots
 }
 
 // Register adds a query to the poll set.
@@ -464,12 +469,20 @@ func (p *Poller) sample(at sim.Duration) {
 		if !snap.Degraded {
 			st.lastGood = snap
 		}
-		tr.Snapshots = append(tr.Snapshots, snap)
-		p.trim(tr)
-		p.metrics.Counter("dmv/snapshots").Inc()
-		if snap.Degraded {
-			p.metrics.Counter("dmv/degraded_snapshots").Inc()
-		}
+		p.record(tr, snap)
+	}
+}
+
+// record appends one snapshot to a trace. It aggregates first (a flag test
+// unless a fault hook delivered perturbed rows), so that everything a
+// trace retains is read-only from here on.
+func (p *Poller) record(tr *Trace, snap *Snapshot) {
+	snap.Aggregate()
+	tr.Snapshots = append(tr.Snapshots, snap)
+	p.trim(tr)
+	p.metrics.Counter("dmv/snapshots").Inc()
+	if snap.Degraded {
+		p.metrics.Counter("dmv/degraded_snapshots").Inc()
 	}
 }
 
@@ -500,10 +513,7 @@ func (p *Poller) recordDegraded(tr *Trace, st *watchState, at sim.Duration, reas
 	snap.At = at
 	snap.Degraded = true
 	snap.DegradeReason = reason
-	tr.Snapshots = append(tr.Snapshots, snap)
-	p.trim(tr)
-	p.metrics.Counter("dmv/snapshots").Inc()
-	p.metrics.Counter("dmv/degraded_snapshots").Inc()
+	p.record(tr, snap)
 }
 
 // Finish finalizes a completed query's trace and returns it. A query that

@@ -7,7 +7,6 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"lqs/internal/engine/storage"
@@ -210,12 +209,23 @@ type Ctx struct {
 	// instances live in Query.ops instead.
 	threadCounters []*Counters
 
-	// mu serializes counter and clock mutation against concurrent DMV
+	// lock serializes counter and clock mutation against concurrent DMV
 	// captures. The executing goroutine holds it for the duration of each
-	// Step batch, yielding briefly every yieldEvery charges so pollers on
-	// other goroutines (dmv.CaptureSync, the lqs registry) can take a
-	// consistent snapshot even while a blocking operator works.
-	mu sync.Mutex
+	// Step batch, yielding every yieldEvery charges so pollers on other
+	// goroutines (dmv.CaptureSync, the lqs registry) can take a consistent
+	// snapshot even while a blocking operator works.
+	//
+	// It is a one-slot channel, not a sync.Mutex, because the yield must be
+	// a hand-off: a send acquires, a receive releases, and a receive with
+	// senders parked passes the slot to the longest-waiting one before it
+	// returns. So a reader waiting at a yield owns the lock the moment the
+	// executor releases it, the executor queues behind the readers that
+	// were already waiting and no others, and gets the lock straight back
+	// from the last of them. Unlock();Lock() on a sync.Mutex is not a
+	// yield: the running goroutine re-locks before the woken waiter is
+	// scheduled, and the mutex only hands over after starving it for 1 ms.
+	// Nil on worker contexts, which never take it (see checkpointBatch).
+	lock chan struct{}
 
 	// cancel carries a pending cancellation request, set from any
 	// goroutine and observed at the next charge checkpoint.
@@ -229,10 +239,17 @@ type Ctx struct {
 	chargeOps int
 }
 
-// yieldEvery is how many charge checkpoints pass between mutex yields: small
-// enough that concurrent pollers wait microseconds, large enough that the
-// lock traffic is invisible in benchmarks.
+// yieldEvery is how many charge checkpoints pass between yields of the
+// counter lock: small enough that concurrent pollers wait microseconds,
+// large enough that the lock traffic (two uncontended channel operations
+// per yield) is invisible in benchmarks.
 const yieldEvery = 256
+
+// acquire takes the counter lock, queueing first-come first-served.
+func (ctx *Ctx) acquire() { ctx.lock <- struct{}{} }
+
+// release gives the counter lock to the longest-waiting acquirer, if any.
+func (ctx *Ctx) release() { <-ctx.lock }
 
 // CancelCause requests cancellation: the executing goroutine observes it at
 // the next charge checkpoint and aborts with a KindCancelled QueryError. It
@@ -280,7 +297,7 @@ func (ctx *Ctx) interrupted() *QueryError {
 
 // checkpoint is the interrupt and yield point every charge funnels through:
 // it records the operator currently doing work, periodically yields the
-// counter mutex so concurrent snapshots can drain, and aborts execution (by
+// counter lock so concurrent snapshots can drain, and aborts execution (by
 // typed panic, converted to a QueryError at the Step recovery boundary)
 // when a cancellation or deadline is pending. Row-at-a-time operators take
 // it on every charge, so their cancellation latency is bounded by one
@@ -309,8 +326,8 @@ func (ctx *Ctx) checkpointBatch(c *Counters, charges int) {
 		// worker contexts synchronize with snapshots through the gather's
 		// batch protocol instead.
 		if ctx.parent == nil {
-			ctx.mu.Unlock()
-			ctx.mu.Lock()
+			ctx.release()
+			ctx.acquire()
 		}
 	}
 	if ctx.Chaos != nil && c != nil {

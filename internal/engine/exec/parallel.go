@@ -335,7 +335,7 @@ func tryNewGather(n *plan.Node, ctx *Ctx, dop int) *gather {
 	seen := make(map[*Counters]bool)
 	for w := 0; w < dop; w++ {
 		wctx := &Ctx{
-			DB:        ctx.DB.WorkerView(),
+			DB:        ctx.DB.View(),
 			CM:        ctx.CM,
 			BatchSize: ctx.BatchSize,
 			Thread:    w + 1,

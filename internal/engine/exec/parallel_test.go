@@ -62,7 +62,7 @@ func rowsEqual(a, b []types.Row) (int, bool) {
 // Nodes inside an inserted parallel zone get two documented relaxations:
 //
 //   - PhysicalReads and IOTime are not compared. Worker buffer pools are
-//     private (see storage.WorkerView: sharing the LRU would make eviction
+//     private (see storage.Database.View: sharing the LRU would make eviction
 //     order schedule-dependent), so a zone re-scanning pages another
 //     operator already cached in the shared pool misses where the serial
 //     run hit — exactly as physical reads vary with cache placement across

@@ -64,7 +64,7 @@ func NewQueryBatch(p *plan.Plan, db *storage.Database, cm *opt.CostModel, clock 
 	}
 	q := &Query{
 		Plan: p,
-		Ctx:  &Ctx{Clock: clock, DB: db, CM: cm, DOP: dop, BatchSize: batchSize},
+		Ctx:  &Ctx{Clock: clock, DB: db, CM: cm, DOP: dop, BatchSize: batchSize, lock: make(chan struct{}, 1)},
 		ops:  make(map[int]Operator, len(p.Nodes)),
 		ctrs: make(map[int]*Counters, len(p.Nodes)),
 	}
@@ -212,16 +212,29 @@ func (q *Query) Done() bool { return q.State().Terminal() }
 // RowsReturned is the number of rows the root has produced.
 func (q *Query) RowsReturned() int64 { return q.rows.Load() }
 
-// LockCounters acquires the query's counter mutex so another goroutine can
+// LockCounters acquires the query's counter lock so another goroutine can
 // read a consistent snapshot of operator counters and the clock while the
-// query executes. The executor yields the mutex at every charge
-// checkpoint, so acquisition latency is bounded by a handful of rows'
-// work. Do not call from the executing goroutine (the clock-observer /
-// poller path already sees quiescent counters without locking).
-func (q *Query) LockCounters() { q.Ctx.mu.Lock() }
+// query executes. The executor hands the lock over at its next yield
+// point, at most yieldEvery charges away, and is next in line the moment
+// the caller unlocks (see Ctx.lock), so hold it only for the read. Do not
+// call from the executing goroutine (the clock-observer / poller path
+// already sees quiescent counters without locking).
+func (q *Query) LockCounters() { q.Ctx.acquire() }
 
-// UnlockCounters releases the counter mutex taken by LockCounters.
-func (q *Query) UnlockCounters() { q.Ctx.mu.Unlock() }
+// UnlockCounters releases the counter lock taken by LockCounters.
+func (q *Query) UnlockCounters() { q.Ctx.release() }
+
+// WithCountersUnlocked runs f with the counter lock released, so readers on
+// other goroutines are served while f blocks. It is for clock observers
+// that wait on the wall clock (the server's pacing sleep): they run inside
+// Advance on the executing goroutine, which holds the lock, and a reader
+// let in there sees exactly what a dmv.Poller tick at that boundary sees.
+// Call it only from such an observer, on the coordinator's clock.
+func (q *Query) WithCountersUnlocked(f func()) {
+	q.Ctx.release()
+	defer q.Ctx.acquire()
+	f()
+}
 
 // fail records the terminal error and state; first failure wins.
 func (q *Query) fail(qe *QueryError) {
@@ -264,7 +277,7 @@ func (q *Query) recoverStep(err *error) {
 }
 
 // open transitions Pending → Running and opens the plan. Caller holds the
-// counter mutex.
+// counter lock.
 func (q *Query) open() {
 	if q.State() != StatePending {
 		return
@@ -275,7 +288,7 @@ func (q *Query) open() {
 	q.Root.Open(q.Ctx)
 }
 
-// finish transitions Running → Succeeded. Caller holds the counter mutex.
+// finish transitions Running → Succeeded. Caller holds the counter lock.
 func (q *Query) finish() {
 	q.Root.Close(q.Ctx)
 	q.state.Store(int32(StateSucceeded))
@@ -301,8 +314,8 @@ func (q *Query) Step(n int) (more bool, err error) {
 	if n <= 0 {
 		return true, nil
 	}
-	q.Ctx.mu.Lock()
-	defer q.Ctx.mu.Unlock()
+	q.Ctx.acquire()
+	defer q.Ctx.release()
 	defer q.recoverStep(&err)
 	// Re-check under the lock: a concurrent Step may have finished or
 	// failed the query while we waited.
@@ -352,8 +365,8 @@ func (q *Query) RunCollect() (rows []types.Row, err error) {
 	if q.State() == StateSucceeded {
 		return nil, nil
 	}
-	q.Ctx.mu.Lock()
-	defer q.Ctx.mu.Unlock()
+	q.Ctx.acquire()
+	defer q.Ctx.release()
 	defer q.recoverStep(&err)
 	if qe := q.Ctx.interrupted(); qe != nil {
 		panic(qe)

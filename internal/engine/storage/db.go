@@ -135,14 +135,16 @@ func (db *Database) ColumnStore(table, index string) *ColumnStore {
 	return cs
 }
 
-// WorkerView returns a view of the database for one parallel worker: it
-// shares the catalog and the immutable physical structures (heaps, b-trees,
-// columnstores are never mutated mid-query) but carries a private buffer
-// pool of the same capacity and no fault injector. Private pools keep each
-// worker's logical/physical read split a pure function of its own page
-// access sequence — concurrent workers sharing one LRU would make eviction
-// order, and therefore physical-read counts, schedule-dependent.
-func (db *Database) WorkerView() *Database {
+// View returns a second handle on the same loaded database: it shares the
+// catalog and the physical structures (heaps, b-trees, columnstores) and
+// carries a private, cold buffer pool of the same capacity and no fault
+// injector. Sharing is safe because rows are immutable after Load and the
+// catalog is read-only after BuildAllStats; take views only after both.
+// Parallel workers and concurrently hosted queries each run on a view:
+// private pools keep every user's logical/physical read split a pure
+// function of its own page access sequence — sharing one LRU would make
+// eviction order, and therefore physical-read counts, schedule-dependent.
+func (db *Database) View() *Database {
 	return &Database{
 		Catalog:   db.Catalog,
 		Pool:      NewBufferPool(db.Pool.Capacity()),

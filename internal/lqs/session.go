@@ -29,9 +29,9 @@ type Session struct {
 	db   *storage.Database
 
 	// shared marks the session as observed from goroutines other than the
-	// executor (registry-launched queries). Snapshot then captures through
-	// the query's counter lock and serializes the estimator, which keeps
-	// per-session state across polls.
+	// executor (registry-launched queries); Poll then captures through the
+	// query's counter lock. snapMu serializes polls — the estimator keeps
+	// per-session state across them — and guards the flight recorder.
 	shared bool
 	snapMu sync.Mutex
 
@@ -155,7 +155,7 @@ type QuerySnapshot struct {
 }
 
 // SetSnapshotFault installs a capture interceptor on the session's own
-// Snapshot/Explain path (the chaos harness's DMV-layer injector). A stall
+// Poll path (the chaos harness's DMV-layer injector). A stall
 // reported by the hook marks the capture Degraded rather than dropping it —
 // the session has no watchdog ticks to skip, so the degradation surfaces
 // directly on the poll. Nil removes the hook.
@@ -182,34 +182,65 @@ func (s *Session) applyFault(snap *dmv.Snapshot) *dmv.Snapshot {
 	return snap
 }
 
-// Snapshot polls the DMV surface and estimates progress right now. On a
-// shared session (registry-launched) it synchronizes with the executor, so
-// it is safe to call concurrently with the query running: counters, state
-// and error are read under one hold of the counter lock — the executor
-// finishes and fails under that lock — so a terminal state is never paired
-// with pre-terminal counters.
-func (s *Session) Snapshot() *QuerySnapshot {
-	if s.shared {
-		s.snapMu.Lock()
-		defer s.snapMu.Unlock()
-		s.Query.LockCounters()
-		snap, state, err := dmv.Capture(s.Query), s.Query.State(), s.Query.Err()
-		s.Query.UnlockCounters()
-		out := s.snapshot(s.applyFault(snap), state, err)
-		s.record(out)
-		return out
-	}
-	out := s.snapshot(s.applyFault(dmv.Capture(s.Query)), s.Query.State(), s.Query.Err())
-	s.snapMu.Lock()
-	s.record(out)
-	s.snapMu.Unlock()
-	return out
+// Poll is one look at a running query. Every part of it derives from a
+// single DMV capture, so a consumer that needs more than the display
+// snapshot (the server's status?explain=1 and /metrics) reads them all at
+// one virtual instant, advances the stateful estimator once and queues for
+// the counter lock once.
+type Poll struct {
+	// Snapshot is the display state, also retained in the flight recorder.
+	Snapshot *QuerySnapshot
+	// Capture is the DMV snapshot the estimate was computed from.
+	Capture *dmv.Snapshot
+	// Pool is the buffer pool's counters, read with the capture.
+	Pool storage.PoolStats
+	// Explanation decomposes Snapshot.Progress into per-operator terms; it
+	// comes from the same estimation pass. Nil unless asked for.
+	Explanation *progress.Explanation
 }
 
-// snapshot builds the display state for one captured DMV snapshot and the
-// lifecycle state read with it.
-func (s *Session) snapshot(snap *dmv.Snapshot, state exec.QueryState, err error) *QuerySnapshot {
-	est := s.Estimator.Estimate(snap)
+// Poll polls the DMV surface and estimates progress right now, recording
+// the estimator's decomposition too when explain is set. On a shared
+// session (registry-launched) it synchronizes with the executor, so it is
+// safe to call concurrently with the query running: counters, pool
+// counters, state and error are read under one hold of the counter lock —
+// the executor finishes and fails under that lock — so a terminal state is
+// never paired with pre-terminal counters. The lock is released before the
+// estimate is computed.
+func (s *Session) Poll(explain bool) Poll {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	if s.shared {
+		s.Query.LockCounters()
+	}
+	snap, pool := dmv.Capture(s.Query), s.db.Pool.StatsSnapshot()
+	state, err := s.Query.State(), s.Query.Err()
+	if s.shared {
+		s.Query.UnlockCounters()
+	}
+	p := Poll{Capture: s.applyFault(snap), Pool: pool}
+	var est *progress.Estimate
+	if explain {
+		p.Explanation, est = s.Estimator.Explain(p.Capture)
+	} else {
+		est = s.Estimator.Estimate(p.Capture)
+	}
+	p.Snapshot = s.display(p.Capture, est, state, err)
+	s.record(p.Snapshot)
+	return p
+}
+
+// Snapshot is Poll for callers that only render: the display state.
+func (s *Session) Snapshot() *QuerySnapshot { return s.Poll(false).Snapshot }
+
+// Explain is Poll for callers that only want the decomposition of the
+// current estimate (progress.Explanation). It shares the session estimator
+// — an Explain counts as a poll, exactly like Snapshot.
+func (s *Session) Explain() *progress.Explanation { return s.Poll(true).Explanation }
+
+// display builds the display state for one captured DMV snapshot, the
+// estimate computed from it and the lifecycle state read with it.
+func (s *Session) display(snap *dmv.Snapshot, est *progress.Estimate, state exec.QueryState, err error) *QuerySnapshot {
 	out := &QuerySnapshot{
 		At:              snap.At,
 		Progress:        est.Query,
@@ -313,21 +344,6 @@ func (s *Session) Last() *QuerySnapshot {
 		return nil
 	}
 	return s.history[len(s.history)-1]
-}
-
-// Explain polls the DMV surface and decomposes the current estimate into
-// its per-operator terms (progress.Explanation). It shares the session
-// estimator — an Explain counts as a poll, exactly like Snapshot — and is
-// safe under the same concurrency rules.
-func (s *Session) Explain() *progress.Explanation {
-	if s.shared {
-		s.snapMu.Lock()
-		defer s.snapMu.Unlock()
-		x, _ := s.Estimator.Explain(s.applyFault(dmv.CaptureSync(s.Query)))
-		return x
-	}
-	x, _ := s.Estimator.Explain(s.applyFault(dmv.Capture(s.Query)))
-	return x
 }
 
 // Render draws the plan tree with live per-operator progress, the text

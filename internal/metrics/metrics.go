@@ -114,9 +114,9 @@ type Runner struct {
 	Stride int
 	// Parallel is the number of tracing workers: 1 runs strictly serial,
 	// 0 defaults to GOMAXPROCS. Any value produces output byte-identical
-	// to the serial run — each worker traces against its own regenerated
-	// Workload (never the shared one), and fn is invoked serially in
-	// query order. Workloads without a Gen hook fall back to serial.
+	// to the serial run — each worker traces against its own view of the
+	// workload (shared immutable tables, private buffer pool), and fn is
+	// invoked serially in query order.
 	Parallel int
 	// EventCap enables operator event tracing on every query: the ring
 	// capacity passed to TraceQueryEvents (negative for the default;
@@ -187,7 +187,7 @@ func (r Runner) ForEachArtifacts(w *workload.Workload, fn func(a TraceArtifacts)
 	if workers > len(idx) {
 		workers = len(idx)
 	}
-	if workers <= 1 || w.Gen == nil {
+	if workers <= 1 {
 		count := 0
 		for _, i := range idx {
 			if r.Limit > 0 && count >= r.Limit {
@@ -224,13 +224,8 @@ func (r Runner) ForEachArtifacts(w *workload.Workload, fn func(a TraceArtifacts)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Regenerate lazily: a worker that never receives a job (every
-			// query consumed before it starts) skips the database build.
-			var local *workload.Workload
+			local := w.View()
 			for pos := range jobs {
-				if local == nil {
-					local = w.Gen()
-				}
 				p, tr, rec := TraceQueryEventsDOP(local, local.Queries[idx[pos]], interval, r.EventCap, r.dop())
 				results[pos] <- result{p, tr, rec}
 			}

@@ -91,46 +91,48 @@ func TestParallelRespectsLimitAndStride(t *testing.T) {
 	}
 }
 
-// A workload with no Gen hook cannot be sharded; the runner must fall back
-// to the serial path rather than share the single database across workers.
-func TestParallelFallsBackWithoutGen(t *testing.T) {
-	w := parallelTestWorkload(t)
-	serial := collectDigest(t, w, Runner{Parallel: 1, Limit: 3})
-	w.Gen = nil
-	if got := collectDigest(t, w, Runner{Parallel: 4, Limit: 3}); got != serial {
-		t.Fatalf("Gen-less fallback diverged from serial")
-	}
-}
-
-// Workers regenerate the workload from its seed; the copies must be
-// independent objects with identical content.
-func TestWorkloadGenRegeneratesIdentically(t *testing.T) {
+// Workers trace on views of the caller's workload; a view must be an
+// independent engine (its own database handle and buffer pool) over
+// identical content.
+func TestWorkloadViewTracesIdentically(t *testing.T) {
 	for _, w := range []*workload.Workload{
 		workload.TPCH(3, workload.TPCHRowstore),
 		workload.TPCDS(3),
 		parallelTestWorkload(t),
 	} {
-		if w.Gen == nil {
-			t.Fatalf("%s: missing Gen hook", w.Name)
-		}
-		c := w.Gen()
-		if c == w || c.DB == w.DB {
-			t.Fatalf("%s: Gen returned a shared object", w.Name)
+		c := w.View()
+		if c == w || c.DB == w.DB || c.DB.Pool == w.DB.Pool {
+			t.Fatalf("%s: View returned a shared engine", w.Name)
 		}
 		if c.Name != w.Name || len(c.Queries) != len(w.Queries) {
-			t.Fatalf("%s: copy shape mismatch", w.Name)
+			t.Fatalf("%s: view shape mismatch", w.Name)
 		}
 		// The first query's trace — plan, snapshots, true cardinalities —
-		// must be byte-identical across copies.
-		p1, tr1 := TraceQuery(w, w.Queries[0], DefaultInterval)
+		// must be byte-identical on the view, and tracing on the view must
+		// leave the original's pool untouched.
 		p2, tr2 := TraceQuery(c, c.Queries[0], DefaultInterval)
+		if hits, misses := w.DB.Pool.Stats(); hits+misses != 0 {
+			t.Fatalf("%s: a query on the view touched the original's pool (%d hits, %d misses)", w.Name, hits, misses)
+		}
+		p1, tr1 := TraceQuery(w, w.Queries[0], DefaultInterval)
 		if p1.String() != p2.String() {
-			t.Fatalf("%s: copy built a different plan", w.Name)
+			t.Fatalf("%s: view built a different plan", w.Name)
 		}
 		if len(tr1.Snapshots) != len(tr2.Snapshots) ||
 			tr1.StartedAt != tr2.StartedAt || tr1.EndedAt != tr2.EndedAt {
-			t.Fatalf("%s: copy traced differently (%d/%d snapshots)",
+			t.Fatalf("%s: view traced differently (%d/%d snapshots)",
 				w.Name, len(tr1.Snapshots), len(tr2.Snapshots))
+		}
+		for i := range tr1.Snapshots {
+			a, b := tr1.Snapshots[i], tr2.Snapshots[i]
+			if a.At != b.At || len(a.Threads) != len(b.Threads) {
+				t.Fatalf("%s: snapshot %d differs on the view", w.Name, i)
+			}
+			for j := range a.Threads {
+				if a.Threads[j] != b.Threads[j] {
+					t.Fatalf("%s: snapshot %d row %d: %+v vs %+v on the view", w.Name, i, j, a.Threads[j], b.Threads[j])
+				}
+			}
 		}
 		for id, n := range tr1.TrueRows {
 			if tr2.TrueRows[id] != n {

@@ -7,7 +7,8 @@ package server
 //   - query progress in [0,1] and monotone non-decreasing across polls;
 //   - virtual time and result rows monotone non-decreasing;
 //   - per-operator progress bounded;
-//   - Explain term contributions summing to the raw query estimate;
+//   - Explain term contributions summing to the raw query estimate, and
+//     the explanation describing the very poll it is attached to;
 //   - the terminal poll reporting SUCCEEDED at progress ~1 with every
 //     operator done.
 //
@@ -88,6 +89,12 @@ func checkStatusInvariants(t *testing.T, st StatusJSON, prev *StatusJSON) {
 		}
 		if x.Query < -floatEps || x.Query > 1+floatEps {
 			t.Fatalf("explain display progress out of bounds: %v", x.Query)
+		}
+		// One reply is one poll: the explanation decomposes the progress
+		// reported beside it, at the same virtual instant.
+		if x.AtUS != st.VirtualUS || x.Query != st.Progress {
+			t.Fatalf("explain at %d µs says %v, the status around it at %d µs says %v (%s)",
+				x.AtUS, x.Query, st.VirtualUS, st.Progress, st.State)
 		}
 	}
 	if prev != nil {

@@ -19,11 +19,11 @@ import (
 	"lqs/internal/workload"
 )
 
-// hostedQuery is one monitored query the server hosts: the session and its
-// private database, the virtual-time DMV poller (flight recorder), and the
-// SSE fan-out. The registry's runner goroutine steps the query; a watcher
-// goroutine closes terminal when it finishes; the fanout goroutine owns
-// the shared poll cadence for every streaming client.
+// hostedQuery is one monitored query the server hosts: the session over its
+// private view of the cached tables, the virtual-time DMV poller (flight
+// recorder), and the SSE fan-out. The registry's runner goroutine steps the
+// query; a watcher goroutine closes terminal when it finishes; the fanout
+// goroutine owns the shared poll cadence for every streaming client.
 type hostedQuery struct {
 	id   lqs.QueryID
 	name string
@@ -32,7 +32,7 @@ type hostedQuery struct {
 
 	sess   *lqs.Session
 	poller *dmv.Poller
-	db     *storage.Database
+	db     *storage.Database // the query's view: shared tables, private pool
 
 	fan *fanout
 	// terminal closes once the runner goroutine has finished (the query is
@@ -80,28 +80,6 @@ func (h *hostedQuery) done() bool {
 	}
 }
 
-// buildWorkload regenerates a workload from its name and seed. Each hosted
-// query gets a private database (its own buffer pool and virtual clock),
-// so concurrent queries never contend on engine state and every query's
-// counters stay deterministic.
-func buildWorkload(name string, seed uint64) (*workload.Workload, error) {
-	switch strings.ToLower(name) {
-	case "", "tpch":
-		return workload.TPCH(seed, workload.TPCHRowstore), nil
-	case "tpch-cs":
-		return workload.TPCH(seed, workload.TPCHColumnstore), nil
-	case "tpcds":
-		return workload.TPCDS(seed), nil
-	case "real1":
-		return workload.REAL1(seed), nil
-	case "real2":
-		return workload.REAL2(seed), nil
-	case "real3":
-		return workload.REAL3(seed), nil
-	}
-	return nil, fmt.Errorf("unknown workload %q", name)
-}
-
 // modeOptions resolves a QuerySpec estimator mode to its canonical label
 // and estimator options. Empty means lqs, the shipping default.
 func modeOptions(mode string) (string, progress.Options, error) {
@@ -121,7 +99,11 @@ func modeOptions(mode string) (string, progress.Options, error) {
 // newHosted builds the session, poller, and pacing for a validated spec.
 // It does not launch; the server launches under its admission lock.
 func newHosted(srv *Server, spec QuerySpec) (*hostedQuery, error) {
-	w, err := buildWorkload(spec.Workload, spec.Seed)
+	// A private view of the server's cached tables: the query's own buffer
+	// pool and (below) virtual clock over rows shared with every other query
+	// on this (workload, seed), so concurrent queries never contend on engine
+	// state and every query's counters stay deterministic.
+	w, err := srv.tables.view(spec.Workload, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +129,8 @@ func newHosted(srv *Server, spec QuerySpec) (*hostedQuery, error) {
 	}
 
 	// Fault drills against the live endpoint: install the chaos injectors
-	// on this query's private stack, with a per-query seed derived from the
+	// on this query's private stack (its view's pool, which no other query
+	// and not the cache can reach), with a per-query seed derived from the
 	// server ordinal so concurrent queries draw independent fault streams.
 	var chaosPlan *chaos.Plan
 	if srv.cfg.Chaos != nil {
@@ -191,21 +174,24 @@ func newHosted(srv *Server, spec QuerySpec) (*hostedQuery, error) {
 
 	// Pacing: convert virtual progress into wall time so remote observers
 	// see a query *run* rather than a terminal flash. The observer sleeps
-	// on the executor goroutine at every PaceInterval of virtual time.
+	// on the executor goroutine at every PaceInterval of virtual time, with
+	// the counter lock released: a status read during the sleep costs what
+	// it costs on an idle query, not the rest of the pace interval.
 	if srv.cfg.Pace > 0 {
-		pace := srv.cfg.Pace
+		sleep := func() { time.Sleep(srv.cfg.Pace) }
 		sess.Query.Ctx.Clock.Observe(srv.cfg.PaceInterval, func(sim.Duration) {
-			time.Sleep(pace)
+			sess.Query.WithCountersUnlocked(sleep)
 		})
 	}
 	return h, nil
 }
 
-// status builds one poll's wire status. Snapshot and Explain are separate
-// polls of the shared session (each internally consistent; both safe from
-// any goroutine).
+// status builds one poll's wire status: progress, per-node state and, when
+// asked for, the explanation all come from one session poll, so
+// explain.at_us is virtual_us and explain.query is progress.
 func (h *hostedQuery) status(withOps, withExplain bool) StatusJSON {
-	snap := h.sess.Snapshot()
+	poll := h.sess.Poll(withExplain)
+	snap := poll.Snapshot
 	st := StatusJSON{
 		ID:            int64(h.id),
 		Name:          h.name,
@@ -229,7 +215,7 @@ func (h *hostedQuery) status(withOps, withExplain bool) StatusJSON {
 		st.Ops = opsJSON(snap.Ops)
 	}
 	if withExplain {
-		st.Explain = explainJSON(h.sess.Explain())
+		st.Explain = explainJSON(poll.Explanation)
 	}
 	return st
 }
@@ -253,16 +239,18 @@ func (h *hostedQuery) frame() FrameJSON {
 	return f
 }
 
-// history drains the poller flight recorder into wire frames. It holds the
-// query counter lock to synchronize with the executor-side poller observer.
+// history drains the poller flight recorder into wire frames. The executor-
+// side poller observer appends to the ring under the query counter lock, so
+// the lock is held for the copy of the retained pointers (at most
+// HistoryCap) and no longer: the conversion runs with the executor released.
 func (h *hostedQuery) history() HistoryResponse {
 	q := h.sess.Query
 	q.LockCounters()
-	defer q.UnlockCounters()
 	snaps, dropped := h.poller.History(q)
+	q.UnlockCounters()
+
 	out := HistoryResponse{Frames: make([]HistFrameJSON, 0, len(snaps)), Dropped: dropped}
 	for _, snap := range snaps {
-		snap.Aggregate()
 		hf := HistFrameJSON{
 			AtUS:          us(snap.At),
 			Degraded:      snap.Degraded,

@@ -5,7 +5,8 @@ package server
 // hosted query. Three classes cover the DMV surface:
 //
 //   - buffer manager   (lqs_buffer_manager_*): the query's private buffer
-//     pool, the analog of SQLServerBufferManager;
+//     pool (tables are shared between queries, pools never), the analog of
+//     SQLServerBufferManager;
 //   - access methods   (lqs_access_methods_*): logical/physical reads,
 //     rows and rebinds summed over the plan, the analog of
 //     SQLServerAccessMethods;
@@ -57,9 +58,9 @@ func (s *Server) collectPoints() []obs.Point {
 func (h *hostedQuery) qidLabel() string { return strconv.FormatInt(int64(h.id), 10) }
 
 // points returns the query's exposition points through the scrape cache:
-// the expensive rebuild (session snapshot, synchronized DMV capture, pool
-// stats) runs only when the cache key moved — a new flight-recorder poll,
-// a lifecycle transition, or the terminal accuracy report landing. In
+// the expensive rebuild (one session poll) runs only when the cache key
+// moved — a new flight-recorder poll, a lifecycle transition, or the
+// terminal accuracy report landing. In
 // between, scrapes are served the memoized slice, so a server hosting
 // hundreds of queries no longer re-snapshots each one per scrape; a cached
 // scrape is at most one poll interval stale, the same staleness contract
@@ -81,9 +82,11 @@ func (h *hostedQuery) points() []obs.Point {
 
 // buildPoints renders one hosted query's counter classes from live state.
 func (h *hostedQuery) buildPoints() []obs.Point {
-	qs := h.sess.Snapshot()               // estimator surface (shared-session safe)
-	snap := dmv.CaptureSync(h.sess.Query) // raw DMV counters at a quiescent boundary
-	pool := h.db.Pool.StatsSnapshot()     // the query's private buffer pool
+	// One poll, so the three classes describe one instant: the estimator
+	// surface, the raw DMV counters it was computed from, and the query's
+	// private buffer pool read under the same hold of the counter lock.
+	poll := h.sess.Poll(false)
+	qs, snap, pool := poll.Snapshot, poll.Capture, poll.Pool
 
 	lbl := obs.Labeled("",
 		"qid", h.qidLabel(),

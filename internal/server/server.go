@@ -112,6 +112,9 @@ type Server struct {
 	reg *lqs.QueryRegistry
 	mux *http.ServeMux
 
+	// tables caches generated workloads; every hosted query runs on a view.
+	tables *tableCache
+
 	mu       sync.Mutex
 	queries  map[lqs.QueryID]*hostedQuery
 	order    []lqs.QueryID
@@ -144,6 +147,7 @@ func New(cfg Config) *Server {
 		obs:     cfg.Metrics,
 		reg:     lqs.NewQueryRegistry(),
 		queries: make(map[lqs.QueryID]*hostedQuery),
+		tables:  newTableCache(cfg.Metrics),
 	}
 	s.reg.SetMetrics(s.obs)
 	mux := http.NewServeMux()
@@ -205,8 +209,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Cheap pre-checks before paying for workload generation; both are
-	// re-checked authoritatively under the lock below.
+	// Cheap pre-checks before paying for workload generation (a table-cache
+	// miss); both are re-checked authoritatively under the lock below.
 	if err := s.admissible(); err != nil {
 		s.rejectSubmit(w, err)
 		return

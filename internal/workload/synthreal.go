@@ -158,7 +158,6 @@ func Synth(cfg SynthConfig) *Workload {
 			},
 		})
 	}
-	w.Gen = func() *Workload { return Synth(cfg) }
 	return w
 }
 

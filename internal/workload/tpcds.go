@@ -96,9 +96,7 @@ func TPCDS(seed uint64) *Workload {
 		f(db)
 	}
 	db.BuildAllStats(histogramBuckets)
-	w := &Workload{Name: "TPC-DS", DB: db, Queries: tpcdsQueries()}
-	w.Gen = func() *Workload { return TPCDS(seed) }
-	return w
+	return &Workload{Name: "TPC-DS", DB: db, Queries: tpcdsQueries()}
 }
 
 func addTPCDSIndexes(t *catalog.Table) {

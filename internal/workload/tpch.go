@@ -122,7 +122,6 @@ func TPCH(seed uint64, design TPCHDesign) *Workload {
 	} else {
 		w.Queries = tpchRowstoreQueries()
 	}
-	w.Gen = func() *Workload { return TPCH(seed, design) }
 	return w
 }
 

@@ -36,14 +36,16 @@ type Workload struct {
 	Name    string
 	DB      *storage.Database
 	Queries []Query
+}
 
-	// Gen regenerates an independent, identical copy of this workload
-	// (same seed, fresh Database). Workload construction is a pure
-	// function of its seed, so a copy's traces are byte-identical to the
-	// original's; the parallel harness relies on this to give every
-	// worker a private database instead of sharing mutable engine state.
-	// Nil for hand-assembled workloads, which therefore run serially.
-	Gen func() *Workload
+// View returns a second handle on the same generated workload for a
+// concurrent user (a parallel harness worker, a hosted query): the same
+// name and query suite over a storage view — shared immutable tables and
+// catalog, a private cold buffer pool, no fault injector. A view's traces
+// are byte-identical to the original's, so nothing that already holds a
+// generated workload regenerates it to get an independent engine.
+func (w *Workload) View() *Workload {
+	return &Workload{Name: w.Name, DB: w.DB.View(), Queries: w.Queries}
 }
 
 // Builder returns a plan builder over the workload's catalog.
