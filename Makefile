@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet sort-guard build test race bench bench-json bench-check bench-build trace-smoke fuzz-smoke chaos-smoke serve-smoke acc-json acc-smoke ci
+.PHONY: all vet sort-guard build test race bench bench-check bench-build trace-smoke fuzz-smoke chaos-smoke serve-smoke acc-json acc-smoke ci
 
 all: ci
 
@@ -53,18 +53,6 @@ chaos-smoke:
 # speedup vs a serial reference pass) land in bench.json.
 bench:
 	$(GO) run ./cmd/lqsbench -parallel 0 -bench-json bench.json
-
-# Wall-clock benchmark trajectory: run the go-test benchmarks (one per
-# paper figure, plus the estimator and batch-size micro-benchmarks) and
-# convert the output into a committed JSON artifact. Compare BENCH_*.json
-# across PRs to see where execution time went. Override the label per PR:
-# `make bench-json BENCH_LABEL=pr8`.
-BENCH_LABEL ?= pr7
-BENCH_TIME ?= 3x
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCH_TIME) . > bench-raw.txt
-	$(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -o BENCH_$(BENCH_LABEL).json < bench-raw.txt
-	@rm -f bench-raw.txt
 
 # Tiny tracing smoke test: run a few queries with event tracing on, emit
 # Chrome trace-event JSON, and validate it against the schema (ValidateChrome

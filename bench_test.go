@@ -74,12 +74,11 @@ func BenchmarkEstimatorSnapshot(b *testing.B) {
 	p := plan.Finalize(q.Build(w.Builder()))
 	opt.NewEstimator(w.DB.Catalog).Estimate(p)
 	clock := sim.NewClock()
-	poller := dmv.NewPoller(clock, 200*time.Microsecond)
 	w.DB.ColdStart()
 	query := exec.NewQuery(p, w.DB, opt.DefaultCostModel(), clock)
-	poller.Register(query)
+	poller := dmv.NewPoller(query, 200*time.Microsecond)
 	query.Run()
-	tr := poller.Finish(query)
+	tr := poller.Finish()
 	snap := tr.Snapshots[len(tr.Snapshots)/2]
 	est := progress.NewEstimator(p, w.DB.Catalog, progress.LQSOptions())
 	b.ResetTimer()
@@ -110,71 +109,10 @@ func BenchmarkTracedExecution(b *testing.B) {
 		p := plan.Finalize(q.Build(w.Builder()))
 		opt.NewEstimator(w.DB.Catalog).Estimate(p)
 		clock := sim.NewClock()
-		poller := dmv.NewPoller(clock, 200*time.Microsecond)
 		w.DB.ColdStart()
 		query := exec.NewQuery(p, w.DB, opt.DefaultCostModel(), clock)
-		poller.Register(query)
+		poller := dmv.NewPoller(query, 200*time.Microsecond)
 		query.Run()
-		poller.Finish(query)
+		poller.Finish()
 	}
-}
-
-// --- Batch-size micro-benchmarks -------------------------------------------
-//
-// Each pair runs one query end to end at batch size 1 (*RowMode:
-// row-at-a-time execution) and at batch size 1024 (*BatchMode). Results and
-// final counters are identical (see the exec batch-size equivalence
-// battery); the pair isolates the wall-clock effect of moving rows by the
-// batch — fewer calls between operators and per-batch checkpointing. The
-// names predate the single engine and are kept so the BENCH_*.json series
-// stays comparable.
-
-// benchQuery runs one named workload query end to end at the given batch
-// size per iteration.
-func benchQuery(b *testing.B, w *workload.Workload, name string, batch int) {
-	var q workload.Query
-	for _, c := range w.Queries {
-		if c.Name == name {
-			q = c
-		}
-	}
-	if q.Build == nil {
-		b.Fatalf("no query %q in %s", name, w.Name)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := plan.Finalize(q.Build(w.Builder()))
-		opt.NewEstimator(w.DB.Catalog).Estimate(p)
-		w.DB.ColdStart()
-		exec.NewQueryBatch(p, w.DB, opt.DefaultCostModel(), sim.NewClock(), 1, batch).Run()
-	}
-}
-
-// BatchBenchSize is the batch size the *BatchMode micro-benchmarks use: the
-// engine's columnstore row-group size, so a scan batch aligns with a
-// storage row group.
-const BatchBenchSize = 1024
-
-func BenchmarkQ6RowMode(b *testing.B) {
-	benchQuery(b, benchSuite().Workload("TPC-H"), "Q6", 1)
-}
-
-func BenchmarkQ6BatchMode(b *testing.B) {
-	benchQuery(b, benchSuite().Workload("TPC-H"), "Q6", BatchBenchSize)
-}
-
-func BenchmarkQ1RowMode(b *testing.B) {
-	benchQuery(b, benchSuite().Workload("TPC-H"), "Q1", 1)
-}
-
-func BenchmarkQ1BatchMode(b *testing.B) {
-	benchQuery(b, benchSuite().Workload("TPC-H"), "Q1", BatchBenchSize)
-}
-
-func BenchmarkQ6ColumnstoreRowMode(b *testing.B) {
-	benchQuery(b, benchSuite().Workload("TPC-H ColumnStore"), "Q6", 1)
-}
-
-func BenchmarkQ6ColumnstoreBatchMode(b *testing.B) {
-	benchQuery(b, benchSuite().Workload("TPC-H ColumnStore"), "Q6", BatchBenchSize)
 }

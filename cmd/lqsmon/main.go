@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -32,21 +33,35 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && err != flag.ErrHelp {
+		fmt.Fprintln(os.Stderr, "lqsmon:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args, monitors the query, and writes
+// the frames and the closing summary to stdout. A cancelled or failed
+// query is reported on stdout and returned as the error.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("lqsmon", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		wname    = flag.String("workload", "tpch", "workload: tpch, tpch-cs, tpcds, real1, real2, real3")
-		qname    = flag.String("q", "Q5", "query name within the workload")
-		interval = flag.Duration("interval", time.Millisecond, "virtual poll interval")
-		deadline = flag.Duration("deadline", 0, "virtual-time deadline; 0 means none")
-		plain    = flag.Bool("plain", false, "append frames instead of redrawing in place")
-		explain  = flag.Bool("explain", false, "render the estimator's per-operator decomposition under each frame")
-		dop      = flag.Int("dop", 1, "degree of parallelism for parallel zones (1 = serial)")
-		threads  = flag.Bool("threads", false, "render the per-thread DMV drill-down under each frame")
-		seed     = flag.Uint64("seed", 42, "workload seed")
-		list     = flag.Bool("list", false, "list query names and exit")
-		rate     = flag.Float64("chaos", 0, "cross-layer fault rate (0 disables); scales every chaos injector via chaos.RateConfig")
-		chaosSd  = flag.Uint64("chaos-seed", 42, "master seed for -chaos fault schedules")
+		wname    = fs.String("workload", "tpch", "workload: tpch, tpch-cs, tpcds, real1, real2, real3")
+		qname    = fs.String("q", "Q5", "query name within the workload")
+		interval = fs.Duration("interval", time.Millisecond, "virtual poll interval")
+		deadline = fs.Duration("deadline", 0, "virtual-time deadline; 0 means none")
+		plain    = fs.Bool("plain", false, "append frames instead of redrawing in place")
+		explain  = fs.Bool("explain", false, "render the estimator's per-operator decomposition under each frame")
+		dop      = fs.Int("dop", 1, "degree of parallelism for parallel zones (1 = serial)")
+		threads  = fs.Bool("threads", false, "render the per-thread DMV drill-down under each frame")
+		seed     = fs.Uint64("seed", 42, "workload seed")
+		list     = fs.Bool("list", false, "list query names and exit")
+		rate     = fs.Float64("chaos", 0, "cross-layer fault rate (0 disables); scales every chaos injector via chaos.RateConfig")
+		chaosSd  = fs.Uint64("chaos-seed", 42, "master seed for -chaos fault schedules")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var w *workload.Workload
 	switch strings.ToLower(*wname) {
@@ -63,15 +78,14 @@ func main() {
 	case "real3":
 		w = workload.REAL3(*seed)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wname)
-		os.Exit(1)
+		return fmt.Errorf("unknown workload %q", *wname)
 	}
 
 	if *list {
 		for _, q := range w.Queries {
-			fmt.Println(q.Name)
+			fmt.Fprintln(stdout, q.Name)
 		}
-		return
+		return nil
 	}
 
 	var query *workload.Query
@@ -81,8 +95,7 @@ func main() {
 		}
 	}
 	if query == nil {
-		fmt.Fprintf(os.Stderr, "no query %q in %s (use -list)\n", *qname, w.Name)
-		os.Exit(1)
+		return fmt.Errorf("no query %q in %s (use -list)", *qname, w.Name)
 	}
 
 	var plan *chaos.Plan
@@ -98,59 +111,44 @@ func main() {
 	if *deadline > 0 {
 		s.Query.Ctx.Deadline = *deadline
 	}
+	// Monitor delivers every running poll and then exactly one terminal
+	// frame, even when the query ended between polls or before the first.
 	frames := 0
-	frame := func(q *lqs.QuerySnapshot) {
+	rows, err := s.Monitor(*interval, func(q *lqs.QuerySnapshot) {
 		frames++
 		if !*plain {
-			fmt.Print("\033[H\033[2J") // clear screen, home cursor
+			fmt.Fprint(stdout, "\033[H\033[2J") // clear screen, home cursor
 		}
-		fmt.Printf("%s %s  (virtual poll every %v, dop=%d)\n\n", w.Name, query.Name, *interval, *dop)
-		fmt.Print(s.Render(q))
+		fmt.Fprintf(stdout, "%s %s  %s  (virtual poll every %v, dop=%d)\n\n", w.Name, query.Name, q.State, *interval, *dop)
+		fmt.Fprint(stdout, s.Render(q))
 		if *threads {
 			if drill := s.RenderThreads(q); drill != "" {
-				fmt.Println()
-				fmt.Print(drill)
+				fmt.Fprintln(stdout)
+				fmt.Fprint(stdout, drill)
 			}
 		}
 		if *explain {
-			fmt.Println()
-			fmt.Print(s.Explain().Render())
+			fmt.Fprintln(stdout)
+			fmt.Fprint(stdout, s.Explain().Render())
 		}
 		if !*plain && q.State == exec.StateRunning {
 			time.Sleep(40 * time.Millisecond) // pace the animation for humans
 		}
-	}
-	rows, err := s.Monitor(*interval, func(q *lqs.QuerySnapshot) {
-		// Terminal states render below, from the flight recorder.
-		if q.State == exec.StateRunning {
-			frame(q)
-		}
 	})
-	// The query may have reached its terminal state between polls — or
-	// before the first one — so the closing frame comes from the session
-	// flight recorder, which always retains the final snapshot, rather
-	// than from whatever the live callback happened to see.
-	if last := s.Last(); last != nil {
-		frame(last)
+	if err != nil {
+		fmt.Fprintf(stdout, "\nquery %s after %d rows in %v virtual time (%d frames): %v\n",
+			s.State(), rows, s.Query.Ctx.Clock.Now(), frames, err)
+	} else {
+		fmt.Fprintf(stdout, "\nquery returned %d rows in %v virtual time (%d frames)\n",
+			rows, s.Query.Ctx.Clock.Now(), frames)
 	}
-	chaosSummary := func() {
-		if plan == nil {
-			return
-		}
+	if plan != nil {
 		if fi := w.DB.Pool.FaultInjector(); fi != nil {
 			st := fi.Stats()
-			fmt.Printf("chaos storage faults: %d reads, %d transients, %d retries, %d permanents\n",
+			fmt.Fprintf(stdout, "chaos storage faults: %d reads, %d transients, %d retries, %d permanents\n",
 				st.Reads, st.Transients, st.Retries, st.Permanents)
 		}
-		fmt.Printf("chaos: rate=%g seed=%d (same flags replay the same fault schedule)\n", *rate, *chaosSd)
+		fmt.Fprintf(stdout, "chaos: rate=%g seed=%d (same flags replay the same fault schedule)\n", *rate, *chaosSd)
 	}
-	if err != nil {
-		fmt.Printf("\nquery %s after %d rows in %v virtual time (%d frames): %v\n",
-			s.State(), rows, s.Query.Ctx.Clock.Now(), frames, err)
-		chaosSummary()
-		os.Exit(1)
-	}
-	fmt.Printf("\nquery returned %d rows in %v virtual time (%d frames)\n",
-		rows, s.Query.Ctx.Clock.Now(), frames)
-	chaosSummary()
+	return err
 }

@@ -1,0 +1,60 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// TestRunTerminalFrameBeforeFirstPoll: at an hour-long poll interval Q6
+// ends before its first poll, so the only frame is the terminal one
+// Monitor delivers. It must be a full table: state SUCCEEDED, every
+// operator done, and the run reports exactly one frame.
+func TestRunTerminalFrameBeforeFirstPoll(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		extra []string
+		want  string
+	}{
+		{"plain", nil, ""},
+		{"explain", []string{"-explain"}, "progress explain @"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			args := append([]string{"-plain", "-interval", "1h", "-q", "Q6"}, tc.extra...)
+			if err := run(args, &stdout, &stderr); err != nil {
+				t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
+			}
+			out := stdout.String()
+			if n := strings.Count(out, "query progress:"); n != 1 {
+				t.Fatalf("%d frames rendered, want 1:\n%s", n, out)
+			}
+			if !strings.Contains(out, "Q6  SUCCEEDED  (") || !strings.Contains(out, "(1 frames)") {
+				t.Fatalf("terminal frame missing its state or frame count:\n%s", out)
+			}
+			ops := 0
+			for _, line := range strings.Split(out, "\n") {
+				if !strings.Contains(line, "rows=") || strings.HasPrefix(line, "query ") {
+					continue
+				}
+				ops++
+				if !strings.Contains(line, "── ") || !strings.Contains(line, "100.0%") {
+					t.Fatalf("operator not done in the terminal frame: %q", line)
+				}
+			}
+			if ops == 0 {
+				t.Fatalf("terminal frame has no operator rows:\n%s", out)
+			}
+			if !strings.Contains(out, tc.want) {
+				t.Fatalf("output lacks %q:\n%s", tc.want, out)
+			}
+		})
+	}
+}
+
+func TestRunRejectsUnknownQuery(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-q", "Q999"}, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), "Q999") {
+		t.Fatalf("run with an unknown query: err = %v", err)
+	}
+}

@@ -2,9 +2,9 @@ package accuracy
 
 // The accuracy suite runner: trace each workload query once, replay the
 // trace through every estimator mode, and fold the per-query metrics into
-// a deterministic Report — the ACC_*.json trajectory artifact, the
-// accuracy twin of the BENCH_*.json wall-clock artifact. Everything rides
-// the virtual clock, so the same seed produces a byte-identical report.
+// a deterministic Report — the ACC_*.json trajectory artifact. Everything
+// rides the virtual clock, so the same seed produces a byte-identical
+// report.
 
 import (
 	"encoding/json"

@@ -323,13 +323,11 @@ func captureChaos(w *workload.Workload, q workload.Query, dop int, rate float64,
 	p := plan.Finalize(plan.Parallelize(q.Build(w.Builder()), dop))
 	opt.NewEstimator(w.DB.Catalog).Estimate(p)
 	clock := sim.NewClock()
-	poller := dmv.NewPoller(clock, metrics.DefaultInterval)
-	poller.SetFault(pl.PollFault())
 	query := exec.NewQueryDOP(p, w.DB, opt.DefaultCostModel(), clock, dop)
-	poller.Register(query)
+	poller := dmv.NewPoller(query, metrics.DefaultInterval)
+	poller.SetFault(pl.PollFault())
 	_, err := query.RunCollect()
-	tr := poller.Finish(query)
-	poller.Detach()
+	tr := poller.Finish()
 	if err != nil {
 		return nil, fmt.Errorf("chaos run aborted (%v); re-pin chaosSeed (see findChaosSeed)", err)
 	}

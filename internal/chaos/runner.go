@@ -210,16 +210,13 @@ func runCell(w *workload.Workload, q workload.Query, dop int, pl *Plan, interval
 
 	p := plan.Finalize(plan.Parallelize(q.Build(w.Builder()), dop))
 	opt.NewEstimator(w.DB.Catalog).Estimate(p)
-	clock := sim.NewClock()
-	poller := dmv.NewPoller(clock, interval)
-	poller.SetFault(pl.PollFault())
-	query := exec.NewQueryDOP(p, w.DB, opt.DefaultCostModel(), clock, dop)
+	query := exec.NewQueryDOP(p, w.DB, opt.DefaultCostModel(), sim.NewClock(), dop)
 	query.Ctx.Chaos = pl.ExecInjector()
-	poller.Register(query)
+	poller := dmv.NewPoller(query, interval)
+	poller.SetFault(pl.PollFault())
 
 	rows, err := query.RunCollect()
-	tr := poller.Finish(query)
-	poller.Detach()
+	tr := poller.Finish()
 
 	out := &cellRun{err: err, trace: tr}
 	for _, snap := range tr.Snapshots {

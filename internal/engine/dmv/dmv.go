@@ -13,6 +13,7 @@ package dmv
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"lqs/internal/engine/exec"
 	"lqs/internal/obs"
@@ -299,15 +300,20 @@ type Trace struct {
 	DroppedSnapshots int64
 }
 
-// Poller samples registered queries on a fixed virtual-time interval,
-// accumulating a Trace per query. Register queries before running them.
+// Poller records one query: it samples the query's counters on a fixed
+// virtual-time interval of the query's own clock and accumulates its Trace.
+// It is the one per-query recorder; create it before running the query.
 type Poller struct {
-	clock    *sim.Clock
-	interval sim.Duration
-	queries  []*exec.Query
-	traces   map[*exec.Query]*Trace
-	obs      *sim.Observation
-	// historyCap, when positive, turns each trace into a flight recorder:
+	q *exec.Query
+	// trace is allocated apart from the poller, so a caller that keeps the
+	// trace Finish returns does not keep the query alive with it.
+	trace *Trace
+	obs   *sim.Observation
+	// ticks counts clock ticks, captured or not. It is the only field read
+	// from other goroutines while the query runs (the server keys its
+	// scrape cache on it), hence atomic.
+	ticks atomic.Int64
+	// historyCap, when positive, turns the trace into a flight recorder:
 	// only the most recent historyCap snapshots are retained and older ones
 	// are counted in Trace.DroppedSnapshots. Zero retains everything (the
 	// experiment-harness default, which replays full traces).
@@ -316,9 +322,12 @@ type Poller struct {
 	metrics *obs.Registry
 	// fault, when non-nil, perturbs or stalls captures (chaos harness).
 	fault PollFault
-	// watch holds per-query watchdog state (stall counting, circuit
-	// breaker, last good snapshot).
-	watch map[*exec.Query]*watchState
+	// Watchdog state: consecutive stalled capture attempts, the circuit
+	// breaker, its backoff in ticks, the ticks left to skip before the
+	// next attempt, and the last good snapshot.
+	misses, backoff, skip int
+	breaker               bool
+	lastGood              *Snapshot
 }
 
 // PollFault intercepts each capture before it is recorded: it may perturb
@@ -341,38 +350,21 @@ const watchdogThreshold = 2
 // snapshots from the last good capture so consumers keep a full timeline.
 const watchdogMaxBackoff = 8
 
-// watchState is the watchdog's per-query record.
-type watchState struct {
-	misses   int // consecutive stalled capture attempts
-	breaker  bool
-	backoff  int // current backoff, in ticks, once the breaker is open
-	skip     int // remaining ticks to skip before the next capture attempt
-	lastGood *Snapshot
-}
-
-// NewPoller attaches a poller to the clock at the given interval. The
+// NewPoller attaches a poller for q to q's clock at the given interval. The
 // poller holds its own observer registration, so other observers (a
 // monitoring session, for example) may share the clock.
-func NewPoller(clock *sim.Clock, interval sim.Duration) *Poller {
-	p := &Poller{clock: clock, interval: interval, traces: make(map[*exec.Query]*Trace)}
-	p.obs = clock.Observe(interval, p.sample)
+func NewPoller(q *exec.Query, interval sim.Duration) *Poller {
+	p := &Poller{q: q, trace: &Trace{Plan: q.Plan}}
+	p.obs = q.Ctx.Clock.Observe(interval, p.sample)
 	return p
 }
 
-// Detach stops the poller's clock observer; accumulated traces remain
-// readable via Finish. Safe to call more than once.
-func (p *Poller) Detach() { p.obs.Stop() }
-
-// SetHistoryCap bounds the number of retained snapshots per query (the
-// flight recorder). n <= 0 restores unlimited retention. Lowering the cap
-// trims existing traces immediately.
+// SetHistoryCap bounds the number of retained snapshots (the flight
+// recorder). n <= 0 restores unlimited retention. Lowering the cap trims
+// the trace immediately.
 func (p *Poller) SetHistoryCap(n int) {
 	p.historyCap = n
-	if n > 0 {
-		for _, tr := range p.traces {
-			p.trim(tr)
-		}
-	}
+	p.trim()
 }
 
 // SetMetrics attaches an observability registry; each poll tick and each
@@ -384,8 +376,13 @@ func (p *Poller) SetMetrics(reg *obs.Registry) { p.metrics = reg }
 // never fires.
 func (p *Poller) SetFault(f PollFault) { p.fault = f }
 
-// trim enforces the flight-recorder cap on one trace.
-func (p *Poller) trim(tr *Trace) {
+// Ticks returns how many poll ticks have fired, whether or not they
+// captured. Safe from any goroutine.
+func (p *Poller) Ticks() int64 { return p.ticks.Load() }
+
+// trim enforces the flight-recorder cap.
+func (p *Poller) trim() {
+	tr := p.trace
 	if p.historyCap <= 0 || len(tr.Snapshots) <= p.historyCap {
 		return
 	}
@@ -394,137 +391,107 @@ func (p *Poller) trim(tr *Trace) {
 	tr.DroppedSnapshots += int64(over)
 }
 
-// History returns the retained snapshots for a query, oldest first, along
-// with the count of snapshots the flight recorder discarded. It remains
-// queryable after the query completes — the point of a flight recorder.
-// An unregistered query yields (nil, 0). The slice is a copy, and a
-// recorded snapshot is never written again (record aggregates it first),
-// so a caller on another goroutine needs the query's counter lock for this
-// call only, not while it reads what it got.
-func (p *Poller) History(q *exec.Query) ([]*Snapshot, int64) {
-	tr := p.traces[q]
-	if tr == nil {
-		return nil, 0
-	}
-	return slices.Clone(tr.Snapshots), tr.DroppedSnapshots
+// History returns the retained snapshots, oldest first, along with the
+// count of snapshots the flight recorder discarded. It remains queryable
+// after the query completes — the point of a flight recorder. The slice is
+// a copy, and a recorded snapshot is never written again (record
+// aggregates it first), so a caller on another goroutine needs the query's
+// counter lock for this call only, not while it reads what it got.
+func (p *Poller) History() ([]*Snapshot, int64) {
+	return slices.Clone(p.trace.Snapshots), p.trace.DroppedSnapshots
 }
 
-// Register adds a query to the poll set.
-func (p *Poller) Register(q *exec.Query) {
-	p.queries = append(p.queries, q)
-	p.traces[q] = &Trace{Plan: q.Plan}
-}
-
-// sample polls every running query. The snapshot is stamped with the poll
-// tick time `at`: when one long uninterruptible stretch of operator work
-// crosses several tick boundaries, each tick observes the same counters at
-// its own time — exactly what a wall-clock poller sees when an operator is
-// busy producing nothing.
+// sample polls the query while it runs. The snapshot is stamped with the
+// poll tick time `at`: when one long uninterruptible stretch of operator
+// work crosses several tick boundaries, each tick observes the same
+// counters at its own time — exactly what a wall-clock poller sees when an
+// operator is busy producing nothing.
 func (p *Poller) sample(at sim.Duration) {
+	p.ticks.Add(1)
 	p.metrics.Counter("dmv/poll_ticks").Inc()
-	for _, q := range p.queries {
-		if _, started := q.Started(); !started || q.Done() {
-			continue
-		}
-		tr := p.traces[q]
-		st := p.watchFor(q)
-		if st.skip > 0 {
-			// Breaker open: don't even attempt the capture; publish a
-			// degraded tick synthesized from the last good snapshot so the
-			// timeline has no holes.
-			st.skip--
-			p.recordDegraded(tr, st, at, "poller circuit breaker open: backing off")
-			continue
-		}
-		snap := Capture(q)
-		snap.At = at
-		stalled := false
-		if p.fault != nil {
-			snap, stalled = p.fault.OnPoll(at, snap)
-		}
-		if stalled {
-			p.metrics.Counter("dmv/poll_stalls").Inc()
-			st.misses++
-			if st.misses < watchdogThreshold {
-				// A lone stall is one dropped poll; the watchdog keeps
-				// counting but does not degrade yet.
-				continue
-			}
-			if !st.breaker {
-				st.breaker = true
-				st.backoff = 1
-				p.metrics.Counter("dmv/watchdog_trips").Inc()
-			} else if st.backoff < watchdogMaxBackoff {
-				st.backoff *= 2
-			}
-			st.skip = st.backoff - 1
-			p.recordDegraded(tr, st, at, "poll stalled past interval")
-			continue
-		}
-		// Healthy capture: close the breaker and reset the watchdog.
-		st.misses, st.breaker, st.backoff, st.skip = 0, false, 0, 0
-		if snap == nil {
-			continue
-		}
-		if !snap.Degraded {
-			st.lastGood = snap
-		}
-		p.record(tr, snap)
+	if _, started := p.q.Started(); !started || p.q.Done() {
+		return
 	}
+	if p.skip > 0 {
+		// Breaker open: don't even attempt the capture; publish a degraded
+		// tick synthesized from the last good snapshot so the timeline has
+		// no holes.
+		p.skip--
+		p.recordDegraded(at, "poller circuit breaker open: backing off")
+		return
+	}
+	snap := Capture(p.q)
+	snap.At = at
+	stalled := false
+	if p.fault != nil {
+		snap, stalled = p.fault.OnPoll(at, snap)
+	}
+	if stalled {
+		p.metrics.Counter("dmv/poll_stalls").Inc()
+		p.misses++
+		if p.misses < watchdogThreshold {
+			// A lone stall is one dropped poll; the watchdog keeps
+			// counting but does not degrade yet.
+			return
+		}
+		if !p.breaker {
+			p.breaker = true
+			p.backoff = 1
+			p.metrics.Counter("dmv/watchdog_trips").Inc()
+		} else if p.backoff < watchdogMaxBackoff {
+			p.backoff *= 2
+		}
+		p.skip = p.backoff - 1
+		p.recordDegraded(at, "poll stalled past interval")
+		return
+	}
+	// Healthy capture: close the breaker and reset the watchdog.
+	p.misses, p.breaker, p.backoff, p.skip = 0, false, 0, 0
+	if snap == nil {
+		return
+	}
+	if !snap.Degraded {
+		p.lastGood = snap
+	}
+	p.record(snap)
 }
 
-// record appends one snapshot to a trace. It aggregates first (a flag test
-// unless a fault hook delivered perturbed rows), so that everything a
-// trace retains is read-only from here on.
-func (p *Poller) record(tr *Trace, snap *Snapshot) {
+// record appends one snapshot to the trace. It aggregates first (a flag
+// test unless a fault hook delivered perturbed rows), so that everything
+// the trace retains is read-only from here on.
+func (p *Poller) record(snap *Snapshot) {
 	snap.Aggregate()
-	tr.Snapshots = append(tr.Snapshots, snap)
-	p.trim(tr)
+	p.trace.Snapshots = append(p.trace.Snapshots, snap)
+	p.trim()
 	p.metrics.Counter("dmv/snapshots").Inc()
 	if snap.Degraded {
 		p.metrics.Counter("dmv/degraded_snapshots").Inc()
 	}
 }
 
-// watchFor returns (creating on first use) the watchdog state for a query.
-func (p *Poller) watchFor(q *exec.Query) *watchState {
-	if p.watch == nil {
-		p.watch = make(map[*exec.Query]*watchState)
-	}
-	st := p.watch[q]
-	if st == nil {
-		st = &watchState{}
-		p.watch[q] = st
-	}
-	return st
-}
-
 // recordDegraded publishes a synthesized Degraded snapshot: a clone of the
 // last good capture restamped at the tick time (or an empty snapshot when
 // nothing good was ever captured). Estimators hold last-good progress on
 // these instead of blocking or going dark.
-func (p *Poller) recordDegraded(tr *Trace, st *watchState, at sim.Duration, reason string) {
+func (p *Poller) recordDegraded(at sim.Duration, reason string) {
 	var snap *Snapshot
-	if st.lastGood != nil {
-		snap = st.lastGood.Clone()
+	if p.lastGood != nil {
+		snap = p.lastGood.Clone()
 	} else {
 		snap = &Snapshot{}
 	}
 	snap.At = at
 	snap.Degraded = true
 	snap.DegradeReason = reason
-	p.record(tr, snap)
+	p.record(snap)
 }
 
-// Finish finalizes a completed query's trace and returns it. A query that
-// was never Registered has no accumulated snapshots; Finish degrades to a
-// trace holding only the final capture instead of panicking — monitoring
-// code may race registration against a fast query's completion.
-func (p *Poller) Finish(q *exec.Query) *Trace {
-	tr := p.traces[q]
-	if tr == nil {
-		tr = &Trace{Plan: q.Plan}
-	}
+// Finish stops the poller and finalizes the trace: the final capture, the
+// start and end times and the true cardinalities. Call it once the query
+// is terminal; the trace stays readable through History too.
+func (p *Poller) Finish() *Trace {
+	p.obs.Stop()
+	q, tr := p.q, p.trace
 	tr.Final = Capture(q)
 	tr.StartedAt, _ = q.Started()
 	tr.EndedAt, _ = q.Ended()

@@ -1,6 +1,7 @@
 package dmv
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -60,10 +61,9 @@ func TestCaptureSnapshot(t *testing.T) {
 func TestPollerAccumulatesTrace(t *testing.T) {
 	clock := sim.NewClock()
 	q, scan := testQuery(t, clock)
-	poller := NewPoller(clock, 100*time.Microsecond)
-	poller.Register(q)
+	poller := NewPoller(q, 100*time.Microsecond)
 	q.Run()
-	tr := poller.Finish(q)
+	tr := poller.Finish()
 	if len(tr.Snapshots) < 3 {
 		t.Fatalf("only %d snapshots", len(tr.Snapshots))
 	}
@@ -87,61 +87,37 @@ func TestPollerAccumulatesTrace(t *testing.T) {
 func TestPollerSkipsFinishedQueries(t *testing.T) {
 	clock := sim.NewClock()
 	q, _ := testQuery(t, clock)
-	poller := NewPoller(clock, 100*time.Microsecond)
-	poller.Register(q)
+	poller := NewPoller(q, 100*time.Microsecond)
 	q.Run()
-	n := len(poller.traces[q].Snapshots)
+	n, ticks := len(poller.trace.Snapshots), poller.Ticks()
 	clock.Advance(10 * time.Millisecond) // fires the observer repeatedly
-	if len(poller.traces[q].Snapshots) != n {
+	if poller.Ticks() != ticks+100 {
+		t.Fatalf("ticks %d -> %d over 100 intervals", ticks, poller.Ticks())
+	}
+	if len(poller.trace.Snapshots) != n {
 		t.Fatal("poller sampled a finished query")
 	}
 }
 
-// TestFinishWithoutRegister: finalizing a query the poller never sampled
-// must not panic on the missing trace entry — it degrades to a trace built
-// from a final capture, with no accumulated snapshots.
-func TestFinishWithoutRegister(t *testing.T) {
-	clock := sim.NewClock()
-	q, scan := testQuery(t, clock)
-	poller := NewPoller(clock, 100*time.Microsecond)
-	q.Run()
-	tr := poller.Finish(q) // pre-fix: nil-map lookup → nil *Trace deref panic
-	if tr == nil || tr.Final == nil {
-		t.Fatal("Finish returned no usable trace")
-	}
-	if len(tr.Snapshots) != 0 {
-		t.Fatalf("unregistered query accumulated %d snapshots", len(tr.Snapshots))
-	}
-	if tr.Plan != q.Plan {
-		t.Fatal("trace plan not set")
-	}
-	if tr.TrueRows[scan.ID] != 5000 {
-		t.Fatalf("TrueRows = %d", tr.TrueRows[scan.ID])
-	}
-	if tr.EndedAt <= tr.StartedAt {
-		t.Fatal("start/end times not recorded")
-	}
-}
-
-// TestPollerDetach: a detached poller stops sampling but keeps its traces.
+// TestPollerDetach: Finish detaches the poller from the clock, so it stops
+// sampling, and keeps its trace.
 func TestPollerDetach(t *testing.T) {
 	clock := sim.NewClock()
 	q, _ := testQuery(t, clock)
-	poller := NewPoller(clock, 100*time.Microsecond)
-	poller.Register(q)
+	poller := NewPoller(q, 100*time.Microsecond)
 	q.Run()
-	n := len(poller.traces[q].Snapshots)
+	n := len(poller.trace.Snapshots)
 	if n < 3 {
 		t.Fatalf("only %d snapshots before detach", n)
 	}
-	poller.Detach()
-	poller.Detach() // idempotent
+	tr := poller.Finish()
+	ticks := poller.Ticks()
 	clock.Advance(10 * time.Millisecond)
-	if len(poller.traces[q].Snapshots) != n {
-		t.Fatal("detached poller kept sampling")
+	if got := poller.Ticks(); got != ticks {
+		t.Fatalf("finished poller kept ticking: %d -> %d", ticks, got)
 	}
-	if tr := poller.Finish(q); len(tr.Snapshots) != n {
-		t.Fatal("Finish lost snapshots after detach")
+	if len(tr.Snapshots) != n || poller.Finish() != tr {
+		t.Fatal("Finish lost snapshots or the trace")
 	}
 }
 
@@ -190,5 +166,34 @@ func TestSnapshotOpMemoizesAggregate(t *testing.T) {
 	// The original's memo is untouched by the clone's life.
 	if got := snap.Op(0).ActualRows; got != 7 || snap.aggRuns != 1 {
 		t.Fatalf("original perturbed by clone: rows=%d aggRuns=%d", got, snap.aggRuns)
+	}
+}
+
+// TestFinishedTraceDoesNotPinQuery: the trace Finish returns holds the plan
+// and the snapshots, not the poller, so a caller that keeps traces (the
+// replay harness keeps dozens) lets each executed query be collected.
+func TestFinishedTraceDoesNotPinQuery(t *testing.T) {
+	clock := sim.NewClock()
+	q, _ := testQuery(t, clock)
+	collected := make(chan struct{})
+	runtime.SetFinalizer(q, func(*exec.Query) { close(collected) })
+	p := NewPoller(q, 100*time.Microsecond)
+	q.Run()
+	tr := p.Finish()
+	q, p = nil, nil
+	deadline := time.Now().Add(10 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-time.After(time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatal("the query is still reachable from its finished trace")
+			}
+		}
+	}
+	if len(tr.Snapshots) < 3 {
+		t.Fatalf("only %d snapshots", len(tr.Snapshots))
 	}
 }

@@ -11,12 +11,11 @@ func TestFlightRecorderCapsHistory(t *testing.T) {
 	clock := sim.NewClock()
 	q, _ := testQuery(t, clock)
 	// Poll fast relative to the query so many snapshots accrue.
-	p := NewPoller(clock, 50*sim.Duration(1000))
+	p := NewPoller(q, 50*sim.Duration(1000))
 	p.SetHistoryCap(4)
-	p.Register(q)
 	q.Run()
 
-	hist, dropped := p.History(q)
+	hist, dropped := p.History()
 	if len(hist) != 4 {
 		t.Fatalf("retained %d snapshots, want 4", len(hist))
 	}
@@ -31,7 +30,7 @@ func TestFlightRecorderCapsHistory(t *testing.T) {
 	}
 	// The flight recorder is queryable after completion, and the last
 	// retained snapshot is the most recent poll before the query ended.
-	tr := p.Finish(q)
+	tr := p.Finish()
 	if tr.DroppedSnapshots != dropped {
 		t.Fatalf("trace dropped count %d != history %d", tr.DroppedSnapshots, dropped)
 	}
@@ -43,10 +42,9 @@ func TestFlightRecorderCapsHistory(t *testing.T) {
 func TestFlightRecorderUnlimitedByDefault(t *testing.T) {
 	clock := sim.NewClock()
 	q, _ := testQuery(t, clock)
-	p := NewPoller(clock, 50*sim.Duration(1000))
-	p.Register(q)
+	p := NewPoller(q, 50*sim.Duration(1000))
 	q.Run()
-	hist, dropped := p.History(q)
+	hist, dropped := p.History()
 	if dropped != 0 {
 		t.Fatalf("default poller dropped %d snapshots", dropped)
 	}
@@ -55,7 +53,7 @@ func TestFlightRecorderUnlimitedByDefault(t *testing.T) {
 	}
 	// Lowering the cap afterwards trims retroactively.
 	p.SetHistoryCap(2)
-	hist2, dropped2 := p.History(q)
+	hist2, dropped2 := p.History()
 	if len(hist2) != 2 || dropped2 != int64(len(hist)-2) {
 		t.Fatalf("retroactive trim: %d retained / %d dropped, want 2 / %d",
 			len(hist2), dropped2, len(hist)-2)
@@ -65,22 +63,27 @@ func TestFlightRecorderUnlimitedByDefault(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderUnregisteredQuery(t *testing.T) {
+// TestFlightRecorderEmptyBeforeStart: ticks that fire before the query
+// starts record nothing.
+func TestFlightRecorderEmptyBeforeStart(t *testing.T) {
 	clock := sim.NewClock()
 	q, _ := testQuery(t, clock)
-	p := NewPoller(clock, 50*sim.Duration(1000))
-	if hist, dropped := p.History(q); hist != nil || dropped != 0 {
-		t.Fatal("unregistered query yielded history")
+	p := NewPoller(q, 50*sim.Duration(1000))
+	clock.Advance(sim.Duration(1e6))
+	if p.Ticks() == 0 {
+		t.Fatal("poller never ticked")
+	}
+	if hist, dropped := p.History(); hist != nil || dropped != 0 {
+		t.Fatal("a query that has not started yielded history")
 	}
 }
 
 func TestPollerMetrics(t *testing.T) {
 	clock := sim.NewClock()
 	q, _ := testQuery(t, clock)
-	p := NewPoller(clock, 50*sim.Duration(1000))
+	p := NewPoller(q, 50*sim.Duration(1000))
 	reg := obs.NewRegistry()
 	p.SetMetrics(reg)
-	p.Register(q)
 	q.Run()
 	ticks := reg.Counter("dmv/poll_ticks").Value()
 	snaps := reg.Counter("dmv/snapshots").Value()
@@ -90,7 +93,7 @@ func TestPollerMetrics(t *testing.T) {
 	if snaps > ticks {
 		t.Fatalf("more snapshots (%d) than ticks (%d) for a single query", snaps, ticks)
 	}
-	hist, _ := p.History(q)
+	hist, _ := p.History()
 	if snaps != int64(len(hist)) {
 		t.Fatalf("snapshot counter %d != retained history %d (no drops configured)", snaps, len(hist))
 	}

@@ -93,12 +93,11 @@ func TestPollerParallelMidFlight(t *testing.T) {
 	const dop = 4
 	clock := sim.NewClock()
 	q, scan := parallelTestQuery(t, clock, dop)
-	poller := NewPoller(clock, 20*time.Microsecond)
-	poller.Register(q)
+	poller := NewPoller(q, 20*time.Microsecond)
 	if _, err := q.Run(); err != nil {
 		t.Fatalf("query failed: %v", err)
 	}
-	tr := poller.Finish(q)
+	tr := poller.Finish()
 	if len(tr.Snapshots) < 2 {
 		t.Fatalf("only %d mid-flight snapshots; shrink the poll interval", len(tr.Snapshots))
 	}

@@ -28,14 +28,13 @@ func (f *scriptedFault) OnPoll(at sim.Duration, snap *Snapshot) (*Snapshot, bool
 func TestWatchdogSingleStallIsDroppedPoll(t *testing.T) {
 	clock := sim.NewClock()
 	q, _ := testQuery(t, clock)
-	p := NewPoller(clock, 10*time.Microsecond)
+	p := NewPoller(q, 10*time.Microsecond)
 	fault := &scriptedFault{stallOn: map[int]bool{2: true}}
 	p.SetFault(fault)
-	p.Register(q)
 	q.Run()
-	p.Detach()
+	p.Finish()
 
-	hist, _ := p.History(q)
+	hist, _ := p.History()
 	if len(hist) == 0 {
 		t.Fatal("no snapshots captured")
 	}
@@ -52,7 +51,7 @@ func TestWatchdogSingleStallIsDroppedPoll(t *testing.T) {
 func TestWatchdogBreakerTripsAndBacksOff(t *testing.T) {
 	clock := sim.NewClock()
 	q, _ := testQuery(t, clock)
-	p := NewPoller(clock, 10*time.Microsecond)
+	p := NewPoller(q, 10*time.Microsecond)
 	reg := obs.NewRegistry()
 	p.SetMetrics(reg)
 	// Capture attempts 2..5 stall (skipped ticks never reach the fault):
@@ -61,11 +60,10 @@ func TestWatchdogBreakerTripsAndBacksOff(t *testing.T) {
 	// tick, attempt 5 doubles to 4 and skips three — then captures heal.
 	fault := &scriptedFault{stallOn: map[int]bool{2: true, 3: true, 4: true, 5: true}}
 	p.SetFault(fault)
-	p.Register(q)
 	q.Run()
-	p.Detach()
+	p.Finish()
 
-	hist, _ := p.History(q)
+	hist, _ := p.History()
 	var degraded, stallDegraded, synthesized int
 	for _, s := range hist {
 		if !s.Degraded {
@@ -116,17 +114,16 @@ func TestWatchdogBreakerTripsAndBacksOff(t *testing.T) {
 func TestWatchdogHealthyCaptureClosesBreaker(t *testing.T) {
 	clock := sim.NewClock()
 	q, _ := testQuery(t, clock)
-	p := NewPoller(clock, 10*time.Microsecond)
+	p := NewPoller(q, 10*time.Microsecond)
 	// Trip the breaker early, then stall once more much later: the healthy
 	// captures in between must have reset the watchdog, so the late lone
 	// stall is a dropped poll, not a degraded one.
 	fault := &scriptedFault{stallOn: map[int]bool{2: true, 3: true, 12: true}}
 	p.SetFault(fault)
-	p.Register(q)
 	q.Run()
-	p.Detach()
+	p.Finish()
 
-	hist, _ := p.History(q)
+	hist, _ := p.History()
 	for i, s := range hist {
 		if s.Degraded && i > 0 && !hist[i-1].Degraded && hist[i-1].At > s.At {
 			t.Fatal("history out of order")

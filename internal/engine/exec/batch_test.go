@@ -55,15 +55,14 @@ func runTraced(t *testing.T, w *workload.Workload, q workload.Query, dop, batch 
 	p := plan.Finalize(root)
 	opt.NewEstimator(w.DB.Catalog).Estimate(p)
 	clock := sim.NewClock()
-	poller := dmv.NewPoller(clock, dmv.PollInterval)
 	w.DB.ColdStart()
 	query := exec.NewQueryBatch(p, w.DB, opt.DefaultCostModel(), clock, dop, batch)
-	poller.Register(query)
+	poller := dmv.NewPoller(query, dmv.PollInterval)
 	rows, err := query.RunCollect()
 	if err != nil {
 		t.Fatalf("%s dop=%d batch=%d: %v", q.Name, dop, batch, err)
 	}
-	return rows, poller.Finish(query), p
+	return rows, poller.Finish(), p
 }
 
 // workField is one comparable int64 projection of an OpProfile.

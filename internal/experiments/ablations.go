@@ -110,13 +110,11 @@ func (s *Suite) FWPropagate() *Result {
 		return 1
 	}
 	est.Estimate(p)
-	clock := simNewClock()
-	poller := dmv.NewPoller(clock, metrics.DefaultInterval)
 	w.DB.ColdStart()
-	query := exec.NewQuery(p, w.DB, opt.DefaultCostModel(), clock)
-	poller.Register(query)
+	query := exec.NewQuery(p, w.DB, opt.DefaultCostModel(), sim.NewClock())
+	poller := dmv.NewPoller(query, metrics.DefaultInterval)
 	query.Run()
-	tr := poller.Finish(query)
+	tr := poller.Finish()
 
 	base := progress.LQSOptions()
 	base.Bound = false
@@ -163,13 +161,6 @@ func mathAbs(f float64) float64 {
 		return -f
 	}
 	return f
-}
-
-func simNewClock() *sim.Clock { return sim.NewClock() }
-
-// dmvNewPoller attaches a default-interval poller to a clock.
-func dmvNewPoller(clock *sim.Clock) *dmv.Poller {
-	return dmv.NewPoller(clock, metrics.DefaultInterval)
 }
 
 // FWWeights evaluates §7 future-work item (b): calibrating operator

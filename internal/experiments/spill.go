@@ -3,8 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"lqs/internal/engine/dmv"
 	"lqs/internal/engine/exec"
 	"lqs/internal/engine/expr"
+	"lqs/internal/metrics"
 	"lqs/internal/opt"
 	"lqs/internal/plan"
 	"lqs/internal/progress"
@@ -41,13 +43,11 @@ func (s *Suite) FWSpill() *Result {
 	est := opt.NewEstimator(w.DB.Catalog)
 	est.CM = cm
 	est.Estimate(p)
-	clock := sim.NewClock()
-	poller := dmvNewPoller(clock)
 	w.DB.ColdStart()
-	query := exec.NewQuery(p, w.DB, cm, clock)
-	poller.Register(query)
+	query := exec.NewQuery(p, w.DB, cm, sim.NewClock())
+	poller := dmv.NewPoller(query, metrics.DefaultInterval)
 	query.Run()
-	tr := poller.Finish(query)
+	tr := poller.Finish()
 
 	outOnly := progress.LQSOptions()
 	outOnly.TwoPhaseBlocking = false

@@ -1,6 +1,8 @@
 package lqs
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,27 +14,20 @@ import (
 // TestMonitorTerminalFrameBetweenPolls is the regression test for the
 // blank-table bug: a query whose entire runtime fits inside one poll
 // interval produces zero Running-state frames, so a display built only
-// from live callbacks had nothing to show. The flight recorder must still
-// hold a complete terminal snapshot.
+// from running frames had nothing to show. Monitor's final callback must
+// still deliver a complete terminal snapshot, and only that one.
 func TestMonitorTerminalFrameBetweenPolls(t *testing.T) {
 	db := testDB(t)
 	s := Start(db, testPlan(db), progress.LQSOptions())
-	running := 0
-	rows, err := s.Monitor(time.Hour, func(q *QuerySnapshot) {
-		if q.State == exec.StateRunning {
-			running++
-		}
-	})
+	var frames []*QuerySnapshot
+	rows, err := s.Monitor(time.Hour, func(q *QuerySnapshot) { frames = append(frames, q) })
 	if err != nil {
 		t.Fatalf("monitor: %v", err)
 	}
-	if running != 0 {
-		t.Fatalf("hour-long poll interval delivered %d running frames", running)
+	if len(frames) != 1 {
+		t.Fatalf("hour-long poll interval delivered %d frames, want the terminal one only", len(frames))
 	}
-	last := s.Last()
-	if last == nil {
-		t.Fatal("flight recorder empty after the query finished between polls")
-	}
+	last := frames[0]
 	if last.State != exec.StateSucceeded || last.Progress < 0.99 {
 		t.Fatalf("terminal frame state=%v progress=%v", last.State, last.Progress)
 	}
@@ -43,61 +38,35 @@ func TestMonitorTerminalFrameBetweenPolls(t *testing.T) {
 			t.Fatalf("terminal frame shows %s unfinished", op.Name)
 		}
 	}
-	if last.Ops[2].RowsSoFar != 8000 || rows != 16 {
-		t.Fatalf("terminal frame rows: scan=%d returned=%d", last.Ops[2].RowsSoFar, rows)
+	if last.Ops[2].RowsSoFar != 8000 || rows != 16 || last.Rows != rows {
+		t.Fatalf("terminal frame rows: scan=%d frame=%d returned=%d", last.Ops[2].RowsSoFar, last.Rows, rows)
 	}
 }
 
-func TestSessionFlightRecorderRetainsCurve(t *testing.T) {
+// TestSessionRetainsNoSnapshots: a session keeps estimator state between
+// polls and no history of them, so every snapshot nobody else references
+// is collected.
+func TestSessionRetainsNoSnapshots(t *testing.T) {
 	db := testDB(t)
 	s := Start(db, testPlan(db), progress.LQSOptions())
-	frames := 0
-	if _, err := s.Monitor(100*time.Microsecond, func(*QuerySnapshot) { frames++ }); err != nil {
-		t.Fatalf("monitor: %v", err)
-	}
-	hist, dropped := s.History()
-	if len(hist)+int(dropped) != frames {
-		t.Fatalf("recorder holds %d + %d dropped, monitor delivered %d", len(hist), dropped, frames)
-	}
-	for i := 1; i < len(hist); i++ {
-		if hist[i].At < hist[i-1].At {
-			t.Fatalf("history out of order at %d: %v after %v", i, hist[i].At, hist[i-1].At)
+	const polls = 100
+	var collected atomic.Int32
+	for i := 0; i < polls; i++ {
+		if i%10 == 0 {
+			if _, err := s.Step(1); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if hist[i].Progress+1e-9 < hist[i-1].Progress {
-			t.Fatalf("progress curve regressed at %d: %v after %v", i, hist[i].Progress, hist[i-1].Progress)
-		}
+		runtime.SetFinalizer(s.Snapshot(), func(*QuerySnapshot) { collected.Add(1) })
 	}
-	if last := s.Last(); last != hist[len(hist)-1] {
-		t.Fatal("Last() disagrees with History()")
+	deadline := time.Now().Add(10 * time.Second)
+	for collected.Load() < polls && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
-}
-
-func TestSessionFlightRecorderCap(t *testing.T) {
-	db := testDB(t)
-	s := Start(db, testPlan(db), progress.LQSOptions())
-	s.SetHistoryCap(3)
-	var all []*QuerySnapshot
-	if _, err := s.Monitor(100*time.Microsecond, func(q *QuerySnapshot) { all = append(all, q) }); err != nil {
-		t.Fatalf("monitor: %v", err)
-	}
-	if len(all) <= 3 {
-		t.Skipf("only %d frames; cannot exercise the cap", len(all))
-	}
-	hist, dropped := s.History()
-	if len(hist) != 3 {
-		t.Fatalf("retained %d snapshots, want 3", len(hist))
-	}
-	if want := int64(len(all) - 3); dropped != want {
-		t.Fatalf("dropped %d, want %d", dropped, want)
-	}
-	// Newest retained; a retroactive lower cap trims further.
-	if hist[2] != all[len(all)-1] {
-		t.Fatal("cap did not keep the newest snapshot")
-	}
-	s.SetHistoryCap(1)
-	hist, _ = s.History()
-	if len(hist) != 1 || hist[0] != all[len(all)-1] {
-		t.Fatal("retroactive trim did not keep only the newest snapshot")
+	runtime.KeepAlive(s)
+	if n := collected.Load(); n != polls {
+		t.Fatalf("%d of %d unreferenced snapshots collected; the session retains the rest", n, polls)
 	}
 }
 

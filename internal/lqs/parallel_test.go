@@ -60,10 +60,11 @@ func TestStartDOPMonitorsParallelQuery(t *testing.T) {
 	}
 
 	serial := Start(testDB(t), testPlan(db), progress.LQSOptions())
-	if _, err := serial.Monitor(200*time.Microsecond, func(*QuerySnapshot) {}); err != nil {
+	var last *QuerySnapshot
+	if _, err := serial.Monitor(200*time.Microsecond, func(q *QuerySnapshot) { last = q }); err != nil {
 		t.Fatalf("serial monitor: %v", err)
 	}
-	if out := serial.RenderThreads(serial.Last()); out != "" {
+	if out := serial.RenderThreads(last); out != "" {
 		t.Fatalf("serial drill-down not empty:\n%s", out)
 	}
 }

@@ -162,8 +162,8 @@ func (e *registryEntry) terminal() bool {
 // Remove deletes one finished query from the registry so a long-running
 // server does not accumulate an entry per completed query. Removing a
 // query that is still running is an error — Cancel it and Wait first.
-// The session itself is untouched; callers holding it may keep reading
-// its flight recorder.
+// The session itself is untouched; callers holding it may keep polling
+// it.
 func (r *QueryRegistry) Remove(id QueryID) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -20,7 +20,9 @@ import (
 )
 
 // Session monitors one executing query: it polls the DMV surface on the
-// query's clock and computes progress estimates on demand.
+// query's clock and computes progress estimates on demand. It keeps the
+// estimator's state between polls and no history of them; a consumer that
+// wants a recording attaches a dmv.Poller.
 type Session struct {
 	Query     *exec.Query
 	Estimator *progress.Estimator
@@ -30,17 +32,10 @@ type Session struct {
 
 	// shared marks the session as observed from goroutines other than the
 	// executor (registry-launched queries); Poll then captures through the
-	// query's counter lock. snapMu serializes polls — the estimator keeps
-	// per-session state across them — and guards the flight recorder.
+	// query's counter lock. snapMu serializes polls: the estimator keeps
+	// per-session state across them.
 	shared bool
 	snapMu sync.Mutex
-
-	// Flight recorder: every Snapshot is retained in a bounded ring so the
-	// display layer can render a query's final state — or replay its whole
-	// progress curve — after it finished, even between poll boundaries.
-	histCap     int // 0 → DefaultHistoryCap, negative → unlimited
-	history     []*QuerySnapshot
-	histDropped int64
 
 	// fault, when non-nil, intercepts each DMV capture exactly as a
 	// dmv.Poller's fault hook does — the chaos harness uses it to make
@@ -48,10 +43,6 @@ type Session struct {
 	// captures directly instead of going through a Poller.
 	fault dmv.PollFault
 }
-
-// DefaultHistoryCap is the number of snapshots a session's flight recorder
-// retains unless SetHistoryCap overrides it.
-const DefaultHistoryCap = 64
 
 // Attach creates a monitoring session for a query with the given estimator
 // options (LQSOptions for the shipping configuration).
@@ -140,6 +131,7 @@ type QuerySnapshot struct {
 	Progress float64
 	State    exec.QueryState
 	Err      error      // terminal error, if State is CANCELLED or FAILED
+	Rows     int64      // result rows returned, read with the capture
 	Ops      []OpStatus // indexed by node ID
 	// Threads holds the raw per-(node, thread) rows behind Ops, sorted by
 	// (NodeID, ThreadID). Serial plans contribute one thread-0 row per node;
@@ -188,7 +180,7 @@ func (s *Session) applyFault(snap *dmv.Snapshot) *dmv.Snapshot {
 // one virtual instant, advances the stateful estimator once and queues for
 // the counter lock once.
 type Poll struct {
-	// Snapshot is the display state, also retained in the flight recorder.
+	// Snapshot is the display state.
 	Snapshot *QuerySnapshot
 	// Capture is the DMV snapshot the estimate was computed from.
 	Capture *dmv.Snapshot
@@ -203,10 +195,10 @@ type Poll struct {
 // the estimator's decomposition too when explain is set. On a shared
 // session (registry-launched) it synchronizes with the executor, so it is
 // safe to call concurrently with the query running: counters, pool
-// counters, state and error are read under one hold of the counter lock —
-// the executor finishes and fails under that lock — so a terminal state is
-// never paired with pre-terminal counters. The lock is released before the
-// estimate is computed.
+// counters, state, error and rows returned are read under one hold of the
+// counter lock — the executor finishes and fails under that lock — so a
+// terminal state is never paired with pre-terminal counters. The lock is
+// released before the estimate is computed.
 func (s *Session) Poll(explain bool) Poll {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -214,7 +206,7 @@ func (s *Session) Poll(explain bool) Poll {
 		s.Query.LockCounters()
 	}
 	snap, pool := dmv.Capture(s.Query), s.db.Pool.StatsSnapshot()
-	state, err := s.Query.State(), s.Query.Err()
+	state, err, rows := s.Query.State(), s.Query.Err(), s.Query.RowsReturned()
 	if s.shared {
 		s.Query.UnlockCounters()
 	}
@@ -226,7 +218,7 @@ func (s *Session) Poll(explain bool) Poll {
 		est = s.Estimator.Estimate(p.Capture)
 	}
 	p.Snapshot = s.display(p.Capture, est, state, err)
-	s.record(p.Snapshot)
+	p.Snapshot.Rows = rows
 	return p
 }
 
@@ -293,57 +285,6 @@ func (s *Session) display(snap *dmv.Snapshot, est *progress.Estimate, state exec
 		})
 	}
 	return out
-}
-
-// record appends a snapshot to the flight recorder; caller holds snapMu.
-func (s *Session) record(q *QuerySnapshot) {
-	limit := s.histCap
-	if limit == 0 {
-		limit = DefaultHistoryCap
-	}
-	s.history = append(s.history, q)
-	if over := len(s.history) - limit; limit > 0 && over > 0 {
-		s.history = append(s.history[:0:0], s.history[over:]...)
-		s.histDropped += int64(over)
-	}
-}
-
-// SetHistoryCap bounds the flight recorder to n snapshots (n <= 0 removes
-// the bound). Lowering the cap trims already-retained history, oldest
-// first.
-func (s *Session) SetHistoryCap(n int) {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if n <= 0 {
-		s.histCap = -1
-		return
-	}
-	s.histCap = n
-	if over := len(s.history) - n; over > 0 {
-		s.history = append(s.history[:0:0], s.history[over:]...)
-		s.histDropped += int64(over)
-	}
-}
-
-// History returns the flight recorder's retained snapshots, oldest first,
-// plus the number dropped to the cap. The slice is a copy; it is safe to
-// hold across further polls.
-func (s *Session) History() ([]*QuerySnapshot, int64) {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	return append([]*QuerySnapshot(nil), s.history...), s.histDropped
-}
-
-// Last returns the newest retained snapshot without polling again — the
-// frame a display renders for a query that reached a terminal state
-// between polls — or nil if nothing was ever recorded.
-func (s *Session) Last() *QuerySnapshot {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if len(s.history) == 0 {
-		return nil
-	}
-	return s.history[len(s.history)-1]
 }
 
 // Render draws the plan tree with live per-operator progress, the text

@@ -50,8 +50,7 @@ func testPlan(db *storage.Database) *plan.Node {
 func TestMonitorCoexistsWithPoller(t *testing.T) {
 	db := testDB(t)
 	s := Start(db, testPlan(db), progress.LQSOptions())
-	poller := dmv.NewPoller(s.Query.Ctx.Clock, 100*time.Microsecond)
-	poller.Register(s.Query)
+	poller := dmv.NewPoller(s.Query, 100*time.Microsecond)
 
 	observed := 0
 	if _, err := s.Monitor(100*time.Microsecond, func(*QuerySnapshot) { observed++ }); err != nil {
@@ -60,7 +59,7 @@ func TestMonitorCoexistsWithPoller(t *testing.T) {
 	if observed < 3 {
 		t.Fatalf("monitor observed only %d snapshots", observed)
 	}
-	tr := poller.Finish(s.Query)
+	tr := poller.Finish()
 	if len(tr.Snapshots) < 3 {
 		t.Fatalf("poller sampled only %d snapshots while Monitor ran", len(tr.Snapshots))
 	}

@@ -86,9 +86,9 @@ func TraceQueryEventsBatch(w *workload.Workload, q workload.Query, interval sim.
 	p := plan.Finalize(root)
 	opt.NewEstimator(w.DB.Catalog).Estimate(p)
 	clock := sim.NewClock()
-	poller := dmv.NewPoller(clock, interval)
 	w.DB.ColdStart()
 	query := exec.NewQueryBatch(p, w.DB, opt.DefaultCostModel(), clock, dop, batch)
+	poller := dmv.NewPoller(query, interval)
 	var rec *trace.Recorder
 	if eventCap != 0 {
 		if eventCap < 0 {
@@ -97,9 +97,8 @@ func TraceQueryEventsBatch(w *workload.Workload, q workload.Query, interval sim.
 		rec = trace.NewRecorder(clock, eventCap)
 		query.Ctx.Trace = rec
 	}
-	poller.Register(query)
 	query.Run()
-	return p, poller.Finish(query), rec
+	return p, poller.Finish(), rec
 }
 
 // Runner iterates a workload's queries, tracing each once.

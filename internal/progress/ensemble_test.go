@@ -25,12 +25,11 @@ func ensembleFixture(t *testing.T) (*Estimator, *dmv.Trace) {
 	p := plan.Finalize(w.Queries[0].Build(w.Builder()))
 	opt.NewEstimator(w.DB.Catalog).Estimate(p)
 	clock := sim.NewClock()
-	poller := dmv.NewPoller(clock, 150*time.Microsecond)
 	w.DB.ColdStart()
 	query := exec.NewQuery(p, w.DB, opt.DefaultCostModel(), clock)
-	poller.Register(query)
+	poller := dmv.NewPoller(query, 150*time.Microsecond)
 	query.Run()
-	tr := poller.Finish(query)
+	tr := poller.Finish()
 	if len(tr.Snapshots) < 6 {
 		t.Fatalf("fixture produced only %d polls", len(tr.Snapshots))
 	}

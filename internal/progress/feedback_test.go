@@ -139,12 +139,11 @@ func TestInternalCountersImproveSpilledSortProgress(t *testing.T) {
 	oe.CM = cm
 	oe.Estimate(p)
 	clock := sim.NewClock()
-	poller := dmv.NewPoller(clock, 200*time.Microsecond)
 	f.db.ColdStart()
 	q := exec.NewQuery(p, f.db, cm, clock)
-	poller.Register(q)
+	poller := dmv.NewPoller(q, 200*time.Microsecond)
 	q.Run()
-	tr := poller.Finish(q)
+	tr := poller.Finish()
 	if tr.Final.Op(srt.ID).InternalTotal == 0 {
 		t.Fatal("sort did not spill; fixture too small")
 	}

@@ -75,12 +75,11 @@ func (f *fixture) trace(tb testing.TB, root *plan.Node, estErr func(n *plan.Node
 	e.NodeMultiplier = estErr
 	e.Estimate(p)
 	clock := sim.NewClock()
-	poller := dmv.NewPoller(clock, 200*time.Microsecond)
 	f.db.ColdStart()
 	q := exec.NewQuery(p, f.db, opt.DefaultCostModel(), clock)
-	poller.Register(q)
+	poller := dmv.NewPoller(q, 200*time.Microsecond)
 	q.Run()
-	return p, poller.Finish(q)
+	return p, poller.Finish()
 }
 
 // estimateAll runs an estimator over every snapshot of a trace.

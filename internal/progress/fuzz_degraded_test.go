@@ -73,14 +73,13 @@ func FuzzDegradedSnapshot(f *testing.F) {
 	// Corpus: real per-thread captures, plus pre-perturbed replays so
 	// mutation starts from inputs that already exercise the repair pass.
 	clock := sim.NewClock()
-	poller := dmv.NewPoller(clock, 150*time.Microsecond)
 	w.DB.ColdStart()
 	query := exec.NewQueryDOP(p, w.DB, opt.DefaultCostModel(), clock, 4)
-	poller.Register(query)
+	poller := dmv.NewPoller(query, 150*time.Microsecond)
 	if _, err := query.Run(); err != nil {
 		f.Fatalf("corpus query failed: %v", err)
 	}
-	tr := poller.Finish(query)
+	tr := poller.Finish()
 	seedInput := func(seed uint64, snaps []*dmv.Snapshot) []byte {
 		buf := make([]byte, 8)
 		binary.LittleEndian.PutUint64(buf, seed)

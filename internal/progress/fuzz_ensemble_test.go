@@ -37,14 +37,13 @@ func FuzzEnsembleSelect(f *testing.F) {
 	// stay mutation-friendly, plus a degraded-marked replay of the same
 	// stream and adversarial hand-built shapes.
 	clock := sim.NewClock()
-	poller := dmv.NewPoller(clock, 150*time.Microsecond)
 	w.DB.ColdStart()
 	query := exec.NewQueryDOP(p, w.DB, opt.DefaultCostModel(), clock, 4)
-	poller.Register(query)
+	poller := dmv.NewPoller(query, 150*time.Microsecond)
 	if _, err := query.Run(); err != nil {
 		f.Fatalf("corpus query failed: %v", err)
 	}
-	tr := poller.Finish(query)
+	tr := poller.Finish()
 	corpus := tr.Snapshots
 	if len(corpus) > 12 {
 		stride := len(corpus) / 12

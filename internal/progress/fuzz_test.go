@@ -131,14 +131,13 @@ func FuzzEstimator(f *testing.F) {
 
 	// Corpus: real per-thread captures from actually running the plan.
 	clock := sim.NewClock()
-	poller := dmv.NewPoller(clock, 150*time.Microsecond)
 	w.DB.ColdStart()
 	query := exec.NewQueryDOP(p, w.DB, opt.DefaultCostModel(), clock, 4)
-	poller.Register(query)
+	poller := dmv.NewPoller(query, 150*time.Microsecond)
 	if _, err := query.Run(); err != nil {
 		f.Fatalf("corpus query failed: %v", err)
 	}
-	tr := poller.Finish(query)
+	tr := poller.Finish()
 	corpus := tr.Snapshots
 	if len(corpus) > 12 {
 		// Sample the poll history: seed inputs stay small enough to mutate

@@ -48,12 +48,11 @@ func TestRandomPlanInvariants(t *testing.T) {
 		p := plan.Finalize(q.Build(w.Builder()))
 		opt.NewEstimator(w.DB.Catalog).Estimate(p)
 		clock := sim.NewClock()
-		poller := dmv.NewPoller(clock, 150*time.Microsecond)
 		w.DB.ColdStart()
 		query := exec.NewQuery(p, w.DB, opt.DefaultCostModel(), clock)
-		poller.Register(query)
+		poller := dmv.NewPoller(query, 150*time.Microsecond)
 		query.Run()
-		tr := poller.Finish(query)
+		tr := poller.Finish()
 		if len(tr.Snapshots) < 2 {
 			continue
 		}
@@ -147,14 +146,13 @@ func TestParallelPlanInvariants(t *testing.T) {
 			p := plan.Finalize(root)
 			opt.NewEstimator(w.DB.Catalog).Estimate(p)
 			clock := sim.NewClock()
-			poller := dmv.NewPoller(clock, 150*time.Microsecond)
 			w.DB.ColdStart()
 			query := exec.NewQueryDOP(p, w.DB, opt.DefaultCostModel(), clock, dop)
-			poller.Register(query)
+			poller := dmv.NewPoller(query, 150*time.Microsecond)
 			if _, err := query.Run(); err != nil {
 				t.Fatalf("%s dop=%d: %v", q.Name, dop, err)
 			}
-			tr := poller.Finish(query)
+			tr := poller.Finish()
 			snaps := append(append([]*dmv.Snapshot{}, tr.Snapshots...), tr.Final)
 			for name, o := range modes {
 				o.Monotone = true
@@ -257,11 +255,10 @@ func TestEstimatePureFunction(t *testing.T) {
 	p := plan.Finalize(w.Queries[0].Build(w.Builder()))
 	opt.NewEstimator(w.DB.Catalog).Estimate(p)
 	clock := sim.NewClock()
-	poller := dmv.NewPoller(clock, 200*time.Microsecond)
 	query := exec.NewQuery(p, w.DB, opt.DefaultCostModel(), clock)
-	poller.Register(query)
+	poller := dmv.NewPoller(query, 200*time.Microsecond)
 	query.Run()
-	tr := poller.Finish(query)
+	tr := poller.Finish()
 	est := NewEstimator(p, w.DB.Catalog, LQSOptions())
 	for _, s := range tr.Snapshots {
 		a := est.Estimate(s)

@@ -63,10 +63,9 @@ var accErrBuckets = []float64{0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5}
 // each query is observed exactly once.
 func (h *hostedQuery) computeAccuracy() {
 	h.accOnce.Do(func() {
-		q := h.sess.Query
-		tr := h.poller.Finish(q)
+		tr := h.poller.Finish()
 		for _, m := range accuracy.Modes() {
-			traj := accuracy.Record(q.Plan, h.db.Catalog, tr, m)
+			traj := accuracy.Record(tr.Plan, h.db.Catalog, tr, m)
 			qa := accuracy.Measure(h.spec.Workload, h.spec.Query, traj)
 			h.acc = append(h.acc, qa)
 			mode := strings.ToLower(m.Name)

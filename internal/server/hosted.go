@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lqs/internal/accuracy"
@@ -39,15 +38,10 @@ type hostedQuery struct {
 	// in a terminal state and its result is recorded in the registry).
 	terminal chan struct{}
 
-	// pollVer counts flight-recorder poll ticks; a clock observer bumps it
-	// on the executor goroutine, and the scrape cache below keys on it so
-	// cached /metrics points invalidate exactly when a new poll could have
-	// changed them.
-	pollVer atomic.Int64
 	// Scrape cache: /metrics output for this query, recomputed only when
-	// the cache key (poll version, lifecycle state, accuracy readiness)
-	// moves. A server hosting hundreds of queries stops re-snapshotting
-	// every one of them on every scrape.
+	// the cache key (poller tick count, lifecycle state, accuracy
+	// readiness) moves. A server hosting hundreds of queries stops
+	// re-snapshotting every one of them on every scrape.
 	cacheMu  sync.Mutex
 	cacheKey pointsKey
 	cachePts []obs.Point
@@ -61,9 +55,9 @@ type hostedQuery struct {
 }
 
 // pointsKey is the scrape-cache invalidation key: any observable change to
-// a query's /metrics points moves at least one field — a new flight-
-// recorder poll, a lifecycle transition, or the terminal accuracy report
-// becoming available.
+// a query's /metrics points moves at least one field — a flight-recorder
+// tick, a lifecycle transition, or the terminal accuracy report becoming
+// available.
 type pointsKey struct {
 	ver   int64
 	state exec.QueryState
@@ -152,25 +146,20 @@ func newHosted(srv *Server, spec QuerySpec) (*hostedQuery, error) {
 		terminal: make(chan struct{}),
 	}
 
-	// Flight recorder: a DMV poller on the query's own virtual clock. Its
-	// observer fires inside Advance on the executor goroutine (which holds
-	// the counter lock), so readers synchronize via LockCounters.
-	h.poller = dmv.NewPoller(sess.Query.Ctx.Clock, srv.cfg.PollInterval)
+	// Flight recorder: a DMV poller on the query's own virtual clock, the
+	// query's one observer at poll cadence. It fires inside Advance on the
+	// executor goroutine (which holds the counter lock), so readers
+	// synchronize via LockCounters; its tick count keys the scrape cache.
+	h.poller = dmv.NewPoller(sess.Query, srv.cfg.PollInterval)
 	h.poller.SetHistoryCap(srv.cfg.HistoryCap)
 	h.poller.SetMetrics(srv.obs)
 	if chaosPlan != nil {
-		// A fresh PollFault instance: the hooks are stateful and single-use,
-		// so the flight recorder and the session monitor each get their own.
+		// A second PollFault: the session's degrades a wall-clock status
+		// read, this one feeds the virtual-time watchdog and breaker the
+		// accuracy replay scores, and the hooks are stateful, so one shared
+		// instance would let either path move the other's fault stream.
 		h.poller.SetFault(chaosPlan.PollFault())
 	}
-	h.poller.Register(sess.Query)
-
-	// Scrape-cache invalidation: bump the poll version at every flight-
-	// recorder tick (same cadence, its own observer — fires on the executor
-	// goroutine; the bump is atomic).
-	sess.Query.Ctx.Clock.Observe(srv.cfg.PollInterval, func(sim.Duration) {
-		h.pollVer.Add(1)
-	})
 
 	// Pacing: convert virtual progress into wall time so remote observers
 	// see a query *run* rather than a terminal flash. The observer sleeps
@@ -203,7 +192,7 @@ func (h *hostedQuery) status(withOps, withExplain bool) StatusJSON {
 		State:         snap.State.String(),
 		Terminal:      snap.State.Terminal(),
 		Progress:      snap.Progress,
-		Rows:          h.sess.Query.RowsReturned(),
+		Rows:          snap.Rows,
 		VirtualUS:     us(snap.At),
 		Degraded:      snap.Degraded,
 		DegradeReason: snap.DegradeReason,
@@ -228,7 +217,7 @@ func (h *hostedQuery) frame() FrameJSON {
 		Progress:      snap.Progress,
 		State:         snap.State.String(),
 		Terminal:      snap.State.Terminal(),
-		Rows:          h.sess.Query.RowsReturned(),
+		Rows:          snap.Rows,
 		Degraded:      snap.Degraded,
 		DegradeReason: snap.DegradeReason,
 		Ops:           opsJSON(snap.Ops),
@@ -246,7 +235,7 @@ func (h *hostedQuery) frame() FrameJSON {
 func (h *hostedQuery) history() HistoryResponse {
 	q := h.sess.Query
 	q.LockCounters()
-	snaps, dropped := h.poller.History(q)
+	snaps, dropped := h.poller.History()
 	q.UnlockCounters()
 
 	out := HistoryResponse{Frames: make([]HistFrameJSON, 0, len(snaps)), Dropped: dropped}

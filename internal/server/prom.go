@@ -59,14 +59,14 @@ func (h *hostedQuery) qidLabel() string { return strconv.FormatInt(int64(h.id), 
 
 // points returns the query's exposition points through the scrape cache:
 // the expensive rebuild (one session poll) runs only when the cache key
-// moved — a new flight-recorder poll, a lifecycle transition, or the
+// moved — a flight-recorder tick, a lifecycle transition, or the
 // terminal accuracy report landing. In
 // between, scrapes are served the memoized slice, so a server hosting
 // hundreds of queries no longer re-snapshots each one per scrape; a cached
 // scrape is at most one poll interval stale, the same staleness contract
 // the flight recorder itself has.
 func (h *hostedQuery) points() []obs.Point {
-	key := pointsKey{ver: h.pollVer.Load(), state: h.sess.Query.State()}
+	key := pointsKey{ver: h.poller.Ticks(), state: h.sess.Query.State()}
 	_, _, key.acc = h.accuracyReport()
 	h.cacheMu.Lock()
 	defer h.cacheMu.Unlock()
@@ -131,7 +131,7 @@ func (h *hostedQuery) buildPoints() []obs.Point {
 	pts := []obs.Point{
 		// Query-progress class.
 		gauge("lqs_query_progress", "Overall query progress estimate in [0,1].", progLbl, qs.Progress),
-		counter("lqs_query_rows_returned_total", "Result rows returned by the query.", lbl, float64(h.sess.Query.RowsReturned())),
+		counter("lqs_query_rows_returned_total", "Result rows returned by the query.", lbl, float64(qs.Rows)),
 		gauge("lqs_query_virtual_seconds", "Virtual execution time charged so far.", lbl, qs.At.Seconds()),
 		gauge("lqs_query_state", "Query lifecycle state (1 for the current state).", stateLbl, 1),
 

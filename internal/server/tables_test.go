@@ -24,7 +24,10 @@ import (
 	"time"
 
 	"lqs/internal/chaos"
+	"lqs/internal/engine/dmv"
+	"lqs/internal/engine/exec"
 	"lqs/internal/lqs"
+	"lqs/internal/sim"
 )
 
 // submitLocal runs POST /queries on the calling goroutine, with no socket in
@@ -324,5 +327,54 @@ func TestScrapeIsOneCapture(t *testing.T) {
 	}
 	if midFlight < 3 {
 		t.Fatalf("only %d scrapes caught the query mid-flight", midFlight)
+	}
+}
+
+// rowsAtCapture is a snapshot fault hook that records the rows the query
+// has returned at capture time and then steps it on, as an executor does
+// the moment a reader releases the counter lock.
+type rowsAtCapture struct {
+	q    *exec.Query
+	seen int64
+	err  error
+}
+
+func (r *rowsAtCapture) OnPoll(_ sim.Duration, snap *dmv.Snapshot) (*dmv.Snapshot, bool) {
+	r.seen = r.q.RowsReturned()
+	if _, err := r.q.Step(1); err != nil {
+		r.err = err
+	}
+	return snap, false
+}
+
+// TestReplyRowsAreCaptureRows: a status, an SSE frame and a /metrics
+// rebuild report the rows returned at the capture their progress, ops and
+// virtual time come from, never rows the executor returned after it. The
+// query is built but not launched, so the hook runs the executor between
+// the capture and the reply.
+func TestReplyRowsAreCaptureRows(t *testing.T) {
+	h, err := newHosted(New(Config{}), QuerySpec{Workload: "tpch", Query: "Q1", Seed: 42, DOP: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &rowsAtCapture{q: h.sess.Query}
+	h.sess.SetSnapshotFault(probe)
+
+	if st := h.status(false, false); st.Rows != probe.seen {
+		t.Errorf("status rows %d, capture saw %d", st.Rows, probe.seen)
+	}
+	if f := h.frame(); f.Rows != probe.seen {
+		t.Errorf("frame rows %d, capture saw %d", f.Rows, probe.seen)
+	}
+	for _, pt := range h.buildPoints() {
+		if pt.Name == "lqs_query_rows_returned_total" && int64(pt.Value) != probe.seen {
+			t.Errorf("lqs_query_rows_returned_total %v, capture saw %d", pt.Value, probe.seen)
+		}
+	}
+	if probe.err != nil {
+		t.Fatal(probe.err)
+	}
+	if probe.seen == 0 {
+		t.Fatal("the query returned no rows before the last capture; the check is vacuous")
 	}
 }
