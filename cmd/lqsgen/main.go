@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -20,12 +21,25 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && err != flag.ErrHelp {
+		fmt.Fprintln(os.Stderr, "lqsgen:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args, builds the workload, and
+// writes the inventory or the requested showplan to stdout.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("lqsgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		wname   = flag.String("workload", "tpch", "workload: tpch, tpch-cs, tpcds, real1, real2, real3")
-		explain = flag.String("explain", "", "print the estimated plan for this query")
-		seed    = flag.Uint64("seed", 42, "workload seed")
+		wname   = fs.String("workload", "tpch", "workload: tpch, tpch-cs, tpcds, real1, real2, real3")
+		explain = fs.String("explain", "", "print the estimated plan for this query")
+		seed    = fs.Uint64("seed", 42, "workload seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var w *workload.Workload
 	switch strings.ToLower(*wname) {
@@ -42,8 +56,7 @@ func main() {
 	case "real3":
 		w = workload.REAL3(*seed)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wname)
-		os.Exit(1)
+		return fmt.Errorf("unknown workload %q", *wname)
 	}
 
 	if *explain != "" {
@@ -51,28 +64,28 @@ func main() {
 			if strings.EqualFold(q.Name, *explain) {
 				p := plan.Finalize(q.Build(w.Builder()))
 				opt.NewEstimator(w.DB.Catalog).Estimate(p)
-				fmt.Printf("%s %s:\n%s\n", w.Name, q.Name, p)
+				fmt.Fprintf(stdout, "%s %s:\n%s\n", w.Name, q.Name, p)
 				p.Walk(func(n *plan.Node) {
-					fmt.Printf("  node %-3d est_rows=%-10.1f cpu/row=%-8.0f io/row=%-8.0f rebinds=%.0f\n",
+					fmt.Fprintf(stdout, "  node %-3d est_rows=%-10.1f cpu/row=%-8.0f io/row=%-8.0f rebinds=%.0f\n",
 						n.ID, n.EstRows, n.EstCPUPerRow, n.EstIOPerRow, n.EstRebinds)
 				})
-				return
+				return nil
 			}
 		}
-		fmt.Fprintf(os.Stderr, "no query %q in %s\n", *explain, w.Name)
-		os.Exit(1)
+		return fmt.Errorf("no query %q in %s", *explain, w.Name)
 	}
 
-	fmt.Printf("workload %s: %d tables, %d queries\n\ntables:\n", w.Name, len(w.DB.Catalog.Tables()), len(w.Queries))
+	fmt.Fprintf(stdout, "workload %s: %d tables, %d queries\n\ntables:\n", w.Name, len(w.DB.Catalog.Tables()), len(w.Queries))
 	for _, t := range w.DB.Catalog.Tables() {
 		ix := make([]string, 0, len(t.Indexes))
 		for _, i := range t.Indexes {
 			ix = append(ix, i.Name)
 		}
-		fmt.Printf("  %-16s %8d rows  %5d pages  indexes: %s\n", t.Name, t.RowCount, t.Pages, strings.Join(ix, ", "))
+		fmt.Fprintf(stdout, "  %-16s %8d rows  %5d pages  indexes: %s\n", t.Name, t.RowCount, t.Pages, strings.Join(ix, ", "))
 	}
-	fmt.Println("\nqueries:")
+	fmt.Fprintln(stdout, "\nqueries:")
 	for _, q := range w.Queries {
-		fmt.Printf("  %s\n", q.Name)
+		fmt.Fprintf(stdout, "  %s\n", q.Name)
 	}
+	return nil
 }

@@ -115,8 +115,9 @@ func (k *columnKeys) add(v types.Value) {
 	case types.KindInt:
 		k.ints = append(k.ints, v.I)
 	case types.KindFloat:
-		k.mixed = k.mixed || v.F != v.F
-		k.floats = append(k.floats, v.F)
+		f := v.Float64()
+		k.mixed = k.mixed || f != f
+		k.floats = append(k.floats, f)
 	case types.KindString:
 		k.strs = append(k.strs, v.S)
 	default:

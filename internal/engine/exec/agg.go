@@ -30,7 +30,6 @@ type hashAgg struct {
 	base
 	child  Operator
 	groups []*aggGroup
-	table  map[uint64][]*aggGroup
 	pos    int
 }
 
@@ -49,7 +48,7 @@ func newHashAgg(n *plan.Node, child Operator) *hashAgg {
 func (h *hashAgg) Open(ctx *Ctx) {
 	h.opened(ctx)
 	h.child.Open(ctx)
-	h.table = make(map[uint64][]*aggGroup)
+	table := make(map[uint64][]*aggGroup)
 	h.groups = h.groups[:0]
 	h.pos = 0
 	gcols := h.node.GroupCols
@@ -67,7 +66,7 @@ func (h *hashAgg) Open(ctx *Ctx) {
 		ctx.chargeCPU(&h.c, perRow)
 		hv := row.HashCols(gcols)
 		var grp *aggGroup
-		for _, g := range h.table[hv] {
+		for _, g := range table[hv] {
 			if types.EqualCols(row, g.key, gcols, idCols) {
 				grp = g
 				break
@@ -82,7 +81,7 @@ func (h *hashAgg) Open(ctx *Ctx) {
 			for i, a := range h.node.Aggs {
 				grp.states[i] = expr.NewAggState(a)
 			}
-			h.table[hv] = append(h.table[hv], grp)
+			table[hv] = append(table[hv], grp)
 			h.groups = append(h.groups, grp)
 		}
 		for i := range grp.states {
@@ -122,11 +121,14 @@ func (h *hashAgg) Next(ctx *Ctx) (types.Row, bool) {
 	return out, true
 }
 
+// Close drops the groups, so a finished query that stays reachable does
+// not pin them.
 func (h *hashAgg) Close(ctx *Ctx) {
 	if h.c.Closed {
 		return
 	}
 	h.child.Close(ctx)
 	ctx.releaseMem(&h.c)
+	h.groups = nil
 	h.closed(ctx)
 }

@@ -63,11 +63,12 @@ func batchNative(n *plan.Node) bool {
 	return false
 }
 
-// BuildBatchOperator constructs the batch operator tree for n. Nodes
-// without a native batch implementation are built as row operators behind
-// a rowToBatch adapter (their own children recurse through BuildOperator
-// and re-enter batch-native subtrees below).
-func BuildBatchOperator(n *plan.Node, ctx *Ctx) BatchOperator {
+// buildBatchOperator constructs the batch operator tree for n, for an edge
+// whose consumer keeps rows or not (see buildOperator). Nodes without a
+// native batch implementation are built as row operators behind a
+// rowToBatch adapter (their own children recurse through buildOperator and
+// re-enter batch-native subtrees below).
+func buildBatchOperator(n *plan.Node, ctx *Ctx, keep bool) BatchOperator {
 	switch n.Physical {
 	case plan.TableScan:
 		return newBatchTableScan(n)
@@ -76,13 +77,15 @@ func BuildBatchOperator(n *plan.Node, ctx *Ctx) BatchOperator {
 	case plan.ColumnstoreIndexScan:
 		return newBatchColumnstoreScan(n)
 	case plan.Filter:
-		return newBatchFilter(n, BuildBatchOperator(n.Children[0], ctx))
+		return newBatchFilter(n, buildBatchOperator(n.Children[0], ctx, keep))
 	case plan.ComputeScalar:
-		return newBatchCompute(n, BuildBatchOperator(n.Children[0], ctx))
+		return newBatchCompute(n, buildBatchOperator(n.Children[0], ctx, false), keep)
 	case plan.StreamAggregate:
-		return newBatchStreamAgg(n, BuildBatchOperator(n.Children[0], ctx))
+		return newBatchStreamAgg(n, buildBatchOperator(n.Children[0], ctx, false))
 	default:
-		return &rowToBatch{op: buildRowOperator(n, ctx)}
+		// Above batch size 1 the adapter holds a whole batch of its row
+		// child's output before its consumer reads the first row.
+		return &rowToBatch{op: buildRowOperator(n, ctx, keep || ctx.BatchSize > 1)}
 	}
 }
 
@@ -515,21 +518,24 @@ func (f *batchFilter) Close(ctx *Ctx) {
 }
 
 // batchCompute appends computed expressions to each row of a child batch.
-// Output rows are materialized into one fresh backing array per batch (one
-// allocation per batch, not per row). The backing must be fresh, not
-// recycled: consumers — sorts, hash builds, spools, exchange buffers —
-// retain row references past the batch lifetime.
+// Output rows are materialized into one backing array per batch. When the
+// consumer keeps rows (keep) each batch gets a fresh backing array, one
+// allocation per batch; otherwise one backing array is overwritten batch
+// after batch, since the consumer is done with a batch's rows before it
+// asks for the next.
 type batchCompute struct {
 	base
-	child BatchOperator
-	in    []types.Row
-	exprs []func(types.Row) types.Value
-	cost  float64
-	eof   bool
+	child   BatchOperator
+	in      []types.Row
+	exprs   []func(types.Row) types.Value
+	cost    float64
+	eof     bool
+	keep    bool
+	backing []types.Value // reused when !keep
 }
 
-func newBatchCompute(n *plan.Node, child BatchOperator) *batchCompute {
-	c := &batchCompute{child: child}
+func newBatchCompute(n *plan.Node, child BatchOperator, keep bool) *batchCompute {
+	c := &batchCompute{child: child, keep: keep}
 	c.init(n)
 	total := 0
 	for _, e := range n.Exprs {
@@ -571,7 +577,13 @@ func (c *batchCompute) NextBatch(ctx *Ctx, dst []types.Row) []types.Row {
 	for _, row := range in {
 		total += len(row) + len(c.exprs)
 	}
-	backing := make([]types.Value, 0, total)
+	backing := c.backing[:0]
+	if c.keep || cap(backing) < total {
+		backing = make([]types.Value, 0, total)
+	}
+	if !c.keep {
+		c.backing = backing
+	}
 	charges := 0
 	for _, row := range in {
 		ctx.chargeCPURow(&c.c, perRow)

@@ -141,7 +141,7 @@ func TestFilterAndComputeScalar(t *testing.T) {
 		t.Fatalf("filtered %d rows", len(rows))
 	}
 	for _, r := range rows {
-		if len(r) != 4 || r[3].F != r[2].F*2 {
+		if len(r) != 4 || r[3].Float64() != r[2].Float64()*2 {
 			t.Fatalf("computed column wrong: %v", r)
 		}
 	}
@@ -156,7 +156,7 @@ func TestSortOrdersAndCountsInput(t *testing.T) {
 		t.Fatalf("sort returned %d", len(rows))
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i][2].F > rows[i-1][2].F {
+		if rows[i][2].Float64() > rows[i-1][2].Float64() {
 			t.Fatal("descending sort violated")
 		}
 	}
@@ -175,7 +175,7 @@ func TestTopNSortMatchesFullSort(t *testing.T) {
 	}
 	// Highest amt values are 2999, 2998, ...
 	for i, r := range rows {
-		if r[2].F != float64(2999-i) {
+		if r[2].Float64() != float64(2999-i) {
 			t.Fatalf("topN row %d = %v", i, r)
 		}
 	}

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"lqs/internal/engine/expr"
 	"lqs/internal/engine/types"
 	"lqs/internal/plan"
 )
@@ -13,18 +12,18 @@ import (
 type hashJoin struct {
 	base
 	probe, build Operator
+	out          joinOutput
 
-	table   map[uint64][]*buildEntry
-	order   []*buildEntry // insertion order, for deterministic outer tails
-	nullRow types.Row     // build-width null padding for outer joins
+	table   map[uint64][]int // build-key hash → positions in entries
+	entries []buildEntry     // build rows in insertion order, for deterministic outer tails
 
 	// streaming state
-	curMatches []*buildEntry
-	matchPos   int
-	curProbe   types.Row
-	probeDone  bool
-	tailPos    int // unmatched-build emission for right/full outer
-	matched    bool
+	matches   []int // entries matching curProbe, reused across probe rows
+	matchPos  int
+	curProbe  types.Row
+	probeDone bool
+	tailPos   int // unmatched-build emission for right/full outer
+	matched   bool
 }
 
 type buildEntry struct {
@@ -32,8 +31,8 @@ type buildEntry struct {
 	matched bool
 }
 
-func newHashJoin(n *plan.Node, probe, build Operator) *hashJoin {
-	h := &hashJoin{probe: probe, build: build}
+func newHashJoin(n *plan.Node, probe, build Operator, keep bool) *hashJoin {
+	h := &hashJoin{probe: probe, build: build, out: newJoinOutput(n, keep)}
 	h.init(n)
 	return h
 }
@@ -41,8 +40,8 @@ func newHashJoin(n *plan.Node, probe, build Operator) *hashJoin {
 func (h *hashJoin) Open(ctx *Ctx) {
 	h.opened(ctx)
 	h.build.Open(ctx)
-	h.table = make(map[uint64][]*buildEntry)
-	h.order = h.order[:0]
+	h.table = make(map[uint64][]int)
+	h.entries = h.entries[:0]
 	insert := ctx.CM.CPUHashInsert
 	if h.node.BatchMode {
 		insert /= batchFactor
@@ -57,15 +56,11 @@ func (h *hashJoin) Open(ctx *Ctx) {
 		// The build table is resident for the join's whole lifetime; hash
 		// joins do not spill in this engine, so an exceeded grant aborts.
 		ctx.reserveMem(&h.c, 1, false)
-		e := &buildEntry{row: row}
 		hv := row.HashCols(h.node.JoinRightCols)
-		h.table[hv] = append(h.table[hv], e)
-		h.order = append(h.order, e)
+		h.table[hv] = append(h.table[hv], len(h.entries))
+		h.entries = append(h.entries, buildEntry{row: row})
 	}
 	h.build.Close(ctx)
-	if len(h.order) > 0 {
-		h.nullRow = make(types.Row, len(h.order[0].row))
-	}
 	h.probe.Open(ctx)
 }
 
@@ -75,32 +70,33 @@ func (h *hashJoin) Rewind(ctx *Ctx) {
 	panic("exec: hash join cannot be rewound")
 }
 
-// lookup returns the build entries whose keys equal the probe row's.
-func (h *hashJoin) lookup(ctx *Ctx, probeRow types.Row) []*buildEntry {
+// lookup collects the positions of the build entries whose keys equal the
+// probe row's into h.matches.
+func (h *hashJoin) lookup(ctx *Ctx, probeRow types.Row) {
 	probeCost := ctx.CM.CPUHashProbe
 	if h.node.BatchMode {
 		probeCost /= batchFactor
 	}
 	ctx.chargeCPU(&h.c, probeCost)
 	hv := probeRow.HashCols(h.node.JoinLeftCols)
-	var out []*buildEntry
-	for _, e := range h.table[hv] {
-		if types.EqualCols(probeRow, e.row, h.node.JoinLeftCols, h.node.JoinRightCols) {
-			out = append(out, e)
+	h.matches = h.matches[:0]
+	h.matchPos = 0
+	for _, i := range h.table[hv] {
+		if types.EqualCols(probeRow, h.entries[i].row, h.node.JoinLeftCols, h.node.JoinRightCols) {
+			h.matches = append(h.matches, i)
 		}
 	}
-	return out
 }
 
 func (h *hashJoin) Next(ctx *Ctx) (types.Row, bool) {
 	kind := h.node.Logical
 	for {
 		// Emit pending matches for the current probe row.
-		for h.matchPos < len(h.curMatches) {
-			e := h.curMatches[h.matchPos]
+		for h.matchPos < len(h.matches) {
+			e := &h.entries[h.matches[h.matchPos]]
 			h.matchPos++
-			joined := h.curProbe.Concat(e.row)
-			if h.node.Residual != nil && !expr.EvalPred(h.node.Residual, joined) {
+			joined, ok := h.out.join(h.curProbe, e.row, h.node.Residual)
+			if !ok {
 				continue
 			}
 			h.matched = true
@@ -112,7 +108,7 @@ func (h *hashJoin) Next(ctx *Ctx) (types.Row, bool) {
 				h.emit()
 				return joined, true
 			case plan.LogicalLeftSemiJoin:
-				h.curMatches = nil // one output per probe row
+				h.matches = h.matches[:0] // one output per probe row
 				h.emit()
 				return h.curProbe, true
 			case plan.LogicalRightSemiJoin:
@@ -121,7 +117,7 @@ func (h *hashJoin) Next(ctx *Ctx) (types.Row, bool) {
 					return e.row, true
 				}
 			case plan.LogicalLeftAntiSemiJoin:
-				h.curMatches = nil // match found: probe row disqualified
+				h.matches = h.matches[:0] // match found: probe row disqualified
 			}
 		}
 		// Handle probe-row epilogue for outer/anti variants.
@@ -131,12 +127,8 @@ func (h *hashJoin) Next(ctx *Ctx) (types.Row, bool) {
 			if !h.matched {
 				switch kind {
 				case plan.LogicalLeftOuterJoin, plan.LogicalFullOuterJoin:
-					pad := h.nullRow
-					if pad == nil {
-						pad = make(types.Row, h.node.Width-len(probeRow))
-					}
 					h.emit()
-					return probeRow.Concat(pad), true
+					return h.out.join(probeRow, h.out.pad(h.node.Width-len(probeRow)), nil)
 				case plan.LogicalLeftAntiSemiJoin:
 					h.emit()
 					return probeRow, true
@@ -146,13 +138,13 @@ func (h *hashJoin) Next(ctx *Ctx) (types.Row, bool) {
 		if h.probeDone {
 			// Unmatched-build tail for right/full outer joins.
 			if kind == plan.LogicalRightOuterJoin || kind == plan.LogicalFullOuterJoin {
-				for h.tailPos < len(h.order) {
-					e := h.order[h.tailPos]
+				for h.tailPos < len(h.entries) {
+					e := &h.entries[h.tailPos]
 					h.tailPos++
 					if !e.matched {
 						ctx.chargeCPU(&h.c, ctx.CM.CPUTuple)
 						h.emit()
-						return h.probeNulls().Concat(e.row), true
+						return h.out.join(h.out.pad(h.node.Width-len(e.row)), e.row, nil)
 					}
 				}
 			}
@@ -165,23 +157,18 @@ func (h *hashJoin) Next(ctx *Ctx) (types.Row, bool) {
 		}
 		h.curProbe = row
 		h.matched = false
-		h.matchPos = 0
-		h.curMatches = h.lookup(ctx, row)
+		h.lookup(ctx, row)
 	}
 }
 
-func (h *hashJoin) probeNulls() types.Row {
-	if len(h.order) == 0 {
-		return types.Row{}
-	}
-	return make(types.Row, h.node.Width-len(h.order[0].row))
-}
-
+// Close shuts the probe side down and drops the build table, so a finished
+// query that stays reachable does not pin its build rows.
 func (h *hashJoin) Close(ctx *Ctx) {
 	if h.c.Closed {
 		return
 	}
 	h.probe.Close(ctx)
 	ctx.releaseMem(&h.c)
+	h.table, h.entries, h.matches = nil, nil, nil
 	h.closed(ctx)
 }

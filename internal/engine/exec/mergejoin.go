@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"lqs/internal/engine/expr"
 	"lqs/internal/engine/types"
 	"lqs/internal/plan"
 )
@@ -12,6 +11,7 @@ import (
 type mergeJoin struct {
 	base
 	left, right Operator
+	out         joinOutput
 
 	curLeft   types.Row
 	run       []types.Row // right-side rows equal to runKey
@@ -21,11 +21,10 @@ type mergeJoin struct {
 	rightDone bool
 	leftDone  bool
 	matched   bool
-	nullRight types.Row
 }
 
-func newMergeJoin(n *plan.Node, left, right Operator) *mergeJoin {
-	m := &mergeJoin{left: left, right: right}
+func newMergeJoin(n *plan.Node, left, right Operator, keep bool) *mergeJoin {
+	m := &mergeJoin{left: left, right: right, out: newJoinOutput(n, keep)}
 	m.init(n)
 	return m
 }
@@ -96,8 +95,8 @@ func (m *mergeJoin) Next(ctx *Ctx) (types.Row, bool) {
 		for m.curLeft != nil && m.runPos < len(m.run) {
 			r := m.run[m.runPos]
 			m.runPos++
-			joined := m.curLeft.Concat(r)
-			if m.node.Residual != nil && !expr.EvalPred(m.node.Residual, joined) {
+			joined, ok := m.out.join(m.curLeft, r, m.node.Residual)
+			if !ok {
 				continue
 			}
 			m.matched = true
@@ -120,11 +119,8 @@ func (m *mergeJoin) Next(ctx *Ctx) (types.Row, bool) {
 			if !m.matched {
 				switch kind {
 				case plan.LogicalLeftOuterJoin:
-					if m.nullRight == nil {
-						m.nullRight = make(types.Row, m.node.Width-len(l))
-					}
 					m.emit()
-					return l.Concat(m.nullRight), true
+					return m.out.join(l, m.out.pad(m.node.Width-len(l)), nil)
 				case plan.LogicalLeftAntiSemiJoin:
 					m.emit()
 					return l, true

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"lqs/internal/engine/expr"
 	"lqs/internal/engine/types"
 	"lqs/internal/plan"
 )
@@ -18,6 +17,7 @@ const defaultNLBuffer = 1024
 type nestedLoops struct {
 	base
 	outer, inner Operator
+	out          joinOutput
 
 	buf       []types.Row // batched outer rows
 	bufPos    int
@@ -26,11 +26,10 @@ type nestedLoops struct {
 	curOuter  types.Row
 	innerLive bool // inner is positioned for curOuter
 	matched   bool
-	nullInner types.Row
 }
 
-func newNestedLoops(n *plan.Node, outer, inner Operator) *nestedLoops {
-	nl := &nestedLoops{outer: outer, inner: inner}
+func newNestedLoops(n *plan.Node, outer, inner Operator, keep bool) *nestedLoops {
+	nl := &nestedLoops{outer: outer, inner: inner, out: newJoinOutput(n, keep)}
 	nl.init(n)
 	return nl
 }
@@ -107,12 +106,12 @@ func (nl *nestedLoops) Next(ctx *Ctx) (types.Row, bool) {
 				if !ok {
 					break
 				}
-				joined := nl.curOuter.Concat(innerRow)
 				if nl.node.Residual != nil {
 					ctx.chargeCPU(&nl.c, ctx.CM.CPUTuple)
-					if !expr.EvalPred(nl.node.Residual, joined) {
-						continue
-					}
+				}
+				joined, ok := nl.out.join(nl.curOuter, innerRow, nl.node.Residual)
+				if !ok {
+					continue
 				}
 				nl.matched = true
 				switch kind {
@@ -137,11 +136,8 @@ func (nl *nestedLoops) Next(ctx *Ctx) (types.Row, bool) {
 			if o != nil && !nl.matched {
 				switch kind {
 				case plan.LogicalLeftOuterJoin:
-					if nl.nullInner == nil {
-						nl.nullInner = make(types.Row, nl.node.Width-len(o))
-					}
 					nl.emit()
-					return o.Concat(nl.nullInner), true
+					return nl.out.join(o, nl.out.pad(nl.node.Width-len(o)), nil)
 				case plan.LogicalLeftAntiSemiJoin:
 					nl.emit()
 					return o, true

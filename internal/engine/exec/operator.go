@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 
+	"lqs/internal/engine/expr"
 	"lqs/internal/engine/types"
 	"lqs/internal/plan"
 	"lqs/internal/trace"
@@ -86,59 +87,129 @@ func (b *base) emit() {
 	}
 }
 
+// Row ownership is decided once per plan edge, while the tree is built
+// (types.Row states the rule). The keep argument of the build functions
+// answers it for the edge above the operator being built: true when that
+// operator's consumer holds rows past its next call on it. Buffering
+// consumers ask for true, consumers that read a row and move on ask for
+// false, and pass-through operators (filter, segment, concatenation,
+// bitmap, and the side of a semi or anti join whose rows it returns as its
+// own) hand their own answer down. Only joins and Compute Scalar act on
+// it: they reuse one buffer unless the consumer keeps. The query root's
+// consumer does not keep: Step and Run drop each row, and RunCollect copies
+// the rows it returns.
+
 // BuildOperator constructs the operator tree for a finalized, estimated
 // plan. The ctx must be the one later used to run the query (bitmap
 // registration happens here). Subtrees rooted at batch-native nodes are
 // built as BatchOperators behind a batchToRow adapter, so row-at-a-time
 // parents (and the query root) see an ordinary Operator.
-func BuildOperator(n *plan.Node, ctx *Ctx) Operator {
+func BuildOperator(n *plan.Node, ctx *Ctx) Operator { return buildOperator(n, ctx, false) }
+
+// buildOperator is BuildOperator for an edge whose consumer keeps rows or
+// not.
+func buildOperator(n *plan.Node, ctx *Ctx, keep bool) Operator {
 	if batchNative(n) {
-		return newBatchToRow(BuildBatchOperator(n, ctx))
+		return newBatchToRow(buildBatchOperator(n, ctx, keep))
 	}
-	return buildRowOperator(n, ctx)
+	return buildRowOperator(n, ctx, keep)
+}
+
+// returnsLeftRows reports whether a join returns the rows of its first
+// (probe, left or outer) input as its own output instead of joined rows.
+func returnsLeftRows(n *plan.Node) bool {
+	return n.Logical == plan.LogicalLeftSemiJoin || n.Logical == plan.LogicalLeftAntiSemiJoin
 }
 
 // buildRowOperator constructs the row-at-a-time operator for a node with
-// no batch-native implementation. Children recurse through BuildOperator.
-func buildRowOperator(n *plan.Node, ctx *Ctx) Operator {
+// no batch-native implementation. Children recurse through buildOperator.
+func buildRowOperator(n *plan.Node, ctx *Ctx, keep bool) Operator {
+	child := func(i int, k bool) Operator { return buildOperator(n.Children[i], ctx, k) }
 	switch n.Physical {
 	case plan.ClusteredIndexScan, plan.IndexScan:
 		return newIndexScan(n)
 	case plan.ClusteredIndexSeek, plan.IndexSeek:
 		return newIndexSeek(n)
 	case plan.RIDLookup:
-		return newRIDLookup(n, BuildOperator(n.Children[0], ctx))
+		return newRIDLookup(n, child(0, false))
 	case plan.SegmentOp:
-		return newSegment(n, BuildOperator(n.Children[0], ctx))
+		return newSegment(n, child(0, keep))
 	case plan.Concatenation:
 		kids := make([]Operator, len(n.Children))
-		for i, c := range n.Children {
-			kids[i] = BuildOperator(c, ctx)
+		for i := range n.Children {
+			kids[i] = child(i, keep)
 		}
 		return newConcat(n, kids)
 	case plan.Sort, plan.DistinctSort:
-		return newSort(n, BuildOperator(n.Children[0], ctx))
+		return newSort(n, child(0, true))
 	case plan.TopNSort:
-		return newTopNSort(n, BuildOperator(n.Children[0], ctx))
+		return newTopNSort(n, child(0, true))
 	case plan.HashAggregate:
-		return newHashAgg(n, BuildOperator(n.Children[0], ctx))
+		return newHashAgg(n, child(0, false))
 	case plan.HashJoin:
-		return newHashJoin(n, BuildOperator(n.Children[0], ctx), BuildOperator(n.Children[1], ctx))
+		return newHashJoin(n, child(0, keep && returnsLeftRows(n)), child(1, true), keep)
 	case plan.MergeJoin:
-		return newMergeJoin(n, BuildOperator(n.Children[0], ctx), BuildOperator(n.Children[1], ctx))
+		return newMergeJoin(n, child(0, keep && returnsLeftRows(n)), child(1, true), keep)
 	case plan.NestedLoops:
-		return newNestedLoops(n, BuildOperator(n.Children[0], ctx), BuildOperator(n.Children[1], ctx))
+		return newNestedLoops(n, child(0, true), child(1, false), keep)
 	case plan.TableSpool:
-		return newSpool(n, BuildOperator(n.Children[0], ctx))
+		return newSpool(n, child(0, true))
 	case plan.BitmapCreate:
 		if ctx.Bitmaps == nil {
 			ctx.Bitmaps = make(map[int]*bitmapFilter)
 		}
 		ctx.Bitmaps[n.ID] = newBitmapFilter()
-		return newBitmap(n, BuildOperator(n.Children[0], ctx))
+		return newBitmap(n, child(0, keep))
 	case plan.Exchange:
 		return newExchangeOrGather(n, ctx)
 	default:
 		panic(fmt.Sprintf("exec: no operator for %v", n.Physical))
 	}
+}
+
+// joinOutput makes a join's output rows in one buffer the join owns. The
+// row it returns is that buffer, overwritten by the join's next row, unless
+// the consumer keeps rows; then the row is a copy of its own.
+type joinOutput struct {
+	keep  bool
+	buf   types.Row
+	nulls types.Row // NULL padding for outer joins; never written to
+}
+
+// newJoinOutput is the output of join node n for a consumer that keeps
+// rows or not. A semi or anti join returns its input rows, never a joined
+// one, so it reads joined rows in the buffer whatever its consumer does.
+func newJoinOutput(n *plan.Node, keep bool) joinOutput {
+	semi := returnsLeftRows(n) || n.Logical == plan.LogicalRightSemiJoin
+	return joinOutput{keep: keep && !semi}
+}
+
+// join returns l followed by r, or ok=false when the residual predicate
+// (nil passes every pair) rejects the pair. The residual reads the pair in
+// the buffer, so a rejected pair allocates nothing.
+func (o *joinOutput) join(l, r types.Row, residual expr.Expr) (row types.Row, ok bool) {
+	o.buf = appendJoined(o.buf[:0], l, r)
+	if residual != nil && !expr.EvalPred(residual, o.buf) {
+		return nil, false
+	}
+	if o.keep {
+		return o.buf.Clone(), true
+	}
+	return o.buf, true
+}
+
+// pad returns n NULLs.
+func (o *joinOutput) pad(n int) types.Row {
+	if len(o.nulls) < n {
+		o.nulls = make(types.Row, n)
+	}
+	return o.nulls[:n]
+}
+
+// appendJoined appends l followed by r to dst, growing it at most once.
+func appendJoined(dst, l, r types.Row) types.Row {
+	if n := len(dst) + len(l) + len(r); n > cap(dst) {
+		dst = append(make(types.Row, 0, n), dst...)
+	}
+	return append(append(dst, l...), r...)
 }

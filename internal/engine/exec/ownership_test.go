@@ -1,0 +1,204 @@
+package exec
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"lqs/internal/engine/catalog"
+	"lqs/internal/engine/expr"
+	"lqs/internal/engine/storage"
+	"lqs/internal/engine/types"
+	"lqs/internal/opt"
+	"lqs/internal/plan"
+	"lqs/internal/sim"
+)
+
+func TestAppendJoined(t *testing.T) {
+	l, r := types.Row{types.Int(1)}, types.Row{types.Str("a"), types.Float(2.5)}
+	fresh := appendJoined(nil, l, r)
+	if fresh.String() != "(1, 'a', 2.5)" || cap(fresh) != 3 {
+		t.Fatalf("appendJoined(nil) = %v with cap %d", fresh, cap(fresh))
+	}
+	buf := make(types.Row, 0, 8)
+	backing := &buf[:1][0]
+	if allocs := testing.AllocsPerRun(10, func() { buf = appendJoined(buf[:0], r, l) }); allocs != 0 {
+		t.Fatalf("appendJoined into a large enough buffer allocated %v times", allocs)
+	}
+	if buf.String() != "('a', 2.5, 1)" || &buf[0] != backing {
+		t.Fatalf("appendJoined into a buffer = %v, in a new backing array", buf)
+	}
+	if grown := appendJoined(types.Row{types.Int(0)}, l, r); grown.String() != "(0, 1, 'a', 2.5)" {
+		t.Fatalf("appendJoined onto a prefix = %v", grown)
+	}
+}
+
+// joinDB: l(id 0..7999, k = id%8) with a secondary index on k, and r(k
+// 0..7) clustered on k, so every l row matches exactly one r row.
+func joinDB(tb testing.TB) *storage.Database {
+	tb.Helper()
+	cat := catalog.NewCatalog()
+	lt := catalog.NewTable("l",
+		catalog.Column{Name: "id", Kind: types.KindInt},
+		catalog.Column{Name: "k", Kind: types.KindInt},
+	)
+	lt.AddIndex(&catalog.Index{Name: "ix_k", KeyCols: []int{1}})
+	cat.Add(lt)
+	rt := catalog.NewTable("r", catalog.Column{Name: "k", Kind: types.KindInt})
+	rt.AddIndex(&catalog.Index{Name: "pk", KeyCols: []int{0}, Clustered: true})
+	cat.Add(rt)
+	db := storage.NewDatabase(cat, 1<<20)
+	lRows := make([]types.Row, 8000)
+	for i := range lRows {
+		lRows[i] = types.Row{types.Int(int64(i)), types.Int(int64(i % 8))}
+	}
+	db.Load("l", lRows)
+	rRows := make([]types.Row, 8)
+	for i := range rRows {
+		rRows[i] = types.Row{types.Int(int64(i))}
+	}
+	db.Load("r", rRows)
+	db.BuildAllStats(32)
+	return db
+}
+
+// TestJoinAllocsDoNotGrowWithMatches: a join whose consumer does not keep
+// its rows (here a hash aggregate) writes every joined row into one
+// buffer, so a query's allocations do not depend on how many rows the join
+// emits. Each join reads the same inputs at both sizes; only a predicate
+// on l.id decides how many pairs match (1 000 or 8 000).
+func TestJoinAllocsDoNotGrowWithMatches(t *testing.T) {
+	db := joinDB(t)
+	below := func(n int64) expr.Expr { return expr.Lt(expr.C(0, "l.id"), expr.KInt(n)) }
+	joins := map[string]func(bb *plan.Builder, n int64) *plan.Node{
+		"hash": func(bb *plan.Builder, n int64) *plan.Node {
+			return bb.HashJoinNode(plan.LogicalInnerJoin,
+				bb.TableScan("l", nil, below(n)), bb.TableScan("r", nil, nil),
+				[]int{1}, []int{0}, nil)
+		},
+		"merge": func(bb *plan.Builder, n int64) *plan.Node {
+			return bb.MergeJoinNode(plan.LogicalInnerJoin,
+				bb.IndexScan("l", "ix_k", nil, below(n)), bb.IndexScan("r", "pk", nil, nil),
+				[]int{1}, []int{0}, nil)
+		},
+		"nested-loops": func(bb *plan.Builder, n int64) *plan.Node {
+			return bb.NestedLoopsNode(plan.LogicalInnerJoin,
+				bb.TableScan("r", nil, nil),
+				bb.SeekEq("l", "ix_k", []expr.Expr{expr.C(0, "r.k")}, below(n)),
+				nil)
+		},
+	}
+	for name, join := range joins {
+		allocs := func(n int64) float64 {
+			bb := plan.NewBuilder(db.Catalog)
+			p := plan.Finalize(bb.HashAgg(join(bb, n), nil, []expr.AggSpec{{Kind: expr.CountStar}}))
+			opt.NewEstimator(db.Catalog).Estimate(p)
+			return testing.AllocsPerRun(5, func() {
+				q := NewQuery(p, db, opt.DefaultCostModel(), sim.NewClock())
+				rows, err := q.RunCollect()
+				if err != nil || len(rows) != 1 || rows[0][0].I != n {
+					t.Fatalf("%s join under COUNT(*) with %d matches: %v, %v", name, n, rows, err)
+				}
+			})
+		}
+		small, large := allocs(1000), allocs(8000)
+		if large > small+8 {
+			t.Errorf("%s join: %.0f allocations at 1000 matches, %.0f at 8000", name, small, large)
+		}
+	}
+}
+
+// finalizeFirst wraps a child operator and sets a finalizer on the backing
+// array of the first row it returns, which must be a fresh allocation.
+type finalizeFirst struct {
+	Operator
+	armed     bool
+	collected chan struct{}
+}
+
+func (f *finalizeFirst) Next(ctx *Ctx) (types.Row, bool) {
+	row, ok := f.Operator.Next(ctx)
+	if ok && !f.armed {
+		f.armed = true
+		runtime.SetFinalizer(&row[0], func(*types.Value) { close(f.collected) })
+	}
+	return row, ok
+}
+
+// TestBufferingOperatorsReleaseRowsAtClose: a finished query may stay
+// reachable long after it ran (a hosted query is listed until it is
+// reaped), so the operators that buffer rows — hash-join build, sort,
+// spool, hash aggregate — must drop them at Close, in the
+// TestExchangeReleasesEmittedRows sense: retain what is still to be
+// emitted, not what has passed through.
+func TestBufferingOperatorsReleaseRowsAtClose(t *testing.T) {
+	db := testDB(t)
+	// Hash aggregate rows are fresh allocations: a finalizer on one fires
+	// once nothing references that row.
+	groups := func(bb *plan.Builder) *plan.Node {
+		return bb.HashAgg(bb.TableScan("t", nil, nil), []int{0}, []expr.AggSpec{{Kind: expr.CountStar}})
+	}
+	cases := []struct {
+		name string
+		root func(bb *plan.Builder) *plan.Node
+		// arm is called on the built query before it runs to completion; it
+		// returns the channel closed once the watched buffered object is
+		// collected.
+		arm func(q *Query, root *plan.Node) chan struct{}
+	}{
+		{"hash-join build", func(bb *plan.Builder) *plan.Node {
+			return bb.HashJoinNode(plan.LogicalInnerJoin, bb.TableScan("u", nil, nil), groups(bb), []int{1}, []int{0}, nil)
+		}, func(q *Query, root *plan.Node) chan struct{} {
+			h := q.Operator(root.ID).(*hashJoin)
+			f := &finalizeFirst{Operator: h.build, collected: make(chan struct{})}
+			h.build = f
+			return f.collected
+		}},
+		{"sort", func(bb *plan.Builder) *plan.Node {
+			return bb.Sort(groups(bb), []int{1, 0}, []bool{false, true})
+		}, func(q *Query, root *plan.Node) chan struct{} {
+			s := q.Operator(root.ID).(*sortOp)
+			f := &finalizeFirst{Operator: s.child, collected: make(chan struct{})}
+			s.child = f
+			return f.collected
+		}},
+		{"spool", func(bb *plan.Builder) *plan.Node {
+			return bb.Spool(groups(bb), true)
+		}, func(q *Query, root *plan.Node) chan struct{} {
+			s := q.Operator(root.ID).(*spool)
+			f := &finalizeFirst{Operator: s.child, collected: make(chan struct{})}
+			s.child = f
+			return f.collected
+		}},
+		{"hash aggregate", groups, func(q *Query, root *plan.Node) chan struct{} {
+			collected := make(chan struct{})
+			q.Step(1) // the groups exist once the aggregate has opened
+			runtime.SetFinalizer(q.Operator(root.ID).(*hashAgg).groups[0], func(*aggGroup) { close(collected) })
+			return collected
+		}},
+	}
+	for _, c := range cases {
+		root := c.root(b(db))
+		p := plan.Finalize(root)
+		opt.NewEstimator(db.Catalog).Estimate(p)
+		q := NewQuery(p, db, opt.DefaultCostModel(), sim.NewClock())
+		collected := c.arm(q, root)
+		if _, err := q.Run(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for done := false; !done; {
+			runtime.GC()
+			select {
+			case <-collected:
+				done = true
+			case <-time.After(time.Millisecond):
+				if time.Now().After(deadline) {
+					t.Errorf("%s: a buffered row is still reachable from the finished query", c.name)
+					done = true
+				}
+			}
+		}
+		runtime.KeepAlive(q)
+	}
+}

@@ -262,7 +262,7 @@ func newExchangeOrGather(n *plan.Node, ctx *Ctx) Operator {
 			return g
 		}
 	}
-	return newExchange(n, BuildOperator(n.Children[0], ctx))
+	return newExchange(n, buildOperator(n.Children[0], ctx, true))
 }
 
 // parseZone checks that the subtree under a gather is a safe parallel
@@ -304,7 +304,8 @@ func parseZone(n *plan.Node) (rep *plan.Node, ok bool) {
 }
 
 // buildStage2 rebuilds the zone spine above the repartition for one worker,
-// grafting the worker's bucket source where the repartition sits.
+// grafting the worker's bucket source where the repartition sits. The
+// spine's output crosses the gather, which keeps it.
 func buildStage2(n, rep *plan.Node, src Operator) Operator {
 	if n == rep {
 		return src
@@ -314,7 +315,7 @@ func buildStage2(n, rep *plan.Node, src Operator) Operator {
 	case plan.Filter:
 		return newBatchToRow(newBatchFilter(n, asBatch(child)))
 	case plan.ComputeScalar:
-		return newBatchToRow(newBatchCompute(n, asBatch(child)))
+		return newBatchToRow(newBatchCompute(n, asBatch(child), true))
 	case plan.HashAggregate:
 		return newHashAgg(n, child)
 	}
@@ -354,13 +355,13 @@ func tryNewGather(n *plan.Node, ctx *Ctx, dop int) *gather {
 			Physical: n.Physical, Logical: n.Logical, EstRows: n.EstRows,
 		}
 		if rep == nil {
-			zw.root = &producerWrap{node: n, c: prodCtr, child: BuildOperator(n.Children[0], wctx)}
+			zw.root = &producerWrap{node: n, c: prodCtr, child: buildOperator(n.Children[0], wctx, true)}
 		} else {
 			repCtr := &Counters{
 				NodeID: rep.ID, Thread: w + 1,
 				Physical: rep.Physical, Logical: rep.Logical, EstRows: rep.EstRows,
 			}
-			zw.root = &producerWrap{node: rep, c: repCtr, child: BuildOperator(rep.Children[0], wctx)}
+			zw.root = &producerWrap{node: rep, c: repCtr, child: buildOperator(rep.Children[0], wctx, true)}
 			bs := &bucketSource{c: repCtr}
 			zw.stage2 = &producerWrap{node: n, c: prodCtr, child: buildStage2(n.Children[0], rep, bs)}
 			g.bsrcs = append(g.bsrcs, bs)
@@ -375,7 +376,7 @@ func tryNewGather(n *plan.Node, ctx *Ctx, dop int) *gather {
 }
 
 // registerWorkerCounters walks a worker tree, stamps every counter set
-// with the worker's thread ordinal (BuildOperator-built zone operators
+// with the worker's thread ordinal (buildOperator-built zone operators
 // default to thread 0), and registers each distinct set with the
 // coordinator context for DMV capture.
 func registerWorkerCounters(ctx *Ctx, op Operator, thread int, seen map[*Counters]bool) {

@@ -355,9 +355,10 @@ func (q *Query) Run() (int64, error) {
 }
 
 // RunCollect executes to completion collecting result rows (tests and
-// examples; result sets in experiments are discarded by Run instead). On
-// abnormal termination the rows produced so far are returned alongside the
-// error.
+// examples; result sets in experiments are discarded by Run instead). It
+// keeps every row, so it keeps copies: the root may reuse a row's backing
+// array for the next one. On abnormal termination the rows produced so far
+// are returned alongside the error.
 func (q *Query) RunCollect() (rows []types.Row, err error) {
 	if qe := q.failure.Load(); qe != nil {
 		return nil, qe
@@ -377,7 +378,7 @@ func (q *Query) RunCollect() (rows []types.Row, err error) {
 		if !ok {
 			break
 		}
-		rows = append(rows, row)
+		rows = append(rows, row.Clone())
 		q.rows.Add(1)
 	}
 	q.finish()

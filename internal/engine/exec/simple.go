@@ -5,12 +5,11 @@ import (
 	"lqs/internal/plan"
 )
 
-// segment passes rows through while tracking group boundaries on its
-// grouping columns (consumers observe groups positionally).
+// segment passes rows through; consumers observe the groups on its
+// grouping columns positionally.
 type segment struct {
 	base
 	child Operator
-	prev  types.Row
 }
 
 func newSegment(n *plan.Node, child Operator) *segment {
@@ -26,7 +25,6 @@ func (s *segment) Open(ctx *Ctx) {
 
 func (s *segment) Rewind(ctx *Ctx) {
 	s.c.Rebinds++
-	s.prev = nil
 	s.child.Rewind(ctx)
 }
 
@@ -36,7 +34,6 @@ func (s *segment) Next(ctx *Ctx) (types.Row, bool) {
 		return nil, false
 	}
 	ctx.chargeCPU(&s.c, ctx.CM.CPUTuple)
-	s.prev = row
 	s.emit()
 	return row, true
 }

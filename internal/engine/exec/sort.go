@@ -132,12 +132,15 @@ func (s *sortOp) Next(ctx *Ctx) (types.Row, bool) {
 	return nil, false
 }
 
+// Close drops the sorted rows, so a finished query that stays reachable
+// does not pin them.
 func (s *sortOp) Close(ctx *Ctx) {
 	if s.c.Closed {
 		return
 	}
 	s.child.Close(ctx)
 	ctx.releaseMem(&s.c)
+	s.rows = nil
 	s.closed(ctx)
 }
 
@@ -233,5 +236,6 @@ func (t *topNSort) Close(ctx *Ctx) {
 	}
 	t.child.Close(ctx)
 	ctx.releaseMem(&t.c)
+	t.h, t.out = rowHeap{}, nil
 	t.closed(ctx)
 }

@@ -92,12 +92,15 @@ func (s *spool) Next(ctx *Ctx) (types.Row, bool) {
 	return row, true
 }
 
+// Close drops the worktable, so a finished query that stays reachable
+// does not pin it.
 func (s *spool) Close(ctx *Ctx) {
 	if s.c.Closed {
 		return
 	}
 	s.child.Close(ctx)
 	ctx.releaseMem(&s.c)
+	s.cache = nil
 	s.closed(ctx)
 }
 

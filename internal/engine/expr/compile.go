@@ -93,9 +93,9 @@ func (t *cmpTerm) eval(row types.Row) int8 {
 		}
 	case v.K == types.KindFloat && t.k.K == types.KindFloat:
 		switch {
-		case v.F < t.k.F:
+		case v.Float64() < t.k.Float64():
 			c = -1
-		case v.F > t.k.F:
+		case v.Float64() > t.k.Float64():
 			c = 1
 		}
 	default:

@@ -84,8 +84,8 @@ func eqValue(a, b types.Value) bool {
 	if a.K != b.K {
 		return false
 	}
-	if a.K == types.KindFloat && math.IsNaN(a.F) && math.IsNaN(b.F) {
-		return math.IsNaN(a.F) == math.IsNaN(b.F)
+	if a.K == types.KindFloat && math.IsNaN(a.Float64()) && math.IsNaN(b.Float64()) {
+		return true
 	}
 	return a == b
 }

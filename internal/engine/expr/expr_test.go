@@ -69,10 +69,10 @@ func TestArithmetic(t *testing.T) {
 	if v := Plus(KInt(2), KInt(3)).Eval(nil); v.K != types.KindInt || v.I != 5 {
 		t.Errorf("2+3 = %v", v)
 	}
-	if v := Times(KInt(4), K(types.Float(0.5))).Eval(nil); v.K != types.KindFloat || v.F != 2 {
+	if v := Times(KInt(4), K(types.Float(0.5))).Eval(nil); v.K != types.KindFloat || v.Float64() != 2 {
 		t.Errorf("4*0.5 = %v", v)
 	}
-	if v := DivBy(KInt(7), KInt(2)).Eval(nil); v.F != 3.5 {
+	if v := DivBy(KInt(7), KInt(2)).Eval(nil); v.Float64() != 3.5 {
 		t.Errorf("7/2 = %v (division is float)", v)
 	}
 	if !DivBy(KInt(1), KInt(0)).Eval(nil).IsNull() {
@@ -188,10 +188,10 @@ func TestAggregates(t *testing.T) {
 	if v := run(AggSpec{Kind: Sum, Arg: col0}); v.K != types.KindInt || v.I != 6 {
 		t.Errorf("SUM(a) = %v, want int 6", v)
 	}
-	if v := run(AggSpec{Kind: Sum, Arg: col1}); v.K != types.KindFloat || v.F != 12 {
+	if v := run(AggSpec{Kind: Sum, Arg: col1}); v.K != types.KindFloat || v.Float64() != 12 {
 		t.Errorf("SUM(b) = %v, want float 12", v)
 	}
-	if v := run(AggSpec{Kind: Avg, Arg: col1}); v.F != 4 {
+	if v := run(AggSpec{Kind: Avg, Arg: col1}); v.Float64() != 4 {
 		t.Errorf("AVG(b) = %v", v)
 	}
 	if v := run(AggSpec{Kind: Min, Arg: col0}); v.I != 1 {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
 
@@ -70,7 +71,7 @@ func sortEntries(entries []IndexEntry) {
 	case types.KindInt:
 		sortByPayload(entries, func(v types.Value) int64 { return v.I })
 	case types.KindFloat:
-		sortByPayload(entries, func(v types.Value) float64 { return v.F })
+		sortByPayload(entries, types.Value.Float64)
 	case types.KindString:
 		sortByPayload(entries, func(v types.Value) string { return v.S })
 	default:
@@ -84,7 +85,7 @@ func singleKeyKind(entries []IndexEntry) types.Kind {
 	kind := types.KindNull
 	for i := range entries {
 		k := entries[i].Key
-		if len(k) != 1 || k[0].K == types.KindNull || (k[0].K == types.KindFloat && k[0].F != k[0].F) {
+		if len(k) != 1 || k[0].K == types.KindNull || (k[0].K == types.KindFloat && math.IsNaN(k[0].Float64())) {
 			return types.KindNull
 		}
 		if i == 0 {

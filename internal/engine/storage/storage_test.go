@@ -311,7 +311,7 @@ func TestColumnStoreBuildAndRead(t *testing.T) {
 	if io.Logical != 2 {
 		t.Fatalf("reading 2 segments charged %d logical IOs", io.Logical)
 	}
-	if batch[5][0].I != 5 || batch[5][2].F != 2.5 {
+	if batch[5][0].I != 5 || batch[5][2].Float64() != 2.5 {
 		t.Fatalf("batch row 5 = %v", batch[5])
 	}
 	if !batch[5][1].IsNull() {

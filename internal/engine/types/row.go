@@ -1,17 +1,17 @@
 package types
 
-import (
-	"math"
-	"strings"
-)
-
-// mathFloat64bits avoids importing math in value.go's hot path twice; it is
-// a thin alias kept here with the row helpers.
-func mathFloat64bits(f float64) uint64 { return math.Float64bits(f) }
+import "strings"
 
 // Row is a single tuple: a slice of values positioned by column ordinal.
-// Operators may retain rows they receive only until the next call to Next
-// on the same child; they copy when they buffer (sorts, spools, exchanges).
+//
+// Who may hold a row is decided per plan edge when the executor builds the
+// operator tree. A consumer that keeps rows past its next call on a child
+// (sorts, spools, exchanges, hash-join builds, merge-join right runs,
+// nested-loops outer buffers) tells that child so, and the child hands it
+// rows nobody overwrites. Every other consumer may read a row only until
+// its next call on the same child: the child may reuse the row's backing
+// array for the next one. Rows read from storage are immutable and may be
+// held anywhere.
 type Row []Value
 
 // Clone returns a copy of the row that the caller may retain.
@@ -19,13 +19,6 @@ func (r Row) Clone() Row {
 	out := make(Row, len(r))
 	copy(out, r)
 	return out
-}
-
-// Concat returns a new row holding r followed by other (used by joins).
-func (r Row) Concat(other Row) Row {
-	out := make(Row, 0, len(r)+len(other))
-	out = append(out, r...)
-	return append(out, other...)
 }
 
 // HashCols hashes the values at the given ordinals, for hash join and hash

@@ -7,6 +7,7 @@ package types
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -43,14 +44,15 @@ func (k Kind) String() string {
 
 // Value is a single SQL value. The zero Value is NULL.
 //
-// Value is a small struct passed by value throughout the engine; rows are
-// slices of them. The representation trades a little memory (one unused
-// field per value) for the absence of interface boxing on the hot
-// execution path.
+// Value is a 32-byte struct passed by value throughout the engine; rows are
+// slices of them. An int and a float share the 8-byte payload word I: a
+// float is stored as its IEEE bits (math.Float64bits) and read back with
+// Float64, so the value is bit-exact, NaN payloads and -0 included. A
+// string leaves the payload word unused and a number the string header, in
+// exchange for no interface boxing on the hot execution path.
 type Value struct {
 	K Kind
-	I int64
-	F float64
+	I int64 // KindInt: the integer; KindFloat: math.Float64bits of the float
 	S string
 }
 
@@ -61,7 +63,11 @@ func Null() Value { return Value{} }
 func Int(v int64) Value { return Value{K: KindInt, I: v} }
 
 // Float returns a float value.
-func Float(v float64) Value { return Value{K: KindFloat, F: v} }
+func Float(v float64) Value { return Value{K: KindFloat, I: int64(math.Float64bits(v))} }
+
+// Float64 returns the float a KindFloat value holds. On any other kind the
+// result is meaningless; AsFloat converts.
+func (v Value) Float64() float64 { return math.Float64frombits(uint64(v.I)) }
 
 // Str returns a string value.
 func Str(v string) Value { return Value{K: KindString, S: v} }
@@ -84,7 +90,7 @@ func (v Value) IsTrue() bool {
 	case KindInt:
 		return v.I != 0
 	case KindFloat:
-		return v.F != 0
+		return v.Float64() != 0
 	case KindString:
 		return v.S != ""
 	default:
@@ -99,7 +105,7 @@ func (v Value) AsFloat() (f float64, ok bool) {
 	case KindInt:
 		return float64(v.I), true
 	case KindFloat:
-		return v.F, true
+		return v.Float64(), true
 	default:
 		return 0, false
 	}
@@ -112,7 +118,7 @@ func (v Value) AsInt() (i int64, ok bool) {
 	case KindInt:
 		return v.I, true
 	case KindFloat:
-		return int64(v.F), true
+		return int64(v.Float64()), true
 	default:
 		return 0, false
 	}
@@ -126,7 +132,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float64(), 'g', -1, 64)
 	case KindString:
 		return "'" + v.S + "'"
 	default:
@@ -163,12 +169,12 @@ func Compare(a, b Value) int {
 				return 0
 			}
 		}
-		return cmpFloat(float64(a.I), b.F)
+		return cmpFloat(float64(a.I), b.Float64())
 	case KindFloat:
 		if b.K == KindInt {
-			return cmpFloat(a.F, float64(b.I))
+			return cmpFloat(a.Float64(), float64(b.I))
 		}
-		return cmpFloat(a.F, b.F)
+		return cmpFloat(a.Float64(), b.Float64())
 	}
 	return 0
 }
@@ -219,10 +225,10 @@ func (v Value) Hash() uint64 {
 		var u uint64
 		if v.K == KindInt {
 			u = uint64(v.I)
-		} else if f := v.F; f == float64(int64(f)) {
+		} else if f := v.Float64(); f == float64(int64(f)) {
 			u = uint64(int64(f))
 		} else {
-			u = mathFloat64bits(f)
+			u = uint64(v.I)
 		}
 		for i := 0; i < 8; i++ {
 			mix(byte(u >> (8 * i)))

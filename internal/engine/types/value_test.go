@@ -1,9 +1,11 @@
 package types
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueConstructorsAndKinds(t *testing.T) {
@@ -24,6 +26,20 @@ func TestValueConstructorsAndKinds(t *testing.T) {
 	}
 	if !Null().IsNull() || Int(0).IsNull() {
 		t.Error("IsNull misclassifies")
+	}
+}
+
+// TestValueIs32Bytes: a float lives in the int's payload word as its IEEE
+// bits, so a Value is a kind, one 8-byte payload and a string header, and
+// Float64 returns exactly the float that went in.
+func TestValueIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Fatalf("Value is %d bytes, want 32", n)
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 2.5, -1e300, math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff0000000000001)} {
+		if got := Float(f).Float64(); math.Float64bits(got) != math.Float64bits(f) {
+			t.Errorf("Float(%v).Float64() has bits %#x, want %#x", f, math.Float64bits(got), math.Float64bits(f))
+		}
 	}
 }
 
@@ -130,13 +146,6 @@ func TestRowCloneIndependence(t *testing.T) {
 	c[0] = Int(2)
 	if r[0].I != 1 {
 		t.Error("Clone aliases original")
-	}
-}
-
-func TestRowConcat(t *testing.T) {
-	r := Row{Int(1)}.Concat(Row{Str("a"), Int(2)})
-	if len(r) != 3 || r[0].I != 1 || r[1].S != "a" || r[2].I != 2 {
-		t.Errorf("Concat wrong: %v", r)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 )
 
 // digest folds a database's observable build products into one FNV-64a
-// hash. Values are written field by field (kind, int, float bits, string)
-// so two builds agree only if they are bit-identical, not merely
-// Compare-equal.
+// hash. Values are written as (kind, int, float bits, string), the unused
+// payloads as zero, so two builds agree only if they are bit-identical,
+// not merely Compare-equal.
 type digest struct {
 	h   hash.Hash64
 	buf [8]byte
@@ -31,9 +31,17 @@ func (d *digest) str(s string) {
 }
 
 func (d *digest) val(v types.Value) {
+	var i int64
+	var f float64
+	switch v.K {
+	case types.KindInt:
+		i = v.I
+	case types.KindFloat:
+		f = v.Float64()
+	}
 	d.u64(uint64(v.K))
-	d.u64(uint64(v.I))
-	d.u64(math.Float64bits(v.F))
+	d.u64(uint64(i))
+	d.u64(math.Float64bits(f))
 	d.str(v.S)
 }
 
