@@ -77,8 +77,8 @@ func buildHistogramSorted[K any](sorted []K, eq func(a, b K) bool, val func(K) t
 }
 
 // columnKeys accumulates one column's non-NULL values as bare int64,
-// float64 or string payloads (8-16 bytes each, against 40 for a Value) so
-// they can be sorted without the generic comparator. The kind is taken from
+// float64 or string payloads so they can be sorted without the generic
+// comparator (strings by content, not by intern id). The kind is taken from
 // the values themselves; within one kind the payload order is exactly
 // types.Compare's.
 type columnKeys struct {
@@ -119,7 +119,7 @@ func (k *columnKeys) add(v types.Value) {
 		k.mixed = k.mixed || f != f
 		k.floats = append(k.floats, f)
 	case types.KindString:
-		k.strs = append(k.strs, v.S)
+		k.strs = append(k.strs, v.Str())
 	default:
 		k.mixed = true
 	}

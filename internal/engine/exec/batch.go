@@ -75,7 +75,7 @@ func buildBatchOperator(n *plan.Node, ctx *Ctx, keep bool) BatchOperator {
 	case plan.ConstantScan:
 		return newBatchConstantScan(n)
 	case plan.ColumnstoreIndexScan:
-		return newBatchColumnstoreScan(n)
+		return newBatchColumnstoreScan(n, keep)
 	case plan.Filter:
 		return newBatchFilter(n, buildBatchOperator(n.Children[0], ctx, keep))
 	case plan.ComputeScalar:
@@ -357,6 +357,11 @@ func (s *batchConstantScan) Close(ctx *Ctx) {
 // buffer is empty, so the charge order is the same at any batch size: the
 // demand that drains the last buffered row is the one that pays for the
 // next group.
+//
+// A row group is read into one value arena. Unless the consumer keeps rows
+// (keep), the next group is read into the same arena, as long as no row of
+// the current group is already in the batch being returned: a selective
+// predicate can make one batch span groups.
 type batchColumnstoreScan struct {
 	base
 	cs    *storage.ColumnStore
@@ -365,14 +370,16 @@ type batchColumnstoreScan struct {
 	// gLo/gHi bound the row groups this instance reads: the full range
 	// serially, one contiguous partition per parallel worker.
 	gLo, gHi int
-	buf      []types.Row
+	keep     bool
+	rows     []types.Row // the current group as read, over its arena
+	buf      []types.Row // the current group's rows that passed the filters
 	pos      int
 	pushed   expr.PredFn
 	pred     expr.PredFn
 }
 
-func newBatchColumnstoreScan(n *plan.Node) *batchColumnstoreScan {
-	s := &batchColumnstoreScan{}
+func newBatchColumnstoreScan(n *plan.Node, keep bool) *batchColumnstoreScan {
+	s := &batchColumnstoreScan{keep: keep}
 	s.init(n)
 	s.pushed = expr.CompilePred(n.PushedPred)
 	s.pred = expr.CompilePred(n.Pred)
@@ -403,7 +410,7 @@ func (s *batchColumnstoreScan) Open(ctx *Ctx) {
 func (s *batchColumnstoreScan) Rewind(ctx *Ctx) {
 	s.c.Rebinds++
 	s.group = s.gLo
-	s.buf = nil
+	s.buf = s.buf[:0]
 	s.pos = 0
 }
 
@@ -421,19 +428,22 @@ func (s *batchColumnstoreScan) NextBatch(ctx *Ctx, dst []types.Row) []types.Row 
 			break
 		}
 		var io storage.IOCounts
-		batch := s.cs.ReadRowGroup(s.group, s.cols, ctx.DB.Pool, &io)
+		reuse := s.rows
+		if s.keep || len(dst) > 0 {
+			reuse = nil
+		}
+		s.rows = s.cs.ReadRowGroupInto(s.group, s.cols, ctx.DB.Pool, &io, reuse)
 		s.group++
 		ctx.chargeSegments(&s.c, int64(len(s.cols)), io)
 		// Pushed predicates and bitmap probes run over the whole row
 		// group, charged at batch-rate CPU.
-		out := batch[:0]
-		for _, row := range batch {
+		s.buf = s.buf[:0]
+		for _, row := range s.rows {
 			if storageFilterCompiled(ctx, s.node, s.pushed, row) && (s.pred == nil || s.pred(row)) {
-				out = append(out, row)
+				s.buf = append(s.buf, row)
 			}
 		}
-		ctx.chargeCPU(&s.c, float64(len(batch))*ctx.CM.CPUBatchRow)
-		s.buf = out
+		ctx.chargeCPU(&s.c, float64(len(s.rows))*ctx.CM.CPUBatchRow)
 		s.pos = 0
 	}
 	return dst
@@ -443,6 +453,7 @@ func (s *batchColumnstoreScan) Close(ctx *Ctx) {
 	if s.c.Closed {
 		return
 	}
+	s.rows, s.buf = nil, nil
 	s.closed(ctx)
 }
 

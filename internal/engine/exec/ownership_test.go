@@ -2,6 +2,7 @@ package exec
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -104,6 +105,96 @@ func TestJoinAllocsDoNotGrowWithMatches(t *testing.T) {
 		small, large := allocs(1000), allocs(8000)
 		if large > small+8 {
 			t.Errorf("%s join: %.0f allocations at 1000 matches, %.0f at 8000", name, small, large)
+		}
+	}
+}
+
+// columnstoreDB: tables c4 and c32 of 4 and 32 full row groups, each
+// c(id, k = id%8, s = one of three strings) with a columnstore index.
+func columnstoreDB(tb testing.TB) *storage.Database {
+	tb.Helper()
+	cat := catalog.NewCatalog()
+	tables := []struct {
+		name   string
+		groups int
+	}{{"c4", 4}, {"c32", 32}}
+	for _, tbl := range tables {
+		ct := catalog.NewTable(tbl.name,
+			catalog.Column{Name: "id", Kind: types.KindInt},
+			catalog.Column{Name: "k", Kind: types.KindInt},
+			catalog.Column{Name: "s", Kind: types.KindString},
+		)
+		ct.AddIndex(&catalog.Index{Name: "cs", Kind: catalog.ColumnStore})
+		cat.Add(ct)
+	}
+	db := storage.NewDatabase(cat, 1<<20)
+	strs := []types.Value{types.Str("x"), types.Str("yy"), types.Str("zzz")}
+	for _, tbl := range tables {
+		rows := make([]types.Row, tbl.groups*storage.RowGroupSize)
+		for i := range rows {
+			rows[i] = types.Row{types.Int(int64(i)), types.Int(int64(i % 8)), strs[i%3]}
+		}
+		db.Load(tbl.name, rows)
+	}
+	db.BuildAllStats(32)
+	return db
+}
+
+// TestColumnstoreAllocsDoNotGrowWithRowGroups: a columnstore scan whose
+// consumer does not keep its rows (here a hash aggregate) reads every row
+// group into the same arena, so a query's allocations do not depend on how
+// many groups it reads (4 or 32).
+func TestColumnstoreAllocsDoNotGrowWithRowGroups(t *testing.T) {
+	db := columnstoreDB(t)
+	allocs := func(table string) float64 {
+		bb := plan.NewBuilder(db.Catalog)
+		scan := bb.ColumnstoreScan(table, "cs", []int{1, 2}, nil)
+		p := plan.Finalize(bb.HashAgg(scan, []int{1, 2}, []expr.AggSpec{{Kind: expr.CountStar}}))
+		opt.NewEstimator(db.Catalog).Estimate(p)
+		return testing.AllocsPerRun(5, func() {
+			rows, err := NewQuery(p, db, opt.DefaultCostModel(), sim.NewClock()).RunCollect()
+			if err != nil || len(rows) != 24 {
+				t.Fatalf("%s: %d groups, %v", table, len(rows), err)
+			}
+		})
+	}
+	small, large := allocs("c4"), allocs("c32")
+	if large > small+8 {
+		t.Errorf("columnstore scan under a hash aggregate: %.0f allocations at 4 row groups, %.0f at 32", small, large)
+	}
+}
+
+// TestColumnstoreBatchSpanningGroups: at batch size 1024 a selective
+// pushed predicate (one row in seven passes) makes one batch span several
+// row groups. Compute Scalar does not keep its input rows but reads a whole
+// batch before its consumer asks again, so the scan must not overwrite a
+// group whose rows are already in the batch it is filling. Results must be
+// identical to batch size 1.
+func TestColumnstoreBatchSpanningGroups(t *testing.T) {
+	db := columnstoreDB(t)
+	bb := plan.NewBuilder(db.Catalog)
+	pushed := expr.Eq(expr.ModBy(expr.C(0, "id"), expr.KInt(7)), expr.KInt(0))
+	scan := bb.ColumnstoreScan("c32", "cs", []int{0, 1, 2}, pushed)
+	compute := bb.ComputeScalar(scan, expr.Times(expr.C(0, "id"), expr.KInt(2)))
+	p := plan.Finalize(bb.Sort(compute, []int{2, 1, 0}, []bool{true, false, false}))
+	opt.NewEstimator(db.Catalog).Estimate(p)
+	run := func(batch int) []types.Row {
+		rows, err := NewQueryBatch(p, db, opt.DefaultCostModel(), sim.NewClock(), 1, batch).RunCollect()
+		if err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		return rows
+	}
+	want, got := run(1), run(1024)
+	if n := (32*storage.RowGroupSize + 6) / 7; len(want) != n {
+		t.Fatalf("batch 1 returned %d rows, want %d", len(want), n)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("batch 1024 returned %d rows, batch 1 %d", len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) || got[i][3].I != 2*got[i][0].I {
+			t.Fatalf("row %d: batch 1024 %v, batch 1 %v", i, got[i], want[i])
 		}
 	}
 }

@@ -46,7 +46,7 @@ func (d *resultDigest) row(r types.Row) {
 			f, _ := v.AsFloat()
 			d.u64(math.Float64bits(f))
 		case types.KindString:
-			d.str(v.S)
+			d.str(v.Str())
 		}
 	}
 }

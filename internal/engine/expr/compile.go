@@ -39,7 +39,9 @@ func CompilePred(e Expr) PredFn {
 
 // CompileExpr compiles e into a closure equivalent to e.Eval. Nodes
 // without a specialized form fall back to the interpreted Eval, so the
-// compiled closure is total over the expression language.
+// compiled closure is total over the expression language. A compiled
+// closure (this one or CompilePred's) may own scratch space, so it serves
+// one goroutine at a time; each operator instance compiles its own.
 func CompileExpr(e Expr) func(types.Row) types.Value {
 	return compileVal(e)
 }
@@ -299,6 +301,21 @@ func compileVal(e Expr) func(types.Row) types.Value {
 		f := compileVal(t.E)
 		return func(row types.Row) types.Value {
 			return types.Bool(f(row).IsNull())
+		}
+	case *Func:
+		// The argument buffer belongs to this closure, so a call allocates
+		// nothing; Func.Fn must not keep it.
+		argFns := make([]func(types.Row) types.Value, len(t.Args))
+		for i, a := range t.Args {
+			argFns[i] = compileVal(a)
+		}
+		args := make([]types.Value, len(argFns))
+		fn := t.Fn
+		return func(row types.Row) types.Value {
+			for i, f := range argFns {
+				args[i] = f(row)
+			}
+			return fn(args)
 		}
 	case nil:
 		return func(types.Row) types.Value { return types.Null() }

@@ -52,7 +52,7 @@ func randExpr(rng *rand.Rand, depth int) Expr {
 		}
 		return K(randValue(rng))
 	}
-	switch rng.Intn(7) {
+	switch rng.Intn(8) {
 	case 0:
 		return &Cmp{Op: CmpOp(rng.Intn(6)), L: randExpr(rng, depth-1), R: randExpr(rng, depth-1)}
 	case 1:
@@ -69,6 +69,12 @@ func randExpr(rng *rand.Rand, depth int) Expr {
 		return &IsNull{E: randExpr(rng, depth-1)}
 	case 5:
 		return &Like{E: randExpr(rng, depth-1), Pattern: []string{"a%", "%b", "_", "%", "ab"}[rng.Intn(5)]}
+	case 6:
+		args := make([]Expr, 1+rng.Intn(3))
+		for i := range args {
+			args[i] = randExpr(rng, depth-1)
+		}
+		return &Func{Name: "mix", Args: args, Fn: mixArgs}
 	default:
 		elems := make([]types.Value, 1+rng.Intn(3))
 		for i := range elems {
@@ -76,6 +82,15 @@ func randExpr(rng *rand.Rand, depth int) Expr {
 		}
 		return &In{E: randExpr(rng, depth-1), Set: elems}
 	}
+}
+
+// mixArgs is an opaque function of every argument, for Func nodes.
+func mixArgs(args []types.Value) types.Value {
+	var h uint64
+	for _, v := range args {
+		h = h*31 + v.Hash()
+	}
+	return types.Int(int64(h % 5))
 }
 
 // eqValue compares values treating NaN as equal to itself, so both
@@ -141,5 +156,19 @@ func TestCompileConjunctionFastPath(t *testing.T) {
 func TestCompilePredNil(t *testing.T) {
 	if CompilePred(nil) != nil {
 		t.Fatal("CompilePred(nil) must return nil")
+	}
+}
+
+// TestCompiledFuncDoesNotAllocate: a compiled opaque function evaluates its
+// arguments into a buffer the closure owns, so a row costs no allocation.
+func TestCompiledFuncDoesNotAllocate(t *testing.T) {
+	f := &Func{Name: "mix", Args: []Expr{C(0, "a"), Plus(C(1, "b"), KInt(1))}, Fn: mixArgs}
+	row := types.Row{types.Int(3), types.Int(4)}
+	val, pred := CompileExpr(f), CompilePred(Eq(f, KInt(2)))
+	if n := testing.AllocsPerRun(100, func() { val(row); pred(row) }); n != 0 {
+		t.Fatalf("compiled Func allocates %v times per row, want 0", n)
+	}
+	if got, want := val(row), f.Eval(row); got != want {
+		t.Fatalf("compiled Func = %v, Eval = %v", got, want)
 	}
 }

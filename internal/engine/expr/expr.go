@@ -307,7 +307,7 @@ func (l *Like) Eval(row types.Row) types.Value {
 	if v.K != types.KindString {
 		return types.Bool(false)
 	}
-	return types.Bool(likeMatch(v.S, l.Pattern))
+	return types.Bool(likeMatch(v.Str(), l.Pattern))
 }
 
 func (l *Like) String() string { return fmt.Sprintf("(%s LIKE '%s')", l.E, l.Pattern) }
@@ -384,10 +384,15 @@ func (n *IsNull) String() string { return fmt.Sprintf("(%s IS NULL)", n.E) }
 type Func struct {
 	Name string
 	Args []Expr
-	Fn   func(args []types.Value) types.Value
+	// Fn computes the function from its evaluated arguments. It must not
+	// keep args past its return: compiled evaluation reuses one argument
+	// slice for every row.
+	Fn func(args []types.Value) types.Value
 }
 
-// Eval evaluates the arguments then the opaque function.
+// Eval evaluates the arguments then the opaque function. It allocates the
+// argument slice per call; it is the reference compiled evaluation is
+// checked against.
 func (f *Func) Eval(row types.Row) types.Value {
 	args := make([]types.Value, len(f.Args))
 	for i, a := range f.Args {

@@ -73,7 +73,7 @@ func sortEntries(entries []IndexEntry) {
 	case types.KindFloat:
 		sortByPayload(entries, types.Value.Float64)
 	case types.KindString:
-		sortByPayload(entries, func(v types.Value) string { return v.S })
+		sortByPayload(entries, types.Value.Str)
 	default:
 		slices.SortFunc(entries, compareEntries)
 	}
@@ -189,7 +189,7 @@ func valueWidth(v types.Value) int {
 	case types.KindNull:
 		return 1
 	case types.KindString:
-		return 2 + len(v.S)
+		return 2 + len(v.Str())
 	default:
 		return 8
 	}

@@ -103,15 +103,31 @@ func (cs *ColumnStore) Segment(g, col int) *Segment { return &cs.groups[g].segs[
 // segment is its own storage unit). Columns not requested are NULL in the
 // output rows, preserving ordinals so expressions evaluate unchanged.
 func (cs *ColumnStore) ReadRowGroup(g int, cols []int, bp *BufferPool, io *IOCounts) []types.Row {
+	return cs.ReadRowGroupInto(g, cols, bp, io, nil)
+}
+
+// ReadRowGroupInto is ReadRowGroup writing into the rows of an earlier
+// read, when there are enough of them. Those rows then belong to the new
+// group: the caller passes reuse only once nothing reads the earlier
+// group's rows, and only from a read of this columnstore with the same
+// cols, so the unrequested columns are still NULL. Otherwise (reuse nil or
+// too short) the group is read into one fresh value arena, whose rows are
+// capacity-clipped windows of it.
+func (cs *ColumnStore) ReadRowGroupInto(g int, cols []int, bp *BufferPool, io *IOCounts, reuse []types.Row) []types.Row {
 	grp := &cs.groups[g]
-	out := make([]types.Row, grp.rows)
-	for i := range out {
-		out[i] = make(types.Row, cs.numCols)
+	out := reuse[:cap(reuse)]
+	if len(out) < grp.rows {
+		w := cs.numCols
+		vals := make([]types.Value, grp.rows*w)
+		out = make([]types.Row, grp.rows)
+		for i := range out {
+			out[i] = vals[i*w : (i+1)*w : (i+1)*w]
+		}
 	}
+	out = out[:grp.rows]
 	for _, c := range cols {
 		bp.Read(PageID{cs.objectID, uint32(g*cs.numCols + c)}, io)
-		seg := &grp.segs[c]
-		for i, v := range seg.Values {
+		for i, v := range grp.segs[c].Values {
 			out[i][c] = v
 		}
 	}

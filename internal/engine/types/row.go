@@ -10,8 +10,9 @@ import "strings"
 // nested-loops outer buffers) tells that child so, and the child hands it
 // rows nobody overwrites. Every other consumer may read a row only until
 // its next call on the same child: the child may reuse the row's backing
-// array for the next one. Rows read from storage are immutable and may be
-// held anywhere.
+// array for the next one. Heap rows and index entries are immutable and
+// may be held anywhere; rows a columnstore scan materializes from segments
+// are its own and follow the rule above.
 type Row []Value
 
 // Clone returns a copy of the row that the caller may retain.
@@ -81,7 +82,7 @@ func (r Row) Width() int {
 		case KindNull:
 			w++
 		case KindString:
-			w += 2 + len(v.S)
+			w += 2 + len(v.Str())
 		default:
 			w += 8
 		}

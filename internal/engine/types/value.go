@@ -12,6 +12,11 @@ import (
 	"strings"
 )
 
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // Kind identifies the runtime type of a Value.
 type Kind uint8
 
@@ -22,7 +27,7 @@ const (
 	KindInt
 	// KindFloat is a 64-bit IEEE float.
 	KindFloat
-	// KindString is an immutable byte string.
+	// KindString is a string, held as its id in the intern table.
 	KindString
 )
 
@@ -44,16 +49,16 @@ func (k Kind) String() string {
 
 // Value is a single SQL value. The zero Value is NULL.
 //
-// Value is a 32-byte struct passed by value throughout the engine; rows are
-// slices of them. An int and a float share the 8-byte payload word I: a
-// float is stored as its IEEE bits (math.Float64bits) and read back with
-// Float64, so the value is bit-exact, NaN payloads and -0 included. A
-// string leaves the payload word unused and a number the string header, in
-// exchange for no interface boxing on the hot execution path.
+// Value is a 16-byte struct with no pointers, passed by value throughout
+// the engine; rows are slices of them, so the garbage collector never scans
+// a row's values and copying one needs no write barrier. Every kind keeps
+// its payload in the one 8-byte word I. A float is stored as its IEEE bits
+// (math.Float64bits) and read back with Float64, so the value is bit-exact,
+// NaN payloads and -0 included. A string is stored as its id in a
+// process-wide intern table and read back with Str.
 type Value struct {
 	K Kind
-	I int64 // KindInt: the integer; KindFloat: math.Float64bits of the float
-	S string
+	I int64 // KindInt: the integer; KindFloat: math.Float64bits of the float; KindString: the intern id
 }
 
 // Null returns the NULL value.
@@ -69,8 +74,14 @@ func Float(v float64) Value { return Value{K: KindFloat, I: int64(math.Float64bi
 // result is meaningless; AsFloat converts.
 func (v Value) Float64() float64 { return math.Float64frombits(uint64(v.I)) }
 
-// Str returns a string value.
-func Str(v string) Value { return Value{K: KindString, S: v} }
+// Str returns a string value, interning v on first sight. Interning takes a
+// lock, so code that makes the same strings repeatedly makes the Values
+// once and copies them.
+func Str(v string) Value { return Value{K: KindString, I: intern(v)} }
+
+// Str returns the string a KindString value holds. Its payload is not an
+// intern id on any other kind, where Str may panic; String renders any kind.
+func (v Value) Str() string { return internedAt(v.I).s }
 
 // Bool encodes a boolean as the engine's canonical 0/1 integer.
 func Bool(b bool) Value {
@@ -92,7 +103,7 @@ func (v Value) IsTrue() bool {
 	case KindFloat:
 		return v.Float64() != 0
 	case KindString:
-		return v.S != ""
+		return v.I != 0 // id 0 is the empty string
 	default:
 		return false
 	}
@@ -134,7 +145,7 @@ func (v Value) String() string {
 	case KindFloat:
 		return strconv.FormatFloat(v.Float64(), 'g', -1, 64)
 	case KindString:
-		return "'" + v.S + "'"
+		return "'" + v.Str() + "'"
 	default:
 		return fmt.Sprintf("Value<%d>", v.K)
 	}
@@ -157,7 +168,10 @@ func Compare(a, b Value) int {
 	case KindNull:
 		return 0
 	case KindString:
-		return strings.Compare(a.S, b.S)
+		if a.I == b.I {
+			return 0
+		}
+		return strings.Compare(a.Str(), b.Str())
 	case KindInt:
 		if b.K == KindInt {
 			switch {
@@ -204,19 +218,23 @@ func cmpFloat(a, b float64) int {
 
 // Equal reports whether a and b compare equal. NULL equals NULL under this
 // function (grouping semantics); predicate three-valued logic is handled in
-// the expression layer.
-func Equal(a, b Value) bool { return Compare(a, b) == 0 }
+// the expression layer. Two strings are equal exactly when their intern
+// ids are.
+func Equal(a, b Value) bool {
+	if a.K == KindString && b.K == KindString {
+		return a.I == b.I
+	}
+	return Compare(a, b) == 0
+}
 
 // Hash returns a 64-bit hash of v, consistent with Equal for values in the
 // same comparison class (ints and floats holding the same number hash
-// identically, so hash joins may join across the two numeric kinds).
+// identically, so hash joins may join across the two numeric kinds). It is
+// FNV-1a over a kind tag or the payload bytes; a string's hash is taken
+// over its bytes once, when it is interned.
 func (v Value) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) { h = (h ^ uint64(b)) * prime64 }
+	h := uint64(fnvOffset64)
+	mix := func(b byte) { h = (h ^ uint64(b)) * fnvPrime64 }
 	switch v.K {
 	case KindNull:
 		mix(0)
@@ -234,10 +252,7 @@ func (v Value) Hash() uint64 {
 			mix(byte(u >> (8 * i)))
 		}
 	case KindString:
-		mix(2)
-		for i := 0; i < len(v.S); i++ {
-			mix(v.S[i])
-		}
+		return internedAt(v.I).hash
 	}
 	return h
 }

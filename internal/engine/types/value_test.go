@@ -1,8 +1,12 @@
 package types
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -29,18 +33,98 @@ func TestValueConstructorsAndKinds(t *testing.T) {
 	}
 }
 
-// TestValueIs32Bytes: a float lives in the int's payload word as its IEEE
-// bits, so a Value is a kind, one 8-byte payload and a string header, and
-// Float64 returns exactly the float that went in.
-func TestValueIs32Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(Value{}); n != 32 {
-		t.Fatalf("Value is %d bytes, want 32", n)
+// TestValueIsPointerFree: a Value is a kind and one 8-byte payload word,
+// with no field the garbage collector must scan; a float lives in the word
+// as its IEEE bits, and Float64 returns exactly the float that went in.
+func TestValueIsPointerFree(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 16 {
+		t.Fatalf("Value is %d bytes, want 16", n)
 	}
+	var walk func(reflect.Type, string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		default:
+			t.Errorf("%s is a %v, which can hold a pointer", path, typ.Kind())
+		}
+	}
+	walk(reflect.TypeOf(Value{}), "Value")
 	for _, f := range []float64{0, math.Copysign(0, -1), 2.5, -1e300, math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff0000000000001)} {
 		if got := Float(f).Float64(); math.Float64bits(got) != math.Float64bits(f) {
 			t.Errorf("Float(%v).Float64() has bits %#x, want %#x", f, math.Float64bits(got), math.Float64bits(f))
 		}
 	}
+}
+
+// TestStringHashUnchanged: interning moved a string's hash to intern time
+// without changing it. The reference is the byte loop Hash ran on the
+// string itself: FNV-1a over a kind tag 2, then the bytes.
+func TestStringHashUnchanged(t *testing.T) {
+	ref := func(s string) uint64 {
+		h := uint64(14695981039346656037)
+		mix := func(b byte) { h = (h ^ uint64(b)) * 1099511628211 }
+		mix(2)
+		for i := 0; i < len(s); i++ {
+			mix(s[i])
+		}
+		return h
+	}
+	for _, s := range []string{"", "ASIA", "MIDDLE EAST", "Brand#33", "Ünïcödé", "日本語", "a\x00b"} {
+		if got, want := Str(s).Hash(), ref(s); got != want {
+			t.Errorf("Str(%q).Hash() = %#x, want %#x", s, got, want)
+		}
+	}
+}
+
+// TestStringCompareMatchesContent: interned strings order and compare by
+// content, whatever order their ids were handed out in.
+func TestStringCompareMatchesContent(t *testing.T) {
+	f := func(a, b string) bool {
+		x, y := Str(a), Str(b)
+		return Compare(x, y) == strings.Compare(a, b) && Equal(x, y) == (a == b) && x.Str() == a && y.Str() == b
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInternConcurrent interns and reads from several goroutines at once;
+// under -race it checks that publishing a new table entry is ordered
+// before any read of it.
+func TestInternConcurrent(t *testing.T) {
+	const workers, perWorker = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				// Half the strings are shared between workers, half are
+				// each worker's own.
+				s := fmt.Sprintf("intern-test-%d", i)
+				if i%2 == 1 {
+					s = fmt.Sprintf("intern-test-%d-%d", w, i)
+				}
+				v := Str(s)
+				if got := v.Str(); got != s {
+					t.Errorf("Str(%q).Str() = %q", s, got)
+				}
+				if v.Hash() != Str(s).Hash() || !Equal(v, Str(s)) {
+					t.Errorf("re-interning %q changed its value", s)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestValueTruthiness(t *testing.T) {

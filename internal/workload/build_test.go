@@ -33,16 +33,19 @@ func (d *digest) str(s string) {
 func (d *digest) val(v types.Value) {
 	var i int64
 	var f float64
+	var s string
 	switch v.K {
 	case types.KindInt:
 		i = v.I
 	case types.KindFloat:
 		f = v.Float64()
+	case types.KindString:
+		s = v.Str()
 	}
 	d.u64(uint64(v.K))
 	d.u64(uint64(i))
 	d.u64(math.Float64bits(f))
-	d.str(v.S)
+	d.str(s)
 }
 
 func (d *digest) vals(vs []types.Value) {
@@ -151,6 +154,35 @@ func TestWorkloadBuildFingerprint(t *testing.T) {
 			if got := buildFingerprint(c.gen(seed)); got != c.want[i] {
 				t.Errorf("%s seed %d: fingerprint %#x, want %#x", c.name, seed, got, c.want[i])
 			}
+		}
+	}
+}
+
+// TestInternTableBounded: strings come only from the generators' fixed
+// pools and from plan constants, so once every workload and every query
+// plan has been built at one seed, building them at other seeds interns no
+// new string. A generator that formatted data-dependent strings would grow
+// the process-wide intern table without bound and fail here.
+func TestInternTableBounded(t *testing.T) {
+	gens := []func(seed uint64) *Workload{
+		func(s uint64) *Workload { return TPCH(s, TPCHRowstore) },
+		func(s uint64) *Workload { return TPCH(s, TPCHColumnstore) },
+		TPCDS, REAL1, REAL2, REAL3,
+	}
+	buildAll := func(seed uint64) {
+		for _, gen := range gens {
+			w := gen(seed)
+			for _, q := range w.Queries {
+				q.Build(w.Builder())
+			}
+		}
+	}
+	buildAll(1)
+	after := types.InternedStrings()
+	for seed := uint64(2); seed <= 4; seed++ {
+		buildAll(seed)
+		if n := types.InternedStrings(); n != after {
+			t.Fatalf("seed %d interned %d new strings after seed 1", seed, n-after)
 		}
 	}
 }

@@ -86,9 +86,14 @@ func uniformFloat(max float64) func(*sim.RNG, int64) types.Value {
 	return func(rng *sim.RNG, _ int64) types.Value { return types.Float(rng.Float64() * max) }
 }
 
-// pick chooses uniformly from a fixed string pool.
+// pick chooses uniformly from a fixed string pool, interned once here so
+// generating a column takes no intern lock per value.
 func pick(pool ...string) func(*sim.RNG, int64) types.Value {
-	return func(rng *sim.RNG, _ int64) types.Value { return types.Str(pool[rng.Intn(len(pool))]) }
+	vals := make([]types.Value, len(pool))
+	for i, s := range pool {
+		vals[i] = types.Str(s)
+	}
+	return func(rng *sim.RNG, _ int64) types.Value { return vals[rng.Intn(len(vals))] }
 }
 
 // dateInt generates "dates" as integer day numbers in [lo, hi).
