@@ -7,13 +7,14 @@ all: ci
 vet:
 	$(GO) vet ./...
 
-# The engine sorts with the typed slices.Sort*/SortFunc family: the
+# The engine (internal/engine/dmv included) and the estimator's per-poll
+# paths sort with the typed slices.Sort*/SortFunc family: the
 # reflection-swapper sort.Slice/sort.SliceStable cost 3x on the database
 # build and stay only in tests, as the reference the new sorts are checked
 # against.
 sort-guard:
-	@! grep -rnE 'sort\.Slice(Stable)?\(' --include='*.go' --exclude='*_test.go' internal/engine \
-		|| { echo "sort-guard: sort.Slice/sort.SliceStable in non-test engine code"; exit 1; }
+	@! grep -rnE 'sort\.Slice(Stable)?\(' --include='*.go' --exclude='*_test.go' internal/engine internal/progress \
+		|| { echo "sort-guard: sort.Slice/sort.SliceStable in non-test engine or estimator code"; exit 1; }
 
 build:
 	$(GO) build ./...

@@ -84,6 +84,42 @@ func checkThreadConsistency(t *testing.T, snap *Snapshot) {
 	}
 }
 
+// TestCaptureThreadsStrictlyIncreasing pins the order the estimator's
+// repair pass reads a capture in place by: Threads strictly increasing in
+// (NodeID, ThreadID), on every poll and the final capture, at DOP 1 and at
+// DOP 2, where worker rows are present from the first poll on (workers
+// register when the query is built). A break here would not make estimates
+// wrong, only slow: the repair pass would copy and sort every capture.
+func TestCaptureThreadsStrictlyIncreasing(t *testing.T) {
+	for _, dop := range []int{1, 2} {
+		q, _ := parallelTestQuery(t, sim.NewClock(), dop)
+		poller := NewPoller(q, 20*time.Microsecond)
+		if _, err := q.Run(); err != nil {
+			t.Fatalf("dop %d: query failed: %v", dop, err)
+		}
+		tr := poller.Finish()
+		for i, snap := range append(tr.Snapshots, tr.Final) {
+			workers := 0
+			for j, row := range snap.Threads {
+				if row.ThreadID > 0 {
+					workers++
+				}
+				if j == 0 {
+					continue
+				}
+				prev := snap.Threads[j-1]
+				if prev.NodeID > row.NodeID || prev.NodeID == row.NodeID && prev.ThreadID >= row.ThreadID {
+					t.Fatalf("dop %d poll %d: row %d (node %d, thread %d) after (node %d, thread %d)",
+						dop, i, j, row.NodeID, row.ThreadID, prev.NodeID, prev.ThreadID)
+				}
+			}
+			if (workers > 0) != (dop > 1) {
+				t.Fatalf("dop %d poll %d: %d worker rows", dop, i, workers)
+			}
+		}
+	}
+}
+
 // TestPollerParallelMidFlight polls a parallel query from a clock observer
 // and checks every mid-flight snapshot: per-thread rows stay consistent
 // with their aggregation, aggregated counts are monotone and never overshoot

@@ -32,24 +32,26 @@ func (b Bounds) Clamp(v float64) float64 {
 // side's upper bound (the table's "when on inner side of join" rows),
 // since every remaining outer row can re-execute them.
 func (e *Estimator) ComputeBounds(snap *dmv.Snapshot) []Bounds {
-	bounds := make([]Bounds, len(e.Plan.Nodes))
-	var rec func(n *plan.Node, shielded bool) Bounds
-	rec = func(n *plan.Node, shielded bool) Bounds {
-		// Children first (outer before inner, matching preorder IDs).
-		// A spool shields its subtree from rebind multiplication: the
-		// spool replays its cache, so the child executes only once.
-		childShield := shielded || n.Physical == plan.TableSpool
-		kid := make([]Bounds, len(n.Children))
-		for i, c := range n.Children {
-			kid[i] = rec(c, childShield)
-		}
+	return e.computeBounds(make([]Bounds, len(e.Plan.Nodes)), snap)
+}
+
+// computeBounds is ComputeBounds into a slice of one entry per node. It
+// walks the plan postorder, so every child's bound, and on the inner side
+// of a nested loops join the outer side's, is in bounds before a node
+// reads it.
+func (e *Estimator) computeBounds(bounds []Bounds, snap *dmv.Snapshot) []Bounds {
+	for _, n := range e.Decomp.postorder {
 		k := float64(snap.Op(n.ID).ActualRows)
+		var kidUB float64 // the first (outer) child's upper bound
+		if len(n.Children) > 0 {
+			kidUB = bounds[n.Children[0].ID].UB
+		}
 		var b Bounds
 		inf := math.Inf(1)
 
 		// innerMult is the execution multiplier for inner-side leaves.
 		innerMult := func() float64 {
-			if shielded || !e.Decomp.InnerSide[n.ID] {
+			if e.Decomp.shielded[n.ID] || !e.Decomp.InnerSide[n.ID] {
 				return 1
 			}
 			outer := e.Decomp.OuterOf[n.ID]
@@ -95,21 +97,21 @@ func (e *Estimator) ComputeBounds(snap *dmv.Snapshot) []Bounds {
 			// emitted), so one extra outer row is allowed until the join
 			// closes; the same slack covers right/full-outer tails.
 			ko := float64(snap.Op(n.Children[0].ID).ActualRows)
-			remOuter := math.Max(kid[0].UB-ko, 0)
+			remOuter := math.Max(kidUB-ko, 0)
 			if !snap.Op(n.ID).Closed && snap.Op(n.Children[0].ID).Opened {
 				remOuter++
 			}
-			b = Bounds{LB: k, UB: remOuter*kid[1].UB + k}
+			b = Bounds{LB: k, UB: remOuter*bounds[n.Children[1].ID].UB + k}
 		case plan.Concatenation:
 			var lb, ub float64
-			for i, c := range n.Children {
+			for _, c := range n.Children {
 				lb += float64(snap.Op(c.ID).ActualRows)
-				ub += kid[i].UB
+				ub += bounds[c.ID].UB
 			}
 			b = Bounds{LB: math.Max(lb, k), UB: ub}
 		case plan.Filter, plan.SegmentOp, plan.DistinctSort:
 			kc := float64(snap.Op(n.Children[0].ID).ActualRows)
-			b = Bounds{LB: k, UB: math.Max(kid[0].UB-kc, 0) + k}
+			b = Bounds{LB: k, UB: math.Max(kidUB-kc, 0) + k}
 		case plan.Exchange:
 			// An exchange is a buffering pass-through: every consumed row is
 			// eventually emitted, so the filter formula above — which treats
@@ -118,17 +120,17 @@ func (e *Estimator) ComputeBounds(snap *dmv.Snapshot) []Bounds {
 			// buffer occupancy. Output count equals input count, exactly as
 			// for Sort; rows already consumed are guaranteed to come out.
 			kc := float64(snap.Op(n.Children[0].ID).ActualRows)
-			b = Bounds{LB: math.Max(k, kc), UB: kid[0].UB}
+			b = Bounds{LB: math.Max(k, kc), UB: kidUB}
 		case plan.Sort:
 			// A sort outputs exactly its input count.
 			kc := float64(snap.Op(n.Children[0].ID).ActualRows)
-			b = Bounds{LB: kc, UB: kid[0].UB}
+			b = Bounds{LB: kc, UB: kidUB}
 		case plan.TopNSort:
 			kc := float64(snap.Op(n.Children[0].ID).ActualRows)
-			b = Bounds{LB: math.Min(float64(n.TopN), kc), UB: math.Min(float64(n.TopN), kid[0].UB)}
+			b = Bounds{LB: math.Min(float64(n.TopN), kc), UB: math.Min(float64(n.TopN), kidUB)}
 		case plan.BitmapCreate, plan.ComputeScalar:
 			kc := float64(snap.Op(n.Children[0].ID).ActualRows)
-			b = Bounds{LB: kc, UB: kid[0].UB}
+			b = Bounds{LB: kc, UB: kidUB}
 		case plan.StreamAggregate, plan.HashAggregate:
 			// Every remaining input row could found a new group. A scalar
 			// aggregate always emits one row; a grouped aggregate emits at
@@ -147,7 +149,7 @@ func (e *Estimator) ComputeBounds(snap *dmv.Snapshot) []Bounds {
 				// exhausted, so emitted-count arithmetic says nothing about
 				// what remains to stream out; the only sound cap is the
 				// child's total (every input row may found its own group).
-				b = Bounds{LB: lb, UB: math.Max(kid[0].UB, lb)}
+				b = Bounds{LB: lb, UB: math.Max(kidUB, lb)}
 			default:
 				// Streaming: one group in flight at a time, so the future
 				// output is at most a new group per remaining input row plus
@@ -156,18 +158,18 @@ func (e *Estimator) ComputeBounds(snap *dmv.Snapshot) []Bounds {
 				if snap.Op(n.ID).Closed {
 					slack = 0
 				}
-				b = Bounds{LB: lb, UB: math.Max(kid[0].UB-kc, 0) + math.Max(lb, k) + slack}
+				b = Bounds{LB: lb, UB: math.Max(kidUB-kc, 0) + math.Max(lb, k) + slack}
 			}
 		case plan.RIDLookup:
-			b = Bounds{LB: k, UB: kid[0].UB}
+			b = Bounds{LB: k, UB: kidUB}
 		case plan.TableSpool:
 			// Replays make the spool unbounded until its input size is
 			// known; on the inner side of a join, each outer row replays
 			// the cached input.
-			if !shielded && e.Decomp.InnerSide[n.ID] {
-				b = Bounds{LB: k, UB: kid[0].UB * innerMult()}
+			if !e.Decomp.shielded[n.ID] && e.Decomp.InnerSide[n.ID] {
+				b = Bounds{LB: k, UB: kidUB * innerMult()}
 			} else if snap.Op(n.Children[0].ID).Closed {
-				b = Bounds{LB: k, UB: kid[0].UB}
+				b = Bounds{LB: k, UB: kidUB}
 			} else {
 				b = Bounds{LB: k, UB: inf}
 			}
@@ -178,8 +180,6 @@ func (e *Estimator) ComputeBounds(snap *dmv.Snapshot) []Bounds {
 			b.UB = b.LB
 		}
 		bounds[n.ID] = b
-		return b
 	}
-	rec(e.Plan.Root, false)
 	return bounds
 }

@@ -76,15 +76,31 @@ type Decomposition struct {
 	// (the immediately enclosing NL).
 	InnerSide []bool
 	OuterOf   []int
+
+	// postorder lists the nodes children first, outer child before inner:
+	// the order of the per-poll bottom-up passes (N̂, bounds, hints).
+	postorder []*plan.Node
+	// semiBelow[id]: a semi-blocking operator (exchange, nested loops)
+	// sits between this node and the leaves of its pipeline (§4.4).
+	semiBelow []bool
+	// shielded[id]: a table spool above the node replays its cache, so
+	// join rebinds do not multiply the node's executions (Appendix A).
+	shielded []bool
 }
 
 // Decompose computes the pipeline structure of a plan.
 func Decompose(p *plan.Plan) *Decomposition {
+	// Each family of per-node tables shares one allocation.
+	n := len(p.Nodes)
+	ints, bools := make([]int, 3*n), make([]bool, 3*n)
 	d := &Decomposition{
-		PipeOf:    make([]int, len(p.Nodes)),
-		OutPipeOf: make([]int, len(p.Nodes)),
-		InnerSide: make([]bool, len(p.Nodes)),
-		OuterOf:   make([]int, len(p.Nodes)),
+		PipeOf:    ints[:n:n],
+		OutPipeOf: ints[n : 2*n : 2*n],
+		OuterOf:   ints[2*n:],
+		InnerSide: bools[:n:n],
+		semiBelow: bools[n : 2*n : 2*n],
+		shielded:  bools[2*n:],
+		postorder: make([]*plan.Node, 0, n),
 	}
 	for i := range d.OutPipeOf {
 		d.OutPipeOf[i] = -1
@@ -100,6 +116,9 @@ func Decompose(p *plan.Plan) *Decomposition {
 	walk = func(n *plan.Node, cur *Pipeline, inner bool, outerID int) {
 		d.InnerSide[n.ID] = inner
 		d.OuterOf[n.ID] = outerID
+		for _, c := range n.Children {
+			d.shielded[c.ID] = d.shielded[n.ID] || n.Physical == plan.TableSpool
+		}
 		if n.IsBlocking() {
 			// Output phase sources `cur`; input phase tops a new pipeline.
 			cur.Sources = append(cur.Sources, n.ID)
@@ -112,6 +131,7 @@ func Decompose(p *plan.Plan) *Decomposition {
 			for _, c := range n.Children {
 				walk(c, in, inner, outerID)
 			}
+			d.postorder = append(d.postorder, n)
 			return
 		}
 		cur.Members = append(cur.Members, n.ID)
@@ -135,6 +155,7 @@ func Decompose(p *plan.Plan) *Decomposition {
 				walk(c, cur, inner, outerID)
 			}
 		}
+		d.postorder = append(d.postorder, n)
 	}
 	d.Root = newPipe()
 	walk(p.Root, d.Root, false, -1)
@@ -163,17 +184,21 @@ func Decompose(p *plan.Plan) *Decomposition {
 			}
 		}
 	}
-	return d
-}
 
-// DriverNodes returns all driver node IDs across pipelines (the
-// DriverNodes(Q) of §3.1.1), excluding §4.4 inner drivers.
-func (d *Decomposition) DriverNodes() []int {
-	var out []int
-	for _, pl := range d.Pipelines {
-		out = append(out, pl.Drivers...)
+	// A node has a semi-blocking operator below it in its pipeline when a
+	// child in the same pipeline is one or has one; blocking children and
+	// hash-join build sides run in other pipelines.
+	for _, n := range d.postorder {
+		for i, c := range n.Children {
+			if c.IsBlocking() || n.Physical == plan.HashJoin && i == 1 {
+				continue
+			}
+			if d.semiBelow[c.ID] || c.IsSemiBlocking() {
+				d.semiBelow[n.ID] = true
+			}
+		}
 	}
-	return out
+	return d
 }
 
 // String renders the decomposition for debugging.

@@ -123,10 +123,10 @@ func TestHasSemiBelow(t *testing.T) {
 	agg := b.HashAgg(fl, []int{2}, []expr.AggSpec{{Kind: expr.CountStar}})
 	p := plan.Finalize(agg)
 	e := NewEstimator(p, f.cat, LQSOptions())
-	if e.hasSemiBelow[scan.ID] || e.hasSemiBelow[ex.ID] {
+	if e.Decomp.semiBelow[scan.ID] || e.Decomp.semiBelow[ex.ID] {
 		t.Error("nodes at/below the exchange must not report semi-below")
 	}
-	if !e.hasSemiBelow[fl.ID] || !e.hasSemiBelow[agg.ID] {
+	if !e.Decomp.semiBelow[fl.ID] || !e.Decomp.semiBelow[agg.ID] {
 		t.Error("nodes above the exchange must report semi-below")
 	}
 }

@@ -1,9 +1,10 @@
 package progress
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"lqs/internal/engine/dmv"
 )
@@ -21,12 +22,6 @@ import (
 // many estimators — and is a pure function of (snapshot, high-water), so
 // estimating the same snapshot twice yields identical results.
 
-// threadKey identifies one DMV profile row: an operator instance on one
-// thread.
-type threadKey struct {
-	node, thread int
-}
-
 // degradedBoundSlack is the factor Appendix A bounds are widened by on a
 // degraded poll (LB/slack, UB*slack).
 const degradedBoundSlack = 2
@@ -35,7 +30,9 @@ const degradedBoundSlack = 2
 // estimate from (the original, or a repaired private copy), whether the
 // poll is degraded, and the reason. Without Options.Degrade, or for
 // hand-built snapshots carrying only pre-aggregated Ops rows, it is a
-// pass-through.
+// pass-through. The high-water marks are kept in (NodeID, ThreadID) order,
+// the order Capture emits Threads in, so a healthy poll is one walk over
+// two sorted lists that allocates nothing.
 func (e *Estimator) prepare(snap *dmv.Snapshot) (*dmv.Snapshot, bool, string) {
 	if !e.Opt.Degrade {
 		return snap, false, ""
@@ -45,60 +42,44 @@ func (e *Estimator) prepare(snap *dmv.Snapshot) (*dmv.Snapshot, bool, string) {
 	if len(snap.Threads) == 0 {
 		return snap, degraded, reason
 	}
-	if e.lastRows == nil {
-		e.lastRows = make(map[threadKey]dmv.OpProfile)
-	}
 
 	// Merge duplicated keys (a torn capture emitted a row twice — summing
-	// them would double-count k and inflate every fraction).
-	merged := make([]dmv.OpProfile, 0, len(snap.Threads))
-	index := make(map[threadKey]int, len(snap.Threads))
-	var dups int
-	for _, row := range snap.Threads {
-		key := threadKey{row.NodeID, row.ThreadID}
-		if i, ok := index[key]; ok {
-			dups++
-			merged[i] = maxProfile(merged[i], row)
-			continue
-		}
-		index[key] = len(merged)
-		merged = append(merged, row)
+	// them would double-count k and inflate every fraction). Only an
+	// unordered or duplicated capture is copied.
+	rows, dups := snap.Threads, 0
+	if !keysIncreasing(rows) {
+		rows, dups = sortMerged(rows)
 	}
 
 	// Detect rows whose monotone counters regressed below the high-water
 	// (stale rows interleaved into a fresh capture, or a whole snapshot
-	// re-delivered out of order). Regressed rows are left as captured —
-	// the poll is flagged Degraded instead, so the display layer holds
-	// last-good progress via the forced monotone clamp rather than
-	// estimating from counters the estimator invented.
-	var stale int
-	for i := range merged {
-		key := threadKey{merged[i].NodeID, merged[i].ThreadID}
-		if last, ok := e.lastRows[key]; ok && profileRegressed(merged[i], last) {
-			stale++
-		}
-	}
-
-	// Fill keys that vanished from the capture (dropped rows) from the
-	// high-water: a missing row is indistinguishable from "no progress
-	// since last poll", which is the conservative reconstruction.
-	var missing int
-	for key, last := range e.lastRows {
-		if _, ok := index[key]; !ok {
+	// re-delivered out of order) and keys that vanished from the capture
+	// (dropped rows), and lift the marks from the capture whether or not a
+	// repair fires — healthy polls are what the marks are made of.
+	// Regressed rows are left as captured — the poll is flagged Degraded
+	// instead, so the display layer holds last-good progress via the forced
+	// monotone clamp rather than estimating from counters the estimator
+	// invented.
+	hw := e.highWater
+	var stale, missing, added int
+	for i, j := 0, 0; i < len(rows) || j < len(hw); {
+		switch c := compareAt(rows, i, hw, j); {
+		case c < 0:
+			added++
+			i++
+		case c > 0:
 			missing++
-			merged = append(merged, last)
+			j++
+		default:
+			if profileRegressed(&rows[i], &hw[j]) {
+				stale++
+			}
+			maxInto(&hw[j], &rows[i])
+			i, j = i+1, j+1
 		}
 	}
-
-	// Update the high-water marks from the merged view, whether or not a
-	// repair fired — healthy polls are what the marks are made of.
-	for _, row := range merged {
-		key := threadKey{row.NodeID, row.ThreadID}
-		if last, ok := e.lastRows[key]; ok {
-			e.lastRows[key] = maxProfile(last, row)
-		} else {
-			e.lastRows[key] = row
-		}
+	if added > 0 {
+		e.highWater, e.spareHighWater = mergeKeys(e.spareHighWater[:0], hw, rows), hw
 	}
 
 	if dups == 0 && stale == 0 && missing == 0 {
@@ -115,95 +96,157 @@ func (e *Estimator) prepare(snap *dmv.Snapshot) (*dmv.Snapshot, bool, string) {
 		// monotone clamp it engages) is the whole remedy.
 		return snap, true, reason
 	}
-
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].NodeID != merged[j].NodeID {
-			return merged[i].NodeID < merged[j].NodeID
-		}
-		return merged[i].ThreadID < merged[j].ThreadID
-	})
+	if missing > 0 {
+		// Fill dropped rows from the high-water: a missing row is
+		// indistinguishable from "no progress since last poll", which is
+		// the conservative reconstruction.
+		rows = mergeKeys(make([]dmv.OpProfile, 0, len(rows)+missing), rows, e.highWater)
+	}
 	repaired := &dmv.Snapshot{
 		At:            snap.At,
 		NumNodes:      snap.NumNodes,
-		Threads:       merged,
+		Threads:       rows,
 		Degraded:      true,
 		DegradeReason: reason,
 	}
 	return repaired, true, reason
 }
 
-// maxProfile merges two profile rows for the same (node, thread) key into
-// their elementwise high-water: monotone counters take the max, lifecycle
-// flags OR together, start times take the earliest set value and end times
-// the latest.
-func maxProfile(a, b dmv.OpProfile) dmv.OpProfile {
-	out := a
-	if b.EstimateRows > out.EstimateRows {
-		out.EstimateRows = b.EstimateRows
+// compareKeys orders profile rows by (NodeID, ThreadID).
+func compareKeys(a, b *dmv.OpProfile) int {
+	return cmp.Or(cmp.Compare(a.NodeID, b.NodeID), cmp.Compare(a.ThreadID, b.ThreadID))
+}
+
+// compareAt compares the keys of a[i] and b[j] for a merge walk, an
+// exhausted list ordering after the other.
+func compareAt(a []dmv.OpProfile, i int, b []dmv.OpProfile, j int) int {
+	switch {
+	case i == len(a):
+		return 1
+	case j == len(b):
+		return -1
 	}
-	if b.ActualRows > out.ActualRows {
-		out.ActualRows = b.ActualRows
-	}
-	if b.Rebinds > out.Rebinds {
-		out.Rebinds = b.Rebinds
-	}
-	if b.CPUTime > out.CPUTime {
-		out.CPUTime = b.CPUTime
-	}
-	if b.IOTime > out.IOTime {
-		out.IOTime = b.IOTime
-	}
-	if b.LogicalReads > out.LogicalReads {
-		out.LogicalReads = b.LogicalReads
-	}
-	if b.PhysicalReads > out.PhysicalReads {
-		out.PhysicalReads = b.PhysicalReads
-	}
-	if b.PagesTotal > out.PagesTotal {
-		out.PagesTotal = b.PagesTotal
-	}
-	if b.IORetries > out.IORetries {
-		out.IORetries = b.IORetries
-	}
-	if b.SegmentsProcessed > out.SegmentsProcessed {
-		out.SegmentsProcessed = b.SegmentsProcessed
-	}
-	if b.SegmentsTotal > out.SegmentsTotal {
-		out.SegmentsTotal = b.SegmentsTotal
-	}
-	if b.InternalDone > out.InternalDone {
-		out.InternalDone = b.InternalDone
-	}
-	if b.InternalTotal > out.InternalTotal {
-		out.InternalTotal = b.InternalTotal
-	}
-	if b.Opened {
-		if !out.Opened || b.OpenedAt < out.OpenedAt {
-			out.OpenedAt = b.OpenedAt
+	return compareKeys(&a[i], &b[j])
+}
+
+// keysIncreasing reports whether rows are strictly increasing in
+// (NodeID, ThreadID): sorted, with no key twice.
+func keysIncreasing(rows []dmv.OpProfile) bool {
+	for i := 1; i < len(rows); i++ {
+		if compareKeys(&rows[i-1], &rows[i]) >= 0 {
+			return false
 		}
-		out.Opened = true
 	}
-	if b.FirstActive {
-		if !out.FirstActive || b.FirstActiveAt < out.FirstActiveAt {
-			out.FirstActiveAt = b.FirstActiveAt
+	return true
+}
+
+// sortMerged returns a sorted copy of rows with each duplicated key merged
+// into its first row, in arrival order (the sort is stable), and how many
+// rows the merge removed.
+func sortMerged(rows []dmv.OpProfile) ([]dmv.OpProfile, int) {
+	out := slices.Clone(rows)
+	slices.SortStableFunc(out, func(a, b dmv.OpProfile) int { return compareKeys(&a, &b) })
+	w := 0
+	for r := 1; r < len(out); r++ {
+		if compareKeys(&out[w], &out[r]) == 0 {
+			maxInto(&out[w], &out[r])
+		} else {
+			w++
+			out[w] = out[r]
 		}
-		out.FirstActive = true
 	}
-	if b.LastActive > out.LastActive {
-		out.LastActive = b.LastActive
-	}
-	if b.Closed {
-		out.Closed = true
-	}
-	if b.ClosedAt > out.ClosedAt {
-		out.ClosedAt = b.ClosedAt
+	return out[:w+1], len(out) - w - 1
+}
+
+// mergeKeys appends the union of two sorted row lists to out, taking a
+// key both hold from a.
+func mergeKeys(out, a, b []dmv.OpProfile) []dmv.OpProfile {
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		c := compareAt(a, i, b, j)
+		if c > 0 {
+			out = append(out, b[j])
+			j++
+			continue
+		}
+		out = append(out, a[i])
+		i++
+		if c == 0 {
+			j++
+		}
 	}
 	return out
 }
 
+// maxInto lifts dst to its elementwise high-water with src, a profile row
+// for the same (node, thread) key: monotone counters take the max,
+// lifecycle flags OR together, start times take the earliest set value and
+// end times the latest.
+func maxInto(dst, src *dmv.OpProfile) {
+	if src.EstimateRows > dst.EstimateRows {
+		dst.EstimateRows = src.EstimateRows
+	}
+	if src.ActualRows > dst.ActualRows {
+		dst.ActualRows = src.ActualRows
+	}
+	if src.Rebinds > dst.Rebinds {
+		dst.Rebinds = src.Rebinds
+	}
+	if src.CPUTime > dst.CPUTime {
+		dst.CPUTime = src.CPUTime
+	}
+	if src.IOTime > dst.IOTime {
+		dst.IOTime = src.IOTime
+	}
+	if src.LogicalReads > dst.LogicalReads {
+		dst.LogicalReads = src.LogicalReads
+	}
+	if src.PhysicalReads > dst.PhysicalReads {
+		dst.PhysicalReads = src.PhysicalReads
+	}
+	if src.PagesTotal > dst.PagesTotal {
+		dst.PagesTotal = src.PagesTotal
+	}
+	if src.IORetries > dst.IORetries {
+		dst.IORetries = src.IORetries
+	}
+	if src.SegmentsProcessed > dst.SegmentsProcessed {
+		dst.SegmentsProcessed = src.SegmentsProcessed
+	}
+	if src.SegmentsTotal > dst.SegmentsTotal {
+		dst.SegmentsTotal = src.SegmentsTotal
+	}
+	if src.InternalDone > dst.InternalDone {
+		dst.InternalDone = src.InternalDone
+	}
+	if src.InternalTotal > dst.InternalTotal {
+		dst.InternalTotal = src.InternalTotal
+	}
+	if src.Opened {
+		if !dst.Opened || src.OpenedAt < dst.OpenedAt {
+			dst.OpenedAt = src.OpenedAt
+		}
+		dst.Opened = true
+	}
+	if src.FirstActive {
+		if !dst.FirstActive || src.FirstActiveAt < dst.FirstActiveAt {
+			dst.FirstActiveAt = src.FirstActiveAt
+		}
+		dst.FirstActive = true
+	}
+	if src.LastActive > dst.LastActive {
+		dst.LastActive = src.LastActive
+	}
+	if src.Closed {
+		dst.Closed = true
+	}
+	if src.ClosedAt > dst.ClosedAt {
+		dst.ClosedAt = src.ClosedAt
+	}
+}
+
 // profileRegressed reports whether cur's monotone counters or lifecycle
 // flags sit below last's — the signature of a stale row.
-func profileRegressed(cur, last dmv.OpProfile) bool {
+func profileRegressed(cur, last *dmv.OpProfile) bool {
 	return cur.ActualRows < last.ActualRows ||
 		cur.Rebinds < last.Rebinds ||
 		cur.CPUTime < last.CPUTime ||

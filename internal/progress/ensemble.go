@@ -69,6 +69,11 @@ type ensemble struct {
 	cands []*Estimator
 	hints *NHints
 
+	// subs are the candidates' estimates, reused every poll: they feed the
+	// blend and never leave it. union is the envelope's scratch.
+	subs  []*Estimate
+	union []Bounds
+
 	prior   []float64
 	penalty []float64
 	dist    []float64
@@ -132,11 +137,12 @@ type EnsembleCandidate struct {
 
 // newEnsemble builds the candidate estimators for a top-level ensemble
 // estimator: the three published modes, each wired to one shared NHints
-// store, each with Ensemble off so construction cannot recurse. The LQS
-// candidate keeps its display contract (monotone, degradation-forced
-// clamps); the baselines stay raw, exactly like their standalone modes.
-func newEnsemble(p *plan.Plan, cat *catalog.Catalog, opt Options) *ensemble {
-	hints := NewNHints(p, opt.minRefine())
+// store and the top-level estimator's decomposition, each with Ensemble
+// off so construction cannot recurse. The LQS candidate keeps its display
+// contract (monotone, degradation-forced clamps); the baselines stay raw,
+// exactly like their standalone modes.
+func newEnsemble(p *plan.Plan, cat *catalog.Catalog, opt Options, d *Decomposition) *ensemble {
+	hints := newNHints(p, d, opt.minRefine())
 	specs := []struct {
 		name  string
 		opts  Options
@@ -155,7 +161,8 @@ func newEnsemble(p *plan.Plan, cat *catalog.Catalog, opt Options) *ensemble {
 			o.MinRefineRows = opt.MinRefineRows
 		}
 		en.names = append(en.names, s.name)
-		en.cands = append(en.cands, NewEstimator(p, cat, o))
+		en.cands = append(en.cands, newEstimator(p, cat, o, d))
+		en.subs = append(en.subs, new(Estimate))
 		en.prior = append(en.prior, s.prior)
 		if s.name == "LQS" {
 			en.selected = i
@@ -178,18 +185,18 @@ func (e *Estimator) estimateEnsemble(snap *dmv.Snapshot, degraded bool, reason s
 	snap.Aggregate()
 	en := e.ens
 	en.hints.Update(snap)
-	subs := make([]*Estimate, len(en.cands))
 	for i, c := range en.cands {
-		subs[i] = c.estimateFrom(snap, degraded, reason)
+		c.estimateInto(en.subs[i], snap, degraded, reason)
 	}
-	return e.blendEnsemble(snap, subs, degraded, reason)
+	return e.blendEnsemble(snap, en.subs, degraded, reason)
 }
 
 // blendEnsemble folds candidate estimates into the displayed ensemble
 // estimate: selector update (frozen on degraded polls), weighted blend of
 // query/operator/pipeline progress, intersection-envelope bounds, and the
 // selected candidate's cardinalities clamped into that envelope. Estimate
-// and Explain both funnel through it.
+// and Explain both funnel through it. The result shares no memory with
+// subs: it copies what it needs out of them.
 func (e *Estimator) blendEnsemble(snap *dmv.Snapshot, subs []*Estimate, degraded bool, reason string) *Estimate {
 	en := e.ens
 	qs := make([]float64, len(subs))
@@ -206,7 +213,7 @@ func (e *Estimator) blendEnsemble(snap *dmv.Snapshot, subs []*Estimate, degraded
 		Degraded:      degraded,
 		DegradeReason: reason,
 	}
-	est.Bounds = envelopeBounds(en.cands, subs)
+	est.Bounds = en.envelope(subs)
 	w := en.weights
 	var blend float64
 	for i := range subs {
@@ -365,20 +372,20 @@ func (en *ensemble) reweigh() {
 	}
 }
 
-// envelopeBounds intersects the candidates' Appendix A bounds per node:
+// envelope intersects the candidates' Appendix A bounds per node:
 // [max LB, min UB] over every bounded candidate — each candidate's interval
 // is individually safe, so their intersection is the tightest interval that
 // is still safe. A degenerate crossing (which candidate disagreement could
 // produce) collapses to the union instead of inventing an empty interval.
-func envelopeBounds(cands []*Estimator, subs []*Estimate) []Bounds {
+func (en *ensemble) envelope(subs []*Estimate) []Bounds {
 	var inter, union []Bounds
 	for i, s := range subs {
-		if !cands[i].Opt.Bound || len(s.Bounds) == 0 {
+		if !en.cands[i].Opt.Bound || len(s.Bounds) == 0 {
 			continue
 		}
 		if inter == nil {
 			inter = append([]Bounds(nil), s.Bounds...)
-			union = append([]Bounds(nil), s.Bounds...)
+			union = append(en.union[:0], s.Bounds...)
 			continue
 		}
 		for id := range inter {
@@ -401,6 +408,7 @@ func envelopeBounds(cands []*Estimator, subs []*Estimate) []Bounds {
 			inter[id] = union[id]
 		}
 	}
+	en.union = union
 	return inter
 }
 

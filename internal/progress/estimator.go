@@ -20,10 +20,6 @@ type Estimator struct {
 	Opt    Options
 	Decomp *Decomposition
 
-	// hasSemiBelow[id]: a semi-blocking operator (exchange, nested loops)
-	// sits between this node and the leaves of its pipeline (§4.4).
-	hasSemiBelow []bool
-
 	// prevOp/prevQuery hold the high-water marks enforced when
 	// Options.Monotone is set. They are per-estimator state: one estimator
 	// monitors one query, matching how the SSMS client holds its own
@@ -31,10 +27,15 @@ type Estimator struct {
 	prevOp    []float64
 	prevQuery float64
 
-	// lastRows is the per-(node, thread) counter high-water mark maintained
-	// when Options.Degrade is set: the repair pass (degraded.go) fills
-	// dropped rows, merges duplicated ones, and lifts stale ones from it.
-	lastRows map[threadKey]dmv.OpProfile
+	// highWater is the per-(node, thread) counter high-water mark, sorted by
+	// (NodeID, ThreadID), that the repair pass (degraded.go) keeps when
+	// Options.Degrade is set; spareHighWater is the buffer it is rebuilt in
+	// when new keys appear.
+	highWater, spareHighWater []dmv.OpProfile
+
+	// alpha memoizes each pipeline's α within one deriveN pass; -1 marks
+	// one not computed yet (α is never negative, though it may be NaN).
+	alpha []float64
 
 	// rec, when non-nil, receives the introspection record of the current
 	// Estimate pass (set by Explain); the hot path pays one nil check per
@@ -75,33 +76,15 @@ type Estimate struct {
 
 // NewEstimator builds an estimator for a finalized, cost-estimated plan.
 func NewEstimator(p *plan.Plan, cat *catalog.Catalog, opt Options) *Estimator {
-	e := &Estimator{Plan: p, Cat: cat, Opt: opt, Decomp: Decompose(p)}
-	e.hasSemiBelow = make([]bool, len(p.Nodes))
-	var rec func(n *plan.Node) bool // returns whether subtree-in-pipeline has semi-blocking
-	rec = func(n *plan.Node) bool {
-		has := false
-		for i, c := range n.Children {
-			// Stop at pipeline boundaries: blocking children and hash-join
-			// build sides run in other pipelines.
-			if c.IsBlocking() {
-				rec(c)
-				continue
-			}
-			if n.Physical == plan.HashJoin && i == 1 {
-				rec(c)
-				continue
-			}
-			sub := rec(c)
-			if sub || c.IsSemiBlocking() {
-				has = true
-			}
-		}
-		e.hasSemiBelow[n.ID] = has
-		return has
-	}
-	rec(p.Root)
+	return newEstimator(p, cat, opt, Decompose(p))
+}
+
+// newEstimator builds an estimator over an existing decomposition of p;
+// the ensemble's candidates share the top-level estimator's.
+func newEstimator(p *plan.Plan, cat *catalog.Catalog, opt Options, d *Decomposition) *Estimator {
+	e := &Estimator{Plan: p, Cat: cat, Opt: opt, Decomp: d}
 	if opt.Ensemble {
-		e.ens = newEnsemble(p, cat, opt)
+		e.ens = newEnsemble(p, cat, opt, d)
 	}
 	return e
 }
@@ -122,16 +105,25 @@ func (e *Estimator) estimateFrom(snap *dmv.Snapshot, degraded bool, reason strin
 	if e.ens != nil {
 		return e.estimateEnsemble(snap, degraded, reason)
 	}
+	return e.estimateInto(new(Estimate), snap, degraded, reason)
+}
+
+// estimateInto is the single-mode pass, writing into est and reusing its
+// slices when they are large enough: the ensemble's candidates estimate
+// into buffers the ensemble owns, every other caller into a fresh Estimate.
+func (e *Estimator) estimateInto(est *Estimate, snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
 	snap.Aggregate()
-	est := &Estimate{
+	bounds := est.Bounds
+	*est = Estimate{
 		At:            snap.At,
-		Op:            make([]float64, len(e.Plan.Nodes)),
-		N:             make([]float64, len(e.Plan.Nodes)),
+		Op:            zeroed(est.Op, len(e.Plan.Nodes)),
+		N:             zeroed(est.N, len(e.Plan.Nodes)),
+		PipelineProg:  zeroed(est.PipelineProg, len(e.Decomp.Pipelines)),
 		Degraded:      degraded,
 		DegradeReason: reason,
 	}
 	if e.Opt.Bound {
-		est.Bounds = e.ComputeBounds(snap)
+		est.Bounds = e.computeBounds(zeroed(bounds, len(e.Plan.Nodes)), snap)
 		if degraded {
 			// A degraded snapshot's counters are a reconstruction, not an
 			// observation; widen the Appendix A bounds so the clamp cannot
@@ -143,7 +135,6 @@ func (e *Estimator) estimateFrom(snap *dmv.Snapshot, degraded bool, reason strin
 	for _, n := range e.Plan.Nodes {
 		est.Op[n.ID] = e.opProgress(snap, est, n)
 	}
-	est.PipelineProg = make([]float64, len(e.Decomp.Pipelines))
 	for _, pl := range e.Decomp.Pipelines {
 		est.PipelineProg[pl.ID] = e.pipelineProgress(snap, est, pl)
 	}
@@ -211,13 +202,14 @@ func (e *Estimator) enforceMonotone(est *Estimate, clamp bool) {
 // with the outer child first, so child and outer-side estimates are
 // available when a node needs them.
 func (e *Estimator) deriveN(snap *dmv.Snapshot, est *Estimate) {
-	alphaMemo := make(map[int]float64)
-	var process func(n *plan.Node)
-	process = func(n *plan.Node) {
-		for _, c := range n.Children {
-			process(c)
-		}
-		est.N[n.ID] = e.nodeN(snap, est, n, alphaMemo)
+	if e.alpha == nil {
+		e.alpha = make([]float64, len(e.Decomp.Pipelines))
+	}
+	for i := range e.alpha {
+		e.alpha[i] = -1
+	}
+	for _, n := range e.Decomp.postorder {
+		est.N[n.ID] = e.nodeN(snap, est, n)
 		if e.Opt.Bound {
 			before := est.N[n.ID]
 			est.N[n.ID] = est.Bounds[n.ID].Clamp(before)
@@ -234,7 +226,17 @@ func (e *Estimator) deriveN(snap *dmv.Snapshot, est *Estimate) {
 			}
 		}
 	}
-	process(e.Plan.Root)
+}
+
+// zeroed returns s resliced to n zero elements, reusing its backing array
+// when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // tableRowCount is the tolerant catalog lookup used throughout the monitor
@@ -272,7 +274,7 @@ func (e *Estimator) knownLeafTotal(n *plan.Node) (float64, bool) {
 }
 
 // nodeN computes one node's N̂.
-func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node, alphaMemo map[int]float64) float64 {
+func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node) float64 {
 	op := snap.Op(n.ID)
 	k := float64(op.ActualRows)
 
@@ -385,11 +387,11 @@ func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node, alpha
 	// separates this node from the pipeline's leaves (§4.4(2)).
 	var alpha float64
 	src := SrcPipelineAlpha
-	if e.Opt.SemiBlocking && (e.hasSemiBelow[n.ID] || n.IsSemiBlocking()) && len(n.Children) > 0 {
+	if e.Opt.SemiBlocking && (e.Decomp.semiBelow[n.ID] || n.IsSemiBlocking()) && len(n.Children) > 0 {
 		alpha = e.childProgress(snap, est, n)
 		src = SrcChildAlpha
 	} else {
-		alpha = e.pipelineAlpha(snap, est, pl, alphaMemo)
+		alpha = e.pipelineAlpha(snap, est, pl)
 	}
 	if alpha <= 1e-9 {
 		return e.fallbackN(n)
@@ -490,29 +492,31 @@ func (e *Estimator) childProgress(snap *dmv.Snapshot, est *Estimate, n *plan.Nod
 // nodes, with per-driver progress generalized for storage-predicate scans
 // (I/O fraction, §4.3) and batch-mode scans (segment fraction, §4.7).
 // §4.4(1) adds inner-side drivers when SemiBlocking is on.
-func (e *Estimator) pipelineAlpha(snap *dmv.Snapshot, est *Estimate, pl *Pipeline, memo map[int]float64) float64 {
-	if a, ok := memo[pl.ID]; ok {
+func (e *Estimator) pipelineAlpha(snap *dmv.Snapshot, est *Estimate, pl *Pipeline) float64 {
+	if a := e.alpha[pl.ID]; !(a < 0) {
 		return a
 	}
-	drivers := pl.Drivers
+	var num, den float64
+	add := func(drivers []int) {
+		for _, id := range drivers {
+			n := e.Plan.Node(id)
+			total := math.Max(est.N[id], 1)
+			prog := e.driverProgress(snap, est, n)
+			num += prog * total
+			den += total
+		}
+	}
+	add(pl.Drivers)
 	if e.Opt.SemiBlocking {
 		// Drivers and InnerDrivers are disjoint by construction — no α term
 		// is double-counted (pinned by TestDriverSetsDisjointInvariant).
-		drivers = append(append([]int{}, drivers...), pl.InnerDrivers...)
-	}
-	var num, den float64
-	for _, id := range drivers {
-		n := e.Plan.Node(id)
-		total := math.Max(est.N[id], 1)
-		prog := e.driverProgress(snap, est, n)
-		num += prog * total
-		den += total
+		add(pl.InnerDrivers)
 	}
 	a := 0.0
 	if den > 0 {
 		a = num / den
 	}
-	memo[pl.ID] = a
+	e.alpha[pl.ID] = a
 	return a
 }
 

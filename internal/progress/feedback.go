@@ -145,7 +145,6 @@ func (f *Feedback) Observations() int { return len(f.perRow) }
 // memory, so replaying a snapshot yields identical hints (the estimator's
 // idempotency contract).
 type NHints struct {
-	p       *plan.Plan
 	decomp  *Decomposition
 	minRows int64
 	vals    []float64
@@ -156,9 +155,13 @@ type NHints struct {
 // §4.1-style guard: hints derived from live counters need at least this
 // many observed rows before they fire.
 func NewNHints(p *plan.Plan, minRows int64) *NHints {
+	return newNHints(p, Decompose(p), minRows)
+}
+
+// newNHints builds a hint store over an existing decomposition of p.
+func newNHints(p *plan.Plan, d *Decomposition, minRows int64) *NHints {
 	return &NHints{
-		p:       p,
-		decomp:  Decompose(p),
+		decomp:  d,
 		minRows: minRows,
 		vals:    make([]float64, len(p.Nodes)),
 		has:     make([]bool, len(p.Nodes)),
@@ -189,14 +192,9 @@ func (h *NHints) Update(snap *dmv.Snapshot) {
 		h.has[i] = false
 		h.vals[i] = 0
 	}
-	var walk func(n *plan.Node)
-	walk = func(n *plan.Node) {
-		for _, c := range n.Children {
-			walk(c)
-		}
+	for _, n := range h.decomp.postorder {
 		h.hint(snap, n)
 	}
-	walk(h.p.Root)
 }
 
 // hint derives one node's refined-N̂, if any observable supports one.

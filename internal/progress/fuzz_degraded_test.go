@@ -5,7 +5,8 @@ package progress
 // seed for chaos-style per-row perturbations — duplicated keys, dropped
 // rows, stale re-deliveries of earlier polls, Degraded flags. Whatever mix
 // of faulty rows arrives, the repair pass must neither panic nor mutate the
-// caller's snapshot, and the estimator must hold the display contract:
+// caller's snapshot, it must agree exactly with the map-based reference
+// (repair_test.go), and the estimator must hold the display contract:
 // progress in [0, 1] at every poll, and — with LQS options, where Degrade
 // and Monotone are on — never regressing.
 
@@ -112,6 +113,11 @@ func FuzzDegradedSnapshot(f *testing.F) {
 			snaps = snaps[:12]
 		}
 		snaps = perturbSnapshots(snaps, seed)
+
+		// Differential oracle: poll by poll, the repair pass must agree with
+		// the map-based reference in flag, reason, rows and estimate.
+		checkRepairMatchesReference(t, "lqs", p, w.DB.Catalog, LQSOptions(), snaps)
+		checkRepairMatchesReference(t, "degrade-only", p, w.DB.Catalog, Options{Refine: true, Bound: true, Degrade: true}, snaps)
 
 		// Degrade+Bound without Monotone: repair alone must keep the display
 		// contract on degraded polls (forced clamp) while healthy polls may

@@ -153,20 +153,25 @@ func (e *Estimator) tgnQueryProgress(snap *dmv.Snapshot, est *Estimate) float64 
 // exactly.
 func (e *Estimator) driverQueryProgress(snap *dmv.Snapshot, est *Estimate) float64 {
 	var num, den float64
-	drivers := e.Decomp.DriverNodes()
-	if e.Opt.SemiBlocking {
-		// Disjoint from DriverNodes() by construction, so the sum weights
-		// each node once (pinned by TestDriverSetsDisjointInvariant).
-		for _, pl := range e.Decomp.Pipelines {
-			drivers = append(drivers, pl.InnerDrivers...)
+	add := func(drivers []int) {
+		for _, id := range drivers {
+			n := e.Plan.Node(id)
+			total := math.Max(est.N[id], 1)
+			num += e.driverProgress(snap, est, n) * total
+			den += total
+			e.addNum(id, e.driverProgress(snap, est, n)*total)
 		}
 	}
-	for _, id := range drivers {
-		n := e.Plan.Node(id)
-		total := math.Max(est.N[id], 1)
-		num += e.driverProgress(snap, est, n) * total
-		den += total
-		e.addNum(id, e.driverProgress(snap, est, n)*total)
+	for _, pl := range e.Decomp.Pipelines {
+		add(pl.Drivers)
+	}
+	if e.Opt.SemiBlocking {
+		// Disjoint from every pipeline's Drivers by construction, so the
+		// sum weights each node once (pinned by
+		// TestDriverSetsDisjointInvariant).
+		for _, pl := range e.Decomp.Pipelines {
+			add(pl.InnerDrivers)
+		}
 	}
 	if den <= 0 {
 		e.finishContrib(0, 0)

@@ -17,6 +17,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"lqs/internal/lqs"
 )
 
 // canceledCtx returns an already-expired context (forces Shutdown onto its
@@ -242,6 +244,21 @@ func TestHistoryFlightRecorder(t *testing.T) {
 	}
 }
 
+// waitFinished waits until the server itself counts a query finished. Its
+// watcher marks the query done a moment after status first reports it
+// terminal, and only a done query can be reaped by the next submit.
+func waitFinished(t *testing.T, srv *Server, id int64) {
+	t.Helper()
+	srv.mu.Lock()
+	h := srv.queries[lqs.QueryID(id)]
+	srv.mu.Unlock()
+	select {
+	case <-h.terminal:
+	case <-time.After(15 * time.Second):
+		t.Fatalf("query %d never finished", id)
+	}
+}
+
 // TestServerRetentionUnderChurn: finished queries beyond MaxFinished are
 // reaped (server map and lqs registry both bounded) — the server-side face
 // of the registry Remove/Reap fix.
@@ -250,6 +267,7 @@ func TestServerRetentionUnderChurn(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sub := submit(t, ts, QuerySpec{Query: "Q6"})
 		waitTerminal(t, ts, sub.ID)
+		waitFinished(t, srv, sub.ID)
 	}
 	// One more submit triggers the reap of everything beyond the cap.
 	sub := submit(t, ts, QuerySpec{Query: "Q6"})
