@@ -28,10 +28,12 @@ test:
 # executor (gather workers + per-thread counters + estimator), the chaos
 # harness (fault injection into parallel workers and the poller), the
 # expression compiler (compiled predicates run on every parallel worker),
-# the string intern table (lock-free reads beside interning), and the
-# monitoring server (concurrent submit/poll/stream/cancel over HTTP).
+# the string intern table (lock-free reads beside interning), the shared
+# table storage (concurrent queries read views of one cached table set) and
+# the generators that build it, and the monitoring server (concurrent
+# submit/poll/stream/cancel over HTTP).
 race:
-	$(GO) test -race ./internal/engine/types/... ./internal/lqs/... ./internal/engine/dmv/... ./internal/metrics/... ./internal/trace/... ./internal/obs/... ./internal/engine/exec/... ./internal/engine/expr/... ./internal/progress/... ./internal/chaos/... ./internal/server/... ./internal/accuracy/...
+	$(GO) test -race ./internal/engine/types/... ./internal/engine/storage/... ./internal/workload/... ./internal/lqs/... ./internal/engine/dmv/... ./internal/metrics/... ./internal/trace/... ./internal/obs/... ./internal/engine/exec/... ./internal/engine/expr/... ./internal/progress/... ./internal/chaos/... ./internal/server/... ./internal/accuracy/...
 
 # Short coverage-guided runs of every native fuzz target: the DMV
 # per-thread aggregation and the progress estimator fed adversarial

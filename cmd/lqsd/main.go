@@ -25,6 +25,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -38,21 +40,38 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil && err != flag.ErrHelp {
+		fmt.Fprintln(os.Stderr, "lqsd:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args, serves until ctx is done (an
+// interrupt or SIGTERM under main), then drains the running queries. The
+// first line on stdout names the address it bound, so -addr with port 0
+// can be dialled.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("lqsd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr      = flag.String("addr", ":8321", "listen address")
-		maxConc   = flag.Int("max-concurrent", 8, "admission control: max queries running at once")
-		maxFin    = flag.Int("max-finished", 64, "terminal queries retained before auto-reap")
-		pace      = flag.Duration("pace", 200*time.Microsecond, "wall-clock sleep per pace-interval of virtual time (0 = full speed)")
-		paceIvl   = flag.Duration("pace-interval", time.Millisecond, "virtual-time interval between pacing sleeps")
-		tick      = flag.Duration("stream-tick", 25*time.Millisecond, "shared SSE poll cadence per query")
-		poll      = flag.Duration("poll-interval", 0, "virtual DMV flight-recorder interval (0 = the paper's 500ms)")
-		histCap   = flag.Int("history-cap", 256, "flight-recorder snapshots retained per query")
-		maxDOP    = flag.Int("max-dop", 8, "max per-query degree of parallelism")
-		drainFor  = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain window before running queries are cancelled")
-		chaosRate = flag.Float64("chaos", 0, "cross-layer fault-injection rate (0 = off); every hosted query draws an independent derived fault stream")
-		chaosSeed = flag.Uint64("chaos-seed", 1, "master chaos seed (with -chaos)")
+		addr      = fs.String("addr", ":8321", "listen address")
+		maxConc   = fs.Int("max-concurrent", 8, "admission control: max queries running at once")
+		maxFin    = fs.Int("max-finished", 64, "terminal queries retained before auto-reap")
+		pace      = fs.Duration("pace", 200*time.Microsecond, "wall-clock sleep per pace-interval of virtual time (0 = full speed)")
+		paceIvl   = fs.Duration("pace-interval", time.Millisecond, "virtual-time interval between pacing sleeps")
+		tick      = fs.Duration("stream-tick", 25*time.Millisecond, "shared SSE poll cadence per query")
+		poll      = fs.Duration("poll-interval", 0, "virtual DMV flight-recorder interval (0 = the paper's 500ms)")
+		histCap   = fs.Int("history-cap", 256, "flight-recorder snapshots retained per query")
+		maxDOP    = fs.Int("max-dop", 8, "max per-query degree of parallelism")
+		drainFor  = fs.Duration("drain-timeout", 10*time.Second, "graceful-drain window before running queries are cancelled")
+		chaosRate = fs.Float64("chaos", 0, "cross-layer fault-injection rate (0 = off); every hosted query draws an independent derived fault stream")
+		chaosSeed = fs.Uint64("chaos-seed", 1, "master chaos seed (with -chaos)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var chaosCfg *chaos.Config
 	if *chaosRate > 0 {
@@ -72,28 +91,30 @@ func main() {
 		Metrics:       obs.NewRegistry(),
 		Chaos:         chaosCfg,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	httpSrv := &http.Server{Handler: srv}
 
 	errs := make(chan error, 1)
-	go func() { errs <- httpSrv.ListenAndServe() }()
-	fmt.Printf("lqsd listening on %s (max-concurrent=%d, pace=%v/%v)\n",
-		*addr, *maxConc, *pace, *paceIvl)
+	go func() { errs <- httpSrv.Serve(ln) }()
+	fmt.Fprintf(stdout, "lqsd listening on %s (max-concurrent=%d, pace=%v/%v)\n",
+		ln.Addr(), *maxConc, *pace, *paceIvl)
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errs:
-		fmt.Fprintf(os.Stderr, "lqsd: %v\n", err)
-		os.Exit(1)
-	case sig := <-sigs:
-		fmt.Printf("lqsd: %v, draining (up to %v)...\n", sig, *drainFor)
+		return err
+	case <-ctx.Done():
+		fmt.Fprintf(stdout, "lqsd: shutting down, draining (up to %v)...\n", *drainFor)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainFor)
+	dctx, cancel := context.WithTimeout(context.Background(), *drainFor)
 	defer cancel()
-	_ = httpSrv.Shutdown(ctx)
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Printf("lqsd: drain window expired; running queries cancelled\n")
+	_ = httpSrv.Shutdown(dctx)
+	if err := srv.Shutdown(dctx); err != nil {
+		fmt.Fprintf(stdout, "lqsd: drain window expired; running queries cancelled\n")
 	}
-	fmt.Println("lqsd: drained")
+	fmt.Fprintln(stdout, "lqsd: drained")
+	return nil
 }

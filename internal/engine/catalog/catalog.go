@@ -183,18 +183,25 @@ type ColumnStats struct {
 }
 
 // BuildStats computes statistics for the table from its rows in storage
-// order. buckets controls histogram resolution (SQL Server uses up to 200
-// steps; tests use fewer). The statistics sample every row — sampling error
-// is not a phenomenon the paper studies, while skew-induced estimation
-// error (which it does study) survives full scans intact.
-func (t *Table) BuildStats(buckets int, rows []types.Row) {
+// order, given back to back in vals with one value per column each.
+// buckets controls histogram resolution (SQL Server uses up to 200 steps;
+// tests use fewer). The statistics sample every row — sampling error is
+// not a phenomenon the paper studies, while skew-induced estimation error
+// (which it does study) survives full scans intact.
+func (t *Table) BuildStats(buckets int, vals []types.Value) {
 	// One row-major pass extracts every column at once: the rows are read
 	// sequentially instead of once per column at a row-wide stride.
-	keys := make([]columnKeys, len(t.Columns))
-	for c := range keys {
-		keys[c].hint = len(rows)
+	w := len(t.Columns)
+	n := 0
+	if w > 0 {
+		n = len(vals) / w
 	}
-	for _, row := range rows {
+	keys := make([]columnKeys, w)
+	for c := range keys {
+		keys[c].hint = n
+	}
+	for o := 0; w > 0 && o < len(vals); o += w {
+		row := vals[o : o+w]
 		for c := range keys {
 			keys[c].add(row[c])
 		}
@@ -203,17 +210,17 @@ func (t *Table) BuildStats(buckets int, rows []types.Row) {
 	for c := range keys {
 		k := &keys[c]
 		hist := k.histogram(buckets, func() []types.Value {
-			vals := make([]types.Value, 0, len(rows)-k.nulls)
-			for _, row := range rows {
-				if !row[c].IsNull() {
-					vals = append(vals, row[c])
+			col := make([]types.Value, 0, n-k.nulls)
+			for i := c; i < len(vals); i += w {
+				if !vals[i].IsNull() {
+					col = append(col, vals[i])
 				}
 			}
-			return vals
+			return col
 		})
 		cs := &ColumnStats{Hist: hist, Distinct: hist.DistinctTotal}
-		if len(rows) > 0 {
-			cs.NullFrac = float64(k.nulls) / float64(len(rows))
+		if n > 0 {
+			cs.NullFrac = float64(k.nulls) / float64(n)
 		}
 		st.Cols[c] = cs
 	}

@@ -198,13 +198,13 @@ func TestHistogramEmpty(t *testing.T) {
 func TestBuildStats(t *testing.T) {
 	tb := testTable()
 	tb.RowCount = 4
-	rows := []types.Row{
-		{types.Int(1), types.Str("a"), types.Float(1)},
-		{types.Int(2), types.Str("b"), types.Float(2)},
-		{types.Int(2), types.Str("b"), types.Float(3)},
-		{types.Int(3), types.Null(), types.Float(4)},
+	vals := []types.Value{
+		types.Int(1), types.Str("a"), types.Float(1),
+		types.Int(2), types.Str("b"), types.Float(2),
+		types.Int(2), types.Str("b"), types.Float(3),
+		types.Int(3), types.Null(), types.Float(4),
 	}
-	tb.BuildStats(8, rows)
+	tb.BuildStats(8, vals)
 	st := tb.Stats
 	if st == nil || st.Rows != 4 {
 		t.Fatalf("stats rows = %+v", st)
@@ -318,12 +318,8 @@ func TestTypedHistogramMatchesGenericPath(t *testing.T) {
 			sameHistogram(t, name, BuildHistogram(vals, buckets), want)
 
 			tb := NewTable("t", Column{"c", types.KindInt})
-			rows := make([]types.Row, len(vals))
-			for i, v := range vals {
-				rows[i] = types.Row{v}
-			}
-			tb.RowCount = int64(len(rows))
-			tb.BuildStats(buckets, rows)
+			tb.RowCount = int64(len(vals))
+			tb.BuildStats(buckets, vals)
 			cs := tb.Stats.Cols[0]
 			sameHistogram(t, name+"/stats", cs.Hist, want)
 			if cs.Distinct != want.DistinctTotal {

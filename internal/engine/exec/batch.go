@@ -229,11 +229,12 @@ func storageFilterCompiled(ctx *Ctx, n *plan.Node, pushed expr.PredFn, row types
 
 // batchTableScan reads a heap sequentially, a page run at a time
 // (HeapCursor.NextPageRows): one I/O charge when a page is entered, then
-// per-row CPU.
+// per-row CPU. Each row it emits is a capacity-clipped view of the run.
 type batchTableScan struct {
 	base
 	cur      *storage.HeapCursor
-	page     []types.Row
+	page     []types.Value // the unread rows of the current page
+	width    int
 	pushed   expr.PredFn
 	pred     expr.PredFn
 	pushCost float64
@@ -253,6 +254,7 @@ func newBatchTableScan(n *plan.Node) *batchTableScan {
 func (s *batchTableScan) Open(ctx *Ctx) {
 	s.opened(ctx)
 	h := ctx.DB.Heap(s.node.Table)
+	s.width = h.Width()
 	if ctx.Parts > 1 {
 		// Parallel worker: claim this worker's contiguous page range. The
 		// per-partition PagesTotal values sum exactly to the serial total,
@@ -285,8 +287,8 @@ func (s *batchTableScan) NextBatch(ctx *Ctx, dst []types.Row) []types.Row {
 			ctx.chargeIO(&s.c, s.cur.DrainIO())
 			s.page = rows
 		}
-		row := s.page[0]
-		s.page = s.page[1:]
+		row := types.Row(s.page[:s.width:s.width])
+		s.page = s.page[s.width:]
 		ctx.chargeCPURow(&s.c, perRow)
 		charges++
 		if !storageFilterCompiled(ctx, s.node, s.pushed, row) {

@@ -129,7 +129,7 @@ func buildRowOperator(n *plan.Node, ctx *Ctx, keep bool) Operator {
 	case plan.ClusteredIndexScan, plan.IndexScan:
 		return newIndexScan(n)
 	case plan.ClusteredIndexSeek, plan.IndexSeek:
-		return newIndexSeek(n)
+		return newIndexSeek(n, keep)
 	case plan.RIDLookup:
 		return newRIDLookup(n, child(0, false))
 	case plan.SegmentOp:

@@ -109,6 +109,33 @@ func TestJoinAllocsDoNotGrowWithMatches(t *testing.T) {
 	}
 }
 
+// TestKeysOnlySeekAllocsPerEntry: a key-only seek under a consumer that
+// does not keep rows (the RID lookup) builds each (key, RID) row in one
+// buffer, so a seek's allocations do not depend on how many entries it
+// returns. Both seeks descend ix_k once; they return 1 000 and 8 000
+// entries.
+func TestKeysOnlySeekAllocsPerEntry(t *testing.T) {
+	db := joinDB(t)
+	allocs := func(hi int64) float64 {
+		bb := plan.NewBuilder(db.Catalog)
+		seek := bb.SeekKeysOnly("l", "ix_k", []expr.Expr{expr.KInt(0)}, []expr.Expr{expr.KInt(hi)}, true, true)
+		p := plan.Finalize(bb.HashAgg(bb.RIDLookup(seek, "l"), nil, []expr.AggSpec{{Kind: expr.CountStar}}))
+		opt.NewEstimator(db.Catalog).Estimate(p)
+		want := (hi + 1) * 1000
+		return testing.AllocsPerRun(5, func() {
+			q := NewQuery(p, db, opt.DefaultCostModel(), sim.NewClock())
+			rows, err := q.RunCollect()
+			if err != nil || len(rows) != 1 || rows[0][0].I != want {
+				t.Fatalf("key-only seek of %d entries under COUNT(*): %v, %v", want, rows, err)
+			}
+		})
+	}
+	small, large := allocs(0), allocs(7)
+	if perEntry := (large - small) / 7000; perEntry != 0 {
+		t.Errorf("key-only seek: %.0f allocations at 1000 entries, %.0f at 8000: %.3f per entry", small, large, perEntry)
+	}
+}
+
 // columnstoreDB: tables c4 and c32 of 4 and 32 full row groups, each
 // c(id, k = id%8, s = one of three strings) with a columnstore index.
 func columnstoreDB(tb testing.TB) *storage.Database {

@@ -57,10 +57,7 @@ func (s *indexScan) Next(ctx *Ctx) (types.Row, bool) {
 		if !ok {
 			return nil, false
 		}
-		row := e.Row
-		if row == nil {
-			row = s.heap.RowNoIO(e.RID)
-		}
+		row := s.heap.RowNoIO(e.RID)
 		ctx.chargeCPU(&s.c, ctx.CM.CPUTuple+s.pushCost*ctx.CM.CPUExprUnit)
 		if !storageFilterCompiled(ctx, s.node, s.pushed, row) {
 			continue

@@ -10,17 +10,21 @@ import (
 // indexSeek descends a B-tree to a key range. Bounds are evaluated against
 // ctx.Bind at Open/Rewind time, so the same operator serves standalone
 // range seeks (empty bind row) and correlated seeks on the inner side of a
-// nested-loops join (the NL sets the bind row before each Rewind).
+// nested-loops join (the NL sets the bind row before each Rewind). A
+// KeysOnly seek builds each (key..., RID) row in one buffer it owns,
+// overwritten by the next row, unless its consumer keeps rows.
 type indexSeek struct {
 	base
 	cur      *storage.BTreeCursor
 	heap     *storage.Heap
 	keyCols  []int
 	predCost float64
+	keep     bool
+	buf      types.Row
 }
 
-func newIndexSeek(n *plan.Node) *indexSeek {
-	s := &indexSeek{}
+func newIndexSeek(n *plan.Node, keep bool) *indexSeek {
+	s := &indexSeek{keep: keep}
 	s.init(n)
 	s.predCost = float64(expr.Cost(n.Pred))
 	return s
@@ -74,9 +78,11 @@ func (s *indexSeek) Next(ctx *Ctx) (types.Row, bool) {
 		}
 		var row types.Row
 		if s.node.KeysOnly {
-			row = append(append(make(types.Row, 0, len(e.Key)+1), e.Key...), types.Int(e.RID))
-		} else if e.Row != nil {
-			row = e.Row
+			if s.keep || s.buf == nil {
+				s.buf = make(types.Row, 0, len(e.Key)+1)
+			}
+			s.buf = append(append(s.buf[:0], e.Key...), types.Int(e.RID))
+			row = s.buf
 		} else {
 			row = s.heap.RowNoIO(e.RID)
 		}

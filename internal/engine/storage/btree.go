@@ -9,37 +9,43 @@ import (
 	"lqs/internal/engine/types"
 )
 
-// IndexEntry is one B+tree leaf entry: the key columns plus either a RID
-// pointing back into the heap (secondary index) or the full row (clustered
-// index leaf).
+// IndexEntry is one B+tree leaf entry as a cursor returns it: a
+// capacity-clipped view of the key columns, and the RID of the row in the
+// heap. A clustered index's row is the heap row with that RID.
 type IndexEntry struct {
 	Key []types.Value
 	RID int64
-	Row types.Row // non-nil only for clustered indexes
 }
 
-// BTree is a read-optimized B+tree built in bulk after data load. Leaves
-// are stored as packed pages; upper levels are not materialized — instead
-// the tree charges the access path (root..leaf) against synthetic internal
-// page IDs so the buffer pool caches hot upper levels exactly as a real
-// tree would. The engine workloads never mutate indexes mid-query, so an
-// immutable bulk-built tree is behaviorally equivalent and much simpler.
+// btreeFanout is the number of children of an internal page.
+const btreeFanout = 256
+
+// BTree is a read-optimized B+tree built in bulk after data load. The
+// entries are two parallel arrays in index order: a key arena of nk values
+// per entry and the RIDs. Leaves are implicit: leaf li is the run of
+// perLeaf entries starting at li*perLeaf. Upper levels are not
+// materialized either — the tree charges the access path (root..leaf)
+// against synthetic internal page IDs so the buffer pool caches hot upper
+// levels exactly as a real tree would. A clustered index stores no rows:
+// its reader resolves each entry's row from the heap by RID, so a table is
+// stored once. Neither array holds a pointer, so the garbage collector
+// never walks an index. The engine workloads never mutate indexes
+// mid-query, so an immutable bulk-built tree is behaviorally equivalent
+// and much simpler.
 type BTree struct {
-	objectID  uint32
-	leaves    [][]IndexEntry
-	firstKeys [][]types.Value // first key of each leaf, for descent
-	levels    []int           // page counts per internal level, bottom-up
-	fanout    int
-	n         int
+	objectID uint32
+	keys     []types.Value
+	rids     []int64
+	nk       int
+	perLeaf  int
+	nLeaves  int
+	levels   []int // page counts per internal level, bottom-up
 }
 
 // compareKeys orders composite keys; a shorter key is a prefix probe and
 // compares equal to any key it prefixes.
 func compareKeys(a, b []types.Value) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
 		if c := types.Compare(a[i], b[i]); c != 0 {
 			return c
@@ -48,68 +54,75 @@ func compareKeys(a, b []types.Value) int {
 	return 0
 }
 
-// compareEntries is the index order: key, then RID. RIDs are unique within
-// an index, so this is a total order and the sorted sequence is unique —
-// every correct sort produces the same leaf layout.
-func compareEntries(a, b IndexEntry) int {
-	if c := compareKeys(a.Key, b.Key); c != 0 {
-		return c
+// indexOrder returns the RIDs of heap h in index order: by the key columns
+// keyCols, then by RID. RIDs are unique, so this is a total order and the
+// sorted sequence is unique — every correct sort produces the same leaf
+// layout. Rows already in key order (serial primary keys) cost one
+// verification pass. A key that is one column of one kind — judged from
+// the rows themselves — is sorted as a compact (payload, RID) permutation;
+// composite, mixed-kind, NULL- or NaN-bearing keys take the generic
+// comparator.
+func indexOrder(h *Heap, keyCols []int) []int64 {
+	cmpRows := func(a, b int64) int {
+		ra, rb := h.row(int(a)), h.row(int(b))
+		for _, c := range keyCols {
+			if d := types.Compare(ra[c], rb[c]); d != 0 {
+				return d
+			}
+		}
+		return cmp.Compare(a, b)
 	}
-	return cmp.Compare(a.RID, b.RID)
+	rids := make([]int64, h.n)
+	for i := range rids {
+		rids[i] = int64(i)
+	}
+	if slices.IsSortedFunc(rids, cmpRows) {
+		return rids
+	}
+	if len(keyCols) == 1 {
+		c := keyCols[0]
+		switch singleKeyKind(h, c) {
+		case types.KindInt:
+			return sortByPayload(h, c, rids, func(v types.Value) int64 { return v.I })
+		case types.KindFloat:
+			return sortByPayload(h, c, rids, types.Value.Float64)
+		case types.KindString:
+			return sortByPayload(h, c, rids, types.Value.Str)
+		}
+	}
+	slices.SortFunc(rids, cmpRows)
+	return rids
 }
 
-// sortEntries puts entries in index order. Serial primary keys arrive
-// sorted and cost one verification pass. A key that is one column of one
-// kind — judged from the entries themselves — is sorted as a compact
-// (payload, RID, position) permutation; composite, mixed-kind, NULL- or
-// NaN-bearing keys take the generic comparator.
-func sortEntries(entries []IndexEntry) {
-	if slices.IsSortedFunc(entries, compareEntries) {
-		return
-	}
-	switch singleKeyKind(entries) {
-	case types.KindInt:
-		sortByPayload(entries, func(v types.Value) int64 { return v.I })
-	case types.KindFloat:
-		sortByPayload(entries, types.Value.Float64)
-	case types.KindString:
-		sortByPayload(entries, types.Value.Str)
-	default:
-		slices.SortFunc(entries, compareEntries)
-	}
-}
-
-// singleKeyKind returns the kind shared by every entry's key when all keys
-// are a single non-NULL, non-NaN column of that kind, else KindNull.
-func singleKeyKind(entries []IndexEntry) types.Kind {
+// singleKeyKind returns the kind shared by column c of every row when all
+// of them are non-NULL, non-NaN values of that kind, else KindNull.
+func singleKeyKind(h *Heap, c int) types.Kind {
 	kind := types.KindNull
-	for i := range entries {
-		k := entries[i].Key
-		if len(k) != 1 || k[0].K == types.KindNull || (k[0].K == types.KindFloat && math.IsNaN(k[0].Float64())) {
+	for i := 0; i < h.n; i++ {
+		v := h.vals[i*h.width+c]
+		if v.K == types.KindNull || (v.K == types.KindFloat && math.IsNaN(v.Float64())) {
 			return types.KindNull
 		}
 		if i == 0 {
-			kind = k[0].K
-		} else if k[0].K != kind {
+			kind = v.K
+		} else if v.K != kind {
 			return types.KindNull
 		}
 	}
 	return kind
 }
 
-// sortByPayload sorts entries whose keys are a single column of one kind
-// by comparing bare payloads: the permutation is sorted on (payload, RID),
-// then applied to entries in place by following its cycles. Within one
-// kind the payload order is exactly types.Compare's.
-func sortByPayload[K cmp.Ordered](entries []IndexEntry, payload func(types.Value) K) {
+// sortByPayload writes into rids the RIDs of h sorted on (payload of
+// column c, RID), comparing bare payloads. Within one kind the payload
+// order is exactly types.Compare's.
+func sortByPayload[K cmp.Ordered](h *Heap, c int, rids []int64, payload func(types.Value) K) []int64 {
 	type slot struct {
 		key K
 		rid int64
-		pos int32 // index in entries; -1 once placed
 	}
-	perm := make([]slot, len(entries))
-	for i := range entries {
-		perm[i] = slot{payload(entries[i].Key[0]), entries[i].RID, int32(i)}
+	perm := make([]slot, h.n)
+	for i := range perm {
+		perm[i] = slot{payload(h.vals[i*h.width+c]), int64(i)}
 	}
 	slices.SortFunc(perm, func(a, b slot) int {
 		if c := cmp.Compare(a.key, b.key); c != 0 {
@@ -118,88 +131,57 @@ func sortByPayload[K cmp.Ordered](entries []IndexEntry, payload func(types.Value
 		return cmp.Compare(a.rid, b.rid)
 	})
 	for i := range perm {
-		if perm[i].pos < 0 {
-			continue
-		}
-		first := entries[i]
-		j := i
-		for {
-			src := int(perm[j].pos)
-			perm[j].pos = -1
-			if src == i {
-				entries[j] = first
-				break
-			}
-			entries[j] = entries[src]
-			j = src
-		}
+		rids[i] = perm[i].rid
 	}
+	return rids
 }
 
-// BuildBTree bulk-builds a tree from entries (sorted in place by key, then
-// RID). The leaf packing factor derives from the average entry width so
-// clustered indexes (full rows) occupy proportionally more pages than
-// narrow secondary indexes.
-func BuildBTree(objectID uint32, entries []IndexEntry) *BTree {
-	sortEntries(entries)
-	t := &BTree{objectID: objectID, fanout: 256, n: len(entries)}
-	if len(entries) == 0 {
+// BuildBTree bulk-builds the index of heap h on the columns keyCols: it
+// sorts the RIDs into index order and copies the keys into one arena in
+// that order. The leaf packing factor derives from the average entry width
+// — the key, an 8-byte RID and, for a clustered index, the full row — so
+// clustered indexes occupy proportionally more pages than narrow secondary
+// indexes.
+func BuildBTree(objectID uint32, h *Heap, keyCols []int, clustered bool) *BTree {
+	nk := len(keyCols)
+	t := &BTree{objectID: objectID, nk: nk, perLeaf: 1}
+	if h.n == 0 {
 		return t
 	}
-	width := 0
-	for _, e := range entries {
-		w := 8 // RID
-		for _, k := range e.Key {
-			w += valueWidth(k)
+	t.rids = indexOrder(h, keyCols)
+	t.keys = make([]types.Value, 0, h.n*nk)
+	for _, rid := range t.rids {
+		row := h.row(int(rid))
+		for _, c := range keyCols {
+			t.keys = append(t.keys, row[c])
 		}
-		if e.Row != nil {
-			w += e.Row.Width()
-		}
-		width += w
 	}
-	avg := width / len(entries)
-	if avg < 1 {
-		avg = 1
+	width := 8*h.n + types.Row(t.keys).Width()
+	if clustered {
+		width += types.Row(h.vals).Width()
 	}
-	perLeaf := PageSize / avg
-	if perLeaf < 2 {
-		perLeaf = 2
-	}
-	nLeaves := (len(entries) + perLeaf - 1) / perLeaf
-	t.leaves = make([][]IndexEntry, 0, nLeaves)
-	t.firstKeys = make([][]types.Value, 0, nLeaves)
-	for i := 0; i < len(entries); i += perLeaf {
-		j := i + perLeaf
-		if j > len(entries) {
-			j = len(entries)
-		}
-		t.leaves = append(t.leaves, entries[i:j])
-		t.firstKeys = append(t.firstKeys, entries[i].Key)
-	}
+	avg := max(width/h.n, 1)
+	t.perLeaf = max(PageSize/avg, 2)
+	t.nLeaves = (h.n + t.perLeaf - 1) / t.perLeaf
 	// Internal level page counts, bottom-up, until a single root.
-	for n := len(t.leaves); n > 1; {
-		n = (n + t.fanout - 1) / t.fanout
+	for n := t.nLeaves; n > 1; {
+		n = (n + btreeFanout - 1) / btreeFanout
 		t.levels = append(t.levels, n)
 	}
 	return t
 }
 
-func valueWidth(v types.Value) int {
-	switch v.K {
-	case types.KindNull:
-		return 1
-	case types.KindString:
-		return 2 + len(v.Str())
-	default:
-		return 8
-	}
+// key returns the view of entry i's key.
+func (t *BTree) key(i int) []types.Value {
+	o := i * t.nk
+	return t.keys[o : o+t.nk : o+t.nk]
 }
 
 // NumEntries returns the total entry count.
-func (t *BTree) NumEntries() int64 { return int64(t.n) }
+func (t *BTree) NumEntries() int64 { return int64(len(t.rids)) }
 
 // NumLeafPages returns the leaf page count.
-func (t *BTree) NumLeafPages() int64 { return int64(len(t.leaves)) }
+func (t *BTree) NumLeafPages() int64 { return int64(t.nLeaves) }
 
 // Height returns the number of levels including the leaf level.
 func (t *BTree) Height() int { return len(t.levels) + 1 }
@@ -208,10 +190,10 @@ func (t *BTree) Height() int { return len(t.levels) + 1 }
 // landing on leaf li. Internal pages get IDs above the leaf range so the
 // pool distinguishes them.
 func (t *BTree) chargeDescent(li int, bp *BufferPool, io *IOCounts) {
-	base := uint32(len(t.leaves))
+	base := uint32(t.nLeaves)
 	idx := li
 	for _, levelPages := range t.levels {
-		idx /= t.fanout
+		idx /= btreeFanout
 		page := base + uint32(idx)
 		bp.Read(PageID{t.objectID, page}, io)
 		base += uint32(levelPages)
@@ -221,10 +203,10 @@ func (t *BTree) chargeDescent(li int, bp *BufferPool, io *IOCounts) {
 // findLeaf returns the index of the first leaf whose range may contain a
 // key >= probe (or > probe when !inclusive).
 func (t *BTree) findLeaf(probe []types.Value, inclusive bool) int {
-	// Find the first leaf whose firstKey is strictly greater, then step
+	// Find the first leaf whose first key is strictly greater, then step
 	// back one: that leaf covers the probe.
-	li := sort.Search(len(t.firstKeys), func(i int) bool {
-		c := compareKeys(t.firstKeys[i], probe)
+	li := sort.Search(t.nLeaves, func(i int) bool {
+		c := compareKeys(t.key(i*t.perLeaf), probe)
 		if inclusive {
 			return c >= 0
 		}
@@ -240,9 +222,8 @@ func (t *BTree) findLeaf(probe []types.Value, inclusive bool) int {
 // loInc is false). A nil lo starts at the first entry. The descent I/O is
 // charged into the cursor, drained by the caller.
 func (t *BTree) Seek(lo []types.Value, loInc bool, bp *BufferPool) *BTreeCursor {
-	c := &BTreeCursor{t: t, bp: bp, lastLeaf: -1}
-	if t.n == 0 {
-		c.leaf = len(t.leaves)
+	c := &BTreeCursor{t: t, bp: bp, lastLeaf: -1, end: len(t.rids)}
+	if c.end == 0 {
 		return c
 	}
 	if lo == nil {
@@ -251,11 +232,11 @@ func (t *BTree) Seek(lo []types.Value, loInc bool, bp *BufferPool) *BTreeCursor 
 	}
 	li := t.findLeaf(lo, loInc)
 	t.chargeDescent(li, bp, &c.io)
-	c.leaf = li
 	// Binary search within the leaf for the first qualifying entry.
-	leaf := t.leaves[li]
-	c.pos = sort.Search(len(leaf), func(i int) bool {
-		cc := compareKeys(leaf[i].Key, lo)
+	first := li * t.perLeaf
+	n := min(t.perLeaf, len(t.rids)-first)
+	c.pos = first + sort.Search(n, func(i int) bool {
+		cc := compareKeys(t.key(first+i), lo)
 		if loInc {
 			return cc >= 0
 		}
@@ -267,7 +248,7 @@ func (t *BTree) Seek(lo []types.Value, loInc bool, bp *BufferPool) *BTreeCursor 
 // ScanAll returns a cursor over every entry in key order without charging
 // a descent (leaf-level scan, as an ordered Index Scan would do).
 func (t *BTree) ScanAll(bp *BufferPool) *BTreeCursor {
-	return &BTreeCursor{t: t, bp: bp, lastLeaf: -1}
+	return &BTreeCursor{t: t, bp: bp, lastLeaf: -1, end: len(t.rids)}
 }
 
 // PartitionLeafPages returns how many leaf pages partition part of parts
@@ -283,19 +264,19 @@ func (t *BTree) PartitionLeafPages(part, parts int) int64 {
 // reproduces the full key order.
 func (t *BTree) ScanPartition(bp *BufferPool, part, parts int) *BTreeCursor {
 	lo, hi := partPageRange(t.NumLeafPages(), part, parts)
-	return &BTreeCursor{t: t, bp: bp, lastLeaf: -1, leaf: int(lo), leafEnd: int(hi), ranged: true}
+	end := min(int(hi)*t.perLeaf, len(t.rids))
+	return &BTreeCursor{t: t, bp: bp, lastLeaf: -1, pos: min(int(lo)*t.perLeaf, end), end: end}
 }
 
-// BTreeCursor iterates leaf entries in key order, accumulating page I/O.
-// A ranged cursor (ScanPartition) stops at leafEnd.
+// BTreeCursor iterates leaf entries in key order over the entry range
+// [pos, end), accumulating page I/O: a leaf is read when its first entry
+// in the range is pulled.
 type BTreeCursor struct {
 	t        *BTree
 	bp       *BufferPool
-	leaf     int
 	pos      int
+	end      int
 	lastLeaf int
-	leafEnd  int
-	ranged   bool
 	io       IOCounts
 
 	hi    []types.Value
@@ -313,30 +294,23 @@ func (c *BTreeCursor) SetUpper(hi []types.Value, hiInc bool) {
 
 // Next returns the next entry; ok=false at the end of the range.
 func (c *BTreeCursor) Next() (e IndexEntry, ok bool) {
-	for {
-		if c.leaf >= len(c.t.leaves) || (c.ranged && c.leaf >= c.leafEnd) {
+	if c.pos >= c.end {
+		return IndexEntry{}, false
+	}
+	t := c.t
+	if leaf := c.pos / t.perLeaf; leaf != c.lastLeaf {
+		c.lastLeaf = leaf
+		c.bp.Read(PageID{t.objectID, uint32(leaf)}, &c.io)
+	}
+	e = IndexEntry{Key: t.key(c.pos), RID: t.rids[c.pos]}
+	if c.bound {
+		cc := compareKeys(e.Key, c.hi)
+		if cc > 0 || (cc == 0 && !c.hiInc) {
 			return IndexEntry{}, false
 		}
-		leaf := c.t.leaves[c.leaf]
-		if c.pos >= len(leaf) {
-			c.leaf++
-			c.pos = 0
-			continue
-		}
-		if c.leaf != c.lastLeaf {
-			c.lastLeaf = c.leaf
-			c.bp.Read(PageID{c.t.objectID, uint32(c.leaf)}, &c.io)
-		}
-		e = leaf[c.pos]
-		if c.bound {
-			cc := compareKeys(e.Key, c.hi)
-			if cc > 0 || (cc == 0 && !c.hiInc) {
-				return IndexEntry{}, false
-			}
-		}
-		c.pos++
-		return e, true
 	}
+	c.pos++
+	return e, true
 }
 
 // DrainIO returns and resets accumulated I/O.

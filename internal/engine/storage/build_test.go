@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -24,7 +25,7 @@ func referenceOrder(entries []IndexEntry) []IndexEntry {
 	return ref
 }
 
-// TestBuildBTreeMatchesReferenceSort: whichever path sortEntries picks
+// TestBuildBTreeMatchesReferenceSort: whichever path indexOrder picks
 // (already sorted, typed payload permutation, generic comparator), the leaf
 // sequence must be bit for bit the one the reference sort produces.
 func TestBuildBTreeMatchesReferenceSort(t *testing.T) {
@@ -69,33 +70,43 @@ func TestBuildBTreeMatchesReferenceSort(t *testing.T) {
 		})},
 	}
 	for _, c := range cases {
-		// RIDs are unique but need not follow input order: run each case
-		// with serial RIDs (the loader's) and with permuted ones.
+		// The loader's RIDs are row ordinals, and the keys are drawn in
+		// input order: run each case with rows in that order and with the
+		// same rows permuted.
 		for _, rids := range [][]int{nil, rng.Perm(n)} {
 			entries := make([]IndexEntry, n)
+			rows := make([]types.Row, n)
 			for i := range entries {
-				rid := int64(i)
+				rid := i
 				if rids != nil {
-					rid = int64(rids[i])
+					rid = rids[i]
 				}
-				entries[i] = IndexEntry{Key: c.key(i), RID: rid, Row: types.Row{types.Int(rid)}}
+				entries[i] = IndexEntry{Key: c.key(i), RID: int64(rid)}
+				rows[rid] = entries[i].Key
 			}
-			checkAgainstReference(t, c.name, entries)
+			checkAgainstReference(t, c.name, heapOf(1, rows), entries)
 		}
 	}
 }
 
-func checkAgainstReference(t *testing.T, name string, entries []IndexEntry) {
+// checkAgainstReference builds the clustered index of h on all its
+// columns, which entries list in input order, and compares its leaf
+// sequence with the reference sort of entries.
+func checkAgainstReference(t *testing.T, name string, h *Heap, entries []IndexEntry) {
 	t.Helper()
 	want := referenceOrder(entries)
-	bt := BuildBTree(1, entries)
+	keyCols := make([]int, h.Width())
+	for i := range keyCols {
+		keyCols[i] = i
+	}
+	bt := BuildBTree(1, h, keyCols, true)
 	cur := bt.ScanAll(NewBufferPool(16))
 	for i, w := range want {
 		got, ok := cur.Next()
 		if !ok {
 			t.Fatalf("%s: tree ends at entry %d of %d", name, i, len(want))
 		}
-		if got.RID != w.RID || got.Row[0] != w.Row[0] || !slices.Equal(got.Key, w.Key) {
+		if got.RID != w.RID || !slices.Equal(got.Key, w.Key) {
 			t.Fatalf("%s: entry %d is RID %d key %v, want RID %d key %v", name, i, got.RID, got.Key, w.RID, w.Key)
 		}
 	}
@@ -104,40 +115,115 @@ func checkAgainstReference(t *testing.T, name string, entries []IndexEntry) {
 	}
 }
 
-// Index keys alias the heap rows (single column) or one arena per index
-// (composite); either way an append to a key must not reach its neighbour.
-func TestIndexKeysAliasRowsWithClippedCapacity(t *testing.T) {
+// TestStorageViewsAreCapacityClipped: every row and key storage hands out
+// — Get, RowNoIO, HeapCursor.Next, a page run, a B-tree cursor's key — is
+// a view of a shared arena whose capacity ends with it,
+// so appending to it can never change the row or key next to it. lqsd
+// gives concurrent queries views of one cached table set, so four
+// goroutines append to views of one table at once (make race runs this).
+func TestStorageViewsAreCapacityClipped(t *testing.T) {
 	cat := catalog.NewCatalog()
 	tb := catalog.NewTable("t",
 		catalog.Column{Name: "a", Kind: types.KindInt},
 		catalog.Column{Name: "b", Kind: types.KindInt},
 		catalog.Column{Name: "c", Kind: types.KindInt},
 	)
+	tb.AddIndex(&catalog.Index{Name: "pk", KeyCols: []int{0}, Clustered: true})
 	tb.AddIndex(&catalog.Index{Name: "ix_b", KeyCols: []int{1}})
 	tb.AddIndex(&catalog.Index{Name: "ix_cb", KeyCols: []int{2, 1}})
 	cat.Add(tb)
 	db := NewDatabase(cat, 64)
-	rows := make([]types.Row, 100)
+	const n = 1000
+	rows := make([]types.Row, n)
 	for i := range rows {
 		rows[i] = types.Row{types.Int(int64(i)), types.Int(int64(i % 7)), types.Int(int64(i % 3))}
 	}
 	db.Load("t", rows)
-	for _, name := range []string{"ix_b", "ix_cb"} {
-		ix := tb.Index(name)
-		cur := db.BTree("t", name).ScanAll(db.Pool)
+
+	errs := make(chan error, 4)
+	for range cap(errs) {
+		go func() { errs <- appendToEveryView(db.View(), tb) }()
+	}
+	for range cap(errs) {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Nothing moved: every row is still the one loaded, and every key
+	// still matches the row its RID names.
+	h := db.Heap("t")
+	for rid := range rows {
+		if got := h.RowNoIO(int64(rid)); !slices.Equal(got, rows[rid]) {
+			t.Fatalf("row %d is %v after appends, want %v", rid, got, rows[rid])
+		}
+	}
+	for _, ix := range tb.Indexes {
+		c := db.BTree("t", ix.Name).ScanAll(db.Pool)
 		for {
-			e, ok := cur.Next()
+			e, ok := c.Next()
 			if !ok {
 				break
 			}
-			if len(e.Key) != len(ix.KeyCols) || cap(e.Key) != len(e.Key) {
-				t.Fatalf("%s: key len %d cap %d for %d key columns", name, len(e.Key), cap(e.Key), len(ix.KeyCols))
-			}
-			for k, c := range ix.KeyCols {
-				if e.Key[k] != rows[e.RID][c] {
-					t.Fatalf("%s: RID %d key %v does not match row %v", name, e.RID, e.Key, rows[e.RID])
+			for k, col := range ix.KeyCols {
+				if e.Key[k] != rows[e.RID][col] {
+					t.Fatalf("%s: RID %d key %v does not match row %v", ix.Name, e.RID, e.Key, rows[e.RID])
 				}
 			}
 		}
 	}
+}
+
+// appendToEveryView appends a value to every row, page run and key table
+// tb's storage in db hands out, after checking that each one's capacity
+// ends with it.
+func appendToEveryView(db *Database, tb *catalog.Table) error {
+	var err error
+	clobber := func(what string, v []types.Value) {
+		if cap(v) != len(v) && err == nil {
+			err = fmt.Errorf("%s: view len %d has cap %d", what, len(v), cap(v))
+		}
+		_ = append(v, types.Int(-1))
+	}
+	h := db.Heap(tb.Name)
+	var io IOCounts
+	for rid := int64(0); rid < h.NumRows(); rid++ {
+		clobber("Get", h.Get(rid, db.Pool, &io))
+		clobber("RowNoIO", h.RowNoIO(rid))
+	}
+	cur := h.Cursor(db.Pool)
+	for {
+		row, _, ok := cur.Next()
+		if !ok {
+			break
+		}
+		clobber("HeapCursor.Next", row)
+	}
+	cur.Reset()
+	runs := 0
+	for {
+		run, ok := cur.NextPageRows()
+		if !ok {
+			break
+		}
+		if len(run)%h.Width() != 0 {
+			return fmt.Errorf("page run of %d values is not whole rows", len(run))
+		}
+		clobber("NextPageRows", run)
+		runs++
+	}
+	if int64(runs) != h.NumPages() || runs < 2 {
+		return fmt.Errorf("%d page runs for %d pages", runs, h.NumPages())
+	}
+	for _, ix := range tb.Indexes {
+		c := db.BTree(tb.Name, ix.Name).ScanAll(db.Pool)
+		for {
+			e, ok := c.Next()
+			if !ok {
+				break
+			}
+			clobber(ix.Name+" key", e.Key)
+		}
+	}
+	return err
 }

@@ -33,16 +33,14 @@ type rowGroup struct {
 	rows int
 }
 
-// BuildColumnStore builds a columnstore from row-major data. Every column
+// BuildColumnStore builds a columnstore from heap h's rows. Every column
 // of the table is stored (a full nonclustered columnstore index, as the
 // paper's Fig. 18 physical design constructs on each table).
-func BuildColumnStore(objectID uint32, rows []types.Row, numCols int) *ColumnStore {
-	cs := &ColumnStore{objectID: objectID, numRows: int64(len(rows)), numCols: numCols}
-	for start := 0; start < len(rows); start += RowGroupSize {
-		end := start + RowGroupSize
-		if end > len(rows) {
-			end = len(rows)
-		}
+func BuildColumnStore(objectID uint32, h *Heap) *ColumnStore {
+	numCols := h.width
+	cs := &ColumnStore{objectID: objectID, numRows: int64(h.n), numCols: numCols}
+	for start := 0; start < h.n; start += RowGroupSize {
+		end := min(start+RowGroupSize, h.n)
 		n := end - start
 		g := rowGroup{rows: n, segs: make([]Segment, numCols)}
 		// One allocation per row group, cut into per-column segments.
@@ -50,7 +48,7 @@ func BuildColumnStore(objectID uint32, rows []types.Row, numCols int) *ColumnSto
 		for c := 0; c < numCols; c++ {
 			seg := Segment{Values: vals[c*n : c*n : (c+1)*n]}
 			for r := start; r < end; r++ {
-				v := rows[r][c]
+				v := h.vals[r*numCols+c]
 				seg.Values = append(seg.Values, v)
 				if !v.IsNull() {
 					if seg.Min.IsNull() || types.Compare(v, seg.Min) < 0 {

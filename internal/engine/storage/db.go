@@ -39,73 +39,46 @@ func (db *Database) allocObj() uint32 {
 	return id
 }
 
-// Load stores rows into the named table's heap, seals page packing, builds
-// every declared index, and records the row count in the catalog. The
-// caller transfers ownership of the rows: they are immutable from here on,
-// and the heap, the index keys and the clustered leaves all alias them. It
-// panics if the table is unknown or a row has the wrong arity — loader
-// bugs, not runtime conditions.
+// Load stores rows into the named table: it copies them into one value
+// arena and loads that with LoadValues. It panics if a row has the wrong
+// arity — a loader bug, not a runtime condition.
 func (db *Database) Load(table string, rows []types.Row) {
-	t := db.Catalog.MustTable(table)
+	w := len(db.Catalog.MustTable(table).Columns)
+	vals := make([]types.Value, 0, w*len(rows))
 	for _, r := range rows {
-		if len(r) != len(t.Columns) {
-			panic(fmt.Sprintf("storage: row arity %d != schema arity %d for %s", len(r), len(t.Columns), table))
+		if len(r) != w {
+			panic(fmt.Sprintf("storage: row arity %d != schema arity %d for %s", len(r), w, table))
 		}
+		vals = append(vals, r...)
 	}
-	h := NewHeap(db.allocObj())
-	h.rows = make([]types.Row, len(rows))
-	copy(h.rows, rows)
-	h.Seal()
+	db.LoadValues(table, vals)
+}
+
+// LoadValues stores the named table's rows, given back to back in one
+// value arena of one value per column each, as its heap; builds every
+// declared index; and records the row and page counts in the catalog. The
+// heap takes the arena without copying it: the caller transfers ownership,
+// and nothing writes to it from here on. It panics if the table is unknown
+// or the arena is not whole rows.
+func (db *Database) LoadValues(table string, vals []types.Value) {
+	t := db.Catalog.MustTable(table)
+	h := NewHeap(db.allocObj(), len(t.Columns), vals)
 	db.heaps[table] = h
 	t.RowCount = h.NumRows()
 	t.Pages = h.NumPages()
-	db.buildIndexes(t, h.rows)
-}
-
-func (db *Database) buildIndexes(t *catalog.Table, rows []types.Row) {
 	for _, ix := range t.Indexes {
 		switch ix.Kind {
 		case catalog.BTree:
-			bt := BuildBTree(db.allocObj(), indexEntries(ix, rows))
+			bt := BuildBTree(db.allocObj(), h, ix.KeyCols, ix.Clustered)
 			ix.LeafPages = bt.NumLeafPages()
 			ix.Height = bt.Height()
 			db.btrees[t.Name+"."+ix.Name] = bt
 		case catalog.ColumnStore:
-			cs := BuildColumnStore(db.allocObj(), rows, len(t.Columns))
+			cs := BuildColumnStore(db.allocObj(), h)
 			ix.RowGroups = int64(cs.NumRowGroups())
 			db.colstores[t.Name+"."+ix.Name] = cs
 		}
 	}
-}
-
-// indexEntries returns one unsorted entry per row. A single-column key is
-// the capacity-clipped sub-slice of the row itself; a composite key is cut
-// from one arena per index.
-func indexEntries(ix *catalog.Index, rows []types.Row) []IndexEntry {
-	entries := make([]IndexEntry, len(rows))
-	nk := len(ix.KeyCols)
-	var arena []types.Value
-	if nk != 1 {
-		arena = make([]types.Value, 0, nk*len(rows))
-	}
-	for i, r := range rows {
-		e := IndexEntry{RID: int64(i)}
-		if nk == 1 {
-			c := ix.KeyCols[0]
-			e.Key = r[c : c+1 : c+1]
-		} else {
-			start := len(arena)
-			for _, c := range ix.KeyCols {
-				arena = append(arena, r[c])
-			}
-			e.Key = arena[start:len(arena):len(arena)]
-		}
-		if ix.Clustered {
-			e.Row = r
-		}
-		entries[i] = e
-	}
-	return entries
 }
 
 // Heap returns the named table's heap; it panics if the table has no data.
@@ -138,8 +111,9 @@ func (db *Database) ColumnStore(table, index string) *ColumnStore {
 // View returns a second handle on the same loaded database: it shares the
 // catalog and the physical structures (heaps, b-trees, columnstores) and
 // carries a private, cold buffer pool of the same capacity and no fault
-// injector. Sharing is safe because rows are immutable after Load and the
-// catalog is read-only after BuildAllStats; take views only after both.
+// injector. Sharing is safe because rows are immutable once loaded and
+// the catalog is read-only after BuildAllStats; take views only after
+// both.
 // Parallel workers and concurrently hosted queries each run on a view:
 // private pools keep every user's logical/physical read split a pure
 // function of its own page access sequence — sharing one LRU would make
@@ -162,7 +136,7 @@ func (db *Database) BuildAllStats(buckets int) {
 		if h == nil {
 			continue
 		}
-		t.BuildStats(buckets, h.rows)
+		t.BuildStats(buckets, h.vals)
 	}
 }
 

@@ -7,51 +7,51 @@ import "lqs/internal/engine/types"
 // average row width at load time, so wider tables occupy more pages and
 // cost proportionally more I/O to scan — the property §4.3's logical-I/O
 // progress fraction depends on.
+//
+// The rows live back to back in one value arena, width values each, and
+// no per-row slice header exists: a Value holds no pointer, so the garbage
+// collector never walks a table. A row handed out is a capacity-clipped
+// view of the arena, so an append to it can never reach its neighbour.
 type Heap struct {
 	objectID    uint32
-	rows        []types.Row
+	vals        []types.Value
+	width       int
+	n           int
 	rowsPerPage int
 }
 
-// NewHeap creates an empty heap with the given object id.
-func NewHeap(objectID uint32) *Heap {
-	return &Heap{objectID: objectID, rowsPerPage: 1}
+// NewHeap stores the rows of vals, width values each, and sets page
+// packing from their average width. The heap takes ownership of vals:
+// nothing may write to it afterwards. It panics if len(vals) is not a
+// multiple of a positive width — a loader bug.
+func NewHeap(objectID uint32, width int, vals []types.Value) *Heap {
+	if width < 1 || len(vals)%width != 0 {
+		panic("storage: heap arena is not whole rows")
+	}
+	h := &Heap{objectID: objectID, vals: vals, width: width, n: len(vals) / width, rowsPerPage: 1}
+	if h.n == 0 {
+		return h
+	}
+	avg := max(types.Row(vals).Width()/h.n, 1)
+	h.rowsPerPage = max(PageSize/avg, 1)
+	return h
 }
 
-// Append adds a row. The caller transfers ownership of the row.
-func (h *Heap) Append(row types.Row) {
-	h.rows = append(h.rows, row)
-}
-
-// Seal finalizes page packing from the average row width. Call once after
-// loading; scans before Seal see one row per page.
-func (h *Heap) Seal() {
-	if len(h.rows) == 0 {
-		return
-	}
-	total := 0
-	for _, r := range h.rows {
-		total += r.Width()
-	}
-	avg := total / len(h.rows)
-	if avg < 1 {
-		avg = 1
-	}
-	h.rowsPerPage = PageSize / avg
-	if h.rowsPerPage < 1 {
-		h.rowsPerPage = 1
-	}
+// row returns the view of row i.
+func (h *Heap) row(i int) types.Row {
+	o := i * h.width
+	return h.vals[o : o+h.width : o+h.width]
 }
 
 // NumRows returns the row count.
-func (h *Heap) NumRows() int64 { return int64(len(h.rows)) }
+func (h *Heap) NumRows() int64 { return int64(h.n) }
+
+// Width returns the number of values in a row.
+func (h *Heap) Width() int { return h.width }
 
 // NumPages returns the page count.
 func (h *Heap) NumPages() int64 {
-	if len(h.rows) == 0 {
-		return 0
-	}
-	return int64((len(h.rows) + h.rowsPerPage - 1) / h.rowsPerPage)
+	return int64((h.n + h.rowsPerPage - 1) / h.rowsPerPage)
 }
 
 // RowsPerPage reports the packing factor (for tests and the cost model).
@@ -64,18 +64,18 @@ func (h *Heap) RowsPerPage() int { return h.rowsPerPage }
 func (h *Heap) Get(rid int64, bp *BufferPool, io *IOCounts) types.Row {
 	page := uint32(int(rid) / h.rowsPerPage)
 	bp.Read(PageID{h.objectID, page}, io)
-	return h.rows[rid]
+	return h.row(int(rid))
 }
 
 // RowNoIO fetches a row without charging any I/O. The executor uses it to
 // materialize covered columns for covering secondary-index access paths,
 // where the engine's index already holds the data and no heap page is
-// actually touched.
-func (h *Heap) RowNoIO(rid int64) types.Row { return h.rows[rid] }
+// actually touched, and to resolve a clustered leaf entry's row.
+func (h *Heap) RowNoIO(rid int64) types.Row { return h.row(int(rid)) }
 
 // Cursor returns a sequential scan cursor over the heap.
 func (h *Heap) Cursor(bp *BufferPool) *HeapCursor {
-	return &HeapCursor{h: h, bp: bp, lastPage: -1, end: len(h.rows)}
+	return &HeapCursor{h: h, bp: bp, lastPage: -1, end: h.n}
 }
 
 // partPageRange returns the page interval [lo, hi) assigned to partition
@@ -104,14 +104,8 @@ func (h *Heap) PartitionPages(part, parts int) int64 {
 // reproduces the serial scan order exactly.
 func (h *Heap) PartitionCursor(bp *BufferPool, part, parts int) *HeapCursor {
 	pLo, pHi := partPageRange(h.NumPages(), part, parts)
-	start := int(pLo) * h.rowsPerPage
-	end := int(pHi) * h.rowsPerPage
-	if end > len(h.rows) {
-		end = len(h.rows)
-	}
-	if start > end {
-		start = end
-	}
+	end := min(int(pHi)*h.rowsPerPage, h.n)
+	start := min(int(pLo)*h.rowsPerPage, end)
 	return &HeapCursor{h: h, bp: bp, lastPage: -1, pos: start, start: start, end: end}
 }
 
@@ -139,19 +133,20 @@ func (c *HeapCursor) Next() (row types.Row, rid int64, ok bool) {
 		c.lastPage = page
 		c.bp.Read(PageID{c.h.objectID, uint32(page)}, &c.io)
 	}
-	row = c.h.rows[c.pos]
+	row = c.h.row(c.pos)
 	rid = int64(c.pos)
 	c.pos++
 	return row, rid, true
 }
 
-// NextPageRows returns all unread rows of the next page as one run,
-// charging the page read into the cursor exactly as Next would when
-// crossing onto it. ok=false at end of range. The table scan iterates
-// page runs to avoid per-row cursor calls; the I/O charge sequence is
-// identical to per-row iteration, which charges a page when its first row
-// is pulled.
-func (c *HeapCursor) NextPageRows() ([]types.Row, bool) {
+// NextPageRows returns all unread rows of the next page as one run of the
+// arena, Width values per row, charging the page read into the cursor
+// exactly as Next would when crossing onto it. ok=false at end of range.
+// The table scan cuts rows from the run itself to avoid per-row cursor
+// calls; the I/O charge sequence is identical to per-row iteration, which
+// charges a page when its first row is pulled. The run's capacity ends
+// with it, so no append to it reaches the next page's rows.
+func (c *HeapCursor) NextPageRows() ([]types.Value, bool) {
 	if c.pos >= c.end {
 		return nil, false
 	}
@@ -160,13 +155,11 @@ func (c *HeapCursor) NextPageRows() ([]types.Row, bool) {
 		c.lastPage = page
 		c.bp.Read(PageID{c.h.objectID, uint32(page)}, &c.io)
 	}
-	hi := (page + 1) * c.h.rowsPerPage
-	if hi > c.end {
-		hi = c.end
-	}
-	rows := c.h.rows[c.pos:hi]
+	hi := min((page+1)*c.h.rowsPerPage, c.end)
+	w := c.h.width
+	run := c.h.vals[c.pos*w : hi*w : hi*w]
 	c.pos = hi
-	return rows, true
+	return run, true
 }
 
 // DrainIO returns and resets the I/O accumulated since the last drain.

@@ -62,12 +62,21 @@ func makeRows(n int) []types.Row {
 	return rows
 }
 
-func TestHeapScanAndPaging(t *testing.T) {
-	h := NewHeap(1)
-	for _, r := range makeRows(1000) {
-		h.Append(r)
+// heapOf stores rows of equal width in a heap, back to back in one arena.
+func heapOf(objectID uint32, rows []types.Row) *Heap {
+	w := 1
+	if len(rows) > 0 {
+		w = len(rows[0])
 	}
-	h.Seal()
+	vals := make([]types.Value, 0, w*len(rows))
+	for _, r := range rows {
+		vals = append(vals, r...)
+	}
+	return NewHeap(objectID, w, vals)
+}
+
+func TestHeapScanAndPaging(t *testing.T) {
+	h := heapOf(1, makeRows(1000))
 	if h.NumRows() != 1000 {
 		t.Fatalf("NumRows = %d", h.NumRows())
 	}
@@ -118,11 +127,7 @@ func TestHeapScanAndPaging(t *testing.T) {
 }
 
 func TestHeapGet(t *testing.T) {
-	h := NewHeap(1)
-	for _, r := range makeRows(10) {
-		h.Append(r)
-	}
-	h.Seal()
+	h := heapOf(1, makeRows(10))
 	bp := NewBufferPool(10)
 	var io IOCounts
 	row := h.Get(7, bp, &io)
@@ -131,16 +136,22 @@ func TestHeapGet(t *testing.T) {
 	}
 }
 
+// buildTestBTree indexes n rows (2i, "r") on their first column.
 func buildTestBTree(n int, clustered bool) *BTree {
-	entries := make([]IndexEntry, n)
-	for i := 0; i < n; i++ {
-		e := IndexEntry{Key: []types.Value{types.Int(int64(i * 2))}, RID: int64(i)}
-		if clustered {
-			e.Row = types.Row{types.Int(int64(i * 2)), types.Str("r")}
-		}
-		entries[i] = e
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = types.Row{types.Int(int64(i * 2)), types.Str("r")}
 	}
-	return BuildBTree(2, entries)
+	return BuildBTree(2, heapOf(1, rows), []int{0}, clustered)
+}
+
+// intHeap stores one single-column row per key, RID i holding keys[i].
+func intHeap(keys []int64) *Heap {
+	vals := make([]types.Value, len(keys))
+	for i, k := range keys {
+		vals[i] = types.Int(k)
+	}
+	return NewHeap(1, 1, vals)
 }
 
 func TestBTreeSeekExact(t *testing.T) {
@@ -210,9 +221,6 @@ func TestBTreeScanAllOrdered(t *testing.T) {
 		if e.Key[0].I <= prev {
 			t.Fatalf("scan out of order at %d", n)
 		}
-		if e.Row == nil {
-			t.Fatal("clustered entries must carry rows")
-		}
 		prev = e.Key[0].I
 		n++
 	}
@@ -222,7 +230,7 @@ func TestBTreeScanAllOrdered(t *testing.T) {
 }
 
 func TestBTreeEmptyAndMissing(t *testing.T) {
-	bt := BuildBTree(1, nil)
+	bt := BuildBTree(1, NewHeap(1, 1, nil), []int{0}, false)
 	bp := NewBufferPool(10)
 	c := bt.Seek([]types.Value{types.Int(1)}, true, bp)
 	if _, ok := c.Next(); ok {
@@ -236,13 +244,11 @@ func TestBTreeEmptyAndMissing(t *testing.T) {
 }
 
 func TestBTreeDuplicateKeys(t *testing.T) {
-	entries := make([]IndexEntry, 0, 300)
-	for i := 0; i < 100; i++ {
-		for d := 0; d < 3; d++ {
-			entries = append(entries, IndexEntry{Key: []types.Value{types.Int(int64(i))}, RID: int64(i*3 + d)})
-		}
+	keys := make([]int64, 300)
+	for rid := range keys {
+		keys[rid] = int64(rid / 3)
 	}
-	bt := BuildBTree(3, entries)
+	bt := BuildBTree(3, intHeap(keys), []int{0}, false)
 	bp := NewBufferPool(1000)
 	c := bt.Seek([]types.Value{types.Int(42)}, true, bp)
 	c.SetUpper([]types.Value{types.Int(42)}, true)
@@ -262,13 +268,12 @@ func TestBTreeDuplicateKeys(t *testing.T) {
 func TestBTreePropertySeekFindsAll(t *testing.T) {
 	rng := sim.NewRNG(77)
 	keys := make(map[int64]int)
-	entries := make([]IndexEntry, 0, 2000)
-	for i := 0; i < 2000; i++ {
-		k := rng.Int63n(500)
-		keys[k]++
-		entries = append(entries, IndexEntry{Key: []types.Value{types.Int(k)}, RID: int64(i)})
+	col := make([]int64, 2000)
+	for i := range col {
+		col[i] = rng.Int63n(500)
+		keys[col[i]]++
 	}
-	bt := BuildBTree(9, entries)
+	bt := BuildBTree(9, intHeap(col), []int{0}, false)
 	bp := NewBufferPool(100000)
 	f := func(probe uint16) bool {
 		k := int64(probe % 500)
@@ -290,8 +295,7 @@ func TestBTreePropertySeekFindsAll(t *testing.T) {
 }
 
 func TestColumnStoreBuildAndRead(t *testing.T) {
-	rows := makeRows(10000)
-	cs := BuildColumnStore(5, rows, 3)
+	cs := BuildColumnStore(5, heapOf(1, makeRows(10000)))
 	if cs.NumRows() != 10000 {
 		t.Fatalf("NumRows = %d", cs.NumRows())
 	}
@@ -320,8 +324,7 @@ func TestColumnStoreBuildAndRead(t *testing.T) {
 }
 
 func TestColumnStoreSegmentMinMax(t *testing.T) {
-	rows := makeRows(RowGroupSize * 2)
-	cs := BuildColumnStore(6, rows, 3)
+	cs := BuildColumnStore(6, heapOf(1, makeRows(RowGroupSize*2)))
 	s := cs.Segment(1, 0) // second group, int column
 	if s.Min.I != RowGroupSize || s.Max.I != RowGroupSize*2-1 {
 		t.Fatalf("segment min/max = %v/%v", s.Min, s.Max)
@@ -416,11 +419,7 @@ func TestLoadArityMismatchPanics(t *testing.T) {
 }
 
 func BenchmarkHeapScan(b *testing.B) {
-	h := NewHeap(1)
-	for _, r := range makeRows(100000) {
-		h.Append(r)
-	}
-	h.Seal()
+	h := heapOf(1, makeRows(100000))
 	bp := NewBufferPool(1 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

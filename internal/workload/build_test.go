@@ -95,7 +95,11 @@ func buildFingerprint(w *Workload) uint64 {
 					}
 					d.vals(e.Key)
 					d.u64(uint64(e.RID))
-					d.vals(e.Row)
+					var row types.Row // the clustered row, resolved by RID
+					if ix.Clustered {
+						row = db.Heap(t.Name).RowNoIO(e.RID)
+					}
+					d.vals(row)
 				}
 			case catalog.ColumnStore:
 				d.u64(uint64(ix.RowGroups))

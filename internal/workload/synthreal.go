@@ -127,15 +127,15 @@ func Synth(cfg SynthConfig) *Workload {
 		st.measure = len(cols)
 		cols = append(cols, colSpec{"m", types.KindFloat, uniformFloat(1000)})
 
-		t, rows := genTable(rng.Fork(), st.name, st.rows, cols)
+		t, vals := genTable(rng.Fork(), st.name, st.rows, cols)
 		t.AddIndex(&catalog.Index{Name: "pk", KeyCols: []int{0}, Clustered: true})
 		for _, fc := range st.fkCols {
 			t.AddIndex(&catalog.Index{Name: fmt.Sprintf("ix_c%d", fc), KeyCols: []int{fc}})
 		}
 		cat.Add(t)
 		tables[i] = st
-		name, r := st.name, rows
-		load = append(load, func(db *storage.Database) { db.Load(name, r) })
+		name, v := st.name, vals
+		load = append(load, func(db *storage.Database) { db.LoadValues(name, v) })
 	}
 
 	db := storage.NewDatabase(cat, 1<<18)

@@ -85,11 +85,11 @@ func TPCDS(seed uint64) *Workload {
 
 	var load []func(db *storage.Database)
 	for _, s := range specs {
-		t, rows := genTable(rng.Fork(), s.name, s.n, s.cols)
+		t, vals := genTable(rng.Fork(), s.name, s.n, s.cols)
 		addTPCDSIndexes(t)
 		cat.Add(t)
-		name, r := s.name, rows
-		load = append(load, func(db *storage.Database) { db.Load(name, r) })
+		name, v := s.name, vals
+		load = append(load, func(db *storage.Database) { db.LoadValues(name, v) })
 	}
 	db := storage.NewDatabase(cat, 1<<18)
 	for _, f := range load {

@@ -102,11 +102,11 @@ func TPCH(seed uint64, design TPCHDesign) *Workload {
 
 	var load []func(db *storage.Database)
 	for _, s := range specs {
-		t, rows := genTable(rng.Fork(), s.name, s.n, s.cols)
+		t, vals := genTable(rng.Fork(), s.name, s.n, s.cols)
 		addTPCHIndexes(t, design)
 		cat.Add(t)
-		name, r := s.name, rows
-		load = append(load, func(db *storage.Database) { db.Load(name, r) })
+		name, v := s.name, vals
+		load = append(load, func(db *storage.Database) { db.LoadValues(name, v) })
 	}
 
 	db := storage.NewDatabase(cat, 1<<18)

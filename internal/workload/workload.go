@@ -101,26 +101,24 @@ func dateInt(lo, hi int64) func(*sim.RNG, int64) types.Value {
 	return func(rng *sim.RNG, _ int64) types.Value { return types.Int(lo + rng.Int63n(hi-lo)) }
 }
 
-// genTable creates the catalog table and its rows from column specs.
-func genTable(rng *sim.RNG, name string, n int64, cols []colSpec) (*catalog.Table, []types.Row) {
+// genTable creates the catalog table and its rows from column specs. The
+// rows come back to back in one value arena, one value per column each,
+// which Database.LoadValues takes as the table's heap without a copy.
+func genTable(rng *sim.RNG, name string, n int64, cols []colSpec) (*catalog.Table, []types.Value) {
 	cc := make([]catalog.Column, len(cols))
 	for i, c := range cols {
 		cc[i] = catalog.Column{Name: c.name, Kind: c.kind}
 	}
 	t := catalog.NewTable(name, cc...)
-	rows := make([]types.Row, n)
-	// One value arena per table; each row is a capacity-clipped window so
-	// an append to a row can never reach its neighbour.
 	w := int64(len(cols))
-	arena := make([]types.Value, n*w)
+	vals := make([]types.Value, n*w)
 	for i := int64(0); i < n; i++ {
-		row := types.Row(arena[i*w : (i+1)*w : (i+1)*w])
+		row := vals[i*w : (i+1)*w]
 		for j, c := range cols {
 			row[j] = c.gen(rng, i)
 		}
-		rows[i] = row
 	}
-	return t, rows
+	return t, vals
 }
 
 // histogramBuckets is the statistics resolution used by every workload.
