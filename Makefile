@@ -35,11 +35,12 @@ test:
 race:
 	$(GO) test -race ./internal/engine/types/... ./internal/engine/storage/... ./internal/workload/... ./internal/lqs/... ./internal/engine/dmv/... ./internal/metrics/... ./internal/trace/... ./internal/obs/... ./internal/engine/exec/... ./internal/engine/expr/... ./internal/progress/... ./internal/chaos/... ./internal/server/... ./internal/accuracy/...
 
-# Short coverage-guided runs of every native fuzz target: the DMV
-# per-thread aggregation and the progress estimator fed adversarial
-# snapshots. Seeds always run under plain `make test`; this adds a bounded
+# Short coverage-guided runs of every native fuzz target: the value order
+# codes the database build sorts on, the DMV per-thread aggregation and the
+# progress estimator fed adversarial snapshots. Seeds always run under plain `make test`; this adds a bounded
 # mutation pass so CI exercises the generators too.
 fuzz-smoke:
+	$(GO) test ./internal/engine/types/ -run '^$$' -fuzz FuzzOrderCode -fuzztime 10s
 	$(GO) test ./internal/engine/dmv/ -run '^$$' -fuzz FuzzAggregateThreads -fuzztime 10s
 	$(GO) test ./internal/progress/ -run '^$$' -fuzz FuzzEstimator -fuzztime 200x
 	$(GO) test ./internal/progress/ -run '^$$' -fuzz FuzzDegradedSnapshot -fuzztime 200x
@@ -118,9 +119,10 @@ acc-smoke:
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test -short .
 
-# Run each database-build benchmark once so they cannot rot; the numbers
-# that matter are taken with -benchtime 5x -count 3 (see CHANGES.md).
+# Run each database-build benchmark once so they cannot rot, with
+# -benchmem so the log shows a rise in build allocations; the numbers that
+# matter are taken with -benchtime 5x -count 3 (see CHANGES.md).
 bench-build:
-	$(GO) test ./internal/workload -run '^$$' -bench Build -benchtime 1x
+	$(GO) test ./internal/workload -run '^$$' -bench Build -benchtime 1x -benchmem
 
 ci: vet sort-guard build test race trace-smoke fuzz-smoke chaos-smoke serve-smoke acc-smoke bench-check bench-build

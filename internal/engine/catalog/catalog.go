@@ -207,9 +207,10 @@ func (t *Table) BuildStats(buckets int, vals []types.Value) {
 		}
 	}
 	st := &TableStats{Rows: float64(t.RowCount), Cols: make([]*ColumnStats, len(t.Columns))}
+	var sorter types.CodeSorter
 	for c := range keys {
 		k := &keys[c]
-		hist := k.histogram(buckets, func() []types.Value {
+		hist := k.histogram(buckets, &sorter, func() []types.Value {
 			col := make([]types.Value, 0, n-k.nulls)
 			for i := c; i < len(vals); i += w {
 				if !vals[i].IsNull() {

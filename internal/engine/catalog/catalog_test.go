@@ -232,12 +232,12 @@ func TestHistogramStringValues(t *testing.T) {
 	}
 }
 
-// sameHistogram compares two histograms step by step. Values must agree in
-// kind and under types.Equal — bitwise except for the ±0 pair, whose order
-// within a run no sort defines.
+// sameHistogram compares two histograms step by step, values bit for bit:
+// a float column holding -0 takes the comparator sort on both paths, so
+// even the ±0 pair agrees.
 func sameHistogram(t *testing.T, name string, got, want *Histogram) {
 	t.Helper()
-	sameValue := func(a, b types.Value) bool { return a.K == b.K && types.Equal(a, b) }
+	sameValue := func(a, b types.Value) bool { return a == b }
 	if got.TotalRows != want.TotalRows || got.DistinctTotal != want.DistinctTotal ||
 		!sameValue(got.Min, want.Min) || !sameValue(got.Max, want.Max) || len(got.Buckets) != len(want.Buckets) {
 		t.Fatalf("%s: got %v, want %v", name, got, want)
@@ -250,10 +250,10 @@ func sameHistogram(t *testing.T, name string, got, want *Histogram) {
 	}
 }
 
-// TestTypedHistogramMatchesGenericPath: statistics built through the typed
-// payload sort must equal the generic-comparator path — Values sorted under
-// types.Compare — on every column shape, and a column the payload order
-// cannot represent (mixed kinds, NaN) must be routed to that path.
+// TestTypedHistogramMatchesGenericPath: statistics built through the radix
+// sort of order codes must equal the generic-comparator path — Values
+// sorted under types.Compare — on every column shape, and a column the
+// codes cannot represent (mixed kinds, NaN, -0) must be routed to that path.
 func TestTypedHistogramMatchesGenericPath(t *testing.T) {
 	rng := sim.NewRNG(11)
 	gen := func(n int, f func(i int) types.Value) []types.Value {
@@ -270,6 +270,9 @@ func TestTypedHistogramMatchesGenericPath(t *testing.T) {
 		"int-dups":   gen(3000, func(int) types.Value { return types.Int(rng.Int63n(40) - 20) }),
 		"int-wide":   gen(3000, func(int) types.Value { return types.Int(int64(rng.Uint64())) }),
 		"int-sorted": gen(1000, func(i int) types.Value { return types.Int(int64(i / 3)) }),
+		"int-extremes": gen(1000, func(int) types.Value {
+			return types.Int([]int64{math.MinInt64, -1, 0, 1, math.MaxInt64}[rng.Intn(5)])
+		}),
 		"int-nulls": gen(2000, func(i int) types.Value {
 			if i%7 == 0 {
 				return types.Null()
@@ -279,6 +282,9 @@ func TestTypedHistogramMatchesGenericPath(t *testing.T) {
 		"float": gen(3000, func(int) types.Value { return types.Float(rng.Float64()*200 - 100) }),
 		"float-zeros": gen(500, func(i int) types.Value {
 			return types.Float([]float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1)}[rng.Intn(6)])
+		}),
+		"float-poszero": gen(500, func(i int) types.Value {
+			return types.Float([]float64{0, 5e-324, -5e-324, math.MaxFloat64, -1}[rng.Intn(5)])
 		}),
 		"float-nan": gen(500, func(i int) types.Value {
 			if i%50 == 3 {

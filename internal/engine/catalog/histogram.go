@@ -1,8 +1,8 @@
 package catalog
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -76,20 +76,21 @@ func buildHistogramSorted[K any](sorted []K, eq func(a, b K) bool, val func(K) t
 	return h
 }
 
-// columnKeys accumulates one column's non-NULL values as bare int64,
-// float64 or string payloads so they can be sorted without the generic
-// comparator (strings by content, not by intern id). The kind is taken from
-// the values themselves; within one kind the payload order is exactly
-// types.Compare's.
+// columnKeys accumulates one column's non-NULL values as order codes
+// (types.OrderCode: bare int and float payloads, and string intern ids) so
+// they can be radix-sorted without the generic comparator. The kind is
+// taken from the values themselves; within one kind the code order is
+// exactly types.Compare's.
 type columnKeys struct {
 	kind  types.Kind // of the first non-NULL value
-	mixed bool       // another kind or a NaN was seen: payload order no longer applies
-	nulls int
-	hint  int // expected number of values
-
-	ints   []int64
-	floats []float64
-	strs   []string
+	mixed bool       // another kind or a NaN was seen: the codes no longer apply
+	// negZero is set when a float -0 was seen. Its code is +0's, and
+	// which of the two ends a run — and so becomes a bucket's Upper — is
+	// the comparator sort's tie order, which only that sort reproduces.
+	negZero bool
+	nulls   int
+	hint    int // expected number of values
+	codes   []uint64
 }
 
 func (k *columnKeys) add(v types.Value) {
@@ -99,48 +100,36 @@ func (k *columnKeys) add(v types.Value) {
 		return
 	case k.kind == types.KindNull:
 		k.kind = v.K
-		switch v.K {
-		case types.KindInt:
-			k.ints = make([]int64, 0, k.hint)
-		case types.KindFloat:
-			k.floats = make([]float64, 0, k.hint)
-		case types.KindString:
-			k.strs = make([]string, 0, k.hint)
-		}
+		k.codes = make([]uint64, 0, k.hint)
 	case v.K != k.kind:
 		k.mixed = true
 		return
 	}
-	switch v.K {
-	case types.KindInt:
-		k.ints = append(k.ints, v.I)
-	case types.KindFloat:
+	if v.K == types.KindFloat {
 		f := v.Float64()
 		k.mixed = k.mixed || f != f
-		k.floats = append(k.floats, f)
-	case types.KindString:
-		k.strs = append(k.strs, v.Str())
-	default:
-		k.mixed = true
+		k.negZero = k.negZero || (f == 0 && math.Signbit(f))
 	}
+	k.codes = append(k.codes, types.OrderCode(v))
 }
 
-// histogram sorts the accumulated payloads and builds their histogram. A
-// mixed column instead takes the generic path over its whole Values,
-// fetched by nonNull.
-func (k *columnKeys) histogram(maxBuckets int, nonNull func() []types.Value) *Histogram {
+// histogram radix-sorts the accumulated codes with s and builds their
+// histogram. A mixed column, or a float column holding a -0, instead takes
+// the generic path over its whole Values, fetched by nonNull.
+func (k *columnKeys) histogram(maxBuckets int, s *types.CodeSorter, nonNull func() []types.Value) *Histogram {
 	switch {
-	case k.mixed:
+	case k.mixed || k.negZero:
 		return genericHistogram(nonNull(), maxBuckets)
-	case k.kind == types.KindInt:
-		return payloadHistogram(k.ints, types.Int, maxBuckets)
-	case k.kind == types.KindFloat:
-		return payloadHistogram(k.floats, types.Float, maxBuckets)
-	case k.kind == types.KindString:
-		return payloadHistogram(k.strs, types.Str, maxBuckets)
-	default: // empty or all NULL
+	case k.kind == types.KindNull: // empty or all NULL
 		return &Histogram{}
 	}
+	val := func(c uint64) types.Value { return types.FromOrderCode(k.kind, c) }
+	if k.kind == types.KindString {
+		byRank := s.RankStrings(k.codes)
+		val = func(r uint64) types.Value { return types.Value{K: types.KindString, I: byRank[r]} }
+	}
+	s.Sort(k.codes, nil)
+	return buildHistogramSorted(k.codes, func(a, b uint64) bool { return a == b }, val, maxBuckets)
 }
 
 // genericHistogram sorts vals in place under types.Compare, the order every
@@ -150,11 +139,6 @@ func genericHistogram(vals []types.Value, maxBuckets int) *Histogram {
 	return buildHistogramSorted(vals, types.Equal, func(v types.Value) types.Value { return v }, maxBuckets)
 }
 
-func payloadHistogram[K cmp.Ordered](keys []K, val func(K) types.Value, maxBuckets int) *Histogram {
-	slices.Sort(keys)
-	return buildHistogramSorted(keys, func(a, b K) bool { return a == b }, val, maxBuckets)
-}
-
 // BuildHistogram builds an equi-depth histogram with at most maxBuckets
 // steps over the non-NULL values; values itself is left untouched.
 func BuildHistogram(values []types.Value, maxBuckets int) *Histogram {
@@ -162,7 +146,7 @@ func BuildHistogram(values []types.Value, maxBuckets int) *Histogram {
 	for _, v := range values {
 		k.add(v)
 	}
-	return k.histogram(maxBuckets, func() []types.Value {
+	return k.histogram(maxBuckets, &types.CodeSorter{}, func() []types.Value {
 		return slices.DeleteFunc(slices.Clone(values), types.Value.IsNull)
 	})
 }

@@ -59,19 +59,12 @@ func compareKeys(a, b []types.Value) int {
 // sorted sequence is unique — every correct sort produces the same leaf
 // layout. Rows already in key order (serial primary keys) cost one
 // verification pass. A key that is one column of one kind — judged from
-// the rows themselves — is sorted as a compact (payload, RID) permutation;
-// composite, mixed-kind, NULL- or NaN-bearing keys take the generic
-// comparator.
-func indexOrder(h *Heap, keyCols []int) []int64 {
-	cmpRows := func(a, b int64) int {
-		ra, rb := h.row(int(a)), h.row(int(b))
-		for _, c := range keyCols {
-			if d := types.Compare(ra[c], rb[c]); d != 0 {
-				return d
-			}
-		}
-		return cmp.Compare(a, b)
-	}
+// the rows themselves — is radix-sorted on its order codes, carrying the
+// RIDs: they start ascending and the sort is stable, so ties come out in
+// RID order. Composite, mixed-kind, NULL- or NaN-bearing keys take the
+// generic comparator.
+func indexOrder(h *Heap, keyCols []int, s *types.CodeSorter) []int64 {
+	cmpRows := ridComparator(h, keyCols)
 	rids := make([]int64, h.n)
 	for i := range rids {
 		rids[i] = int64(i)
@@ -80,60 +73,49 @@ func indexOrder(h *Heap, keyCols []int) []int64 {
 		return rids
 	}
 	if len(keyCols) == 1 {
-		c := keyCols[0]
-		switch singleKeyKind(h, c) {
-		case types.KindInt:
-			return sortByPayload(h, c, rids, func(v types.Value) int64 { return v.I })
-		case types.KindFloat:
-			return sortByPayload(h, c, rids, types.Value.Float64)
-		case types.KindString:
-			return sortByPayload(h, c, rids, types.Value.Str)
+		if codes, ok := keyCodes(h, keyCols[0], s); ok {
+			s.Sort(codes, rids)
+			return rids
 		}
 	}
 	slices.SortFunc(rids, cmpRows)
 	return rids
 }
 
-// singleKeyKind returns the kind shared by column c of every row when all
-// of them are non-NULL, non-NaN values of that kind, else KindNull.
-func singleKeyKind(h *Heap, c int) types.Kind {
-	kind := types.KindNull
-	for i := 0; i < h.n; i++ {
-		v := h.vals[i*h.width+c]
-		if v.K == types.KindNull || (v.K == types.KindFloat && math.IsNaN(v.Float64())) {
-			return types.KindNull
+// ridComparator orders the RIDs of h by the key columns keyCols, then by
+// RID.
+func ridComparator(h *Heap, keyCols []int) func(a, b int64) int {
+	return func(a, b int64) int {
+		ra, rb := h.row(int(a)), h.row(int(b))
+		for _, c := range keyCols {
+			if d := types.Compare(ra[c], rb[c]); d != 0 {
+				return d
+			}
 		}
-		if i == 0 {
-			kind = v.K
-		} else if v.K != kind {
-			return types.KindNull
-		}
+		return cmp.Compare(a, b)
 	}
-	return kind
 }
 
-// sortByPayload writes into rids the RIDs of h sorted on (payload of
-// column c, RID), comparing bare payloads. Within one kind the payload
-// order is exactly types.Compare's.
-func sortByPayload[K cmp.Ordered](h *Heap, c int, rids []int64, payload func(types.Value) K) []int64 {
-	type slot struct {
-		key K
-		rid int64
+// keyCodes returns the order codes of column c of every row, by RID, in
+// s's code buffer, and ok=false unless all of them are non-NULL, non-NaN
+// values of one kind.
+func keyCodes(h *Heap, c int, s *types.CodeSorter) (codes []uint64, ok bool) {
+	kind := h.vals[c].K
+	if kind == types.KindNull {
+		return nil, false
 	}
-	perm := make([]slot, h.n)
-	for i := range perm {
-		perm[i] = slot{payload(h.vals[i*h.width+c]), int64(i)}
-	}
-	slices.SortFunc(perm, func(a, b slot) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
+	codes = s.Codes(h.n)
+	for i := range codes {
+		v := h.vals[i*h.width+c]
+		if v.K != kind || (kind == types.KindFloat && math.IsNaN(v.Float64())) {
+			return nil, false
 		}
-		return cmp.Compare(a.rid, b.rid)
-	})
-	for i := range perm {
-		rids[i] = perm[i].rid
+		codes[i] = types.OrderCode(v)
 	}
-	return rids
+	if kind == types.KindString {
+		s.RankStrings(codes)
+	}
+	return codes, true
 }
 
 // BuildBTree bulk-builds the index of heap h on the columns keyCols: it
@@ -141,14 +123,14 @@ func sortByPayload[K cmp.Ordered](h *Heap, c int, rids []int64, payload func(typ
 // that order. The leaf packing factor derives from the average entry width
 // — the key, an 8-byte RID and, for a clustered index, the full row — so
 // clustered indexes occupy proportionally more pages than narrow secondary
-// indexes.
-func BuildBTree(objectID uint32, h *Heap, keyCols []int, clustered bool) *BTree {
+// indexes. s is the sort's scratch, shared by the indexes of one table.
+func BuildBTree(objectID uint32, h *Heap, keyCols []int, clustered bool, s *types.CodeSorter) *BTree {
 	nk := len(keyCols)
 	t := &BTree{objectID: objectID, nk: nk, perLeaf: 1}
 	if h.n == 0 {
 		return t
 	}
-	t.rids = indexOrder(h, keyCols)
+	t.rids = indexOrder(h, keyCols, s)
 	t.keys = make([]types.Value, 0, h.n*nk)
 	for _, rid := range t.rids {
 		row := h.row(int(rid))
@@ -158,7 +140,7 @@ func BuildBTree(objectID uint32, h *Heap, keyCols []int, clustered bool) *BTree 
 	}
 	width := 8*h.n + types.Row(t.keys).Width()
 	if clustered {
-		width += types.Row(h.vals).Width()
+		width += h.bytes
 	}
 	avg := max(width/h.n, 1)
 	t.perLeaf = max(PageSize/avg, 2)

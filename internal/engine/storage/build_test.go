@@ -26,7 +26,7 @@ func referenceOrder(entries []IndexEntry) []IndexEntry {
 }
 
 // TestBuildBTreeMatchesReferenceSort: whichever path indexOrder picks
-// (already sorted, typed payload permutation, generic comparator), the leaf
+// (already sorted, radix permutation, generic comparator), the leaf
 // sequence must be bit for bit the one the reference sort produces.
 func TestBuildBTreeMatchesReferenceSort(t *testing.T) {
 	rng := sim.NewRNG(5)
@@ -89,6 +89,51 @@ func TestBuildBTreeMatchesReferenceSort(t *testing.T) {
 	}
 }
 
+// TestIndexOrderMatchesComparatorSort: on random heaps with heavy
+// duplicates, indexOrder equals the generic comparator sort of the RIDs
+// for every key shape, one sorter serving every index of every heap as
+// LoadValues shares one across a table's indexes.
+func TestIndexOrderMatchesComparatorSort(t *testing.T) {
+	rng := sim.NewRNG(9)
+	words := []string{"", "a", "ab", "b", "ba", "zz", "Z"}
+	floats := []float64{math.Inf(-1), -2.5, math.Copysign(0, -1), 0, 1e-300, 7, math.Inf(1)}
+	var s types.CodeSorter
+	for _, n := range []int{1, 2, 300, 4000, 700} {
+		vals := make([]types.Value, 0, 6*n)
+		for range n {
+			nanOrNull := types.Int(rng.Int63n(9))
+			switch rng.Intn(40) {
+			case 0:
+				nanOrNull = types.Float(math.NaN())
+			case 1:
+				nanOrNull = types.Null()
+			}
+			vals = append(vals,
+				types.Int(rng.Int63n(12)-6),
+				types.Float(floats[rng.Intn(len(floats))]),
+				types.Str(words[rng.Intn(len(words))]),
+				types.Int(int64(rng.Uint64()>>uint(rng.Intn(64)))),
+				types.Int(math.MinInt64+rng.Int63n(3)*(math.MaxInt64/2)),
+				nanOrNull,
+			)
+		}
+		h := NewHeap(1, 6, vals)
+		for _, keyCols := range [][]int{{0}, {1}, {2}, {3}, {4}, {5}, {0, 2}, {2, 1}} {
+			want := make([]int64, h.n)
+			for i := range want {
+				want[i] = int64(i)
+			}
+			slices.SortFunc(want, ridComparator(h, keyCols))
+			got := indexOrder(h, keyCols, &s)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d key %v: entry %d is RID %d, want RID %d", n, keyCols, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // checkAgainstReference builds the clustered index of h on all its
 // columns, which entries list in input order, and compares its leaf
 // sequence with the reference sort of entries.
@@ -99,7 +144,7 @@ func checkAgainstReference(t *testing.T, name string, h *Heap, entries []IndexEn
 	for i := range keyCols {
 		keyCols[i] = i
 	}
-	bt := BuildBTree(1, h, keyCols, true)
+	bt := BuildBTree(1, h, keyCols, true, &types.CodeSorter{})
 	cur := bt.ScanAll(NewBufferPool(16))
 	for i, w := range want {
 		got, ok := cur.Next()

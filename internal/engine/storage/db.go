@@ -66,10 +66,11 @@ func (db *Database) LoadValues(table string, vals []types.Value) {
 	db.heaps[table] = h
 	t.RowCount = h.NumRows()
 	t.Pages = h.NumPages()
+	var sorter types.CodeSorter
 	for _, ix := range t.Indexes {
 		switch ix.Kind {
 		case catalog.BTree:
-			bt := BuildBTree(db.allocObj(), h, ix.KeyCols, ix.Clustered)
+			bt := BuildBTree(db.allocObj(), h, ix.KeyCols, ix.Clustered, &sorter)
 			ix.LeafPages = bt.NumLeafPages()
 			ix.Height = bt.Height()
 			db.btrees[t.Name+"."+ix.Name] = bt

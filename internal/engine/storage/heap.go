@@ -17,6 +17,7 @@ type Heap struct {
 	vals        []types.Value
 	width       int
 	n           int
+	bytes       int // the rows' total types.Row.Width
 	rowsPerPage int
 }
 
@@ -32,7 +33,8 @@ func NewHeap(objectID uint32, width int, vals []types.Value) *Heap {
 	if h.n == 0 {
 		return h
 	}
-	avg := max(types.Row(vals).Width()/h.n, 1)
+	h.bytes = types.Row(vals).Width()
+	avg := max(h.bytes/h.n, 1)
 	h.rowsPerPage = max(PageSize/avg, 1)
 	return h
 }

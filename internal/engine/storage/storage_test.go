@@ -142,7 +142,7 @@ func buildTestBTree(n int, clustered bool) *BTree {
 	for i := range rows {
 		rows[i] = types.Row{types.Int(int64(i * 2)), types.Str("r")}
 	}
-	return BuildBTree(2, heapOf(1, rows), []int{0}, clustered)
+	return BuildBTree(2, heapOf(1, rows), []int{0}, clustered, &types.CodeSorter{})
 }
 
 // intHeap stores one single-column row per key, RID i holding keys[i].
@@ -230,7 +230,7 @@ func TestBTreeScanAllOrdered(t *testing.T) {
 }
 
 func TestBTreeEmptyAndMissing(t *testing.T) {
-	bt := BuildBTree(1, NewHeap(1, 1, nil), []int{0}, false)
+	bt := BuildBTree(1, NewHeap(1, 1, nil), []int{0}, false, &types.CodeSorter{})
 	bp := NewBufferPool(10)
 	c := bt.Seek([]types.Value{types.Int(1)}, true, bp)
 	if _, ok := c.Next(); ok {
@@ -248,7 +248,7 @@ func TestBTreeDuplicateKeys(t *testing.T) {
 	for rid := range keys {
 		keys[rid] = int64(rid / 3)
 	}
-	bt := BuildBTree(3, intHeap(keys), []int{0}, false)
+	bt := BuildBTree(3, intHeap(keys), []int{0}, false, &types.CodeSorter{})
 	bp := NewBufferPool(1000)
 	c := bt.Seek([]types.Value{types.Int(42)}, true, bp)
 	c.SetUpper([]types.Value{types.Int(42)}, true)
@@ -273,7 +273,7 @@ func TestBTreePropertySeekFindsAll(t *testing.T) {
 		col[i] = rng.Int63n(500)
 		keys[col[i]]++
 	}
-	bt := BuildBTree(9, intHeap(col), []int{0}, false)
+	bt := BuildBTree(9, intHeap(col), []int{0}, false, &types.CodeSorter{})
 	bp := NewBufferPool(100000)
 	f := func(probe uint16) bool {
 		k := int64(probe % 500)

@@ -244,18 +244,35 @@ func TestHistoryFlightRecorder(t *testing.T) {
 	}
 }
 
-// waitFinished waits until the server itself counts a query finished. Its
-// watcher marks the query done a moment after status first reports it
-// terminal, and only a done query can be reaped by the next submit.
+// waitFinished waits until the server itself counts a query finished and,
+// the query being the only one running, has released every admission slot.
+// Its watcher marks the query done a moment after status first reports it
+// terminal, and only a done query can be reaped by the next submit; it
+// releases the slot only after scoring the query's accuracy, and a submit
+// while a slow scorer still holds it can be refused.
 func waitFinished(t *testing.T, srv *Server, id int64) {
 	t.Helper()
 	srv.mu.Lock()
 	h := srv.queries[lqs.QueryID(id)]
 	srv.mu.Unlock()
+	deadline := time.After(15 * time.Second)
 	select {
 	case <-h.terminal:
-	case <-time.After(15 * time.Second):
+	case <-deadline:
 		t.Fatalf("query %d never finished", id)
+	}
+	for {
+		srv.mu.Lock()
+		active := srv.active
+		srv.mu.Unlock()
+		if active == 0 {
+			return
+		}
+		select {
+		case <-time.After(time.Millisecond):
+		case <-deadline:
+			t.Fatalf("query %d finished but %d admission slots stay held", id, active)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -148,6 +149,34 @@ func TestZipfSkewShape(t *testing.T) {
 	}
 	if counts[1] < tail {
 		t.Fatalf("head count %d not above tail mass %d", counts[1], tail)
+	}
+}
+
+// TestZipfGuideTableIsExact: the guide-table inversion returns the index
+// binary search over the CDF returns, on twin-RNG draws (so it also draws
+// the same RNG values) and on every CDF entry and its float neighbours,
+// where a guide built off by one float would first show.
+func TestZipfGuideTableIsExact(t *testing.T) {
+	for _, n := range []int64{1, 2, 7, 1200, 7500} {
+		for _, theta := range []float64{0.5, 1, 2} {
+			r, twin := NewRNG(uint64(n)), NewRNG(uint64(n))
+			z := NewZipf(r, n, theta)
+			for d := 0; d < 1_000_000; d++ {
+				if got, want := z.Next(), int64(sort.SearchFloat64s(z.cdf, twin.Float64()))+1; got != want {
+					t.Fatalf("n=%d theta=%v draw %d: %d, binary search says %d", n, theta, d, got, want)
+				}
+			}
+			for _, c := range z.cdf {
+				for _, u := range []float64{math.Nextafter(c, 0), c, math.Nextafter(c, 2)} {
+					if u < 0 || u >= 1 {
+						continue
+					}
+					if got, want := z.invert(u), sort.SearchFloat64s(z.cdf, u); got != want {
+						t.Fatalf("n=%d theta=%v u=%v: index %d, binary search says %d", n, theta, u, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
