@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -78,25 +79,39 @@ type benchReport struct {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && err != flag.ErrHelp {
+		fmt.Fprintln(os.Stderr, "lqsbench:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args, runs what they select and
+// writes the reports to stdout. Accuracy ceiling breaches and chaos
+// contract violations are listed on stdout and returned as the error.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("lqsbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		run      = flag.String("run", "all", "experiment ID to run (Fig8..Fig20, TableA1) or 'all'")
-		full     = flag.Bool("full", false, "trace every query (default subsamples the large REAL workloads)")
-		seed     = flag.Uint64("seed", 42, "workload generation seed")
-		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		parallel = flag.Int("parallel", 1, "tracing workers: 1 = serial, 0 = GOMAXPROCS")
-		dop      = flag.Int("dop", 1, "intra-query degree of parallelism for -trace-dir runs and the -bench-json speedup section (1 = serial)")
-		benchOut = flag.String("bench-json", "", "write machine-readable timings to this file ('-' = stdout); parallel runs add a serial reference pass for speedup")
-		traceDir = flag.String("trace-dir", "", "emit per-query Chrome trace-event JSON and estimator explains into this directory")
-		traceWl  = flag.String("trace-workload", "tpch", "workload to trace for -trace-dir: tpch, tpch-cs, tpcds, real1, real2, real3")
-		traceLim = flag.Int("trace-limit", 4, "queries to trace for -trace-dir (0 = all)")
-		dumpObs  = flag.Bool("metrics", false, "dump the metrics registry (pool counters, estimator-error histograms) on exit")
-		chaosRun = flag.Bool("chaos", false, "run the chaos differential battery (TPC-H/TPC-DS x DOP x fault-rate grid) and exit non-zero on contract violations")
-		chaosSd  = flag.Uint64("chaos-seed", 42, "master seed for the -chaos battery")
-		accRun   = flag.Bool("accuracy", false, "run the estimator-accuracy suite (TPC-H/TPC-DS x TGN/DNE/LQS/ENS) and exit non-zero on ceiling breaches")
-		accOut   = flag.String("acc-json", "", "with -accuracy: write the ACC_*.json trajectory to this file ('-' = stdout)")
-		accLabel = flag.String("acc-label", "dev", "with -accuracy: label stamped into the report")
+		runIDs   = fs.String("run", "all", "experiment ID to run (Fig8..Fig20, TableA1) or 'all'")
+		full     = fs.Bool("full", false, "trace every query (default subsamples the large REAL workloads)")
+		seed     = fs.Uint64("seed", 42, "workload generation seed")
+		list     = fs.Bool("list", false, "list experiment IDs and exit")
+		parallel = fs.Int("parallel", 1, "tracing workers: 1 = serial, 0 = GOMAXPROCS")
+		dop      = fs.Int("dop", 1, "intra-query degree of parallelism for -trace-dir runs and the -bench-json speedup section (1 = serial)")
+		benchOut = fs.String("bench-json", "", "write machine-readable timings to this file ('-' = stdout); parallel runs add a serial reference pass for speedup")
+		traceDir = fs.String("trace-dir", "", "emit per-query Chrome trace-event JSON and estimator explains into this directory")
+		traceWl  = fs.String("trace-workload", "tpch", "workload to trace for -trace-dir: tpch, tpch-cs, tpcds, real1, real2, real3")
+		traceLim = fs.Int("trace-limit", 4, "queries to trace for -trace-dir (0 = all)")
+		dumpObs  = fs.Bool("metrics", false, "dump the metrics registry (pool counters, estimator-error histograms) on exit")
+		chaosRun = fs.Bool("chaos", false, "run the chaos differential battery (TPC-H/TPC-DS x DOP x fault-rate grid) and exit non-zero on contract violations")
+		chaosSd  = fs.Uint64("chaos-seed", 42, "master seed for the -chaos battery")
+		accRun   = fs.Bool("accuracy", false, "run the estimator-accuracy suite (TPC-H/TPC-DS x TGN/DNE/LQS/ENS) and exit non-zero on ceiling breaches")
+		accOut   = fs.String("acc-json", "", "with -accuracy: write the ACC_*.json trajectory to this file ('-' = stdout)")
+		accLabel = fs.String("acc-label", "dev", "with -accuracy: label stamped into the report")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *accRun {
 		rep, err := accuracy.Run(accuracy.Config{
@@ -106,31 +121,31 @@ func main() {
 			Parallel: *parallel,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Print(rep.Render())
+		fmt.Fprint(stdout, rep.Render())
 		if *accOut != "" {
 			buf, err := rep.JSON()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			if *accOut == "-" {
-				os.Stdout.Write(buf)
-			} else if err := os.WriteFile(*accOut, buf, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				_, err = stdout.Write(buf)
+			} else {
+				err = os.WriteFile(*accOut, buf, 0o644)
+			}
+			if err != nil {
+				return err
 			}
 		}
 		if viol := rep.Violations(accuracy.DefaultCeilings()); len(viol) > 0 {
-			fmt.Println("\naccuracy ceiling breaches:")
+			fmt.Fprintln(stdout, "\naccuracy ceiling breaches:")
 			for _, v := range viol {
-				fmt.Println("  " + v)
+				fmt.Fprintln(stdout, "  "+v)
 			}
-			os.Exit(1)
+			return fmt.Errorf("%d accuracy ceiling breaches", len(viol))
 		}
-		return
+		return nil
 	}
 
 	if *chaosRun {
@@ -146,39 +161,37 @@ func main() {
 		}
 		rep, err := chaos.Run(cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Print(rep.Render())
-		if len(rep.Violations()) > 0 {
-			os.Exit(1)
+		fmt.Fprint(stdout, rep.Render())
+		if viol := rep.Violations(); len(viol) > 0 {
+			return fmt.Errorf("%d chaos contract violations", len(viol))
 		}
-		return
+		return nil
 	}
 
 	if *list {
 		for _, id := range experiments.IDs() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
-		return
+		return nil
 	}
 
 	suite := experiments.NewSuite(experiments.Config{Seed: *seed, Quick: !*full, Parallel: *parallel})
 	ids := experiments.IDs()
-	if strings.EqualFold(*run, "none") {
+	if strings.EqualFold(*runIDs, "none") {
 		ids = nil
-	} else if !strings.EqualFold(*run, "all") {
-		ids = strings.Split(*run, ",")
+	} else if !strings.EqualFold(*runIDs, "all") {
+		ids = strings.Split(*runIDs, ",")
 	}
 
 	if *traceDir != "" {
-		if err := emitTraces(*traceDir, *traceWl, *seed, *traceLim, *parallel, *dop); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := emitTraces(stdout, *traceDir, *traceWl, *seed, *traceLim, *parallel, *dop); err != nil {
+			return err
 		}
 	}
 	if *dumpObs {
-		defer func() { fmt.Print(obs.Default().Dump()) }()
+		defer func() { fmt.Fprint(stdout, obs.Default().Dump()) }()
 	}
 
 	workers := *parallel
@@ -192,12 +205,11 @@ func main() {
 		start := time.Now()
 		res, err := suite.Run(strings.TrimSpace(id))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		wall := time.Since(start)
-		fmt.Println(res.Render())
-		fmt.Printf("(%s completed in %v)\n\n", res.ID, wall.Round(time.Millisecond))
+		fmt.Fprintln(stdout, res.Render())
+		fmt.Fprintf(stdout, "(%s completed in %v)\n\n", res.ID, wall.Round(time.Millisecond))
 		report.Phases = append(report.Phases, phaseBench{
 			ID:            res.ID,
 			WallSeconds:   wall.Seconds(),
@@ -207,7 +219,7 @@ func main() {
 	report.WallSeconds = time.Since(totalStart).Seconds()
 
 	if *benchOut == "" {
-		return
+		return nil
 	}
 	if *dop > 1 {
 		// Virtual-time speedups from intra-query parallelism: each query of
@@ -215,8 +227,7 @@ func main() {
 		// clock, so the ratio is deterministic and independent of host load.
 		w, err := workloadByName(*traceWl, *seed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		limit := 0
 		if !*full {
@@ -233,8 +244,7 @@ func main() {
 			metrics.ResetTracedQueries()
 			start := time.Now()
 			if _, err := ref.Run(strings.TrimSpace(id)); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			serial := time.Since(start).Seconds()
 			report.Phases[i].SerialSeconds = serial
@@ -245,18 +255,14 @@ func main() {
 	}
 	buf, err := json.MarshalIndent(&report, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	buf = append(buf, '\n')
 	if *benchOut == "-" {
-		os.Stdout.Write(buf)
-		return
+		_, err = stdout.Write(buf)
+		return err
 	}
-	if err := os.WriteFile(*benchOut, buf, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	return os.WriteFile(*benchOut, buf, 0o644)
 }
 
 // workloadByName builds the named workload at the given seed.
@@ -283,7 +289,7 @@ func workloadByName(name string, seed uint64) (*workload.Workload, error) {
 // directly in Perfetto) and the estimator's mid-query decomposition
 // (<workload>-<query>.explain.txt). Estimator-error and pool metrics feed
 // the default metrics registry for -metrics.
-func emitTraces(dir, wname string, seed uint64, limit, parallel, dop int) error {
+func emitTraces(stdout io.Writer, dir, wname string, seed uint64, limit, parallel, dop int) error {
 	w, err := workloadByName(wname, seed)
 	if err != nil {
 		return err
@@ -323,7 +329,7 @@ func emitTraces(dir, wname string, seed uint64, limit, parallel, dop int) error 
 		return err
 	}
 	w.DB.Pool.Publish(reg)
-	fmt.Printf("wrote %d trace artifacts for %s to %s\n\n", files, w.Name, dir)
+	fmt.Fprintf(stdout, "wrote %d trace artifacts for %s to %s\n\n", files, w.Name, dir)
 	return nil
 }
 

@@ -123,12 +123,26 @@ func (s *Snapshot) Clone() *Snapshot {
 // possible when a client holds a stale or partial snapshot from a
 // different plan shape — return an empty profile rather than panicking, so
 // display code degrades to "no data" instead of crashing the monitor.
+//
+// Estimators call Op for every node reference of every pass, so the
+// memoized in-range case is small enough to inline.
 func (s *Snapshot) Op(id int) *OpProfile {
-	s.Aggregate()
-	if id < 0 || id >= len(s.Ops) {
-		return &OpProfile{NodeID: id}
+	if s.aggregated && uint(id) < uint(len(s.Ops)) {
+		return &s.Ops[id]
 	}
-	return &s.Ops[id]
+	return s.opSlow(id)
+}
+
+// opSlow is Op before the memo is set or for an ID with no row. Kept out
+// of line so that Op itself stays within the inlining budget.
+//
+//go:noinline
+func (s *Snapshot) opSlow(id int) *OpProfile {
+	s.Aggregate()
+	if uint(id) < uint(len(s.Ops)) {
+		return &s.Ops[id]
+	}
+	return &OpProfile{NodeID: id}
 }
 
 // Aggregate folds the per-thread rows into one profile per node, the shape

@@ -4,10 +4,15 @@ import "testing"
 
 // TestEstimateAllocations fences the per-poll allocations of the
 // estimation pass on a DOP-2 recording: the repair pass allocates nothing
-// on a healthy capture, an LQS estimate allocates only the Estimate and
-// its four slices, and an ensemble estimate only what its result carries.
-// Plan-static lists (postorder, driver sets) and the candidates' estimates
-// must not be rebuilt per poll.
+// on a healthy capture; an LQS estimate allocates the Estimate, one array
+// for its Op, N and PipelineProg, and its bounds; an ensemble estimate the
+// same, with its ensemble record inside the first and its vectors inside
+// the second. Plan-static lists (postorder, driver sets), the candidates'
+// estimates and the per-node record must not be rebuilt per poll.
+//
+// Explain adds the Explanation and its Terms, and in ensemble mode the
+// candidate rows and one array of per-candidate contributions: a fixed
+// count, where splitting query progress once allocated per pipeline.
 func TestEstimateAllocations(t *testing.T) {
 	p, cat, tr := dop2Trace(t)
 	snaps := tr.Snapshots
@@ -22,24 +27,34 @@ func TestEstimateAllocations(t *testing.T) {
 	}
 
 	for _, c := range []struct {
-		name string
-		o    Options
-		max  float64
+		name              string
+		o                 Options
+		estimate, explain float64
 	}{
-		{"LQS", LQSOptions(), 5},
-		{"ENS", EnsembleOptions(), 12},
+		{"LQS", LQSOptions(), 3, 5},
+		{"ENS", EnsembleOptions(), 3, 7},
 	} {
 		// A fresh estimator replays the trace forward, as a client polls:
 		// AllocsPerRun spends the first poll on its warm-up call and
 		// averages the rest.
-		e := NewEstimator(p, cat, c.o)
-		i := 0
-		a := testing.AllocsPerRun(len(snaps)-1, func() {
-			e.Estimate(snaps[i])
-			i++
-		})
-		if a > c.max {
-			t.Errorf("%s Estimate: %v allocations per poll, want at most %v", c.name, a, c.max)
+		for _, explain := range []bool{false, true} {
+			e := NewEstimator(p, cat, c.o)
+			i := 0
+			a := testing.AllocsPerRun(len(snaps)-1, func() {
+				if explain {
+					e.Explain(snaps[i])
+				} else {
+					e.Estimate(snaps[i])
+				}
+				i++
+			})
+			call, max := "Estimate", c.estimate
+			if explain {
+				call, max = "Explain", c.explain
+			}
+			if a > max {
+				t.Errorf("%s %s: %v allocations per poll, want at most %v", c.name, call, a, max)
+			}
 		}
 	}
 }

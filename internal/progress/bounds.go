@@ -97,7 +97,7 @@ func (e *Estimator) computeBounds(bounds []Bounds, snap *dmv.Snapshot) []Bounds 
 			// emitted), so one extra outer row is allowed until the join
 			// closes; the same slack covers right/full-outer tails.
 			ko := float64(snap.Op(n.Children[0].ID).ActualRows)
-			remOuter := math.Max(kidUB-ko, 0)
+			remOuter := max(kidUB-ko, 0)
 			if !snap.Op(n.ID).Closed && snap.Op(n.Children[0].ID).Opened {
 				remOuter++
 			}
@@ -108,10 +108,10 @@ func (e *Estimator) computeBounds(bounds []Bounds, snap *dmv.Snapshot) []Bounds 
 				lb += float64(snap.Op(c.ID).ActualRows)
 				ub += bounds[c.ID].UB
 			}
-			b = Bounds{LB: math.Max(lb, k), UB: ub}
+			b = Bounds{LB: max(lb, k), UB: ub}
 		case plan.Filter, plan.SegmentOp, plan.DistinctSort:
 			kc := float64(snap.Op(n.Children[0].ID).ActualRows)
-			b = Bounds{LB: k, UB: math.Max(kidUB-kc, 0) + k}
+			b = Bounds{LB: k, UB: max(kidUB-kc, 0) + k}
 		case plan.Exchange:
 			// An exchange is a buffering pass-through: every consumed row is
 			// eventually emitted, so the filter formula above — which treats
@@ -120,14 +120,14 @@ func (e *Estimator) computeBounds(bounds []Bounds, snap *dmv.Snapshot) []Bounds 
 			// buffer occupancy. Output count equals input count, exactly as
 			// for Sort; rows already consumed are guaranteed to come out.
 			kc := float64(snap.Op(n.Children[0].ID).ActualRows)
-			b = Bounds{LB: math.Max(k, kc), UB: kidUB}
+			b = Bounds{LB: max(k, kc), UB: kidUB}
 		case plan.Sort:
 			// A sort outputs exactly its input count.
 			kc := float64(snap.Op(n.Children[0].ID).ActualRows)
 			b = Bounds{LB: kc, UB: kidUB}
 		case plan.TopNSort:
 			kc := float64(snap.Op(n.Children[0].ID).ActualRows)
-			b = Bounds{LB: math.Min(float64(n.TopN), kc), UB: math.Min(float64(n.TopN), kidUB)}
+			b = Bounds{LB: min(float64(n.TopN), kc), UB: min(float64(n.TopN), kidUB)}
 		case plan.BitmapCreate, plan.ComputeScalar:
 			kc := float64(snap.Op(n.Children[0].ID).ActualRows)
 			b = Bounds{LB: kc, UB: kidUB}
@@ -138,7 +138,7 @@ func (e *Estimator) computeBounds(bounds []Bounds, snap *dmv.Snapshot) []Bounds 
 			kc := float64(snap.Op(n.Children[0].ID).ActualRows)
 			lb := k
 			if len(n.GroupCols) == 0 || kc > 0 {
-				lb = math.Max(1, k)
+				lb = max(1, k)
 			}
 			switch {
 			case len(n.GroupCols) == 0:
@@ -149,7 +149,7 @@ func (e *Estimator) computeBounds(bounds []Bounds, snap *dmv.Snapshot) []Bounds 
 				// exhausted, so emitted-count arithmetic says nothing about
 				// what remains to stream out; the only sound cap is the
 				// child's total (every input row may found its own group).
-				b = Bounds{LB: lb, UB: math.Max(kidUB, lb)}
+				b = Bounds{LB: lb, UB: max(kidUB, lb)}
 			default:
 				// Streaming: one group in flight at a time, so the future
 				// output is at most a new group per remaining input row plus
@@ -158,7 +158,7 @@ func (e *Estimator) computeBounds(bounds []Bounds, snap *dmv.Snapshot) []Bounds 
 				if snap.Op(n.ID).Closed {
 					slack = 0
 				}
-				b = Bounds{LB: lb, UB: math.Max(kidUB-kc, 0) + math.Max(lb, k) + slack}
+				b = Bounds{LB: lb, UB: max(kidUB-kc, 0) + max(lb, k) + slack}
 			}
 		case plan.RIDLookup:
 			b = Bounds{LB: k, UB: kidUB}

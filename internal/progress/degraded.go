@@ -112,9 +112,13 @@ func (e *Estimator) prepare(snap *dmv.Snapshot) (*dmv.Snapshot, bool, string) {
 	return repaired, true, reason
 }
 
-// compareKeys orders profile rows by (NodeID, ThreadID).
+// compareKeys orders profile rows by (NodeID, ThreadID). It runs for
+// every row of every poll, so ThreadID is compared only on a NodeID tie.
 func compareKeys(a, b *dmv.OpProfile) int {
-	return cmp.Or(cmp.Compare(a.NodeID, b.NodeID), cmp.Compare(a.ThreadID, b.ThreadID))
+	if a.NodeID != b.NodeID {
+		return cmp.Compare(a.NodeID, b.NodeID)
+	}
+	return cmp.Compare(a.ThreadID, b.ThreadID)
 }
 
 // compareAt compares the keys of a[i] and b[j] for a merge walk, an
@@ -185,42 +189,18 @@ func maxInto(dst, src *dmv.OpProfile) {
 	if src.EstimateRows > dst.EstimateRows {
 		dst.EstimateRows = src.EstimateRows
 	}
-	if src.ActualRows > dst.ActualRows {
-		dst.ActualRows = src.ActualRows
-	}
-	if src.Rebinds > dst.Rebinds {
-		dst.Rebinds = src.Rebinds
-	}
-	if src.CPUTime > dst.CPUTime {
-		dst.CPUTime = src.CPUTime
-	}
-	if src.IOTime > dst.IOTime {
-		dst.IOTime = src.IOTime
-	}
-	if src.LogicalReads > dst.LogicalReads {
-		dst.LogicalReads = src.LogicalReads
-	}
-	if src.PhysicalReads > dst.PhysicalReads {
-		dst.PhysicalReads = src.PhysicalReads
-	}
-	if src.PagesTotal > dst.PagesTotal {
-		dst.PagesTotal = src.PagesTotal
-	}
-	if src.IORetries > dst.IORetries {
-		dst.IORetries = src.IORetries
-	}
-	if src.SegmentsProcessed > dst.SegmentsProcessed {
-		dst.SegmentsProcessed = src.SegmentsProcessed
-	}
-	if src.SegmentsTotal > dst.SegmentsTotal {
-		dst.SegmentsTotal = src.SegmentsTotal
-	}
-	if src.InternalDone > dst.InternalDone {
-		dst.InternalDone = src.InternalDone
-	}
-	if src.InternalTotal > dst.InternalTotal {
-		dst.InternalTotal = src.InternalTotal
-	}
+	dst.ActualRows = max(dst.ActualRows, src.ActualRows)
+	dst.Rebinds = max(dst.Rebinds, src.Rebinds)
+	dst.CPUTime = max(dst.CPUTime, src.CPUTime)
+	dst.IOTime = max(dst.IOTime, src.IOTime)
+	dst.LogicalReads = max(dst.LogicalReads, src.LogicalReads)
+	dst.PhysicalReads = max(dst.PhysicalReads, src.PhysicalReads)
+	dst.PagesTotal = max(dst.PagesTotal, src.PagesTotal)
+	dst.IORetries = max(dst.IORetries, src.IORetries)
+	dst.SegmentsProcessed = max(dst.SegmentsProcessed, src.SegmentsProcessed)
+	dst.SegmentsTotal = max(dst.SegmentsTotal, src.SegmentsTotal)
+	dst.InternalDone = max(dst.InternalDone, src.InternalDone)
+	dst.InternalTotal = max(dst.InternalTotal, src.InternalTotal)
 	if src.Opened {
 		if !dst.Opened || src.OpenedAt < dst.OpenedAt {
 			dst.OpenedAt = src.OpenedAt
@@ -233,15 +213,11 @@ func maxInto(dst, src *dmv.OpProfile) {
 		}
 		dst.FirstActive = true
 	}
-	if src.LastActive > dst.LastActive {
-		dst.LastActive = src.LastActive
-	}
+	dst.LastActive = max(dst.LastActive, src.LastActive)
 	if src.Closed {
 		dst.Closed = true
 	}
-	if src.ClosedAt > dst.ClosedAt {
-		dst.ClosedAt = src.ClosedAt
-	}
+	dst.ClosedAt = max(dst.ClosedAt, src.ClosedAt)
 }
 
 // profileRegressed reports whether cur's monotone counters or lifecycle

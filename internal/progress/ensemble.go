@@ -2,6 +2,7 @@ package progress
 
 import (
 	"math"
+	"slices"
 
 	"lqs/internal/engine/catalog"
 	"lqs/internal/engine/dmv"
@@ -60,19 +61,34 @@ const (
 	ensStreak = 5
 )
 
-// ensemble is the per-query selector state: the candidate estimators (all
-// sharing one NHints store), the penalty/weight vectors, and the hysteresis
+// The candidates, in order. TGN and DNE share one pass (ensemble.tgn):
+// their options differ only in DriverNodeQuery, so N̂, operator and
+// pipeline progress are one computation, folded into query progress twice.
+const (
+	candTGN = iota
+	candDNE
+	candLQS
+	numCands
+)
+
+// ensemble is the per-query selector state: the candidates' passes (both
+// reading one NHints store), the penalty/weight vectors, and the hysteresis
 // bookkeeping. It lives on the top-level Estimator; candidates never
 // recurse into it.
 type ensemble struct {
 	names []string
-	cands []*Estimator
-	hints *NHints
+	// tgn is the pass the TGN and DNE candidates share, run under the TGN
+	// options; dne is DNE's query-progress fold over it. lqs is the LQS
+	// candidate's pass.
+	tgn, lqs *Estimator
+	dne      queryFold
+	hints    *NHints
 
 	// subs are the candidates' estimates, reused every poll: they feed the
-	// blend and never leave it. union is the envelope's scratch.
-	subs  []*Estimate
-	union []Bounds
+	// blend and never leave it. DNE's slices are TGN's. qs is the
+	// candidates' query progress.
+	subs [numCands]Estimate
+	qs   []float64
 
 	prior   []float64
 	penalty []float64
@@ -135,91 +151,128 @@ type EnsembleCandidate struct {
 	Selected bool
 }
 
-// newEnsemble builds the candidate estimators for a top-level ensemble
-// estimator: the three published modes, each wired to one shared NHints
-// store and the top-level estimator's decomposition, each with Ensemble
-// off so construction cannot recurse. The LQS candidate keeps its display
+// newEnsemble builds the candidate passes for a top-level ensemble
+// estimator: the published modes, each wired to one shared NHints store
+// and the top-level estimator's decomposition, each with Ensemble off so
+// construction cannot recurse. The LQS candidate keeps its display
 // contract (monotone, degradation-forced clamps); the baselines stay raw,
 // exactly like their standalone modes.
 func newEnsemble(p *plan.Plan, cat *catalog.Catalog, opt Options, d *Decomposition) *ensemble {
 	hints := newNHints(p, d, opt.minRefine())
-	specs := []struct {
-		name  string
-		opts  Options
-		prior float64
-	}{
-		{"TGN", TGNOptions(), 0.25},
-		{"DNE", DNEOptions(), 0.25},
-		{"LQS", LQSOptions(), 0.5},
-	}
-	en := &ensemble{hints: hints, challenger: -1}
-	for i, s := range specs {
-		o := s.opts
-		o.Ensemble = false
-		o.NHints = hints
+	cand := func(o Options) *Estimator {
 		if opt.MinRefineRows > 0 {
 			o.MinRefineRows = opt.MinRefineRows
 		}
-		en.names = append(en.names, s.name)
-		en.cands = append(en.cands, newEstimator(p, cat, o, d))
-		en.subs = append(en.subs, new(Estimate))
-		en.prior = append(en.prior, s.prior)
-		if s.name == "LQS" {
-			en.selected = i
-			en.anchor = i
-		}
+		c := newEstimator(p, cat, o, d)
+		c.hints = hints
+		return c
 	}
-	n := len(en.cands)
-	en.weights = append([]float64(nil), en.prior...)
-	en.penalty = make([]float64, n)
-	en.dist = make([]float64, n)
-	en.lastQ = make([]float64, n)
-	en.scratch = make([]float64, n)
+	// Per-candidate vectors share one array.
+	v := make([]float64, 7*numCands)
+	vec := func(i int) []float64 { return v[i*numCands : (i+1)*numCands : (i+1)*numCands] }
+	en := &ensemble{
+		names:      []string{"TGN", "DNE", "LQS"},
+		tgn:        cand(TGNOptions()),
+		lqs:        cand(LQSOptions()),
+		hints:      hints,
+		qs:         vec(0),
+		prior:      vec(1),
+		penalty:    vec(2),
+		dist:       vec(3),
+		weights:    vec(4),
+		lastQ:      vec(5),
+		scratch:    vec(6),
+		anchor:     candLQS,
+		selected:   candLQS,
+		challenger: -1,
+	}
+	copy(en.prior, []float64{0.25, 0.25, 0.5})
+	copy(en.weights, en.prior)
 	return en
 }
 
-// estimateEnsemble is the ensemble estimation pass: candidates consume the
-// already-prepared snapshot, the selector observes their trajectories, and
-// the blend becomes the displayed estimate.
-func (e *Estimator) estimateEnsemble(snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
-	snap.Aggregate()
-	en := e.ens
-	en.hints.Update(snap)
-	for i, c := range en.cands {
-		c.estimateInto(en.subs[i], snap, degraded, reason)
+// pass is the estimator whose pass candidate i reads.
+func (en *ensemble) pass(i int) *Estimator {
+	if i == candLQS {
+		return en.lqs
 	}
-	return e.blendEnsemble(snap, en.subs, degraded, reason)
+	return en.tgn
 }
 
-// blendEnsemble folds candidate estimates into the displayed ensemble
-// estimate: selector update (frozen on degraded polls), weighted blend of
-// query/operator/pipeline progress, intersection-envelope bounds, and the
-// selected candidate's cardinalities clamped into that envelope. Estimate
-// and Explain both funnel through it. The result shares no memory with
-// subs: it copies what it needs out of them.
-func (e *Estimator) blendEnsemble(snap *dmv.Snapshot, subs []*Estimate, degraded bool, reason string) *Estimate {
-	en := e.ens
-	qs := make([]float64, len(subs))
-	for i, s := range subs {
-		qs[i] = s.Query
+// fold is candidate i's query-progress fold of the latest poll.
+func (en *ensemble) fold(i int) *queryFold {
+	switch i {
+	case candTGN:
+		return &en.tgn.query
+	case candDNE:
+		return &en.dne
 	}
-	en.observe(snap.At, qs, degraded)
+	return &en.lqs.query
+}
 
-	est := &Estimate{
-		At:            snap.At,
-		Op:            make([]float64, len(e.Plan.Nodes)),
-		N:             make([]float64, len(e.Plan.Nodes)),
-		PipelineProg:  make([]float64, len(e.Decomp.Pipelines)),
+// estimateEnsemble is the ensemble estimation pass: the candidates' passes
+// consume the already-prepared snapshot, the selector observes their
+// trajectories, and the blend becomes the displayed estimate.
+func (e *Estimator) estimateEnsemble(snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
+	snap.Aggregate()
+	e.rec = zeroed(e.rec, len(e.Plan.Nodes))
+	en := e.ens
+	en.hints.Update(snap)
+	tgn := en.tgn.estimateInto(&en.subs[candTGN], snap, degraded, reason)
+	// The TGN options leave display clamps off, so DNE's estimate is TGN's
+	// with the other fold's value.
+	en.subs[candDNE] = *tgn
+	en.subs[candDNE].Query = clamp01(en.tgn.driverQueryProgress(snap, tgn, &en.dne))
+	en.lqs.estimateInto(&en.subs[candLQS], snap, degraded, reason)
+	return e.blendEnsemble(snap, degraded, reason)
+}
+
+// ensembleEstimate is the allocation an ensemble poll returns: the
+// estimate and its ensemble record together.
+type ensembleEstimate struct {
+	est  Estimate
+	info EnsembleInfo
+}
+
+// blendEnsemble folds the candidates' estimates into the displayed
+// ensemble estimate: selector update (frozen on degraded polls), weighted
+// blend of query/operator/pipeline progress, the envelope of the
+// candidates' bounds, and the selected candidate's cardinalities clamped
+// into that envelope. The result shares no memory with the candidates'
+// buffers: its float slices are cut from one new array, its bounds copied
+// into another.
+func (e *Estimator) blendEnsemble(snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
+	en := e.ens
+	subs := en.subs[:]
+	for i := range subs {
+		en.qs[i] = subs[i].Query
+	}
+	en.observe(snap.At, en.qs, degraded)
+
+	nodes, pipes := len(e.Plan.Nodes), len(e.Decomp.Pipelines)
+	vals := make([]float64, 2*nodes+pipes+4*numCands)
+	r := &ensembleEstimate{}
+	est := &r.est
+	*est = Estimate{
+		At:           snap.At,
+		Op:           vals[:nodes:nodes],
+		N:            vals[nodes : 2*nodes : 2*nodes],
+		PipelineProg: vals[2*nodes : 2*nodes+pipes : 2*nodes+pipes],
+		// The envelope of the candidates' Appendix A bounds is the tightest
+		// interval each bounded candidate's bounds allow. LQS is the only
+		// candidate that computes them, so the envelope is its bounds.
+		Bounds:        slices.Clone(subs[candLQS].Bounds),
 		Degraded:      degraded,
 		DegradeReason: reason,
+		Ensemble:      &r.info,
 	}
-	est.Bounds = en.envelope(subs)
+	vecs := vals[2*nodes+pipes:]
 	w := en.weights
 	var blend float64
 	for i := range subs {
-		blend += w[i] * qs[i]
+		blend += w[i] * en.qs[i]
 	}
-	sel := subs[en.selected]
+	sel := &subs[en.selected]
 	for id := range est.Op {
 		// The lifecycle contract (closed ⇒ exactly 1, unopened ⇒ 0) must
 		// survive blending: every candidate honors it, but a weighted sum of
@@ -232,8 +285,8 @@ func (e *Estimator) blendEnsemble(snap *dmv.Snapshot, subs []*Estimate, degraded
 			est.Op[id] = 0
 		default:
 			var op float64
-			for i, s := range subs {
-				op += w[i] * s.Op[id]
+			for i := range subs {
+				op += w[i] * subs[i].Op[id]
 			}
 			est.Op[id] = clamp01(op)
 		}
@@ -244,19 +297,22 @@ func (e *Estimator) blendEnsemble(snap *dmv.Snapshot, subs []*Estimate, degraded
 	}
 	for pid := range est.PipelineProg {
 		var v float64
-		for i, s := range subs {
-			if pid < len(s.PipelineProg) {
-				v += w[i] * s.PipelineProg[pid]
-			}
+		for i := range subs {
+			v += w[i] * subs[i].PipelineProg[pid]
 		}
 		est.PipelineProg[pid] = clamp01(v)
 	}
-	est.Ensemble = &EnsembleInfo{
+	vec := func(i int, src []float64) []float64 {
+		v := vecs[i*numCands : (i+1)*numCands : (i+1)*numCands]
+		copy(v, src)
+		return v
+	}
+	r.info = EnsembleInfo{
 		Names:    en.names,
-		Query:    qs,
-		Weights:  append([]float64(nil), w...),
-		Penalty:  append([]float64(nil), en.penalty...),
-		Distance: append([]float64(nil), en.dist...),
+		Query:    vec(0, en.qs),
+		Weights:  vec(1, w),
+		Penalty:  vec(2, en.penalty),
+		Distance: vec(3, en.dist),
 		Blend:    blend,
 		Selected: en.selected,
 		Switches: en.switches,
@@ -372,119 +428,38 @@ func (en *ensemble) reweigh() {
 	}
 }
 
-// envelope intersects the candidates' Appendix A bounds per node:
-// [max LB, min UB] over every bounded candidate — each candidate's interval
-// is individually safe, so their intersection is the tightest interval that
-// is still safe. A degenerate crossing (which candidate disagreement could
-// produce) collapses to the union instead of inventing an empty interval.
-func (en *ensemble) envelope(subs []*Estimate) []Bounds {
-	var inter, union []Bounds
-	for i, s := range subs {
-		if !en.cands[i].Opt.Bound || len(s.Bounds) == 0 {
-			continue
-		}
-		if inter == nil {
-			inter = append([]Bounds(nil), s.Bounds...)
-			union = append(en.union[:0], s.Bounds...)
-			continue
-		}
-		for id := range inter {
-			if s.Bounds[id].LB > inter[id].LB {
-				inter[id].LB = s.Bounds[id].LB
-			}
-			if s.Bounds[id].UB < inter[id].UB {
-				inter[id].UB = s.Bounds[id].UB
-			}
-			if s.Bounds[id].LB < union[id].LB {
-				union[id].LB = s.Bounds[id].LB
-			}
-			if s.Bounds[id].UB > union[id].UB {
-				union[id].UB = s.Bounds[id].UB
-			}
-		}
-	}
-	for id := range inter {
-		if inter[id].LB > inter[id].UB {
-			inter[id] = union[id]
-		}
-	}
-	en.union = union
-	return inter
-}
-
-// explainEnsemble is the introspected ensemble pass: candidate explains run
-// over the same prepared snapshot, the blend proceeds exactly as in
-// estimateEnsemble (with the top-level recorder capturing monotone clamps),
-// and the Terms carry the selected candidate's attribution with
-// per-candidate contributions that sum exactly to the blended raw query
-// progress.
-func (e *Estimator) explainEnsemble(snap *dmv.Snapshot, degraded bool, reason string) (*Explanation, *Estimate) {
-	en := e.ens
-	en.hints.Update(snap)
-	xs := make([]*Explanation, len(en.cands))
-	subs := make([]*Estimate, len(en.cands))
-	for i, c := range en.cands {
-		xs[i], subs[i] = c.explainFrom(snap, degraded, reason)
-	}
-
-	x := &Explanation{
-		At:    snap.At,
-		Plan:  e.Plan,
-		Mode:  "ensemble",
-		Terms: make([]Term, len(e.Plan.Nodes)),
-	}
-	e.rec = x
-	est := e.blendEnsemble(snap, subs, degraded, reason)
-	e.rec = nil
-
+// explain fills an ensemble Explanation from the latest poll's passes: the
+// candidate rows, the blended raw query progress, and each term's
+// per-candidate contributions, which sum exactly to that raw value. It
+// returns the pass whose N̂ attribution (Source, Alpha, bound clamps) the
+// terms carry: the hysteresis-selected candidate's.
+func (en *ensemble) explain(x *Explanation, snap *dmv.Snapshot, est *Estimate) *Estimator {
+	// The LQS candidate folds with §4.6 weighting, whose per-node split
+	// only Explain computes.
+	en.lqs.weightedContrib(snap, &en.subs[candLQS])
 	info := est.Ensemble
-	x.Query = est.Query
-	x.PipelineProg = est.PipelineProg
-	x.Degraded = est.Degraded
-	x.DegradeReason = est.DegradeReason
-	var raw float64
-	x.Candidates = make([]EnsembleCandidate, len(xs))
-	for i, cx := range xs {
-		raw += info.Weights[i] * cx.RawQuery
+	x.Candidates = make([]EnsembleCandidate, numCands)
+	for i := range x.Candidates {
+		f := en.fold(i)
+		x.RawQuery += info.Weights[i] * f.raw
 		x.Candidates[i] = EnsembleCandidate{
 			Name:     info.Names[i],
 			Weight:   info.Weights[i],
 			Penalty:  info.Penalty[i],
 			Query:    info.Query[i],
-			RawQuery: cx.RawQuery,
+			RawQuery: f.raw,
 			Selected: i == info.Selected,
 		}
 	}
-	x.RawQuery = raw
-
-	selx := xs[info.Selected]
-	for _, n := range e.Plan.Nodes {
-		t := &x.Terms[n.ID]
-		st := selx.Terms[n.ID]
-		t.NodeID = n.ID
-		t.Physical = n.Physical
-		t.EstRows = n.EstRows
-		t.Pipeline = st.Pipeline
-		t.Driver = st.Driver
-		t.InnerDriver = st.InnerDriver
-		t.Source = st.Source
-		t.Alpha = st.Alpha
-		t.BoundClamped = st.BoundClamped
+	contrib := make([]float64, len(x.Terms)*numCands)
+	for id := range x.Terms {
+		t := &x.Terms[id]
 		t.EnsembleMode = info.Names[info.Selected]
-		t.K = snap.Op(n.ID).ActualRows
-		t.N = est.N[n.ID]
-		t.Op = est.Op[n.ID]
-		if len(est.Bounds) > 0 {
-			t.Bounds = est.Bounds[n.ID]
+		t.CandidateContrib = contrib[id*numCands : (id+1)*numCands : (id+1)*numCands]
+		for i := range t.CandidateContrib {
+			t.CandidateContrib[i] = info.Weights[i] * en.fold(i).contribution(id)
+			t.Contribution += t.CandidateContrib[i]
 		}
-		t.CandidateContrib = make([]float64, len(xs))
-		var c float64
-		for i, cx := range xs {
-			cc := info.Weights[i] * cx.Terms[n.ID].Contribution
-			t.CandidateContrib[i] = cc
-			c += cc
-		}
-		t.Contribution = c
 	}
-	return x, est
+	return en.pass(info.Selected)
 }

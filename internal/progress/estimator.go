@@ -37,15 +37,60 @@ type Estimator struct {
 	// one not computed yet (α is never negative, though it may be NaN).
 	alpha []float64
 
-	// rec, when non-nil, receives the introspection record of the current
-	// Estimate pass (set by Explain); the hot path pays one nil check per
-	// recording point.
-	rec *Explanation
+	// hints is the ensemble's shared refined-N̂ store (§4j), which
+	// newEnsemble wires into each candidate; nil in every other estimator.
+	hints *NHints
+
+	// rec is the latest pass's per-node record, indexed by node ID, and
+	// query its query-progress fold. The pass writes both on every poll;
+	// Explain reads them instead of running a pass of its own.
+	rec   []nodeRec
+	query queryFold
+	// queryClamped reports that the monotone high-water mark raised the
+	// latest displayed query progress above the pass's raw value.
+	queryClamped bool
+	// pipeDur is each pipeline's duration in the latest §4.6 fold (0 for
+	// pipelines it left out), shares weightedContrib's per-node scratch.
+	pipeDur, shares []float64
 
 	// ens holds the §4j ensemble machinery when Options.Ensemble is set:
-	// the candidate estimators (sharing one NHints store) and the online
+	// the candidate passes (sharing one NHints store) and the online
 	// selector state. Nil in every other mode.
 	ens *ensemble
+}
+
+// nodeRec is what one pass records about a node besides its Estimate
+// entries: how N̂ was derived, and which clamps moved it or its progress.
+type nodeRec struct {
+	src          NSource // the §4 rule that produced N̂
+	alpha        float64 // the scale-up fraction that rule used, or 0
+	boundClamped bool    // the Appendix A bound moved N̂
+	monoClamped  bool    // the monotone high-water raised the displayed progress
+}
+
+// queryFold is one query-progress aggregation of a pass: the raw value
+// before display clamps, its denominator, and each node's numerator, so
+// that num[i]/den summed over the nodes is raw.
+type queryFold struct {
+	raw, den float64
+	num      []float64
+}
+
+// finish sets the fold's raw value from its totals and returns it.
+func (f *queryFold) finish(num, den float64) float64 {
+	f.raw, f.den = 0, den
+	if den > 0 {
+		f.raw = num / den
+	}
+	return f.raw
+}
+
+// contribution is node id's additive share of the raw value.
+func (f *queryFold) contribution(id int) float64 {
+	if f.den <= 0 {
+		return 0
+	}
+	return f.num[id] / f.den
 }
 
 // Estimate is the result of one estimation pass: what LQS displays.
@@ -109,21 +154,32 @@ func (e *Estimator) estimateFrom(snap *dmv.Snapshot, degraded bool, reason strin
 }
 
 // estimateInto is the single-mode pass, writing into est and reusing its
-// slices when they are large enough: the ensemble's candidates estimate
-// into buffers the ensemble owns, every other caller into a fresh Estimate.
+// slices when it has them: the ensemble's candidates estimate into buffers
+// the ensemble owns, every other caller into a fresh Estimate, whose Op, N
+// and PipelineProg then share one new array.
 func (e *Estimator) estimateInto(est *Estimate, snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
 	snap.Aggregate()
+	e.rec = zeroed(e.rec, len(e.Plan.Nodes))
+	nodes, pipes := len(e.Plan.Nodes), len(e.Decomp.Pipelines)
 	bounds := est.Bounds
+	if len(est.Op) != nodes {
+		vals := make([]float64, 2*nodes+pipes)
+		est.Op, est.N, est.PipelineProg = vals[:nodes:nodes], vals[nodes:2*nodes:2*nodes], vals[2*nodes:]
+	} else {
+		clear(est.Op)
+		clear(est.N)
+		clear(est.PipelineProg)
+	}
 	*est = Estimate{
 		At:            snap.At,
-		Op:            zeroed(est.Op, len(e.Plan.Nodes)),
-		N:             zeroed(est.N, len(e.Plan.Nodes)),
-		PipelineProg:  zeroed(est.PipelineProg, len(e.Decomp.Pipelines)),
+		Op:            est.Op,
+		N:             est.N,
+		PipelineProg:  est.PipelineProg,
 		Degraded:      degraded,
 		DegradeReason: reason,
 	}
 	if e.Opt.Bound {
-		est.Bounds = e.computeBounds(zeroed(bounds, len(e.Plan.Nodes)), snap)
+		est.Bounds = e.computeBounds(zeroed(bounds, nodes), snap)
 		if degraded {
 			// A degraded snapshot's counters are a reconstruction, not an
 			// observation; widen the Appendix A bounds so the clamp cannot
@@ -140,11 +196,11 @@ func (e *Estimator) estimateInto(est *Estimate, snap *dmv.Snapshot, degraded boo
 	}
 	switch {
 	case e.Opt.Weighted:
-		est.Query = e.weightedQueryProgress(snap, est)
+		est.Query = e.weightedQueryProgress(est)
 	case e.Opt.DriverNodeQuery:
-		est.Query = e.driverQueryProgress(snap, est)
+		est.Query = e.driverQueryProgress(snap, est, &e.query)
 	default:
-		est.Query = e.tgnQueryProgress(snap, est)
+		est.Query = e.tgnQueryProgress(snap, est, &e.query)
 	}
 	est.Query = clamp01(est.Query)
 	switch {
@@ -162,35 +218,29 @@ func (e *Estimator) estimateInto(est *Estimate, snap *dmv.Snapshot, degraded boo
 }
 
 // enforceMonotone clamps each operator's and the query's displayed progress
-// to its high-water mark across polls. Refinement legitimately revises
-// cardinalities upward mid-flight (shrinking k/N̂), and stale snapshots can
-// be replayed out of order; neither may move a progress bar backwards. With
-// clamp false only the high-water marks are updated (degraded-mode
-// bookkeeping on healthy polls when Monotone is off).
+// to its high-water mark across polls, recording which values it raised.
+// Refinement legitimately revises cardinalities upward mid-flight
+// (shrinking k/N̂), and stale snapshots can be replayed out of order;
+// neither may move a progress bar backwards. With clamp false only the
+// high-water marks are updated (degraded-mode bookkeeping on healthy polls
+// when Monotone is off).
 func (e *Estimator) enforceMonotone(est *Estimate, clamp bool) {
 	if e.prevOp == nil {
 		e.prevOp = make([]float64, len(e.Plan.Nodes))
 	}
 	for i := range est.Op {
 		est.Op[i] = clamp01(est.Op[i])
-		if i >= len(e.prevOp) {
-			continue
-		}
 		if clamp && est.Op[i] < e.prevOp[i] {
 			est.Op[i] = e.prevOp[i]
-			if e.rec != nil && i < len(e.rec.Terms) {
-				e.rec.Terms[i].MonotoneClamped = true
-			}
+			e.rec[i].monoClamped = true
 		}
 		if est.Op[i] > e.prevOp[i] {
 			e.prevOp[i] = est.Op[i]
 		}
 	}
-	if clamp && est.Query < e.prevQuery {
+	e.queryClamped = clamp && est.Query < e.prevQuery
+	if e.queryClamped {
 		est.Query = e.prevQuery
-		if e.rec != nil {
-			e.rec.QueryMonotoneClamped = true
-		}
 	}
 	if est.Query > e.prevQuery {
 		e.prevQuery = est.Query
@@ -209,22 +259,25 @@ func (e *Estimator) deriveN(snap *dmv.Snapshot, est *Estimate) {
 		e.alpha[i] = -1
 	}
 	for _, n := range e.Decomp.postorder {
-		est.N[n.ID] = e.nodeN(snap, est, n)
+		v, src, alpha := e.nodeN(snap, est, n)
+		r := &e.rec[n.ID]
+		r.src, r.alpha = src, alpha
 		if e.Opt.Bound {
-			before := est.N[n.ID]
-			est.N[n.ID] = est.Bounds[n.ID].Clamp(before)
-			e.noteBound(n.ID, est.Bounds[n.ID], before, est.N[n.ID])
+			clamped := est.Bounds[n.ID].Clamp(v)
+			r.boundClamped = clamped != v
+			v = clamped
 		}
 		// A degenerate optimizer estimate (NaN/Inf from a pathological
 		// selectivity product, or negative from bad stats) would poison
 		// every downstream division; pin it to a sane floor instead.
-		if v := est.N[n.ID]; math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 			if fb := n.EstRows; fb > 0 && !math.IsNaN(fb) && !math.IsInf(fb, 0) {
-				est.N[n.ID] = fb
+				v = fb
 			} else {
-				est.N[n.ID] = 0
+				v = 0
 			}
 		}
+		est.N[n.ID] = v
 	}
 }
 
@@ -273,15 +326,15 @@ func (e *Estimator) knownLeafTotal(n *plan.Node) (float64, bool) {
 	return 0, false
 }
 
-// nodeN computes one node's N̂.
-func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node) float64 {
+// nodeN computes one node's N̂, with the §4 rule that produced it and the
+// scale-up fraction that rule used (0 when none).
+func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node) (float64, NSource, float64) {
 	op := snap.Op(n.ID)
 	k := float64(op.ActualRows)
 
 	if e.Opt.Refine && op.Closed {
 		// Completed operators have exactly-known cardinality.
-		e.note(n.ID, SrcClosedExact, 0)
-		return k
+		return k, SrcClosedExact, 0
 	}
 
 	// Exactly-known leaf totals are available to the client from catalog
@@ -289,8 +342,7 @@ func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node) float
 	// estimate in any case); inner-side leaves rebind, so only their
 	// per-execution count is known and the total stays an estimate.
 	if total, ok := e.knownLeafTotal(n); ok && !e.Decomp.InnerSide[n.ID] {
-		e.note(n.ID, SrcCatalogExact, 0)
-		return total
+		return total, SrcCatalogExact, 0
 	}
 
 	if !e.Opt.Refine {
@@ -300,31 +352,23 @@ func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node) float
 	// Algebraic identities: pass-through operators output exactly their
 	// input, so a refined child propagates upward for free.
 	switch n.Physical {
-	case plan.ComputeScalar, plan.SegmentOp, plan.BitmapCreate, plan.Exchange:
-		e.note(n.ID, SrcChild, 0)
-		return est.N[n.Children[0].ID]
-	case plan.Sort:
-		e.note(n.ID, SrcChild, 0)
-		return est.N[n.Children[0].ID]
+	case plan.ComputeScalar, plan.SegmentOp, plan.BitmapCreate, plan.Exchange, plan.Sort:
+		return est.N[n.Children[0].ID], SrcChild, 0
 	case plan.TopNSort:
-		e.note(n.ID, SrcChild, 0)
-		return math.Min(float64(n.TopN), est.N[n.Children[0].ID])
+		return min(float64(n.TopN), est.N[n.Children[0].ID]), SrcChild, 0
 	case plan.TableSpool:
 		if !e.Decomp.InnerSide[n.ID] {
-			e.note(n.ID, SrcChild, 0)
-			return est.N[n.Children[0].ID]
+			return est.N[n.Children[0].ID], SrcChild, 0
 		}
 	case plan.Concatenation:
 		sum := 0.0
 		for _, c := range n.Children {
 			sum += est.N[c.ID]
 		}
-		e.note(n.ID, SrcChild, 0)
-		return sum
+		return sum, SrcChild, 0
 	case plan.RIDLookup:
 		if n.Pred == nil {
-			e.note(n.ID, SrcChild, 0)
-			return est.N[n.Children[0].ID]
+			return est.N[n.Children[0].ID], SrcChild, 0
 		}
 	case plan.HashAggregate, plan.StreamAggregate, plan.DistinctSort:
 		// Aggregate outputs are unobservable until the input is done;
@@ -332,8 +376,7 @@ func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node) float
 		// propagation is on, which rescales the group estimate by the
 		// observed refinement of the input.
 		if e.Opt.PropagateRefined {
-			e.note(n.ID, SrcPropagated, 0)
-			return e.propagatedEstimate(est, n)
+			return e.propagatedEstimate(est, n), SrcPropagated, 0
 		}
 		return e.fallbackN(n)
 	}
@@ -344,8 +387,7 @@ func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node) float
 		// their own; §7(a) propagation carries their inputs' refinements
 		// across the pipeline boundary.
 		if e.Opt.PropagateRefined {
-			e.note(n.ID, SrcPropagated, 0)
-			return e.propagatedEstimate(est, n)
+			return e.propagatedEstimate(est, n), SrcPropagated, 0
 		}
 		return e.fallbackN(n)
 	}
@@ -366,8 +408,8 @@ func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node) float
 			frac = float64(op.LogicalReads) / float64(op.PagesTotal)
 		}
 		if frac > 1e-9 {
-			e.note(n.ID, SrcIOFraction, math.Min(frac, 1))
-			return k / math.Min(frac, 1)
+			frac = min(frac, 1)
+			return k / frac, SrcIOFraction, frac
 		}
 		return e.fallbackN(n)
 	}
@@ -375,11 +417,10 @@ func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node) float
 	// §4.4(3): inner-side nodes scale their average rows per execution by
 	// the outer side's total cardinality.
 	if e.Decomp.InnerSide[n.ID] && e.Opt.SemiBlocking {
-		outerID := e.Decomp.OuterOf[n.ID]
-		rebinds := math.Max(float64(op.Rebinds), 1)
+		rebinds := max(float64(op.Rebinds), 1)
+		outer := max(est.N[e.Decomp.OuterOf[n.ID]], 1)
 		// The effective scale-up is the outer side's progress in rebinds.
-		e.note(n.ID, SrcRebindScaled, clamp01(rebinds/math.Max(est.N[outerID], 1)))
-		return (k / rebinds) * math.Max(est.N[outerID], 1)
+		return (k / rebinds) * outer, SrcRebindScaled, clamp01(rebinds / outer)
 	}
 
 	// Choose the scale-up factor α (Fig. 9): driver progress by default;
@@ -402,11 +443,9 @@ func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node) float
 	if e.Opt.InterpRefine {
 		// Prior-work linear interpolation [22]: converges slowly when the
 		// initial estimate is grossly wrong (§4.1's critique).
-		e.note(n.ID, SrcInterpolated, alpha)
-		return k + (1-alpha)*n.EstRows
+		return k + (1-alpha)*n.EstRows, SrcInterpolated, alpha
 	}
-	e.note(n.ID, src, alpha)
-	return k / alpha
+	return k / alpha, src, alpha
 }
 
 // fallbackN is nodeN's optimizer-estimate fallback, upgraded to the
@@ -415,14 +454,12 @@ func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node) float
 // refinement, so observed-selectivity corrections reach candidates (TGN,
 // DNE) whose own rule set never refines — and reach the LQS candidate at
 // the points its rules leave unrefined (aggregates, unstarted pipelines).
-// Outside ensemble mode NHints is nil and this is exactly the old fallback.
-func (e *Estimator) fallbackN(n *plan.Node) float64 {
-	if v, ok := e.Opt.NHints.For(n.ID); ok {
-		e.note(n.ID, SrcSharedHint, 0)
-		return v
+// Outside ensemble mode hints is nil and this is the optimizer estimate.
+func (e *Estimator) fallbackN(n *plan.Node) (float64, NSource, float64) {
+	if v, ok := e.hints.For(n.ID); ok {
+		return v, SrcSharedHint, 0
 	}
-	e.note(n.ID, SrcOptimizer, 0)
-	return n.EstRows
+	return n.EstRows, SrcOptimizer, 0
 }
 
 // propagatedEstimate implements §7 future-work item (a): scale a node's
@@ -436,8 +473,8 @@ func (e *Estimator) propagatedEstimate(est *Estimate, n *plan.Node) float64 {
 	}
 	var nhat, nopt float64
 	for _, c := range n.Children {
-		nhat += math.Max(est.N[c.ID], 1)
-		nopt += math.Max(c.EstRows, 1)
+		nhat += max(est.N[c.ID], 1)
+		nopt += max(c.EstRows, 1)
 	}
 	// Aggregates don't scale linearly with input: group counts are the
 	// distinct-value estimate re-capped by the refined input (the
@@ -448,9 +485,9 @@ func (e *Estimator) propagatedEstimate(est *Estimate, n *plan.Node) float64 {
 		if dv <= 0 {
 			dv = n.EstRows
 		}
-		return math.Max(math.Min(dv, nhat), 1)
+		return max(min(dv, nhat), 1)
 	}
-	ratio := nhat / math.Max(nopt, 1)
+	ratio := nhat / max(nopt, 1)
 	if ratio < 0.01 {
 		ratio = 0.01
 	}
@@ -480,7 +517,7 @@ func (e *Estimator) childProgress(snap *dmv.Snapshot, est *Estimate, n *plan.Nod
 			k = float64(snap.Op(n.Children[1].ID).Rebinds)
 		}
 		kSum += k
-		nSum += math.Max(est.N[c.ID], 1)
+		nSum += max(est.N[c.ID], 1)
 	}
 	if nSum <= 0 {
 		return 0
@@ -500,7 +537,7 @@ func (e *Estimator) pipelineAlpha(snap *dmv.Snapshot, est *Estimate, pl *Pipelin
 	add := func(drivers []int) {
 		for _, id := range drivers {
 			n := e.Plan.Node(id)
-			total := math.Max(est.N[id], 1)
+			total := max(est.N[id], 1)
 			prog := e.driverProgress(snap, est, n)
 			num += prog * total
 			den += total
@@ -532,7 +569,7 @@ func (e *Estimator) driverProgress(snap *dmv.Snapshot, est *Estimate, n *plan.No
 	if e.Opt.StoragePredIO && n.HasStoragePred() && op.PagesTotal > 0 {
 		return clamp01(float64(op.LogicalReads) / float64(op.PagesTotal))
 	}
-	total := math.Max(est.N[n.ID], 1)
+	total := max(est.N[n.ID], 1)
 	return clamp01(float64(op.ActualRows) / total)
 }
 
@@ -637,13 +674,13 @@ func (e *Estimator) opProgress(snap *dmv.Snapshot, est *Estimate, n *plan.Node) 
 		return capRunning(float64(op.LogicalReads) / float64(op.PagesTotal))
 	}
 	k := float64(op.ActualRows)
-	total := math.Max(est.N[n.ID], 1)
+	total := max(est.N[n.ID], 1)
 	if e.Opt.TwoPhaseBlocking && n.IsBlocking() && len(n.Children) > 0 {
 		// Fig. 10's two-phase model: (K_in + K_out) / (N_in + N_out).
 		var kin, nin float64
 		for _, c := range n.Children {
 			kin += float64(snap.Op(c.ID).ActualRows)
-			nin += math.Max(est.N[c.ID], 1)
+			nin += max(est.N[c.ID], 1)
 		}
 		// §7 extension: the engine's internal-state counters add a third,
 		// cost-weighted phase between input and output (a spilled sort's
@@ -657,7 +694,7 @@ func (e *Estimator) opProgress(snap *dmv.Snapshot, est *Estimate, n *plan.Node) 
 			if wout <= 0 {
 				wout = 1
 			}
-			itotalEq := math.Max(n.EstInternalRows, 0)
+			itotalEq := max(n.EstInternalRows, 0)
 			var idoneEq float64
 			if op.InternalTotal > 0 {
 				idoneEq = itotalEq * float64(op.InternalDone) / float64(op.InternalTotal)
@@ -693,7 +730,7 @@ func (e *Estimator) pipelineProgress(snap *dmv.Snapshot, est *Estimate, pl *Pipe
 			// term's total weight (w·total) equals the node's duration
 			// contribution (nodeWeight · N̂), keeping pipeline progress
 			// consistent with pipeline duration.
-			w = e.nodeWeight(n) * math.Max(est.N[n.ID], 1) / total
+			w = e.nodeWeight(n) * max(est.N[n.ID], 1) / total
 		}
 		num += w * k
 		den += w * total
@@ -706,7 +743,7 @@ func (e *Estimator) pipelineProgress(snap *dmv.Snapshot, est *Estimate, pl *Pipe
 			w = outWeight(n)
 		}
 		num += w * float64(snap.Op(id).ActualRows)
-		den += w * math.Max(est.N[id], 1)
+		den += w * max(est.N[id], 1)
 	}
 	if den <= 0 {
 		return 0
@@ -732,7 +769,7 @@ func (e *Estimator) termFor(snap *dmv.Snapshot, est *Estimate, n *plan.Node) (fl
 				ck = float64(snap.Op(n.Children[1].ID).Rebinds)
 			}
 			kin += ck
-			nin += math.Max(est.N[c.ID], 1)
+			nin += max(est.N[c.ID], 1)
 		}
 		if e.Opt.InternalCounters && n.IsBlocking() && n.EstInternalRows > 0 {
 			// §7 counters: a spilled sort's merge work (in input-row cost
@@ -748,10 +785,10 @@ func (e *Estimator) termFor(snap *dmv.Snapshot, est *Estimate, n *plan.Node) (fl
 	// §4.3/§4.7 leaves: convert their native progress into k/N form.
 	if (e.Opt.BatchMode && n.BatchMode && op.SegmentsTotal > 0) ||
 		(e.Opt.StoragePredIO && n.HasStoragePred() && op.PagesTotal > 0) {
-		total := math.Max(est.N[n.ID], 1)
+		total := max(est.N[n.ID], 1)
 		return e.driverProgress(snap, est, n) * total, total
 	}
-	return float64(op.ActualRows), math.Max(est.N[n.ID], 1)
+	return float64(op.ActualRows), max(est.N[n.ID], 1)
 }
 
 func clamp01(f float64) float64 {

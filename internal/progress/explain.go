@@ -2,7 +2,6 @@ package progress
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"lqs/internal/engine/dmv"
@@ -127,10 +126,6 @@ type Term struct {
 	// weightᵢ · contributionᵢ(node), so the entries sum to Contribution
 	// and the full matrix sums to the blended RawQuery.
 	CandidateContrib []float64
-
-	// num accumulates the node's numerator while the estimator runs; the
-	// final normalization turns it into Contribution.
-	num float64
 }
 
 // Explanation is the introspection record of one estimation pass: the full
@@ -162,38 +157,54 @@ type Explanation struct {
 	Candidates []EnsembleCandidate
 }
 
-// Explain runs one estimation pass with introspection enabled, returning
-// the decomposition alongside the estimate itself. It is exactly an
-// Estimate call — same refinement, same monotone state updates (an Explain
-// counts as a poll) — with every intermediate recorded.
+// Explain runs one estimation pass and returns its decomposition alongside
+// the estimate itself. It is exactly an Estimate call — same refinement,
+// same monotone state updates (an Explain counts as a poll) — followed by
+// reading the per-node record that pass left behind.
 func (e *Estimator) Explain(snap *dmv.Snapshot) (*Explanation, *Estimate) {
-	// Run the degradation repair first so the recorded K values and the
-	// estimate both read the same (possibly repaired) snapshot.
-	prepared, degraded, reason := e.prepare(snap)
-	snap = prepared
-	snap.Aggregate()
-	if e.ens != nil {
-		return e.explainEnsemble(snap, degraded, reason)
-	}
-	return e.explainFrom(snap, degraded, reason)
-}
-
-// explainFrom is the single-mode introspected pass over an already-prepared
-// snapshot; Explain and the ensemble's per-candidate explains funnel
-// through it.
-func (e *Estimator) explainFrom(snap *dmv.Snapshot, degraded bool, reason string) (*Explanation, *Estimate) {
+	// The recorded K values read the snapshot the pass read: the repaired
+	// copy, when the repair pass made one.
+	snap, degraded, reason := e.prepare(snap)
+	est := e.estimateFrom(snap, degraded, reason)
 	x := &Explanation{
-		At:    snap.At,
-		Plan:  e.Plan,
-		Terms: make([]Term, len(e.Plan.Nodes)),
-		Mode:  e.mode(),
+		At:                   snap.At,
+		Plan:                 e.Plan,
+		Mode:                 e.mode(),
+		Terms:                make([]Term, len(e.Plan.Nodes)),
+		Query:                est.Query,
+		QueryMonotoneClamped: e.queryClamped,
+		PipelineProg:         est.PipelineProg,
+		Degraded:             est.Degraded,
+		DegradeReason:        est.DegradeReason,
+	}
+	// attr is the pass whose N̂ derivation the terms carry.
+	attr := e
+	if e.ens != nil {
+		attr = e.ens.explain(x, snap, est)
+	} else {
+		if e.Opt.Weighted {
+			e.weightedContrib(snap, est)
+		}
+		x.RawQuery = e.query.raw
+		for id := range x.Terms {
+			x.Terms[id].Contribution = e.query.contribution(id)
+		}
 	}
 	for _, n := range e.Plan.Nodes {
 		t := &x.Terms[n.ID]
+		r := &attr.rec[n.ID]
 		t.NodeID = n.ID
 		t.Physical = n.Physical
+		t.K = snap.Op(n.ID).ActualRows
+		t.N = est.N[n.ID]
 		t.EstRows = n.EstRows
+		t.Source, t.Alpha, t.BoundClamped = r.src, r.alpha, r.boundClamped
+		if len(est.Bounds) > 0 {
+			t.Bounds = est.Bounds[n.ID]
+		}
 		t.Pipeline = e.Decomp.PipeOf[n.ID]
+		t.Op = est.Op[n.ID]
+		t.MonotoneClamped = e.rec[n.ID].monoClamped
 	}
 	for _, pl := range e.Decomp.Pipelines {
 		for _, id := range pl.Drivers {
@@ -202,19 +213,6 @@ func (e *Estimator) explainFrom(snap *dmv.Snapshot, degraded bool, reason string
 		for _, id := range pl.InnerDrivers {
 			x.Terms[id].InnerDriver = true
 		}
-	}
-	e.rec = x
-	est := e.estimateFrom(snap, degraded, reason)
-	e.rec = nil
-	x.Query = est.Query
-	x.PipelineProg = est.PipelineProg
-	x.Degraded = est.Degraded
-	x.DegradeReason = est.DegradeReason
-	for _, n := range e.Plan.Nodes {
-		t := &x.Terms[n.ID]
-		t.K = snap.Op(n.ID).ActualRows
-		t.N = est.N[n.ID]
-		t.Op = est.Op[n.ID]
 	}
 	return x, est
 }
@@ -230,89 +228,6 @@ func (e *Estimator) mode() string {
 		return "driver"
 	}
 	return "tgn"
-}
-
-// note records how a node's N̂ was derived; no-op without a recorder.
-func (e *Estimator) note(id int, src NSource, alpha float64) {
-	if e.rec == nil || id < 0 || id >= len(e.rec.Terms) {
-		return
-	}
-	e.rec.Terms[id].Source = src
-	e.rec.Terms[id].Alpha = alpha
-}
-
-// noteBound records the bound interval and whether the clamp moved N̂.
-func (e *Estimator) noteBound(id int, b Bounds, before, after float64) {
-	if e.rec == nil || id < 0 || id >= len(e.rec.Terms) {
-		return
-	}
-	e.rec.Terms[id].Bounds = b
-	e.rec.Terms[id].BoundClamped = before != after
-}
-
-// addNum accumulates a node's query-progress numerator.
-func (e *Estimator) addNum(id int, v float64) {
-	if e.rec == nil || id < 0 || id >= len(e.rec.Terms) {
-		return
-	}
-	e.rec.Terms[id].num += v
-}
-
-// finishContrib normalizes accumulated numerators into contributions that
-// sum exactly to the recorded raw query progress.
-func (e *Estimator) finishContrib(raw, den float64) {
-	if e.rec == nil {
-		return
-	}
-	e.rec.RawQuery = raw
-	if den <= 0 {
-		return
-	}
-	for i := range e.rec.Terms {
-		e.rec.Terms[i].Contribution = e.rec.Terms[i].num / den
-	}
-}
-
-// pipelineShares returns each node's share of a pipeline's progress
-// denominator, mirroring pipelineProgress's weighting, so a pipeline's
-// query-progress contribution can be distributed across its members
-// (shares sum to 1). Degenerate pipelines put the whole share on their
-// first member.
-func (e *Estimator) pipelineShares(snap *dmv.Snapshot, est *Estimate, pl *Pipeline) map[int]float64 {
-	dens := make(map[int]float64, len(pl.Members)+len(pl.Sources))
-	var sum float64
-	for _, id := range pl.Members {
-		n := e.Plan.Node(id)
-		_, total := e.termFor(snap, est, n)
-		if total <= 0 {
-			continue
-		}
-		w := 1.0
-		if e.Opt.Weighted {
-			w = e.nodeWeight(n) * math.Max(est.N[id], 1) / total
-		}
-		dens[id] += w * total
-		sum += w * total
-	}
-	for _, id := range pl.Sources {
-		w := 1.0
-		if e.Opt.Weighted {
-			w = outWeight(e.Plan.Node(id))
-		}
-		d := w * math.Max(est.N[id], 1)
-		dens[id] += d
-		sum += d
-	}
-	if sum <= 0 {
-		if len(pl.Members) > 0 {
-			return map[int]float64{pl.Members[0]: 1}
-		}
-		return nil
-	}
-	for id := range dens {
-		dens[id] /= sum
-	}
-	return dens
 }
 
 // Render formats the explanation as an indented table following the plan

@@ -93,7 +93,7 @@ func (f *Feedback) Observe(p *plan.Plan, tr *dmv.Trace) {
 			f.perRow[keyFor(n)] = acc
 		}
 		acc.totalNS += total
-		acc.rows += math.Max(rows, 1)
+		acc.rows += max(rows, 1)
 	}
 }
 
@@ -115,9 +115,9 @@ func (f *Feedback) Weight(n *plan.Node) (float64, bool) {
 		// input/output ratio of this particular node.
 		var in float64
 		for _, c := range n.Children {
-			in += math.Max(c.EstRows, 1)
+			in += max(c.EstRows, 1)
 		}
-		out := math.Max(n.EstRows, 1)
+		out := max(n.EstRows, 1)
 		w = w * in / out
 	}
 	if w <= 0 {
@@ -151,14 +151,9 @@ type NHints struct {
 	has     []bool
 }
 
-// NewNHints builds an empty hint store for a finalized plan. minRows is the
-// §4.1-style guard: hints derived from live counters need at least this
-// many observed rows before they fire.
-func NewNHints(p *plan.Plan, minRows int64) *NHints {
-	return newNHints(p, Decompose(p), minRows)
-}
-
-// newNHints builds a hint store over an existing decomposition of p.
+// newNHints builds an empty hint store over a decomposition of p. minRows
+// is the §4.1-style guard: hints derived from live counters need at least
+// this many observed rows before they fire.
 func newNHints(p *plan.Plan, d *Decomposition, minRows int64) *NHints {
 	return &NHints{
 		decomp:  d,
@@ -223,7 +218,7 @@ func (h *NHints) hint(snap *dmv.Snapshot, n *plan.Node) {
 			frac = float64(op.LogicalReads) / float64(op.PagesTotal)
 		}
 		if frac > 1e-9 {
-			h.set(n.ID, float64(op.ActualRows)/math.Min(frac, 1))
+			h.set(n.ID, float64(op.ActualRows)/min(frac, 1))
 		}
 		return
 	}
@@ -234,12 +229,12 @@ func (h *NHints) hint(snap *dmv.Snapshot, n *plan.Node) {
 	for _, c := range n.Children {
 		kin += snap.Op(c.ID).ActualRows
 		if v, ok := h.For(c.ID); ok {
-			hintIn += math.Max(v, 1)
+			hintIn += max(v, 1)
 			anyHint = true
 		} else {
-			hintIn += math.Max(c.EstRows, 1)
+			hintIn += max(c.EstRows, 1)
 		}
-		estIn += math.Max(c.EstRows, 1)
+		estIn += max(c.EstRows, 1)
 	}
 
 	// Observed selectivity — the new refined-N̂ source: a streaming filter
@@ -263,7 +258,7 @@ func (h *NHints) hint(snap *dmv.Snapshot, n *plan.Node) {
 		return
 	case plan.TopNSort:
 		if v, ok := h.For(n.Children[0].ID); ok {
-			h.set(n.ID, math.Min(float64(n.TopN), v))
+			h.set(n.ID, min(float64(n.TopN), v))
 		}
 		return
 	case plan.Concatenation:
@@ -276,13 +271,13 @@ func (h *NHints) hint(snap *dmv.Snapshot, n *plan.Node) {
 		if dv <= 0 {
 			dv = n.EstRows
 		}
-		h.set(n.ID, math.Max(math.Min(dv, hintIn), 1))
+		h.set(n.ID, max(min(dv, hintIn), 1))
 		return
 	}
 	// Everything else: scale the optimizer estimate by the refinement ratio
 	// of the inputs, clamped to two orders of magnitude (far-field
 	// propagation compounds uncertainty).
-	ratio := hintIn / math.Max(estIn, 1)
+	ratio := hintIn / max(estIn, 1)
 	if ratio < 0.01 {
 		ratio = 0.01
 	}

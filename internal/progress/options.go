@@ -90,16 +90,9 @@ type Options struct {
 	// after König et al.'s robust-estimation predecessor work (DESIGN §4j):
 	// per-candidate self-consistency penalties drive the blend weights, a
 	// hysteresis rule gates which candidate's cardinality attribution the
-	// estimate carries, and bounds are the intersection-safe envelope of
-	// the candidates' Appendix A bounds. See EnsembleOptions.
+	// estimate carries, and bounds are the LQS candidate's Appendix A
+	// bounds. See EnsembleOptions.
 	Ensemble bool
-
-	// NHints is the shared mid-flight refined-N̂ store of the ensemble mode
-	// (§4j): NewEstimator wires one store into every candidate, so each
-	// candidate that would otherwise fall back to a raw optimizer estimate
-	// reads the same observed-selectivity refinement instead. Wired by the
-	// ensemble constructor; not set directly.
-	NHints *NHints
 }
 
 // DefaultMinRefineRows is the guard threshold used when MinRefineRows is 0.

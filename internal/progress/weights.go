@@ -1,8 +1,6 @@
 package progress
 
 import (
-	"math"
-
 	"lqs/internal/engine/dmv"
 	"lqs/internal/plan"
 )
@@ -17,7 +15,7 @@ func (e *Estimator) nodeWeight(n *plan.Node) float64 {
 			return w
 		}
 	}
-	w := math.Max(n.EstCPUPerRow, n.EstIOPerRow)
+	w := max(n.EstCPUPerRow, n.EstIOPerRow)
 	if w <= 0 {
 		w = 1
 	}
@@ -32,12 +30,12 @@ func (e *Estimator) pipelineDuration(est *Estimate, pl *Pipeline) float64 {
 	var d float64
 	for _, id := range pl.Members {
 		n := e.Plan.Node(id)
-		d += e.nodeWeight(n) * math.Max(est.N[id], 1)
+		d += e.nodeWeight(n) * max(est.N[id], 1)
 	}
 	// Output phases of blocking operators feed this pipeline from below;
 	// their (small) per-row emit cost still takes time.
 	for _, id := range pl.Sources {
-		d += outWeight(e.Plan.Node(id)) * math.Max(est.N[id], 1)
+		d += outWeight(e.Plan.Node(id)) * max(est.N[id], 1)
 	}
 	return d
 }
@@ -83,83 +81,114 @@ func (e *Estimator) longestPath(est *Estimate) []*Pipeline {
 // to elapsed time — so the faithful default here aggregates over all
 // pipelines; Options.LongestPathOnly restores the paper's rule for
 // ablation (see DESIGN.md).
-func (e *Estimator) weightedQueryProgress(snap *dmv.Snapshot, est *Estimate) float64 {
+//
+// It records the fold's totals and each summed pipeline's duration:
+// splitting a pipeline's term over its nodes walks the pipeline again, so
+// weightedContrib does that when Explain asks.
+func (e *Estimator) weightedQueryProgress(est *Estimate) float64 {
 	pipes := e.Decomp.Pipelines
 	if e.Opt.LongestPathOnly {
 		pipes = e.longestPath(est)
 	}
+	e.pipeDur = zeroed(e.pipeDur, len(e.Decomp.Pipelines))
 	var num, den float64
 	for _, pl := range pipes {
 		d := e.pipelineDuration(est, pl)
+		e.pipeDur[pl.ID] = d
 		if d <= 0 {
 			continue
 		}
 		num += d * est.PipelineProg[pl.ID]
 		den += d
 	}
-	if den <= 0 {
-		e.finishContrib(0, 0)
-		return 0
+	return e.query.finish(num, den)
+}
+
+// weightedContrib fills the §4.6 fold's per-node numerators for the pass
+// that produced est: each pipeline's duration-weighted progress is split
+// over its members and sources in proportion to their share of the
+// pipeline's progress denominator, weighted as in pipelineProgress, so the
+// numerators sum to the fold's. A degenerate pipeline puts its whole term
+// on its first member. Pipelines the fold left out have no recorded
+// duration; a node's numerator takes at most two terms (from the pipeline
+// it is a member of and the one it is a source of), so the order the
+// pipelines are visited in does not change it.
+func (e *Estimator) weightedContrib(snap *dmv.Snapshot, est *Estimate) {
+	f := &e.query
+	f.num = zeroed(f.num, len(e.Plan.Nodes))
+	if f.den <= 0 {
+		return
 	}
-	if e.rec != nil {
-		// Distribute each pipeline's duration-weighted progress across its
-		// members in proportion to their progress-denominator share, so the
-		// per-node contributions sum exactly to the query progress.
-		for _, pl := range pipes {
-			d := e.pipelineDuration(est, pl)
-			if d <= 0 {
-				continue
+	e.shares = zeroed(e.shares, len(e.Plan.Nodes))
+	for _, pl := range e.Decomp.Pipelines {
+		d := e.pipeDur[pl.ID]
+		if d <= 0 {
+			continue
+		}
+		c := d * est.PipelineProg[pl.ID]
+		var sum float64
+		for _, id := range pl.Members {
+			n := e.Plan.Node(id)
+			_, total := e.termFor(snap, est, n)
+			w := e.nodeWeight(n) * max(est.N[id], 1) / total
+			e.shares[id] = w * total
+			sum += e.shares[id]
+		}
+		for _, id := range pl.Sources {
+			e.shares[id] = outWeight(e.Plan.Node(id)) * max(est.N[id], 1)
+			sum += e.shares[id]
+		}
+		if sum <= 0 {
+			if len(pl.Members) > 0 {
+				f.num[pl.Members[0]] += c
 			}
-			c := d * est.PipelineProg[pl.ID]
-			for id, share := range e.pipelineShares(snap, est, pl) {
-				e.addNum(id, c*share)
+			continue
+		}
+		for _, ids := range [2][]int{pl.Members, pl.Sources} {
+			for _, id := range ids {
+				f.num[id] += c * (e.shares[id] / sum)
 			}
 		}
-		e.finishContrib(num/den, den)
 	}
-	return num / den
 }
 
 // tgnQueryProgress is Equation 2 with unit weights over all nodes (the
 // Total GetNext model of [7]), with the blocking input-phase terms added
-// when TwoPhaseBlocking is on.
-func (e *Estimator) tgnQueryProgress(snap *dmv.Snapshot, est *Estimate) float64 {
+// when TwoPhaseBlocking is on. It folds into f.
+func (e *Estimator) tgnQueryProgress(snap *dmv.Snapshot, est *Estimate, f *queryFold) float64 {
+	f.num = zeroed(f.num, len(e.Plan.Nodes))
 	var num, den float64
 	for _, n := range e.Plan.Nodes {
 		k := float64(snap.Op(n.ID).ActualRows)
-		total := math.Max(est.N[n.ID], 1)
 		num += k
-		den += total
-		e.addNum(n.ID, k)
+		den += max(est.N[n.ID], 1)
+		f.num[n.ID] += k
 		if e.Opt.TwoPhaseBlocking && n.IsBlocking() && len(n.Children) > 0 {
 			// The input-phase terms belong to the blocking node itself.
 			for _, c := range n.Children {
-				num += float64(snap.Op(c.ID).ActualRows)
-				den += math.Max(est.N[c.ID], 1)
-				e.addNum(n.ID, float64(snap.Op(c.ID).ActualRows))
+				kc := float64(snap.Op(c.ID).ActualRows)
+				num += kc
+				den += max(est.N[c.ID], 1)
+				f.num[n.ID] += kc
 			}
 		}
 	}
-	if den <= 0 {
-		e.finishContrib(0, 0)
-		return 0
-	}
-	e.finishContrib(num/den, den)
-	return num / den
+	return f.finish(num, den)
 }
 
 // driverQueryProgress is the driver-node estimator (DNE) of [7]: Equation
 // 2 restricted to driver nodes, whose cardinalities are known most
-// exactly.
-func (e *Estimator) driverQueryProgress(snap *dmv.Snapshot, est *Estimate) float64 {
+// exactly. It folds into f.
+func (e *Estimator) driverQueryProgress(snap *dmv.Snapshot, est *Estimate, f *queryFold) float64 {
+	f.num = zeroed(f.num, len(e.Plan.Nodes))
 	var num, den float64
 	add := func(drivers []int) {
 		for _, id := range drivers {
-			n := e.Plan.Node(id)
-			total := math.Max(est.N[id], 1)
-			num += e.driverProgress(snap, est, n) * total
+			total := max(est.N[id], 1)
+			v := e.driverProgress(snap, est, e.Plan.Node(id)) * total
+			num += v
 			den += total
-			e.addNum(id, e.driverProgress(snap, est, n)*total)
+			f.num[id] += v
 		}
 	}
 	for _, pl := range e.Decomp.Pipelines {
@@ -173,10 +202,5 @@ func (e *Estimator) driverQueryProgress(snap *dmv.Snapshot, est *Estimate) float
 			add(pl.InnerDrivers)
 		}
 	}
-	if den <= 0 {
-		e.finishContrib(0, 0)
-		return 0
-	}
-	e.finishContrib(num/den, den)
-	return num / den
+	return f.finish(num, den)
 }

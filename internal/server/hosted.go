@@ -74,18 +74,21 @@ func (h *hostedQuery) done() bool {
 	}
 }
 
-// modeOptions resolves a QuerySpec estimator mode to its canonical label
-// and estimator options. Empty means lqs, the shipping default.
+// modeOptions resolves a QuerySpec estimator mode, case-insensitively, to
+// one of the accuracy suite's modes: its canonical label and estimator
+// options. Empty means lqs, the shipping default; "ensemble" names ens.
 func modeOptions(mode string) (string, progress.Options, error) {
+	name := mode
 	switch strings.ToLower(mode) {
-	case "", "lqs":
-		return "LQS", progress.LQSOptions(), nil
-	case "tgn":
-		return "TGN", progress.TGNOptions(), nil
-	case "dne":
-		return "DNE", progress.DNEOptions(), nil
-	case "ens", "ensemble":
-		return progress.ModeEnsemble, progress.EnsembleOptions(), nil
+	case "":
+		name = "LQS"
+	case "ensemble":
+		name = progress.ModeEnsemble
+	}
+	for _, m := range accuracy.Modes() {
+		if strings.EqualFold(m.Name, name) {
+			return m.Name, m.Opts, nil
+		}
 	}
 	return "", progress.Options{}, fmt.Errorf("unknown estimator mode %q (want tgn, dne, lqs, or ens)", mode)
 }

@@ -14,10 +14,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"lqs/internal/accuracy"
 	"lqs/internal/lqs"
 )
 
@@ -322,5 +324,29 @@ func TestHealthz(t *testing.T) {
 	}
 	if code := postJSON(t, ts.URL+"/queries", QuerySpec{Query: "Q6"}, &e); code != http.StatusServiceUnavailable || e.Err.Code != CodeDraining {
 		t.Fatalf("submit while draining: %d %+v", code, e)
+	}
+}
+
+// TestModeOptions pins how a QuerySpec mode resolves: case-insensitively
+// against the accuracy suite's modes, empty to LQS, "ensemble" to ENS, and
+// anything else to the typed error text clients see.
+func TestModeOptions(t *testing.T) {
+	for in, want := range map[string]string{
+		"": "LQS", "lqs": "LQS", "Tgn": "TGN", "DNE": "DNE", "ens": "ENS", "Ensemble": "ENS",
+	} {
+		label, opts, err := modeOptions(in)
+		if err != nil || label != want {
+			t.Errorf("mode %q: label %q, err %v; want %q", in, label, err, want)
+			continue
+		}
+		for _, m := range accuracy.Modes() {
+			if m.Name == want && !reflect.DeepEqual(opts, m.Opts) {
+				t.Errorf("mode %q: options %+v, want %+v", in, opts, m.Opts)
+			}
+		}
+	}
+	_, _, err := modeOptions("könig")
+	if want := `unknown estimator mode "könig" (want tgn, dne, lqs, or ens)`; err == nil || err.Error() != want {
+		t.Errorf("unknown mode: error %v, want %s", err, want)
 	}
 }
