@@ -208,23 +208,28 @@ func asBatch(op Operator) BatchOperator {
 }
 
 // storageFilterCompiled is the storage-engine-level filtering of §4.3: the
-// compiled pushed predicate, then the bitmap probe. Rows it rejects never
-// count toward the scan's k_i — which is precisely what breaks driver-node
-// assumptions in §4.3.
-func storageFilterCompiled(ctx *Ctx, n *plan.Node, pushed expr.PredFn, row types.Row) bool {
+// compiled pushed predicate, then the probe of bf, scan node n's bitmap
+// (nil for none). Rows it rejects never count toward the scan's k_i —
+// which is precisely what breaks driver-node assumptions in §4.3.
+func storageFilterCompiled(n *plan.Node, bf *bitmapFilter, pushed expr.PredFn, row types.Row) bool {
 	if pushed != nil && !pushed(row) {
 		return false
 	}
-	if n.BitmapSource != nil {
-		bf := ctx.Bitmaps[n.BitmapSource.ID]
-		if bf == nil {
-			panic("exec: scan references an unregistered bitmap")
-		}
-		if !bf.probe(row.HashCols(n.BitmapProbeCols)) {
-			return false
-		}
+	return bf == nil || bf.probe(row.HashCols(n.BitmapProbeCols))
+}
+
+// bitmapOf returns the runtime bitmap scan node n probes, or nil. Scans
+// look it up at Open: a probe-side scan is built before the build side
+// registers its bitmap, and opened after.
+func bitmapOf(ctx *Ctx, n *plan.Node) *bitmapFilter {
+	if n.BitmapSource == nil {
+		return nil
 	}
-	return true
+	bf := ctx.Bitmaps[n.BitmapSource.ID]
+	if bf == nil {
+		panic("exec: scan references an unregistered bitmap")
+	}
+	return bf
 }
 
 // batchTableScan reads a heap sequentially, a page run at a time
@@ -235,6 +240,7 @@ type batchTableScan struct {
 	cur      *storage.HeapCursor
 	page     []types.Value // the unread rows of the current page
 	width    int
+	bf       *bitmapFilter
 	pushed   expr.PredFn
 	pred     expr.PredFn
 	pushCost float64
@@ -255,6 +261,7 @@ func (s *batchTableScan) Open(ctx *Ctx) {
 	s.opened(ctx)
 	h := ctx.DB.Heap(s.node.Table)
 	s.width = h.Width()
+	s.bf = bitmapOf(ctx, s.node)
 	if ctx.Parts > 1 {
 		// Parallel worker: claim this worker's contiguous page range. The
 		// per-partition PagesTotal values sum exactly to the serial total,
@@ -291,7 +298,7 @@ func (s *batchTableScan) NextBatch(ctx *Ctx, dst []types.Row) []types.Row {
 		s.page = s.page[s.width:]
 		ctx.chargeCPURow(&s.c, perRow)
 		charges++
-		if !storageFilterCompiled(ctx, s.node, s.pushed, row) {
+		if !storageFilterCompiled(s.node, s.bf, s.pushed, row) {
 			continue
 		}
 		if s.pred != nil {
@@ -376,6 +383,7 @@ type batchColumnstoreScan struct {
 	rows     []types.Row // the current group as read, over its arena
 	buf      []types.Row // the current group's rows that passed the filters
 	pos      int
+	bf       *bitmapFilter
 	pushed   expr.PredFn
 	pred     expr.PredFn
 }
@@ -407,6 +415,7 @@ func (s *batchColumnstoreScan) Open(ctx *Ctx) {
 	}
 	s.group = s.gLo
 	s.c.PagesTotal = s.c.SegmentsTotal
+	s.bf = bitmapOf(ctx, s.node)
 }
 
 func (s *batchColumnstoreScan) Rewind(ctx *Ctx) {
@@ -441,7 +450,7 @@ func (s *batchColumnstoreScan) NextBatch(ctx *Ctx, dst []types.Row) []types.Row 
 		// group, charged at batch-rate CPU.
 		s.buf = s.buf[:0]
 		for _, row := range s.rows {
-			if storageFilterCompiled(ctx, s.node, s.pushed, row) && (s.pred == nil || s.pred(row)) {
+			if storageFilterCompiled(s.node, s.bf, s.pushed, row) && (s.pred == nil || s.pred(row)) {
 				s.buf = append(s.buf, row)
 			}
 		}
@@ -531,20 +540,19 @@ func (f *batchFilter) Close(ctx *Ctx) {
 }
 
 // batchCompute appends computed expressions to each row of a child batch.
-// Output rows are materialized into one backing array per batch. When the
-// consumer keeps rows (keep) each batch gets a fresh backing array, one
-// allocation per batch; otherwise one backing array is overwritten batch
-// after batch, since the consumer is done with a batch's rows before it
-// asks for the next.
+// Output rows are carved from a slab. When the consumer keeps rows (keep)
+// the slab only moves on, so a kept row stays as it is; otherwise the slab
+// is reset batch after batch, since the consumer is done with a batch's
+// rows before it asks for the next.
 type batchCompute struct {
 	base
-	child   BatchOperator
-	in      []types.Row
-	exprs   []func(types.Row) types.Value
-	cost    float64
-	eof     bool
-	keep    bool
-	backing []types.Value // reused when !keep
+	child BatchOperator
+	in    []types.Row
+	exprs []func(types.Row) types.Value
+	cost  float64
+	eof   bool
+	keep  bool
+	slab  valueSlab
 }
 
 func newBatchCompute(n *plan.Node, child BatchOperator, keep bool) *batchCompute {
@@ -586,27 +594,18 @@ func (c *batchCompute) NextBatch(ctx *Ctx, dst []types.Row) []types.Row {
 		return dst
 	}
 	perRow := ctx.CM.CPUTuple + c.cost*ctx.CM.CPUExprUnit
-	total := 0
-	for _, row := range in {
-		total += len(row) + len(c.exprs)
-	}
-	backing := c.backing[:0]
-	if c.keep || cap(backing) < total {
-		backing = make([]types.Value, 0, total)
-	}
 	if !c.keep {
-		c.backing = backing
+		c.slab.reset()
 	}
 	charges := 0
 	for _, row := range in {
 		ctx.chargeCPURow(&c.c, perRow)
 		charges++
-		start := len(backing)
-		backing = append(backing, row...)
-		for _, f := range c.exprs {
-			backing = append(backing, f(row))
+		out := c.slab.row(len(row) + len(c.exprs))
+		copy(out, row)
+		for i, f := range c.exprs {
+			out[len(row)+i] = f(row)
 		}
-		out := types.Row(backing[start:len(backing):len(backing)])
 		c.emit()
 		dst = append(dst, out)
 	}
@@ -619,27 +618,32 @@ func (c *batchCompute) Close(ctx *Ctx) {
 		return
 	}
 	c.child.Close(ctx)
+	c.slab = valueSlab{}
 	c.closed(ctx)
 }
 
 // batchStreamAgg aggregates input already ordered on the group columns, a
-// child batch at a time, with one group in flight. Group keys are projected
-// only at group boundaries — within a group the boundary comparison needs
-// no per-row allocation — and it uses a cached identity column list.
+// child batch at a time, with one group in flight: its key and aggregate
+// states live in buffers reused group after group, so within a group the
+// boundary comparison and the folds allocate nothing.
 type batchStreamAgg struct {
 	base
 	child  BatchOperator
 	in     []types.Row
-	curKey types.Row
+	aggs   expr.Aggs
+	key    types.Row
 	states []expr.AggState
+	slab   valueSlab // output rows
 	idCols []int
 	open   bool
 	done   bool
 }
 
 func newBatchStreamAgg(n *plan.Node, child BatchOperator) *batchStreamAgg {
-	s := &batchStreamAgg{child: child}
+	s := &batchStreamAgg{child: child, aggs: expr.CompileAggs(n.Aggs)}
 	s.init(n)
+	s.key = make(types.Row, len(n.GroupCols))
+	s.states = make([]expr.AggState, len(n.Aggs))
 	s.idCols = identityCols(len(n.GroupCols))
 	return s
 }
@@ -654,28 +658,9 @@ func (s *batchStreamAgg) Open(ctx *Ctx) {
 
 func (s *batchStreamAgg) Rewind(ctx *Ctx) {
 	s.c.Rebinds++
-	s.curKey = nil
-	s.states = nil
 	s.open = false
 	s.done = false
 	s.child.Rewind(ctx)
-}
-
-func (s *batchStreamAgg) freshStates() []expr.AggState {
-	states := make([]expr.AggState, len(s.node.Aggs))
-	for i, a := range s.node.Aggs {
-		states[i] = expr.NewAggState(a)
-	}
-	return states
-}
-
-func (s *batchStreamAgg) result() types.Row {
-	out := make(types.Row, 0, len(s.node.GroupCols)+len(s.states))
-	out = append(out, s.curKey...)
-	for _, st := range s.states {
-		out = append(out, st.Result())
-	}
-	return out
 }
 
 func (s *batchStreamAgg) NextBatch(ctx *Ctx, dst []types.Row) []types.Row {
@@ -693,12 +678,10 @@ func (s *batchStreamAgg) NextBatch(ctx *Ctx, dst []types.Row) []types.Row {
 			// over empty input.
 			if s.open || len(gcols) == 0 {
 				if !s.open {
-					s.curKey = types.Row{}
-					s.states = s.freshStates()
+					clear(s.states)
 				}
-				out := s.result()
 				s.emit()
-				dst = append(dst, out)
+				dst = append(dst, aggRow(&s.slab, s.key, s.aggs, s.states))
 			}
 			return dst
 		}
@@ -707,20 +690,18 @@ func (s *batchStreamAgg) NextBatch(ctx *Ctx, dst []types.Row) []types.Row {
 			s.c.InputRows++
 			ctx.chargeCPURow(&s.c, perRow)
 			charges++
-			if !s.open {
+			if !s.open || !types.EqualCols(row, s.key, gcols, s.idCols) {
+				if s.open {
+					s.emit()
+					dst = append(dst, aggRow(&s.slab, s.key, s.aggs, s.states))
+				}
 				s.open = true
-				s.curKey = projectCols(row, gcols)
-				s.states = s.freshStates()
-			} else if !types.EqualCols(row, s.curKey, gcols, s.idCols) {
-				out := s.result()
-				s.curKey = projectCols(row, gcols)
-				s.states = s.freshStates()
-				s.emit()
-				dst = append(dst, out)
+				for i, c := range gcols {
+					s.key[i] = row[c]
+				}
+				clear(s.states)
 			}
-			for i := range s.states {
-				s.states[i].Add(row)
-			}
+			s.aggs.Add(s.states, row)
 		}
 		ctx.checkpointBatch(&s.c, charges)
 		if len(dst) > 0 {
@@ -734,5 +715,6 @@ func (s *batchStreamAgg) Close(ctx *Ctx) {
 		return
 	}
 	s.child.Close(ctx)
+	s.slab = valueSlab{}
 	s.closed(ctx)
 }

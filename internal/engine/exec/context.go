@@ -423,18 +423,10 @@ const batchFactor = 6.0
 // chargeCPU advances the clock by ns nanoseconds of CPU work attributed
 // to c.
 func (ctx *Ctx) chargeCPU(c *Counters, ns float64) {
-	if ns <= 0 {
-		return
+	if ns > 0 {
+		ctx.chargeCPURow(c, ns)
+		ctx.checkpoint(c)
 	}
-	if !c.FirstActive {
-		c.FirstActive = true
-		c.FirstActiveAt = ctx.Clock.Now()
-	}
-	d := sim.Duration(ns)
-	ctx.Clock.Advance(d)
-	c.CPUTime += d
-	c.LastActive = ctx.Clock.Now()
-	ctx.checkpoint(c)
 }
 
 // chargeCPURow is chargeCPU without the trailing checkpoint: batch
@@ -518,23 +510,22 @@ func (ctx *Ctx) failOnIOFault(c *Counters, io storage.IOCounts) {
 }
 
 // bitmapFilter is the runtime bitmap a BitmapCreate node populates and a
-// probe-side scan consults. Hash-based membership admits false positives,
-// exactly like a real bloom-style bitmap (§4.3).
+// probe-side scan consults: a set of build-key hashes, so membership admits
+// false positives, exactly like a real bloom-style bitmap (§4.3).
 type bitmapFilter struct {
-	bits     map[uint64]struct{}
+	hashes   hashIndex
 	complete bool
 }
 
-func newBitmapFilter() *bitmapFilter {
-	return &bitmapFilter{bits: make(map[uint64]struct{})}
+func (b *bitmapFilter) insert(h uint64) {
+	if b.hashes.first(h) < 0 {
+		b.hashes.insert(h)
+	}
 }
-
-func (b *bitmapFilter) insert(h uint64) { b.bits[h] = struct{}{} }
 
 func (b *bitmapFilter) probe(h uint64) bool {
 	if !b.complete {
 		panic("exec: bitmap probed before its build side completed")
 	}
-	_, ok := b.bits[h]
-	return ok
+	return b.hashes.first(h) >= 0
 }

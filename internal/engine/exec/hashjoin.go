@@ -14,11 +14,11 @@ type hashJoin struct {
 	probe, build Operator
 	out          joinOutput
 
-	table   map[uint64][]int // build-key hash → positions in entries
-	entries []buildEntry     // build rows in insertion order, for deterministic outer tails
+	table   hashIndex    // build-key hash → positions in entries
+	entries []buildEntry // build rows in insertion order, for deterministic outer tails
 
 	// streaming state
-	matches   []int // entries matching curProbe, reused across probe rows
+	matches   []int32 // entries matching curProbe, reused across probe rows
 	matchPos  int
 	curProbe  types.Row
 	probeDone bool
@@ -40,7 +40,7 @@ func newHashJoin(n *plan.Node, probe, build Operator, keep bool) *hashJoin {
 func (h *hashJoin) Open(ctx *Ctx) {
 	h.opened(ctx)
 	h.build.Open(ctx)
-	h.table = make(map[uint64][]int)
+	h.table = hashIndex{}
 	h.entries = h.entries[:0]
 	insert := ctx.CM.CPUHashInsert
 	if h.node.BatchMode {
@@ -56,8 +56,7 @@ func (h *hashJoin) Open(ctx *Ctx) {
 		// The build table is resident for the join's whole lifetime; hash
 		// joins do not spill in this engine, so an exceeded grant aborts.
 		ctx.reserveMem(&h.c, 1, false)
-		hv := row.HashCols(h.node.JoinRightCols)
-		h.table[hv] = append(h.table[hv], len(h.entries))
+		h.table.insert(row.HashCols(h.node.JoinRightCols))
 		h.entries = append(h.entries, buildEntry{row: row})
 	}
 	h.build.Close(ctx)
@@ -81,7 +80,7 @@ func (h *hashJoin) lookup(ctx *Ctx, probeRow types.Row) {
 	hv := probeRow.HashCols(h.node.JoinLeftCols)
 	h.matches = h.matches[:0]
 	h.matchPos = 0
-	for _, i := range h.table[hv] {
+	for i := h.table.first(hv); i >= 0; i = h.table.next(i) {
 		if types.EqualCols(probeRow, h.entries[i].row, h.node.JoinLeftCols, h.node.JoinRightCols) {
 			h.matches = append(h.matches, i)
 		}
@@ -169,6 +168,7 @@ func (h *hashJoin) Close(ctx *Ctx) {
 	}
 	h.probe.Close(ctx)
 	ctx.releaseMem(&h.c)
-	h.table, h.entries, h.matches = nil, nil, nil
+	h.table, h.entries, h.matches = hashIndex{}, nil, nil
+	h.out.slab = valueSlab{}
 	h.closed(ctx)
 }

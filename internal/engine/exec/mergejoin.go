@@ -7,15 +7,17 @@ import (
 
 // mergeJoin joins two inputs sorted on the join keys, buffering runs of
 // equal keys on the right side to handle many-to-many matches. Supported
-// variants: inner, left outer, left semi, left anti.
+// variants: inner, left outer, left semi, left anti. The run is a sparse
+// keeper: its rows are copies in a slab reset run after run, so the right
+// child need not keep rows.
 type mergeJoin struct {
 	base
 	left, right Operator
 	out         joinOutput
 
 	curLeft   types.Row
-	run       []types.Row // right-side rows equal to runKey
-	runKey    types.Row
+	run       []types.Row // right-side rows with equal keys, carved from runSlab
+	runSlab   valueSlab
 	runPos    int
 	nextRight types.Row // right row read past the current run
 	rightDone bool
@@ -48,12 +50,12 @@ func (m *mergeJoin) cmpKeys(l, r types.Row) int {
 // key, skipping lesser right rows.
 func (m *mergeJoin) advanceRight(ctx *Ctx) {
 	// Reuse the existing run if the key still matches.
-	if m.runKey != nil && m.cmpKeys(m.curLeft, m.runKey) == 0 {
+	if len(m.run) > 0 && m.cmpKeys(m.curLeft, m.run[0]) == 0 {
 		m.runPos = 0
 		return
 	}
 	m.run = m.run[:0]
-	m.runKey = nil
+	m.runSlab.reset()
 	m.runPos = 0
 	for {
 		var r types.Row
@@ -76,10 +78,7 @@ func (m *mergeJoin) advanceRight(ctx *Ctx) {
 		case c > 0:
 			continue // right row too small; skip
 		case c == 0:
-			if m.runKey == nil {
-				m.runKey = r
-			}
-			m.run = append(m.run, r)
+			m.run = append(m.run, m.runSlab.copyRow(r))
 			// Keep pulling until the run ends.
 		default:
 			m.nextRight = r // right ran ahead; stash for later keys
@@ -148,5 +147,6 @@ func (m *mergeJoin) Close(ctx *Ctx) {
 	}
 	m.left.Close(ctx)
 	m.right.Close(ctx)
+	m.run, m.runSlab, m.out.slab = nil, valueSlab{}, valueSlab{}
 	m.closed(ctx)
 }

@@ -14,12 +14,17 @@ const defaultNLBuffer = 1024
 
 // nestedLoops re-executes its inner child once per outer row, binding the
 // outer row for correlated inner operators (index seeks, spool replays).
+// Its outer buffer is a sparse keeper: copies in a slab reset at every
+// refill, unless a semi or anti join returns outer rows to a consumer that
+// keeps them (keepOuter).
 type nestedLoops struct {
 	base
 	outer, inner Operator
 	out          joinOutput
 
-	buf       []types.Row // batched outer rows
+	buf       []types.Row // batched outer rows, carved from slab
+	slab      valueSlab
+	keepOuter bool
 	bufPos    int
 	outerDone bool
 
@@ -29,7 +34,7 @@ type nestedLoops struct {
 }
 
 func newNestedLoops(n *plan.Node, outer, inner Operator, keep bool) *nestedLoops {
-	nl := &nestedLoops{outer: outer, inner: inner, out: newJoinOutput(n, keep)}
+	nl := &nestedLoops{outer: outer, inner: inner, out: newJoinOutput(n, keep), keepOuter: keep && returnsLeftRows(n)}
 	nl.init(n)
 	return nl
 }
@@ -64,6 +69,9 @@ func (nl *nestedLoops) fillBuffer(ctx *Ctx) {
 	}
 	nl.buf = nl.buf[:0]
 	nl.bufPos = 0
+	if !nl.keepOuter {
+		nl.slab.reset()
+	}
 	for len(nl.buf) < limit {
 		row, ok := nl.outer.Next(ctx)
 		if !ok {
@@ -71,7 +79,7 @@ func (nl *nestedLoops) fillBuffer(ctx *Ctx) {
 			break
 		}
 		ctx.chargeCPU(&nl.c, ctx.CM.CPUTuple)
-		nl.buf = append(nl.buf, row)
+		nl.buf = append(nl.buf, nl.slab.copyRow(row))
 	}
 	nl.c.BufferedRows = int64(len(nl.buf))
 }
@@ -171,5 +179,6 @@ func (nl *nestedLoops) Close(ctx *Ctx) {
 	// the subtree will never run, and downstream progress consumers treat
 	// closed as "no further work".
 	nl.inner.Close(ctx)
+	nl.buf, nl.curOuter, nl.slab, nl.out.slab = nil, nil, valueSlab{}, valueSlab{}
 	nl.closed(ctx)
 }

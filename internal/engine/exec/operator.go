@@ -90,14 +90,16 @@ func (b *base) emit() {
 // Row ownership is decided once per plan edge, while the tree is built
 // (types.Row states the rule). The keep argument of the build functions
 // answers it for the edge above the operator being built: true when that
-// operator's consumer holds rows past its next call on it. Buffering
-// consumers ask for true, consumers that read a row and move on ask for
-// false, and pass-through operators (filter, segment, concatenation,
+// operator's consumer holds rows past its next call on it. Dense keepers
+// (sort, spool, exchange, hash-join build) ask for true; sparse keepers
+// (Top N Sort, merge-join run, nested-loops outer buffer) copy what they
+// keep into their own slab and ask for false, as do consumers that read a
+// row and move on; pass-through operators (filter, segment, concatenation,
 // bitmap, and the side of a semi or anti join whose rows it returns as its
 // own) hand their own answer down. Only joins and Compute Scalar act on
-// it: they reuse one buffer unless the consumer keeps. The query root's
-// consumer does not keep: Step and Run drop each row, and RunCollect copies
-// the rows it returns.
+// it: they reuse one buffer unless the consumer keeps, and then carve rows
+// from a slab. The query root's consumer does not keep: Step and Run drop
+// each row, and RunCollect copies the rows it returns.
 
 // BuildOperator constructs the operator tree for a finalized, estimated
 // plan. The ctx must be the one later used to run the query (bitmap
@@ -143,23 +145,24 @@ func buildRowOperator(n *plan.Node, ctx *Ctx, keep bool) Operator {
 	case plan.Sort, plan.DistinctSort:
 		return newSort(n, child(0, true))
 	case plan.TopNSort:
-		return newTopNSort(n, child(0, true))
+		return newTopNSort(n, child(0, false))
 	case plan.HashAggregate:
 		return newHashAgg(n, child(0, false))
 	case plan.HashJoin:
 		return newHashJoin(n, child(0, keep && returnsLeftRows(n)), child(1, true), keep)
 	case plan.MergeJoin:
-		return newMergeJoin(n, child(0, keep && returnsLeftRows(n)), child(1, true), keep)
+		return newMergeJoin(n, child(0, keep && returnsLeftRows(n)), child(1, false), keep)
 	case plan.NestedLoops:
-		return newNestedLoops(n, child(0, true), child(1, false), keep)
+		return newNestedLoops(n, child(0, false), child(1, false), keep)
 	case plan.TableSpool:
 		return newSpool(n, child(0, true))
 	case plan.BitmapCreate:
 		if ctx.Bitmaps == nil {
 			ctx.Bitmaps = make(map[int]*bitmapFilter)
 		}
-		ctx.Bitmaps[n.ID] = newBitmapFilter()
-		return newBitmap(n, child(0, keep))
+		bf := &bitmapFilter{}
+		ctx.Bitmaps[n.ID] = bf
+		return newBitmap(n, child(0, keep), bf)
 	case plan.Exchange:
 		return newExchangeOrGather(n, ctx)
 	default:
@@ -169,10 +172,11 @@ func buildRowOperator(n *plan.Node, ctx *Ctx, keep bool) Operator {
 
 // joinOutput makes a join's output rows in one buffer the join owns. The
 // row it returns is that buffer, overwritten by the join's next row, unless
-// the consumer keeps rows; then the row is a copy of its own.
+// the consumer keeps rows; then the row is a copy carved from a slab.
 type joinOutput struct {
 	keep  bool
 	buf   types.Row
+	slab  valueSlab
 	nulls types.Row // NULL padding for outer joins; never written to
 }
 
@@ -193,7 +197,7 @@ func (o *joinOutput) join(l, r types.Row, residual expr.Expr) (row types.Row, ok
 		return nil, false
 	}
 	if o.keep {
-		return o.buf.Clone(), true
+		return o.slab.copyRow(o.buf), true
 	}
 	return o.buf, true
 }

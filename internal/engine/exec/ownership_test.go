@@ -226,19 +226,20 @@ func TestColumnstoreBatchSpanningGroups(t *testing.T) {
 	}
 }
 
-// finalizeFirst wraps a child operator and sets a finalizer on the backing
-// array of the first row it returns, which must be a fresh allocation.
-type finalizeFirst struct {
-	Operator
+// finalizeLast wraps a hash aggregate and, at the end of its output, sets a
+// finalizer on the slab chunk its last row was carved from: the chunk stays
+// reachable while that row, or the aggregate's slab, does.
+type finalizeLast struct {
+	*hashAgg
 	armed     bool
 	collected chan struct{}
 }
 
-func (f *finalizeFirst) Next(ctx *Ctx) (types.Row, bool) {
-	row, ok := f.Operator.Next(ctx)
-	if ok && !f.armed {
+func (f *finalizeLast) Next(ctx *Ctx) (types.Row, bool) {
+	row, ok := f.hashAgg.Next(ctx)
+	if !ok && !f.armed {
 		f.armed = true
-		runtime.SetFinalizer(&row[0], func(*types.Value) { close(f.collected) })
+		runtime.SetFinalizer(&f.slab.chunk[:1][0], func(*types.Value) { close(f.collected) })
 	}
 	return row, ok
 }
@@ -251,8 +252,8 @@ func (f *finalizeFirst) Next(ctx *Ctx) (types.Row, bool) {
 // emitted, not what has passed through.
 func TestBufferingOperatorsReleaseRowsAtClose(t *testing.T) {
 	db := testDB(t)
-	// Hash aggregate rows are fresh allocations: a finalizer on one fires
-	// once nothing references that row.
+	// Hash aggregate rows are carved from slab chunks: a finalizer on one
+	// fires once nothing references the chunk.
 	groups := func(bb *plan.Builder) *plan.Node {
 		return bb.HashAgg(bb.TableScan("t", nil, nil), []int{0}, []expr.AggSpec{{Kind: expr.CountStar}})
 	}
@@ -268,7 +269,7 @@ func TestBufferingOperatorsReleaseRowsAtClose(t *testing.T) {
 			return bb.HashJoinNode(plan.LogicalInnerJoin, bb.TableScan("u", nil, nil), groups(bb), []int{1}, []int{0}, nil)
 		}, func(q *Query, root *plan.Node) chan struct{} {
 			h := q.Operator(root.ID).(*hashJoin)
-			f := &finalizeFirst{Operator: h.build, collected: make(chan struct{})}
+			f := &finalizeLast{hashAgg: h.build.(*hashAgg), collected: make(chan struct{})}
 			h.build = f
 			return f.collected
 		}},
@@ -276,7 +277,7 @@ func TestBufferingOperatorsReleaseRowsAtClose(t *testing.T) {
 			return bb.Sort(groups(bb), []int{1, 0}, []bool{false, true})
 		}, func(q *Query, root *plan.Node) chan struct{} {
 			s := q.Operator(root.ID).(*sortOp)
-			f := &finalizeFirst{Operator: s.child, collected: make(chan struct{})}
+			f := &finalizeLast{hashAgg: s.child.(*hashAgg), collected: make(chan struct{})}
 			s.child = f
 			return f.collected
 		}},
@@ -284,14 +285,14 @@ func TestBufferingOperatorsReleaseRowsAtClose(t *testing.T) {
 			return bb.Spool(groups(bb), true)
 		}, func(q *Query, root *plan.Node) chan struct{} {
 			s := q.Operator(root.ID).(*spool)
-			f := &finalizeFirst{Operator: s.child, collected: make(chan struct{})}
+			f := &finalizeLast{hashAgg: s.child.(*hashAgg), collected: make(chan struct{})}
 			s.child = f
 			return f.collected
 		}},
 		{"hash aggregate", groups, func(q *Query, root *plan.Node) chan struct{} {
 			collected := make(chan struct{})
 			q.Step(1) // the groups exist once the aggregate has opened
-			runtime.SetFinalizer(q.Operator(root.ID).(*hashAgg).groups[0], func(*aggGroup) { close(collected) })
+			runtime.SetFinalizer(&q.Operator(root.ID).(*hashAgg).states[0], func(*expr.AggState) { close(collected) })
 			return collected
 		}},
 	}
@@ -319,4 +320,47 @@ func TestBufferingOperatorsReleaseRowsAtClose(t *testing.T) {
 		}
 		runtime.KeepAlive(q)
 	}
+}
+
+// TestTopNSortPinsNoProducerSlabs: Top N Sort is a sparse keeper. Over a
+// Compute Scalar over 100 000 rows it keeps 10 rows, and after GC the
+// query retains at most those rows plus one slab chunk of heap. A Top N
+// that kept the rows its child carved would pin the child's chunk under
+// each of them: ten chunks, since the winners lie all over the input.
+func TestTopNSortPinsNoProducerSlabs(t *testing.T) {
+	const rows, n = 100_000, 10
+	cat := catalog.NewCatalog()
+	cat.Add(catalog.NewTable("big", catalog.Column{Name: "id", Kind: types.KindInt}))
+	db := storage.NewDatabase(cat, 1<<20)
+	data := make([]types.Row, rows)
+	for i := range data {
+		data[i] = types.Row{types.Int(int64(i))}
+	}
+	db.Load("big", data)
+	db.BuildAllStats(32)
+	bb := plan.NewBuilder(db.Catalog)
+	scatter := expr.ModBy(expr.Times(expr.C(0, "id"), expr.KInt(7919)), expr.KInt(100_003))
+	p := plan.Finalize(bb.TopNSortNode(bb.ComputeScalar(bb.TableScan("big", nil, nil), scatter), n, []int{1}, nil))
+	opt.NewEstimator(db.Catalog).Estimate(p)
+	// A first run leaves every page in the buffer pool, so the measured
+	// run reads without allocating pool entries.
+	if _, err := NewQuery(p, db, opt.DefaultCostModel(), sim.NewClock()).Run(); err != nil {
+		t.Fatal(err)
+	}
+	q := NewQuery(p, db, opt.DefaultCostModel(), sim.NewClock())
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := q.Step(1); err != nil { // Top N has consumed its whole input
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	const valueBytes = 16
+	bound := int64(n*2*valueBytes + slabMaxChunk*valueBytes + 16<<10)
+	if retained > bound {
+		t.Errorf("Top N over %d computed rows retains %d bytes after GC, want at most %d (%d rows and one chunk)", rows, retained, bound, n)
+	}
+	runtime.KeepAlive(q)
 }

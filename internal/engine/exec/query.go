@@ -180,9 +180,6 @@ func (q *Query) Err() error {
 	return nil
 }
 
-// Failure returns the typed terminal error, or nil.
-func (q *Query) Failure() *QueryError { return q.failure.Load() }
-
 // Cancel requests cancellation with a reason (the DBA's KILL). The
 // executing goroutine observes it at its next charge checkpoint — bounded
 // by one row's work, even inside a blocking Sort or Hash build — and

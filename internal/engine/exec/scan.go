@@ -13,6 +13,7 @@ type indexScan struct {
 	base
 	cur      *storage.BTreeCursor
 	heap     *storage.Heap
+	bf       *bitmapFilter
 	pushed   expr.PredFn
 	pushCost float64
 	predCost float64
@@ -31,6 +32,7 @@ func (s *indexScan) Open(ctx *Ctx) {
 	s.opened(ctx)
 	bt := ctx.DB.BTree(s.node.Table, s.node.Index)
 	s.heap = ctx.DB.Heap(s.node.Table)
+	s.bf = bitmapOf(ctx, s.node)
 	if ctx.Parts > 1 {
 		s.cur = bt.ScanPartition(ctx.DB.Pool, ctx.Part, ctx.Parts)
 		s.c.PagesTotal = bt.PartitionLeafPages(ctx.Part, ctx.Parts)
@@ -59,7 +61,7 @@ func (s *indexScan) Next(ctx *Ctx) (types.Row, bool) {
 		}
 		row := s.heap.RowNoIO(e.RID)
 		ctx.chargeCPU(&s.c, ctx.CM.CPUTuple+s.pushCost*ctx.CM.CPUExprUnit)
-		if !storageFilterCompiled(ctx, s.node, s.pushed, row) {
+		if !storageFilterCompiled(s.node, s.bf, s.pushed, row) {
 			continue
 		}
 		if s.node.Pred != nil {

@@ -103,10 +103,11 @@ func (c *concat) Close(ctx *Ctx) {
 type bitmap struct {
 	base
 	child Operator
+	bf    *bitmapFilter
 }
 
-func newBitmap(n *plan.Node, child Operator) *bitmap {
-	b := &bitmap{child: child}
+func newBitmap(n *plan.Node, child Operator, bf *bitmapFilter) *bitmap {
+	b := &bitmap{child: child, bf: bf}
 	b.init(n)
 	return b
 }
@@ -123,13 +124,12 @@ func (b *bitmap) Rewind(ctx *Ctx) {
 
 func (b *bitmap) Next(ctx *Ctx) (types.Row, bool) {
 	row, ok := b.child.Next(ctx)
-	bf := ctx.Bitmaps[b.node.ID]
 	if !ok {
-		bf.complete = true
+		b.bf.complete = true
 		return nil, false
 	}
 	ctx.chargeCPU(&b.c, ctx.CM.CPUTuple+ctx.CM.CPUHashInsert)
-	bf.insert(row.HashCols(b.node.BitmapKeyCols))
+	b.bf.insert(row.HashCols(b.node.BitmapKeyCols))
 	b.emit()
 	return row, true
 }

@@ -145,11 +145,15 @@ func (s *sortOp) Close(ctx *Ctx) {
 }
 
 // topNSort keeps only the first N rows of the sort order, using a bounded
-// max-heap so memory and comparison costs scale with N, not the input.
+// max-heap so memory and comparison costs scale with N, not the input. It
+// is a sparse keeper: it copies a row that enters the heap into its own
+// slab, or over the evicted row, so its child need not keep rows and no
+// row it keeps pins a producer's storage.
 type topNSort struct {
 	base
 	child Operator
 	h     rowHeap
+	slab  valueSlab
 	out   []types.Row
 	pos   int
 }
@@ -196,12 +200,14 @@ func (t *topNSort) Open(ctx *Ctx) {
 			// The heap is the operator's whole workspace (bounded by N);
 			// a top-N that cannot hold N rows aborts.
 			ctx.reserveMem(&t.c, 1, false)
-			heap.Push(&t.h, row)
+			heap.Push(&t.h, t.slab.copyRow(row))
 			continue
 		}
+		// Rows of one plan edge share its width, so a better row is
+		// copied over the worst one.
 		worst := t.h.rows[0]
 		if types.CompareCols(row, worst, t.node.SortCols, t.node.SortCols, t.node.SortDesc) < 0 {
-			t.h.rows[0] = row
+			copy(worst, row)
 			heap.Fix(&t.h, 0)
 		}
 	}
@@ -236,6 +242,6 @@ func (t *topNSort) Close(ctx *Ctx) {
 	}
 	t.child.Close(ctx)
 	ctx.releaseMem(&t.c)
-	t.h, t.out = rowHeap{}, nil
+	t.h, t.out, t.slab = rowHeap{}, nil, valueSlab{}
 	t.closed(ctx)
 }

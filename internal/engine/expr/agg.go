@@ -35,138 +35,97 @@ func (a AggSpec) String() string {
 	return fmt.Sprintf("%s(%s)", aggNames[a.Kind], a.Arg)
 }
 
-// AggState accumulates one aggregate over a group's rows.
-type AggState interface {
-	Add(row types.Row)
-	Result() types.Value
+// Aggs is a Group By's aggregates compiled for one operator instance:
+// each argument is compiled once, and the operator keeps a group's
+// AggStates, one per aggregate, by value.
+type Aggs []compiledAgg
+
+type compiledAgg struct {
+	kind AggKind
+	arg  func(types.Row) types.Value // nil for COUNT(*)
 }
 
-// NewAggState returns a fresh accumulator for the spec.
-func NewAggState(spec AggSpec) AggState {
-	switch spec.Kind {
-	case CountStar:
-		return &countState{star: true}
-	case Count:
-		return &countState{arg: spec.Arg}
-	case Sum:
-		return &sumState{arg: spec.Arg}
-	case Avg:
-		return &avgState{arg: spec.Arg}
-	case Min:
-		return &minMaxState{arg: spec.Arg, wantMin: true}
-	case Max:
-		return &minMaxState{arg: spec.Arg}
-	default:
-		panic(fmt.Sprintf("expr: unknown aggregate kind %d", spec.Kind))
+// CompileAggs compiles the specs for one operator instance.
+func CompileAggs(specs []AggSpec) Aggs {
+	as := make(Aggs, len(specs))
+	for i, spec := range specs {
+		if spec.Kind > Avg {
+			panic(fmt.Sprintf("expr: unknown aggregate kind %d", spec.Kind))
+		}
+		as[i].kind = spec.Kind
+		if spec.Kind != CountStar {
+			as[i].arg = CompileExpr(spec.Arg)
+		}
+	}
+	return as
+}
+
+// AggState accumulates one aggregate over a group's rows; the zero
+// AggState is the state over no rows. It holds no pointers, so operators
+// keep groups' states in flat slices the garbage collector never scans.
+type AggState struct {
+	n    int64       // COUNT: rows counted; AVG: values added
+	isum int64       // SUM over integers
+	sum  float64     // SUM and AVG as floats
+	best types.Value // MIN, MAX
+	any  bool        // SUM, MIN, MAX: a value was added
+	flt  bool        // SUM: a value was not an integer
+}
+
+// Add folds row into a group's states, states[i] being aggregate i's.
+func (as Aggs) Add(states []AggState, row types.Row) {
+	for i, a := range as {
+		st := &states[i]
+		if a.kind == CountStar {
+			st.n++
+			continue
+		}
+		v := a.arg(row)
+		if v.IsNull() {
+			continue
+		}
+		switch a.kind {
+		case Count:
+			st.n++
+		case Sum:
+			st.flt = st.flt || v.K != types.KindInt
+			if f, ok := v.AsFloat(); ok {
+				st.sum += f
+				st.isum += v.I // read only while every value is an integer
+				st.any = true
+			}
+		case Avg:
+			if f, ok := v.AsFloat(); ok {
+				st.sum += f
+				st.n++
+			}
+		case Min, Max:
+			if c := types.Compare(v, st.best); !st.any || (a.kind == Min && c < 0) || (a.kind == Max && c > 0) {
+				st.best, st.any = v, true
+			}
+		}
 	}
 }
 
-type countState struct {
-	star bool
-	arg  Expr
-	n    int64
-}
-
-func (s *countState) Add(row types.Row) {
-	if s.star || !s.arg.Eval(row).IsNull() {
-		s.n++
+// Results writes each aggregate's result over a group's states into dst.
+func (as Aggs) Results(dst types.Row, states []AggState) {
+	for i, a := range as {
+		dst[i] = a.result(&states[i])
 	}
 }
 
-func (s *countState) Result() types.Value { return types.Int(s.n) }
-
-type sumState struct {
-	arg    Expr
-	sum    float64
-	isum   int64
-	anyVal bool
-	asInt  bool
-	first  bool
-}
-
-func (s *sumState) Add(row types.Row) {
-	v := s.arg.Eval(row)
-	if v.IsNull() {
-		return
-	}
-	if !s.first {
-		s.first = true
-		s.asInt = v.K == types.KindInt
-	}
-	if v.K != types.KindInt {
-		s.asInt = false
-	}
-	f, ok := v.AsFloat()
-	if !ok {
-		return
-	}
-	s.sum += f
-	if i, ok := v.AsInt(); ok {
-		s.isum += i
-	}
-	s.anyVal = true
-}
-
-func (s *sumState) Result() types.Value {
-	if !s.anyVal {
+func (a compiledAgg) result(st *AggState) types.Value {
+	switch {
+	case a.kind == CountStar || a.kind == Count:
+		return types.Int(st.n)
+	case a.kind == Avg && st.n > 0:
+		return types.Float(st.sum / float64(st.n))
+	case a.kind == Avg || !st.any:
 		return types.Null()
+	case a.kind == Sum && st.flt:
+		return types.Float(st.sum)
+	case a.kind == Sum:
+		return types.Int(st.isum)
 	}
-	if s.asInt {
-		return types.Int(s.isum)
-	}
-	return types.Float(s.sum)
-}
-
-type avgState struct {
-	arg Expr
-	sum float64
-	n   int64
-}
-
-func (s *avgState) Add(row types.Row) {
-	v := s.arg.Eval(row)
-	if v.IsNull() {
-		return
-	}
-	if f, ok := v.AsFloat(); ok {
-		s.sum += f
-		s.n++
-	}
-}
-
-func (s *avgState) Result() types.Value {
-	if s.n == 0 {
-		return types.Null()
-	}
-	return types.Float(s.sum / float64(s.n))
-}
-
-type minMaxState struct {
-	arg     Expr
-	wantMin bool
-	best    types.Value
-	any     bool
-}
-
-func (s *minMaxState) Add(row types.Row) {
-	v := s.arg.Eval(row)
-	if v.IsNull() {
-		return
-	}
-	if !s.any {
-		s.best = v
-		s.any = true
-		return
-	}
-	c := types.Compare(v, s.best)
-	if (s.wantMin && c < 0) || (!s.wantMin && c > 0) {
-		s.best = v
-	}
-}
-
-func (s *minMaxState) Result() types.Value {
-	if !s.any {
-		return types.Null()
-	}
-	return s.best
+	return st.best
 }

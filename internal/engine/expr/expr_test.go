@@ -173,11 +173,13 @@ func TestAggregates(t *testing.T) {
 	col0 := C(0, "a")
 	col1 := C(1, "b")
 	run := func(spec AggSpec) types.Value {
-		st := NewAggState(spec)
+		as, st := CompileAggs([]AggSpec{spec}), []AggState{{}}
 		for _, r := range rows {
-			st.Add(r)
+			as.Add(st, r)
 		}
-		return st.Result()
+		out := types.Row{{}}
+		as.Results(out, st)
+		return out[0]
 	}
 	if v := run(AggSpec{Kind: CountStar}); v.I != 4 {
 		t.Errorf("COUNT(*) = %v", v)
@@ -204,8 +206,9 @@ func TestAggregates(t *testing.T) {
 
 func TestAggregatesEmptyInput(t *testing.T) {
 	for _, k := range []AggKind{Count, Sum, Min, Max, Avg} {
-		st := NewAggState(AggSpec{Kind: k, Arg: C(0, "a")})
-		v := st.Result()
+		out := types.Row{{}}
+		CompileAggs([]AggSpec{{Kind: k, Arg: C(0, "a")}}).Results(out, []AggState{{}})
+		v := out[0]
 		if k == Count {
 			if v.I != 0 {
 				t.Errorf("empty COUNT = %v", v)

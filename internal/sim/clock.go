@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -28,6 +29,7 @@ type Duration = time.Duration
 type Clock struct {
 	now       Duration
 	observers []*Observation
+	due       Duration // at or before the earliest boundary observed
 }
 
 // Observation is the handle returned by Observe; Stop deregisters the
@@ -75,22 +77,34 @@ func (c *Clock) Now() Duration { return c.now }
 
 // Advance moves the clock forward by d, firing every registered observer for
 // every sampling boundary crossed, in boundary order (ties by registration
-// order). Negative d panics: simulated time is monotone.
+// order). Negative d panics: simulated time is monotone. An advance that
+// stays short of the earliest boundary is one compare.
 func (c *Clock) Advance(d Duration) {
+	if d < 0 || c.now+d >= c.due {
+		c.cross(d)
+		return
+	}
+	c.now += d
+}
+
+// cross is Advance up to or past the earliest boundary: it fires the due
+// boundaries, then caches the next one.
+func (c *Clock) cross(d Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: clock moved backwards by %v", d))
 	}
 	c.now += d
 	for {
-		// Earliest due boundary across observers; re-scanned every
-		// iteration so callbacks may Stop or Observe mid-delivery.
+		// Earliest boundary across observers; re-scanned every iteration
+		// so callbacks may Stop or Observe mid-delivery.
 		var next *Observation
+		c.due = math.MaxInt64
 		for _, o := range c.observers {
-			if o.cb != nil && o.nextFire <= c.now && (next == nil || o.nextFire < next.nextFire) {
-				next = o
+			if o.nextFire < c.due {
+				next, c.due = o, o.nextFire
 			}
 		}
-		if next == nil {
+		if c.due > c.now {
 			return
 		}
 		at := next.nextFire
@@ -126,6 +140,7 @@ func (c *Clock) Observe(interval Duration, cb func(now Duration)) *Observation {
 		nextFire: (c.now/interval + 1) * interval,
 	}
 	c.observers = append(c.observers, o)
+	c.due = min(c.due, o.nextFire)
 	return o
 }
 

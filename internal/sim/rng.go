@@ -33,19 +33,12 @@ func splitmix64(x *uint64) uint64 {
 // NewRNG returns a generator seeded from the given seed. Two generators
 // created with the same seed produce identical streams.
 func NewRNG(seed uint64) *RNG {
-	r := &RNG{}
-	r.Seed(seed)
-	return r
-}
-
-// Seed resets the generator state from seed.
-func (r *RNG) Seed(seed uint64) {
-	sm := seed
-	r.s0 = splitmix64(&sm)
-	r.s1 = splitmix64(&sm)
+	r := &RNG{s0: splitmix64(&seed)}
+	r.s1 = splitmix64(&seed)
 	if r.s0 == 0 && r.s1 == 0 {
 		r.s0 = 1 // xorshift state must be nonzero
 	}
+	return r
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
@@ -119,19 +112,12 @@ func (r *RNG) Perm(n int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	r.ShuffleInts(p)
+	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return p
 }
 
-// ShuffleInts shuffles p in place (Fisher-Yates).
-func (r *RNG) ShuffleInts(p []int) {
-	for i := len(p) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-}
-
-// Shuffle shuffles n elements using the provided swap function.
+// Shuffle shuffles n elements (Fisher-Yates) using the provided swap
+// function.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)

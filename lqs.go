@@ -15,11 +15,12 @@
 //	    fmt.Print(s.Render(q))              // live plan + progress
 //	})
 //
-// Monitor returns a non-nil *QueryError when the query was cancelled
+// Monitor returns a non-nil *exec.QueryError when the query was cancelled
 // (s.Cancel, or a virtual-time deadline) or failed (injected I/O faults,
 // memory-grant exhaustion, internal errors); operator panics never escape
-// the executor. Concurrent queries run under a QueryRegistry, which lists,
-// polls, and cancels them from any goroutine while they execute.
+// the executor. Concurrent queries run under internal/lqs's QueryRegistry,
+// which lists, polls, and cancels them from any goroutine while they
+// execute.
 //
 // See examples/ for runnable scenarios, internal/progress for the paper's
 // techniques (§4.1-§4.7), and internal/experiments for the evaluation
@@ -32,113 +33,70 @@ import (
 	"lqs/internal/engine/storage"
 	"lqs/internal/engine/types"
 	"lqs/internal/lqs"
-	"lqs/internal/opt"
 	"lqs/internal/plan"
 	"lqs/internal/progress"
 )
 
-// Re-exported core types: the data model, catalog, storage, planning, and
-// monitoring surfaces.
+// Re-exported core types: the data model, schemas, storage and the
+// monitoring surface.
 type (
-	// Value is a single SQL value; Row is a tuple of them.
-	Value = types.Value
-	Row   = types.Row
+	// Row is a tuple of values.
+	Row = types.Row
 
-	// Catalog, Table, Column, and Index describe schemas.
-	Catalog = catalog.Catalog
-	Table   = catalog.Table
-	Column  = catalog.Column
-	Index   = catalog.Index
+	// Column and Index describe a table's schema.
+	Column = catalog.Column
+	Index  = catalog.Index
 
 	// Database is the loaded storage layer (heaps, B-trees, columnstores).
 	Database = storage.Database
 
-	// PlanBuilder constructs physical plan trees; PlanNode is one operator.
-	PlanBuilder = plan.Builder
-	PlanNode    = plan.Node
-	Plan        = plan.Plan
-
-	// Query is one executing query; Session monitors it; QuerySnapshot is
-	// one poll's display state; Options selects the estimator techniques.
-	Query         = exec.Query
+	// Session monitors one executing query; QuerySnapshot is one poll's
+	// display state; QueryState is the query's lifecycle state.
 	Session       = lqs.Session
 	QuerySnapshot = lqs.QuerySnapshot
-	OpStatus      = lqs.OpStatus
-	Options       = progress.Options
-	Estimate      = progress.Estimate
-
-	// QueryError is the typed terminal error of a cancelled or failed
-	// query; ErrorKind classifies it; QueryState is its lifecycle state.
-	QueryError = exec.QueryError
-	ErrorKind  = exec.ErrorKind
-	QueryState = exec.QueryState
-
-	// QueryRegistry tracks concurrently executing queries (launch, list,
-	// poll, cancel, wait); QueryInfo is one listing row.
-	QueryRegistry = lqs.QueryRegistry
-	QueryID       = lqs.QueryID
-	QueryInfo     = lqs.QueryInfo
-
-	// FaultConfig seeds the storage fault-injection harness.
-	FaultConfig   = storage.FaultConfig
-	FaultInjector = storage.FaultInjector
+	QueryState    = exec.QueryState
 )
 
 // Query lifecycle states.
 const (
-	StatePending   = exec.StatePending
 	StateRunning   = exec.StateRunning
 	StateSucceeded = exec.StateSucceeded
-	StateCancelled = exec.StateCancelled
-	StateFailed    = exec.StateFailed
-)
-
-// QueryError kinds.
-const (
-	KindInternal  = exec.KindInternal
-	KindCancelled = exec.KindCancelled
-	KindDeadline  = exec.KindDeadline
-	KindMemory    = exec.KindMemory
-	KindIO        = exec.KindIO
 )
 
 // Value constructors.
 var (
 	Int   = types.Int
 	Float = types.Float
-	Str   = types.Str
-	Null  = types.Null
 )
 
 // Column kinds.
 const (
-	KindInt    = types.KindInt
-	KindFloat  = types.KindFloat
-	KindString = types.KindString
+	KindInt   = types.KindInt
+	KindFloat = types.KindFloat
 )
 
 // NewCatalog creates an empty catalog.
-func NewCatalog() *Catalog { return catalog.NewCatalog() }
+func NewCatalog() *catalog.Catalog { return catalog.NewCatalog() }
 
 // NewTable creates a table schema.
-func NewTable(name string, cols ...Column) *Table { return catalog.NewTable(name, cols...) }
+func NewTable(name string, cols ...Column) *catalog.Table { return catalog.NewTable(name, cols...) }
 
 // NewDatabase creates an empty database over a catalog with a buffer pool
 // of poolPages pages.
-func NewDatabase(cat *Catalog, poolPages int) *Database {
+func NewDatabase(cat *catalog.Catalog, poolPages int) *Database {
 	return storage.NewDatabase(cat, poolPages)
 }
 
 // NewPlanBuilder returns a physical plan builder over the catalog.
-func NewPlanBuilder(cat *Catalog) *PlanBuilder { return plan.NewBuilder(cat) }
+func NewPlanBuilder(cat *catalog.Catalog) *plan.Builder { return plan.NewBuilder(cat) }
 
 // DefaultOptions is the shipping Live Query Statistics estimator
 // configuration: every Section 4 technique enabled.
-func DefaultOptions() Options { return progress.LQSOptions() }
+func DefaultOptions() progress.Options { return progress.LQSOptions() }
 
 // Start finalizes a plan, attaches optimizer estimates, and returns a
 // monitoring session ready to Step/Snapshot/Monitor.
-func Start(db *Database, root *PlanNode, o Options) *Session {
+func Start(db *Database, root *plan.Node, o progress.Options) *Session {
 	return lqs.Start(db, root, o)
 }
 
@@ -146,14 +104,6 @@ func Start(db *Database, root *PlanNode, o Options) *Session {
 // with exchange operators over its partitionable scans and those zones
 // run on dop worker threads. Results and aggregated counters match the
 // serial session; dop <= 1 behaves exactly like Start.
-func StartDOP(db *Database, root *PlanNode, dop int, o Options) *Session {
+func StartDOP(db *Database, root *plan.Node, dop int, o progress.Options) *Session {
 	return lqs.StartDOP(db, root, dop, o)
 }
-
-// Estimate attaches optimizer cardinality and cost estimates to a
-// finalized plan (Start does this automatically).
-func EstimatePlan(cat *Catalog, p *Plan) { opt.NewEstimator(cat).Estimate(p) }
-
-// NewQueryRegistry returns an empty registry for concurrent query
-// execution and monitoring.
-func NewQueryRegistry() *QueryRegistry { return lqs.NewQueryRegistry() }
