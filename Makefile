@@ -36,11 +36,13 @@ race:
 	$(GO) test -race ./internal/engine/types/... ./internal/engine/storage/... ./internal/workload/... ./internal/lqs/... ./internal/engine/dmv/... ./internal/metrics/... ./internal/trace/... ./internal/obs/... ./internal/engine/exec/... ./internal/engine/expr/... ./internal/progress/... ./internal/chaos/... ./internal/server/... ./internal/accuracy/...
 
 # Short coverage-guided runs of every native fuzz target: the value order
-# codes the database build sorts on, the DMV per-thread aggregation and the
+# codes the database build sorts on, the key hash and key compares of the
+# hash tables and merge joins, the DMV per-thread aggregation and the
 # progress estimator fed adversarial snapshots. Seeds always run under plain `make test`; this adds a bounded
 # mutation pass so CI exercises the generators too.
 fuzz-smoke:
 	$(GO) test ./internal/engine/types/ -run '^$$' -fuzz FuzzOrderCode -fuzztime 10s
+	$(GO) test ./internal/engine/types/ -run '^$$' -fuzz FuzzKeyHash -fuzztime 10s
 	$(GO) test ./internal/engine/dmv/ -run '^$$' -fuzz FuzzAggregateThreads -fuzztime 10s
 	$(GO) test ./internal/progress/ -run '^$$' -fuzz FuzzEstimator -fuzztime 200x
 	$(GO) test ./internal/progress/ -run '^$$' -fuzz FuzzDegradedSnapshot -fuzztime 200x

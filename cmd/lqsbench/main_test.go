@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,5 +70,86 @@ func TestRunFig14(t *testing.T) {
 		if !strings.Contains(out, "\n"+w+" ") {
 			t.Errorf("-run Fig14 has no %s row:\n%s", w, out)
 		}
+	}
+}
+
+// TestRunChaos: -chaos -chaos-seed 7 runs the quick battery and prints a
+// verdict with no contract violation.
+func TestRunChaos(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-chaos", "-chaos-seed", "7"}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "verdict: ") || !strings.Contains(stdout.String(), ", 0 violation(s)\n") {
+		t.Fatalf("-chaos printed no clean verdict:\n%s", stdout.String())
+	}
+}
+
+// TestRunAccuracy: -accuracy -acc-json writes a report that parses and
+// grades all four estimator modes.
+func TestRunAccuracy(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "acc.json")
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-accuracy", "-acc-label", "test", "-acc-json", path}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Label   string   `json:"label"`
+		Modes   []string `json:"modes"`
+		Queries []struct {
+			Mode string `json:"mode"`
+		} `json:"queries"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("%s does not parse: %v", path, err)
+	}
+	graded := map[string]bool{}
+	for _, q := range rep.Queries {
+		graded[q.Mode] = true
+	}
+	if rep.Label != "test" || len(rep.Modes) != 4 || len(graded) != 4 {
+		t.Fatalf("report label %q, modes %v, graded %v; want label test and four modes", rep.Label, rep.Modes, graded)
+	}
+}
+
+// TestRunTraceMetrics: -metrics after a -trace-dir run dumps the buffer
+// pool's counters and the estimator-error histogram the traces fed.
+func TestRunTraceMetrics(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-run", "none", "-trace-dir", t.TempDir(), "-trace-limit", "1", "-metrics"}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
+	}
+	for _, want := range []string{"\nbufferpool/", "\nestimator/error_count/"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("-metrics dump has no %q line:\n%s", want[1:], stdout.String())
+		}
+	}
+}
+
+// TestRunBenchJSON: -run Fig14 -bench-json writes timings that parse, one
+// phase for the one figure.
+func TestRunBenchJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs Fig14 (seconds)")
+	}
+	path := filepath.Join(t.TempDir(), "bench.json")
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-run", "Fig14", "-bench-json", path}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep benchReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("%s does not parse: %v", path, err)
+	}
+	if len(rep.Phases) != 1 || rep.Phases[0].ID != "Fig14" || rep.Phases[0].WallSeconds <= 0 {
+		t.Fatalf("phases %+v, want one for Fig14", rep.Phases)
 	}
 }

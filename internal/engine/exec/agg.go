@@ -71,7 +71,7 @@ func (h *hashAgg) Open(ctx *Ctx) {
 		}
 		h.c.InputRows++
 		ctx.chargeCPU(&h.c, perRow)
-		hv := row.HashCols(gcols)
+		hv := row.KeyHash(gcols)
 		g := h.idx.first(hv)
 		for g >= 0 && !types.EqualCols(row, h.keys[g], gcols, idCols) {
 			g = h.idx.next(g)

@@ -215,7 +215,7 @@ func storageFilterCompiled(n *plan.Node, bf *bitmapFilter, pushed expr.PredFn, r
 	if pushed != nil && !pushed(row) {
 		return false
 	}
-	return bf == nil || bf.probe(row.HashCols(n.BitmapProbeCols))
+	return bf == nil || bf.probe(row.KeyHash(n.BitmapProbeCols))
 }
 
 // bitmapOf returns the runtime bitmap scan node n probes, or nil. Scans

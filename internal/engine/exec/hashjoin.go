@@ -56,7 +56,7 @@ func (h *hashJoin) Open(ctx *Ctx) {
 		// The build table is resident for the join's whole lifetime; hash
 		// joins do not spill in this engine, so an exceeded grant aborts.
 		ctx.reserveMem(&h.c, 1, false)
-		h.table.insert(row.HashCols(h.node.JoinRightCols))
+		h.table.insert(row.KeyHash(h.node.JoinRightCols))
 		h.entries = append(h.entries, buildEntry{row: row})
 	}
 	h.build.Close(ctx)
@@ -77,7 +77,7 @@ func (h *hashJoin) lookup(ctx *Ctx, probeRow types.Row) {
 		probeCost /= batchFactor
 	}
 	ctx.chargeCPU(&h.c, probeCost)
-	hv := probeRow.HashCols(h.node.JoinLeftCols)
+	hv := probeRow.KeyHash(h.node.JoinLeftCols)
 	h.matches = h.matches[:0]
 	h.matchPos = 0
 	for i := h.table.first(hv); i >= 0; i = h.table.next(i) {
@@ -94,7 +94,7 @@ func (h *hashJoin) Next(ctx *Ctx) (types.Row, bool) {
 		for h.matchPos < len(h.matches) {
 			e := &h.entries[h.matches[h.matchPos]]
 			h.matchPos++
-			joined, ok := h.out.join(h.curProbe, e.row, h.node.Residual)
+			joined, ok := h.out.join(h.curProbe, e.row)
 			if !ok {
 				continue
 			}
@@ -127,7 +127,7 @@ func (h *hashJoin) Next(ctx *Ctx) (types.Row, bool) {
 				switch kind {
 				case plan.LogicalLeftOuterJoin, plan.LogicalFullOuterJoin:
 					h.emit()
-					return h.out.join(probeRow, h.out.pad(h.node.Width-len(probeRow)), nil)
+					return h.out.concat(probeRow, h.out.pad(h.node.Width-len(probeRow))), true
 				case plan.LogicalLeftAntiSemiJoin:
 					h.emit()
 					return probeRow, true
@@ -143,7 +143,7 @@ func (h *hashJoin) Next(ctx *Ctx) (types.Row, bool) {
 					if !e.matched {
 						ctx.chargeCPU(&h.c, ctx.CM.CPUTuple)
 						h.emit()
-						return h.out.join(h.out.pad(h.node.Width-len(e.row)), e.row, nil)
+						return h.out.concat(h.out.pad(h.node.Width-len(e.row)), e.row), true
 					}
 				}
 			}

@@ -94,7 +94,7 @@ func (m *mergeJoin) Next(ctx *Ctx) (types.Row, bool) {
 		for m.curLeft != nil && m.runPos < len(m.run) {
 			r := m.run[m.runPos]
 			m.runPos++
-			joined, ok := m.out.join(m.curLeft, r, m.node.Residual)
+			joined, ok := m.out.join(m.curLeft, r)
 			if !ok {
 				continue
 			}
@@ -119,7 +119,7 @@ func (m *mergeJoin) Next(ctx *Ctx) (types.Row, bool) {
 				switch kind {
 				case plan.LogicalLeftOuterJoin:
 					m.emit()
-					return m.out.join(l, m.out.pad(m.node.Width-len(l)), nil)
+					return m.out.concat(l, m.out.pad(m.node.Width-len(l))), true
 				case plan.LogicalLeftAntiSemiJoin:
 					m.emit()
 					return l, true

@@ -117,7 +117,7 @@ func (nl *nestedLoops) Next(ctx *Ctx) (types.Row, bool) {
 				if nl.node.Residual != nil {
 					ctx.chargeCPU(&nl.c, ctx.CM.CPUTuple)
 				}
-				joined, ok := nl.out.join(nl.curOuter, innerRow, nl.node.Residual)
+				joined, ok := nl.out.join(nl.curOuter, innerRow)
 				if !ok {
 					continue
 				}
@@ -145,7 +145,7 @@ func (nl *nestedLoops) Next(ctx *Ctx) (types.Row, bool) {
 				switch kind {
 				case plan.LogicalLeftOuterJoin:
 					nl.emit()
-					return nl.out.join(o, nl.out.pad(nl.node.Width-len(o)), nil)
+					return nl.out.concat(o, nl.out.pad(nl.node.Width-len(o))), true
 				case plan.LogicalLeftAntiSemiJoin:
 					nl.emit()
 					return o, true

@@ -172,12 +172,13 @@ func buildRowOperator(n *plan.Node, ctx *Ctx, keep bool) Operator {
 
 // joinOutput makes a join's output rows in one buffer the join owns. The
 // row it returns is that buffer, overwritten by the join's next row, unless
-// the consumer keeps rows; then the row is a copy carved from a slab.
+// the consumer keeps rows; then the row is carved from a slab.
 type joinOutput struct {
-	keep  bool
-	buf   types.Row
-	slab  valueSlab
-	nulls types.Row // NULL padding for outer joins; never written to
+	keep     bool
+	residual expr.PredFn // the join's compiled residual; nil passes every pair
+	buf      types.Row
+	slab     valueSlab
+	nulls    types.Row // NULL padding for outer joins; never written to
 }
 
 // newJoinOutput is the output of join node n for a consumer that keeps
@@ -185,21 +186,36 @@ type joinOutput struct {
 // one, so it reads joined rows in the buffer whatever its consumer does.
 func newJoinOutput(n *plan.Node, keep bool) joinOutput {
 	semi := returnsLeftRows(n) || n.Logical == plan.LogicalRightSemiJoin
-	return joinOutput{keep: keep && !semi}
+	return joinOutput{keep: keep && !semi, residual: expr.CompilePred(n.Residual)}
 }
 
-// join returns l followed by r, or ok=false when the residual predicate
-// (nil passes every pair) rejects the pair. The residual reads the pair in
-// the buffer, so a rejected pair allocates nothing.
-func (o *joinOutput) join(l, r types.Row, residual expr.Expr) (row types.Row, ok bool) {
+// join returns l followed by r, or ok=false when the residual rejects the
+// pair. The residual reads the pair in the buffer, so a rejected pair
+// allocates nothing.
+func (o *joinOutput) join(l, r types.Row) (row types.Row, ok bool) {
+	if o.residual == nil {
+		return o.concat(l, r), true
+	}
 	o.buf = appendJoined(o.buf[:0], l, r)
-	if residual != nil && !expr.EvalPred(residual, o.buf) {
+	if !o.residual(o.buf) {
 		return nil, false
 	}
 	if o.keep {
 		return o.slab.copyRow(o.buf), true
 	}
 	return o.buf, true
+}
+
+// concat returns l followed by r with no residual check, as an outer
+// join's NULL-padded rows are. A kept row is carved straight from the slab.
+func (o *joinOutput) concat(l, r types.Row) types.Row {
+	if o.keep {
+		row := o.slab.row(len(l) + len(r))
+		copy(row[copy(row, l):], r)
+		return row
+	}
+	o.buf = appendJoined(o.buf[:0], l, r)
+	return o.buf
 }
 
 // pad returns n NULLs.

@@ -15,6 +15,7 @@ type indexScan struct {
 	heap     *storage.Heap
 	bf       *bitmapFilter
 	pushed   expr.PredFn
+	pred     expr.PredFn
 	pushCost float64
 	predCost float64
 }
@@ -25,6 +26,7 @@ func newIndexScan(n *plan.Node) *indexScan {
 	s.pushCost = float64(expr.Cost(n.PushedPred))
 	s.predCost = float64(expr.Cost(n.Pred))
 	s.pushed = expr.CompilePred(n.PushedPred)
+	s.pred = expr.CompilePred(n.Pred)
 	return s
 }
 
@@ -64,9 +66,9 @@ func (s *indexScan) Next(ctx *Ctx) (types.Row, bool) {
 		if !storageFilterCompiled(s.node, s.bf, s.pushed, row) {
 			continue
 		}
-		if s.node.Pred != nil {
+		if s.pred != nil {
 			ctx.chargeCPU(&s.c, s.predCost*ctx.CM.CPUExprUnit)
-			if !expr.EvalPred(s.node.Pred, row) {
+			if !s.pred(row) {
 				continue
 			}
 		}

@@ -10,21 +10,25 @@ import (
 // indexSeek descends a B-tree to a key range. Bounds are evaluated against
 // ctx.Bind at Open/Rewind time, so the same operator serves standalone
 // range seeks (empty bind row) and correlated seeks on the inner side of a
-// nested-loops join (the NL sets the bind row before each Rewind). A
-// KeysOnly seek builds each (key..., RID) row in one buffer it owns,
-// overwritten by the next row, unless its consumer keeps rows.
+// nested-loops join (the NL sets the bind row before each Rewind). The
+// bounds and the predicate are compiled once, and each rebind evaluates
+// the bounds into the operator's own buffers and re-positions its one
+// cursor. A KeysOnly seek builds each (key..., RID) row in one buffer it
+// owns, overwritten by the next row, unless its consumer keeps rows.
 type indexSeek struct {
 	base
-	cur      *storage.BTreeCursor
+	cur      storage.BTreeCursor // re-positioned in place at every rebind
 	heap     *storage.Heap
 	keyCols  []int
+	lo, hi   seekKeys
+	pred     expr.PredFn
 	predCost float64
 	keep     bool
 	buf      types.Row
 }
 
 func newIndexSeek(n *plan.Node, keep bool) *indexSeek {
-	s := &indexSeek{keep: keep}
+	s := &indexSeek{keep: keep, lo: compileSeekKeys(n.SeekLo), hi: compileSeekKeys(n.SeekHi), pred: expr.CompilePred(n.Pred)}
 	s.init(n)
 	s.predCost = float64(expr.Cost(n.Pred))
 	return s
@@ -48,9 +52,8 @@ func (s *indexSeek) Rewind(ctx *Ctx) { s.position(ctx) }
 func (s *indexSeek) position(ctx *Ctx) {
 	s.c.Rebinds++
 	bt := ctx.DB.BTree(s.node.Table, s.node.Index)
-	lo := evalKeys(s.node.SeekLo, ctx.Bind)
-	hi := evalKeys(s.node.SeekHi, ctx.Bind)
-	s.cur = bt.Seek(lo, s.node.SeekLoInc, ctx.DB.Pool)
+	lo, hi := s.lo.eval(ctx.Bind), s.hi.eval(ctx.Bind)
+	bt.SeekInto(&s.cur, lo, s.node.SeekLoInc, ctx.DB.Pool)
 	if hi != nil {
 		s.cur.SetUpper(hi, s.node.SeekHiInc)
 	}
@@ -58,15 +61,33 @@ func (s *indexSeek) position(ctx *Ctx) {
 	ctx.chargeIO(&s.c, s.cur.DrainIO())
 }
 
-func evalKeys(keys []expr.Expr, bind types.Row) []types.Value {
-	if len(keys) == 0 {
+// seekKeys is one bound of a seek: its key expressions, compiled, and the
+// buffer a rebind evaluates them into. The B-tree reads a lower bound only
+// while it descends, and the cursor keeps its upper bound only until the
+// rebind that re-positions it, so nothing reads a buffer once it is
+// overwritten.
+type seekKeys struct {
+	exprs []func(types.Row) types.Value
+	buf   []types.Value
+}
+
+func compileSeekKeys(keys []expr.Expr) seekKeys {
+	k := seekKeys{buf: make([]types.Value, len(keys))}
+	for _, e := range keys {
+		k.exprs = append(k.exprs, expr.CompileExpr(e))
+	}
+	return k
+}
+
+// eval returns the bound for bind, or nil when the seek has none.
+func (k *seekKeys) eval(bind types.Row) []types.Value {
+	if len(k.exprs) == 0 {
 		return nil
 	}
-	out := make([]types.Value, len(keys))
-	for i, k := range keys {
-		out[i] = k.Eval(bind)
+	for i, e := range k.exprs {
+		k.buf[i] = e(bind)
 	}
-	return out
+	return k.buf
 }
 
 func (s *indexSeek) Next(ctx *Ctx) (types.Row, bool) {
@@ -87,9 +108,9 @@ func (s *indexSeek) Next(ctx *Ctx) (types.Row, bool) {
 			row = s.heap.RowNoIO(e.RID)
 		}
 		ctx.chargeCPU(&s.c, ctx.CM.CPUTuple)
-		if s.node.Pred != nil {
+		if s.pred != nil {
 			ctx.chargeCPU(&s.c, s.predCost*ctx.CM.CPUExprUnit)
-			if !expr.EvalPred(s.node.Pred, row) {
+			if !s.pred(row) {
 				continue
 			}
 		}
@@ -110,10 +131,11 @@ func (s *indexSeek) Close(ctx *Ctx) {
 type ridLookup struct {
 	base
 	child Operator
+	pred  expr.PredFn
 }
 
 func newRIDLookup(n *plan.Node, child Operator) *ridLookup {
-	l := &ridLookup{child: child}
+	l := &ridLookup{child: child, pred: expr.CompilePred(n.Pred)}
 	l.init(n)
 	return l
 }
@@ -139,7 +161,7 @@ func (l *ridLookup) Next(ctx *Ctx) (types.Row, bool) {
 		row := ctx.DB.Heap(l.node.Table).Get(rid, ctx.DB.Pool, &io)
 		ctx.chargeIO(&l.c, io)
 		ctx.chargeCPU(&l.c, ctx.CM.CPUTuple)
-		if l.node.Pred != nil && !expr.EvalPred(l.node.Pred, row) {
+		if l.pred != nil && !l.pred(row) {
 			continue
 		}
 		l.emit()

@@ -129,7 +129,7 @@ func (b *bitmap) Next(ctx *Ctx) (types.Row, bool) {
 		return nil, false
 	}
 	ctx.chargeCPU(&b.c, ctx.CM.CPUTuple+ctx.CM.CPUHashInsert)
-	b.bf.insert(row.HashCols(b.node.BitmapKeyCols))
+	b.bf.insert(row.KeyHash(b.node.BitmapKeyCols))
 	b.emit()
 	return row, true
 }

@@ -47,69 +47,82 @@ func (s *valueSlab) reset() {
 	s.chunk, s.used = s.chunk[:0], 0
 }
 
-// hashIndex is a chained hash table over dense positions 0, 1, 2, … keyed
-// by 64-bit hashes. The caller keeps what a position stands for (a build
-// row, a group) in flat arrays of its own and compares keys itself. Chains
-// are int32 links, not pointers, and list a bucket's positions in
+// hashIndex is an open-addressing hash table over dense positions 0, 1,
+// 2, … keyed by 64-bit hashes. The caller keeps what a position stands for
+// (a build row, a group) in flat arrays of its own and compares keys
+// itself. Each slot holds one distinct hash with the first and last
+// position inserted with it; int32 links chain a hash's positions in
 // insertion order, so a hash join emits a probe row's matches in build
-// order.
+// order. Slots probe linearly from the hash's top bits and are at most
+// half full, so a lookup reads one slot and rarely its neighbour, and
+// growing moves slots, never positions.
 type hashIndex struct {
-	hashes     []uint64 // position → its hash
-	link       []int32  // position → next position in its bucket, or -1
-	head, tail []int32  // bucket → first and last position; head -1 when empty
-	shift      uint     // a bucket is the top 64-shift bits of hash × 2⁶⁴/φ
+	slots []hashSlot // a power of two long; head -1 when empty
+	link  []int32    // position → next position with its hash, or -1
+	used  int        // occupied slots
+	shift uint       // a hash's home slot is its top 64-shift bits
 }
 
-func (x *hashIndex) bucket(h uint64) int { return int((h * 0x9E3779B97F4A7C15) >> x.shift) }
+type hashSlot struct {
+	hash       uint64
+	head, tail int32
+}
+
+// slot returns the index of h's slot, or of the empty slot where h would
+// go. The table must have slots.
+func (x *hashIndex) slot(h uint64) int {
+	mask := len(x.slots) - 1
+	i := int(h >> x.shift)
+	for x.slots[i].head >= 0 && x.slots[i].hash != h {
+		i = (i + 1) & mask
+	}
+	return i
+}
 
 // insert adds the next position, for hash h, and returns it.
 func (x *hashIndex) insert(h uint64) int32 {
-	p := int32(len(x.hashes))
-	x.hashes, x.link = append(x.hashes, h), append(x.link, -1)
-	if len(x.hashes) <= len(x.head) {
-		x.chain(p)
+	p := int32(len(x.link))
+	x.link = append(x.link, -1)
+	if len(x.slots) == 0 {
+		x.grow()
+	}
+	i := x.slot(h)
+	if s := &x.slots[i]; s.head >= 0 {
+		x.link[s.tail], s.tail = p, p
 		return p
 	}
-	// Double the buckets (16 at first) and rechain every position in order.
-	n := max(2*len(x.head), 16)
-	x.shift = uint(64 - bits.TrailingZeros(uint(n)))
-	x.head, x.tail = make([]int32, n), make([]int32, n)
-	for i := range x.head {
-		x.head[i] = -1
+	if 2*(x.used+1) > len(x.slots) {
+		x.grow()
+		i = x.slot(h)
 	}
-	for q := range x.hashes {
-		x.link[q] = -1
-		x.chain(int32(q))
-	}
+	x.slots[i] = hashSlot{hash: h, head: p, tail: p}
+	x.used++
 	return p
 }
 
-// chain appends position p to its bucket's chain.
-func (x *hashIndex) chain(p int32) {
-	b := x.bucket(x.hashes[p])
-	if x.head[b] < 0 {
-		x.head[b] = p
-	} else {
-		x.link[x.tail[b]] = p
+// grow doubles the slots (16 at first) and moves every occupied one.
+func (x *hashIndex) grow() {
+	old := x.slots
+	n := max(2*len(old), 16)
+	x.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	x.slots = make([]hashSlot, n)
+	for i := range x.slots {
+		x.slots[i].head = -1
 	}
-	x.tail[b] = p
+	for _, s := range old {
+		if s.head >= 0 {
+			x.slots[x.slot(s.hash)] = s
+		}
+	}
 }
 
 // first returns the first position inserted with hash h, or -1.
 func (x *hashIndex) first(h uint64) int32 {
-	if len(x.head) == 0 {
+	if len(x.slots) == 0 {
 		return -1
 	}
-	return x.find(x.head[x.bucket(h)], h)
+	return x.slots[x.slot(h)].head
 }
 
 // next returns the position inserted after p with p's hash, or -1.
-func (x *hashIndex) next(p int32) int32 { return x.find(x.link[p], x.hashes[p]) }
-
-// find follows a chain from p to the first position with hash h.
-func (x *hashIndex) find(p int32, h uint64) int32 {
-	for p >= 0 && x.hashes[p] != h {
-		p = x.link[p]
-	}
-	return p
-}
+func (x *hashIndex) next(p int32) int32 { return x.link[p] }

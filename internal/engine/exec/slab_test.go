@@ -9,24 +9,19 @@ import (
 )
 
 // TestHashIndexMatchesMap checks hashIndex against a map[uint64][]int32
-// reference over 20 000 insertions (eleven doublings): hashes repeated
-// thousands of times, distinct hashes that all land in one bucket at every
-// table size, and random hashes, interleaved. After every doubling and at
-// the end, each hash must list exactly its positions, in insertion order,
-// and absent hashes none.
+// reference over 20 000 insertions (ten doublings): hashes repeated
+// thousands of times, so their chains span every growth, distinct hashes
+// that all home to one slot at every table size, and random hashes,
+// interleaved. After every growth and at the end, each hash must list
+// exactly its positions, in insertion order, and absent hashes none: random
+// ones, and ones homing to the crowded slot, whose probe walks its whole
+// run. The table must stay at most half full throughout.
 func TestHashIndexMatchesMap(t *testing.T) {
-	// inv is fibMul's inverse mod 2⁶⁴, so v·inv lands in the bucket named
-	// by v's top bits: every (7<<48 | i)·inv shares bucket 7's prefix at
-	// all table sizes up to 2¹⁶ buckets.
-	inv := uint64(0x9E3779B97F4A7C15)
-	for i := 0; i < 6; i++ {
-		inv *= 2 - 0x9E3779B97F4A7C15*inv
-	}
-	if inv*0x9E3779B97F4A7C15 != 1 {
-		t.Fatal("no inverse")
-	}
 	rng := sim.NewRNG(11)
 	hot := []uint64{0, 1, 42, 1 << 63}
+	// crowd(i) has top 16 bits 7, so it homes to slot 7>>(16-k) of every
+	// table of 2ᵏ ≤ 2¹⁶ slots.
+	crowd := func(i int) uint64 { return 7<<48 | uint64(i) }
 	var x hashIndex
 	ref := map[uint64][]int32{}
 	check := func() {
@@ -37,23 +32,26 @@ func TestHashIndexMatchesMap(t *testing.T) {
 				got = append(got, p)
 			}
 			if !slices.Equal(got, want) {
-				t.Fatalf("after %d insertions, hash %#x lists %v, want %v", len(x.hashes), h, got, want)
+				t.Fatalf("after %d insertions, hash %#x lists %v, want %v", len(x.link), h, got, want)
 			}
 		}
 		for i := 0; i < 100; i++ {
-			if h := rng.Uint64(); ref[h] == nil && x.first(h) >= 0 {
-				t.Fatalf("absent hash %#x found at %d", h, x.first(h))
+			for _, h := range []uint64{rng.Uint64(), crowd(1000 + i)} {
+				if ref[h] == nil && x.first(h) >= 0 {
+					t.Fatalf("absent hash %#x found at %d", h, x.first(h))
+				}
 			}
 		}
 	}
 	check() // empty
+	slots := 0
 	for n := 0; n < 20_000; n++ {
 		var h uint64
 		switch r := rng.Intn(10); {
 		case r < 4:
 			h = hot[rng.Intn(len(hot))]
 		case r < 7:
-			h = (7<<48 | uint64(rng.Intn(64))) * inv
+			h = crowd(rng.Intn(64))
 		default:
 			h = rng.Uint64()
 		}
@@ -61,7 +59,11 @@ func TestHashIndexMatchesMap(t *testing.T) {
 			t.Fatalf("insertion %d returned position %d", n, p)
 		}
 		ref[h] = append(ref[h], int32(n))
-		if n+1 == len(x.head) {
+		if x.used != len(ref) || 2*x.used > len(x.slots) {
+			t.Fatalf("after %d insertions: %d slots used of %d for %d hashes", n+1, x.used, len(x.slots), len(ref))
+		}
+		if len(x.slots) != slots {
+			slots = len(x.slots)
 			check()
 		}
 	}

@@ -204,13 +204,22 @@ func (t *BTree) findLeaf(probe []types.Value, inclusive bool) int {
 // loInc is false). A nil lo starts at the first entry. The descent I/O is
 // charged into the cursor, drained by the caller.
 func (t *BTree) Seek(lo []types.Value, loInc bool, bp *BufferPool) *BTreeCursor {
-	c := &BTreeCursor{t: t, bp: bp, lastLeaf: -1, end: len(t.rids)}
+	c := new(BTreeCursor)
+	t.SeekInto(c, lo, loInc, bp)
+	return c
+}
+
+// SeekInto positions c as Seek positions a new cursor, dropping whatever c
+// held before, so a correlated seek re-positions one cursor per rebind
+// without allocating.
+func (t *BTree) SeekInto(c *BTreeCursor, lo []types.Value, loInc bool, bp *BufferPool) {
+	*c = BTreeCursor{t: t, bp: bp, lastLeaf: -1, end: len(t.rids)}
 	if c.end == 0 {
-		return c
+		return
 	}
 	if lo == nil {
 		t.chargeDescent(0, bp, &c.io)
-		return c
+		return
 	}
 	li := t.findLeaf(lo, loInc)
 	t.chargeDescent(li, bp, &c.io)
@@ -224,7 +233,6 @@ func (t *BTree) Seek(lo []types.Value, loInc bool, bp *BufferPool) *BTreeCursor 
 		}
 		return cc > 0
 	})
-	return c
 }
 
 // ScanAll returns a cursor over every entry in key order without charging

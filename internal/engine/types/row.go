@@ -1,6 +1,9 @@
 package types
 
-import "strings"
+import (
+	"cmp"
+	"strings"
+)
 
 // Row is a single tuple: a slice of values positioned by column ordinal.
 //
@@ -25,14 +28,30 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// HashCols hashes the values at the given ordinals, for hash join and hash
-// aggregation key matching.
+// HashCols hashes the values at the given ordinals with Value.Hash. It
+// routes a row to its partition at a repartitioning exchange, where the
+// partition shows in per-thread counters; hash tables key on KeyHash.
 func (r Row) HashCols(cols []int) uint64 {
 	var h uint64 = 1469598103934665603
 	for _, c := range cols {
 		h = h*1099511628211 ^ r[c].Hash()
 	}
 	return h
+}
+
+// KeyHash hashes the values at the given ordinals for the engine's hash
+// tables (hash join, hash aggregate, bitmap filter): each value's
+// hashWord folded in by a multiply per column, then one xorshift: a
+// multiply-xorshift mix that is a bijection of a lone column's word.
+// Values with one word hash alike, so rows EqualCols calls equal share a
+// KeyHash wherever their Hash agrees too. A product's top bits depend on
+// every bit of the words, and hashIndex homes a hash by its top bits.
+func (r Row) KeyHash(cols []int) uint64 {
+	h := uint64(fnvOffset64)
+	for _, c := range cols {
+		h = (h ^ r[c].hashWord()) * 0x9e3779b97f4a7c15 // 2⁶⁴/φ, odd
+	}
+	return h ^ h>>32
 }
 
 // EqualCols reports whether rows a and b agree on the given ordinals
@@ -48,9 +67,16 @@ func EqualCols(a, b Row, acols, bcols []int) bool {
 
 // CompareCols orders two rows by the given ordinals with per-key direction
 // (desc[i] true means descending). Missing desc entries default ascending.
+// Two ints compare without Compare's rank switch, with the same result.
 func CompareCols(a, b Row, acols, bcols []int, desc []bool) int {
 	for i := range acols {
-		c := Compare(a[acols[i]], b[bcols[i]])
+		x, y := a[acols[i]], b[bcols[i]]
+		var c int
+		if x.K == KindInt && y.K == KindInt {
+			c = cmp.Compare(x.I, y.I)
+		} else {
+			c = Compare(x, y)
+		}
 		if i < len(desc) && desc[i] {
 			c = -c
 		}

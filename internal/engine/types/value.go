@@ -219,40 +219,52 @@ func cmpFloat(a, b float64) int {
 // Equal reports whether a and b compare equal. NULL equals NULL under this
 // function (grouping semantics); predicate three-valued logic is handled in
 // the expression layer. Two strings are equal exactly when their intern
-// ids are.
+// ids are. Two ints, two strings and two NULLs answer without Compare's
+// rank switch, with the same result.
 func Equal(a, b Value) bool {
-	if a.K == KindString && b.K == KindString {
-		return a.I == b.I
+	if a.K != b.K || a.K == KindFloat {
+		return Compare(a, b) == 0
 	}
-	return Compare(a, b) == 0
+	return a.I == b.I || a.K == KindNull
 }
 
-// Hash returns a 64-bit hash of v, consistent with Equal for values in the
-// same comparison class (ints and floats holding the same number hash
-// identically, so hash joins may join across the two numeric kinds). It is
-// FNV-1a over a kind tag or the payload bytes; a string's hash is taken
-// over its bytes once, when it is interned.
-func (v Value) Hash() uint64 {
-	h := uint64(fnvOffset64)
-	mix := func(b byte) { h = (h ^ uint64(b)) * fnvPrime64 }
+// hashWord is the 64-bit word Hash and KeyHash take v over. Equal numbers
+// share one: an integral float has its int64's word, any other float its
+// IEEE bits. A string's word is the FNV-1a hash of its bytes, taken once
+// when it is interned, and every NULL's is nullWord. Equal is not an
+// equivalence on every number (NaN equals every number, and an int a
+// float64 cannot hold exactly equals the float it rounds to), and there
+// the words, like the values' bits, differ.
+func (v Value) hashWord() uint64 {
 	switch v.K {
 	case KindNull:
-		mix(0)
-	case KindInt, KindFloat:
-		// Normalize numerics: integral floats hash as their int64 value.
-		var u uint64
-		if v.K == KindInt {
-			u = uint64(v.I)
-		} else if f := v.Float64(); f == float64(int64(f)) {
-			u = uint64(int64(f))
-		} else {
-			u = uint64(v.I)
-		}
-		for i := 0; i < 8; i++ {
-			mix(byte(u >> (8 * i)))
+		return nullWord
+	case KindFloat:
+		if f := v.Float64(); f == float64(int64(f)) {
+			return uint64(int64(f))
 		}
 	case KindString:
 		return internedAt(v.I).hash
+	}
+	return uint64(v.I)
+}
+
+// nullWord is FNV-1a over the kind tag 0, a constant no generated int is.
+const nullWord = 0xaf63bd4c8601b7df
+
+// Hash returns a 64-bit hash of v, consistent with Equal for values in the
+// same comparison class (ints and floats holding the same number hash
+// identically). A NULL's or a string's hash is its hashWord, a number's
+// the FNV-1a hash of its hashWord's bytes. It fixes the partition a
+// repartitioning exchange routes a row to; hash tables key on KeyHash.
+func (v Value) Hash() uint64 {
+	u := v.hashWord()
+	if v.K == KindNull || v.K == KindString {
+		return u
+	}
+	h := uint64(fnvOffset64)
+	for i := 0; i < 8; i++ {
+		h = (h ^ (u >> (8 * i) & 0xff)) * fnvPrime64
 	}
 	return h
 }

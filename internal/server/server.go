@@ -131,6 +131,10 @@ type Server struct {
 	// the exposition it returns (the golden test pins scrape idempotence).
 	scrapeCacheHits   atomic.Int64
 	scrapeCacheMisses atomic.Int64
+
+	// beforeTerminal, when a test sets it, runs in each watcher between
+	// the query's end and the close of its terminal channel.
+	beforeTerminal func()
 }
 
 // ScrapeCacheStats reports /metrics per-query cache hits and misses
@@ -240,6 +244,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	go func() { // watcher: mark terminal, score accuracy, release admission slot
 		defer s.wg.Done()
 		_, _ = s.reg.Wait(h.id)
+		if s.beforeTerminal != nil {
+			s.beforeTerminal()
+		}
 		close(h.terminal)
 		// Retrospective accuracy replay before the slot releases: scrapes
 		// observe the active-gauge decrement only after the accuracy family
@@ -391,16 +398,25 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDelete is DELETE /queries/{id}: cooperative cancel while running
-// (202; the SSE terminal frame follows), removal once finished (204).
+// (202; the SSE terminal frame follows), removal once finished (204). A
+// query whose state is terminal, as its status already reads, is finished:
+// the delete waits the moment its watcher takes to close h.terminal.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	h := s.lookup(w, r)
 	if h == nil {
 		return
 	}
 	if !h.done() {
-		_ = s.reg.Cancel(h.id, "cancelled via DELETE")
-		writeJSON(w, http.StatusAccepted, map[string]string{"state": "cancelling"})
-		return
+		if !h.sess.State().Terminal() {
+			_ = s.reg.Cancel(h.id, "cancelled via DELETE")
+			writeJSON(w, http.StatusAccepted, map[string]string{"state": "cancelling"})
+			return
+		}
+		select {
+		case <-h.terminal:
+		case <-r.Context().Done():
+			return
+		}
 	}
 	s.mu.Lock()
 	err := s.reg.Remove(h.id)

@@ -189,6 +189,46 @@ func TestSubmitStatusDeleteRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeleteOfTerminalQueryRemoves: a DELETE after a status read showed a
+// terminal state removes the query (204), even when it lands before the
+// watcher has closed the query's terminal channel. The watcher here waits
+// for the test's word, so the DELETE always lands in that window; a handler
+// that cancels whenever the channel is still open answers 202.
+func TestDeleteOfTerminalQueryRemoves(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	release := make(chan struct{})
+	srv.beforeTerminal = func() { <-release }
+	sub := submit(t, ts, QuerySpec{Workload: "tpch", Query: "Q6"})
+	if st := waitTerminal(t, ts, sub.ID); st.State != "SUCCEEDED" {
+		t.Fatalf("terminal state %q", st.State)
+	}
+	codes := make(chan int, 1)
+	go func() {
+		req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/queries/%d", ts.URL, sub.ID), nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			codes <- 0
+			return
+		}
+		resp.Body.Close()
+		codes <- resp.StatusCode
+	}()
+	var code int
+	select {
+	case code = <-codes: // answered before the watcher finished
+		close(release)
+	case <-time.After(50 * time.Millisecond):
+		close(release)
+		code = <-codes
+	}
+	if code != http.StatusNoContent {
+		t.Fatalf("DELETE of a query whose status reads SUCCEEDED: status %d, want 204", code)
+	}
+	if code := getJSON(t, fmt.Sprintf("%s/queries/%d", ts.URL, sub.ID), nil); code != http.StatusNotFound {
+		t.Fatalf("status after delete: %d", code)
+	}
+}
+
 func TestTypedErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
