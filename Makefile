@@ -54,7 +54,7 @@ fuzz-smoke:
 # with estimator invariants checked at every poll. Exits non-zero on any
 # contract violation.
 chaos-smoke:
-	$(GO) run ./cmd/lqsbench -chaos -chaos-seed 7
+	$(GO) run ./cmd/lqsbench -chaos -seed 7
 
 # Quick-mode suite with parallel tracing; machine-readable timings (with
 # speedup vs a serial reference pass) land in bench.json.

@@ -16,7 +16,7 @@
 //	lqsbench -run none -trace-dir out   # per-query Chrome traces + explains
 //	lqsbench -metrics                   # dump the metrics registry at exit
 //	lqsbench -chaos                     # run the chaos differential battery
-//	lqsbench -chaos -full -chaos-seed 7 # full fault grid under another seed
+//	lqsbench -chaos -full -seed 7       # full fault grid under another seed
 //
 //	lqsbench -accuracy                      # estimator-accuracy suite
 //	                                        # (TPC-H+TPC-DS x TGN/DNE/LQS/ENS)
@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		runIDs   = fs.String("run", "all", "experiment ID to run (Fig8..Fig20, TableA1) or 'all'")
 		full     = fs.Bool("full", false, "trace every query (default subsamples the large REAL workloads)")
-		seed     = fs.Uint64("seed", 42, "workload generation seed")
+		seed     = fs.Uint64("seed", 42, "workload generation seed; with -chaos, the battery's master seed")
 		list     = fs.Bool("list", false, "list experiment IDs and exit")
 		parallel = fs.Int("parallel", 1, "tracing workers: 1 = serial, 0 = GOMAXPROCS")
 		dop      = fs.Int("dop", 1, "intra-query degree of parallelism for -trace-dir runs and the -bench-json speedup section (1 = serial)")
@@ -104,7 +104,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		traceLim = fs.Int("trace-limit", 4, "queries to trace for -trace-dir (0 = all)")
 		dumpObs  = fs.Bool("metrics", false, "dump the metrics registry (pool counters, estimator-error histograms) on exit")
 		chaosRun = fs.Bool("chaos", false, "run the chaos differential battery (TPC-H/TPC-DS x DOP x fault-rate grid) and exit non-zero on contract violations")
-		chaosSd  = fs.Uint64("chaos-seed", 42, "master seed for the -chaos battery")
 		accRun   = fs.Bool("accuracy", false, "run the estimator-accuracy suite (TPC-H/TPC-DS x TGN/DNE/LQS/ENS) and exit non-zero on ceiling breaches")
 		accOut   = fs.String("acc-json", "", "with -accuracy: write the ACC_*.json trajectory to this file ('-' = stdout)")
 		accLabel = fs.String("acc-label", "dev", "with -accuracy: label stamped into the report")
@@ -149,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *chaosRun {
-		cfg := chaos.GridConfig{Seed: *chaosSd, RetryOnCrash: 2}
+		cfg := chaos.GridConfig{Seed: *seed, RetryOnCrash: 2}
 		if !*full {
 			// Quick grid: a workload+DOP subset dense enough to exercise every
 			// layer; -full covers both workloads at DOP 1/2/4 over the full
@@ -320,9 +319,8 @@ func emitTraces(stdout io.Writer, dir, wname string, seed uint64, limit, paralle
 			return
 		}
 		err = os.WriteFile(base+".explain.txt", []byte(midExplain(w, a)), 0o644)
-		if ec, ok := metrics.ErrorCount(a.Plan, a.Trace, w, progress.LQSOptions()); ok {
-			errHist.Observe(ec)
-		}
+		polls, _ := metrics.Replay(a.Plan, w.DB.Catalog, a.Trace, progress.LQSOptions())
+		errHist.Observe(metrics.ErrorCount(a.Trace, polls))
 		files += 2
 	})
 	if err != nil {

@@ -73,11 +73,11 @@ func TestRunFig14(t *testing.T) {
 	}
 }
 
-// TestRunChaos: -chaos -chaos-seed 7 runs the quick battery and prints a
+// TestRunChaos: -chaos -seed 7 runs the quick battery and prints a
 // verdict with no contract violation.
 func TestRunChaos(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-chaos", "-chaos-seed", "7"}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-chaos", "-seed", "7"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "verdict: ") || !strings.Contains(stdout.String(), ", 0 violation(s)\n") {

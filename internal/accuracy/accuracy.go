@@ -8,9 +8,10 @@
 //     trace through one estimator mode and captures, per poll, the
 //     estimate, the ground truth, the Appendix A bound coverage, and the
 //     degradation flag;
-//   - a ground-truth oracle (TruthAt): once a run has finished, true
-//     progress at any poll is defined as elapsed/total virtual time —
-//     exactly the reference the paper's figures plot estimates against;
+//   - a ground-truth oracle (dmv.Trace.TimeFraction): once a run has
+//     finished, true progress at any poll is defined as elapsed/total
+//     virtual time — exactly the reference the paper's figures plot
+//     estimates against;
 //   - paper-style error metrics (Measure): max and mean absolute error,
 //     terminal error, bounds-coverage rate, and monotonicity-violation
 //     count, per mode and per query.
@@ -34,6 +35,7 @@ import (
 
 	"lqs/internal/engine/catalog"
 	"lqs/internal/engine/dmv"
+	"lqs/internal/metrics"
 	"lqs/internal/plan"
 	"lqs/internal/progress"
 	"lqs/internal/sim"
@@ -88,46 +90,25 @@ type Trajectory struct {
 	Terminal float64
 }
 
-// TruthAt is the ground-truth oracle: with the run finished, true progress
-// at virtual time `at` is the fraction of total virtual execution time
-// elapsed, clamped to [0, 1]. Degenerate traces (zero duration) are
-// complete by definition.
-func TruthAt(tr *dmv.Trace, at sim.Duration) float64 {
-	total := tr.EndedAt - tr.StartedAt
-	if total <= 0 {
-		return 1
-	}
-	f := float64(at-tr.StartedAt) / float64(total)
-	if f < 0 {
-		return 0
-	}
-	if f > 1 {
-		return 1
-	}
-	return f
-}
-
 // Record replays a finished trace through a fresh estimator in the given
-// mode and captures the accuracy trajectory. The estimator sees the polls
-// in recorded order — exactly what a live client saw — so stateful
-// machinery (monotone clamps, degraded-mode high-water marks) behaves as
-// it did in flight.
+// mode (metrics.Replay) and captures the accuracy trajectory: per poll, the
+// estimate against the elapsed-time truth (dmv.Trace.TimeFraction).
 func Record(p *plan.Plan, cat *catalog.Catalog, tr *dmv.Trace, mode Mode) *Trajectory {
-	est := progress.NewEstimator(p, cat, mode.Opts)
-	traj := &Trajectory{Mode: mode.Name, Points: make([]Point, 0, len(tr.Snapshots))}
-	for _, s := range tr.Snapshots {
-		e := est.Estimate(s)
-		pt := Point{
+	polls, final := metrics.Replay(p, cat, tr, mode.Opts)
+	traj := &Trajectory{Mode: mode.Name, Points: make([]Point, len(polls))}
+	for i, e := range polls {
+		s := tr.Snapshots[i]
+		pt := &traj.Points[i]
+		*pt = Point{
 			At:       s.At,
 			Estimate: e.Query,
-			Truth:    TruthAt(tr, s.At),
+			Truth:    tr.TimeFraction(s.At),
 			Degraded: e.Degraded || s.Degraded,
 		}
 		pt.BoundsIn, pt.BoundsObs = boundsCoverage(e.Bounds, tr.TrueRows)
-		traj.Points = append(traj.Points, pt)
 	}
-	if tr.Final != nil {
-		traj.Terminal = est.Estimate(tr.Final).Query
+	if final != nil {
+		traj.Terminal = final.Query
 	}
 	return traj
 }

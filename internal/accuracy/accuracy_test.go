@@ -5,28 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"lqs/internal/engine/dmv"
 	"lqs/internal/progress"
-	"lqs/internal/sim"
 )
-
-func TestTruthAt(t *testing.T) {
-	tr := &dmv.Trace{StartedAt: 100, EndedAt: 300}
-	cases := []struct {
-		at   sim.Duration
-		want float64
-	}{
-		{50, 0}, {100, 0}, {200, 0.5}, {300, 1}, {400, 1},
-	}
-	for _, c := range cases {
-		if got := TruthAt(tr, c.at); got != c.want {
-			t.Errorf("TruthAt(%d) = %v, want %v", c.at, got, c.want)
-		}
-	}
-	if got := TruthAt(&dmv.Trace{StartedAt: 5, EndedAt: 5}, 5); got != 1 {
-		t.Errorf("zero-duration trace: truth = %v, want 1", got)
-	}
-}
 
 func TestMeasureDegradedPollsExcludedFromError(t *testing.T) {
 	traj := &Trajectory{Mode: "LQS", Terminal: 1, Points: []Point{

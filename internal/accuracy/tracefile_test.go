@@ -289,7 +289,7 @@ func capture(spec corpusSpec) (*TraceFile, error) {
 			return nil, fmt.Errorf("chaos capture %s produced no degraded polls; re-pin chaosSeed (see findChaosSeed)", spec.name)
 		}
 	} else {
-		_, tr, _ = metrics.TraceQueryEventsDOP(w, q, metrics.DefaultInterval, 0, dop)
+		_, tr, _ = metrics.TraceQueryEventsBatch(w, q, metrics.DefaultInterval, 0, dop, 1)
 	}
 	tf := NewTraceFile(tr)
 	tf.Workload = spec.workload

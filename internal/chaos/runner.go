@@ -242,12 +242,11 @@ func fingerprint(rows []types.Row) []string {
 
 // replayEstimator replays a run's poll history through a fresh LQS-mode
 // estimator, layering session-layer detach/reattach (with stale
-// re-delivery) over the stream, and checks the §4 invariants at every
-// delivered poll: progress within [0, 1] and monotone, cardinalities
-// finite and non-negative, bounds ordered, and Explain contributions
-// summing to the raw query progress.
+// re-delivery) over the stream, and checks the estimator's invariants
+// (progress.InvariantChecker) at every delivered poll.
 func replayEstimator(w *workload.Workload, tr *dmv.Trace, pl *Plan) (polls, degraded int, violations []string) {
-	est := progress.NewEstimator(tr.Plan, w.DB.Catalog, progress.LQSOptions())
+	opts := progress.LQSOptions()
+	est := progress.NewEstimator(tr.Plan, w.DB.Catalog, opts)
 	snaps := tr.Snapshots
 	if tr.Final != nil {
 		snaps = append(append([]*dmv.Snapshot(nil), snaps...), tr.Final)
@@ -256,55 +255,18 @@ func replayEstimator(w *workload.Workload, tr *dmv.Trace, pl *Plan) (polls, degr
 	detachProb := pl.Config().Session.DetachProb
 	detachTicks := pl.DetachTicks()
 
-	prevQ := math.Inf(-1)
-	var prevOp []float64
+	check := progress.NewInvariantChecker(opts)
 	var lastDelivered *dmv.Snapshot
 	detach := 0
 
 	deliver := func(s *dmv.Snapshot) {
 		polls++
-		x, e := est.Explain(s)
-		if e.Degraded {
+		x, _ := est.Explain(s)
+		if x.Degraded {
 			degraded++
 		}
-		add := func(format string, args ...any) {
-			violations = append(violations, fmt.Sprintf("poll %d @%v: ", polls, s.At)+fmt.Sprintf(format, args...))
-		}
-		if math.IsNaN(e.Query) || e.Query < 0 || e.Query > 1 {
-			add("query progress %v outside [0,1]", e.Query)
-		}
-		if e.Query < prevQ-1e-12 {
-			add("query progress regressed %v -> %v", prevQ, e.Query)
-		}
-		prevQ = math.Max(prevQ, e.Query)
-		if prevOp == nil {
-			prevOp = make([]float64, len(e.Op))
-		}
-		for i, v := range e.Op {
-			if math.IsNaN(v) || v < 0 || v > 1 {
-				add("node %d progress %v outside [0,1]", i, v)
-			}
-			if v < prevOp[i]-1e-12 {
-				add("node %d progress regressed %v -> %v", i, prevOp[i], v)
-			}
-			prevOp[i] = math.Max(prevOp[i], v)
-		}
-		for i, v := range e.N {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				add("node %d cardinality estimate %v", i, v)
-			}
-		}
-		for i, b := range e.Bounds {
-			if math.IsNaN(b.LB) || math.IsNaN(b.UB) || b.LB > b.UB+1e-9 {
-				add("node %d bounds [%v, %v] inverted", i, b.LB, b.UB)
-			}
-		}
-		var sum float64
-		for i := range x.Terms {
-			sum += x.Terms[i].Contribution
-		}
-		if math.Abs(sum-x.RawQuery) > 1e-6 {
-			add("contributions sum %v != raw query progress %v", sum, x.RawQuery)
+		for _, v := range check.Check(x) {
+			violations = append(violations, fmt.Sprintf("poll %d @%v: %s", polls, s.At, v))
 		}
 	}
 

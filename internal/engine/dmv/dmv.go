@@ -314,6 +314,46 @@ type Trace struct {
 	DroppedSnapshots int64
 }
 
+// TimeFraction is the elapsed-time truth the paper's figures plot estimates
+// against: with the run finished, true progress at virtual time at is the
+// fraction of its total virtual time elapsed, clamped to [0, 1]. A
+// zero-length run is complete by definition.
+func (tr *Trace) TimeFraction(at sim.Duration) float64 {
+	return windowFraction(at, tr.StartedAt, tr.EndedAt)
+}
+
+// ActiveWindow is operator id's active window, read off the final
+// snapshot: from when it first performed work — not when a parent's Open
+// recursively opened it — to when it closed.
+func (tr *Trace) ActiveWindow(id int) (from, to sim.Duration) {
+	op := tr.Final.Op(id)
+	from = op.OpenedAt
+	if op.FirstActive && op.FirstActiveAt > from {
+		from = op.FirstActiveAt
+	}
+	return from, op.ClosedAt
+}
+
+// OpTimeFraction is operator id's elapsed-time truth: the fraction of its
+// active window elapsed at virtual time at, clamped to [0, 1]. ok is false
+// before the window opens and when the window is empty.
+func (tr *Trace) OpTimeFraction(id int, at sim.Duration) (frac float64, ok bool) {
+	from, to := tr.ActiveWindow(id)
+	if to <= from || at < from {
+		return 0, false
+	}
+	return windowFraction(at, from, to), true
+}
+
+// windowFraction is the fraction of [from, to] elapsed at at, clamped to
+// [0, 1]; an empty window is complete.
+func windowFraction(at, from, to sim.Duration) float64 {
+	if to <= from {
+		return 1
+	}
+	return min(max(float64(at-from)/float64(to-from), 0), 1)
+}
+
 // Poller records one query: it samples the query's counters on a fixed
 // virtual-time interval of the query's own clock and accumulates its Trace.
 // It is the one per-query recorder; create it before running the query.

@@ -197,3 +197,49 @@ func TestFinishedTraceDoesNotPinQuery(t *testing.T) {
 		t.Fatalf("only %d snapshots", len(tr.Snapshots))
 	}
 }
+
+func TestTraceTimeFraction(t *testing.T) {
+	tr := &Trace{StartedAt: 100, EndedAt: 300}
+	cases := []struct {
+		at   sim.Duration
+		want float64
+	}{
+		{50, 0}, {100, 0}, {200, 0.5}, {300, 1}, {400, 1},
+	}
+	for _, c := range cases {
+		if got := tr.TimeFraction(c.at); got != c.want {
+			t.Errorf("TimeFraction(%d) = %v, want %v", c.at, got, c.want)
+		}
+	}
+	if got := (&Trace{StartedAt: 5, EndedAt: 5}).TimeFraction(5); got != 1 {
+		t.Errorf("zero-duration trace: truth = %v, want 1", got)
+	}
+}
+
+// TestTraceOpTimeFraction: an operator's window opens when it first
+// performed work, not when it was opened, and its truth is undefined before
+// that and over an empty window.
+func TestTraceOpTimeFraction(t *testing.T) {
+	tr := &Trace{Final: &Snapshot{NumNodes: 2, Threads: []OpProfile{
+		{NodeID: 0, Opened: true, Closed: true, OpenedAt: 10, FirstActive: true, FirstActiveAt: 100, ClosedAt: 300},
+		{NodeID: 1, Opened: true, Closed: true, OpenedAt: 50, ClosedAt: 50},
+	}}}
+	if from, to := tr.ActiveWindow(0); from != 100 || to != 300 {
+		t.Fatalf("ActiveWindow(0) = [%d, %d], want [100, 300]", from, to)
+	}
+	cases := []struct {
+		at   sim.Duration
+		want float64
+		ok   bool
+	}{
+		{50, 0, false}, {100, 0, true}, {200, 0.5, true}, {400, 1, true},
+	}
+	for _, c := range cases {
+		if got, ok := tr.OpTimeFraction(0, c.at); got != c.want || ok != c.ok {
+			t.Errorf("OpTimeFraction(0, %d) = %v, %v; want %v, %v", c.at, got, ok, c.want, c.ok)
+		}
+	}
+	if _, ok := tr.OpTimeFraction(1, 50); ok {
+		t.Error("empty window reported a truth")
+	}
+}

@@ -45,8 +45,9 @@ func tpchQ1(t testing.TB) *exec.Query {
 // inside 500 µs. With a bare Unlock();Lock() yield the executor re-locks
 // before the parked reader is scheduled and sync.Mutex hands over only
 // after starving it for a millisecond of wall time, ~1.6 ms of Q1's
-// virtual time. The executor waits for the reader at every tick, so the
-// count does not depend on how the machine schedules the two.
+// virtual time. The observer waits for the reader to finish the last tick
+// before waking it again, so every tick makes one hand-off and the count
+// does not depend on how the machine schedules the two.
 func TestReaderGetsLockAtNextYield(t *testing.T) {
 	const (
 		every = sim.Duration(2 * time.Millisecond)
@@ -55,25 +56,29 @@ func TestReaderGetsLockAtNextYield(t *testing.T) {
 	q := tpchQ1(t)
 	ticks := make(chan sim.Duration)
 	parking := make(chan struct{})
+	ready := make(chan struct{}, 1) // the reader is done with its last tick
 	result := make(chan []sim.Duration, 1)
 	go func() {
 		var gaps []sim.Duration
+		ready <- struct{}{}
 		for tick := range ticks {
 			parking <- struct{}{}
 			q.LockCounters()
 			now := q.Ctx.Clock.Now()
 			q.UnlockCounters()
 			gaps = append(gaps, now-tick)
+			ready <- struct{}{}
 		}
 		result <- gaps
 	}()
 	q.Ctx.Clock.Observe(every, func(sim.Duration) {
-		select {
-		case ticks <- q.Ctx.Clock.Now():
-			<-parking
-			time.Sleep(200 * time.Microsecond) // the reader's next statement blocks on the lock
-		default: // still waiting for the lock since the previous tick
-		}
+		// Every tick hands off once, however the reader was scheduled since
+		// the last one. The wait releases the lock: a reader still queued on
+		// it from the last tick gets in here, a whole interval late.
+		q.WithCountersUnlocked(func() { <-ready })
+		ticks <- q.Ctx.Clock.Now()
+		<-parking
+		time.Sleep(200 * time.Microsecond) // the reader's next statement blocks on the lock
 	})
 	if _, err := q.Run(); err != nil {
 		t.Fatal(err)

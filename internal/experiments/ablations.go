@@ -21,49 +21,18 @@ import (
 // ablationWorkloads keeps the ablations fast: the two benchmark suites.
 var ablationWorkloads = []string{"TPC-DS", "TPC-H"}
 
-// compare runs two estimator configurations over workloads with the given
-// per-query metric and renders a two-column table.
-func (s *Suite) compare(id, title, colA, colB string,
-	optA, optB progress.Options,
-	metric func(p *plan.Plan, tr *dmv.Trace, w *workload.Workload, o progress.Options) (float64, bool),
-	notes ...string) *Result {
-	res := &Result{
-		ID:     id,
-		Title:  title,
-		Header: []string{"workload", colA, colB, "queries"},
-		Notes:  notes,
-	}
-	for _, name := range ablationWorkloads {
-		w := s.Workload(name)
-		var sa, sb float64
-		n := 0
-		s.runner(name).ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
-			a, ok1 := metric(p, tr, w, optA)
-			bv, ok2 := metric(p, tr, w, optB)
-			if ok1 && ok2 {
-				sa += a
-				sb += bv
-				n++
-			}
-		})
-		if n == 0 {
-			continue
-		}
-		res.Rows = append(res.Rows, []string{name, f3(sa / float64(n)), f3(sb / float64(n)), fmt.Sprint(n)})
-	}
-	return res
-}
-
 // AblationPath compares summing weighted progress over all pipelines (this
 // engine's serial-execution default) against the paper's longest-path rule.
 func (s *Suite) AblationPath() *Result {
 	all := progress.LQSOptions()
 	path := progress.LQSOptions()
 	path.LongestPathOnly = true
-	return s.compare("AblationPath",
-		"Errortime: all-pipelines vs longest-path weighting",
-		"AllPipelines", "LongestPath", all, path, metrics.ErrorTime,
-		"the paper's longest-path rule models overlapped pipelines; this engine runs them serially (DESIGN.md §4b)")
+	return s.crossWorkload(&Result{
+		ID:     "AblationPath",
+		Title:  "Errortime: all-pipelines vs longest-path weighting",
+		Header: []string{"workload", "AllPipelines", "LongestPath", "queries"},
+		Notes:  []string{"the paper's longest-path rule models overlapped pipelines; this engine runs them serially (DESIGN.md §4b)"},
+	}, ablationWorkloads, metrics.ErrorTime, all, path)
 }
 
 // AblationInterp compares §4.1's direct scale-up against the prior-work
@@ -72,10 +41,12 @@ func (s *Suite) AblationInterp() *Result {
 	direct := progress.LQSOptions()
 	interp := progress.LQSOptions()
 	interp.InterpRefine = true
-	return s.compare("AblationInterp",
-		"Errorcount: direct scale-up vs linear-interpolation refinement [22]",
-		"DirectScaleUp", "Interpolation", direct, interp, metrics.ErrorCount,
-		"§4.1: interpolation 'converges very slowly for highly erroneous initial estimates'")
+	return s.crossWorkload(&Result{
+		ID:     "AblationInterp",
+		Title:  "Errorcount: direct scale-up vs linear-interpolation refinement [22]",
+		Header: []string{"workload", "DirectScaleUp", "Interpolation", "queries"},
+		Notes:  []string{"§4.1: interpolation 'converges very slowly for highly erroneous initial estimates'"},
+	}, ablationWorkloads, metrics.ErrorCount, direct, interp)
 }
 
 // FWPropagate evaluates §7 future-work item (a): propagating refined
@@ -120,47 +91,25 @@ func (s *Suite) FWPropagate() *Result {
 	base.Bound = false
 	prop := base
 	prop.PropagateRefined = true
-	eB := progress.NewEstimator(p, w.DB.Catalog, base)
-	eP := progress.NewEstimator(p, w.DB.Catalog, prop)
-	res := &Result{
+	rows, errs, _ := series(p, w.DB.Catalog, tr, -1, 14, base, prop)
+	return &Result{
 		ID:     "FW-Propagate",
 		Title:  "Query progress under stale statistics: refined-cardinality propagation (§7a)",
 		Header: []string{"t", "NoPropagation", "RefinedPropagation", "true"},
+		Rows:   rows,
 		Notes: []string{
 			"targeted scenario: 20x-underestimated scan → key-grouped aggregate → nested-loop",
 			"pipeline whose estimated duration depends on the aggregate's cardinality; bounds",
 			"off to isolate propagation from the Appendix A clamps",
+			fmt.Sprintf("Errortime: %.3f without propagation vs %.3f with", errs[0], errs[1]),
 		},
 	}
-	var errB, errP float64
-	for _, snap := range tr.Snapshots {
-		truth := float64(snap.At-tr.StartedAt) / float64(tr.EndedAt-tr.StartedAt)
-		errB += mathAbs(eB.Estimate(snap).Query - truth)
-		errP += mathAbs(eP.Estimate(snap).Query - truth)
-	}
-	for _, i := range sampleIndices(len(tr.Snapshots), 14) {
-		snap := tr.Snapshots[i]
-		truth := float64(snap.At-tr.StartedAt) / float64(tr.EndedAt-tr.StartedAt)
-		res.Rows = append(res.Rows, []string{
-			snap.At.String(), f3(eB.Estimate(snap).Query), f3(eP.Estimate(snap).Query), f3(truth),
-		})
-	}
-	n := float64(len(tr.Snapshots))
-	res.Notes = append(res.Notes, fmt.Sprintf("Errortime: %.3f without propagation vs %.3f with", errB/n, errP/n))
-	return res
 }
 
 // row2 resolves a single-table column reference (local helper mirroring the
 // workload package's rowOf for one table).
 func row2(b *plan.Builder, table, column string) *expr.Col {
 	return expr.C(b.Cat.MustTable(table).MustCol(column), table+"."+column)
-}
-
-func mathAbs(f float64) float64 {
-	if f < 0 {
-		return -f
-	}
-	return f
 }
 
 // FWWeights evaluates §7 future-work item (b): calibrating operator
@@ -195,16 +144,13 @@ func (s *Suite) FWWeights() *Result {
 		cal := progress.LQSOptions()
 		cal.WeightFeedback = fb
 		var sb, sc float64
-		n := 0
 		for _, r := range recs {
-			a, ok1 := metrics.ErrorTime(r.p, r.tr, w, base)
-			b, ok2 := metrics.ErrorTime(r.p, r.tr, w, cal)
-			if ok1 && ok2 {
-				sb += a
-				sc += b
-				n++
-			}
+			polls, _ := metrics.Replay(r.p, w.DB.Catalog, r.tr, base)
+			sb += metrics.ErrorTime(r.tr, polls)
+			polls, _ = metrics.Replay(r.p, w.DB.Catalog, r.tr, cal)
+			sc += metrics.ErrorTime(r.tr, polls)
 		}
+		n := len(recs)
 		if n == 0 {
 			continue
 		}

@@ -81,6 +81,31 @@ func TestFig13LargeGap(t *testing.T) {
 	}
 }
 
+// TestQuerySeriesAreSinglePass: the time-series figures show each
+// estimator's curve as a live client saw it, every poll estimated once in
+// order. Estimating the sampled polls a second time with the same stateful
+// estimator would print its monotone high-water mark — the final value —
+// in every row.
+func TestQuerySeriesAreSinglePass(t *testing.T) {
+	s := quickSuite()
+	for _, id := range []string{"Fig12", "Fig13", "FW-Propagate"} {
+		r, err := s.Run(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for col := 1; col < len(r.Header)-1; col++ {
+			if first := cell(r, 0, col); first >= 0.05 {
+				t.Errorf("%s %s: first sampled row reads %v, want below 0.05:\n%s", id, r.Header[col], first, r.Render())
+			}
+			for row := 1; row < len(r.Rows); row++ {
+				if cell(r, row, col) < cell(r, row-1, col) {
+					t.Errorf("%s %s: progress decreases at row %d:\n%s", id, r.Header[col], row, r.Render())
+				}
+			}
+		}
+	}
+}
+
 func TestFig18ColumnstoreWins(t *testing.T) {
 	s := quickSuite()
 	r := s.Fig18()
@@ -224,18 +249,15 @@ func sscanNote(note, pattern string, out ...*float64) (int, error) {
 // TestSuiteRunRepeatable pins the contract the figure benchmarks rely on:
 // Suite.Run must not mutate its cached workloads (each trace cold-starts
 // the buffer pool and builds a fresh plan, so the cache is read-only), and
-// therefore re-running any figure against one shared suite — exactly what
-// bench_test.go does for b.N iterations — renders byte-identical artifacts.
+// therefore re-running any experiment against one shared suite — exactly
+// what bench_test.go does for b.N iterations — renders byte-identical
+// artifacts.
 func TestSuiteRunRepeatable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("running every figure twice is slow")
 	}
 	s := quickSuite()
-	figures := []string{
-		"Fig8", "Fig11", "Fig12", "Fig13", "Fig14", "Fig15", "Fig16",
-		"Fig17", "Fig18", "Fig19", "Fig20", "TableA1",
-	}
-	for _, id := range figures {
+	for _, id := range IDs() {
 		r1, err := s.Run(id)
 		if err != nil {
 			t.Fatalf("%s: first run: %v", id, err)

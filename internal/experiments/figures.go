@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 
+	"lqs/internal/engine/catalog"
 	"lqs/internal/engine/dmv"
 	"lqs/internal/engine/expr"
 	"lqs/internal/metrics"
 	"lqs/internal/plan"
 	"lqs/internal/progress"
+	"lqs/internal/sim"
 	"lqs/internal/workload"
 )
 
@@ -102,42 +104,17 @@ func (s *Suite) Fig11() *Result {
 
 	outOnly := progress.LQSOptions()
 	outOnly.TwoPhaseBlocking = false
-	eOut := progress.NewEstimator(p, w.DB.Catalog, outOnly)
-	eTwo := progress.NewEstimator(p, w.DB.Catalog, progress.LQSOptions())
-
-	opened := tr.Final.Op(aggID).OpenedAt
-	if f := tr.Final.Op(aggID); f.FirstActive && f.FirstActiveAt > opened {
-		opened = f.FirstActiveAt
-	}
-	closed := tr.Final.Op(aggID).ClosedAt
-
+	rows, errs, n := series(p, w.DB.Catalog, tr, aggID, 18, outOnly, progress.LQSOptions())
 	res := &Result{
 		ID:     "Fig11",
 		Title:  "Hash Aggregate progress: output-only vs two-phase model (TPC-DS Q13)",
 		Header: []string{"t", "output-only", "input+output", "true"},
-	}
-	var errOut, errTwo float64
-	n := 0
-	var rows [][]string
-	for _, snap := range tr.Snapshots {
-		if snap.At < opened || snap.At > closed {
-			continue
-		}
-		truth := float64(snap.At-opened) / float64(closed-opened)
-		po := eOut.Estimate(snap).Op[aggID]
-		pt := eTwo.Estimate(snap).Op[aggID]
-		errOut += math.Abs(po - truth)
-		errTwo += math.Abs(pt - truth)
-		n++
-		rows = append(rows, []string{snap.At.String(), f3(po), f3(pt), f3(truth)})
-	}
-	for _, i := range sampleIndices(len(rows), 18) {
-		res.Rows = append(res.Rows, rows[i])
+		Rows:   rows,
 	}
 	if n > 0 {
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"avg |err|: output-only %.3f vs two-phase %.3f over %d samples (paper: output-only sits at 0%% for nearly the whole operator)",
-			errOut/float64(n), errTwo/float64(n), n))
+			errs[0], errs[1], n))
 	}
 	return res
 }
@@ -149,37 +126,19 @@ func (s *Suite) Fig12() *Result {
 	p, tr := metrics.TraceQuery(w, findQuery(w, "Q21"), metrics.DefaultInterval)
 	unw := progress.LQSOptions()
 	unw.Weighted = false
-	eU := progress.NewEstimator(p, w.DB.Catalog, unw)
-	eW := progress.NewEstimator(p, w.DB.Catalog, progress.LQSOptions())
-
-	res := &Result{
+	rows, errs, _ := series(p, w.DB.Catalog, tr, -1, 18, unw, progress.LQSOptions())
+	return &Result{
 		ID:     "Fig12",
 		Title:  "Query progress with and without operator weights (TPC-DS Q21)",
 		Header: []string{"t", "unweighted", "weighted", "true"},
+		Rows:   rows,
+		Notes: []string{
+			fmt.Sprintf("Errortime: unweighted %.3f vs weighted %.3f", errs[0], errs[1]),
+			"both estimators underestimate early while the random-I/O pipeline runs; the weighted one",
+			"over-credits that pipeline afterwards because per-seek cost estimates ignore caching (a",
+			"limitation the paper states in §4.6). Fig16 shows weights winning on every full workload.",
+		},
 	}
-	var errU, errW float64
-	for _, snap := range tr.Snapshots {
-		truth := float64(snap.At-tr.StartedAt) / float64(tr.EndedAt-tr.StartedAt)
-		errU += math.Abs(eU.Estimate(snap).Query - truth)
-		errW += math.Abs(eW.Estimate(snap).Query - truth)
-	}
-	for _, i := range sampleIndices(len(tr.Snapshots), 18) {
-		snap := tr.Snapshots[i]
-		truth := float64(snap.At-tr.StartedAt) / float64(tr.EndedAt-tr.StartedAt)
-		res.Rows = append(res.Rows, []string{
-			snap.At.String(),
-			f3(eU.Estimate(snap).Query),
-			f3(eW.Estimate(snap).Query),
-			f3(truth),
-		})
-	}
-	n := float64(len(tr.Snapshots))
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("Errortime: unweighted %.3f vs weighted %.3f", errU/n, errW/n),
-		"both estimators underestimate early while the random-I/O pipeline runs; the weighted one",
-		"over-credits that pipeline afterwards because per-seek cost estimates ignore caching (a",
-		"limitation the paper states in §4.6). Fig16 shows weights winning on every full workload.")
-	return res
 }
 
 // Fig13 reproduces Figure 13: two estimators roughly 0.1 apart in error on
@@ -197,34 +156,16 @@ func (s *Suite) Fig13() *Result {
 			n.EstRows *= 12
 		}
 	}
-	e1 := progress.NewEstimator(p, w.DB.Catalog, progress.TGNOptions())
-	e2 := progress.NewEstimator(p, w.DB.Catalog, progress.LQSOptions())
-	res := &Result{
+	rows, errs, _ := series(p, w.DB.Catalog, tr, -1, 18, progress.TGNOptions(), progress.LQSOptions())
+	return &Result{
 		ID:     "Fig13",
 		Title:  "Two progress estimators on TPC-DS Q36",
 		Header: []string{"t", "estimator1(TGN)", "estimator2(LQS)", "true"},
+		Rows:   rows,
+		Notes: []string{fmt.Sprintf(
+			"avg errors: %.3f vs %.3f (difference %.3f; the paper illustrates that ~0.1 is a big visual gap)",
+			errs[0], errs[1], math.Abs(errs[0]-errs[1]))},
 	}
-	var err1, err2 float64
-	for _, snap := range tr.Snapshots {
-		truth := float64(snap.At-tr.StartedAt) / float64(tr.EndedAt-tr.StartedAt)
-		err1 += math.Abs(e1.Estimate(snap).Query - truth)
-		err2 += math.Abs(e2.Estimate(snap).Query - truth)
-	}
-	for _, i := range sampleIndices(len(tr.Snapshots), 18) {
-		snap := tr.Snapshots[i]
-		truth := float64(snap.At-tr.StartedAt) / float64(tr.EndedAt-tr.StartedAt)
-		res.Rows = append(res.Rows, []string{
-			snap.At.String(),
-			f3(e1.Estimate(snap).Query),
-			f3(e2.Estimate(snap).Query),
-			f3(truth),
-		})
-	}
-	n := float64(len(tr.Snapshots))
-	res.Notes = append(res.Notes, fmt.Sprintf(
-		"avg errors: %.3f vs %.3f (difference %.3f; the paper illustrates that ~0.1 is a big visual gap)",
-		err1/n, err2/n, math.Abs(err1-err2)/n))
-	return res
 }
 
 // fig14Configs are the three estimator configurations of Figure 14. The
@@ -249,35 +190,12 @@ func fig14Configs() (none, boundOnly, full progress.Options) {
 // no refinement, (b) bounding only, (c) bounding + refinement.
 func (s *Suite) Fig14() *Result {
 	none, boundOnly, full := fig14Configs()
-	res := &Result{
+	return s.crossWorkload(&Result{
 		ID:     "Fig14",
 		Title:  "Avg Errorcount per query",
 		Header: []string{"workload", "NoRefinement", "BoundingOnly", "Bounding+Refinement", "queries"},
-	}
-	for _, name := range workloadNames {
-		w := s.Workload(name)
-		var sums [3]float64
-		n := 0
-		s.runner(name).ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
-			a, ok1 := metrics.ErrorCount(p, tr, w, none)
-			b, ok2 := metrics.ErrorCount(p, tr, w, boundOnly)
-			c, ok3 := metrics.ErrorCount(p, tr, w, full)
-			if ok1 && ok2 && ok3 {
-				sums[0] += a
-				sums[1] += b
-				sums[2] += c
-				n++
-			}
-		})
-		if n == 0 {
-			continue
-		}
-		res.Rows = append(res.Rows, []string{
-			name, f3(sums[0] / float64(n)), f3(sums[1] / float64(n)), f3(sums[2] / float64(n)), fmt.Sprint(n),
-		})
-	}
-	res.Notes = append(res.Notes, "expected shape: each column improves on the previous (paper Fig. 14)")
-	return res
+		Notes:  []string{"expected shape: each column improves on the previous (paper Fig. 14)"},
+	}, workloadNames, metrics.ErrorCount, none, boundOnly, full)
 }
 
 // Fig15 reproduces Figure 15: per-operator Errorcount under (a) no
@@ -289,15 +207,7 @@ func (s *Suite) Fig15() *Result {
 		{Refine: true},
 		{Refine: true, SemiBlocking: true},
 	}
-	accs := []metrics.OpErrors{{}, {}, {}}
-	for _, name := range workloadNames {
-		w := s.Workload(name)
-		s.runner(name).ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
-			for i, o := range configs {
-				metrics.AccumOpErrorCount(p, tr, w, o, accs[i])
-			}
-		})
-	}
+	accs := s.opErrors(workloadNames, metrics.AccumOpErrorCount, configs...)
 	res := &Result{
 		ID:     "Fig15",
 		Title:  "Per-operator Errorcount: refinement and semi-blocking adjustments",
@@ -330,34 +240,14 @@ func avgOr(oe metrics.OpErrors, op plan.PhysicalOp) float64 {
 // Fig16 reproduces Figure 16: average Errortime per workload with and
 // without the §4.6 operator weights.
 func (s *Suite) Fig16() *Result {
-	weighted := progress.LQSOptions()
 	unweighted := progress.LQSOptions()
 	unweighted.Weighted = false
-	res := &Result{
+	return s.crossWorkload(&Result{
 		ID:     "Fig16",
 		Title:  "Avg Errortime per query: weighted vs unweighted",
 		Header: []string{"workload", "WithWeight", "WithoutWeight", "queries"},
-	}
-	for _, name := range workloadNames {
-		w := s.Workload(name)
-		var sw, su float64
-		n := 0
-		s.runner(name).ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
-			a, ok1 := metrics.ErrorTime(p, tr, w, weighted)
-			b, ok2 := metrics.ErrorTime(p, tr, w, unweighted)
-			if ok1 && ok2 {
-				sw += a
-				su += b
-				n++
-			}
-		})
-		if n == 0 {
-			continue
-		}
-		res.Rows = append(res.Rows, []string{name, f3(sw / float64(n)), f3(su / float64(n)), fmt.Sprint(n)})
-	}
-	res.Notes = append(res.Notes, "expected shape: weights improve time correlation on every workload (paper Fig. 16)")
-	return res
+		Notes:  []string{"expected shape: weights improve time correlation on every workload (paper Fig. 16)"},
+	}, workloadNames, metrics.ErrorTime, progress.LQSOptions(), unweighted)
 }
 
 // Fig17 reproduces Figure 17: Errortime for blocking operators (Hash
@@ -365,15 +255,8 @@ func (s *Suite) Fig16() *Result {
 func (s *Suite) Fig17() *Result {
 	outOnly := progress.LQSOptions()
 	outOnly.TwoPhaseBlocking = false
-	two := progress.LQSOptions()
-	accOut, accTwo := metrics.OpErrors{}, metrics.OpErrors{}
-	for _, name := range workloadNames {
-		w := s.Workload(name)
-		s.runner(name).ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
-			metrics.AccumOpErrorTime(p, tr, w, outOnly, accOut)
-			metrics.AccumOpErrorTime(p, tr, w, two, accTwo)
-		})
-	}
+	accs := s.opErrors(workloadNames, metrics.AccumOpErrorTime, outOnly, progress.LQSOptions())
+	accOut, accTwo := accs[0], accs[1]
 	res := &Result{
 		ID:     "Fig17",
 		Title:  "Errortime for blocking operators: output-only vs input+output model",
@@ -394,25 +277,12 @@ func (s *Suite) Fig17() *Result {
 // Fig18 reproduces Figure 18: average Errortime on TPC-H under the
 // row-store design vs the columnstore design.
 func (s *Suite) Fig18() *Result {
-	res := &Result{
+	return s.crossWorkload(&Result{
 		ID:     "Fig18",
 		Title:  "Avg Errortime: TPC-H vs TPC-H ColumnStore",
 		Header: []string{"design", "Errortime", "queries"},
-	}
-	for _, name := range []string{"TPC-H", "TPC-H ColumnStore"} {
-		w := s.Workload(name)
-		var sum float64
-		n := 0
-		s.runner(name).ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
-			if v, ok := metrics.ErrorTime(p, tr, w, progress.LQSOptions()); ok {
-				sum += v
-				n++
-			}
-		})
-		res.Rows = append(res.Rows, []string{name, f3(sum / float64(max1(n))), fmt.Sprint(n)})
-	}
-	res.Notes = append(res.Notes, "expected shape: the columnstore design reduces average error significantly (paper Fig. 18)")
-	return res
+		Notes:  []string{"expected shape: the columnstore design reduces average error significantly (paper Fig. 18)"},
+	}, []string{"TPC-H", "TPC-H ColumnStore"}, metrics.ErrorTime, progress.LQSOptions())
 }
 
 // Fig19 reproduces Figure 19: operator frequency across the TPC-H suite
@@ -443,13 +313,8 @@ func (s *Suite) Fig19() *Result {
 // Fig20 reproduces Figure 20: per-operator Errortime under the two TPC-H
 // physical designs.
 func (s *Suite) Fig20() *Result {
-	accR, accC := metrics.OpErrors{}, metrics.OpErrors{}
-	for name, acc := range map[string]metrics.OpErrors{"TPC-H": accR, "TPC-H ColumnStore": accC} {
-		w := s.Workload(name)
-		s.runner(name).ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
-			metrics.AccumOpErrorTime(p, tr, w, progress.LQSOptions(), acc)
-		})
-	}
+	accR := s.opErrors([]string{"TPC-H"}, metrics.AccumOpErrorTime, progress.LQSOptions())[0]
+	accC := s.opErrors([]string{"TPC-H ColumnStore"}, metrics.AccumOpErrorTime, progress.LQSOptions())[0]
 	present := map[plan.PhysicalOp]bool{}
 	for op := range accR {
 		present[op] = true
@@ -483,9 +348,9 @@ func (s *Suite) Fig20() *Result {
 func (s *Suite) TableA1() *Result {
 	w := s.Workload("TPC-H")
 	p, tr := metrics.TraceQuery(w, findQuery(w, "Q3"), metrics.DefaultInterval)
-	est := progress.NewEstimator(p, w.DB.Catalog, progress.Options{Bound: true, Refine: true, SemiBlocking: true})
-	snap := tr.Snapshots[len(tr.Snapshots)/2]
-	e := est.Estimate(snap)
+	polls, _ := metrics.Replay(p, w.DB.Catalog, tr, progress.Options{Bound: true, Refine: true, SemiBlocking: true})
+	mid := len(tr.Snapshots) / 2
+	snap, e := tr.Snapshots[mid], polls[mid]
 	res := &Result{
 		ID:     "TableA1",
 		Title:  "Cardinality bounds mid-execution (TPC-H Q3, halfway point)",
@@ -508,9 +373,95 @@ func (s *Suite) TableA1() *Result {
 	return res
 }
 
-func max1(n int) int {
-	if n < 1 {
-		return 1
+// crossWorkload fills res with one row per workload: the workload's name,
+// the mean of metric over its traced queries under each configuration, and
+// the query count. Each query is traced once and replayed once per
+// configuration.
+func (s *Suite) crossWorkload(res *Result, workloads []string, metric func(*dmv.Trace, []*progress.Estimate) float64, configs ...progress.Options) *Result {
+	for _, name := range workloads {
+		w := s.Workload(name)
+		sums := make([]float64, len(configs))
+		n := 0
+		s.runner(name).ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
+			for i, o := range configs {
+				polls, _ := metrics.Replay(p, w.DB.Catalog, tr, o)
+				sums[i] += metric(tr, polls)
+			}
+			n++
+		})
+		if n == 0 {
+			continue
+		}
+		row := []string{name}
+		for _, sum := range sums {
+			row = append(row, f3(sum/float64(n)))
+		}
+		res.Rows = append(res.Rows, append(row, fmt.Sprint(n)))
 	}
-	return n
+	return res
+}
+
+// opErrors accumulates a per-operator error measure over the workloads'
+// traced queries, replaying each query once per configuration into the
+// matching entry of the result.
+func (s *Suite) opErrors(workloads []string, accum func(*plan.Plan, *dmv.Trace, []*progress.Estimate, metrics.OpErrors), configs ...progress.Options) []metrics.OpErrors {
+	accs := make([]metrics.OpErrors, len(configs))
+	for i := range accs {
+		accs[i] = metrics.OpErrors{}
+	}
+	for _, name := range workloads {
+		w := s.Workload(name)
+		s.runner(name).ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
+			for i, o := range configs {
+				polls, _ := metrics.Replay(p, w.DB.Catalog, tr, o)
+				accum(p, tr, polls, accs[i])
+			}
+		})
+	}
+	return accs
+}
+
+// series replays tr once under each configuration and lines their progress
+// up against the truth: query progress against the elapsed-time fraction
+// when id is negative, else operator id's progress against the fraction of
+// its active window elapsed, over the polls inside that window. It returns
+// n evenly sampled rows (time, one column per configuration, truth), each
+// configuration's mean absolute error over the polls compared, and how
+// many polls that was.
+func series(p *plan.Plan, cat *catalog.Catalog, tr *dmv.Trace, id, n int, configs ...progress.Options) (rows [][]string, errs []float64, polls int) {
+	from, to := tr.StartedAt, tr.EndedAt
+	progressAt := func(e *progress.Estimate) float64 { return e.Query }
+	truthAt := tr.TimeFraction
+	if id >= 0 {
+		from, to = tr.ActiveWindow(id)
+		progressAt = func(e *progress.Estimate) float64 { return e.Op[id] }
+		truthAt = func(at sim.Duration) float64 {
+			f, _ := tr.OpTimeFraction(id, at)
+			return f
+		}
+	}
+	var in []int // the polls compared
+	for j, snap := range tr.Snapshots {
+		if snap.At >= from && snap.At <= to {
+			in = append(in, j)
+		}
+	}
+	replays := make([][]*progress.Estimate, len(configs))
+	errs = make([]float64, len(configs))
+	for i, o := range configs {
+		replays[i], _ = metrics.Replay(p, cat, tr, o)
+		for _, j := range in {
+			errs[i] += math.Abs(progressAt(replays[i][j]) - truthAt(tr.Snapshots[j].At))
+		}
+		errs[i] /= float64(len(in))
+	}
+	for _, k := range sampleIndices(len(in), n) {
+		at := tr.Snapshots[in[k]].At
+		row := []string{at.String()}
+		for _, polls := range replays {
+			row = append(row, f3(progressAt(polls[in[k]])))
+		}
+		rows = append(rows, append(row, f3(truthAt(at))))
+	}
+	return rows, errs, len(in)
 }

@@ -51,52 +51,23 @@ func (s *Suite) FWSpill() *Result {
 
 	outOnly := progress.LQSOptions()
 	outOnly.TwoPhaseBlocking = false
-	twoPhase := progress.LQSOptions()
 	internal := progress.LQSOptions()
 	internal.InternalCounters = true
-	eO := progress.NewEstimator(p, w.DB.Catalog, outOnly)
-	eT := progress.NewEstimator(p, w.DB.Catalog, twoPhase)
-	eI := progress.NewEstimator(p, w.DB.Catalog, internal)
-
-	opened := tr.Final.Op(srt.ID).OpenedAt
-	if f := tr.Final.Op(srt.ID); f.FirstActive && f.FirstActiveAt > opened {
-		opened = f.FirstActiveAt
-	}
-	closed := tr.Final.Op(srt.ID).ClosedAt
-
+	rows, errs, n := series(p, w.DB.Catalog, tr, srt.ID, 16, outOnly, progress.LQSOptions(), internal)
 	res := &Result{
 		ID:     "FW-Spill",
 		Title:  "Spilled-sort progress: GetNext vs two-phase vs §7 internal-state counters",
 		Header: []string{"t", "output-only", "two-phase", "+internal", "true"},
+		Rows:   rows,
 		Notes: []string{
 			fmt.Sprintf("30000-row sort, %d-row memory budget → %d external merge passes",
 				cm.SortMemoryRows, cm.SortMergePasses(30000)),
 		},
 	}
-	var errO, errT, errI float64
-	n := 0
-	var rows [][]string
-	for _, snap := range tr.Snapshots {
-		if snap.At < opened || snap.At > closed {
-			continue
-		}
-		truth := float64(snap.At-opened) / float64(closed-opened)
-		po := eO.Estimate(snap).Op[srt.ID]
-		pt := eT.Estimate(snap).Op[srt.ID]
-		pi := eI.Estimate(snap).Op[srt.ID]
-		errO += mathAbs(po - truth)
-		errT += mathAbs(pt - truth)
-		errI += mathAbs(pi - truth)
-		n++
-		rows = append(rows, []string{snap.At.String(), f3(po), f3(pt), f3(pi), f3(truth)})
-	}
-	for _, i := range sampleIndices(len(rows), 16) {
-		res.Rows = append(res.Rows, rows[i])
-	}
 	if n > 0 {
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"sort Errortime: output-only %.3f, two-phase %.3f, +internal %.3f over %d samples",
-			errO/float64(n), errT/float64(n), errI/float64(n), n))
+			errs[0], errs[1], errs[2], n))
 	}
 	return res
 }

@@ -26,8 +26,8 @@ func MeasureDOPSpeedups(w *workload.Workload, dop, limit int) []DOPSpeedup {
 		if limit > 0 && i >= limit {
 			break
 		}
-		_, trS, _ := TraceQueryEventsDOP(w, q, DefaultInterval, 0, 1)
-		_, trP, _ := TraceQueryEventsDOP(w, q, DefaultInterval, 0, dop)
+		_, trS, _ := TraceQueryEventsBatch(w, q, DefaultInterval, 0, 1, 1)
+		_, trP, _ := TraceQueryEventsBatch(w, q, DefaultInterval, 0, dop, 1)
 		s := int64(trS.EndedAt - trS.StartedAt)
 		p := int64(trP.EndedAt - trP.StartedAt)
 		sp := 0.0

@@ -83,15 +83,15 @@ func TestTraceQueryEventsCapSemantics(t *testing.T) {
 	w := parallelTestWorkload(t)
 	q := w.Queries[0]
 
-	if _, _, rec := TraceQueryEvents(w, q, DefaultInterval, 0); rec != nil {
+	if _, _, rec := TraceQueryEventsBatch(w, q, DefaultInterval, 0, 1, 1); rec != nil {
 		t.Fatal("EventCap=0 attached a recorder")
 	}
-	_, _, rec := TraceQueryEvents(w, q, DefaultInterval, -1)
+	_, _, rec := TraceQueryEventsBatch(w, q, DefaultInterval, -1, 1, 1)
 	if rec == nil || rec.Len() == 0 {
 		t.Fatal("default-capacity run recorded no events")
 	}
 	full := rec.Len()
-	_, _, small := TraceQueryEvents(w, q, DefaultInterval, 8)
+	_, _, small := TraceQueryEventsBatch(w, q, DefaultInterval, 8, 1, 1)
 	if small.Len() != 8 {
 		t.Fatalf("cap-8 ring holds %d events", small.Len())
 	}

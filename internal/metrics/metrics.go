@@ -1,6 +1,8 @@
 // Package metrics implements the paper's Section 5 evaluation machinery:
 // traced query execution (run once, evaluate many estimator configurations
-// over the recorded DMV snapshots) and the two error measures —
+// over the recorded DMV snapshots), the replay that feeds a trace's polls
+// to one estimator configuration (Replay), and the two error measures over
+// its estimates —
 //
 //	Errorcount: mean |Prog(Q,t) − Σk_i(t)/ΣN_i^true| over observations,
 //	            the accuracy of the N_i estimates themselves;
@@ -17,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"lqs/internal/engine/catalog"
 	"lqs/internal/engine/dmv"
 	"lqs/internal/engine/exec"
 	"lqs/internal/opt"
@@ -47,38 +50,31 @@ func TracedQueries() int64 { return tracedQueries.Load() }
 // ResetTracedQueries zeroes the traced-query counter.
 func ResetTracedQueries() { tracedQueries.Store(0) }
 
-// TraceQuery executes one workload query under the DMV poller and returns
-// its finalized plan and trace.
+// TraceQuery executes one workload query serially, row at a time, under
+// the DMV poller and returns its finalized plan and trace.
 func TraceQuery(w *workload.Workload, q workload.Query, interval sim.Duration) (*plan.Plan, *dmv.Trace) {
-	p, tr, _ := TraceQueryEvents(w, q, interval, 0)
+	p, tr, _ := TraceQueryEventsBatch(w, q, interval, 0, 1, 1)
 	return p, tr
 }
 
-// TraceQueryEvents is TraceQuery with the operator event recorder attached:
+// TraceQueryEventsBatch is TraceQuery with the operator event recorder
+// attached, at an explicit degree of parallelism and batch size.
+//
 // eventCap bounds the per-query event ring (trace.DefaultCapacity when
 // negative; 0 disables event tracing entirely and returns a nil recorder).
 // Each call cold-starts the pool and runs on a fresh virtual clock, so for
 // a given workload the returned events are a pure function of the query —
 // the parallel harness's byte-identical-trace guarantee extends to them.
-func TraceQueryEvents(w *workload.Workload, q workload.Query, interval sim.Duration, eventCap int) (*plan.Plan, *dmv.Trace, *trace.Recorder) {
-	return TraceQueryEventsDOP(w, q, interval, eventCap, 1)
-}
-
-// TraceQueryEventsDOP is TraceQueryEvents at an explicit degree of
-// parallelism: the plan is rewritten with plan.Parallelize before
+//
+// At dop > 1 the plan is rewritten with plan.Parallelize before
 // finalization and executed with dop workers per gather. Result rows and
 // final aggregated counters are byte-identical to the serial run; only the
 // simulated elapsed time (and the per-thread DMV rows) differ.
-func TraceQueryEventsDOP(w *workload.Workload, q workload.Query, interval sim.Duration, eventCap, dop int) (*plan.Plan, *dmv.Trace, *trace.Recorder) {
-	return TraceQueryEventsBatch(w, q, interval, eventCap, dop, 1)
-}
-
-// TraceQueryEventsBatch is TraceQueryEventsDOP at an explicit batch size
-// (anything below 1 means 1, row-at-a-time execution, which is what the
-// other TraceQuery* forms run). Result rows and final counters are
-// byte-identical at any batch size; mid-run snapshots above batch size 1
-// are boundedly skewed relative to it (see the exec batch-size equivalence
-// battery).
+//
+// A batch below 1 means 1, row-at-a-time execution. Result rows and final
+// counters are byte-identical at any batch size; mid-run snapshots above
+// batch size 1 are boundedly skewed relative to it (see the exec
+// batch-size equivalence battery).
 func TraceQueryEventsBatch(w *workload.Workload, q workload.Query, interval sim.Duration, eventCap, dop, batch int) (*plan.Plan, *dmv.Trace, *trace.Recorder) {
 	tracedQueries.Add(1)
 	root := q.Build(w.Builder())
@@ -118,7 +114,7 @@ type Runner struct {
 	// invoked serially in query order.
 	Parallel int
 	// EventCap enables operator event tracing on every query: the ring
-	// capacity passed to TraceQueryEvents (negative for the default;
+	// capacity passed to TraceQueryEventsBatch (negative for the default;
 	// 0 leaves event tracing off).
 	EventCap int
 	// DOP is each traced query's degree of parallelism (0/1 = serial):
@@ -193,7 +189,7 @@ func (r Runner) ForEachArtifacts(w *workload.Workload, fn func(a TraceArtifacts)
 				break
 			}
 			q := w.Queries[i]
-			p, tr, rec := TraceQueryEventsDOP(w, q, interval, r.EventCap, r.dop())
+			p, tr, rec := TraceQueryEventsBatch(w, q, interval, r.EventCap, r.dop(), 1)
 			if len(tr.Snapshots) < MinSnapshots {
 				continue
 			}
@@ -225,7 +221,7 @@ func (r Runner) ForEachArtifacts(w *workload.Workload, fn func(a TraceArtifacts)
 			defer wg.Done()
 			local := w.View()
 			for pos := range jobs {
-				p, tr, rec := TraceQueryEventsDOP(local, local.Queries[idx[pos]], interval, r.EventCap, r.dop())
+				p, tr, rec := TraceQueryEventsBatch(local, local.Queries[idx[pos]], interval, r.EventCap, r.dop(), 1)
 				results[pos] <- result{p, tr, rec}
 			}
 		}()
@@ -257,50 +253,57 @@ func (r Runner) ForEachArtifacts(w *workload.Workload, fn func(a TraceArtifacts)
 	wg.Wait()
 }
 
-// oracleProgress is the Errorcount reference: Equation 2 with unit weights
-// and the exact N_i known after completion.
-func oracleProgress(tr *dmv.Trace, s *dmv.Snapshot) float64 {
-	var num, den float64
-	for id, n := range tr.TrueRows {
-		num += float64(s.Op(id).ActualRows)
-		den += float64(n)
+// Replay feeds each poll of a finished trace to a fresh estimator exactly
+// once, in recorded order — what a live client saw, so stateful machinery
+// (monotone clamps, degraded-mode high-water marks, the ensemble selector)
+// behaves as it did in flight. It returns the estimate at each of
+// tr.Snapshots and the terminal estimate on tr.Final (nil when the trace
+// has none). Everything that grades a trace reads these estimates.
+func Replay(p *plan.Plan, cat *catalog.Catalog, tr *dmv.Trace, o progress.Options) (polls []*progress.Estimate, final *progress.Estimate) {
+	est := progress.NewEstimator(p, cat, o)
+	polls = make([]*progress.Estimate, len(tr.Snapshots))
+	for i, s := range tr.Snapshots {
+		polls[i] = est.Estimate(s)
 	}
-	if den == 0 {
-		return 1
+	if tr.Final != nil {
+		final = est.Estimate(tr.Final)
 	}
-	return num / den
+	return polls, final
 }
 
-// timeFraction is the Errortime reference.
-func timeFraction(tr *dmv.Trace, s *dmv.Snapshot) float64 {
-	total := tr.EndedAt - tr.StartedAt
-	if total <= 0 {
-		return 1
+// ErrorCount is a replay's Errorcount: the mean gap between estimated query
+// progress and Equation 2 with unit weights and the exact N_i known after
+// completion.
+func ErrorCount(tr *dmv.Trace, polls []*progress.Estimate) float64 {
+	return queryError(tr, polls, func(s *dmv.Snapshot) float64 {
+		var num, den float64
+		for id, n := range tr.TrueRows {
+			num += float64(s.Op(id).ActualRows)
+			den += float64(n)
+		}
+		if den == 0 {
+			return 1
+		}
+		return num / den
+	})
+}
+
+// ErrorTime is a replay's Errortime: the mean gap between estimated query
+// progress and the elapsed-time fraction.
+func ErrorTime(tr *dmv.Trace, polls []*progress.Estimate) float64 {
+	return queryError(tr, polls, func(s *dmv.Snapshot) float64 { return tr.TimeFraction(s.At) })
+}
+
+// queryError is the mean |Prog(Q,t) − truth(t)| over a replay's polls.
+func queryError(tr *dmv.Trace, polls []*progress.Estimate, truth func(*dmv.Snapshot) float64) float64 {
+	if len(polls) == 0 {
+		return 0
 	}
-	return float64(s.At-tr.StartedAt) / float64(total)
-}
-
-// ErrorCount computes a query's Errorcount for an estimator configuration.
-func ErrorCount(p *plan.Plan, tr *dmv.Trace, w *workload.Workload, o progress.Options) (float64, bool) {
-	return queryError(p, tr, w, o, oracleProgress)
-}
-
-// ErrorTime computes a query's Errortime for an estimator configuration.
-func ErrorTime(p *plan.Plan, tr *dmv.Trace, w *workload.Workload, o progress.Options) (float64, bool) {
-	return queryError(p, tr, w, o, timeFraction)
-}
-
-func queryError(p *plan.Plan, tr *dmv.Trace, w *workload.Workload, o progress.Options, ref func(*dmv.Trace, *dmv.Snapshot) float64) (float64, bool) {
-	if len(tr.Snapshots) < MinSnapshots {
-		return 0, false
-	}
-	est := progress.NewEstimator(p, w.DB.Catalog, o)
 	var sum float64
-	for _, s := range tr.Snapshots {
-		e := est.Estimate(s)
-		sum += math.Abs(e.Query - ref(tr, s))
+	for i, s := range tr.Snapshots {
+		sum += math.Abs(polls[i].Query - truth(s))
 	}
-	return sum / float64(len(tr.Snapshots)), true
+	return sum / float64(len(polls))
 }
 
 // OpAccum accumulates per-operator-type error.
@@ -344,66 +347,41 @@ func (oe OpErrors) Merge(other OpErrors) {
 	}
 }
 
-// AccumOpErrorCount accumulates per-operator Errorcount: the gap between
-// estimated operator progress (k/N̂ under the configuration) and true
-// operator progress (k/N_true), over observations where the operator is
-// actively executing.
-func AccumOpErrorCount(p *plan.Plan, tr *dmv.Trace, w *workload.Workload, o progress.Options, acc OpErrors) {
-	est := progress.NewEstimator(p, w.DB.Catalog, o)
-	for _, s := range tr.Snapshots {
-		e := est.Estimate(s)
-		for _, n := range p.Nodes {
-			op := s.Op(n.ID)
-			if !op.Opened || op.Closed {
-				continue
-			}
-			trueN := float64(tr.TrueRows[n.ID])
-			var truth float64
-			if trueN > 0 {
-				truth = math.Min(float64(op.ActualRows)/trueN, 1)
-			} else {
-				truth = 1
-			}
-			acc.Add(n.Physical, math.Abs(e.Op[n.ID]-truth))
+// AccumOpErrorCount accumulates a replay's per-operator Errorcount: the
+// gap between estimated operator progress (k/N̂ under the configuration)
+// and true operator progress (k/N_true), over observations where the
+// operator is actively executing.
+func AccumOpErrorCount(p *plan.Plan, tr *dmv.Trace, polls []*progress.Estimate, acc OpErrors) {
+	accumOpError(p, tr, polls, acc, func(s *dmv.Snapshot, id int) (float64, bool) {
+		trueN := float64(tr.TrueRows[id])
+		if trueN <= 0 {
+			return 1, true
 		}
-	}
+		return math.Min(float64(s.Op(id).ActualRows)/trueN, 1), true
+	})
 }
 
-// AccumOpErrorTime accumulates per-operator Errortime: the gap between
-// estimated operator progress and the fraction of the operator's active
-// window elapsed at the observation.
-func AccumOpErrorTime(p *plan.Plan, tr *dmv.Trace, w *workload.Workload, o progress.Options, acc OpErrors) {
-	est := progress.NewEstimator(p, w.DB.Catalog, o)
-	final := tr.Final
-	for _, s := range tr.Snapshots {
-		e := est.Estimate(s)
+// AccumOpErrorTime accumulates a replay's per-operator Errortime: the gap
+// between estimated operator progress and the fraction of the operator's
+// active window elapsed at the observation.
+func AccumOpErrorTime(p *plan.Plan, tr *dmv.Trace, polls []*progress.Estimate, acc OpErrors) {
+	accumOpError(p, tr, polls, acc, func(s *dmv.Snapshot, id int) (float64, bool) {
+		return tr.OpTimeFraction(id, s.At)
+	})
+}
+
+// accumOpError adds |op progress − truth| to acc for every operator open
+// and not yet closed at each poll, where truth is defined.
+func accumOpError(p *plan.Plan, tr *dmv.Trace, polls []*progress.Estimate, acc OpErrors, truth func(*dmv.Snapshot, int) (float64, bool)) {
+	for i, s := range tr.Snapshots {
 		for _, n := range p.Nodes {
 			op := s.Op(n.ID)
 			if !op.Opened || op.Closed {
 				continue
 			}
-			// The active window starts when the operator first performed
-			// work, not when its Open recursively opened a deep subtree.
-			fop := final.Op(n.ID)
-			opened := fop.OpenedAt
-			if fop.FirstActive && fop.FirstActiveAt > opened {
-				opened = fop.FirstActiveAt
+			if t, ok := truth(s, n.ID); ok {
+				acc.Add(n.Physical, math.Abs(polls[i].Op[n.ID]-t))
 			}
-			closed := fop.ClosedAt
-			if closed <= opened {
-				continue
-			}
-			if s.At < opened {
-				continue
-			}
-			frac := float64(s.At-opened) / float64(closed-opened)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			acc.Add(n.Physical, math.Abs(e.Op[n.ID]-frac))
 		}
 	}
 }

@@ -32,13 +32,15 @@ func TestErrorMetricsBasicProperties(t *testing.T) {
 	w := tpchSmall(t)
 	p, tr := TraceQuery(w, w.Queries[0], DefaultInterval)
 	for _, o := range []progress.Options{progress.TGNOptions(), progress.LQSOptions()} {
-		ec, ok := ErrorCount(p, tr, w, o)
-		if !ok || ec < 0 || ec > 1 {
-			t.Fatalf("ErrorCount = %v ok=%v", ec, ok)
+		polls, final := Replay(p, w.DB.Catalog, tr, o)
+		if len(polls) != len(tr.Snapshots) || final == nil {
+			t.Fatalf("Replay returned %d estimates for %d polls, final %v", len(polls), len(tr.Snapshots), final)
 		}
-		et, ok := ErrorTime(p, tr, w, o)
-		if !ok || et < 0 || et > 1 {
-			t.Fatalf("ErrorTime = %v ok=%v", et, ok)
+		if ec := ErrorCount(tr, polls); ec < 0 || ec > 1 {
+			t.Fatalf("ErrorCount = %v", ec)
+		}
+		if et := ErrorTime(tr, polls); et < 0 || et > 1 {
+			t.Fatalf("ErrorTime = %v", et)
 		}
 	}
 }
@@ -61,7 +63,8 @@ func TestOpErrorsAccumulation(t *testing.T) {
 	w := tpchSmall(t)
 	acc := OpErrors{}
 	Runner{Limit: 4}.ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
-		AccumOpErrorCount(p, tr, w, progress.TGNOptions(), acc)
+		polls, _ := Replay(p, w.DB.Catalog, tr, progress.TGNOptions())
+		AccumOpErrorCount(p, tr, polls, acc)
 	})
 	if len(acc) == 0 {
 		t.Fatal("no per-operator errors accumulated")
@@ -77,7 +80,8 @@ func TestOpErrorTimeAccumulation(t *testing.T) {
 	w := tpchSmall(t)
 	acc := OpErrors{}
 	Runner{Limit: 4}.ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
-		AccumOpErrorTime(p, tr, w, progress.LQSOptions(), acc)
+		polls, _ := Replay(p, w.DB.Catalog, tr, progress.LQSOptions())
+		AccumOpErrorTime(p, tr, polls, acc)
 	})
 	if len(acc) == 0 {
 		t.Fatal("no per-operator time errors accumulated")
@@ -116,15 +120,13 @@ func TestRefinementImprovesWorkloadErrorCount(t *testing.T) {
 	var base, full float64
 	n := 0
 	Runner{Limit: 8}.ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
-		b, ok1 := ErrorCount(p, tr, w, progress.TGNOptions())
-		f, ok2 := ErrorCount(p, tr, w, progress.Options{
+		polls, _ := Replay(p, w.DB.Catalog, tr, progress.TGNOptions())
+		base += ErrorCount(tr, polls)
+		polls, _ = Replay(p, w.DB.Catalog, tr, progress.Options{
 			Refine: true, Bound: true, SemiBlocking: true, StoragePredIO: true, DriverNodeQuery: true,
 		})
-		if ok1 && ok2 {
-			base += b
-			full += f
-			n++
-		}
+		full += ErrorCount(tr, polls)
+		n++
 	})
 	if n == 0 {
 		t.Fatal("no queries evaluated")

@@ -33,12 +33,12 @@ func collectDigest(t testing.TB, w *workload.Workload, r Runner) string {
 	accCount := OpErrors{}
 	accTime := OpErrors{}
 	r.ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
-		ec, ok1 := ErrorCount(p, tr, w, progress.LQSOptions())
-		et, ok2 := ErrorTime(p, tr, w, progress.TGNOptions())
-		fmt.Fprintf(&sb, "%s nodes=%d snaps=%d t=[%d,%d] ec=%.17g/%v et=%.17g/%v\n",
-			q.Name, len(p.Nodes), len(tr.Snapshots), tr.StartedAt, tr.EndedAt, ec, ok1, et, ok2)
-		AccumOpErrorCount(p, tr, w, progress.LQSOptions(), accCount)
-		AccumOpErrorTime(p, tr, w, progress.LQSOptions(), accTime)
+		lqs, _ := Replay(p, w.DB.Catalog, tr, progress.LQSOptions())
+		tgn, _ := Replay(p, w.DB.Catalog, tr, progress.TGNOptions())
+		fmt.Fprintf(&sb, "%s nodes=%d snaps=%d t=[%d,%d] ec=%.17g et=%.17g\n",
+			q.Name, len(p.Nodes), len(tr.Snapshots), tr.StartedAt, tr.EndedAt, ErrorCount(tr, lqs), ErrorTime(tr, tgn))
+		AccumOpErrorCount(p, tr, lqs, accCount)
+		AccumOpErrorTime(p, tr, lqs, accTime)
 	})
 	for op := plan.PhysicalOp(0); op < 64; op++ {
 		if a, ok := accCount[op]; ok {

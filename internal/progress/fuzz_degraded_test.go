@@ -12,7 +12,7 @@ package progress
 
 import (
 	"encoding/binary"
-	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -121,56 +121,24 @@ func FuzzDegradedSnapshot(f *testing.F) {
 
 		// Degrade+Bound without Monotone: repair alone must keep the display
 		// contract on degraded polls (forced clamp) while healthy polls may
-		// legitimately move either way.
-		bounded := NewEstimator(p, w.DB.Catalog, Options{Refine: true, Bound: true, Degrade: true})
-		for si, s := range snaps {
-			e := bounded.Estimate(s)
-			if math.IsNaN(e.Query) || e.Query < 0 || e.Query > 1 {
-				t.Fatalf("degrade-only snap %d: query progress %v", si, e.Query)
-			}
-			for id, b := range e.Bounds {
-				if math.IsNaN(b.LB) || math.IsNaN(b.UB) || b.LB > b.UB+1e-9 {
-					t.Fatalf("degrade-only snap %d node %d: bounds [%v, %v]", si, id, b.LB, b.UB)
+		// legitimately move either way. Full LQS mode must hold monotone
+		// across the whole faulty sequence, and neither may mutate the
+		// caller's snapshot.
+		for _, m := range []struct {
+			name string
+			o    Options
+		}{{"degrade-only", Options{Refine: true, Bound: true, Degrade: true}}, {"lqs", LQSOptions()}} {
+			est := NewEstimator(p, w.DB.Catalog, m.o)
+			check := NewInvariantChecker(m.o)
+			for si, s := range snaps {
+				before := len(s.Threads)
+				x, _ := est.Explain(s)
+				if len(s.Threads) != before {
+					t.Fatalf("snap %d: repair mutated the caller's snapshot", si)
 				}
-			}
-		}
-
-		// Full LQS mode: monotone must hold across the faulty sequence, and
-		// Explain's contributions must reproduce the raw progress.
-		est := NewEstimator(p, w.DB.Catalog, LQSOptions())
-		prevQ := math.Inf(-1)
-		prevOp := make([]float64, len(p.Nodes))
-		for i := range prevOp {
-			prevOp[i] = math.Inf(-1)
-		}
-		for si, s := range snaps {
-			before := len(s.Threads)
-			x, e := est.Explain(s)
-			if len(s.Threads) != before {
-				t.Fatalf("snap %d: repair mutated the caller's snapshot", si)
-			}
-			if math.IsNaN(e.Query) || e.Query < 0 || e.Query > 1 {
-				t.Fatalf("lqs snap %d: query progress %v", si, e.Query)
-			}
-			if e.Query < prevQ-1e-12 {
-				t.Fatalf("lqs snap %d: query progress regressed %v -> %v", si, prevQ, e.Query)
-			}
-			prevQ = math.Max(prevQ, e.Query)
-			for id, v := range e.Op {
-				if math.IsNaN(v) || v < 0 || v > 1 {
-					t.Fatalf("lqs snap %d node %d: op progress %v", si, id, v)
+				if v := check.Check(x); v != nil {
+					t.Fatalf("%s snap %d: %s", m.name, si, strings.Join(v, "; "))
 				}
-				if v < prevOp[id]-1e-12 {
-					t.Fatalf("lqs snap %d node %d: op progress regressed %v -> %v", si, id, prevOp[id], v)
-				}
-				prevOp[id] = math.Max(prevOp[id], v)
-			}
-			var sum float64
-			for _, term := range x.Terms {
-				sum += term.Contribution
-			}
-			if math.IsNaN(x.RawQuery) || math.Abs(sum-x.RawQuery) > 1e-6 {
-				t.Fatalf("lqs snap %d: contributions sum %v != raw %v", si, sum, x.RawQuery)
 			}
 		}
 	})

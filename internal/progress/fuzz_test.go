@@ -5,13 +5,14 @@ package progress
 // out-of-order polls, per-thread skew, lifecycle flags that contradict the
 // counters, observed rows far beyond any estimate — and fed through every
 // query-progress mode. The estimator is a display client: whatever the
-// server reports, it must neither panic nor emit anything outside [0, 1].
+// server reports, it must neither panic nor break the InvariantChecker
+// contract.
 // The seed corpus includes encodings of real captures from a parallel run,
 // so mutation starts from the shapes a healthy server actually produces.
 
 import (
 	"encoding/binary"
-	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -174,38 +175,16 @@ func FuzzEstimator(f *testing.F) {
 		if len(snaps) > 16 {
 			snaps = snaps[:16] // bound per-input work, not coverage
 		}
+		// Explain runs the estimation pass and reads its decomposition, so
+		// the checker sees the contribution sum as well as the estimate.
 		for mi, o := range modes {
 			est := NewEstimator(p, w.DB.Catalog, o)
+			check := NewInvariantChecker(o)
 			for si, s := range snaps {
-				e := est.Estimate(s)
-				if math.IsNaN(e.Query) || e.Query < 0 || e.Query > 1 {
-					t.Fatalf("mode %d snap %d: query progress %v", mi, si, e.Query)
+				x, _ := est.Explain(s)
+				if v := check.Check(x); v != nil {
+					t.Fatalf("mode %d snap %d: %s", mi, si, strings.Join(v, "; "))
 				}
-				for id, opProg := range e.Op {
-					if math.IsNaN(opProg) || opProg < 0 || opProg > 1 {
-						t.Fatalf("mode %d snap %d node %d: op progress %v", mi, si, id, opProg)
-					}
-					if math.IsNaN(e.N[id]) || math.IsInf(e.N[id], 0) || e.N[id] < 0 {
-						t.Fatalf("mode %d snap %d node %d: refined N %v", mi, si, id, e.N[id])
-					}
-				}
-			}
-		}
-		// The introspection path shares the estimator core but allocates the
-		// decomposition; it must hold the same bounds and its contributions
-		// must reproduce the raw progress even on garbage.
-		est := NewEstimator(p, w.DB.Catalog, LQSOptions())
-		for si, s := range snaps {
-			x, e := est.Explain(s)
-			if math.IsNaN(e.Query) || e.Query < 0 || e.Query > 1 {
-				t.Fatalf("explain snap %d: query progress %v", si, e.Query)
-			}
-			var sum float64
-			for _, term := range x.Terms {
-				sum += term.Contribution
-			}
-			if math.IsNaN(x.RawQuery) || math.Abs(sum-x.RawQuery) > 1e-6 {
-				t.Fatalf("explain snap %d: contributions sum %v != raw %v", si, sum, x.RawQuery)
 			}
 		}
 	})

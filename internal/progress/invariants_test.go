@@ -2,6 +2,7 @@ package progress
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 // estimator configuration, asserting the invariants that must hold no
 // matter how wrong the cardinality estimates are:
 //
-//   - query and operator progress stay in [0, 1];
+//   - the InvariantChecker contract at every poll;
 //   - closed operators report exactly 1, unopened ones 0;
 //   - the Appendix A bounds always contain the true cardinality;
 //   - refined estimates stay within the bounds when bounding is on;
@@ -58,28 +59,23 @@ func TestRandomPlanInvariants(t *testing.T) {
 		}
 		for name, o := range configs {
 			est := NewEstimator(p, w.DB.Catalog, o)
+			check := NewInvariantChecker(o)
 			snaps := append(append([]*dmv.Snapshot{}, tr.Snapshots...), tr.Final)
 			for si, s := range snaps {
-				e := est.Estimate(s)
-				if e.Query < 0 || e.Query > 1 || math.IsNaN(e.Query) {
-					t.Fatalf("%s/%s snap %d: query progress %v", q.Name, name, si, e.Query)
+				x, e := est.Explain(s)
+				if v := check.Check(x); v != nil {
+					t.Fatalf("%s/%s snap %d: %s", q.Name, name, si, strings.Join(v, "; "))
 				}
 				if e.Ensemble != nil {
 					checkEnsembleInvariants(t, q.Name+"/"+name, si, e)
 				}
 				for id, opProg := range e.Op {
-					if opProg < 0 || opProg > 1 || math.IsNaN(opProg) {
-						t.Fatalf("%s/%s snap %d node %d: op progress %v", q.Name, name, si, id, opProg)
-					}
 					prof := s.Op(id)
 					if prof.Closed && opProg != 1 {
 						t.Fatalf("%s/%s node %d: closed but progress %v", q.Name, name, id, opProg)
 					}
 					if !prof.Opened && !prof.Closed && opProg != 0 {
 						t.Fatalf("%s/%s node %d: unopened but progress %v", q.Name, name, id, opProg)
-					}
-					if math.IsNaN(e.N[id]) || e.N[id] < 0 {
-						t.Fatalf("%s/%s node %d: bad refined N %v", q.Name, name, id, e.N[id])
 					}
 				}
 				if o.Bound {
@@ -117,11 +113,11 @@ func TestRandomPlanInvariants(t *testing.T) {
 // random plans run serially and with parallel zones at DOP 2 and 4, their
 // poll traces estimated under the three query-progress modes (TGN, driver-
 // node, weighted/LQS) with the display monotone clamp on. Per-thread DMV
-// rows must be invisible to the estimator: progress stays in [0, 1], never
-// regresses across polls, reaches (near-)completion at the end, and the
-// Explain decomposition's per-operator contributions sum to the raw query
-// progress at every poll — the estimator remains a client of aggregated
-// counters exactly as LQS is a client of the real DMV.
+// rows must be invisible to the estimator: every poll keeps the
+// InvariantChecker contract (progress in [0, 1] and never regressing,
+// contributions summing to the raw query progress) and the run reaches
+// (near-)completion at the end — the estimator remains a client of
+// aggregated counters exactly as LQS is a client of the real DMV.
 func TestParallelPlanInvariants(t *testing.T) {
 	cfg := workload.SynthConfig{
 		Name: "PFUZZ", Seed: 20260806,
@@ -157,25 +153,14 @@ func TestParallelPlanInvariants(t *testing.T) {
 			for name, o := range modes {
 				o.Monotone = true
 				est := NewEstimator(p, w.DB.Catalog, o)
+				check := NewInvariantChecker(o)
 				last := 0.0
 				for si, s := range snaps {
 					x, e := est.Explain(s)
-					if e.Query < 0 || e.Query > 1 || math.IsNaN(e.Query) {
-						t.Fatalf("%s/%s dop=%d snap %d: query progress %v", q.Name, name, dop, si, e.Query)
-					}
-					if e.Query < last {
-						t.Fatalf("%s/%s dop=%d snap %d: progress regressed %v -> %v under Monotone",
-							q.Name, name, dop, si, last, e.Query)
+					if v := check.Check(x); v != nil {
+						t.Fatalf("%s/%s dop=%d snap %d: %s", q.Name, name, dop, si, strings.Join(v, "; "))
 					}
 					last = e.Query
-					var sum float64
-					for _, term := range x.Terms {
-						sum += term.Contribution
-					}
-					if math.IsNaN(x.RawQuery) || math.Abs(sum-x.RawQuery) > 1e-6 {
-						t.Fatalf("%s/%s dop=%d snap %d: contributions sum %v != raw progress %v",
-							q.Name, name, dop, si, sum, x.RawQuery)
-					}
 					if e.Ensemble != nil {
 						checkEnsembleInvariants(t, q.Name+"/"+name, si, e)
 						var cwsum float64
@@ -185,12 +170,6 @@ func TestParallelPlanInvariants(t *testing.T) {
 						if math.Abs(cwsum-1) > 1e-9 {
 							t.Fatalf("%s/%s dop=%d snap %d: explain candidate weights sum to %v",
 								q.Name, name, dop, si, cwsum)
-						}
-					}
-					for id, opProg := range e.Op {
-						if opProg < 0 || opProg > 1 || math.IsNaN(opProg) {
-							t.Fatalf("%s/%s dop=%d snap %d node %d: op progress %v",
-								q.Name, name, dop, si, id, opProg)
 						}
 					}
 				}
