@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet sort-guard build test race bench bench-check bench-build trace-smoke fuzz-smoke chaos-smoke serve-smoke acc-json acc-smoke ci
+.PHONY: all vet sort-guard build test race bench bench-check bench-build bench-replay trace-smoke fuzz-smoke chaos-smoke serve-smoke acc-json acc-smoke ci
 
 all: ci
 
@@ -127,4 +127,10 @@ bench-check:
 bench-build:
 	$(GO) test ./internal/workload -run '^$$' -bench Build -benchtime 1x -benchmem
 
-ci: vet sort-guard build test race trace-smoke fuzz-smoke chaos-smoke serve-smoke acc-smoke bench-check bench-build
+# Run the replay benchmark once per estimator mode so it cannot rot, with
+# -benchmem so the log shows ns/op and allocs/op of the replay hot path
+# (accuracy.Record over the committed trace corpus; no engine run).
+bench-replay:
+	$(GO) test ./internal/accuracy -run '^$$' -bench Record -benchtime 1x -benchmem
+
+ci: vet sort-guard build test race trace-smoke fuzz-smoke chaos-smoke serve-smoke acc-smoke bench-check bench-build bench-replay

@@ -319,8 +319,7 @@ func emitTraces(stdout io.Writer, dir, wname string, seed uint64, limit, paralle
 			return
 		}
 		err = os.WriteFile(base+".explain.txt", []byte(midExplain(w, a)), 0o644)
-		polls, _ := metrics.Replay(a.Plan, w.DB.Catalog, a.Trace, progress.LQSOptions())
-		errHist.Observe(metrics.ErrorCount(a.Trace, polls))
+		errHist.Observe(metrics.ErrorCount(a.Plan, w.DB.Catalog, a.Trace, progress.LQSOptions()))
 		files += 2
 	})
 	if err != nil {
@@ -335,11 +334,11 @@ func emitTraces(stdout io.Writer, dir, wname string, seed uint64, limit, paralle
 // estimator decomposition there — the most informative single frame, with
 // refinement underway but the query not yet done.
 func midExplain(w *workload.Workload, a metrics.TraceArtifacts) string {
-	est := progress.NewEstimator(a.Plan, w.DB.Catalog, progress.LQSOptions())
+	est, e := progress.NewEstimator(a.Plan, w.DB.Catalog, progress.LQSOptions()), new(progress.Estimate)
 	snaps := append(append([]*dmv.Snapshot(nil), a.Trace.Snapshots...), a.Trace.Final)
 	mid := len(snaps) / 2
 	for _, s := range snaps[:mid] {
-		est.Estimate(s)
+		est.EstimateInto(e, s)
 	}
 	x, _ := est.Explain(snaps[mid])
 	return x.Render()

@@ -94,19 +94,12 @@ type Trajectory struct {
 // mode (metrics.Replay) and captures the accuracy trajectory: per poll, the
 // estimate against the elapsed-time truth (dmv.Trace.TimeFraction).
 func Record(p *plan.Plan, cat *catalog.Catalog, tr *dmv.Trace, mode Mode) *Trajectory {
-	polls, final := metrics.Replay(p, cat, tr, mode.Opts)
-	traj := &Trajectory{Mode: mode.Name, Points: make([]Point, len(polls))}
-	for i, e := range polls {
-		s := tr.Snapshots[i]
-		pt := &traj.Points[i]
-		*pt = Point{
-			At:       s.At,
-			Estimate: e.Query,
-			Truth:    tr.TimeFraction(s.At),
-			Degraded: e.Degraded || s.Degraded,
-		}
+	traj := &Trajectory{Mode: mode.Name, Points: make([]Point, 0, len(tr.Snapshots))}
+	final := metrics.Replay(p, cat, tr, mode.Opts, func(s *dmv.Snapshot, e *progress.Estimate) {
+		pt := Point{At: s.At, Estimate: e.Query, Truth: tr.TimeFraction(s.At), Degraded: e.Degraded || s.Degraded}
 		pt.BoundsIn, pt.BoundsObs = boundsCoverage(e.Bounds, tr.TrueRows)
-	}
+		traj.Points = append(traj.Points, pt)
+	})
 	if final != nil {
 		traj.Terminal = final.Query
 	}

@@ -82,6 +82,7 @@ type Snapshot struct {
 	// Threads are the raw per-thread profile rows.
 	Threads []OpProfile
 	// Ops are the per-node aggregations of Threads (or directly-set rows).
+	// For a serial capture they are the Threads array itself.
 	Ops []OpProfile
 
 	// aggregated memoizes Aggregate: once the per-node fold has run (or
@@ -107,11 +108,16 @@ type Snapshot struct {
 // Clone returns a deep copy of the snapshot (profile rows are values, so
 // copying the slices suffices). The poller's watchdog clones the last good
 // snapshot when synthesizing degraded ticks so later aggregation or repair
-// never mutates history.
+// never mutates history. A clone of a snapshot whose Ops alias its Threads
+// aliases its own copy the same way.
 func (s *Snapshot) Clone() *Snapshot {
 	out := *s
 	out.Threads = append([]OpProfile(nil), s.Threads...)
-	out.Ops = append([]OpProfile(nil), s.Ops...)
+	if s.opsAliasThreads() {
+		out.Ops = out.Threads
+	} else {
+		out.Ops = append([]OpProfile(nil), s.Ops...)
+	}
 	// Clones exist to be mutated (degraded-tick synthesis, chaos
 	// perturbation), so the memo does not carry over; the next Aggregate
 	// re-validates against whatever the mutation left behind.
@@ -155,6 +161,11 @@ func (s *Snapshot) opSlow(id int) *OpProfile {
 // when Ops is already populated (idempotent, and hand-built snapshots with
 // direct Ops stay authoritative); the outcome is memoized, so repeated
 // Op/Aggregate calls on an unchanged snapshot cost one flag test.
+//
+// A capture with exactly one thread-0 row per node, in node order — every
+// serial capture — is already its own aggregation: Ops then aliases Threads
+// instead of copying it, so the snapshot's rows must not be written once
+// it is aggregated (Clone first, as the watchdog and chaos harness do).
 func (s *Snapshot) Aggregate() {
 	if s.aggregated {
 		return
@@ -163,19 +174,28 @@ func (s *Snapshot) Aggregate() {
 		s.aggregated = true
 		return
 	}
-	s.aggRuns++
 	n := s.NumNodes
-	for _, t := range s.Threads {
-		if t.NodeID+1 > n {
-			n = t.NodeID + 1
-		}
+	for i := range s.Threads {
+		n = max(n, s.Threads[i].NodeID+1)
 	}
+	if len(s.Threads) == n && serialRows(s.Threads) {
+		s.Ops = s.Threads
+	} else {
+		s.aggRuns++
+		s.Ops = foldThreads(s.Threads, n)
+	}
+	s.aggregated = true
+}
+
+// foldThreads is Aggregate's fold of thread rows into n per-node profiles,
+// in a new array; rows with a node ID outside [0, n) are ignored.
+func foldThreads(rows []OpProfile, n int) []OpProfile {
 	ops := make([]OpProfile, n)
 	seen := make([]bool, n)
 	for i := range ops {
 		ops[i].NodeID = i
 	}
-	for _, t := range s.Threads {
+	for _, t := range rows {
 		if t.NodeID < 0 || t.NodeID >= n {
 			continue
 		}
@@ -218,8 +238,23 @@ func (s *Snapshot) Aggregate() {
 			agg.ClosedAt = t.ClosedAt
 		}
 	}
-	s.Ops = ops
-	s.aggregated = true
+	return ops
+}
+
+// serialRows reports whether rows are one thread-0 row per node, row i
+// for node i: the shape in which aggregation changes nothing.
+func serialRows(rows []OpProfile) bool {
+	for i := range rows {
+		if rows[i].NodeID != i || rows[i].ThreadID != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// opsAliasThreads reports whether Aggregate let Ops alias Threads.
+func (s *Snapshot) opsAliasThreads() bool {
+	return len(s.Ops) > 0 && len(s.Ops) == len(s.Threads) && &s.Ops[0] == &s.Threads[0]
 }
 
 // NodeProfiles adapts the snapshot into the plan package's annotation

@@ -169,6 +169,60 @@ func TestSnapshotOpMemoizesAggregate(t *testing.T) {
 	}
 }
 
+// TestAggregateAliasesSerialCapture: a DOP-1 capture has one thread-0 row
+// per node in node order, so its aggregation is its Threads array: Capture
+// copies nothing, and aggregating such rows again allocates nothing and
+// runs no fold.
+func TestAggregateAliasesSerialCapture(t *testing.T) {
+	q, _ := testQuery(t, sim.NewClock())
+	snap := Capture(q)
+	if !snap.opsAliasThreads() || snap.aggRuns != 0 {
+		t.Fatalf("serial capture: Ops alias Threads %v, folds %d; want true, 0", snap.opsAliasThreads(), snap.aggRuns)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		snap.Ops, snap.aggregated = nil, false
+		snap.Aggregate()
+	}); a != 0 {
+		t.Fatalf("Aggregate on a serial capture: %v allocations, want 0", a)
+	}
+	if snap.aggRuns != 0 {
+		t.Fatalf("Aggregate on a serial capture ran the fold %d times, want 0", snap.aggRuns)
+	}
+	want := foldThreads(snap.Threads, snap.NumNodes)
+	for i := range want {
+		if *snap.Op(i) != want[i] {
+			t.Fatalf("node %d: Op %+v, fold %+v", i, *snap.Op(i), want[i])
+		}
+	}
+}
+
+// TestCloneOfAliasedSnapshot: writing a clone of a snapshot whose Ops
+// alias its Threads — the watchdog's and the chaos harness's pattern —
+// leaves the original's Threads and Ops as they were.
+func TestCloneOfAliasedSnapshot(t *testing.T) {
+	q, _ := testQuery(t, sim.NewClock())
+	snap := Capture(q)
+	if !snap.opsAliasThreads() {
+		t.Fatal("serial capture does not alias")
+	}
+	threads := append([]OpProfile(nil), snap.Threads...)
+	c := snap.Clone()
+	for i := range c.Threads {
+		c.Threads[i].ActualRows = -1
+		c.Ops[i].Rebinds = -1
+	}
+	c.Ops, c.aggregated = nil, false
+	if got := c.Op(0).ActualRows; got != -1 {
+		t.Fatalf("clone Op(0).ActualRows = %d after writing its rows, want -1", got)
+	}
+	for i := range threads {
+		if snap.Threads[i] != threads[i] || snap.Ops[i] != threads[i] {
+			t.Fatalf("node %d: writing the clone changed the original: Threads %+v, Ops %+v, want %+v",
+				i, snap.Threads[i], snap.Ops[i], threads[i])
+		}
+	}
+}
+
 // TestFinishedTraceDoesNotPinQuery: the trace Finish returns holds the plan
 // and the snapshots, not the poller, so a caller that keeps traces (the
 // replay harness keeps dozens) lets each executed query be collected.

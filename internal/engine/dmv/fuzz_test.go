@@ -4,7 +4,8 @@ package dmv
 // hostile node IDs, shuffled order, and counter values a healthy engine
 // never produces — must aggregate without panicking, and the aggregation
 // must preserve the no-double-count invariant (per-node sums over thread
-// rows) and stay idempotent.
+// rows), stay idempotent, and agree field for field with the copying fold
+// whether or not Ops aliases Threads.
 
 import (
 	"encoding/binary"
@@ -38,11 +39,17 @@ func decodeThreads(data []byte) []OpProfile {
 }
 
 func FuzzAggregateThreads(f *testing.F) {
-	// Seeds: a healthy serial row, a 2-thread parallel node, an out-of-order
-	// pair, a negative node ID, and negative counters.
+	// Seeds: a healthy serial row, a dense serial capture (one thread-0 row
+	// per node, in node order: the shape Ops aliases), a 2-thread parallel
+	// node, an out-of-order pair, a negative node ID, and negative counters.
 	f.Add([]byte{})
 	f.Add([]byte{
 		0, 0, 3, 0, 100, 0, 0, 0, 50, 0, 0, 0, 7, 0, 0, 0,
+	})
+	f.Add([]byte{
+		0, 0, 3, 1, 100, 0, 0, 0, 50, 0, 0, 0, 7, 0, 0, 0,
+		1, 0, 1, 2, 40, 0, 0, 0, 20, 0, 0, 0, 3, 0, 0, 0,
+		2, 0, 5, 3, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
 	})
 	f.Add([]byte{
 		2, 1, 1, 0, 10, 0, 0, 0, 5, 0, 0, 0, 1, 0, 0, 0,
@@ -63,6 +70,19 @@ func FuzzAggregateThreads(f *testing.F) {
 		threads := decodeThreads(data)
 		snap := &Snapshot{NumNodes: int(uint(len(data)) % 8), Threads: threads}
 		snap.Aggregate()
+
+		// The alias path and the copying fold agree field for field.
+		if len(threads) > 0 {
+			want := foldThreads(threads, len(snap.Ops))
+			if len(want) != len(snap.Ops) {
+				t.Fatalf("Ops has %d rows, the fold %d", len(snap.Ops), len(want))
+			}
+			for i := range want {
+				if snap.Ops[i] != want[i] {
+					t.Fatalf("node %d (alias %v): Ops %+v, fold %+v", i, snap.opsAliasThreads(), snap.Ops[i], want[i])
+				}
+			}
+		}
 
 		// Shape: Ops spans NumNodes and every in-range thread node.
 		if len(snap.Threads) > 0 && len(snap.Ops) < snap.NumNodes {

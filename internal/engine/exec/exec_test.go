@@ -613,4 +613,9 @@ func TestExchangeReleasesEmittedRows(t *testing.T) {
 	if cap(e.queue) > 4*highWater {
 		t.Fatalf("queue capacity %d after %d rows with high-water occupancy %d", cap(e.queue), total, highWater)
 	}
+	// A closed exchange holds no queue array at all: a finished query that
+	// stays listed must not pin its peak buffer.
+	if !e.c.Closed || e.queue != nil {
+		t.Fatalf("finished query: exchange closed %v, queue capacity %d; want closed with no queue", e.c.Closed, cap(e.queue))
+	}
 }

@@ -198,10 +198,13 @@ func (e *exchange) Next(ctx *Ctx) (types.Row, bool) {
 	return row, true
 }
 
+// Close drops the queue: popRow clears consumed slots, but the array keeps
+// its peak capacity, which a finished query still listed would pin.
 func (e *exchange) Close(ctx *Ctx) {
 	if e.c.Closed {
 		return
 	}
+	e.queue, e.head = nil, 0
 	e.child.Close(ctx)
 	e.closed(ctx)
 }

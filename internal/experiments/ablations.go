@@ -145,10 +145,8 @@ func (s *Suite) FWWeights() *Result {
 		cal.WeightFeedback = fb
 		var sb, sc float64
 		for _, r := range recs {
-			polls, _ := metrics.Replay(r.p, w.DB.Catalog, r.tr, base)
-			sb += metrics.ErrorTime(r.tr, polls)
-			polls, _ = metrics.Replay(r.p, w.DB.Catalog, r.tr, cal)
-			sc += metrics.ErrorTime(r.tr, polls)
+			sb += metrics.ErrorTime(r.p, w.DB.Catalog, r.tr, base)
+			sc += metrics.ErrorTime(r.p, w.DB.Catalog, r.tr, cal)
 		}
 		n := len(recs)
 		if n == 0 {

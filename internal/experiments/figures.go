@@ -348,27 +348,29 @@ func (s *Suite) Fig20() *Result {
 func (s *Suite) TableA1() *Result {
 	w := s.Workload("TPC-H")
 	p, tr := metrics.TraceQuery(w, findQuery(w, "Q3"), metrics.DefaultInterval)
-	polls, _ := metrics.Replay(p, w.DB.Catalog, tr, progress.Options{Bound: true, Refine: true, SemiBlocking: true})
-	mid := len(tr.Snapshots) / 2
-	snap, e := tr.Snapshots[mid], polls[mid]
 	res := &Result{
 		ID:     "TableA1",
 		Title:  "Cardinality bounds mid-execution (TPC-H Q3, halfway point)",
 		Header: []string{"node", "operator", "K_i", "LB", "UB", "optimizer", "refined", "true N_i"},
 	}
-	for _, n := range p.Nodes {
-		ub := "inf"
-		if !math.IsInf(e.Bounds[n.ID].UB, 1) {
-			ub = f2(e.Bounds[n.ID].UB)
+	metrics.Replay(p, w.DB.Catalog, tr, progress.Options{Bound: true, Refine: true, SemiBlocking: true}, func(snap *dmv.Snapshot, e *progress.Estimate) {
+		if snap != tr.Snapshots[len(tr.Snapshots)/2] {
+			return
 		}
-		res.Rows = append(res.Rows, []string{
-			fmt.Sprint(n.ID), n.Logical.String(),
-			fmt.Sprint(snap.Op(n.ID).ActualRows),
-			f2(e.Bounds[n.ID].LB), ub,
-			f2(n.EstRows), f2(e.N[n.ID]),
-			fmt.Sprint(tr.TrueRows[n.ID]),
-		})
-	}
+		for _, n := range p.Nodes {
+			ub := "inf"
+			if !math.IsInf(e.Bounds[n.ID].UB, 1) {
+				ub = f2(e.Bounds[n.ID].UB)
+			}
+			res.Rows = append(res.Rows, []string{
+				fmt.Sprint(n.ID), n.Logical.String(),
+				fmt.Sprint(snap.Op(n.ID).ActualRows),
+				f2(e.Bounds[n.ID].LB), ub,
+				f2(n.EstRows), f2(e.N[n.ID]),
+				fmt.Sprint(tr.TrueRows[n.ID]),
+			})
+		}
+	})
 	res.Notes = append(res.Notes, "every true N_i must lie within [LB, UB]")
 	return res
 }
@@ -377,15 +379,14 @@ func (s *Suite) TableA1() *Result {
 // the mean of metric over its traced queries under each configuration, and
 // the query count. Each query is traced once and replayed once per
 // configuration.
-func (s *Suite) crossWorkload(res *Result, workloads []string, metric func(*dmv.Trace, []*progress.Estimate) float64, configs ...progress.Options) *Result {
+func (s *Suite) crossWorkload(res *Result, workloads []string, metric func(*plan.Plan, *catalog.Catalog, *dmv.Trace, progress.Options) float64, configs ...progress.Options) *Result {
 	for _, name := range workloads {
 		w := s.Workload(name)
 		sums := make([]float64, len(configs))
 		n := 0
 		s.runner(name).ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
 			for i, o := range configs {
-				polls, _ := metrics.Replay(p, w.DB.Catalog, tr, o)
-				sums[i] += metric(tr, polls)
+				sums[i] += metric(p, w.DB.Catalog, tr, o)
 			}
 			n++
 		})
@@ -404,7 +405,7 @@ func (s *Suite) crossWorkload(res *Result, workloads []string, metric func(*dmv.
 // opErrors accumulates a per-operator error measure over the workloads'
 // traced queries, replaying each query once per configuration into the
 // matching entry of the result.
-func (s *Suite) opErrors(workloads []string, accum func(*plan.Plan, *dmv.Trace, []*progress.Estimate, metrics.OpErrors), configs ...progress.Options) []metrics.OpErrors {
+func (s *Suite) opErrors(workloads []string, accum func(*plan.Plan, *catalog.Catalog, *dmv.Trace, progress.Options, metrics.OpErrors), configs ...progress.Options) []metrics.OpErrors {
 	accs := make([]metrics.OpErrors, len(configs))
 	for i := range accs {
 		accs[i] = metrics.OpErrors{}
@@ -413,8 +414,7 @@ func (s *Suite) opErrors(workloads []string, accum func(*plan.Plan, *dmv.Trace, 
 		w := s.Workload(name)
 		s.runner(name).ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
 			for i, o := range configs {
-				polls, _ := metrics.Replay(p, w.DB.Catalog, tr, o)
-				accum(p, tr, polls, accs[i])
+				accum(p, w.DB.Catalog, tr, o, accs[i])
 			}
 		})
 	}
@@ -427,7 +427,7 @@ func (s *Suite) opErrors(workloads []string, accum func(*plan.Plan, *dmv.Trace, 
 // its active window elapsed, over the polls inside that window. It returns
 // n evenly sampled rows (time, one column per configuration, truth), each
 // configuration's mean absolute error over the polls compared, and how
-// many polls that was.
+// many polls that was. Of each replay it keeps the sampled values only.
 func series(p *plan.Plan, cat *catalog.Catalog, tr *dmv.Trace, id, n int, configs ...progress.Options) (rows [][]string, errs []float64, polls int) {
 	from, to := tr.StartedAt, tr.EndedAt
 	progressAt := func(e *progress.Estimate) float64 { return e.Query }
@@ -440,28 +440,33 @@ func series(p *plan.Plan, cat *catalog.Catalog, tr *dmv.Trace, id, n int, config
 			return f
 		}
 	}
-	var in []int // the polls compared
-	for j, snap := range tr.Snapshots {
+	var in []*dmv.Snapshot // the polls compared
+	for _, snap := range tr.Snapshots {
 		if snap.At >= from && snap.At <= to {
-			in = append(in, j)
+			in = append(in, snap)
 		}
 	}
-	replays := make([][]*progress.Estimate, len(configs))
+	sampled := sampleIndices(len(in), n)
+	for _, j := range sampled {
+		rows = append(rows, []string{in[j].At.String()})
+	}
 	errs = make([]float64, len(configs))
 	for i, o := range configs {
-		replays[i], _ = metrics.Replay(p, cat, tr, o)
-		for _, j := range in {
-			errs[i] += math.Abs(progressAt(replays[i][j]) - truthAt(tr.Snapshots[j].At))
-		}
+		j, k := 0, 0 // the next poll compared, the next row sampled
+		metrics.Replay(p, cat, tr, o, func(snap *dmv.Snapshot, e *progress.Estimate) {
+			if j == len(in) || snap != in[j] {
+				return
+			}
+			errs[i] += math.Abs(progressAt(e) - truthAt(snap.At))
+			for ; k < len(sampled) && sampled[k] == j; k++ {
+				rows[k] = append(rows[k], f3(progressAt(e)))
+			}
+			j++
+		})
 		errs[i] /= float64(len(in))
 	}
-	for _, k := range sampleIndices(len(in), n) {
-		at := tr.Snapshots[in[k]].At
-		row := []string{at.String()}
-		for _, polls := range replays {
-			row = append(row, f3(progressAt(polls[in[k]])))
-		}
-		rows = append(rows, append(row, f3(truthAt(at))))
+	for k, j := range sampled {
+		rows[k] = append(rows[k], f3(truthAt(in[j].At)))
 	}
 	return rows, errs, len(in)
 }

@@ -42,6 +42,10 @@ type Session struct {
 	// snapshot-layer faults visible on the lqsmon monitoring path, which
 	// captures directly instead of going through a Poller.
 	fault dmv.PollFault
+
+	// est is the Estimate every plain poll estimates into (under snapMu):
+	// display copies what it shows, so nothing outlives the poll.
+	est progress.Estimate
 }
 
 // Attach creates a monitoring session for a query with the given estimator
@@ -215,7 +219,7 @@ func (s *Session) Poll(explain bool) Poll {
 	if explain {
 		p.Explanation, est = s.Estimator.Explain(p.Capture)
 	} else {
-		est = s.Estimator.Estimate(p.Capture)
+		est = s.Estimator.EstimateInto(&s.est, p.Capture)
 	}
 	p.Snapshot = s.display(p.Capture, est, state, err)
 	p.Snapshot.Rows = rows

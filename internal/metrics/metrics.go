@@ -1,8 +1,8 @@
 // Package metrics implements the paper's Section 5 evaluation machinery:
 // traced query execution (run once, evaluate many estimator configurations
 // over the recorded DMV snapshots), the replay that feeds a trace's polls
-// to one estimator configuration (Replay), and the two error measures over
-// its estimates —
+// to one estimator configuration (Replay), and the two error measures
+// folded over its estimates —
 //
 //	Errorcount: mean |Prog(Q,t) − Σk_i(t)/ΣN_i^true| over observations,
 //	            the accuracy of the N_i estimates themselves;
@@ -256,26 +256,27 @@ func (r Runner) ForEachArtifacts(w *workload.Workload, fn func(a TraceArtifacts)
 // Replay feeds each poll of a finished trace to a fresh estimator exactly
 // once, in recorded order — what a live client saw, so stateful machinery
 // (monotone clamps, degraded-mode high-water marks, the ensemble selector)
-// behaves as it did in flight. It returns the estimate at each of
-// tr.Snapshots and the terminal estimate on tr.Final (nil when the trace
-// has none). Everything that grades a trace reads these estimates.
-func Replay(p *plan.Plan, cat *catalog.Catalog, tr *dmv.Trace, o progress.Options) (polls []*progress.Estimate, final *progress.Estimate) {
-	est := progress.NewEstimator(p, cat, o)
-	polls = make([]*progress.Estimate, len(tr.Snapshots))
-	for i, s := range tr.Snapshots {
-		polls[i] = est.Estimate(s)
+// behaves as it did in flight — and hands visit each of tr.Snapshots with
+// its estimate. It returns the terminal estimate on tr.Final (nil when the
+// trace has none). Every poll is estimated into one reused Estimate: the
+// one visit sees is valid only during the call. Everything that grades a
+// trace folds these estimates.
+func Replay(p *plan.Plan, cat *catalog.Catalog, tr *dmv.Trace, o progress.Options, visit func(s *dmv.Snapshot, e *progress.Estimate)) (final *progress.Estimate) {
+	est, e := progress.NewEstimator(p, cat, o), new(progress.Estimate)
+	for _, s := range tr.Snapshots {
+		visit(s, est.EstimateInto(e, s))
 	}
-	if tr.Final != nil {
-		final = est.Estimate(tr.Final)
+	if tr.Final == nil {
+		return nil
 	}
-	return polls, final
+	return est.EstimateInto(e, tr.Final)
 }
 
-// ErrorCount is a replay's Errorcount: the mean gap between estimated query
-// progress and Equation 2 with unit weights and the exact N_i known after
-// completion.
-func ErrorCount(tr *dmv.Trace, polls []*progress.Estimate) float64 {
-	return queryError(tr, polls, func(s *dmv.Snapshot) float64 {
+// ErrorCount is the Errorcount of tr replayed under o: the mean gap
+// between estimated query progress and Equation 2 with unit weights and
+// the exact N_i known after completion.
+func ErrorCount(p *plan.Plan, cat *catalog.Catalog, tr *dmv.Trace, o progress.Options) float64 {
+	return queryError(p, cat, tr, o, func(s *dmv.Snapshot) float64 {
 		var num, den float64
 		for id, n := range tr.TrueRows {
 			num += float64(s.Op(id).ActualRows)
@@ -288,22 +289,22 @@ func ErrorCount(tr *dmv.Trace, polls []*progress.Estimate) float64 {
 	})
 }
 
-// ErrorTime is a replay's Errortime: the mean gap between estimated query
-// progress and the elapsed-time fraction.
-func ErrorTime(tr *dmv.Trace, polls []*progress.Estimate) float64 {
-	return queryError(tr, polls, func(s *dmv.Snapshot) float64 { return tr.TimeFraction(s.At) })
+// ErrorTime is the Errortime of tr replayed under o: the mean gap between
+// estimated query progress and the elapsed-time fraction.
+func ErrorTime(p *plan.Plan, cat *catalog.Catalog, tr *dmv.Trace, o progress.Options) float64 {
+	return queryError(p, cat, tr, o, func(s *dmv.Snapshot) float64 { return tr.TimeFraction(s.At) })
 }
 
-// queryError is the mean |Prog(Q,t) − truth(t)| over a replay's polls.
-func queryError(tr *dmv.Trace, polls []*progress.Estimate, truth func(*dmv.Snapshot) float64) float64 {
-	if len(polls) == 0 {
+// queryError is the mean |Prog(Q,t) − truth(t)| over tr's polls under o.
+func queryError(p *plan.Plan, cat *catalog.Catalog, tr *dmv.Trace, o progress.Options, truth func(*dmv.Snapshot) float64) float64 {
+	if len(tr.Snapshots) == 0 {
 		return 0
 	}
 	var sum float64
-	for i, s := range tr.Snapshots {
-		sum += math.Abs(polls[i].Query - truth(s))
-	}
-	return sum / float64(len(polls))
+	Replay(p, cat, tr, o, func(s *dmv.Snapshot, e *progress.Estimate) {
+		sum += math.Abs(e.Query - truth(s))
+	})
+	return sum / float64(len(tr.Snapshots))
 }
 
 // OpAccum accumulates per-operator-type error.
@@ -347,12 +348,12 @@ func (oe OpErrors) Merge(other OpErrors) {
 	}
 }
 
-// AccumOpErrorCount accumulates a replay's per-operator Errorcount: the
-// gap between estimated operator progress (k/N̂ under the configuration)
-// and true operator progress (k/N_true), over observations where the
-// operator is actively executing.
-func AccumOpErrorCount(p *plan.Plan, tr *dmv.Trace, polls []*progress.Estimate, acc OpErrors) {
-	accumOpError(p, tr, polls, acc, func(s *dmv.Snapshot, id int) (float64, bool) {
+// AccumOpErrorCount accumulates the per-operator Errorcount of tr replayed
+// under o: the gap between estimated operator progress (k/N̂ under the
+// configuration) and true operator progress (k/N_true), over observations
+// where the operator is actively executing.
+func AccumOpErrorCount(p *plan.Plan, cat *catalog.Catalog, tr *dmv.Trace, o progress.Options, acc OpErrors) {
+	accumOpError(p, cat, tr, o, acc, func(s *dmv.Snapshot, id int) (float64, bool) {
 		trueN := float64(tr.TrueRows[id])
 		if trueN <= 0 {
 			return 1, true
@@ -361,29 +362,29 @@ func AccumOpErrorCount(p *plan.Plan, tr *dmv.Trace, polls []*progress.Estimate, 
 	})
 }
 
-// AccumOpErrorTime accumulates a replay's per-operator Errortime: the gap
-// between estimated operator progress and the fraction of the operator's
-// active window elapsed at the observation.
-func AccumOpErrorTime(p *plan.Plan, tr *dmv.Trace, polls []*progress.Estimate, acc OpErrors) {
-	accumOpError(p, tr, polls, acc, func(s *dmv.Snapshot, id int) (float64, bool) {
+// AccumOpErrorTime accumulates the per-operator Errortime of tr replayed
+// under o: the gap between estimated operator progress and the fraction of
+// the operator's active window elapsed at the observation.
+func AccumOpErrorTime(p *plan.Plan, cat *catalog.Catalog, tr *dmv.Trace, o progress.Options, acc OpErrors) {
+	accumOpError(p, cat, tr, o, acc, func(s *dmv.Snapshot, id int) (float64, bool) {
 		return tr.OpTimeFraction(id, s.At)
 	})
 }
 
-// accumOpError adds |op progress − truth| to acc for every operator open
-// and not yet closed at each poll, where truth is defined.
-func accumOpError(p *plan.Plan, tr *dmv.Trace, polls []*progress.Estimate, acc OpErrors, truth func(*dmv.Snapshot, int) (float64, bool)) {
-	for i, s := range tr.Snapshots {
+// accumOpError adds |op progress − truth|, where truth is defined, to acc
+// for every operator open and not yet closed at each poll of tr under o.
+func accumOpError(p *plan.Plan, cat *catalog.Catalog, tr *dmv.Trace, o progress.Options, acc OpErrors, truth func(*dmv.Snapshot, int) (float64, bool)) {
+	Replay(p, cat, tr, o, func(s *dmv.Snapshot, e *progress.Estimate) {
 		for _, n := range p.Nodes {
 			op := s.Op(n.ID)
 			if !op.Opened || op.Closed {
 				continue
 			}
 			if t, ok := truth(s, n.ID); ok {
-				acc.Add(n.Physical, math.Abs(polls[i].Op[n.ID]-t))
+				acc.Add(n.Physical, math.Abs(e.Op[n.ID]-t))
 			}
 		}
-	}
+	})
 }
 
 // OperatorFrequency counts physical operators across a workload's plans

@@ -32,14 +32,20 @@ func TestErrorMetricsBasicProperties(t *testing.T) {
 	w := tpchSmall(t)
 	p, tr := TraceQuery(w, w.Queries[0], DefaultInterval)
 	for _, o := range []progress.Options{progress.TGNOptions(), progress.LQSOptions()} {
-		polls, final := Replay(p, w.DB.Catalog, tr, o)
-		if len(polls) != len(tr.Snapshots) || final == nil {
-			t.Fatalf("Replay returned %d estimates for %d polls, final %v", len(polls), len(tr.Snapshots), final)
+		visited := 0
+		final := Replay(p, w.DB.Catalog, tr, o, func(s *dmv.Snapshot, e *progress.Estimate) {
+			if s != tr.Snapshots[visited] {
+				t.Fatalf("Replay visited poll %d out of order", visited)
+			}
+			visited++
+		})
+		if visited != len(tr.Snapshots) || final == nil {
+			t.Fatalf("Replay visited %d estimates for %d polls, final %v", visited, len(tr.Snapshots), final)
 		}
-		if ec := ErrorCount(tr, polls); ec < 0 || ec > 1 {
+		if ec := ErrorCount(p, w.DB.Catalog, tr, o); ec < 0 || ec > 1 {
 			t.Fatalf("ErrorCount = %v", ec)
 		}
-		if et := ErrorTime(tr, polls); et < 0 || et > 1 {
+		if et := ErrorTime(p, w.DB.Catalog, tr, o); et < 0 || et > 1 {
 			t.Fatalf("ErrorTime = %v", et)
 		}
 	}
@@ -63,8 +69,7 @@ func TestOpErrorsAccumulation(t *testing.T) {
 	w := tpchSmall(t)
 	acc := OpErrors{}
 	Runner{Limit: 4}.ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
-		polls, _ := Replay(p, w.DB.Catalog, tr, progress.TGNOptions())
-		AccumOpErrorCount(p, tr, polls, acc)
+		AccumOpErrorCount(p, w.DB.Catalog, tr, progress.TGNOptions(), acc)
 	})
 	if len(acc) == 0 {
 		t.Fatal("no per-operator errors accumulated")
@@ -80,8 +85,7 @@ func TestOpErrorTimeAccumulation(t *testing.T) {
 	w := tpchSmall(t)
 	acc := OpErrors{}
 	Runner{Limit: 4}.ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
-		polls, _ := Replay(p, w.DB.Catalog, tr, progress.LQSOptions())
-		AccumOpErrorTime(p, tr, polls, acc)
+		AccumOpErrorTime(p, w.DB.Catalog, tr, progress.LQSOptions(), acc)
 	})
 	if len(acc) == 0 {
 		t.Fatal("no per-operator time errors accumulated")
@@ -120,12 +124,10 @@ func TestRefinementImprovesWorkloadErrorCount(t *testing.T) {
 	var base, full float64
 	n := 0
 	Runner{Limit: 8}.ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
-		polls, _ := Replay(p, w.DB.Catalog, tr, progress.TGNOptions())
-		base += ErrorCount(tr, polls)
-		polls, _ = Replay(p, w.DB.Catalog, tr, progress.Options{
+		base += ErrorCount(p, w.DB.Catalog, tr, progress.TGNOptions())
+		full += ErrorCount(p, w.DB.Catalog, tr, progress.Options{
 			Refine: true, Bound: true, SemiBlocking: true, StoragePredIO: true, DriverNodeQuery: true,
 		})
-		full += ErrorCount(tr, polls)
 		n++
 	})
 	if n == 0 {

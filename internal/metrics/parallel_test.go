@@ -33,12 +33,11 @@ func collectDigest(t testing.TB, w *workload.Workload, r Runner) string {
 	accCount := OpErrors{}
 	accTime := OpErrors{}
 	r.ForEach(w, func(q workload.Query, p *plan.Plan, tr *dmv.Trace) {
-		lqs, _ := Replay(p, w.DB.Catalog, tr, progress.LQSOptions())
-		tgn, _ := Replay(p, w.DB.Catalog, tr, progress.TGNOptions())
+		lqs, tgn := progress.LQSOptions(), progress.TGNOptions()
 		fmt.Fprintf(&sb, "%s nodes=%d snaps=%d t=[%d,%d] ec=%.17g et=%.17g\n",
-			q.Name, len(p.Nodes), len(tr.Snapshots), tr.StartedAt, tr.EndedAt, ErrorCount(tr, lqs), ErrorTime(tr, tgn))
-		AccumOpErrorCount(p, tr, lqs, accCount)
-		AccumOpErrorTime(p, tr, lqs, accTime)
+			q.Name, len(p.Nodes), len(tr.Snapshots), tr.StartedAt, tr.EndedAt, ErrorCount(p, w.DB.Catalog, tr, lqs), ErrorTime(p, w.DB.Catalog, tr, tgn))
+		AccumOpErrorCount(p, w.DB.Catalog, tr, lqs, accCount)
+		AccumOpErrorTime(p, w.DB.Catalog, tr, lqs, accTime)
 	})
 	for op := plan.PhysicalOp(0); op < 64; op++ {
 		if a, ok := accCount[op]; ok {

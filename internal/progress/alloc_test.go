@@ -13,6 +13,9 @@ import "testing"
 // Explain adds the Explanation and its Terms, and in ensemble mode the
 // candidate rows and one array of per-candidate contributions: a fixed
 // count, where splitting query progress once allocated per pipeline.
+//
+// EstimateInto, handed the same Estimate on every poll, allocates nothing
+// in any mode: the pass and the ensemble blend write into its slices.
 func TestEstimateAllocations(t *testing.T) {
 	p, cat, tr := dop2Trace(t)
 	snaps := tr.Snapshots
@@ -54,6 +57,43 @@ func TestEstimateAllocations(t *testing.T) {
 			}
 			if a > max {
 				t.Errorf("%s %s: %v allocations per poll, want at most %v", c.name, call, a, max)
+			}
+		}
+	}
+
+	for name, o := range map[string]Options{
+		"TGN": TGNOptions(), "DNE": DNEOptions(), "LQS": LQSOptions(), "ENS": EnsembleOptions(),
+	} {
+		e := NewEstimator(p, cat, o)
+		var dst Estimate
+		i := 0
+		a := testing.AllocsPerRun(len(snaps)-1, func() {
+			e.EstimateInto(&dst, snaps[i])
+			i++
+		})
+		if a != 0 {
+			t.Errorf("%s EstimateInto: %v allocations per poll, want 0", name, a)
+		}
+	}
+}
+
+// TestEstimateIntoMatchesEstimate replays a recording through twin
+// estimators in every mode, one polled with Estimate and one with
+// EstimateInto into a single reused Estimate, and requires every value of
+// every poll to agree: reused buffers carry nothing over from the poll
+// before.
+func TestEstimateIntoMatchesEstimate(t *testing.T) {
+	p, cat, tr := dop2Trace(t)
+	snaps := append(tr.Snapshots[:len(tr.Snapshots):len(tr.Snapshots)], tr.Final)
+	for name, o := range map[string]Options{
+		"TGN": TGNOptions(), "DNE": DNEOptions(), "LQS": LQSOptions(), "ENS": EnsembleOptions(),
+	} {
+		fresh, reused := NewEstimator(p, cat, o), NewEstimator(p, cat, o)
+		var dst Estimate
+		for si, s := range snaps {
+			want := estimateString(fresh.Estimate(s))
+			if got := estimateString(reused.EstimateInto(&dst, s)); got != want {
+				t.Fatalf("%s poll %d: EstimateInto\n got %s\nwant %s", name, si, got, want)
 			}
 		}
 	}

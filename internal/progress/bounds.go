@@ -70,7 +70,7 @@ func (e *Estimator) computeBounds(bounds []Bounds, snap *dmv.Snapshot) []Bounds 
 			// Unknown table (stale client catalog): no size to bound
 			// against — degrade to the trivially true [k, +Inf) rather
 			// than crash the monitor.
-			size, known := e.tableRowCount(n.Table)
+			size, known := e.tableRowCount(n)
 			switch {
 			case !known:
 				b = Bounds{LB: k, UB: inf}
@@ -81,7 +81,7 @@ func (e *Estimator) computeBounds(bounds []Bounds, snap *dmv.Snapshot) []Bounds 
 			}
 		case plan.ClusteredIndexScan, plan.IndexScan, plan.ClusteredIndexSeek,
 			plan.IndexSeek, plan.ColumnstoreIndexScan:
-			if size, known := e.tableRowCount(n.Table); known {
+			if size, known := e.tableRowCount(n); known {
 				b = Bounds{LB: k, UB: size * innerMult()}
 			} else {
 				b = Bounds{LB: k, UB: inf}

@@ -71,15 +71,23 @@ func (e *Estimator) prepare(snap *dmv.Snapshot) (*dmv.Snapshot, bool, string) {
 			missing++
 			j++
 		default:
-			if profileRegressed(&rows[i], &hw[j]) {
-				stale++
+			// A row equal to its high-water (an idle operator) neither
+			// regressed nor lifts it.
+			if rows[i] != hw[j] {
+				if profileRegressed(&rows[i], &hw[j]) {
+					stale++
+				}
+				maxInto(&hw[j], &rows[i])
 			}
-			maxInto(&hw[j], &rows[i])
 			i, j = i+1, j+1
 		}
 	}
 	if added > 0 {
-		e.highWater, e.spareHighWater = mergeKeys(e.spareHighWater[:0], hw, rows), hw
+		spare := e.spareHighWater[:0]
+		if cap(spare) < len(hw)+added {
+			spare = make([]dmv.OpProfile, 0, len(hw)+added)
+		}
+		e.highWater, e.spareHighWater = mergeKeys(spare, hw, rows), hw
 	}
 
 	if dups == 0 && stale == 0 && missing == 0 {

@@ -2,7 +2,6 @@ package progress
 
 import (
 	"math"
-	"slices"
 
 	"lqs/internal/engine/catalog"
 	"lqs/internal/engine/dmv"
@@ -157,13 +156,13 @@ type EnsembleCandidate struct {
 // construction cannot recurse. The LQS candidate keeps its display
 // contract (monotone, degradation-forced clamps); the baselines stay raw,
 // exactly like their standalone modes.
-func newEnsemble(p *plan.Plan, cat *catalog.Catalog, opt Options, d *Decomposition) *ensemble {
+func newEnsemble(p *plan.Plan, cat *catalog.Catalog, opt Options, d *Decomposition, f nodeFacts) *ensemble {
 	hints := newNHints(p, d, opt.minRefine())
 	cand := func(o Options) *Estimator {
 		if opt.MinRefineRows > 0 {
 			o.MinRefineRows = opt.MinRefineRows
 		}
-		c := newEstimator(p, cat, o, d)
+		c := newEstimator(p, cat, o, d, f)
 		c.hints = hints
 		return c
 	}
@@ -212,8 +211,8 @@ func (en *ensemble) fold(i int) *queryFold {
 
 // estimateEnsemble is the ensemble estimation pass: the candidates' passes
 // consume the already-prepared snapshot, the selector observes their
-// trajectories, and the blend becomes the displayed estimate.
-func (e *Estimator) estimateEnsemble(snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
+// trajectories, and the blend becomes the displayed estimate in est.
+func (e *Estimator) estimateEnsemble(est *Estimate, snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
 	snap.Aggregate()
 	e.rec = zeroed(e.rec, len(e.Plan.Nodes))
 	en := e.ens
@@ -224,24 +223,35 @@ func (e *Estimator) estimateEnsemble(snap *dmv.Snapshot, degraded bool, reason s
 	en.subs[candDNE] = *tgn
 	en.subs[candDNE].Query = clamp01(en.tgn.driverQueryProgress(snap, tgn, &en.dne))
 	en.lqs.estimateInto(&en.subs[candLQS], snap, degraded, reason)
-	return e.blendEnsemble(snap, degraded, reason)
+	return e.blendEnsemble(est, snap, degraded, reason)
 }
 
-// ensembleEstimate is the allocation an ensemble poll returns: the
-// estimate and its ensemble record together.
+// ensembleEstimate is the allocation a fresh ensemble estimate takes: the
+// estimate, its ensemble record and the record's four vectors together.
 type ensembleEstimate struct {
 	est  Estimate
 	info EnsembleInfo
+	vecs [4 * numCands]float64
 }
 
-// blendEnsemble folds the candidates' estimates into the displayed
+// newEnsembleEstimate is an Estimate whose ensemble record, vectors
+// included, shares its allocation.
+func newEnsembleEstimate() *Estimate {
+	r := &ensembleEstimate{}
+	vec := func(i int) []float64 { return r.vecs[i*numCands : (i+1)*numCands : (i+1)*numCands] }
+	r.info = EnsembleInfo{Query: vec(0), Weights: vec(1), Penalty: vec(2), Distance: vec(3)}
+	r.est.Ensemble = &r.info
+	return &r.est
+}
+
+// blendEnsemble folds the candidates' estimates into est, the displayed
 // ensemble estimate: selector update (frozen on degraded polls), weighted
 // blend of query/operator/pipeline progress, the envelope of the
 // candidates' bounds, and the selected candidate's cardinalities clamped
-// into that envelope. The result shares no memory with the candidates'
-// buffers: its float slices are cut from one new array, its bounds copied
-// into another.
-func (e *Estimator) blendEnsemble(snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
+// into that envelope. est shares no memory with the candidates' buffers:
+// the blend writes into est's own slices and ensemble record, and makes
+// them only when est lacks them.
+func (e *Estimator) blendEnsemble(est *Estimate, snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
 	en := e.ens
 	subs := en.subs[:]
 	for i := range subs {
@@ -249,24 +259,16 @@ func (e *Estimator) blendEnsemble(snap *dmv.Snapshot, degraded bool, reason stri
 	}
 	en.observe(snap.At, en.qs, degraded)
 
-	nodes, pipes := len(e.Plan.Nodes), len(e.Decomp.Pipelines)
-	vals := make([]float64, 2*nodes+pipes+4*numCands)
-	r := &ensembleEstimate{}
-	est := &r.est
-	*est = Estimate{
-		At:           snap.At,
-		Op:           vals[:nodes:nodes],
-		N:            vals[nodes : 2*nodes : 2*nodes],
-		PipelineProg: vals[2*nodes : 2*nodes+pipes : 2*nodes+pipes],
-		// The envelope of the candidates' Appendix A bounds is the tightest
-		// interval each bounded candidate's bounds allow. LQS is the only
-		// candidate that computes them, so the envelope is its bounds.
-		Bounds:        slices.Clone(subs[candLQS].Bounds),
-		Degraded:      degraded,
-		DegradeReason: reason,
-		Ensemble:      &r.info,
+	info := est.Ensemble
+	if info == nil {
+		info = newEnsembleEstimate().Ensemble
 	}
-	vecs := vals[2*nodes+pipes:]
+	// The envelope of the candidates' Appendix A bounds is the tightest
+	// interval each bounded candidate's bounds allow. LQS is the only
+	// candidate that computes them, so the envelope is its bounds.
+	bounds := e.reset(est, snap, degraded, reason)
+	est.Bounds = append(bounds[:0], subs[candLQS].Bounds...)
+	est.Ensemble = info
 	w := en.weights
 	var blend float64
 	for i := range subs {
@@ -302,21 +304,11 @@ func (e *Estimator) blendEnsemble(snap *dmv.Snapshot, degraded bool, reason stri
 		}
 		est.PipelineProg[pid] = clamp01(v)
 	}
-	vec := func(i int, src []float64) []float64 {
-		v := vecs[i*numCands : (i+1)*numCands : (i+1)*numCands]
-		copy(v, src)
-		return v
-	}
-	r.info = EnsembleInfo{
-		Names:    en.names,
-		Query:    vec(0, en.qs),
-		Weights:  vec(1, w),
-		Penalty:  vec(2, en.penalty),
-		Distance: vec(3, en.dist),
-		Blend:    blend,
-		Selected: en.selected,
-		Switches: en.switches,
-	}
+	copy(info.Query, en.qs)
+	copy(info.Weights, w)
+	copy(info.Penalty, en.penalty)
+	copy(info.Distance, en.dist)
+	info.Names, info.Blend, info.Selected, info.Switches = en.names, blend, en.selected, en.switches
 	est.Query = clamp01(blend)
 	switch {
 	case e.Opt.Monotone, e.Opt.Degrade && degraded:

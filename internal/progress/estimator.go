@@ -57,6 +57,41 @@ type Estimator struct {
 	// the candidate passes (sharing one NHints store) and the online
 	// selector state. Nil in every other mode.
 	ens *ensemble
+
+	// facts are the plan-static node facts a pass reads, resolved once per
+	// estimator rather than once per poll; the ensemble's candidates share
+	// the top-level estimator's arrays.
+	facts nodeFacts
+}
+
+// nodeFacts are plan-static per-node values, indexed by node ID.
+type nodeFacts struct {
+	// tableRows is the node's table row count from the catalog: -1 for a
+	// node that reads no table, or one the catalog does not list.
+	tableRows []float64
+	// costWeight is the §4.6 cost-model weight: max(CPU, I/O) per row, or
+	// 1 when the optimizer left both at zero.
+	costWeight []float64
+}
+
+// newNodeFacts resolves p's node facts against cat.
+func newNodeFacts(p *plan.Plan, cat *catalog.Catalog) nodeFacts {
+	n := len(p.Nodes)
+	vals := make([]float64, 2*n)
+	f := nodeFacts{tableRows: vals[:n:n], costWeight: vals[n:]}
+	for _, node := range p.Nodes {
+		f.tableRows[node.ID] = -1
+		if cat != nil && node.Table != "" {
+			if t := cat.Table(node.Table); t != nil {
+				f.tableRows[node.ID] = float64(t.RowCount)
+			}
+		}
+		f.costWeight[node.ID] = max(node.EstCPUPerRow, node.EstIOPerRow)
+		if f.costWeight[node.ID] <= 0 {
+			f.costWeight[node.ID] = 1
+		}
+	}
+	return f
 }
 
 // nodeRec is what one pass records about a node besides its Estimate
@@ -121,63 +156,87 @@ type Estimate struct {
 
 // NewEstimator builds an estimator for a finalized, cost-estimated plan.
 func NewEstimator(p *plan.Plan, cat *catalog.Catalog, opt Options) *Estimator {
-	return newEstimator(p, cat, opt, Decompose(p))
+	return newEstimator(p, cat, opt, Decompose(p), newNodeFacts(p, cat))
 }
 
-// newEstimator builds an estimator over an existing decomposition of p;
-// the ensemble's candidates share the top-level estimator's.
-func newEstimator(p *plan.Plan, cat *catalog.Catalog, opt Options, d *Decomposition) *Estimator {
-	e := &Estimator{Plan: p, Cat: cat, Opt: opt, Decomp: d}
+// newEstimator builds an estimator over an existing decomposition of p and
+// its node facts; the ensemble's candidates share the top-level
+// estimator's.
+func newEstimator(p *plan.Plan, cat *catalog.Catalog, opt Options, d *Decomposition, f nodeFacts) *Estimator {
+	e := &Estimator{Plan: p, Cat: cat, Opt: opt, Decomp: d, facts: f}
 	if opt.Ensemble {
-		e.ens = newEnsemble(p, cat, opt, d)
+		e.ens = newEnsemble(p, cat, opt, d, f)
 	}
 	return e
 }
 
-// Estimate computes progress from one DMV snapshot. Per-thread snapshots
-// of parallel queries are aggregated to one profile per node first; the
-// estimator itself is DOP-oblivious, exactly like the paper's client.
+// Estimate computes progress from one DMV snapshot into a new Estimate.
+// Per-thread snapshots of parallel queries are aggregated to one profile
+// per node first; the estimator itself is DOP-oblivious, exactly like the
+// paper's client.
 func (e *Estimator) Estimate(snap *dmv.Snapshot) *Estimate {
+	return e.EstimateInto(e.fresh(), snap)
+}
+
+// EstimateInto is Estimate writing into dst, which it returns: dst's Op, N,
+// PipelineProg and Bounds slices and, in ensemble mode, its ensemble
+// record are reused when they have the plan's shape, so a caller that
+// passes the same Estimate on every poll makes a healthy poll allocate
+// nothing. Every field of dst is overwritten; values a caller keeps from
+// one poll must be copied out before the next.
+func (e *Estimator) EstimateInto(dst *Estimate, snap *dmv.Snapshot) *Estimate {
 	prepared, degraded, reason := e.prepare(snap)
-	return e.estimateFrom(prepared, degraded, reason)
+	return e.estimateFrom(dst, prepared, degraded, reason)
+}
+
+// fresh is a new Estimate for Estimate and Explain to fill: in ensemble
+// mode it comes with its ensemble record in the same allocation.
+func (e *Estimator) fresh() *Estimate {
+	if e.ens != nil {
+		return newEnsembleEstimate()
+	}
+	return new(Estimate)
 }
 
 // estimateFrom is the estimation pass proper, running over a snapshot the
 // repair pass (prepare) has already vetted. Estimate and Explain both
 // funnel through it so the repaired snapshot is the one every intermediate
 // reads.
-func (e *Estimator) estimateFrom(snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
+func (e *Estimator) estimateFrom(dst *Estimate, snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
 	if e.ens != nil {
-		return e.estimateEnsemble(snap, degraded, reason)
+		return e.estimateEnsemble(dst, snap, degraded, reason)
 	}
-	return e.estimateInto(new(Estimate), snap, degraded, reason)
+	return e.estimateInto(dst, snap, degraded, reason)
 }
 
-// estimateInto is the single-mode pass, writing into est and reusing its
-// slices when it has them: the ensemble's candidates estimate into buffers
-// the ensemble owns, every other caller into a fresh Estimate, whose Op, N
-// and PipelineProg then share one new array.
-func (e *Estimator) estimateInto(est *Estimate, snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
-	snap.Aggregate()
-	e.rec = zeroed(e.rec, len(e.Plan.Nodes))
+// reset readies est for one pass: its Op, N and PipelineProg zeroed and of
+// the plan's shape — est's own when they have it, else cut from one new
+// array — and every other field cleared but its bounds' array, which it
+// returns for the pass to refill.
+func (e *Estimator) reset(est *Estimate, snap *dmv.Snapshot, degraded bool, reason string) []Bounds {
 	nodes, pipes := len(e.Plan.Nodes), len(e.Decomp.Pipelines)
-	bounds := est.Bounds
-	if len(est.Op) != nodes {
-		vals := make([]float64, 2*nodes+pipes)
-		est.Op, est.N, est.PipelineProg = vals[:nodes:nodes], vals[nodes:2*nodes:2*nodes], vals[2*nodes:]
-	} else {
+	if len(est.Op) == nodes && len(est.N) == nodes && len(est.PipelineProg) == pipes {
 		clear(est.Op)
 		clear(est.N)
 		clear(est.PipelineProg)
+	} else {
+		vals := make([]float64, 2*nodes+pipes)
+		est.Op, est.N, est.PipelineProg = vals[:nodes:nodes], vals[nodes:2*nodes:2*nodes], vals[2*nodes:]
 	}
-	*est = Estimate{
-		At:            snap.At,
-		Op:            est.Op,
-		N:             est.N,
-		PipelineProg:  est.PipelineProg,
-		Degraded:      degraded,
-		DegradeReason: reason,
-	}
+	bounds := est.Bounds
+	est.At, est.Query, est.Bounds = snap.At, 0, nil
+	est.Degraded, est.DegradeReason, est.Ensemble = degraded, reason, nil
+	return bounds
+}
+
+// estimateInto is the single-mode pass, writing into est: the ensemble's
+// candidates estimate into buffers the ensemble owns, every other caller
+// into the Estimate it passed.
+func (e *Estimator) estimateInto(est *Estimate, snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
+	snap.Aggregate()
+	e.rec = zeroed(e.rec, len(e.Plan.Nodes))
+	nodes := len(e.Plan.Nodes)
+	bounds := e.reset(est, snap, degraded, reason)
 	if e.Opt.Bound {
 		est.Bounds = e.computeBounds(zeroed(bounds, nodes), snap)
 		if degraded {
@@ -292,20 +351,15 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// tableRowCount is the tolerant catalog lookup used throughout the monitor
-// path. A client may hold a catalog that predates or postdates the plan it
-// is watching (the table dropped, renamed, or simply absent from a stale
-// metadata cache); per the hardening contract the estimator must degrade —
-// fall back to optimizer estimates — never crash the monitor.
-func (e *Estimator) tableRowCount(name string) (float64, bool) {
-	if e.Cat == nil {
-		return 0, false
-	}
-	t := e.Cat.Table(name)
-	if t == nil {
-		return 0, false
-	}
-	return float64(t.RowCount), true
+// tableRowCount is node n's table row count, with ok false when the
+// catalog the estimator was built with does not list the table. A client
+// may hold a catalog that predates or postdates the plan it is watching
+// (the table dropped, renamed, or simply absent from a stale metadata
+// cache); per the hardening contract the estimator must degrade — fall
+// back to optimizer estimates — never crash the monitor.
+func (e *Estimator) tableRowCount(n *plan.Node) (float64, bool) {
+	rows := e.facts.tableRows[n.ID]
+	return rows, rows >= 0
 }
 
 // knownLeafTotal returns the exactly-known total output of a leaf, or
@@ -318,7 +372,7 @@ func (e *Estimator) knownLeafTotal(n *plan.Node) (float64, bool) {
 		return float64(len(n.ConstRows)), true
 	case plan.TableScan, plan.ClusteredIndexScan, plan.IndexScan, plan.ColumnstoreIndexScan:
 		if n.Pred == nil && !n.HasStoragePred() {
-			if size, ok := e.tableRowCount(n.Table); ok {
+			if size, ok := e.tableRowCount(n); ok {
 				return size, true
 			}
 		}

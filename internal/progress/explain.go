@@ -165,7 +165,7 @@ func (e *Estimator) Explain(snap *dmv.Snapshot) (*Explanation, *Estimate) {
 	// The recorded K values read the snapshot the pass read: the repaired
 	// copy, when the repair pass made one.
 	snap, degraded, reason := e.prepare(snap)
-	est := e.estimateFrom(snap, degraded, reason)
+	est := e.estimateFrom(e.fresh(), snap, degraded, reason)
 	x := &Explanation{
 		At:                   snap.At,
 		Plan:                 e.Plan,

@@ -263,8 +263,8 @@ func checkRepairMatchesReference(t *testing.T, tag string, p *plan.Plan, cat *ca
 		if fmt.Sprintf("%+v", s.Threads) != before {
 			t.Fatalf("%s snap %d: repair mutated the caller's snapshot", tag, si)
 		}
-		got := estimateString(fast.estimateFrom(fs, fdeg, freason))
-		if want := estimateString(slow.estimateFrom(rs, rdeg, rreason)); got != want {
+		got := estimateString(fast.estimateFrom(fast.fresh(), fs, fdeg, freason))
+		if want := estimateString(slow.estimateFrom(slow.fresh(), rs, rdeg, rreason)); got != want {
 			t.Fatalf("%s snap %d: estimate\n got %s\nwant %s", tag, si, got, want)
 		}
 	}

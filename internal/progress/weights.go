@@ -15,11 +15,7 @@ func (e *Estimator) nodeWeight(n *plan.Node) float64 {
 			return w
 		}
 	}
-	w := max(n.EstCPUPerRow, n.EstIOPerRow)
-	if w <= 0 {
-		w = 1
-	}
-	return w
+	return e.facts.costWeight[n.ID]
 }
 
 // pipelineDuration estimates the remaining-agnostic total duration of a
