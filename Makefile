@@ -72,7 +72,9 @@ trace-smoke:
 	@rm -rf .trace-smoke && echo "trace-smoke: OK"
 
 # End-to-end smoke of the monitoring server binary: start lqsd on a local
-# port, submit one query over HTTP, wait for it to succeed, submit a second
+# port at its default poll interval, submit one query over HTTP, wait for
+# it to succeed, require its flight recorder to hold frames and its LQS
+# accuracy to grade polls, submit a second
 # on the same (workload, seed) — which must be served from the table cache —
 # scrape /metrics and require the query-progress family, then shut the
 # server down cleanly (SIGTERM exercises the graceful-drain path).
@@ -90,6 +92,8 @@ serve-smoke:
 		curl -sf http://127.0.0.1:18321/queries/1 | grep -q '"state":"SUCCEEDED"' && break; sleep 0.1; \
 	done; \
 	curl -sf http://127.0.0.1:18321/queries/1 | grep -q '"state":"SUCCEEDED"' || { echo "serve-smoke: query never succeeded"; exit 1; }; \
+	curl -sf http://127.0.0.1:18321/queries/1/history | grep -q '"at_us":' || { echo "serve-smoke: /queries/1/history has no frame at the default poll interval"; exit 1; }; \
+	curl -sf http://127.0.0.1:18321/metrics | grep '^lqs_query_accuracy_polls{mode="LQS",qid="1",' | awk '$$NF > 0 { ok = 1 } END { exit !ok }' || { echo "serve-smoke: LQS accuracy graded no polls of query 1"; exit 1; }; \
 	curl -sf -X POST http://127.0.0.1:18321/queries -d '{"workload":"tpch","query":"Q1","tenant":"smoke"}' | grep -q '"id":2' || { echo "serve-smoke: second submit failed"; exit 1; }; \
 	curl -sf http://127.0.0.1:18321/metrics | grep -q '^server_table_cache_hits 1$$' || { echo "serve-smoke: second query on the same (workload, seed) missed the table cache"; exit 1; }; \
 	curl -sf http://127.0.0.1:18321/metrics | grep -q '^lqs_query_progress{.*tenant="smoke"' || { echo "serve-smoke: /metrics missing lqs_query_progress"; exit 1; }; \

@@ -61,8 +61,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		maxFin    = fs.Int("max-finished", 64, "terminal queries retained before auto-reap")
 		pace      = fs.Duration("pace", 200*time.Microsecond, "wall-clock sleep per pace-interval of virtual time (0 = full speed)")
 		paceIvl   = fs.Duration("pace-interval", time.Millisecond, "virtual-time interval between pacing sleeps")
-		tick      = fs.Duration("stream-tick", 25*time.Millisecond, "shared SSE poll cadence per query")
-		poll      = fs.Duration("poll-interval", 0, "virtual DMV flight-recorder interval (0 = the paper's 500ms)")
+		tick      = fs.Duration("stream-tick", 25*time.Millisecond, "minimum wall-clock interval between one SSE client's frames")
+		poll      = fs.Duration("poll-interval", 0, "virtual-time interval of each query's DMV poller, the one capturer behind every read (0 = 1ms)")
 		histCap   = fs.Int("history-cap", 256, "flight-recorder snapshots retained per query")
 		maxDOP    = fs.Int("max-dop", 8, "max per-query degree of parallelism")
 		drainFor  = fs.Duration("drain-timeout", 10*time.Second, "graceful-drain window before running queries are cancelled")

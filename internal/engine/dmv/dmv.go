@@ -12,9 +12,6 @@
 package dmv
 
 import (
-	"slices"
-	"sync/atomic"
-
 	"lqs/internal/engine/exec"
 	"lqs/internal/obs"
 	"lqs/internal/plan"
@@ -398,10 +395,8 @@ type Poller struct {
 	// trace Finish returns does not keep the query alive with it.
 	trace *Trace
 	obs   *sim.Observation
-	// ticks counts clock ticks, captured or not. It is the only field read
-	// from other goroutines while the query runs (the server keys its
-	// scrape cache on it), hence atomic.
-	ticks atomic.Int64
+	// ticks counts clock ticks, captured or not.
+	ticks int64
 	// historyCap, when positive, turns the trace into a flight recorder:
 	// only the most recent historyCap snapshots are retained and older ones
 	// are counted in Trace.DroppedSnapshots. Zero retains everything (the
@@ -411,6 +406,8 @@ type Poller struct {
 	metrics *obs.Registry
 	// fault, when non-nil, perturbs or stalls captures (chaos harness).
 	fault PollFault
+	// onRecord, when non-nil, receives every snapshot the trace records.
+	onRecord func(*Snapshot)
 	// Watchdog state: consecutive stalled capture attempts, the circuit
 	// breaker, its backoff in ticks, the ticks left to skip before the
 	// next attempt, and the last good snapshot.
@@ -465,9 +462,17 @@ func (p *Poller) SetMetrics(reg *obs.Registry) { p.metrics = reg }
 // never fires.
 func (p *Poller) SetFault(f PollFault) { p.fault = f }
 
+// OnRecord installs f to receive every snapshot the poller records —
+// healthy, perturbed by the fault hook, or synthesized while the breaker is
+// open: exactly the snapshots the trace keeps, in order, each once, after
+// it is appended and the history trimmed. f runs on the executing
+// goroutine inside the clock's Advance, where the counters are quiescent;
+// it may read History. Nil removes it.
+func (p *Poller) OnRecord(f func(*Snapshot)) { p.onRecord = f }
+
 // Ticks returns how many poll ticks have fired, whether or not they
-// captured. Safe from any goroutine.
-func (p *Poller) Ticks() int64 { return p.ticks.Load() }
+// captured. Call it from the executing goroutine or once the query is done.
+func (p *Poller) Ticks() int64 { return p.ticks }
 
 // trim enforces the flight-recorder cap.
 func (p *Poller) trim() {
@@ -483,11 +488,14 @@ func (p *Poller) trim() {
 // History returns the retained snapshots, oldest first, along with the
 // count of snapshots the flight recorder discarded. It remains queryable
 // after the query completes — the point of a flight recorder. The slice is
-// a copy, and a recorded snapshot is never written again (record
-// aggregates it first), so a caller on another goroutine needs the query's
-// counter lock for this call only, not while it reads what it got.
+// the recorder's own and read-only: later polls append past its length and
+// trimming moves the survivors to a new array, and a recorded snapshot is
+// never written again (record aggregates it first), so what History
+// returned stays valid on any goroutine. The call itself reads the trace:
+// make it on the executing goroutine (an OnRecord callback), under the
+// query's counter lock, or once the query is done.
 func (p *Poller) History() ([]*Snapshot, int64) {
-	return slices.Clone(p.trace.Snapshots), p.trace.DroppedSnapshots
+	return p.trace.Snapshots, p.trace.DroppedSnapshots
 }
 
 // sample polls the query while it runs. The snapshot is stamped with the
@@ -496,7 +504,7 @@ func (p *Poller) History() ([]*Snapshot, int64) {
 // counters at its own time — exactly what a wall-clock poller sees when an
 // operator is busy producing nothing.
 func (p *Poller) sample(at sim.Duration) {
-	p.ticks.Add(1)
+	p.ticks++
 	p.metrics.Counter("dmv/poll_ticks").Inc()
 	if _, started := p.q.Started(); !started || p.q.Done() {
 		return
@@ -545,9 +553,10 @@ func (p *Poller) sample(at sim.Duration) {
 	p.record(snap)
 }
 
-// record appends one snapshot to the trace. It aggregates first (a flag
-// test unless a fault hook delivered perturbed rows), so that everything
-// the trace retains is read-only from here on.
+// record appends one snapshot to the trace and hands it to the OnRecord
+// callback. It aggregates first (a flag test unless a fault hook delivered
+// perturbed rows), so that everything the trace retains is read-only from
+// here on.
 func (p *Poller) record(snap *Snapshot) {
 	snap.Aggregate()
 	p.trace.Snapshots = append(p.trace.Snapshots, snap)
@@ -555,6 +564,9 @@ func (p *Poller) record(snap *Snapshot) {
 	p.metrics.Counter("dmv/snapshots").Inc()
 	if snap.Degraded {
 		p.metrics.Counter("dmv/degraded_snapshots").Inc()
+	}
+	if p.onRecord != nil {
+		p.onRecord(snap)
 	}
 }
 

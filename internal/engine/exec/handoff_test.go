@@ -1,9 +1,8 @@
 package exec_test
 
 // The counter-lock hand-off (Ctx.mu and its turnstile): a reader on another
-// goroutine gets the lock at the executor's next yield, and an observer on
-// the executing goroutine can release it while it waits on the wall clock.
-// Both tests count what the reader saw; neither asserts wall time.
+// goroutine gets the lock at the executor's next yield. The test counts
+// what the reader saw; it does not assert wall time.
 
 import (
 	"fmt"
@@ -75,7 +74,7 @@ func TestReaderGetsLockAtNextYield(t *testing.T) {
 		// Every tick hands off once, however the reader was scheduled since
 		// the last one. The wait releases the lock: a reader still queued on
 		// it from the last tick gets in here, a whole interval late.
-		q.WithCountersUnlocked(func() { <-ready })
+		exec.ReleaseCountersDuring(q, func() { <-ready })
 		ticks <- q.Ctx.Clock.Now()
 		<-parking
 		time.Sleep(200 * time.Microsecond) // the reader's next statement blocks on the lock
@@ -99,63 +98,6 @@ func TestReaderGetsLockAtNextYield(t *testing.T) {
 		t.Fatalf("reader got the lock within %v of virtual time at %d of %d ticks, want at least 10 ticks and 4 in 5: %v", bound, prompt, len(gaps), gaps)
 	}
 	t.Logf("%d of %d hand-offs within %v: %v", prompt, len(gaps), bound, gaps)
-}
-
-// TestWithCountersUnlockedServesReaders: a clock observer that releases the
-// counter lock lets a reader in mid-Advance, the reader sees the counters
-// exactly as the observer saw them at that tick, and the executor carries
-// on to the same result afterwards.
-func TestWithCountersUnlockedServesReaders(t *testing.T) {
-	ref := tpchQ1(t)
-	wantRows, err := ref.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantEnd, _ := ref.Ended()
-
-	q := tpchQ1(t)
-	copyCounters := func() []exec.Counters {
-		out := []exec.Counters{{CPUTime: q.Ctx.Clock.Now()}} // slot 0 carries the clock
-		for _, c := range q.AllCounters() {
-			out = append(out, *c)
-		}
-		return out
-	}
-	ticks := make(chan []exec.Counters)
-	seen := make(chan []exec.Counters)
-	go func() { // the reader: one synchronized look per tick
-		for range ticks {
-			q.LockCounters()
-			got := copyCounters()
-			q.UnlockCounters()
-			seen <- got
-		}
-	}()
-	n := 0
-	q.Ctx.Clock.Observe(sim.Duration(time.Millisecond), func(sim.Duration) {
-		atTick := copyCounters()
-		q.WithCountersUnlocked(func() {
-			ticks <- atTick
-			got := <-seen
-			for i := range atTick {
-				if got[i] != atTick[i] {
-					t.Errorf("tick %d, row %d: reader saw %+v, the observer %+v", n, i, got[i], atTick[i])
-				}
-			}
-		})
-		n++
-	})
-	rows, err := q.Run()
-	close(ticks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if end, _ := q.Ended(); rows != wantRows || end != wantEnd {
-		t.Fatalf("run with readers let in: %d rows ending at %v, undisturbed run %d rows at %v", rows, end, wantRows, wantEnd)
-	}
-	if n < 30 {
-		t.Fatalf("observer fired %d times over a 40 ms-virtual query", n)
-	}
 }
 
 // BenchmarkQ1WithReaders is the executor's side of the hand-off: wall time

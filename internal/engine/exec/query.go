@@ -221,18 +221,6 @@ func (q *Query) LockCounters() { q.Ctx.acquire() }
 // UnlockCounters releases the counter lock taken by LockCounters.
 func (q *Query) UnlockCounters() { q.Ctx.release() }
 
-// WithCountersUnlocked runs f with the counter lock released, so readers on
-// other goroutines are served while f blocks. It is for clock observers
-// that wait on the wall clock (the server's pacing sleep): they run inside
-// Advance on the executing goroutine, which holds the lock, and a reader
-// let in there sees exactly what a dmv.Poller tick at that boundary sees.
-// Call it only from such an observer, on the coordinator's clock.
-func (q *Query) WithCountersUnlocked(f func()) {
-	q.Ctx.release()
-	defer q.Ctx.acquire()
-	f()
-}
-
 // fail records the terminal error and state; first failure wins.
 func (q *Query) fail(qe *QueryError) {
 	if !q.failure.CompareAndSwap(nil, qe) {

@@ -212,7 +212,7 @@ func (e *registryEntry) info() QueryInfo {
 		Name:        e.name,
 		State:       snap.State,
 		Progress:    snap.Progress,
-		Rows:        e.session.Query.RowsReturned(),
+		Rows:        snap.Rows,
 		VirtualTime: snap.At,
 		Err:         snap.Err,
 	}

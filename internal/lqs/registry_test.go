@@ -8,6 +8,7 @@ import (
 
 	"lqs/internal/engine/dmv"
 	"lqs/internal/engine/exec"
+	"lqs/internal/plan"
 	"lqs/internal/progress"
 	"lqs/internal/sim"
 )
@@ -226,4 +227,51 @@ func TestSharedSnapshotTerminalStateMatchesCounters(t *testing.T) {
 			return
 		}
 	}
+}
+
+// rowsAhead is a healthy DMV hook that holds each capture until the
+// executor has returned more rows than it had when the hook ran, so a
+// reply that reads the row count after the poll reads a later one.
+type rowsAhead struct {
+	q           *exec.Query
+	seen, after int64
+}
+
+func (r *rowsAhead) OnPoll(_ sim.Duration, snap *dmv.Snapshot) (*dmv.Snapshot, bool) {
+	r.seen = r.q.RowsReturned()
+	for deadline := time.Now().Add(5 * time.Second); r.q.RowsReturned() == r.seen && !r.q.Done() && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Microsecond)
+	}
+	r.after = r.q.RowsReturned()
+	return snap, false
+}
+
+// TestRegistryRowsAreCaptureRows: a registry row reports the rows returned
+// at the capture its progress and virtual time come from, not rows the
+// executor returned while the poll was being estimated.
+func TestRegistryRowsAreCaptureRows(t *testing.T) {
+	db := testDB(t)
+	for attempt := 0; attempt < 20; attempt++ {
+		reg := NewQueryRegistry()
+		b := plan.NewBuilder(db.Catalog)
+		s := Start(db, b.TableScan("t", nil, nil), progress.LQSOptions()) // 8000 rows, returned as it scans
+		hook := &rowsAhead{q: s.Query}
+		s.SetSnapshotFault(hook)
+		id := reg.Launch("scan", s)
+		qi, err := reg.Poll(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.Wait(id); err != nil {
+			t.Fatal(err)
+		}
+		if hook.after == hook.seen {
+			continue // the scan finished before it returned another row
+		}
+		if qi.Rows > hook.seen {
+			t.Fatalf("registry row reports %d rows; the capture was taken at %d at most (%d when the poll returned)", qi.Rows, hook.seen, hook.after)
+		}
+		return
+	}
+	t.Fatal("the executor never returned a row while a poll was held")
 }

@@ -32,8 +32,10 @@ type Session struct {
 
 	// shared marks the session as observed from goroutines other than the
 	// executor (registry-launched queries); Poll then captures through the
-	// query's counter lock. snapMu serializes polls: the estimator keeps
-	// per-session state across them.
+	// query's counter lock. snapMu serializes estimates: the estimator keeps
+	// per-session state across them. It is never held while waiting for
+	// the counter lock, because a dmv.Poller callback takes it on the
+	// executing goroutine, which holds the counter lock.
 	shared bool
 	snapMu sync.Mutex
 
@@ -180,9 +182,7 @@ func (s *Session) applyFault(snap *dmv.Snapshot) *dmv.Snapshot {
 
 // Poll is one look at a running query. Every part of it derives from a
 // single DMV capture, so a consumer that needs more than the display
-// snapshot (the server's status?explain=1 and /metrics) reads them all at
-// one virtual instant, advances the stateful estimator once and queues for
-// the counter lock once.
+// snapshot (the server's /metrics) reads them all at one virtual instant.
 type Poll struct {
 	// Snapshot is the display state.
 	Snapshot *QuerySnapshot
@@ -195,35 +195,67 @@ type Poll struct {
 	Explanation *progress.Explanation
 }
 
-// Poll polls the DMV surface and estimates progress right now, recording
-// the estimator's decomposition too when explain is set. On a shared
-// session (registry-launched) it synchronizes with the executor, so it is
-// safe to call concurrently with the query running: counters, pool
+// Poll captures the DMV surface right now and estimates it (Estimate),
+// recording the estimator's decomposition too when explain is set. On a
+// shared session (registry-launched) it synchronizes with the executor, so
+// it is safe to call concurrently with the query running: counters, pool
 // counters, state, error and rows returned are read under one hold of the
 // counter lock — the executor finishes and fails under that lock — so a
-// terminal state is never paired with pre-terminal counters. The lock is
+// terminal state is never paired with pre-terminal counters. The estimator
+// lock is taken before the counter lock is released, so captures reach
+// the estimator in the order they were taken, and the counter lock is
 // released before the estimate is computed.
 func (s *Session) Poll(explain bool) Poll {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
 	if s.shared {
 		s.Query.LockCounters()
 	}
 	snap, pool := dmv.Capture(s.Query), s.db.Pool.StatsSnapshot()
 	state, err, rows := s.Query.State(), s.Query.Err(), s.Query.RowsReturned()
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
 	if s.shared {
 		s.Query.UnlockCounters()
 	}
 	p := Poll{Capture: s.applyFault(snap), Pool: pool}
+	p.Snapshot, p.Explanation = s.estimate(p.Capture, state, err, rows, explain)
+	return p
+}
+
+// Estimate is the session's one estimating tail: it runs the session
+// estimator over one capture — state, err and rows are the lifecycle state,
+// terminal error and rows returned read with it — and renders the display
+// state; with explain it also returns the pass's decomposition. Poll calls
+// it on a capture of its own; a consumer that captures elsewhere (a
+// dmv.Poller's OnRecord callback) calls it on each capture, in order.
+// Estimating the capture the estimator last saw again changes nothing,
+// so a reader may Explain the latest capture between two polls. Safe from
+// any goroutine: it serializes with every other Poll and Estimate.
+func (s *Session) Estimate(snap *dmv.Snapshot, state exec.QueryState, err error, rows int64, explain bool) (*QuerySnapshot, *progress.Explanation) {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	return s.estimate(snap, state, err, rows, explain)
+}
+
+// estimate is Estimate with snapMu held.
+func (s *Session) estimate(snap *dmv.Snapshot, state exec.QueryState, err error, rows int64, explain bool) (*QuerySnapshot, *progress.Explanation) {
+	var x *progress.Explanation
 	var est *progress.Estimate
 	if explain {
-		p.Explanation, est = s.Estimator.Explain(p.Capture)
+		x, est = s.Estimator.Explain(snap)
 	} else {
-		est = s.Estimator.EstimateInto(&s.est, p.Capture)
+		est = s.Estimator.EstimateInto(&s.est, snap)
 	}
-	p.Snapshot = s.display(p.Capture, est, state, err)
-	p.Snapshot.Rows = rows
-	return p
+	return s.display(snap, est, state, err, rows), x
+}
+
+// Pending renders the display state of a capture taken before the query
+// started, without estimating it: every progress is zero and the
+// estimator has still seen nothing, so its first poll stays the first
+// capture of the running query.
+func (s *Session) Pending(snap *dmv.Snapshot) *QuerySnapshot {
+	nodes := len(s.plan.Nodes)
+	none := &progress.Estimate{Op: make([]float64, nodes), N: make([]float64, nodes), PipelineProg: make([]float64, len(s.Estimator.Decomp.Pipelines))}
+	return s.display(snap, none, exec.StatePending, nil, 0)
 }
 
 // Snapshot is Poll for callers that only render: the display state.
@@ -235,13 +267,15 @@ func (s *Session) Snapshot() *QuerySnapshot { return s.Poll(false).Snapshot }
 func (s *Session) Explain() *progress.Explanation { return s.Poll(true).Explanation }
 
 // display builds the display state for one captured DMV snapshot, the
-// estimate computed from it and the lifecycle state read with it.
-func (s *Session) display(snap *dmv.Snapshot, est *progress.Estimate, state exec.QueryState, err error) *QuerySnapshot {
+// estimate computed from it and the lifecycle state, error and rows read
+// with it.
+func (s *Session) display(snap *dmv.Snapshot, est *progress.Estimate, state exec.QueryState, err error, rows int64) *QuerySnapshot {
 	out := &QuerySnapshot{
 		At:              snap.At,
 		Progress:        est.Query,
 		State:           state,
 		Err:             err,
+		Rows:            rows,
 		Ops:             make([]OpStatus, len(s.plan.Nodes)),
 		ActivePipelines: make([]bool, len(s.Estimator.Decomp.Pipelines)),
 		Degraded:        est.Degraded,

@@ -12,15 +12,16 @@ package server
 //     per-mode server/accuracy_mean_abs_err_* histograms aggregating over
 //     every query the server has finished.
 //
-// The computation happens once, on the watcher goroutine right after the
-// terminal state lands, so scrapes and endpoint reads only ever see the
-// memoized result.
+// The computation happens once, on the watcher goroutine before it
+// publishes the terminal poll, which carries the report: a reader sees
+// the terminal state and the report together or neither.
 
 import (
 	"net/http"
 	"strings"
 
 	"lqs/internal/accuracy"
+	"lqs/internal/engine/dmv"
 	"lqs/internal/obs"
 )
 
@@ -56,35 +57,22 @@ type AccuracyResponse struct {
 // per-mode server histograms.
 var accErrBuckets = []float64{0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5}
 
-// computeAccuracy replays the finished query's trace through every
-// estimator mode and memoizes the per-mode report. Idempotent (sync.Once);
-// must only be called after the terminal state landed. The first caller —
-// the watcher goroutine — also feeds the aggregate server histograms, so
-// each query is observed exactly once.
-func (h *hostedQuery) computeAccuracy() {
-	h.accOnce.Do(func() {
-		tr := h.poller.Finish()
-		for _, m := range accuracy.Modes() {
-			traj := accuracy.Record(tr.Plan, h.db.Catalog, tr, m)
-			qa := accuracy.Measure(h.spec.Workload, h.spec.Query, traj)
-			h.acc = append(h.acc, qa)
-			mode := strings.ToLower(m.Name)
-			h.srv.obs.Histogram("server/accuracy_mean_abs_err_"+mode, accErrBuckets).Observe(qa.MeanAbsErr)
-			h.srv.obs.Histogram("server/accuracy_terminal_err_"+mode, accErrBuckets).Observe(qa.TerminalErr)
-		}
-		h.accDropped = tr.DroppedSnapshots
-		h.srv.obs.Counter("server/accuracy_computed").Inc()
-	})
-}
-
-// accuracyReport returns the memoized per-mode report, computing it on
-// first use; ok is false while the query still runs.
-func (h *hostedQuery) accuracyReport() (acc []accuracy.QueryAccuracy, dropped int64, ok bool) {
-	if !h.done() {
-		return nil, 0, false
+// score replays the finished query's trace through every estimator mode
+// and returns the per-mode report, feeding the aggregate server histograms
+// as it goes. The watcher calls it once per query, before it publishes the
+// terminal poll that carries the report.
+func (h *hostedQuery) score(tr *dmv.Trace) []accuracy.QueryAccuracy {
+	var acc []accuracy.QueryAccuracy
+	for _, m := range accuracy.Modes() {
+		traj := accuracy.Record(tr.Plan, h.db.Catalog, tr, m)
+		qa := accuracy.Measure(h.spec.Workload, h.spec.Query, traj)
+		acc = append(acc, qa)
+		mode := strings.ToLower(m.Name)
+		h.srv.obs.Histogram("server/accuracy_mean_abs_err_"+mode, accErrBuckets).Observe(qa.MeanAbsErr)
+		h.srv.obs.Histogram("server/accuracy_terminal_err_"+mode, accErrBuckets).Observe(qa.TerminalErr)
 	}
-	h.computeAccuracy()
-	return h.acc, h.accDropped, true
+	h.srv.obs.Counter("server/accuracy_computed").Inc()
+	return acc
 }
 
 // handleAccuracy is GET /queries/{id}/accuracy.
@@ -93,8 +81,8 @@ func (s *Server) handleAccuracy(w http.ResponseWriter, r *http.Request) {
 	if h == nil {
 		return
 	}
-	acc, dropped, ok := h.accuracyReport()
-	if !ok {
+	p := h.pub.Load()
+	if p.acc == nil {
 		writeErr(w, http.StatusConflict, APIError{
 			Code:    CodeNotTerminal,
 			Message: "accuracy is computed retrospectively; the query is still running",
@@ -107,10 +95,10 @@ func (s *Server) handleAccuracy(w http.ResponseWriter, r *http.Request) {
 		Workload:     h.spec.Workload,
 		Query:        h.spec.Query,
 		Tenant:       h.spec.Tenant,
-		DroppedPolls: dropped,
-		Modes:        make([]ModeAccuracyJSON, 0, len(acc)),
+		DroppedPolls: p.dropped,
+		Modes:        make([]ModeAccuracyJSON, 0, len(p.acc)),
 	}
-	for _, qa := range acc {
+	for _, qa := range p.acc {
 		out.Modes = append(out.Modes, ModeAccuracyJSON{
 			Mode:                   qa.Mode,
 			Polls:                  qa.Polls,
@@ -127,14 +115,9 @@ func (s *Server) handleAccuracy(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// accuracyPoints renders the lqs_query_accuracy_* family for a finished
-// query (nil while running): one series per mode, tenant+mode labeled,
-// values fixed once computed.
-func (h *hostedQuery) accuracyPoints() []obs.Point {
-	acc, _, ok := h.accuracyReport()
-	if !ok {
-		return nil
-	}
+// accuracyPoints renders a report as the lqs_query_accuracy_* family (nil
+// while the query runs): one series per mode, tenant+mode labeled.
+func (h *hostedQuery) accuracyPoints(acc []accuracy.QueryAccuracy) []obs.Point {
 	gauge := func(name, help string, labels string, v float64) obs.Point {
 		return obs.Point{Name: name, Labels: labels, Kind: obs.KindGauge, Help: help, Value: v}
 	}

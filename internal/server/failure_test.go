@@ -3,7 +3,7 @@ package server
 // Failure-mode battery: admission rejection, client disconnect mid-SSE,
 // and cancellation racing an open stream. These are the paths a monitoring
 // service actually exercises in production — a dashboard tab closed
-// mid-stream must not stall the shared poll cadence, and an operator
+// mid-stream must not disturb the other clients, and an operator
 // killing a query must still see its terminal frame arrive.
 
 import (
@@ -15,8 +15,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"lqs/internal/lqs"
 )
 
 // TestAdmissionControl: with MaxConcurrent=1 a second submission gets a
@@ -103,7 +101,7 @@ func waitFirstFrame(t *testing.T, sc *bufio.Scanner) FrameJSON {
 }
 
 // TestClientDisconnectDetaches: a client dropping its SSE connection
-// detaches from the fan-out without disturbing the other subscriber, which
+// detaches without disturbing the other client, which
 // still receives progress and the terminal frame; the sse_clients gauge
 // returns to zero.
 func TestClientDisconnectDetaches(t *testing.T) {
@@ -125,8 +123,8 @@ func TestClientDisconnectDetaches(t *testing.T) {
 	// Drop client A mid-stream.
 	cancelA()
 
-	// Client B keeps riding the shared cadence through to the terminal
-	// frame (readSSE on the remaining body).
+	// Client B keeps streaming through to the terminal frame (readSSE on
+	// the remaining body).
 	frames := readSSE(t, streamReader{scB})
 	if len(frames) == 0 {
 		t.Fatal("surviving client got no frames after the other disconnected")
@@ -205,51 +203,5 @@ func TestCancelDuringStreamDeliversTerminalFrame(t *testing.T) {
 	late := readSSE(t, lateResp.Body)
 	if len(late) != 1 || late[0].Event != "terminal" || late[0].Frame.State != "CANCELLED" {
 		t.Fatalf("late subscriber frames: %+v", late)
-	}
-}
-
-// TestStreamSkipsFrameOlderThanFirst: the handler writes an immediate first
-// frame right after subscribing, and a fan-out frame snapshotted before it
-// can reach the mailbox afterwards. The connection must not step back to
-// it. StreamTick is an hour, so the only fan-out frame is the stale one
-// this test broadcasts itself.
-func TestStreamSkipsFrameOlderThanFirst(t *testing.T) {
-	srv, ts := newTestServer(t, Config{
-		Pace:       20 * time.Millisecond, // Q1 ~800ms wall: running until cancelled below
-		StreamTick: time.Hour,
-	})
-	sub := submit(t, ts, QuerySpec{Query: "Q1"})
-	resp, sc, cancel := openStream(t, fmt.Sprintf("%s/queries/%d/stream", ts.URL, sub.ID))
-	defer resp.Body.Close()
-	defer cancel()
-
-	first := waitFirstFrame(t, sc)
-	if first.Terminal || len(first.Ops) == 0 {
-		t.Fatalf("first frame: %+v", first)
-	}
-
-	srv.mu.Lock()
-	h := srv.queries[lqs.QueryID(sub.ID)]
-	srv.mu.Unlock()
-	stale := first
-	stale.AtUS--
-	stale.Progress = 0
-	h.fan.broadcast(stale, time.Now())
-
-	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/queries/%d", ts.URL, sub.ID), nil)
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp.Body.Close()
-
-	rest := readSSE(t, streamReader{sc})
-	if len(rest) == 0 || rest[len(rest)-1].Event != "terminal" {
-		t.Fatalf("stream did not end with a terminal frame: %+v", rest)
-	}
-	for _, fr := range rest {
-		if fr.Frame.AtUS < first.AtUS {
-			t.Fatalf("%s frame at %dus written after the first frame at %dus", fr.Event, fr.Frame.AtUS, first.AtUS)
-		}
 	}
 }

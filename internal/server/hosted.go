@@ -1,9 +1,11 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lqs/internal/accuracy"
@@ -19,10 +21,11 @@ import (
 )
 
 // hostedQuery is one monitored query the server hosts: the session over its
-// private view of the cached tables, the virtual-time DMV poller (flight
-// recorder), and the SSE fan-out. The registry's runner goroutine steps the
-// query; a watcher goroutine closes terminal when it finishes; the fanout
-// goroutine owns the shared poll cadence for every streaming client.
+// private view of the cached tables and the virtual-time DMV poller (flight
+// recorder), the query's one capturer. The registry's runner goroutine
+// steps the query; each poll the poller records is estimated on that
+// goroutine and published; a watcher goroutine publishes the terminal poll
+// and closes terminal. Readers only load the latest publication.
 type hostedQuery struct {
 	id   lqs.QueryID
 	name string
@@ -33,38 +36,40 @@ type hostedQuery struct {
 	poller *dmv.Poller
 	db     *storage.Database // the query's view: shared tables, private pool
 
-	fan *fanout
-	// terminal closes once the runner goroutine has finished (the query is
-	// in a terminal state and its result is recorded in the registry).
+	// pub is the latest publication. estMu orders every use of the session
+	// estimator with the publication it belongs to: a poll estimates and
+	// publishes under it, and an explain read re-runs the estimator on the
+	// latest publication's capture under it, so the estimator never sees a
+	// capture older than the last one it estimated.
+	pub   atomic.Pointer[publication]
+	estMu sync.Mutex
+
+	// terminal closes once the terminal poll is published (the runner
+	// goroutine has finished and the query's accuracy is scored).
 	terminal chan struct{}
-
-	// Scrape cache: /metrics output for this query, recomputed only when
-	// the cache key (poller tick count, lifecycle state, accuracy
-	// readiness) moves. A server hosting hundreds of queries stops
-	// re-snapshotting every one of them on every scrape.
-	cacheMu  sync.Mutex
-	cacheKey pointsKey
-	cachePts []obs.Point
-	cacheOK  bool
-
-	// Retrospective accuracy report, memoized at terminal state by the
-	// watcher goroutine (accOnce guards the replay).
-	accOnce    sync.Once
-	acc        []accuracy.QueryAccuracy
-	accDropped int64
 }
 
-// pointsKey is the scrape-cache invalidation key: any observable change to
-// a query's /metrics points moves at least one field — a flight-recorder
-// tick, a lifecycle transition, or the terminal accuracy report becoming
-// available.
-type pointsKey struct {
-	ver   int64
-	state exec.QueryState
-	acc   bool
+// publication is one published poll of a hosted query: the display state
+// estimated from one recorded capture, the capture itself, and the rows
+// and pool counters read at that tick, plus the flight recorder as it
+// stood then. Everything a status, frame, scrape or history read serves
+// comes from one publication, and nothing in it is written once published
+// but the memoized encodings.
+type publication struct {
+	lqs.Poll
+	history []*dmv.Snapshot // retained flight-recorder snapshots, oldest first
+	dropped int64           // snapshots the flight recorder discarded
+	// acc is the retrospective accuracy report, per estimator mode; only
+	// the terminal publication has one.
+	acc []accuracy.QueryAccuracy
+
+	frameOnce  sync.Once
+	frame      []byte // the SSE frame's JSON
+	pointsOnce sync.Once
+	points     []obs.Point // the query's /metrics points
 }
 
-// done reports whether the query has fully finished (runner exited).
+// done reports whether the query has fully finished (terminal published).
 func (h *hostedQuery) done() bool {
 	select {
 	case <-h.terminal:
@@ -136,7 +141,6 @@ func newHosted(srv *Server, spec QuerySpec) (*hostedQuery, error) {
 		chaosPlan = chaos.NewPlan(ccfg)
 		w.DB.Pool.SetFaultInjector(chaosPlan.StorageInjector())
 		sess.Query.Ctx.Chaos = chaosPlan.ExecInjector()
-		sess.SetSnapshotFault(chaosPlan.PollFault())
 	}
 
 	h := &hostedQuery{
@@ -145,45 +149,82 @@ func newHosted(srv *Server, spec QuerySpec) (*hostedQuery, error) {
 		srv:      srv,
 		sess:     sess,
 		db:       w.DB,
-		fan:      newFanout(),
 		terminal: make(chan struct{}),
 	}
+	// Until the first poll, readers see the query PENDING, rendered
+	// without the estimator: its first estimate is the first recorded
+	// capture, exactly as in a replay of the trace.
+	snap := dmv.Capture(sess.Query)
+	h.pub.Store(&publication{Poll: lqs.Poll{Snapshot: sess.Pending(snap), Capture: snap, Pool: w.DB.Pool.StatsSnapshot()}})
 
 	// Flight recorder: a DMV poller on the query's own virtual clock, the
-	// query's one observer at poll cadence. It fires inside Advance on the
-	// executor goroutine (which holds the counter lock), so readers
-	// synchronize via LockCounters; its tick count keys the scrape cache.
+	// query's one capturer. It fires inside Advance on the executor
+	// goroutine, where the counters are quiescent, and hands every
+	// snapshot it records to record.
 	h.poller = dmv.NewPoller(sess.Query, srv.cfg.PollInterval)
 	h.poller.SetHistoryCap(srv.cfg.HistoryCap)
 	h.poller.SetMetrics(srv.obs)
+	h.poller.OnRecord(h.record)
 	if chaosPlan != nil {
-		// A second PollFault: the session's degrades a wall-clock status
-		// read, this one feeds the virtual-time watchdog and breaker the
-		// accuracy replay scores, and the hooks are stateful, so one shared
-		// instance would let either path move the other's fault stream.
 		h.poller.SetFault(chaosPlan.PollFault())
 	}
 
 	// Pacing: convert virtual progress into wall time so remote observers
 	// see a query *run* rather than a terminal flash. The observer sleeps
-	// on the executor goroutine at every PaceInterval of virtual time, with
-	// the counter lock released: a status read during the sleep costs what
-	// it costs on an idle query, not the rest of the pace interval.
+	// on the executor goroutine at every PaceInterval of virtual time;
+	// readers never wait for it, since none takes the counter lock.
 	if srv.cfg.Pace > 0 {
-		sleep := func() { time.Sleep(srv.cfg.Pace) }
-		sess.Query.Ctx.Clock.Observe(srv.cfg.PaceInterval, func(sim.Duration) {
-			sess.Query.WithCountersUnlocked(sleep)
-		})
+		sess.Query.Ctx.Clock.Observe(srv.cfg.PaceInterval, func(sim.Duration) { time.Sleep(srv.cfg.Pace) })
 	}
 	return h, nil
 }
 
-// status builds one poll's wire status: progress, per-node state and, when
-// asked for, the explanation all come from one session poll, so
-// explain.at_us is virtual_us and explain.query is progress.
+// record publishes one recorded capture. It runs on the executor
+// goroutine inside the poller's tick, so the rows returned and the pool
+// counters publish reads belong to the capture's instant.
+func (h *hostedQuery) record(snap *dmv.Snapshot) {
+	hist, dropped := h.poller.History()
+	h.publish(&publication{Poll: lqs.Poll{Capture: snap}, history: hist, dropped: dropped})
+}
+
+// finish publishes the terminal poll once the runner goroutine has
+// finished: the final capture estimated after every recorded one — the
+// terminal estimate a replay of the trace computes — with the accuracy
+// report scored from that trace.
+func (h *hostedQuery) finish() {
+	tr := h.poller.Finish()
+	h.publish(&publication{Poll: lqs.Poll{Capture: tr.Final}, history: tr.Snapshots, dropped: tr.DroppedSnapshots, acc: h.score(tr)})
+}
+
+// publish estimates p's capture, with the query's lifecycle state, error,
+// rows returned and pool counters read now, and makes p the latest
+// publication.
+func (h *hostedQuery) publish(p *publication) {
+	q := h.sess.Query
+	p.Pool = h.db.Pool.StatsSnapshot()
+	h.estMu.Lock()
+	defer h.estMu.Unlock()
+	p.Snapshot, _ = h.sess.Estimate(p.Capture, q.State(), q.Err(), q.RowsReturned(), false)
+	h.pub.Store(p)
+}
+
+// status renders the latest publication as a wire status. With explain it
+// also re-runs the estimator on that publication's capture — the capture
+// the estimator saw last, so the pass changes none of its state — and
+// attaches the decomposition: explain.at_us is virtual_us and
+// explain.query is progress. A PENDING query has no estimate to explain.
 func (h *hostedQuery) status(withOps, withExplain bool) StatusJSON {
-	poll := h.sess.Poll(withExplain)
-	snap := poll.Snapshot
+	var x *progress.Explanation
+	p := h.pub.Load()
+	if withExplain {
+		h.estMu.Lock()
+		p = h.pub.Load()
+		if qs := p.Snapshot; qs.State != exec.StatePending {
+			_, x = h.sess.Estimate(p.Capture, qs.State, qs.Err, qs.Rows, true)
+		}
+		h.estMu.Unlock()
+	}
+	snap := p.Snapshot
 	st := StatusJSON{
 		ID:            int64(h.id),
 		Name:          h.name,
@@ -206,43 +247,39 @@ func (h *hostedQuery) status(withOps, withExplain bool) StatusJSON {
 	if withOps {
 		st.Ops = opsJSON(snap.Ops)
 	}
-	if withExplain {
-		st.Explain = explainJSON(poll.Explanation)
+	if x != nil {
+		st.Explain = explainJSON(x)
 	}
 	return st
 }
 
-// frame builds one SSE frame from a fresh poll.
-func (h *hostedQuery) frame() FrameJSON {
-	snap := h.sess.Snapshot()
-	f := FrameJSON{
-		AtUS:          us(snap.At),
-		Progress:      snap.Progress,
-		State:         snap.State.String(),
-		Terminal:      snap.State.Terminal(),
-		Rows:          snap.Rows,
-		Degraded:      snap.Degraded,
-		DegradeReason: snap.DegradeReason,
-		Ops:           opsJSON(snap.Ops),
-	}
-	if snap.Err != nil {
-		f.Error = snap.Err.Error()
-	}
-	return f
+// frameJSON is the publication's SSE frame, encoded once.
+func (p *publication) frameJSON() []byte {
+	p.frameOnce.Do(func() {
+		snap := p.Snapshot
+		f := FrameJSON{
+			AtUS:          us(snap.At),
+			Progress:      snap.Progress,
+			State:         snap.State.String(),
+			Terminal:      snap.State.Terminal(),
+			Rows:          snap.Rows,
+			Degraded:      snap.Degraded,
+			DegradeReason: snap.DegradeReason,
+			Ops:           opsJSON(snap.Ops),
+		}
+		if snap.Err != nil {
+			f.Error = snap.Err.Error()
+		}
+		p.frame, _ = json.Marshal(f) // plain strings, numbers and bools always encode
+	})
+	return p.frame
 }
 
-// history drains the poller flight recorder into wire frames. The executor-
-// side poller observer appends to the ring under the query counter lock, so
-// the lock is held for the copy of the retained pointers (at most
-// HistoryCap) and no longer: the conversion runs with the executor released.
+// history renders the flight recorder as the latest publication holds it.
 func (h *hostedQuery) history() HistoryResponse {
-	q := h.sess.Query
-	q.LockCounters()
-	snaps, dropped := h.poller.History()
-	q.UnlockCounters()
-
-	out := HistoryResponse{Frames: make([]HistFrameJSON, 0, len(snaps)), Dropped: dropped}
-	for _, snap := range snaps {
+	p := h.pub.Load()
+	out := HistoryResponse{Frames: make([]HistFrameJSON, 0, len(p.history)), Dropped: p.dropped}
+	for _, snap := range p.history {
 		hf := HistFrameJSON{
 			AtUS:          us(snap.At),
 			Degraded:      snap.Degraded,
@@ -274,25 +311,4 @@ func perQueryChaosSeed(seed, ordinal uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// fanoutLoop owns the query's single shared poll cadence: one snapshot per
-// tick, fanned out to every streaming client (their chosen intervals gate
-// delivery per client). On terminal it broadcasts a final frame to every
-// client and closes the fan-out.
-func (h *hostedQuery) fanoutLoop() {
-	tick := time.NewTicker(h.srv.cfg.StreamTick)
-	defer tick.Stop()
-	for {
-		select {
-		case <-h.terminal:
-			h.fan.close(h.frame())
-			return
-		case <-tick.C:
-			if h.fan.empty() {
-				continue
-			}
-			h.fan.broadcast(h.frame(), time.Now())
-		}
-	}
 }

@@ -57,36 +57,28 @@ func (s *Server) collectPoints() []obs.Point {
 // qidLabel renders the query's ID label value.
 func (h *hostedQuery) qidLabel() string { return strconv.FormatInt(int64(h.id), 10) }
 
-// points returns the query's exposition points through the scrape cache:
-// the expensive rebuild (one session poll) runs only when the cache key
-// moved — a flight-recorder tick, a lifecycle transition, or the
-// terminal accuracy report landing. In
-// between, scrapes are served the memoized slice, so a server hosting
-// hundreds of queries no longer re-snapshots each one per scrape; a cached
-// scrape is at most one poll interval stale, the same staleness contract
-// the flight recorder itself has.
+// points returns the query's exposition points, built once per
+// publication: a scrape rebuilds a query's points only when it has
+// published a poll since the last scrape, so a server hosting hundreds of
+// finished queries serves them from memory. A scrape is as stale as the
+// publication, at most one poll interval of virtual time.
 func (h *hostedQuery) points() []obs.Point {
-	key := pointsKey{ver: h.poller.Ticks(), state: h.sess.Query.State()}
-	_, _, key.acc = h.accuracyReport()
-	h.cacheMu.Lock()
-	defer h.cacheMu.Unlock()
-	if h.cacheOK && h.cacheKey == key {
+	p := h.pub.Load()
+	built := false
+	p.pointsOnce.Do(func() { p.points, built = h.buildPoints(p), true })
+	if built {
+		h.srv.scrapeCacheMisses.Add(1)
+	} else {
 		h.srv.scrapeCacheHits.Add(1)
-		return h.cachePts
 	}
-	h.srv.scrapeCacheMisses.Add(1)
-	h.cachePts = h.buildPoints()
-	h.cacheKey, h.cacheOK = key, true
-	return h.cachePts
+	return p.points
 }
 
-// buildPoints renders one hosted query's counter classes from live state.
-func (h *hostedQuery) buildPoints() []obs.Point {
-	// One poll, so the three classes describe one instant: the estimator
-	// surface, the raw DMV counters it was computed from, and the query's
-	// private buffer pool read under the same hold of the counter lock.
-	poll := h.sess.Poll(false)
-	qs, snap, pool := poll.Snapshot, poll.Capture, poll.Pool
+// buildPoints renders one publication's counter classes: the estimator
+// surface, the raw DMV counters it was computed from, and the query's
+// private buffer pool read at the same tick.
+func (h *hostedQuery) buildPoints(p *publication) []obs.Point {
+	qs, snap, pool := p.Snapshot, p.Capture, p.Pool
 
 	lbl := obs.Labeled("",
 		"qid", h.qidLabel(),
@@ -170,7 +162,7 @@ func (h *hostedQuery) buildPoints() []obs.Point {
 	}
 
 	// Retrospective accuracy class, present once the query is terminal.
-	pts = append(pts, h.accuracyPoints()...)
+	pts = append(pts, h.accuracyPoints(p.acc)...)
 	return pts
 }
 

@@ -88,7 +88,7 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Drain: every watcher/fan-out goroutine must exit. Cancel-raced
+	// Drain: every watcher goroutine must exit. Cancel-raced
 	// queries may still be finishing; give them the graceful window.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -116,8 +116,8 @@ func TestConcurrentHammer(t *testing.T) {
 }
 
 // TestConcurrentStreamersShareOnePoller: many clients streaming one query
-// all complete, and the coalesced fan-out (not N independent pollers)
-// serves them — pinned by all of them observing the same terminal frame.
+// all complete, served from the query's one poller's publications —
+// pinned by all of them observing the same terminal frame.
 func TestConcurrentStreamersShareOnePoller(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Pace:       500 * time.Microsecond, // Q1 ~20ms wall

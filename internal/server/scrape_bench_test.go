@@ -2,9 +2,9 @@ package server
 
 // Benchmark for the /metrics scrape cache: a quiesced server hosting N
 // finished queries, scraped repeatedly. The cached path serves each
-// query's family from the memoized slice; the uncached path is the
-// pre-PR-9 behavior — a full rebuild (session snapshot, synchronized DMV
-// capture, pool stats, point assembly) per query per scrape.
+// query's family from the points its latest publication memoized; the
+// uncached path rebuilds every query's points from its publication on
+// every scrape.
 //
 //	go test ./internal/server -bench Scrape -benchmem
 
@@ -63,7 +63,7 @@ func benchScrape(b *testing.B, n int, cached bool) {
 			srv.collectPoints()
 			continue
 		}
-		// The pre-cache scrape path: rebuild every hosted query's points.
+		// Rebuild every hosted query's points.
 		srv.mu.Lock()
 		hs := make([]*hostedQuery, 0, len(srv.order))
 		for _, id := range srv.order {
@@ -72,7 +72,7 @@ func benchScrape(b *testing.B, n int, cached bool) {
 		srv.mu.Unlock()
 		pts := srv.obs.Points()
 		for _, h := range hs {
-			pts = append(pts, h.buildPoints()...)
+			pts = append(pts, h.buildPoints(h.pub.Load())...)
 		}
 		obs.SortPoints(pts)
 	}

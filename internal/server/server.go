@@ -4,10 +4,11 @@
 // /metrics endpoint exposing the obs registry and per-query DMV counter
 // classes. It is the network surface the paper assumes — a server whose
 // progress estimates are consumed remotely by many observers — built from
-// the existing blocks: lqs.QueryRegistry for lifecycle, dmv.Poller flight
-// recorders for snapshot history, Estimator.Explain for per-node terms,
-// and the chaos-harness degradation path (a degraded snapshot renders as a
-// degraded="true" label, never a gap).
+// the existing blocks: lqs.QueryRegistry for lifecycle, one dmv.Poller per
+// query whose recorded polls are estimated and published for every read,
+// Estimator.Explain for per-node terms, and the chaos-harness degradation
+// path (a degraded snapshot renders as a degraded="true" label, never a
+// gap).
 //
 // Routes:
 //
@@ -33,7 +34,6 @@ import (
 	"time"
 
 	"lqs/internal/chaos"
-	"lqs/internal/engine/dmv"
 	"lqs/internal/lqs"
 	"lqs/internal/obs"
 	"lqs/internal/sim"
@@ -48,13 +48,15 @@ type Config struct {
 	// MaxFinished caps terminal queries retained for status reads; the
 	// oldest beyond the cap are reaped at the next submit. Default 64.
 	MaxFinished int
-	// PollInterval is the virtual-time DMV flight-recorder cadence.
-	// Default dmv.PollInterval (the paper's 500 ms).
+	// PollInterval is the virtual-time cadence of each query's DMV poller,
+	// the one capturer behind every read: status, stream, scrape and
+	// history serve the latest poll. Default 1ms of virtual time, lqsmon's
+	// default cadence: a TPC-H query of 14 to 40 ms records 14 to 40 polls.
 	PollInterval sim.Duration
 	// HistoryCap bounds each flight recorder. Default 256 snapshots.
 	HistoryCap int
-	// StreamTick is the shared wall-clock poll cadence behind SSE fan-out;
-	// N streaming clients of one query cost one snapshot per tick total.
+	// StreamTick is the minimum wall-clock interval between two frames of
+	// one SSE client; a client's ?interval_ms= can only lengthen it.
 	// Default 25ms.
 	StreamTick time.Duration
 	// Pace, when positive, sleeps this long per PaceInterval of virtual
@@ -84,7 +86,7 @@ func (cfg Config) Default() Config {
 		cfg.MaxFinished = 64
 	}
 	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = dmv.PollInterval
+		cfg.PollInterval = sim.Duration(time.Millisecond)
 	}
 	if cfg.HistoryCap <= 0 {
 		cfg.HistoryCap = 256
@@ -121,7 +123,7 @@ type Server struct {
 	active   int // queries not yet terminal (admission accounting)
 	draining bool
 
-	// wg tracks watcher and fanout goroutines; Shutdown drains it.
+	// wg tracks watcher goroutines; Shutdown drains it.
 	wg sync.WaitGroup
 
 	// chaosOrdinal numbers submissions for per-query chaos seed derivation.
@@ -133,12 +135,13 @@ type Server struct {
 	scrapeCacheMisses atomic.Int64
 
 	// beforeTerminal, when a test sets it, runs in each watcher between
-	// the query's end and the close of its terminal channel.
+	// the terminal publication and the close of its terminal channel.
 	beforeTerminal func()
 }
 
-// ScrapeCacheStats reports /metrics per-query cache hits and misses
-// (tests and benchmarks).
+// ScrapeCacheStats reports /metrics per-query cache hits and misses: a
+// miss builds the points of a publication no scrape had seen (tests and
+// benchmarks).
 func (s *Server) ScrapeCacheStats() (hits, misses int64) {
 	return s.scrapeCacheHits.Load(), s.scrapeCacheMisses.Load()
 }
@@ -240,26 +243,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	s.obs.Counter("server/queries_submitted").Inc()
-	s.wg.Add(2)
-	go func() { // watcher: mark terminal, score accuracy, release admission slot
+	s.wg.Add(1)
+	go func() { // watcher: publish the terminal poll, release the admission slot
 		defer s.wg.Done()
 		_, _ = s.reg.Wait(h.id)
+		// Scored and published before the slot releases: scrapes observe
+		// the active-gauge decrement only after the accuracy family and
+		// histograms are in place, keeping quiesced scrapes stable.
+		h.finish()
 		if s.beforeTerminal != nil {
 			s.beforeTerminal()
 		}
 		close(h.terminal)
-		// Retrospective accuracy replay before the slot releases: scrapes
-		// observe the active-gauge decrement only after the accuracy family
-		// and histograms are in place, keeping quiesced scrapes stable.
-		h.computeAccuracy()
 		s.mu.Lock()
 		s.active--
 		s.obs.Gauge("server/active").Set(int64(s.active))
 		s.mu.Unlock()
-	}()
-	go func() { // shared SSE poll cadence
-		defer s.wg.Done()
-		h.fanoutLoop()
 	}()
 
 	w.Header().Set("Location", fmt.Sprintf("/queries/%d", h.id))
@@ -357,8 +356,8 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *hostedQuery {
 	return h
 }
 
-// handleStatus is GET /queries/{id}: one progress snapshot with per-node
-// display state; ?explain=1 adds the estimator decomposition.
+// handleStatus is GET /queries/{id}: the latest published poll with
+// per-node display state; ?explain=1 adds the estimator decomposition.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	h := s.lookup(w, r)
 	if h == nil {
@@ -399,8 +398,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 // handleDelete is DELETE /queries/{id}: cooperative cancel while running
 // (202; the SSE terminal frame follows), removal once finished (204). A
-// query whose state is terminal, as its status already reads, is finished:
-// the delete waits the moment its watcher takes to close h.terminal.
+// query whose state is terminal is finished: the delete waits the moment
+// its watcher takes to publish the terminal poll and close h.terminal.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	h := s.lookup(w, r)
 	if h == nil {
@@ -445,7 +444,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 // Shutdown gracefully drains the server: new submissions get typed 503s,
 // running queries finish (or are cooperatively cancelled once ctx
-// expires), and every watcher/fan-out goroutine exits before it returns.
+// expires), and every watcher goroutine exits before it returns.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
