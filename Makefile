@@ -131,10 +131,11 @@ bench-check:
 bench-build:
 	$(GO) test ./internal/workload -run '^$$' -bench Build -benchtime 1x -benchmem
 
-# Run the replay benchmark once per estimator mode so it cannot rot, with
-# -benchmem so the log shows ns/op and allocs/op of the replay hot path
-# (accuracy.Record over the committed trace corpus; no engine run).
+# Run the replay benchmarks once per estimator mode so they cannot rot,
+# with -benchmem so the log shows ns/op and allocs/op of the replay hot
+# path (accuracy.Record over the committed trace corpus, and Explain on
+# every eighth poll of it in LQS and ENS; no engine run).
 bench-replay:
-	$(GO) test ./internal/accuracy -run '^$$' -bench Record -benchtime 1x -benchmem
+	$(GO) test ./internal/accuracy -run '^$$' -bench 'Record|Explain' -benchtime 1x -benchmem
 
 ci: vet sort-guard build test race trace-smoke fuzz-smoke chaos-smoke serve-smoke acc-smoke bench-check bench-build bench-replay

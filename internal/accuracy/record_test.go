@@ -6,6 +6,7 @@ import (
 	"lqs/internal/engine/catalog"
 	"lqs/internal/engine/dmv"
 	"lqs/internal/plan"
+	"lqs/internal/progress"
 )
 
 // recordTrace loads one committed trace and rebuilds its plan and catalog.
@@ -42,25 +43,61 @@ func TestRecordAllocations(t *testing.T) {
 	}
 }
 
+// benchTrace is one committed trace ready to replay.
+type benchTrace struct {
+	p   *plan.Plan
+	cat *catalog.Catalog
+	tr  *dmv.Trace
+}
+
+// benchCorpus loads the committed corpus.
+func benchCorpus(b *testing.B) []benchTrace {
+	var traces []benchTrace
+	for _, spec := range corpus() {
+		p, cat, tr := recordTrace(b, spec.name)
+		traces = append(traces, benchTrace{p, cat, tr})
+	}
+	return traces
+}
+
 // BenchmarkRecord times Record over the committed corpus, one sub-benchmark
 // per mode: one op records every trace once. It needs no engine run.
 func BenchmarkRecord(b *testing.B) {
-	type trace struct {
-		p   *plan.Plan
-		cat *catalog.Catalog
-		tr  *dmv.Trace
-	}
-	var traces []trace
-	for _, spec := range corpus() {
-		p, cat, tr := recordTrace(b, spec.name)
-		traces = append(traces, trace{p, cat, tr})
-	}
+	traces := benchCorpus(b)
 	for _, m := range Modes() {
 		b.Run(m.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, tc := range traces {
 					Record(tc.p, tc.cat, tc.tr, m)
+				}
+			}
+		})
+	}
+}
+
+// explainStride is how often BenchmarkExplain asks for a decomposition: a
+// display that shows Explain on demand, not on every poll.
+const explainStride = 8
+
+// BenchmarkExplain times Explain over the committed corpus in the modes a
+// display explains (LQS, ENS): one op builds a fresh estimator per trace
+// and explains every eighth snapshot, as the repo benchmark's replay
+// workload does.
+func BenchmarkExplain(b *testing.B) {
+	traces := benchCorpus(b)
+	for _, m := range Modes() {
+		if m.Name != "LQS" && m.Name != progress.ModeEnsemble {
+			continue
+		}
+		b.Run(m.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, tc := range traces {
+					e := progress.NewEstimator(tc.p, tc.cat, m.Opts)
+					for j := 0; j < len(tc.tr.Snapshots); j += explainStride {
+						e.Explain(tc.tr.Snapshots[j])
+					}
 				}
 			}
 		})

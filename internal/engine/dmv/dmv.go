@@ -171,36 +171,55 @@ func (s *Snapshot) Aggregate() {
 		s.aggregated = true
 		return
 	}
-	n := s.NumNodes
-	for i := range s.Threads {
-		n = max(n, s.Threads[i].NodeID+1)
-	}
+	n := s.width()
 	if len(s.Threads) == n && serialRows(s.Threads) {
 		s.Ops = s.Threads
 	} else {
 		s.aggRuns++
-		s.Ops = foldThreads(s.Threads, n)
+		s.Ops = foldThreads(nil, s.Threads, n)
 	}
 	s.aggregated = true
 }
 
+// AggregateInto is Aggregate for a client that rebuilds a snapshot on
+// every poll: the fold always runs (Ops never aliases Threads), into ops
+// when it can hold the profiles, so a client that passes back the Ops of
+// its previous snapshot aggregates without allocating.
+func (s *Snapshot) AggregateInto(ops []OpProfile) {
+	s.aggRuns++
+	s.Ops, s.aggregated = foldThreads(ops, s.Threads, s.width()), true
+}
+
+// width is the length Aggregate gives Ops: NumNodes, or more when a
+// thread row carries a larger node ID.
+func (s *Snapshot) width() int {
+	n := s.NumNodes
+	for i := range s.Threads {
+		n = max(n, s.Threads[i].NodeID+1)
+	}
+	return n
+}
+
 // foldThreads is Aggregate's fold of thread rows into n per-node profiles,
-// in a new array; rows with a node ID outside [0, n) are ignored.
-func foldThreads(rows []OpProfile, n int) []OpProfile {
-	ops := make([]OpProfile, n)
-	seen := make([]bool, n)
+// in ops when it can hold them and in a new array otherwise; rows with a
+// node ID outside [0, n) are ignored.
+func foldThreads(ops, rows []OpProfile, n int) []OpProfile {
+	if cap(ops) < n {
+		ops = make([]OpProfile, n)
+	}
+	ops = ops[:n]
+	// A ThreadID of -1 marks a node no row has reached yet.
 	for i := range ops {
-		ops[i].NodeID = i
+		ops[i] = OpProfile{NodeID: i, ThreadID: -1}
 	}
 	for _, t := range rows {
 		if t.NodeID < 0 || t.NodeID >= n {
 			continue
 		}
 		agg := &ops[t.NodeID]
-		if !seen[t.NodeID] {
+		if agg.ThreadID < 0 {
 			*agg = t
 			agg.ThreadID = 0
-			seen[t.NodeID] = true
 			continue
 		}
 		agg.ActualRows += t.ActualRows
@@ -234,6 +253,9 @@ func foldThreads(rows []OpProfile, n int) []OpProfile {
 		if t.ClosedAt > agg.ClosedAt {
 			agg.ClosedAt = t.ClosedAt
 		}
+	}
+	for i := range ops {
+		ops[i].ThreadID = max(ops[i].ThreadID, 0)
 	}
 	return ops
 }

@@ -188,7 +188,7 @@ func TestAggregateAliasesSerialCapture(t *testing.T) {
 	if snap.aggRuns != 0 {
 		t.Fatalf("Aggregate on a serial capture ran the fold %d times, want 0", snap.aggRuns)
 	}
-	want := foldThreads(snap.Threads, snap.NumNodes)
+	want := foldThreads(nil, snap.Threads, snap.NumNodes)
 	for i := range want {
 		if *snap.Op(i) != want[i] {
 			t.Fatalf("node %d: Op %+v, fold %+v", i, *snap.Op(i), want[i])
@@ -295,5 +295,37 @@ func TestTraceOpTimeFraction(t *testing.T) {
 	}
 	if _, ok := tr.OpTimeFraction(1, 50); ok {
 		t.Error("empty window reported a truth")
+	}
+}
+
+// TestAggregateIntoReusesArray: a snapshot rebuilt on every poll and
+// aggregated into the Ops of the poll before folds each new set of thread
+// rows into that array, allocating nothing, and reads exactly what
+// Aggregate on a fresh snapshot of the same rows reads, serial rows
+// included.
+func TestAggregateIntoReusesArray(t *testing.T) {
+	polls := [][]OpProfile{
+		{{NodeID: 0, ThreadID: 1, ActualRows: 3}, {NodeID: 0, ThreadID: 2, ActualRows: 4, Opened: true}, {NodeID: 2, ThreadID: 0, ActualRows: 5}},
+		{{NodeID: 1, ThreadID: 0, ActualRows: 6, Closed: true}, {NodeID: 2, ThreadID: 1, ActualRows: 7}, {NodeID: 2, ThreadID: 2, ActualRows: 8}},
+		{{NodeID: 0, ActualRows: 1}, {NodeID: 1, ActualRows: 2, Opened: true}, {NodeID: 2, ActualRows: 3}},
+	}
+	var snap Snapshot
+	ops := make([]OpProfile, 3)
+	for i, rows := range polls {
+		if a := testing.AllocsPerRun(10, func() {
+			snap = Snapshot{NumNodes: 3, Threads: rows}
+			snap.AggregateInto(ops)
+		}); a != 0 {
+			t.Fatalf("poll %d: AggregateInto allocates %v objects, want 0", i, a)
+		}
+		if &snap.Ops[0] != &ops[0] {
+			t.Fatalf("poll %d: the fold did not fill the array it was given", i)
+		}
+		fresh := &Snapshot{NumNodes: 3, Threads: rows}
+		for id := 0; id < 3; id++ {
+			if *snap.Op(id) != *fresh.Op(id) {
+				t.Fatalf("poll %d node %d: AggregateInto %+v, Aggregate %+v", i, id, *snap.Op(id), *fresh.Op(id))
+			}
+		}
 	}
 }

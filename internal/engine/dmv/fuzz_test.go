@@ -73,7 +73,7 @@ func FuzzAggregateThreads(f *testing.F) {
 
 		// The alias path and the copying fold agree field for field.
 		if len(threads) > 0 {
-			want := foldThreads(threads, len(snap.Ops))
+			want := foldThreads(nil, threads, len(snap.Ops))
 			if len(want) != len(snap.Ops) {
 				t.Fatalf("Ops has %d rows, the fold %d", len(snap.Ops), len(want))
 			}

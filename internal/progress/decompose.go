@@ -88,63 +88,67 @@ type Decomposition struct {
 	shielded []bool
 }
 
-// Decompose computes the pipeline structure of a plan.
+// Decompose computes the pipeline structure of a plan in a fixed number of
+// allocations. A plan has one pipeline plus one per blocking operator (its
+// input phase) and per hash join (its build side), so the pipelines are
+// one array; the walk assigns every node its pipelines, and the ID lists
+// are then one array, cut from a counting sort of the nodes by (pipeline,
+// list).
 func Decompose(p *plan.Plan) *Decomposition {
-	// Each family of per-node tables shares one allocation.
-	n := len(p.Nodes)
-	ints, bools := make([]int, 3*n), make([]bool, 3*n)
+	n, np := len(p.Nodes), 1
+	for _, node := range p.Nodes {
+		if node.IsBlocking() || node.Physical == plan.HashJoin {
+			np++
+		}
+	}
+	ints, bools := make([]int, 4*n+np+np*numLists+2), make([]bool, 3*n)
+	pipes, ptrs := make([]Pipeline, np), make([]*Pipeline, 2*np-1)
 	d := &Decomposition{
+		Pipelines: ptrs[:np:np],
 		PipeOf:    ints[:n:n],
 		OutPipeOf: ints[n : 2*n : 2*n],
-		OuterOf:   ints[2*n:],
+		OuterOf:   ints[2*n : 3*n : 3*n],
 		InnerSide: bools[:n:n],
 		semiBelow: bools[n : 2*n : 2*n],
 		shielded:  bools[2*n:],
 		postorder: make([]*plan.Node, 0, n),
 	}
+	for i := range pipes {
+		pipes[i].ID, d.Pipelines[i] = i, &pipes[i]
+	}
+	d.Root = d.Pipelines[0]
 	for i := range d.OutPipeOf {
 		d.OutPipeOf[i] = -1
-		d.OuterOf[i] = -1
-	}
-	newPipe := func() *Pipeline {
-		pl := &Pipeline{ID: len(d.Pipelines)}
-		d.Pipelines = append(d.Pipelines, pl)
-		return pl
 	}
 
-	var walk func(n *plan.Node, cur *Pipeline, inner bool, outerID int)
-	walk = func(n *plan.Node, cur *Pipeline, inner bool, outerID int) {
-		d.InnerSide[n.ID] = inner
-		d.OuterOf[n.ID] = outerID
+	// The walk numbers pipelines as it creates them and records the node
+	// order (preorder) and the pipeline each new one feeds (parent).
+	preorder, parent, at := ints[3*n:3*n:4*n], ints[4*n:4*n+np], ints[4*n+np:]
+	next := 1
+	var walk func(n *plan.Node, cur int, inner bool, outerID int)
+	walk = func(n *plan.Node, cur int, inner bool, outerID int) {
+		preorder = append(preorder, n.ID)
+		d.InnerSide[n.ID], d.OuterOf[n.ID], d.PipeOf[n.ID] = inner, outerID, cur
 		for _, c := range n.Children {
 			d.shielded[c.ID] = d.shielded[n.ID] || n.Physical == plan.TableSpool
 		}
-		if n.IsBlocking() {
+		switch {
+		case n.IsBlocking():
 			// Output phase sources `cur`; input phase tops a new pipeline.
-			cur.Sources = append(cur.Sources, n.ID)
-			d.OutPipeOf[n.ID] = cur.ID
-			in := newPipe()
-			in.InputOf = append(in.InputOf, n.ID)
-			in.Members = append(in.Members, n.ID)
-			d.PipeOf[n.ID] = in.ID
-			cur.Children = append(cur.Children, in)
+			d.OutPipeOf[n.ID], d.PipeOf[n.ID], parent[next] = cur, next, cur
+			next++
 			for _, c := range n.Children {
-				walk(c, in, inner, outerID)
+				walk(c, d.PipeOf[n.ID], inner, outerID)
 			}
-			d.postorder = append(d.postorder, n)
-			return
-		}
-		cur.Members = append(cur.Members, n.ID)
-		d.PipeOf[n.ID] = cur.ID
-		switch n.Physical {
-		case plan.HashJoin:
+		case n.Physical == plan.HashJoin:
 			// Probe side streams in this pipeline; the build side is its
 			// own pipeline that completes when the join opens.
-			build := newPipe()
-			cur.Children = append(cur.Children, build)
+			build := next
+			parent[build] = cur
+			next++
 			walk(n.Children[0], cur, inner, outerID)
 			walk(n.Children[1], build, inner, outerID)
-		case plan.NestedLoops:
+		case n.Physical == plan.NestedLoops:
 			// Both sides execute concurrently with the join; the inner
 			// subtree is excluded from driver-node status (§3.1.1) and
 			// marked for the §4.4 adjustments.
@@ -157,31 +161,49 @@ func Decompose(p *plan.Plan) *Decomposition {
 		}
 		d.postorder = append(d.postorder, n)
 	}
-	d.Root = newPipe()
-	walk(p.Root, d.Root, false, -1)
+	walk(p.Root, 0, false, -1)
 
-	// Driver nodes: storage/constant leaves outside NL-inner subtrees,
-	// plus blocking-output sources. Inner-side leaf-most nodes become
-	// InnerDrivers (§4.4 modification 1: "treat the inner side of the
-	// join as a driver node as well").
+	// The counting sort: at[b+2] counts bucket b's IDs, the prefix sum
+	// makes at[b+1] where bucket b starts, and placing the IDs moves it to
+	// where b ends, so that bucket b is then ids[at[b]:at[b+1]].
+	for _, id := range preorder {
+		bs, k := d.listsOf(p.Nodes[id])
+		for _, b := range bs[:k] {
+			at[b+2]++
+		}
+	}
+	for b := 1; b < len(at); b++ {
+		at[b] += at[b-1]
+	}
+	ids := make([]int, at[len(at)-1])
+	for _, id := range preorder {
+		bs, k := d.listsOf(p.Nodes[id])
+		for _, b := range bs[:k] {
+			ids[at[b+1]] = id
+			at[b+1]++
+		}
+	}
+	// cut returns buckets [b0, b1) as one list, nil when they are empty.
+	cut := func(b0, b1 int) []int {
+		if at[b0] == at[b1] {
+			return nil
+		}
+		return ids[at[b0]:at[b1]:at[b1]]
+	}
+	kids := ptrs[np:]
 	for _, pl := range d.Pipelines {
-		for _, id := range pl.Members {
-			n := p.Node(id)
-			if !n.IsLeaf() {
-				continue
-			}
-			if d.InnerSide[id] {
-				pl.InnerDrivers = append(pl.InnerDrivers, id)
-			} else {
-				pl.Drivers = append(pl.Drivers, id)
+		b := pl.ID * numLists
+		pl.Members, pl.InputOf, pl.Sources = cut(b+listMembers, b+listInputOf), cut(b+listInputOf, b+listSources), cut(b+listSources, b+listLeafDrivers)
+		pl.Drivers, pl.InnerDrivers = cut(b+listLeafDrivers, b+listInnerLeafDrivers), cut(b+listInnerLeafDrivers, b+numLists)
+		// Its children are the pipelines it feeds, in creation order.
+		c := kids[:0]
+		for q := 1; q < np; q++ {
+			if parent[q] == pl.ID {
+				c = append(c, d.Pipelines[q])
 			}
 		}
-		for _, id := range pl.Sources {
-			if d.InnerSide[id] {
-				pl.InnerDrivers = append(pl.InnerDrivers, id)
-			} else {
-				pl.Drivers = append(pl.Drivers, id)
-			}
+		if len(c) > 0 {
+			pl.Children, kids = c[:len(c):len(c)], kids[len(c):]
 		}
 	}
 
@@ -201,11 +223,45 @@ func Decompose(p *plan.Plan) *Decomposition {
 	return d
 }
 
+// The ID lists of a pipeline, in the order the counting sort in Decompose
+// lays them out: Drivers and InnerDrivers each span two buckets, the
+// pipeline's leaves and then its blocking-output sources.
+const (
+	listMembers = iota
+	listInputOf
+	listSources
+	listLeafDrivers
+	listSourceDrivers
+	listInnerLeafDrivers
+	listInnerSourceDrivers
+	numLists
+)
+
+// listsOf returns the (pipeline, list) buckets n belongs to after the
+// walk. Driver nodes (§3.1.1) are storage/constant leaves outside NL-inner
+// subtrees, plus blocking-output sources; inner-side ones are InnerDrivers
+// (§4.4 modification 1: "treat the inner side of the join as a driver
+// node as well").
+func (d *Decomposition) listsOf(n *plan.Node) (bs [4]int, k int) {
+	in, out, inner := d.PipeOf[n.ID]*numLists, d.OutPipeOf[n.ID]*numLists, 0
+	if d.InnerSide[n.ID] {
+		inner = listInnerLeafDrivers - listLeafDrivers
+	}
+	bs[0], k = in+listMembers, 1
+	if n.IsLeaf() {
+		bs[1], k = in+listLeafDrivers+inner, 2
+	}
+	if out >= 0 {
+		bs[1], bs[2], bs[3], k = in+listInputOf, out+listSources, out+listSourceDrivers+inner, 4
+	}
+	return bs, k
+}
+
 // String renders the decomposition for debugging.
 func (d *Decomposition) String() string {
 	var sb strings.Builder
 	for _, pl := range d.Pipelines {
-		fmt.Fprintf(&sb, "pipeline %d: members=%v drivers=%v innerDrivers=%v sources=%v inputOf=%v\n",
+		fmt.Fprintf(&sb, "pipeline %d: listMembers=%v drivers=%v innerDrivers=%v listSources=%v listInputOf=%v\n",
 			pl.ID, pl.Members, pl.Drivers, pl.InnerDrivers, pl.Sources, pl.InputOf)
 	}
 	return sb.String()

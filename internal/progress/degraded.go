@@ -2,9 +2,9 @@ package progress
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	"lqs/internal/engine/dmv"
 )
@@ -26,98 +26,117 @@ import (
 // degraded poll (LB/slack, UB*slack).
 const degradedBoundSlack = 2
 
+// repairState is what the repair pass keeps between polls: the high-water
+// marks in (NodeID, ThreadID) order, Capture's order, and the spare buffer
+// they are rebuilt in when keys appear; the buffers a repaired poll's rows,
+// capture and aggregation are built in (valid until the next call); the
+// latest reason, the incoming reason and counts it was built from, and
+// the buffer it is built in.
+type repairState struct {
+	highWater, spare, sorted, filled, ops []dmv.OpProfile
+	snap                                  dmv.Snapshot
+	reason, incoming                      string
+	buf                                   []byte
+	counts                                [3]int
+}
+
 // prepare vets a snapshot for estimation: it returns the snapshot to
-// estimate from (the original, or a repaired private copy), whether the
-// poll is degraded, and the reason. Without Options.Degrade, or for
-// hand-built snapshots carrying only pre-aggregated Ops rows, it is a
-// pass-through. The high-water marks are kept in (NodeID, ThreadID) order,
-// the order Capture emits Threads in, so a healthy poll is one walk over
-// two sorted lists that allocates nothing.
+// estimate from (the original, or a repaired copy the estimator owns),
+// whether the poll is degraded, and the reason. Without Options.Degrade,
+// or for hand-built snapshots carrying only pre-aggregated Ops rows, it is
+// a pass-through. Duplicated keys are merged (a torn capture emitted a row
+// twice; summing them would double-count k). A healthy poll allocates
+// nothing.
 func (e *Estimator) prepare(snap *dmv.Snapshot) (*dmv.Snapshot, bool, string) {
 	if !e.Opt.Degrade {
 		return snap, false, ""
 	}
-	degraded := snap.Degraded
-	reason := snap.DegradeReason
 	if len(snap.Threads) == 0 {
-		return snap, degraded, reason
+		return snap, snap.Degraded, snap.DegradeReason
 	}
-
-	// Merge duplicated keys (a torn capture emitted a row twice — summing
-	// them would double-count k and inflate every fraction). Only an
-	// unordered or duplicated capture is copied.
+	rs := &e.repair
 	rows, dups := snap.Threads, 0
-	if !keysIncreasing(rows) {
-		rows, dups = sortMerged(rows)
+	stale, missing, ok := rs.lift(rows)
+	if !ok {
+		rs.sorted, dups = sortMerged(rs.sorted, rows)
+		rows = rs.sorted
+		stale, missing, _ = rs.lift(rows)
 	}
+	return e.repaired(snap, rows, dups, stale, missing)
+}
 
-	// Detect rows whose monotone counters regressed below the high-water
-	// (stale rows interleaved into a fresh capture, or a whole snapshot
-	// re-delivered out of order) and keys that vanished from the capture
-	// (dropped rows), and lift the marks from the capture whether or not a
-	// repair fires — healthy polls are what the marks are made of.
-	// Regressed rows are left as captured — the poll is flagged Degraded
-	// instead, so the display layer holds last-good progress via the forced
-	// monotone clamp rather than estimating from counters the estimator
-	// invented.
-	hw := e.highWater
-	var stale, missing, added int
+// lift is the repair pass's one merge walk of rows against the marks: it
+// counts rows whose monotone counters regressed (stale rows, or a whole
+// capture re-delivered out of order) and keys that vanished (dropped
+// rows), and lifts the marks whether or not a repair fires (healthy polls
+// are what they are made of), adding keys that appear. At a row whose key
+// does not follow its predecessor's it stops and reports ok false, for the
+// caller to sort and merge the rows and walk again: the marks it lifted
+// stay lifted, which changes nothing because lifting is a join (maxInto).
+func (rs *repairState) lift(rows []dmv.OpProfile) (stale, missing int, ok bool) {
+	hw, added := rs.highWater, 0
 	for i, j := 0, 0; i < len(rows) || j < len(hw); {
 		switch c := compareAt(rows, i, hw, j); {
-		case c < 0:
-			added++
-			i++
 		case c > 0:
 			missing++
 			j++
+			continue
+		case c < 0:
+			added++
 		default:
-			// A row equal to its high-water (an idle operator) neither
-			// regressed nor lifts it.
-			if rows[i] != hw[j] {
-				if profileRegressed(&rows[i], &hw[j]) {
-					stale++
-				}
-				maxInto(&hw[j], &rows[i])
+			if maxInto(&hw[j], &rows[i]) {
+				stale++
 			}
-			i, j = i+1, j+1
+			j++
+		}
+		if i++; i < len(rows) && compareKeys(&rows[i-1], &rows[i]) >= 0 {
+			return 0, 0, false
 		}
 	}
 	if added > 0 {
-		spare := e.spareHighWater[:0]
+		spare := rs.spare[:0]
 		if cap(spare) < len(hw)+added {
 			spare = make([]dmv.OpProfile, 0, len(hw)+added)
 		}
-		e.highWater, e.spareHighWater = mergeKeys(spare, hw, rows), hw
+		rs.highWater, rs.spare = mergeKeys(spare, hw, rows), hw
 	}
+	return stale, missing, true
+}
 
+// repaired finishes the repair pass over rows, snap's rows sorted and
+// merged, given the walk's counts: snap itself, snap flagged degraded when
+// only stale rows were found (the forced monotone clamp is the remedy), or
+// a capture the estimator owns with dropped rows filled from the marks (a
+// missing row reads as "no progress since last poll", the conservative
+// reconstruction).
+func (e *Estimator) repaired(snap *dmv.Snapshot, rows []dmv.OpProfile, dups, stale, missing int) (*dmv.Snapshot, bool, string) {
 	if dups == 0 && stale == 0 && missing == 0 {
-		return snap, degraded, reason
+		return snap, snap.Degraded, snap.DegradeReason
 	}
-	repair := fmt.Sprintf("faulty thread rows: %d duplicate, %d stale, %d missing", dups, stale, missing)
-	if reason != "" {
-		reason += "; " + repair
-	} else {
-		reason = repair
+	rs := &e.repair
+	if c := [3]int{dups, stale, missing}; c != rs.counts || snap.DegradeReason != rs.incoming || rs.reason == "" {
+		rs.counts, rs.incoming = c, snap.DegradeReason
+		b := append(rs.buf[:0], rs.incoming...)
+		if len(b) > 0 {
+			b = append(b, "; "...)
+		}
+		b = append(b, "faulty thread rows: "...)
+		for i, n := range c {
+			b = append(strconv.AppendInt(b, int64(n), 10), [3]string{" duplicate, ", " stale, ", " missing"}[i]...)
+		}
+		rs.buf, rs.reason = b, string(b)
 	}
 	if dups == 0 && missing == 0 {
-		// Stale-only: nothing to rebuild, the degraded flag (and the forced
-		// monotone clamp it engages) is the whole remedy.
-		return snap, true, reason
+		return snap, true, rs.reason
 	}
 	if missing > 0 {
-		// Fill dropped rows from the high-water: a missing row is
-		// indistinguishable from "no progress since last poll", which is
-		// the conservative reconstruction.
-		rows = mergeKeys(make([]dmv.OpProfile, 0, len(rows)+missing), rows, e.highWater)
+		rs.filled = mergeKeys(rs.filled[:0], rows, rs.highWater)
+		rows = rs.filled
 	}
-	repaired := &dmv.Snapshot{
-		At:            snap.At,
-		NumNodes:      snap.NumNodes,
-		Threads:       rows,
-		Degraded:      true,
-		DegradeReason: reason,
-	}
-	return repaired, true, reason
+	rs.snap = dmv.Snapshot{At: snap.At, NumNodes: snap.NumNodes, Threads: rows, Degraded: true, DegradeReason: rs.reason}
+	rs.snap.AggregateInto(rs.ops)
+	rs.ops = rs.snap.Ops
+	return &rs.snap, true, rs.reason
 }
 
 // compareKeys orders profile rows by (NodeID, ThreadID). It runs for
@@ -141,22 +160,11 @@ func compareAt(a []dmv.OpProfile, i int, b []dmv.OpProfile, j int) int {
 	return compareKeys(&a[i], &b[j])
 }
 
-// keysIncreasing reports whether rows are strictly increasing in
-// (NodeID, ThreadID): sorted, with no key twice.
-func keysIncreasing(rows []dmv.OpProfile) bool {
-	for i := 1; i < len(rows); i++ {
-		if compareKeys(&rows[i-1], &rows[i]) >= 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// sortMerged returns a sorted copy of rows with each duplicated key merged
-// into its first row, in arrival order (the sort is stable), and how many
-// rows the merge removed.
-func sortMerged(rows []dmv.OpProfile) ([]dmv.OpProfile, int) {
-	out := slices.Clone(rows)
+// sortMerged returns a sorted copy of rows, built in buf, with each
+// duplicated key merged into its first row, in arrival order (the sort is
+// stable), and how many rows the merge removed.
+func sortMerged(buf, rows []dmv.OpProfile) ([]dmv.OpProfile, int) {
+	out := append(buf[:0], rows...)
 	slices.SortStableFunc(out, func(a, b dmv.OpProfile) int { return compareKeys(&a, &b) })
 	w := 0
 	for r := 1; r < len(out); r++ {
@@ -192,8 +200,21 @@ func mergeKeys(out, a, b []dmv.OpProfile) []dmv.OpProfile {
 // maxInto lifts dst to its elementwise high-water with src, a profile row
 // for the same (node, thread) key: monotone counters take the max,
 // lifecycle flags OR together, start times take the earliest set value and
-// end times the latest.
-func maxInto(dst, src *dmv.OpProfile) {
+// end times the latest. It reports whether src's monotone counters or
+// lifecycle flags sat below dst's — the signature of a stale row.
+func maxInto(dst, src *dmv.OpProfile) (regressed bool) {
+	regressed = src.ActualRows < dst.ActualRows ||
+		src.Rebinds < dst.Rebinds ||
+		src.CPUTime < dst.CPUTime ||
+		src.IOTime < dst.IOTime ||
+		src.LogicalReads < dst.LogicalReads ||
+		src.PhysicalReads < dst.PhysicalReads ||
+		src.IORetries < dst.IORetries ||
+		src.SegmentsProcessed < dst.SegmentsProcessed ||
+		src.InternalDone < dst.InternalDone ||
+		(dst.Opened && !src.Opened) ||
+		(dst.Closed && !src.Closed) ||
+		(dst.FirstActive && !src.FirstActive)
 	if src.EstimateRows > dst.EstimateRows {
 		dst.EstimateRows = src.EstimateRows
 	}
@@ -226,31 +247,14 @@ func maxInto(dst, src *dmv.OpProfile) {
 		dst.Closed = true
 	}
 	dst.ClosedAt = max(dst.ClosedAt, src.ClosedAt)
+	return regressed
 }
 
-// profileRegressed reports whether cur's monotone counters or lifecycle
-// flags sit below last's — the signature of a stale row.
-func profileRegressed(cur, last *dmv.OpProfile) bool {
-	return cur.ActualRows < last.ActualRows ||
-		cur.Rebinds < last.Rebinds ||
-		cur.CPUTime < last.CPUTime ||
-		cur.IOTime < last.IOTime ||
-		cur.LogicalReads < last.LogicalReads ||
-		cur.PhysicalReads < last.PhysicalReads ||
-		cur.IORetries < last.IORetries ||
-		cur.SegmentsProcessed < last.SegmentsProcessed ||
-		cur.InternalDone < last.InternalDone ||
-		(last.Opened && !cur.Opened) ||
-		(last.Closed && !cur.Closed) ||
-		(last.FirstActive && !cur.FirstActive)
-}
-
-// widenBounds relaxes Appendix A bounds on a degraded poll.
-func widenBounds(bs []Bounds) {
-	for i := range bs {
-		bs[i].LB /= degradedBoundSlack
-		if !math.IsInf(bs[i].UB, 1) {
-			bs[i].UB *= degradedBoundSlack
-		}
+// widen relaxes an Appendix A bound on a degraded poll.
+func widen(b Bounds) Bounds {
+	b.LB /= degradedBoundSlack
+	if !math.IsInf(b.UB, 1) {
+		b.UB *= degradedBoundSlack
 	}
+	return b
 }

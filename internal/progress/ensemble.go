@@ -3,7 +3,6 @@ package progress
 import (
 	"math"
 
-	"lqs/internal/engine/catalog"
 	"lqs/internal/engine/dmv"
 	"lqs/internal/plan"
 	"lqs/internal/sim"
@@ -70,46 +69,31 @@ const (
 	numCands
 )
 
-// ensemble is the per-query selector state: the candidates' passes (both
-// reading one NHints store), the penalty/weight vectors, and the hysteresis
-// bookkeeping. It lives on the top-level Estimator; candidates never
-// recurse into it.
+// ensemble is the per-query selector state: the candidates' passes, the
+// refined-N̂ hints both read, the penalty/weight vectors, and the
+// hysteresis bookkeeping.
 type ensemble struct {
 	names []string
-	// tgn is the pass the TGN and DNE candidates share, run under the TGN
-	// options; dne is DNE's query-progress fold over it. lqs is the LQS
-	// candidate's pass.
-	tgn, lqs *Estimator
+	// tgn is the pass the TGN and DNE candidates share, under the TGN
+	// options, and dne DNE's fold over it; lqs is the LQS candidate's pass.
+	tgn, lqs pass
 	dne      queryFold
-	hints    *NHints
+	hints    NHints
+	ests     [2]Estimate // the candidates' estimates (tgn, lqs)
 
-	// subs are the candidates' estimates, reused every poll: they feed the
-	// blend and never leave it. DNE's slices are TGN's. qs is the
-	// candidates' query progress.
-	subs [numCands]Estimate
-	qs   []float64
+	// qs is the candidates' query progress.
+	qs, prior, penalty, dist, weights, lastQ, scratch [numCands]float64
 
-	prior   []float64
-	penalty []float64
-	dist    []float64
-	weights []float64
-	lastQ   []float64
-	scratch []float64
+	firstAt, lastAt sim.Duration
+	started         bool
+	polls           int
 
-	// anchor indexes the candidate the proximity gate measures against —
-	// the shipping LQS configuration.
-	anchor int
-
-	firstAt sim.Duration
-	lastAt  sim.Duration
-	started bool
-	polls   int
-
-	selected   int
-	challenger int
-	streak     int
-	switches   int
+	selected, challenger, streak, switches int
 }
+
+// ensAnchor is the candidate the proximity gate measures against: the
+// shipping LQS configuration.
+const ensAnchor = candLQS
 
 // EnsembleInfo is the per-poll introspection the ensemble attaches to its
 // Estimate: every candidate's displayed progress, the blend weights (sum
@@ -151,78 +135,47 @@ type EnsembleCandidate struct {
 }
 
 // newEnsemble builds the candidate passes for a top-level ensemble
-// estimator: the published modes, each wired to one shared NHints store
-// and the top-level estimator's decomposition, each with Ensemble off so
-// construction cannot recurse. The LQS candidate keeps its display
-// contract (monotone, degradation-forced clamps); the baselines stay raw,
-// exactly like their standalone modes.
-func newEnsemble(p *plan.Plan, cat *catalog.Catalog, opt Options, d *Decomposition, f nodeFacts) *ensemble {
-	hints := newNHints(p, d, opt.minRefine())
-	cand := func(o Options) *Estimator {
+// estimator: the published modes, each reading one shared NHints store,
+// each with Ensemble off. The LQS candidate keeps its display contract
+// (monotone, degradation-forced clamps); the baselines stay raw, exactly
+// like their standalone modes.
+func newEnsemble(p *plan.Plan, opt Options, d *Decomposition) *ensemble {
+	nodes, pipes := len(p.Nodes), len(d.Pipelines)
+	cand := func(o Options) pass {
 		if opt.MinRefineRows > 0 {
 			o.MinRefineRows = opt.MinRefineRows
 		}
-		c := newEstimator(p, cat, o, d, f)
-		c.hints = hints
-		return c
+		return newPass(o, nodes, pipes)
 	}
-	// Per-candidate vectors share one array.
-	v := make([]float64, 7*numCands)
-	vec := func(i int) []float64 { return v[i*numCands : (i+1)*numCands : (i+1)*numCands] }
+	prior := [numCands]float64{0.25, 0.25, 0.5}
 	en := &ensemble{
 		names:      []string{"TGN", "DNE", "LQS"},
 		tgn:        cand(TGNOptions()),
 		lqs:        cand(LQSOptions()),
-		hints:      hints,
-		qs:         vec(0),
-		prior:      vec(1),
-		penalty:    vec(2),
-		dist:       vec(3),
-		weights:    vec(4),
-		lastQ:      vec(5),
-		scratch:    vec(6),
-		anchor:     candLQS,
+		dne:        queryFold{num: make([]float64, nodes)},
+		hints:      newNHints(d, nodes, opt.minRefine()),
+		prior:      prior,
+		weights:    prior,
 		selected:   candLQS,
 		challenger: -1,
 	}
-	copy(en.prior, []float64{0.25, 0.25, 0.5})
-	copy(en.weights, en.prior)
+	en.tgn.est, en.lqs.est = &en.ests[0], &en.ests[1]
 	return en
 }
 
-// pass is the estimator whose pass candidate i reads.
-func (en *ensemble) pass(i int) *Estimator {
-	if i == candLQS {
-		return en.lqs
-	}
-	return en.tgn
-}
-
-// fold is candidate i's query-progress fold of the latest poll.
-func (en *ensemble) fold(i int) *queryFold {
-	switch i {
-	case candTGN:
-		return &en.tgn.query
-	case candDNE:
-		return &en.dne
-	}
-	return &en.lqs.query
-}
-
-// estimateEnsemble is the ensemble estimation pass: the candidates' passes
-// consume the already-prepared snapshot, the selector observes their
-// trajectories, and the blend becomes the displayed estimate in est.
+// estimateEnsemble is the ensemble's poll: one walk runs both candidates'
+// passes, the TGN, DNE and §4.6 folds make their query progress, and the
+// selector blends them into est.
 func (e *Estimator) estimateEnsemble(est *Estimate, snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
-	snap.Aggregate()
-	e.rec = zeroed(e.rec, len(e.Plan.Nodes))
 	en := e.ens
-	en.hints.Update(snap)
-	tgn := en.tgn.estimateInto(&en.subs[candTGN], snap, degraded, reason)
-	// The TGN options leave display clamps off, so DNE's estimate is TGN's
-	// with the other fold's value.
-	en.subs[candDNE] = *tgn
-	en.subs[candDNE].Query = clamp01(en.tgn.driverQueryProgress(snap, tgn, &en.dne))
-	en.lqs.estimateInto(&en.subs[candLQS], snap, degraded, reason)
+	tgn, lqs := &en.tgn, &en.lqs
+	e.walk(snap, degraded, reason, tgn, lqs)
+	tgn.est.Query = e.fold(snap, tgn)
+	en.qs[candDNE] = clamp01(e.driverQueryProgress(snap, tgn, &en.dne))
+	lqs.est.Query = e.fold(snap, lqs)
+	tgn.finish(degraded)
+	lqs.finish(degraded)
+	en.qs[candTGN], en.qs[candLQS] = tgn.est.Query, lqs.est.Query
 	return e.blendEnsemble(est, snap, degraded, reason)
 }
 
@@ -234,10 +187,9 @@ type ensembleEstimate struct {
 	vecs [4 * numCands]float64
 }
 
-// newEnsembleEstimate is an Estimate whose ensemble record, vectors
-// included, shares its allocation.
-func newEnsembleEstimate() *Estimate {
-	r := &ensembleEstimate{}
+// wire points r's estimate at its ensemble record, and the record at its
+// vectors, and returns the estimate.
+func (r *ensembleEstimate) wire() *Estimate {
 	vec := func(i int) []float64 { return r.vecs[i*numCands : (i+1)*numCands : (i+1)*numCands] }
 	r.info = EnsembleInfo{Query: vec(0), Weights: vec(1), Penalty: vec(2), Distance: vec(3)}
 	r.est.Ensemble = &r.info
@@ -253,28 +205,26 @@ func newEnsembleEstimate() *Estimate {
 // them only when est lacks them.
 func (e *Estimator) blendEnsemble(est *Estimate, snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
 	en := e.ens
-	subs := en.subs[:]
-	for i := range subs {
-		en.qs[i] = subs[i].Query
-	}
-	en.observe(snap.At, en.qs, degraded)
+	tgn, lqs := en.tgn.est, en.lqs.est
+	en.observe(snap.At, en.qs[:], degraded)
 
 	info := est.Ensemble
 	if info == nil {
-		info = newEnsembleEstimate().Ensemble
+		info = new(ensembleEstimate).wire().Ensemble
 	}
 	// The envelope of the candidates' Appendix A bounds is the tightest
 	// interval each bounded candidate's bounds allow. LQS is the only
 	// candidate that computes them, so the envelope is its bounds.
-	bounds := e.reset(est, snap, degraded, reason)
-	est.Bounds = append(bounds[:0], subs[candLQS].Bounds...)
+	e.own.est = est
+	e.begin(&e.own, snap, degraded, reason)
+	est.Bounds = append(est.Bounds[:0], lqs.Bounds...)
 	est.Ensemble = info
 	w := en.weights
 	var blend float64
-	for i := range subs {
+	for i := range en.qs {
 		blend += w[i] * en.qs[i]
 	}
-	sel := &subs[en.selected]
+	sel := en.pass(en.selected).est
 	for id := range est.Op {
 		// The lifecycle contract (closed ⇒ exactly 1, unopened ⇒ 0) must
 		// survive blending: every candidate honors it, but a weighted sum of
@@ -286,10 +236,11 @@ func (e *Estimator) blendEnsemble(est *Estimate, snap *dmv.Snapshot, degraded bo
 		case !prof.Opened:
 			est.Op[id] = 0
 		default:
+			// DNE's operator progress is TGN's.
 			var op float64
-			for i := range subs {
-				op += w[i] * subs[i].Op[id]
-			}
+			op += w[candTGN] * tgn.Op[id]
+			op += w[candDNE] * tgn.Op[id]
+			op += w[candLQS] * lqs.Op[id]
 			est.Op[id] = clamp01(op)
 		}
 		est.N[id] = sel.N[id]
@@ -299,23 +250,18 @@ func (e *Estimator) blendEnsemble(est *Estimate, snap *dmv.Snapshot, degraded bo
 	}
 	for pid := range est.PipelineProg {
 		var v float64
-		for i := range subs {
-			v += w[i] * subs[i].PipelineProg[pid]
-		}
+		v += w[candTGN] * tgn.PipelineProg[pid]
+		v += w[candDNE] * tgn.PipelineProg[pid]
+		v += w[candLQS] * lqs.PipelineProg[pid]
 		est.PipelineProg[pid] = clamp01(v)
 	}
-	copy(info.Query, en.qs)
-	copy(info.Weights, w)
-	copy(info.Penalty, en.penalty)
-	copy(info.Distance, en.dist)
+	copy(info.Query, en.qs[:])
+	copy(info.Weights, w[:])
+	copy(info.Penalty, en.penalty[:])
+	copy(info.Distance, en.dist[:])
 	info.Names, info.Blend, info.Selected, info.Switches = en.names, blend, en.selected, en.switches
-	est.Query = clamp01(blend)
-	switch {
-	case e.Opt.Monotone, e.Opt.Degrade && degraded:
-		e.enforceMonotone(est, true)
-	case e.Opt.Degrade:
-		e.enforceMonotone(est, false)
-	}
+	est.Query = blend
+	e.own.finish(degraded)
 	return est
 }
 
@@ -331,7 +277,7 @@ func (en *ensemble) observe(at sim.Duration, qs []float64, degraded bool) {
 	if !en.started {
 		en.started = true
 		en.firstAt, en.lastAt = at, at
-		copy(en.lastQ, qs)
+		copy(en.lastQ[:], qs)
 		return
 	}
 	if at <= en.lastAt {
@@ -346,7 +292,7 @@ func (en *ensemble) observe(at sim.Duration, qs []float64, degraded bool) {
 	if prev := float64(en.lastAt - en.firstAt); prev > 0 {
 		growth := float64(at-en.firstAt) / prev
 		for i, q := range qs {
-			en.dist[i] = ensLambda*en.dist[i] + (1-ensLambda)*math.Abs(q-qs[en.anchor])
+			en.dist[i] = ensLambda*en.dist[i] + (1-ensLambda)*math.Abs(q-qs[ensAnchor])
 			if en.lastQ[i] < ensMinQ {
 				continue
 			}
@@ -358,7 +304,7 @@ func (en *ensemble) observe(at sim.Duration, qs []float64, degraded bool) {
 			en.penalty[i] = ensLambda*en.penalty[i] + (1-ensLambda)*dev
 		}
 	}
-	copy(en.lastQ, qs)
+	copy(en.lastQ[:], qs)
 	en.lastAt = at
 	en.polls++
 	en.reweigh()
@@ -374,17 +320,17 @@ func (en *ensemble) reweigh() {
 	if conf > ensConfCap {
 		conf = ensConfCap
 	}
-	raw := en.scratch
+	raw := &en.scratch
 	var sum float64
 	for i := range raw {
 		raw[i] = en.prior[i] * math.Exp(-en.penalty[i]/ensTau)
-		if i != en.anchor {
+		if i != ensAnchor {
 			raw[i] *= math.Exp(-en.dist[i]/ensSigma) * conf / ensConfCap
 		}
 		sum += raw[i]
 	}
 	if sum <= 0 {
-		copy(raw, en.prior)
+		*raw = en.prior
 		sum = 0
 		for _, v := range raw {
 			sum += v
@@ -420,19 +366,19 @@ func (en *ensemble) reweigh() {
 	}
 }
 
-// explain fills an ensemble Explanation from the latest poll's passes: the
-// candidate rows, the blended raw query progress, and each term's
-// per-candidate contributions, which sum exactly to that raw value. It
+// explainEnsemble fills an ensemble Explanation from the latest walk: the
+// candidate rows (into x.Candidates), the blended raw query progress, and
+// each term's per-candidate contributions, which sum exactly to it. It
 // returns the pass whose N̂ attribution (Source, Alpha, bound clamps) the
 // terms carry: the hysteresis-selected candidate's.
-func (en *ensemble) explain(x *Explanation, snap *dmv.Snapshot, est *Estimate) *Estimator {
+func (e *Estimator) explainEnsemble(x *Explanation, snap *dmv.Snapshot, est *Estimate) *pass {
+	en := e.ens
 	// The LQS candidate folds with §4.6 weighting, whose per-node split
 	// only Explain computes.
-	en.lqs.weightedContrib(snap, &en.subs[candLQS])
+	e.weightedContrib(snap, &en.lqs)
+	folds := [numCands]*queryFold{&en.tgn.query, &en.dne, &en.lqs.query}
 	info := est.Ensemble
-	x.Candidates = make([]EnsembleCandidate, numCands)
-	for i := range x.Candidates {
-		f := en.fold(i)
+	for i, f := range folds {
 		x.RawQuery += info.Weights[i] * f.raw
 		x.Candidates[i] = EnsembleCandidate{
 			Name:     info.Names[i],
@@ -448,10 +394,18 @@ func (en *ensemble) explain(x *Explanation, snap *dmv.Snapshot, est *Estimate) *
 		t := &x.Terms[id]
 		t.EnsembleMode = info.Names[info.Selected]
 		t.CandidateContrib = contrib[id*numCands : (id+1)*numCands : (id+1)*numCands]
-		for i := range t.CandidateContrib {
-			t.CandidateContrib[i] = info.Weights[i] * en.fold(i).contribution(id)
+		for i, f := range folds {
+			t.CandidateContrib[i] = info.Weights[i] * f.contribution(id)
 			t.Contribution += t.CandidateContrib[i]
 		}
 	}
 	return en.pass(info.Selected)
+}
+
+// pass is the pass candidate i reads: DNE's is TGN's.
+func (en *ensemble) pass(i int) *pass {
+	if i == candLQS {
+		return &en.lqs
+	}
+	return &en.tgn
 }

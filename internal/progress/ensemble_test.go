@@ -51,8 +51,8 @@ func TestEnsembleObserveFreezesOnDegraded(t *testing.T) {
 
 	snapState := func() (int, int, int, sim.Duration, []float64, []float64) {
 		return en.polls, en.selected, en.streak, en.lastAt,
-			append([]float64(nil), en.weights...),
-			append([]float64(nil), en.penalty...)
+			append([]float64(nil), en.weights[:]...),
+			append([]float64(nil), en.penalty[:]...)
 	}
 	polls, selected, streak, lastAt, weights, penalty := snapState()
 

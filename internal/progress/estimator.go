@@ -20,71 +20,109 @@ type Estimator struct {
 	Opt    Options
 	Decomp *Decomposition
 
-	// prevOp/prevQuery hold the high-water marks enforced when
-	// Options.Monotone is set. They are per-estimator state: one estimator
-	// monitors one query, matching how the SSMS client holds its own
-	// display state per session.
-	prevOp    []float64
-	prevQuery float64
+	repair repairState // the repair pass's (degraded.go)
 
-	// highWater is the per-(node, thread) counter high-water mark, sorted by
-	// (NodeID, ThreadID), that the repair pass (degraded.go) keeps when
-	// Options.Degrade is set; spareHighWater is the buffer it is rebuilt in
-	// when new keys appear.
-	highWater, spareHighWater []dmv.OpProfile
+	// own is the estimator's pass in a single mode; in ensemble mode it
+	// keeps the displayed blend's monotone high-water marks. One estimator
+	// monitors one query, as the SSMS client holds its own display state
+	// per session.
+	own pass
 
-	// alpha memoizes each pipeline's α within one deriveN pass; -1 marks
-	// one not computed yet (α is never negative, though it may be NaN).
-	alpha []float64
-
-	// hints is the ensemble's shared refined-N̂ store (§4j), which
-	// newEnsemble wires into each candidate; nil in every other estimator.
+	// started memoizes, per pipeline, whether it has started in the
+	// snapshot being estimated.
+	started []bool
+	// hints is the ensemble's shared refined-N̂ store (§4j); nil in every
+	// other estimator.
 	hints *NHints
+	// ens holds the §4j candidates' passes and the online selector state
+	// when Options.Ensemble is set; nil in every other mode.
+	ens *ensemble
+	// facts are the plan-static node facts a pass reads, resolved once.
+	facts nodeFacts
+}
 
-	// rec is the latest pass's per-node record, indexed by node ID, and
-	// query its query-progress fold. The pass writes both on every poll;
-	// Explain reads them instead of running a pass of its own.
+// pass is what one candidate keeps across a poll's walk: the options that
+// select its §4 rules, the estimate it writes, the per-node record (by
+// node ID) and query-progress fold Explain reads, and the state below.
+type pass struct {
+	opt   Options
+	est   *Estimate
 	rec   []nodeRec
 	query queryFold
-	// queryClamped reports that the monotone high-water mark raised the
-	// latest displayed query progress above the pass's raw value.
-	queryClamped bool
-	// pipeDur is each pipeline's duration in the latest §4.6 fold (0 for
-	// pipelines it left out), shares weightedContrib's per-node scratch.
+	// alpha memoizes each pipeline's α within one walk; -1 marks one not
+	// computed yet (α is never negative, though it may be NaN).
+	alpha []float64
+	// pipeDur is each pipeline's duration in the latest §4.6 fold (0 when
+	// left out); shares is weightedContrib's per-node scratch.
 	pipeDur, shares []float64
+	// rawBounds are a degraded poll's bounds before widening, which later
+	// nodes' bounds build on.
+	rawBounds []Bounds
+	// prevOp/prevQuery are the Options.Monotone high-water marks;
+	// queryClamped reports that the latest query progress was raised.
+	prevOp       []float64
+	prevQuery    float64
+	queryClamped bool
+}
 
-	// ens holds the §4j ensemble machinery when Options.Ensemble is set:
-	// the candidate passes (sharing one NHints store) and the online
-	// selector state. Nil in every other mode.
-	ens *ensemble
-
-	// facts are the plan-static node facts a pass reads, resolved once per
-	// estimator rather than once per poll; the ensemble's candidates share
-	// the top-level estimator's arrays.
-	facts nodeFacts
+// newPass is a pass under opt over a plan of the given shape, its per-node
+// and per-pipeline arrays cut from one allocation.
+func newPass(opt Options, nodes, pipes int) pass {
+	f := make([]float64, 3*nodes+2*pipes)
+	return pass{
+		opt:     opt,
+		rec:     make([]nodeRec, nodes),
+		query:   queryFold{num: f[:nodes:nodes]},
+		shares:  f[nodes : 2*nodes : 2*nodes],
+		prevOp:  f[2*nodes : 3*nodes : 3*nodes],
+		alpha:   f[3*nodes : 3*nodes+pipes : 3*nodes+pipes],
+		pipeDur: f[3*nodes+pipes:],
+	}
 }
 
 // nodeFacts are plan-static per-node values, indexed by node ID.
 type nodeFacts struct {
 	// tableRows is the node's table row count from the catalog: -1 for a
-	// node that reads no table, or one the catalog does not list.
+	// node that reads no table, or one the catalog does not list. A client
+	// may hold a catalog that predates or postdates the plan it is watching
+	// (the table dropped, renamed, or absent from a stale metadata cache);
+	// per the hardening contract the estimator then falls back to optimizer
+	// estimates, never crashes the monitor.
 	tableRows []float64
 	// costWeight is the §4.6 cost-model weight: max(CPU, I/O) per row, or
 	// 1 when the optimizer left both at zero.
 	costWeight []float64
+	// exact is the exactly-known total output of a leaf outside every
+	// nested loops inner side, or -1 where the total is only an estimate.
+	// Plain scans of a whole object are the canonical case (§3.1.1:
+	// "cardinalities of driver nodes are typically known exactly"); an
+	// inner-side leaf rebinds, so only its per-execution count is known.
+	exact []float64
 }
 
-// newNodeFacts resolves p's node facts against cat.
-func newNodeFacts(p *plan.Plan, cat *catalog.Catalog) nodeFacts {
+// newNodeFacts resolves p's node facts, decomposed as d, against cat.
+func newNodeFacts(p *plan.Plan, cat *catalog.Catalog, d *Decomposition) nodeFacts {
 	n := len(p.Nodes)
-	vals := make([]float64, 2*n)
-	f := nodeFacts{tableRows: vals[:n:n], costWeight: vals[n:]}
+	vals := make([]float64, 3*n)
+	f := nodeFacts{tableRows: vals[:n:n], costWeight: vals[n : 2*n : 2*n], exact: vals[2*n:]}
 	for _, node := range p.Nodes {
-		f.tableRows[node.ID] = -1
+		id := node.ID
+		f.tableRows[id], f.exact[id] = -1, -1
 		if cat != nil && node.Table != "" {
 			if t := cat.Table(node.Table); t != nil {
-				f.tableRows[node.ID] = float64(t.RowCount)
+				f.tableRows[id] = float64(t.RowCount)
 			}
+		}
+		switch node.Physical {
+		case plan.ConstantScan:
+			f.exact[id] = float64(len(node.ConstRows))
+		case plan.TableScan, plan.ClusteredIndexScan, plan.IndexScan, plan.ColumnstoreIndexScan:
+			if node.Pred == nil && !node.HasStoragePred() {
+				f.exact[id] = f.tableRows[id]
+			}
+		}
+		if d.InnerSide[id] {
+			f.exact[id] = -1
 		}
 		f.costWeight[node.ID] = max(node.EstCPUPerRow, node.EstIOPerRow)
 		if f.costWeight[node.ID] <= 0 {
@@ -156,26 +194,28 @@ type Estimate struct {
 
 // NewEstimator builds an estimator for a finalized, cost-estimated plan.
 func NewEstimator(p *plan.Plan, cat *catalog.Catalog, opt Options) *Estimator {
-	return newEstimator(p, cat, opt, Decompose(p), newNodeFacts(p, cat))
-}
-
-// newEstimator builds an estimator over an existing decomposition of p and
-// its node facts; the ensemble's candidates share the top-level
-// estimator's.
-func newEstimator(p *plan.Plan, cat *catalog.Catalog, opt Options, d *Decomposition, f nodeFacts) *Estimator {
-	e := &Estimator{Plan: p, Cat: cat, Opt: opt, Decomp: d, facts: f}
+	d := Decompose(p)
+	nodes, pipes := len(p.Nodes), len(d.Pipelines)
+	e := &Estimator{Plan: p, Cat: cat, Opt: opt, Decomp: d, facts: newNodeFacts(p, cat, d)}
+	e.own = newPass(opt, nodes, pipes)
+	e.started = make([]bool, pipes)
 	if opt.Ensemble {
-		e.ens = newEnsemble(p, cat, opt, d, f)
+		e.ens = newEnsemble(p, opt, d)
+		e.hints = &e.ens.hints
 	}
 	return e
 }
 
-// Estimate computes progress from one DMV snapshot into a new Estimate.
+// Estimate computes progress from one DMV snapshot into a new Estimate
+// (in ensemble mode with its ensemble record in the same allocation).
 // Per-thread snapshots of parallel queries are aggregated to one profile
 // per node first; the estimator itself is DOP-oblivious, exactly like the
 // paper's client.
 func (e *Estimator) Estimate(snap *dmv.Snapshot) *Estimate {
-	return e.EstimateInto(e.fresh(), snap)
+	if e.ens != nil {
+		return e.EstimateInto(new(ensembleEstimate).wire(), snap)
+	}
+	return e.EstimateInto(new(Estimate), snap)
 }
 
 // EstimateInto is Estimate writing into dst, which it returns: dst's Op, N,
@@ -189,32 +229,100 @@ func (e *Estimator) EstimateInto(dst *Estimate, snap *dmv.Snapshot) *Estimate {
 	return e.estimateFrom(dst, prepared, degraded, reason)
 }
 
-// fresh is a new Estimate for Estimate and Explain to fill: in ensemble
-// mode it comes with its ensemble record in the same allocation.
-func (e *Estimator) fresh() *Estimate {
-	if e.ens != nil {
-		return newEnsembleEstimate()
-	}
-	return new(Estimate)
-}
-
 // estimateFrom is the estimation pass proper, running over a snapshot the
 // repair pass (prepare) has already vetted. Estimate and Explain both
 // funnel through it so the repaired snapshot is the one every intermediate
 // reads.
 func (e *Estimator) estimateFrom(dst *Estimate, snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
+	snap.Aggregate()
+	// A pipeline has started once a member has opened or a blocking-output
+	// source feeding it has begun emitting: one scan of the rows in order.
+	clear(e.started)
+	for id := range e.Plan.Nodes {
+		op := snap.Op(id)
+		if op.Opened {
+			e.started[e.Decomp.PipeOf[id]] = true
+		}
+		if out := e.Decomp.OutPipeOf[id]; out >= 0 && (op.ActualRows > 0 || op.Closed) {
+			e.started[out] = true
+		}
+	}
 	if e.ens != nil {
 		return e.estimateEnsemble(dst, snap, degraded, reason)
 	}
-	return e.estimateInto(dst, snap, degraded, reason)
+	c := &e.own
+	c.est = dst
+	e.walk(snap, degraded, reason, c)
+	dst.Query = e.fold(snap, c)
+	c.finish(degraded)
+	return dst
 }
 
-// reset readies est for one pass: its Op, N and PipelineProg zeroed and of
-// the plan's shape — est's own when they have it, else cut from one new
-// array — and every other field cleared but its bounds' array, which it
-// returns for the pass to refill.
-func (e *Estimator) reset(est *Estimate, snap *dmv.Snapshot, degraded bool, reason string) []Bounds {
-	nodes, pipes := len(e.Plan.Nodes), len(e.Decomp.Pipelines)
+// walk is one poll's walk of the plan for the passes cs. Postorder, outer
+// child first, so a node's children and outer side are done before it, it
+// refreshes each node's shared hint (ensemble mode) and steps every pass
+// through the node: its Appendix A bounds, its N̂_i (refined and bounded
+// per §4.1–4.4 as the pass's options say) with the record of how it was
+// derived, and its operator progress. Then one pipeline loop folds every
+// pass's pipeline progress; the passes agree on InternalCounters (off in
+// the ensemble), so done is computed once.
+func (e *Estimator) walk(snap *dmv.Snapshot, degraded bool, reason string, cs ...*pass) {
+	for _, c := range cs {
+		e.begin(c, snap, degraded, reason)
+	}
+	for _, n := range e.Decomp.postorder {
+		if e.hints != nil {
+			e.hints.refresh(snap, n)
+		}
+		for _, c := range cs {
+			est := c.est
+			v, src, alpha := e.nodeN(snap, c, n)
+			r := nodeRec{src: src, alpha: alpha}
+			if c.opt.Bound {
+				var b Bounds
+				if degraded {
+					// A degraded snapshot's counters are a reconstruction,
+					// not an observation; widen the Appendix A bounds so the
+					// clamp cannot manufacture false precision from repaired
+					// rows.
+					c.rawBounds[n.ID] = e.nodeBounds(snap, c.rawBounds, n)
+					b = widen(c.rawBounds[n.ID])
+				} else {
+					b = e.nodeBounds(snap, est.Bounds, n)
+				}
+				est.Bounds[n.ID] = b
+				clamped := b.Clamp(v)
+				r.boundClamped = clamped != v
+				v = clamped
+			}
+			// A degenerate optimizer estimate (NaN/Inf from a pathological
+			// selectivity product, or negative from bad stats) would poison
+			// every downstream division; pin it to a sane floor instead.
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				if fb := n.EstRows; fb > 0 && !math.IsNaN(fb) && !math.IsInf(fb, 0) {
+					v = fb
+				} else {
+					v = 0
+				}
+			}
+			est.N[n.ID] = v
+			c.rec[n.ID] = r
+			est.Op[n.ID] = e.opProgress(snap, c, n)
+		}
+	}
+	for _, pl := range e.Decomp.Pipelines {
+		done := e.pipelineDone(snap, cs[0], pl)
+		for _, c := range cs {
+			c.est.PipelineProg[pl.ID] = e.pipelineProgress(snap, c, pl, done)
+		}
+	}
+}
+
+// begin readies pass c for a poll: its estimate's Op, N and PipelineProg
+// zeroed and of the plan's shape (cut from one new array when they are
+// not), its bounds sized if computed, its other fields and α memo reset.
+func (e *Estimator) begin(c *pass, snap *dmv.Snapshot, degraded bool, reason string) {
+	est, nodes, pipes := c.est, len(e.Plan.Nodes), len(e.Decomp.Pipelines)
 	if len(est.Op) == nodes && len(est.N) == nodes && len(est.PipelineProg) == pipes {
 		clear(est.Op)
 		clear(est.N)
@@ -226,54 +334,33 @@ func (e *Estimator) reset(est *Estimate, snap *dmv.Snapshot, degraded bool, reas
 	bounds := est.Bounds
 	est.At, est.Query, est.Bounds = snap.At, 0, nil
 	est.Degraded, est.DegradeReason, est.Ensemble = degraded, reason, nil
-	return bounds
-}
-
-// estimateInto is the single-mode pass, writing into est: the ensemble's
-// candidates estimate into buffers the ensemble owns, every other caller
-// into the Estimate it passed.
-func (e *Estimator) estimateInto(est *Estimate, snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
-	snap.Aggregate()
-	e.rec = zeroed(e.rec, len(e.Plan.Nodes))
-	nodes := len(e.Plan.Nodes)
-	bounds := e.reset(est, snap, degraded, reason)
-	if e.Opt.Bound {
-		est.Bounds = e.computeBounds(zeroed(bounds, nodes), snap)
+	if c.opt.Bound {
+		est.Bounds = zeroed(bounds, nodes)
 		if degraded {
-			// A degraded snapshot's counters are a reconstruction, not an
-			// observation; widen the Appendix A bounds so the clamp cannot
-			// manufacture false precision from repaired rows.
-			widenBounds(est.Bounds)
+			c.rawBounds = zeroed(c.rawBounds, nodes)
 		}
 	}
-	e.deriveN(snap, est)
-	for _, n := range e.Plan.Nodes {
-		est.Op[n.ID] = e.opProgress(snap, est, n)
+	for i := range c.alpha {
+		c.alpha[i] = -1
 	}
-	for _, pl := range e.Decomp.Pipelines {
-		est.PipelineProg[pl.ID] = e.pipelineProgress(snap, est, pl)
-	}
+}
+
+// finish applies the display contract to the pass's query progress:
+// clamped into [0, 1], and held to its high-water marks where the options
+// ask for it.
+func (c *pass) finish(degraded bool) {
+	c.est.Query = clamp01(c.est.Query)
 	switch {
-	case e.Opt.Weighted:
-		est.Query = e.weightedQueryProgress(est)
-	case e.Opt.DriverNodeQuery:
-		est.Query = e.driverQueryProgress(snap, est, &e.query)
-	default:
-		est.Query = e.tgnQueryProgress(snap, est, &e.query)
-	}
-	est.Query = clamp01(est.Query)
-	switch {
-	case e.Opt.Monotone, e.Opt.Degrade && degraded:
+	case c.opt.Monotone, c.opt.Degrade && degraded:
 		// Degraded polls are forced monotone even in ablation modes that
 		// leave Monotone off: holding last-good progress is the degradation
 		// contract, not a display preference.
-		e.enforceMonotone(est, true)
-	case e.Opt.Degrade:
+		c.enforceMonotone(true)
+	case c.opt.Degrade:
 		// Track the high-water marks without clamping, so a later degraded
 		// poll holds against the true history.
-		e.enforceMonotone(est, false)
+		c.enforceMonotone(false)
 	}
-	return est
 }
 
 // enforceMonotone clamps each operator's and the query's displayed progress
@@ -283,60 +370,25 @@ func (e *Estimator) estimateInto(est *Estimate, snap *dmv.Snapshot, degraded boo
 // neither may move a progress bar backwards. With clamp false only the
 // high-water marks are updated (degraded-mode bookkeeping on healthy polls
 // when Monotone is off).
-func (e *Estimator) enforceMonotone(est *Estimate, clamp bool) {
-	if e.prevOp == nil {
-		e.prevOp = make([]float64, len(e.Plan.Nodes))
-	}
+func (c *pass) enforceMonotone(clamp bool) {
+	est := c.est
 	for i := range est.Op {
 		est.Op[i] = clamp01(est.Op[i])
-		if clamp && est.Op[i] < e.prevOp[i] {
-			est.Op[i] = e.prevOp[i]
-			e.rec[i].monoClamped = true
+		raised := clamp && est.Op[i] < c.prevOp[i]
+		if raised {
+			est.Op[i] = c.prevOp[i]
 		}
-		if est.Op[i] > e.prevOp[i] {
-			e.prevOp[i] = est.Op[i]
+		c.rec[i].monoClamped = raised
+		if est.Op[i] > c.prevOp[i] {
+			c.prevOp[i] = est.Op[i]
 		}
 	}
-	e.queryClamped = clamp && est.Query < e.prevQuery
-	if e.queryClamped {
-		est.Query = e.prevQuery
+	c.queryClamped = clamp && est.Query < c.prevQuery
+	if c.queryClamped {
+		est.Query = c.prevQuery
 	}
-	if est.Query > e.prevQuery {
-		e.prevQuery = est.Query
-	}
-}
-
-// deriveN fills est.N: the N̂_i of Equation 2, refined (§4.1, §4.4) and
-// bounded (§4.2) according to Options. The tree is processed postorder
-// with the outer child first, so child and outer-side estimates are
-// available when a node needs them.
-func (e *Estimator) deriveN(snap *dmv.Snapshot, est *Estimate) {
-	if e.alpha == nil {
-		e.alpha = make([]float64, len(e.Decomp.Pipelines))
-	}
-	for i := range e.alpha {
-		e.alpha[i] = -1
-	}
-	for _, n := range e.Decomp.postorder {
-		v, src, alpha := e.nodeN(snap, est, n)
-		r := &e.rec[n.ID]
-		r.src, r.alpha = src, alpha
-		if e.Opt.Bound {
-			clamped := est.Bounds[n.ID].Clamp(v)
-			r.boundClamped = clamped != v
-			v = clamped
-		}
-		// A degenerate optimizer estimate (NaN/Inf from a pathological
-		// selectivity product, or negative from bad stats) would poison
-		// every downstream division; pin it to a sane floor instead.
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			if fb := n.EstRows; fb > 0 && !math.IsNaN(fb) && !math.IsInf(fb, 0) {
-				v = fb
-			} else {
-				v = 0
-			}
-		}
-		est.N[n.ID] = v
+	if est.Query > c.prevQuery {
+		c.prevQuery = est.Query
 	}
 }
 
@@ -351,55 +403,26 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// tableRowCount is node n's table row count, with ok false when the
-// catalog the estimator was built with does not list the table. A client
-// may hold a catalog that predates or postdates the plan it is watching
-// (the table dropped, renamed, or simply absent from a stale metadata
-// cache); per the hardening contract the estimator must degrade — fall
-// back to optimizer estimates — never crash the monitor.
-func (e *Estimator) tableRowCount(n *plan.Node) (float64, bool) {
-	rows := e.facts.tableRows[n.ID]
-	return rows, rows >= 0
-}
-
-// knownLeafTotal returns the exactly-known total output of a leaf, or
-// (0, false) when the leaf's total is only an estimate. Plain scans of a
-// whole object are the canonical case (§3.1.1: "cardinalities of driver
-// nodes are typically known exactly").
-func (e *Estimator) knownLeafTotal(n *plan.Node) (float64, bool) {
-	switch n.Physical {
-	case plan.ConstantScan:
-		return float64(len(n.ConstRows)), true
-	case plan.TableScan, plan.ClusteredIndexScan, plan.IndexScan, plan.ColumnstoreIndexScan:
-		if n.Pred == nil && !n.HasStoragePred() {
-			if size, ok := e.tableRowCount(n); ok {
-				return size, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// nodeN computes one node's N̂, with the §4 rule that produced it and the
-// scale-up fraction that rule used (0 when none).
-func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node) (float64, NSource, float64) {
+// nodeN computes one node's N̂ in pass c, with the §4 rule that produced it
+// and the scale-up fraction that rule used (0 when none).
+func (e *Estimator) nodeN(snap *dmv.Snapshot, c *pass, n *plan.Node) (float64, NSource, float64) {
+	est := c.est
 	op := snap.Op(n.ID)
 	k := float64(op.ActualRows)
 
-	if e.Opt.Refine && op.Closed {
+	if c.opt.Refine && op.Closed {
 		// Completed operators have exactly-known cardinality.
 		return k, SrcClosedExact, 0
 	}
 
 	// Exactly-known leaf totals are available to the client from catalog
 	// metadata whether or not refinement is on (and match the optimizer
-	// estimate in any case); inner-side leaves rebind, so only their
-	// per-execution count is known and the total stays an estimate.
-	if total, ok := e.knownLeafTotal(n); ok && !e.Decomp.InnerSide[n.ID] {
+	// estimate in any case).
+	if total := e.facts.exact[n.ID]; total >= 0 {
 		return total, SrcCatalogExact, 0
 	}
 
-	if !e.Opt.Refine {
+	if !c.opt.Refine {
 		return e.fallbackN(n)
 	}
 
@@ -416,8 +439,8 @@ func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node) (floa
 		}
 	case plan.Concatenation:
 		sum := 0.0
-		for _, c := range n.Children {
-			sum += est.N[c.ID]
+		for _, ch := range n.Children {
+			sum += est.N[ch.ID]
 		}
 		return sum, SrcChild, 0
 	case plan.RIDLookup:
@@ -429,23 +452,23 @@ func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node) (floa
 		// keep the optimizer estimate (bounds clamp it) — unless §7(a)
 		// propagation is on, which rescales the group estimate by the
 		// observed refinement of the input.
-		if e.Opt.PropagateRefined {
+		if c.opt.PropagateRefined {
 			return e.propagatedEstimate(est, n), SrcPropagated, 0
 		}
 		return e.fallbackN(n)
 	}
 
 	pl := e.Decomp.Pipelines[e.Decomp.PipeOf[n.ID]]
-	if !e.pipelineStarted(snap, pl) {
+	if !e.started[pl.ID] {
 		// Nodes in not-yet-started pipelines have no observations of
 		// their own; §7(a) propagation carries their inputs' refinements
 		// across the pipeline boundary.
-		if e.Opt.PropagateRefined {
+		if c.opt.PropagateRefined {
 			return e.propagatedEstimate(est, n), SrcPropagated, 0
 		}
 		return e.fallbackN(n)
 	}
-	if !e.refineGuardsOK(snap, n) {
+	if !e.refineGuardsOK(snap, c, n) {
 		return e.fallbackN(n)
 	}
 
@@ -470,7 +493,7 @@ func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node) (floa
 
 	// §4.4(3): inner-side nodes scale their average rows per execution by
 	// the outer side's total cardinality.
-	if e.Decomp.InnerSide[n.ID] && e.Opt.SemiBlocking {
+	if e.Decomp.InnerSide[n.ID] && c.opt.SemiBlocking {
 		rebinds := max(float64(op.Rebinds), 1)
 		outer := max(est.N[e.Decomp.OuterOf[n.ID]], 1)
 		// The effective scale-up is the outer side's progress in rebinds.
@@ -482,11 +505,11 @@ func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node) (floa
 	// separates this node from the pipeline's leaves (§4.4(2)).
 	var alpha float64
 	src := SrcPipelineAlpha
-	if e.Opt.SemiBlocking && (e.Decomp.semiBelow[n.ID] || n.IsSemiBlocking()) && len(n.Children) > 0 {
+	if c.opt.SemiBlocking && (e.Decomp.semiBelow[n.ID] || n.IsSemiBlocking()) && len(n.Children) > 0 {
 		alpha = e.childProgress(snap, est, n)
 		src = SrcChildAlpha
 	} else {
-		alpha = e.pipelineAlpha(snap, est, pl)
+		alpha = e.pipelineAlpha(snap, c, pl)
 	}
 	if alpha <= 1e-9 {
 		return e.fallbackN(n)
@@ -494,7 +517,7 @@ func (e *Estimator) nodeN(snap *dmv.Snapshot, est *Estimate, n *plan.Node) (floa
 	if alpha > 1 {
 		alpha = 1
 	}
-	if e.Opt.InterpRefine {
+	if c.opt.InterpRefine {
 		// Prior-work linear interpolation [22]: converges slowly when the
 		// initial estimate is grossly wrong (§4.1's critique).
 		return k + (1-alpha)*n.EstRows, SrcInterpolated, alpha
@@ -583,22 +606,22 @@ func (e *Estimator) childProgress(snap *dmv.Snapshot, est *Estimate, n *plan.Nod
 // nodes, with per-driver progress generalized for storage-predicate scans
 // (I/O fraction, §4.3) and batch-mode scans (segment fraction, §4.7).
 // §4.4(1) adds inner-side drivers when SemiBlocking is on.
-func (e *Estimator) pipelineAlpha(snap *dmv.Snapshot, est *Estimate, pl *Pipeline) float64 {
-	if a := e.alpha[pl.ID]; !(a < 0) {
+func (e *Estimator) pipelineAlpha(snap *dmv.Snapshot, c *pass, pl *Pipeline) float64 {
+	if a := c.alpha[pl.ID]; !(a < 0) {
 		return a
 	}
 	var num, den float64
 	add := func(drivers []int) {
 		for _, id := range drivers {
 			n := e.Plan.Node(id)
-			total := max(est.N[id], 1)
-			prog := e.driverProgress(snap, est, n)
+			total := max(c.est.N[id], 1)
+			prog := e.driverProgress(snap, c, n)
 			num += prog * total
 			den += total
 		}
 	}
 	add(pl.Drivers)
-	if e.Opt.SemiBlocking {
+	if c.opt.SemiBlocking {
 		// Drivers and InnerDrivers are disjoint by construction — no α term
 		// is double-counted (pinned by TestDriverSetsDisjointInvariant).
 		add(pl.InnerDrivers)
@@ -607,59 +630,44 @@ func (e *Estimator) pipelineAlpha(snap *dmv.Snapshot, est *Estimate, pl *Pipelin
 	if den > 0 {
 		a = num / den
 	}
-	e.alpha[pl.ID] = a
+	c.alpha[pl.ID] = a
 	return a
 }
 
-// driverProgress estimates one driver node's own progress fraction.
-func (e *Estimator) driverProgress(snap *dmv.Snapshot, est *Estimate, n *plan.Node) float64 {
+// driverProgress estimates one driver node's own progress fraction in
+// pass c.
+func (e *Estimator) driverProgress(snap *dmv.Snapshot, c *pass, n *plan.Node) float64 {
 	op := snap.Op(n.ID)
 	if op.Closed {
 		return 1
 	}
-	if e.Opt.BatchMode && n.BatchMode && op.SegmentsTotal > 0 {
+	if c.opt.BatchMode && n.BatchMode && op.SegmentsTotal > 0 {
 		return clamp01(float64(op.SegmentsProcessed) / float64(op.SegmentsTotal))
 	}
-	if e.Opt.StoragePredIO && n.HasStoragePred() && op.PagesTotal > 0 {
+	if c.opt.StoragePredIO && n.HasStoragePred() && op.PagesTotal > 0 {
 		return clamp01(float64(op.LogicalReads) / float64(op.PagesTotal))
 	}
-	total := max(est.N[n.ID], 1)
+	total := max(c.est.N[n.ID], 1)
 	return clamp01(float64(op.ActualRows) / total)
 }
 
-// pipelineStarted reports whether any member of the pipeline has opened,
-// or a blocking-output source feeding it has begun emitting.
-func (e *Estimator) pipelineStarted(snap *dmv.Snapshot, pl *Pipeline) bool {
-	for _, id := range pl.Members {
-		if snap.Op(id).Opened {
-			return true
-		}
-	}
-	for _, id := range pl.Sources {
-		op := snap.Op(id)
-		if op.ActualRows > 0 || op.Closed {
-			return true
-		}
-	}
-	return false
-}
-
 // pipelineDone reports whether every member of the pipeline has closed or
-// finished its streaming role. Blocking tops count as done once their
-// input is consumed (their output phase belongs to the parent pipeline).
-func (e *Estimator) pipelineDone(snap *dmv.Snapshot, pl *Pipeline) bool {
+// finished its streaming role, under pass c's options. Blocking tops count
+// as done once their input is consumed (their output phase belongs to the
+// parent pipeline).
+func (e *Estimator) pipelineDone(snap *dmv.Snapshot, c *pass, pl *Pipeline) bool {
 	for _, id := range pl.Members {
 		op := snap.Op(id)
 		n := e.Plan.Node(id)
 		if n.IsBlocking() {
 			// The input phase is done when all children closed — plus, with
 			// the §7 counters, any internal phase must have finished too.
-			for _, c := range n.Children {
-				if !snap.Op(c.ID).Closed {
+			for _, ch := range n.Children {
+				if !snap.Op(ch.ID).Closed {
 					return false
 				}
 			}
-			if e.Opt.InternalCounters && op.InternalDone < op.InternalTotal {
+			if c.opt.InternalCounters && op.InternalDone < op.InternalTotal {
 				return false
 			}
 			continue
@@ -673,19 +681,19 @@ func (e *Estimator) pipelineDone(snap *dmv.Snapshot, pl *Pipeline) bool {
 			return false
 		}
 	}
-	return e.pipelineStarted(snap, pl)
+	return e.started[pl.ID]
 }
 
 // refineGuardsOK implements the §4.1 guard conditions: a minimum number of
 // observed tuples on every input, and — for filters and joins — having
 // observed both qualifying and non-qualifying tuples (approximated from
 // the counters the DMV exposes).
-func (e *Estimator) refineGuardsOK(snap *dmv.Snapshot, n *plan.Node) bool {
-	min := e.Opt.minRefine()
+func (e *Estimator) refineGuardsOK(snap *dmv.Snapshot, c *pass, n *plan.Node) bool {
+	min := c.opt.minRefine()
 	op := snap.Op(n.ID)
 	var inputK int64
-	for _, c := range n.Children {
-		ck := snap.Op(c.ID).ActualRows
+	for _, ch := range n.Children {
+		ck := snap.Op(ch.ID).ActualRows
 		if ck < min {
 			return false
 		}
@@ -713,7 +721,8 @@ func (e *Estimator) refineGuardsOK(snap *dmv.Snapshot, n *plan.Node) bool {
 // 99% until the operator actually closes — matching the paper's
 // observation (Fig. 4) that a wrong estimate parks at 99% rather than
 // falsely reporting completion.
-func (e *Estimator) opProgress(snap *dmv.Snapshot, est *Estimate, n *plan.Node) float64 {
+func (e *Estimator) opProgress(snap *dmv.Snapshot, c *pass, n *plan.Node) float64 {
+	est := c.est
 	op := snap.Op(n.ID)
 	if op.Closed {
 		return 1
@@ -721,20 +730,20 @@ func (e *Estimator) opProgress(snap *dmv.Snapshot, est *Estimate, n *plan.Node) 
 	if !op.Opened {
 		return 0
 	}
-	if e.Opt.BatchMode && n.BatchMode && op.SegmentsTotal > 0 {
+	if c.opt.BatchMode && n.BatchMode && op.SegmentsTotal > 0 {
 		return capRunning(float64(op.SegmentsProcessed) / float64(op.SegmentsTotal))
 	}
-	if e.Opt.StoragePredIO && n.HasStoragePred() && op.PagesTotal > 0 {
+	if c.opt.StoragePredIO && n.HasStoragePred() && op.PagesTotal > 0 {
 		return capRunning(float64(op.LogicalReads) / float64(op.PagesTotal))
 	}
 	k := float64(op.ActualRows)
 	total := max(est.N[n.ID], 1)
-	if e.Opt.TwoPhaseBlocking && n.IsBlocking() && len(n.Children) > 0 {
+	if c.opt.TwoPhaseBlocking && n.IsBlocking() && len(n.Children) > 0 {
 		// Fig. 10's two-phase model: (K_in + K_out) / (N_in + N_out).
 		var kin, nin float64
-		for _, c := range n.Children {
-			kin += float64(snap.Op(c.ID).ActualRows)
-			nin += max(est.N[c.ID], 1)
+		for _, ch := range n.Children {
+			kin += float64(snap.Op(ch.ID).ActualRows)
+			nin += max(est.N[ch.ID], 1)
 		}
 		// §7 extension: the engine's internal-state counters add a third,
 		// cost-weighted phase between input and output (a spilled sort's
@@ -743,7 +752,7 @@ func (e *Estimator) opProgress(snap *dmv.Snapshot, est *Estimate, n *plan.Node) 
 		// engine's counters) and output rows are weighted by their
 		// relative cost, so phase progress stays proportional to time —
 		// the "more intricate model" the paper's §7 calls for.
-		if e.Opt.InternalCounters {
+		if c.opt.InternalCounters {
 			wout := n.EstOutWeight
 			if wout <= 0 {
 				wout = 1
@@ -760,31 +769,32 @@ func (e *Estimator) opProgress(snap *dmv.Snapshot, est *Estimate, n *plan.Node) 
 	return capRunning(k / total)
 }
 
-// pipelineProgress estimates a pipeline's progress: the weighted GetNext
-// sum over its members when estimates exist, 1 when complete, 0 before it
-// starts.
-func (e *Estimator) pipelineProgress(snap *dmv.Snapshot, est *Estimate, pl *Pipeline) float64 {
-	if e.pipelineDone(snap, pl) {
+// pipelineProgress estimates a pipeline's progress in pass c: the weighted
+// GetNext sum over its members when estimates exist, 1 when complete
+// (done), 0 before it starts.
+func (e *Estimator) pipelineProgress(snap *dmv.Snapshot, c *pass, pl *Pipeline, done bool) float64 {
+	if done {
 		return 1
 	}
-	if !e.pipelineStarted(snap, pl) {
+	if !e.started[pl.ID] {
 		return 0
 	}
+	est := c.est
 	var num, den float64
 	for _, id := range pl.Members {
 		n := e.Plan.Node(id)
-		k, total := e.termFor(snap, est, n)
+		k, total := e.termFor(snap, c, n)
 		if total <= 0 {
 			continue
 		}
 		w := 1.0
-		if e.Opt.Weighted {
+		if c.opt.Weighted {
 			// Per-row cost estimates are per OUTPUT row while the term
 			// counts work-driving (input-side) rows; rescale so the
 			// term's total weight (w·total) equals the node's duration
 			// contribution (nodeWeight · N̂), keeping pipeline progress
 			// consistent with pipeline duration.
-			w = e.nodeWeight(n) * max(est.N[n.ID], 1) / total
+			w = e.nodeWeight(c, n) * max(est.N[n.ID], 1) / total
 		}
 		num += w * k
 		den += w * total
@@ -793,7 +803,7 @@ func (e *Estimator) pipelineProgress(snap *dmv.Snapshot, est *Estimate, pl *Pipe
 	for _, id := range pl.Sources {
 		n := e.Plan.Node(id)
 		w := 1.0
-		if e.Opt.Weighted {
+		if c.opt.Weighted {
 			w = outWeight(n)
 		}
 		num += w * float64(snap.Op(id).ActualRows)
@@ -813,19 +823,20 @@ func (e *Estimator) pipelineProgress(snap *dmv.Snapshot, est *Estimate, pl *Pipe
 // contribute their output count, or their I/O / segment fraction when
 // §4.3/§4.7 apply. For nested loops the outer child's consumed count is
 // its rebind-adjusted value: buffered-but-unprobed rows are not yet work.
-func (e *Estimator) termFor(snap *dmv.Snapshot, est *Estimate, n *plan.Node) (float64, float64) {
+func (e *Estimator) termFor(snap *dmv.Snapshot, c *pass, n *plan.Node) (float64, float64) {
+	est := c.est
 	op := snap.Op(n.ID)
 	if len(n.Children) > 0 {
 		var kin, nin float64
-		for i, c := range n.Children {
-			ck := float64(snap.Op(c.ID).ActualRows)
-			if n.Physical == plan.NestedLoops && i == 0 && e.Opt.SemiBlocking {
+		for i, ch := range n.Children {
+			ck := float64(snap.Op(ch.ID).ActualRows)
+			if n.Physical == plan.NestedLoops && i == 0 && c.opt.SemiBlocking {
 				ck = float64(snap.Op(n.Children[1].ID).Rebinds)
 			}
 			kin += ck
-			nin += max(est.N[c.ID], 1)
+			nin += max(est.N[ch.ID], 1)
 		}
-		if e.Opt.InternalCounters && n.IsBlocking() && n.EstInternalRows > 0 {
+		if c.opt.InternalCounters && n.IsBlocking() && n.EstInternalRows > 0 {
 			// §7 counters: a spilled sort's merge work (in input-row cost
 			// equivalents, advanced by the engine's counters) is part of
 			// this operator's input-pipeline contribution.
@@ -837,10 +848,10 @@ func (e *Estimator) termFor(snap *dmv.Snapshot, est *Estimate, n *plan.Node) (fl
 		return kin, nin
 	}
 	// §4.3/§4.7 leaves: convert their native progress into k/N form.
-	if (e.Opt.BatchMode && n.BatchMode && op.SegmentsTotal > 0) ||
-		(e.Opt.StoragePredIO && n.HasStoragePred() && op.PagesTotal > 0) {
+	if (c.opt.BatchMode && n.BatchMode && op.SegmentsTotal > 0) ||
+		(c.opt.StoragePredIO && n.HasStoragePred() && op.PagesTotal > 0) {
 		total := max(est.N[n.ID], 1)
-		return e.driverProgress(snap, est, n) * total, total
+		return e.driverProgress(snap, c, n) * total, total
 	}
 	return float64(op.ActualRows), max(est.N[n.ID], 1)
 }

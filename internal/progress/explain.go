@@ -47,30 +47,12 @@ const (
 	SrcSharedHint
 )
 
+var nsourceNames = [...]string{"optimizer", "closed", "catalog", "child", "propagated", "io-fraction",
+	"rebind-scaled", "child-alpha", "pipeline-alpha", "interpolated", "shared-hint"}
+
 func (s NSource) String() string {
-	switch s {
-	case SrcOptimizer:
-		return "optimizer"
-	case SrcClosedExact:
-		return "closed"
-	case SrcCatalogExact:
-		return "catalog"
-	case SrcChild:
-		return "child"
-	case SrcPropagated:
-		return "propagated"
-	case SrcIOFraction:
-		return "io-fraction"
-	case SrcRebindScaled:
-		return "rebind-scaled"
-	case SrcChildAlpha:
-		return "child-alpha"
-	case SrcPipelineAlpha:
-		return "pipeline-alpha"
-	case SrcInterpolated:
-		return "interpolated"
-	case SrcSharedHint:
-		return "shared-hint"
+	if s >= 0 && int(s) < len(nsourceNames) {
+		return nsourceNames[s]
 	}
 	return fmt.Sprintf("NSource(%d)", int(s))
 }
@@ -160,51 +142,68 @@ type Explanation struct {
 // Explain runs one estimation pass and returns its decomposition alongside
 // the estimate itself. It is exactly an Estimate call — same refinement,
 // same monotone state updates (an Explain counts as a poll) — followed by
-// reading the per-node record that pass left behind.
+// reading the per-node record and folds that pass left behind.
 func (e *Estimator) Explain(snap *dmv.Snapshot) (*Explanation, *Estimate) {
 	// The recorded K values read the snapshot the pass read: the repaired
 	// copy, when the repair pass made one.
 	snap, degraded, reason := e.prepare(snap)
-	est := e.estimateFrom(e.fresh(), snap, degraded, reason)
-	x := &Explanation{
+	// The explanation, its estimate and, for an ensemble, the estimate's
+	// record and the candidate rows are one allocation.
+	var x *Explanation
+	var est *Estimate
+	var cands []EnsembleCandidate
+	if e.ens != nil {
+		r := new(struct {
+			x     Explanation
+			est   ensembleEstimate
+			cands [numCands]EnsembleCandidate
+		})
+		x, est, cands = &r.x, r.est.wire(), r.cands[:]
+	} else {
+		r := new(struct {
+			x   Explanation
+			est Estimate
+		})
+		x, est = &r.x, &r.est
+	}
+	e.estimateFrom(est, snap, degraded, reason)
+	*x = Explanation{
 		At:                   snap.At,
 		Plan:                 e.Plan,
 		Mode:                 e.mode(),
 		Terms:                make([]Term, len(e.Plan.Nodes)),
 		Query:                est.Query,
-		QueryMonotoneClamped: e.queryClamped,
+		QueryMonotoneClamped: e.own.queryClamped,
 		PipelineProg:         est.PipelineProg,
 		Degraded:             est.Degraded,
 		DegradeReason:        est.DegradeReason,
 	}
 	// attr is the pass whose N̂ derivation the terms carry.
-	attr := e
+	attr := &e.own
 	if e.ens != nil {
-		attr = e.ens.explain(x, snap, est)
+		x.Candidates = cands
+		attr = e.explainEnsemble(x, snap, est)
 	} else {
 		if e.Opt.Weighted {
-			e.weightedContrib(snap, est)
+			e.weightedContrib(snap, attr)
 		}
-		x.RawQuery = e.query.raw
+		x.RawQuery = attr.query.raw
 		for id := range x.Terms {
-			x.Terms[id].Contribution = e.query.contribution(id)
+			x.Terms[id].Contribution = attr.query.contribution(id)
 		}
 	}
 	for _, n := range e.Plan.Nodes {
 		t := &x.Terms[n.ID]
 		r := &attr.rec[n.ID]
-		t.NodeID = n.ID
-		t.Physical = n.Physical
-		t.K = snap.Op(n.ID).ActualRows
-		t.N = est.N[n.ID]
-		t.EstRows = n.EstRows
+		t.NodeID, t.Physical, t.K = n.ID, n.Physical, snap.Op(n.ID).ActualRows
+		t.N, t.EstRows = est.N[n.ID], n.EstRows
 		t.Source, t.Alpha, t.BoundClamped = r.src, r.alpha, r.boundClamped
 		if len(est.Bounds) > 0 {
 			t.Bounds = est.Bounds[n.ID]
 		}
 		t.Pipeline = e.Decomp.PipeOf[n.ID]
 		t.Op = est.Op[n.ID]
-		t.MonotoneClamped = e.rec[n.ID].monoClamped
+		t.MonotoneClamped = e.own.rec[n.ID].monoClamped
 	}
 	for _, pl := range e.Decomp.Pipelines {
 		for _, id := range pl.Drivers {

@@ -130,9 +130,9 @@ func (f *Feedback) Weight(n *plan.Node) (float64, bool) {
 func (f *Feedback) Observations() int { return len(f.perRow) }
 
 // NHints is the ensemble mode's shared mid-flight cardinality refinement
-// (§4j): one pass per poll derives per-node refined-N̂ hints from the
-// aggregated snapshot alone, and every candidate estimator reads them where
-// it would otherwise fall back to the raw optimizer estimate. The hints
+// (§4j): the ensemble walk derives per-node refined-N̂ hints from the
+// aggregated snapshot alone, and every candidate pass reads them where it
+// would otherwise fall back to the raw optimizer estimate. The hints
 // originate from three observables — exactly-known cardinalities of closed
 // operators, leaf I/O / segment fractions, and a filter's observed
 // selectivity (output/input pass rate projected onto the refined input
@@ -141,7 +141,7 @@ func (f *Feedback) Observations() int { return len(f.perRow) }
 // refinement observed in the first pipeline reaches nodes in pipelines that
 // have not started.
 //
-// Update is a pure function of the snapshot: the store keeps no cross-poll
+// A hint is a pure function of the snapshot: the store keeps no cross-poll
 // memory, so replaying a snapshot yields identical hints (the estimator's
 // idempotency contract).
 type NHints struct {
@@ -151,16 +151,10 @@ type NHints struct {
 	has     []bool
 }
 
-// newNHints builds an empty hint store over a decomposition of p. minRows
-// is the §4.1-style guard: hints derived from live counters need at least
-// this many observed rows before they fire.
-func newNHints(p *plan.Plan, d *Decomposition, minRows int64) *NHints {
-	return &NHints{
-		decomp:  d,
-		minRows: minRows,
-		vals:    make([]float64, len(p.Nodes)),
-		has:     make([]bool, len(p.Nodes)),
-	}
+// newNHints is an empty hint store for a plan of nodes nodes. minRows is
+// the §4.1-style guard: a hint from live counters needs that many rows.
+func newNHints(d *Decomposition, nodes int, minRows int64) NHints {
+	return NHints{decomp: d, minRows: minRows, vals: make([]float64, nodes), has: make([]bool, nodes)}
 }
 
 // For returns the refined-N̂ hint for a node, or ok=false when no hint
@@ -172,43 +166,29 @@ func (h *NHints) For(id int) (float64, bool) {
 	return h.vals[id], true
 }
 
-func (h *NHints) set(id int, v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-		return
-	}
-	h.vals[id] = v
-	h.has[id] = true
-}
-
-// Update recomputes every hint from one aggregated snapshot, postorder so
-// child hints are available when a node propagates them.
-func (h *NHints) Update(snap *dmv.Snapshot) {
-	for i := range h.has {
-		h.has[i] = false
-		h.vals[i] = 0
-	}
-	for _, n := range h.decomp.postorder {
-		h.hint(snap, n)
-	}
+// refresh recomputes node n's hint from one aggregated snapshot; the walk
+// is postorder, so n's children's hints are this poll's.
+func (h *NHints) refresh(snap *dmv.Snapshot, n *plan.Node) {
+	v, ok := h.hint(snap, n)
+	h.vals[n.ID], h.has[n.ID] = v, ok && !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
 }
 
 // hint derives one node's refined-N̂, if any observable supports one.
-func (h *NHints) hint(snap *dmv.Snapshot, n *plan.Node) {
+func (h *NHints) hint(snap *dmv.Snapshot, n *plan.Node) (float64, bool) {
 	op := snap.Op(n.ID)
 	if op.Closed {
-		h.set(n.ID, float64(op.ActualRows))
-		return
+		return float64(op.ActualRows), true
 	}
 	if h.decomp.InnerSide[n.ID] {
 		// Inner-side operators rebind per outer row: their cumulative
 		// counters measure executions, not totals. §4.4(3) owns their
 		// refinement; a naive hint here would be wildly wrong.
-		return
+		return 0, false
 	}
 	if n.IsLeaf() {
 		// Leaves refine from the fraction of the object read so far.
 		if op.ActualRows < h.minRows {
-			return
+			return 0, false
 		}
 		var frac float64
 		switch {
@@ -217,10 +197,7 @@ func (h *NHints) hint(snap *dmv.Snapshot, n *plan.Node) {
 		case op.PagesTotal > 0:
 			frac = float64(op.LogicalReads) / float64(op.PagesTotal)
 		}
-		if frac > 1e-9 {
-			h.set(n.ID, float64(op.ActualRows)/min(frac, 1))
-		}
-		return
+		return float64(op.ActualRows) / min(frac, 1), frac > 1e-9
 	}
 
 	var hintIn, estIn float64
@@ -242,28 +219,21 @@ func (h *NHints) hint(snap *dmv.Snapshot, n *plan.Node) {
 	// observed pass rate onto the refined input total. The ratio rule below
 	// then carries the correction past the first pipeline boundary.
 	if n.Physical == plan.Filter && kin >= h.minRows && op.ActualRows >= 1 && op.ActualRows < kin {
-		h.set(n.ID, float64(op.ActualRows)/float64(kin)*hintIn)
-		return
+		return float64(op.ActualRows) / float64(kin) * hintIn, true
 	}
 
 	if !anyHint {
-		return
+		return 0, false
 	}
 	switch n.Physical {
 	case plan.ComputeScalar, plan.SegmentOp, plan.BitmapCreate, plan.Exchange, plan.Sort:
 		// Algebraic pass-throughs: output equals input.
-		if v, ok := h.For(n.Children[0].ID); ok {
-			h.set(n.ID, v)
-		}
-		return
+		return h.For(n.Children[0].ID)
 	case plan.TopNSort:
-		if v, ok := h.For(n.Children[0].ID); ok {
-			h.set(n.ID, min(float64(n.TopN), v))
-		}
-		return
+		v, ok := h.For(n.Children[0].ID)
+		return min(float64(n.TopN), v), ok
 	case plan.Concatenation:
-		h.set(n.ID, hintIn)
-		return
+		return hintIn, true
 	case plan.HashAggregate, plan.StreamAggregate, plan.DistinctSort:
 		// Group counts are the distinct-value estimate re-capped by the
 		// refined input (mirroring §7(a) propagation).
@@ -271,8 +241,7 @@ func (h *NHints) hint(snap *dmv.Snapshot, n *plan.Node) {
 		if dv <= 0 {
 			dv = n.EstRows
 		}
-		h.set(n.ID, max(min(dv, hintIn), 1))
-		return
+		return max(min(dv, hintIn), 1), true
 	}
 	// Everything else: scale the optimizer estimate by the refinement ratio
 	// of the inputs, clamped to two orders of magnitude (far-field
@@ -284,5 +253,5 @@ func (h *NHints) hint(snap *dmv.Snapshot, n *plan.Node) {
 	if ratio > 100 {
 		ratio = 100
 	}
-	h.set(n.ID, n.EstRows*ratio)
+	return n.EstRows * ratio, true
 }

@@ -7,6 +7,7 @@ package progress
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -263,8 +264,8 @@ func checkRepairMatchesReference(t *testing.T, tag string, p *plan.Plan, cat *ca
 		if fmt.Sprintf("%+v", s.Threads) != before {
 			t.Fatalf("%s snap %d: repair mutated the caller's snapshot", tag, si)
 		}
-		got := estimateString(fast.estimateFrom(fast.fresh(), fs, fdeg, freason))
-		if want := estimateString(slow.estimateFrom(slow.fresh(), rs, rdeg, rreason)); got != want {
+		got := estimateString(fast.estimateFrom(new(Estimate), fs, fdeg, freason))
+		if want := estimateString(slow.estimateFrom(new(Estimate), rs, rdeg, rreason)); got != want {
 			t.Fatalf("%s snap %d: estimate\n got %s\nwant %s", tag, si, got, want)
 		}
 	}
@@ -369,4 +370,144 @@ func TestRepairMatchesReference(t *testing.T) {
 			checkRepairMatchesReference(t, name+"/"+mode, p, cat, o, snaps)
 		}
 	}
+}
+
+// TestRepairWalkMatchesMerge feeds generated capture sequences through the
+// repair pass, which walks a capture in arrival order and sorts and merges
+// it only at a key out of order, and through the map-based merge on the
+// side, and requires at every poll the same returned rows, degraded flag,
+// reason and high-water marks. The sequences are real DOP-1 and DOP-2
+// recordings, healthy and with rows reordered, duplicated, dropped or
+// stale, with worker rows first appearing mid-stream, and with a whole
+// earlier capture re-delivered.
+func TestRepairWalkMatchesMerge(t *testing.T) {
+	p2, cat2, tr2 := dop2Trace(t)
+	p1, cat1, tr1 := serialTrace(t)
+	for _, rec := range []struct {
+		name string
+		p    *plan.Plan
+		cat  *catalog.Catalog
+		tr   *dmv.Trace
+	}{{"dop1", p1, cat1, tr1}, {"dop2", p2, cat2, tr2}} {
+		healthy := append(append([]*dmv.Snapshot{}, rec.tr.Snapshots...), rec.tr.Final)
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			snaps := make([]*dmv.Snapshot, 0, len(healthy))
+			for si, s := range healthy {
+				rows := append([]dmv.OpProfile(nil), s.Threads...)
+				switch k := rng.Intn(12); {
+				case seed == 1 || k < 5:
+					// healthy
+				case k == 5:
+					// One node's thread rows in reverse arrival order.
+					for i := 1; i < len(rows); i++ {
+						if rows[i].NodeID == rows[i-1].NodeID {
+							rows[i], rows[i-1] = rows[i-1], rows[i]
+							break
+						}
+					}
+				case k == 6:
+					rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+				case k == 7:
+					rows = append(rows, rows[rng.Intn(len(rows))])
+				case k == 8 && len(rows) > 1:
+					i := rng.Intn(len(rows))
+					rows = append(rows[:i], rows[i+1:]...)
+				case k == 9 && si > 2:
+					// One row from a few polls back: a stale row.
+					old := healthy[si-1-rng.Intn(3)].Threads
+					for i := range rows {
+						for _, o := range old {
+							if o.NodeID == rows[i].NodeID && o.ThreadID == rows[i].ThreadID && rng.Intn(3) == 0 {
+								rows[i] = o
+							}
+						}
+					}
+				case k == 10 && si > 0:
+					// A whole earlier capture re-delivered.
+					rows = append([]dmv.OpProfile(nil), healthy[rng.Intn(si)].Threads...)
+				case k == 11:
+					// Worker rows withheld, so they appear later mid-stream.
+					kept := rows[:0]
+					for _, r := range rows {
+						if r.ThreadID == 0 {
+							kept = append(kept, r)
+						}
+					}
+					rows = kept
+				}
+				snaps = append(snaps, &dmv.Snapshot{At: s.At, NumNodes: s.NumNodes, Threads: rows, Degraded: si%17 == 5, DegradeReason: stallReason(si%17 == 5)})
+			}
+			tag := fmt.Sprintf("%s seed %d", rec.name, seed)
+			walked := NewEstimator(rec.p, rec.cat, LQSOptions())
+			ref := &referenceRepair{Opt: LQSOptions()}
+			// inOrder counts captures the walk takes in one go; redone, those
+			// it stops on after lifting marks, and walks again sorted.
+			inOrder, redone := 0, 0
+			for si, s := range snaps {
+				switch i := firstOutOfOrder(s.Threads); {
+				case i == len(s.Threads):
+					inOrder++
+				case i > 1:
+					redone++
+				}
+				ws, wdeg, wreason := walked.prepare(s)
+				ms, mdeg, mreason := ref.prepareReference(s)
+				if wdeg != mdeg || wreason != mreason || (ws == s) != (ms == s) {
+					t.Fatalf("%s poll %d: walk %v %q (copy %v), merge %v %q (copy %v)", tag, si, wdeg, wreason, ws != s, mdeg, mreason, ms != s)
+				}
+				if got, want := fmt.Sprintf("%+v", ws.Threads), fmt.Sprintf("%+v", ms.Threads); got != want {
+					t.Fatalf("%s poll %d: rows\n walk  %s\n merge %s", tag, si, got, want)
+				}
+				marks := make([]dmv.OpProfile, 0, len(ref.lastRows))
+				for _, r := range ref.lastRows {
+					marks = append(marks, r)
+				}
+				slices.SortFunc(marks, func(a, b dmv.OpProfile) int { return compareKeys(&a, &b) })
+				if got, want := fmt.Sprintf("%+v", walked.repair.highWater), fmt.Sprintf("%+v", marks); got != want {
+					t.Fatalf("%s poll %d: high-water marks\n walk  %s\n merge %s", tag, si, got, want)
+				}
+			}
+			if inOrder < len(snaps)/3 || (seed > 1 && redone == 0) {
+				t.Fatalf("%s: %d of %d captures in key order, %d walked again after lifting marks", tag, inOrder, len(snaps), redone)
+			}
+		}
+	}
+}
+
+// firstOutOfOrder returns the index of the first row whose (NodeID,
+// ThreadID) key does not follow its predecessor's, or len(rows).
+func firstOutOfOrder(rows []dmv.OpProfile) int {
+	for i := 1; i < len(rows); i++ {
+		if compareKeys(&rows[i-1], &rows[i]) >= 0 {
+			return i
+		}
+	}
+	return len(rows)
+}
+
+// stallReason is the reason a poller gives a capture it synthesized.
+func stallReason(stalled bool) string {
+	if stalled {
+		return "poll stalled past interval"
+	}
+	return ""
+}
+
+// serialTrace records the synthetic query of dop2Trace at DOP 1.
+func serialTrace(tb testing.TB) (*plan.Plan, *catalog.Catalog, *dmv.Trace) {
+	tb.Helper()
+	w := workload.Synth(workload.SynthConfig{
+		Name: "REPAIR", Seed: 23, NumTables: 4, MinRows: 400, MaxRows: 2500,
+		NumQueries: 1, MinJoins: 2, MaxJoins: 3, GroupByFrac: 1,
+	})
+	p := plan.Finalize(w.Queries[0].Build(w.Builder()))
+	opt.NewEstimator(w.DB.Catalog).Estimate(p)
+	w.DB.ColdStart()
+	query := exec.NewQuery(p, w.DB, opt.DefaultCostModel(), sim.NewClock())
+	poller := dmv.NewPoller(query, 40*time.Microsecond)
+	if _, err := query.Run(); err != nil {
+		tb.Fatalf("recording query failed: %v", err)
+	}
+	return p, w.DB.Catalog, poller.Finish()
 }

@@ -9,9 +9,9 @@ import (
 // to overlap, so only their maximum counts. When weight feedback (§7) is
 // configured and has an observation for the operator class, the observed
 // per-row cost replaces the cost-model estimate.
-func (e *Estimator) nodeWeight(n *plan.Node) float64 {
-	if e.Opt.WeightFeedback != nil {
-		if w, ok := e.Opt.WeightFeedback.Weight(n); ok {
+func (e *Estimator) nodeWeight(c *pass, n *plan.Node) float64 {
+	if c.opt.WeightFeedback != nil {
+		if w, ok := c.opt.WeightFeedback.Weight(n); ok {
 			return w
 		}
 	}
@@ -22,11 +22,12 @@ func (e *Estimator) nodeWeight(n *plan.Node) float64 {
 // pipeline: Σ w_i · N̂_i over its members, using the refined cardinalities
 // — the paper recomputes the longest path "based on optimizer cost
 // estimates of I/O and CPU cost per tuple and refined N_i counts".
-func (e *Estimator) pipelineDuration(est *Estimate, pl *Pipeline) float64 {
+func (e *Estimator) pipelineDuration(c *pass, pl *Pipeline) float64 {
+	est := c.est
 	var d float64
 	for _, id := range pl.Members {
 		n := e.Plan.Node(id)
-		d += e.nodeWeight(n) * max(est.N[id], 1)
+		d += e.nodeWeight(c, n) * max(est.N[id], 1)
 	}
 	// Output phases of blocking operators feed this pipeline from below;
 	// their (small) per-row emit cost still takes time.
@@ -47,24 +48,31 @@ func outWeight(n *plan.Node) float64 {
 // longestPath returns the chain of pipelines from the root pipeline to a
 // leaf pipeline with the maximum total estimated duration — the only path
 // that bounds the query's end-to-end time (§4.6).
-func (e *Estimator) longestPath(est *Estimate) []*Pipeline {
-	type result struct {
-		total float64
-		path  []*Pipeline
-	}
-	var rec func(pl *Pipeline) result
-	rec = func(pl *Pipeline) result {
-		best := result{}
-		for _, c := range pl.Children {
-			r := rec(c)
-			if r.total > best.total {
-				best = r
+func (e *Estimator) longestPath(c *pass) []*Pipeline {
+	var rec func(pl *Pipeline) (float64, []*Pipeline)
+	rec = func(pl *Pipeline) (float64, []*Pipeline) {
+		var best float64
+		var path []*Pipeline
+		for _, ch := range pl.Children {
+			if total, p := rec(ch); total > best {
+				best, path = total, p
 			}
 		}
-		d := e.pipelineDuration(est, pl)
-		return result{total: best.total + d, path: append([]*Pipeline{pl}, best.path...)}
+		return best + e.pipelineDuration(c, pl), append([]*Pipeline{pl}, path...)
 	}
-	return rec(e.Decomp.Root).path
+	_, path := rec(e.Decomp.Root)
+	return path
+}
+
+// fold is pass c's query progress, by the aggregation its options select.
+func (e *Estimator) fold(snap *dmv.Snapshot, c *pass) float64 {
+	switch {
+	case c.opt.Weighted:
+		return e.weightedQueryProgress(c)
+	case c.opt.DriverNodeQuery:
+		return e.driverQueryProgress(snap, c, &c.query)
+	}
+	return e.tgnQueryProgress(snap, c, &c.query)
 }
 
 // weightedQueryProgress is the §4.6 query-level estimator: progress is the
@@ -81,27 +89,26 @@ func (e *Estimator) longestPath(est *Estimate) []*Pipeline {
 // It records the fold's totals and each summed pipeline's duration:
 // splitting a pipeline's term over its nodes walks the pipeline again, so
 // weightedContrib does that when Explain asks.
-func (e *Estimator) weightedQueryProgress(est *Estimate) float64 {
+func (e *Estimator) weightedQueryProgress(c *pass) float64 {
 	pipes := e.Decomp.Pipelines
-	if e.Opt.LongestPathOnly {
-		pipes = e.longestPath(est)
+	if c.opt.LongestPathOnly {
+		pipes = e.longestPath(c)
 	}
-	e.pipeDur = zeroed(e.pipeDur, len(e.Decomp.Pipelines))
+	clear(c.pipeDur)
 	var num, den float64
 	for _, pl := range pipes {
-		d := e.pipelineDuration(est, pl)
-		e.pipeDur[pl.ID] = d
+		d := e.pipelineDuration(c, pl)
+		c.pipeDur[pl.ID] = d
 		if d <= 0 {
 			continue
 		}
-		num += d * est.PipelineProg[pl.ID]
+		num += d * c.est.PipelineProg[pl.ID]
 		den += d
 	}
-	return e.query.finish(num, den)
+	return c.query.finish(num, den)
 }
 
-// weightedContrib fills the §4.6 fold's per-node numerators for the pass
-// that produced est: each pipeline's duration-weighted progress is split
+// weightedContrib fills the §4.6 fold's per-node numerators of pass c: each pipeline's duration-weighted progress is split
 // over its members and sources in proportion to their share of the
 // pipeline's progress denominator, weighted as in pipelineProgress, so the
 // numerators sum to the fold's. A degenerate pipeline puts its whole term
@@ -109,40 +116,40 @@ func (e *Estimator) weightedQueryProgress(est *Estimate) float64 {
 // duration; a node's numerator takes at most two terms (from the pipeline
 // it is a member of and the one it is a source of), so the order the
 // pipelines are visited in does not change it.
-func (e *Estimator) weightedContrib(snap *dmv.Snapshot, est *Estimate) {
-	f := &e.query
-	f.num = zeroed(f.num, len(e.Plan.Nodes))
+func (e *Estimator) weightedContrib(snap *dmv.Snapshot, c *pass) {
+	est, f := c.est, &c.query
+	clear(f.num)
 	if f.den <= 0 {
 		return
 	}
-	e.shares = zeroed(e.shares, len(e.Plan.Nodes))
+	clear(c.shares)
 	for _, pl := range e.Decomp.Pipelines {
-		d := e.pipeDur[pl.ID]
+		d := c.pipeDur[pl.ID]
 		if d <= 0 {
 			continue
 		}
-		c := d * est.PipelineProg[pl.ID]
+		v := d * est.PipelineProg[pl.ID]
 		var sum float64
 		for _, id := range pl.Members {
 			n := e.Plan.Node(id)
-			_, total := e.termFor(snap, est, n)
-			w := e.nodeWeight(n) * max(est.N[id], 1) / total
-			e.shares[id] = w * total
-			sum += e.shares[id]
+			_, total := e.termFor(snap, c, n)
+			w := e.nodeWeight(c, n) * max(est.N[id], 1) / total
+			c.shares[id] = w * total
+			sum += c.shares[id]
 		}
 		for _, id := range pl.Sources {
-			e.shares[id] = outWeight(e.Plan.Node(id)) * max(est.N[id], 1)
-			sum += e.shares[id]
+			c.shares[id] = outWeight(e.Plan.Node(id)) * max(est.N[id], 1)
+			sum += c.shares[id]
 		}
 		if sum <= 0 {
 			if len(pl.Members) > 0 {
-				f.num[pl.Members[0]] += c
+				f.num[pl.Members[0]] += v
 			}
 			continue
 		}
 		for _, ids := range [2][]int{pl.Members, pl.Sources} {
 			for _, id := range ids {
-				f.num[id] += c * (e.shares[id] / sum)
+				f.num[id] += v * (c.shares[id] / sum)
 			}
 		}
 	}
@@ -150,21 +157,22 @@ func (e *Estimator) weightedContrib(snap *dmv.Snapshot, est *Estimate) {
 
 // tgnQueryProgress is Equation 2 with unit weights over all nodes (the
 // Total GetNext model of [7]), with the blocking input-phase terms added
-// when TwoPhaseBlocking is on. It folds into f.
-func (e *Estimator) tgnQueryProgress(snap *dmv.Snapshot, est *Estimate, f *queryFold) float64 {
-	f.num = zeroed(f.num, len(e.Plan.Nodes))
+// when TwoPhaseBlocking is on, over pass c's N̂. It folds into f.
+func (e *Estimator) tgnQueryProgress(snap *dmv.Snapshot, c *pass, f *queryFold) float64 {
+	est := c.est
+	clear(f.num)
 	var num, den float64
 	for _, n := range e.Plan.Nodes {
 		k := float64(snap.Op(n.ID).ActualRows)
 		num += k
 		den += max(est.N[n.ID], 1)
 		f.num[n.ID] += k
-		if e.Opt.TwoPhaseBlocking && n.IsBlocking() && len(n.Children) > 0 {
+		if c.opt.TwoPhaseBlocking && n.IsBlocking() && len(n.Children) > 0 {
 			// The input-phase terms belong to the blocking node itself.
-			for _, c := range n.Children {
-				kc := float64(snap.Op(c.ID).ActualRows)
+			for _, ch := range n.Children {
+				kc := float64(snap.Op(ch.ID).ActualRows)
 				num += kc
-				den += max(est.N[c.ID], 1)
+				den += max(est.N[ch.ID], 1)
 				f.num[n.ID] += kc
 			}
 		}
@@ -174,14 +182,14 @@ func (e *Estimator) tgnQueryProgress(snap *dmv.Snapshot, est *Estimate, f *query
 
 // driverQueryProgress is the driver-node estimator (DNE) of [7]: Equation
 // 2 restricted to driver nodes, whose cardinalities are known most
-// exactly. It folds into f.
-func (e *Estimator) driverQueryProgress(snap *dmv.Snapshot, est *Estimate, f *queryFold) float64 {
-	f.num = zeroed(f.num, len(e.Plan.Nodes))
+// exactly, over pass c's N̂. It folds into f.
+func (e *Estimator) driverQueryProgress(snap *dmv.Snapshot, c *pass, f *queryFold) float64 {
+	clear(f.num)
 	var num, den float64
 	add := func(drivers []int) {
 		for _, id := range drivers {
-			total := max(est.N[id], 1)
-			v := e.driverProgress(snap, est, e.Plan.Node(id)) * total
+			total := max(c.est.N[id], 1)
+			v := e.driverProgress(snap, c, e.Plan.Node(id)) * total
 			num += v
 			den += total
 			f.num[id] += v
@@ -190,7 +198,7 @@ func (e *Estimator) driverQueryProgress(snap *dmv.Snapshot, est *Estimate, f *qu
 	for _, pl := range e.Decomp.Pipelines {
 		add(pl.Drivers)
 	}
-	if e.Opt.SemiBlocking {
+	if c.opt.SemiBlocking {
 		// Disjoint from every pipeline's Drivers by construction, so the
 		// sum weights each node once (pinned by
 		// TestDriverSetsDisjointInvariant).
