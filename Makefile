@@ -37,8 +37,9 @@ race:
 
 # Short coverage-guided runs of every native fuzz target: the value order
 # codes the database build sorts on, the key hash and key compares of the
-# hash tables and merge joins, the DMV per-thread aggregation and the
-# progress estimator fed adversarial snapshots. Seeds always run under plain `make test`; this adds a bounded
+# hash tables and merge joins, the DMV per-thread aggregation, the
+# progress estimator fed adversarial snapshots and the monitoring server's
+# HTTP API fed arbitrary requests. Seeds always run under plain `make test`; this adds a bounded
 # mutation pass so CI exercises the generators too.
 fuzz-smoke:
 	$(GO) test ./internal/engine/types/ -run '^$$' -fuzz FuzzOrderCode -fuzztime 10s
@@ -47,6 +48,7 @@ fuzz-smoke:
 	$(GO) test ./internal/progress/ -run '^$$' -fuzz FuzzEstimator -fuzztime 200x
 	$(GO) test ./internal/progress/ -run '^$$' -fuzz FuzzDegradedSnapshot -fuzztime 200x
 	$(GO) test ./internal/progress/ -run '^$$' -fuzz FuzzEnsembleSelect -fuzztime 200x
+	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzServerAPI -fuzztime 15s
 
 # Quick chaos differential battery through the CLI entry point: a reduced
 # (workload x DOP x fault-rate) grid where every chaos run must either be
@@ -68,7 +70,7 @@ bench:
 trace-smoke:
 	rm -rf .trace-smoke && $(GO) run ./cmd/lqsbench -run none -trace-dir .trace-smoke -trace-limit 2
 	$(GO) run ./cmd/lqsmon -plain -explain -interval 5ms -q Q1 > /dev/null
-	@ls .trace-smoke/*.trace.json .trace-smoke/*.explain.txt > /dev/null
+	@ls .trace-smoke/*.trace.json .trace-smoke/*.explain.txt .trace-smoke/metrics.txt > /dev/null
 	@rm -rf .trace-smoke && echo "trace-smoke: OK"
 
 # End-to-end smoke of the monitoring server binary: start lqsd on a local
@@ -76,8 +78,9 @@ trace-smoke:
 # it to succeed, require its flight recorder to hold frames and its LQS
 # accuracy to grade polls, submit a second
 # on the same (workload, seed) — which must be served from the table cache —
-# scrape /metrics and require the query-progress family, then shut the
-# server down cleanly (SIGTERM exercises the graceful-drain path).
+# scrape /metrics and require the query-progress family, delete the first
+# query (204) and require it gone (404), then shut the server down cleanly
+# (SIGTERM exercises the graceful-drain path).
 serve-smoke:
 	@rm -f .serve-smoke.log
 	$(GO) build -o .lqsd-smoke ./cmd/lqsd
@@ -98,6 +101,8 @@ serve-smoke:
 	curl -sf http://127.0.0.1:18321/metrics | grep -q '^server_table_cache_hits 1$$' || { echo "serve-smoke: second query on the same (workload, seed) missed the table cache"; exit 1; }; \
 	curl -sf http://127.0.0.1:18321/metrics | grep -q '^lqs_query_progress{.*tenant="smoke"' || { echo "serve-smoke: /metrics missing lqs_query_progress"; exit 1; }; \
 	curl -sf http://127.0.0.1:18321/metrics | grep -q '^lqs_buffer_manager_page_hits_total{' || { echo "serve-smoke: /metrics missing buffer-manager family"; exit 1; }; \
+	test "$$(curl -s -o /dev/null -w '%{http_code}' -X DELETE http://127.0.0.1:18321/queries/1)" = 204 || { echo "serve-smoke: DELETE of finished query 1 did not answer 204"; exit 1; }; \
+	test "$$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:18321/queries/1)" = 404 || { echo "serve-smoke: query 1 still answers after its DELETE"; exit 1; }; \
 	kill -TERM $$pid; wait $$pid || { echo "serve-smoke: lqsd did not drain cleanly"; exit 1; }; \
 	echo "serve-smoke: OK"
 

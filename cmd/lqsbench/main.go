@@ -13,8 +13,8 @@
 //	                         # adds per-query virtual-time speedups
 //	lqsbench -list           # list experiment IDs
 //
-//	lqsbench -run none -trace-dir out   # per-query Chrome traces + explains
-//	lqsbench -metrics                   # dump the metrics registry at exit
+//	lqsbench -run none -trace-dir out   # per-query Chrome traces + explains,
+//	                                    # and the run's metrics in out/metrics.txt
 //	lqsbench -chaos                     # run the chaos differential battery
 //	lqsbench -chaos -full -seed 7       # full fault grid under another seed
 //
@@ -102,7 +102,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		traceDir = fs.String("trace-dir", "", "emit per-query Chrome trace-event JSON and estimator explains into this directory")
 		traceWl  = fs.String("trace-workload", "tpch", "workload to trace for -trace-dir: tpch, tpch-cs, tpcds, real1, real2, real3")
 		traceLim = fs.Int("trace-limit", 4, "queries to trace for -trace-dir (0 = all)")
-		dumpObs  = fs.Bool("metrics", false, "dump the metrics registry (pool counters, estimator-error histograms) on exit")
 		chaosRun = fs.Bool("chaos", false, "run the chaos differential battery (TPC-H/TPC-DS x DOP x fault-rate grid) and exit non-zero on contract violations")
 		accRun   = fs.Bool("accuracy", false, "run the estimator-accuracy suite (TPC-H/TPC-DS x TGN/DNE/LQS/ENS) and exit non-zero on ceiling breaches")
 		accOut   = fs.String("acc-json", "", "with -accuracy: write the ACC_*.json trajectory to this file ('-' = stdout)")
@@ -188,9 +187,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err := emitTraces(stdout, *traceDir, *traceWl, *seed, *traceLim, *parallel, *dop); err != nil {
 			return err
 		}
-	}
-	if *dumpObs {
-		defer func() { fmt.Fprint(stdout, obs.Default().Dump()) }()
 	}
 
 	workers := *parallel
@@ -286,8 +282,8 @@ func workloadByName(name string, seed uint64) (*workload.Workload, error) {
 // emitTraces runs the workload with event tracing on and writes, per query,
 // a validated Chrome trace-event file (<workload>-<query>.trace.json, opens
 // directly in Perfetto) and the estimator's mid-query decomposition
-// (<workload>-<query>.explain.txt). Estimator-error and pool metrics feed
-// the default metrics registry for -metrics.
+// (<workload>-<query>.explain.txt), then the run's buffer-pool counters and
+// estimator-error histogram (metrics.txt).
 func emitTraces(stdout io.Writer, dir, wname string, seed uint64, limit, parallel, dop int) error {
 	w, err := workloadByName(wname, seed)
 	if err != nil {
@@ -296,7 +292,7 @@ func emitTraces(stdout io.Writer, dir, wname string, seed uint64, limit, paralle
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	reg := obs.Default()
+	reg := obs.NewRegistry()
 	errHist := reg.Histogram("estimator/error_count/"+w.Name, nil)
 	r := metrics.Runner{Limit: limit, Parallel: parallel, EventCap: -1, DOP: dop}
 	pid := 0
@@ -326,6 +322,9 @@ func emitTraces(stdout io.Writer, dir, wname string, seed uint64, limit, paralle
 		return err
 	}
 	w.DB.Pool.Publish(reg)
+	if err := os.WriteFile(filepath.Join(dir, "metrics.txt"), []byte(reg.Dump()), 0o644); err != nil {
+		return err
+	}
 	fmt.Fprintf(stdout, "wrote %d trace artifacts for %s to %s\n\n", files, w.Name, dir)
 	return nil
 }

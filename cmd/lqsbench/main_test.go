@@ -116,16 +116,22 @@ func TestRunAccuracy(t *testing.T) {
 	}
 }
 
-// TestRunTraceMetrics: -metrics after a -trace-dir run dumps the buffer
-// pool's counters and the estimator-error histogram the traces fed.
+// TestRunTraceMetrics: a -trace-dir run writes metrics.txt beside its
+// traces, with the buffer pool's counters and the estimator-error
+// histogram the traces fed.
 func TestRunTraceMetrics(t *testing.T) {
+	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-run", "none", "-trace-dir", t.TempDir(), "-trace-limit", "1", "-metrics"}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-run", "none", "-trace-dir", dir, "-trace-limit", "1"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
 	}
-	for _, want := range []string{"\nbufferpool/", "\nestimator/error_count/"} {
-		if !strings.Contains(stdout.String(), want) {
-			t.Errorf("-metrics dump has no %q line:\n%s", want[1:], stdout.String())
+	data, err := os.ReadFile(filepath.Join(dir, "metrics.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"bufferpool/", "estimator/error_count/"} {
+		if !strings.Contains("\n"+string(data), "\n"+want) {
+			t.Errorf("metrics.txt has no %q line:\n%s", want, data)
 		}
 	}
 }

@@ -56,17 +56,24 @@ func TestEstimatorFingerprint(t *testing.T) {
 	}
 }
 
-var planType = reflect.TypeOf((*plan.Plan)(nil))
+var (
+	planType   = reflect.TypeOf((*plan.Plan)(nil))
+	reasonType = reflect.TypeOf(progress.Reason{})
+)
 
 // hashValue writes v into h bit for bit: floats by their IEEE bits,
 // strings and slices length-prefixed, nil pointers and slices marked, and
 // every exported struct field in declaration order. The plan an
-// Explanation points at is the input, not an output, and is skipped.
+// Explanation points at is the input, not an output, and is skipped. A
+// degrade reason is hashed as the text it displays.
 func hashValue(h hash.Hash, v reflect.Value) {
 	var buf [8]byte
 	put := func(u uint64) {
 		binary.LittleEndian.PutUint64(buf[:], u)
 		h.Write(buf[:])
+	}
+	if v.Type() == reasonType {
+		v = reflect.ValueOf(v.Interface().(progress.Reason).String())
 	}
 	switch v.Kind() {
 	case reflect.Pointer:

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"lqs/internal/engine/exec"
-	"lqs/internal/obs"
 	"lqs/internal/progress"
 )
 
@@ -85,26 +84,5 @@ func TestSessionExplainMatchesSnapshot(t *testing.T) {
 	}
 	if d := sum - x.RawQuery; d > 1e-9 || d < -1e-9 {
 		t.Fatalf("Σ contributions %v != raw %v", sum, x.RawQuery)
-	}
-}
-
-func TestRegistryOccupancyMetrics(t *testing.T) {
-	db := testDB(t)
-	reg := obs.NewRegistry()
-	r := NewQueryRegistry()
-	r.SetMetrics(reg)
-	id1 := r.Launch("a", Start(db, testPlan(db), progress.LQSOptions()))
-	id2 := r.Launch("b", Start(db, testPlan(db), progress.LQSOptions()))
-	if _, err := r.Wait(id1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Wait(id2); err != nil {
-		t.Fatal(err)
-	}
-	if n := reg.Counter("lqs/queries_launched").Value(); n != 2 {
-		t.Fatalf("launched counter %d", n)
-	}
-	if n := reg.Gauge("lqs/registry_active").Value(); n != 0 {
-		t.Fatalf("active gauge %d after both queries finished", n)
 	}
 }

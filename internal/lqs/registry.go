@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"lqs/internal/engine/exec"
-	"lqs/internal/obs"
 	"lqs/internal/sim"
 )
 
@@ -46,13 +45,7 @@ type QueryRegistry struct {
 	nextID  QueryID
 	entries map[QueryID]*registryEntry
 	order   []QueryID
-	metrics *obs.Registry
 }
-
-// SetMetrics publishes registry occupancy to reg: lqs/queries_launched
-// counts Launch calls, lqs/registry_active gauges queries not yet terminal.
-// Call before Launch; a nil registry disables publication.
-func (r *QueryRegistry) SetMetrics(reg *obs.Registry) { r.metrics = reg }
 
 // NewQueryRegistry returns an empty registry.
 func NewQueryRegistry() *QueryRegistry {
@@ -71,8 +64,6 @@ func (r *QueryRegistry) Launch(name string, s *Session) QueryID {
 	r.entries[e.id] = e
 	r.order = append(r.order, e.id)
 	r.mu.Unlock()
-	r.metrics.Counter("lqs/queries_launched").Inc()
-	r.metrics.Gauge("lqs/registry_active").Add(1)
 	go func() {
 		more := true
 		var err error
@@ -81,7 +72,6 @@ func (r *QueryRegistry) Launch(name string, s *Session) QueryID {
 		}
 		e.rows = s.Query.RowsReturned()
 		e.err = err
-		r.metrics.Gauge("lqs/registry_active").Add(-1)
 		close(e.done)
 	}()
 	return e.id
@@ -139,70 +129,6 @@ func (r *QueryRegistry) Wait(id QueryID) (int64, error) {
 	}
 	<-e.done
 	return e.rows, e.err
-}
-
-// Len returns the number of registry entries, running or finished.
-func (r *QueryRegistry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.entries)
-}
-
-// terminal reports whether the entry's runner goroutine has finished (its
-// rows/err are recorded and done is closed). Non-blocking.
-func (e *registryEntry) terminal() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// Remove deletes one finished query from the registry so a long-running
-// server does not accumulate an entry per completed query. Removing a
-// query that is still running is an error — Cancel it and Wait first.
-// The session itself is untouched; callers holding it may keep polling
-// it.
-func (r *QueryRegistry) Remove(id QueryID) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.entries[id]
-	if e == nil {
-		return fmt.Errorf("lqs: no query with id %d", id)
-	}
-	if !e.terminal() {
-		return fmt.Errorf("lqs: query %d still running; cancel and wait before removing", id)
-	}
-	delete(r.entries, id)
-	for i, x := range r.order {
-		if x == id {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	return nil
-}
-
-// Reap removes every finished query and returns the removed IDs in launch
-// order. Running queries are untouched, so Reap is safe to call on a hot
-// registry at any cadence — the server's terminal-entry garbage collector.
-func (r *QueryRegistry) Reap() []QueryID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var reaped []QueryID
-	keep := r.order[:0]
-	for _, id := range r.order {
-		e := r.entries[id]
-		if e != nil && e.terminal() {
-			delete(r.entries, id)
-			reaped = append(reaped, id)
-			continue
-		}
-		keep = append(keep, id)
-	}
-	r.order = keep
-	return reaped
 }
 
 func (e *registryEntry) info() QueryInfo {

@@ -99,64 +99,6 @@ func TestRegistryCancelByID(t *testing.T) {
 	}
 }
 
-// TestRegistryReapBoundsSizeUnderChurn pins the fix for the long-running
-// server leak: without Remove/Reap every completed query left an entry
-// behind forever. Launch waves of queries, reap between waves, and require
-// the registry never to exceed one wave's population.
-func TestRegistryReapBoundsSizeUnderChurn(t *testing.T) {
-	db := testDB(t)
-	reg := NewQueryRegistry()
-	const waves, perWave = 8, 4
-	var reaped int
-	for w := 0; w < waves; w++ {
-		ids := make([]QueryID, 0, perWave)
-		for i := 0; i < perWave; i++ {
-			ids = append(ids, reg.Launch("churn", Start(db, testPlan(db), progress.LQSOptions())))
-		}
-		for _, id := range ids {
-			if _, err := reg.Wait(id); err != nil {
-				t.Fatalf("wave %d: %v", w, err)
-			}
-		}
-		reaped += len(reg.Reap())
-		if n := reg.Len(); n != 0 {
-			t.Fatalf("wave %d: %d entries survive a full reap", w, n)
-		}
-		if n := len(reg.List()); n != 0 {
-			t.Fatalf("wave %d: List still renders %d reaped entries", w, n)
-		}
-	}
-	if reaped != waves*perWave {
-		t.Fatalf("reaped %d entries, want %d", reaped, waves*perWave)
-	}
-}
-
-// TestRegistryRemoveRefusesRunning: Remove on an in-flight query is an
-// error; after terminal it succeeds; a second Remove reports unknown id.
-func TestRegistryRemoveRefusesRunning(t *testing.T) {
-	db := testDB(t)
-	reg := NewQueryRegistry()
-	s := Start(db, testPlan(db), progress.LQSOptions())
-	s.Query.LockCounters() // hold the runner at its first step
-	id := reg.Launch("held", s)
-	if err := reg.Remove(id); err == nil {
-		t.Fatal("Remove succeeded on a running query")
-	}
-	s.Query.UnlockCounters()
-	if _, err := reg.Wait(id); err != nil {
-		t.Fatalf("wait: %v", err)
-	}
-	if err := reg.Remove(id); err != nil {
-		t.Fatalf("Remove after terminal: %v", err)
-	}
-	if err := reg.Remove(id); err == nil {
-		t.Fatal("second Remove found a ghost entry")
-	}
-	if reg.Len() != 0 {
-		t.Fatalf("registry size %d after remove", reg.Len())
-	}
-}
-
 func TestRegistryUnknownID(t *testing.T) {
 	reg := NewQueryRegistry()
 	if _, err := reg.Poll(QueryID(42)); err == nil {

@@ -279,7 +279,7 @@ func (s *Session) display(snap *dmv.Snapshot, est *progress.Estimate, state exec
 		Ops:             make([]OpStatus, len(s.plan.Nodes)),
 		ActivePipelines: make([]bool, len(s.Estimator.Decomp.Pipelines)),
 		Degraded:        est.Degraded,
-		DegradeReason:   est.DegradeReason,
+		DegradeReason:   est.DegradeReason.String(),
 	}
 	for _, n := range s.plan.Nodes {
 		op := snap.Op(n.ID)

@@ -167,12 +167,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// defaultRegistry is the process-wide registry, analogous to expvar's.
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide default registry.
-func Default() *Registry { return defaultRegistry }
-
 // Counter returns the named counter, creating it on first use. Safe to call
 // on a nil registry (returns nil; all Counter methods tolerate nil), so
 // components can hold an optional registry without branching.

@@ -2,9 +2,9 @@ package progress
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
-	"strconv"
 
 	"lqs/internal/engine/dmv"
 )
@@ -26,18 +26,35 @@ import (
 // degraded poll (LB/slack, UB*slack).
 const degradedBoundSlack = 2
 
+// Reason says why a poll is degraded: the reason its snapshot arrived with
+// (a poller stall, an open breaker) and the faulty thread rows the repair
+// pass fixed. An estimate carries the counts; the text is built only where
+// it is displayed (String), so a repaired poll allocates none.
+type Reason struct {
+	Incoming                  string
+	Duplicate, Stale, Missing int
+}
+
+// String is the reason as displayed: the incoming reason, followed by the
+// repair's counts when it fixed any row.
+func (r Reason) String() string {
+	if r.Duplicate == 0 && r.Stale == 0 && r.Missing == 0 {
+		return r.Incoming
+	}
+	repair := fmt.Sprintf("faulty thread rows: %d duplicate, %d stale, %d missing", r.Duplicate, r.Stale, r.Missing)
+	if r.Incoming == "" {
+		return repair
+	}
+	return r.Incoming + "; " + repair
+}
+
 // repairState is what the repair pass keeps between polls: the high-water
 // marks in (NodeID, ThreadID) order, Capture's order, and the spare buffer
-// they are rebuilt in when keys appear; the buffers a repaired poll's rows,
-// capture and aggregation are built in (valid until the next call); the
-// latest reason, the incoming reason and counts it was built from, and
-// the buffer it is built in.
+// they are rebuilt in when keys appear; and the buffers a repaired poll's
+// rows, capture and aggregation are built in (valid until the next call).
 type repairState struct {
 	highWater, spare, sorted, filled, ops []dmv.OpProfile
 	snap                                  dmv.Snapshot
-	reason, incoming                      string
-	buf                                   []byte
-	counts                                [3]int
 }
 
 // prepare vets a snapshot for estimation: it returns the snapshot to
@@ -47,12 +64,12 @@ type repairState struct {
 // a pass-through. Duplicated keys are merged (a torn capture emitted a row
 // twice; summing them would double-count k). A healthy poll allocates
 // nothing.
-func (e *Estimator) prepare(snap *dmv.Snapshot) (*dmv.Snapshot, bool, string) {
+func (e *Estimator) prepare(snap *dmv.Snapshot) (*dmv.Snapshot, bool, Reason) {
 	if !e.Opt.Degrade {
-		return snap, false, ""
+		return snap, false, Reason{}
 	}
 	if len(snap.Threads) == 0 {
-		return snap, snap.Degraded, snap.DegradeReason
+		return snap, snap.Degraded, Reason{Incoming: snap.DegradeReason}
 	}
 	rs := &e.repair
 	rows, dups := snap.Threads, 0
@@ -109,34 +126,26 @@ func (rs *repairState) lift(rows []dmv.OpProfile) (stale, missing int, ok bool) 
 // a capture the estimator owns with dropped rows filled from the marks (a
 // missing row reads as "no progress since last poll", the conservative
 // reconstruction).
-func (e *Estimator) repaired(snap *dmv.Snapshot, rows []dmv.OpProfile, dups, stale, missing int) (*dmv.Snapshot, bool, string) {
+func (e *Estimator) repaired(snap *dmv.Snapshot, rows []dmv.OpProfile, dups, stale, missing int) (*dmv.Snapshot, bool, Reason) {
+	r := Reason{Incoming: snap.DegradeReason, Duplicate: dups, Stale: stale, Missing: missing}
 	if dups == 0 && stale == 0 && missing == 0 {
-		return snap, snap.Degraded, snap.DegradeReason
-	}
-	rs := &e.repair
-	if c := [3]int{dups, stale, missing}; c != rs.counts || snap.DegradeReason != rs.incoming || rs.reason == "" {
-		rs.counts, rs.incoming = c, snap.DegradeReason
-		b := append(rs.buf[:0], rs.incoming...)
-		if len(b) > 0 {
-			b = append(b, "; "...)
-		}
-		b = append(b, "faulty thread rows: "...)
-		for i, n := range c {
-			b = append(strconv.AppendInt(b, int64(n), 10), [3]string{" duplicate, ", " stale, ", " missing"}[i]...)
-		}
-		rs.buf, rs.reason = b, string(b)
+		return snap, snap.Degraded, r
 	}
 	if dups == 0 && missing == 0 {
-		return snap, true, rs.reason
+		return snap, true, r
 	}
+	rs := &e.repair
 	if missing > 0 {
+		if n := len(rows) + missing; cap(rs.filled) < n {
+			rs.filled = make([]dmv.OpProfile, 0, n)
+		}
 		rs.filled = mergeKeys(rs.filled[:0], rows, rs.highWater)
 		rows = rs.filled
 	}
-	rs.snap = dmv.Snapshot{At: snap.At, NumNodes: snap.NumNodes, Threads: rows, Degraded: true, DegradeReason: rs.reason}
+	rs.snap = dmv.Snapshot{At: snap.At, NumNodes: snap.NumNodes, Threads: rows, Degraded: true}
 	rs.snap.AggregateInto(rs.ops)
 	rs.ops = rs.snap.Ops
-	return &rs.snap, true, rs.reason
+	return &rs.snap, true, r
 }
 
 // compareKeys orders profile rows by (NodeID, ThreadID). It runs for

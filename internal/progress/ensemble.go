@@ -166,7 +166,7 @@ func newEnsemble(p *plan.Plan, opt Options, d *Decomposition) *ensemble {
 // estimateEnsemble is the ensemble's poll: one walk runs both candidates'
 // passes, the TGN, DNE and §4.6 folds make their query progress, and the
 // selector blends them into est.
-func (e *Estimator) estimateEnsemble(est *Estimate, snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
+func (e *Estimator) estimateEnsemble(est *Estimate, snap *dmv.Snapshot, degraded bool, reason Reason) *Estimate {
 	en := e.ens
 	tgn, lqs := &en.tgn, &en.lqs
 	e.walk(snap, degraded, reason, tgn, lqs)
@@ -203,7 +203,7 @@ func (r *ensembleEstimate) wire() *Estimate {
 // into that envelope. est shares no memory with the candidates' buffers:
 // the blend writes into est's own slices and ensemble record, and makes
 // them only when est lacks them.
-func (e *Estimator) blendEnsemble(est *Estimate, snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
+func (e *Estimator) blendEnsemble(est *Estimate, snap *dmv.Snapshot, degraded bool, reason Reason) *Estimate {
 	en := e.ens
 	tgn, lqs := en.tgn.est, en.lqs.est
 	en.observe(snap.At, en.qs[:], degraded)

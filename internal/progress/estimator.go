@@ -184,8 +184,8 @@ type Estimate struct {
 	// had to fix partial/stale/duplicated thread rows. Bounds are widened
 	// and progress held monotone on such polls (Options.Degrade).
 	Degraded bool
-	// DegradeReason says why, for display.
-	DegradeReason string
+	// DegradeReason says why; its String is the text displayed.
+	DegradeReason Reason
 	// Ensemble carries the per-candidate introspection in ensemble mode
 	// (Options.Ensemble): candidate progress values, blend weights, the raw
 	// blend, and the hysteresis-selected candidate. Nil in other modes.
@@ -233,7 +233,7 @@ func (e *Estimator) EstimateInto(dst *Estimate, snap *dmv.Snapshot) *Estimate {
 // repair pass (prepare) has already vetted. Estimate and Explain both
 // funnel through it so the repaired snapshot is the one every intermediate
 // reads.
-func (e *Estimator) estimateFrom(dst *Estimate, snap *dmv.Snapshot, degraded bool, reason string) *Estimate {
+func (e *Estimator) estimateFrom(dst *Estimate, snap *dmv.Snapshot, degraded bool, reason Reason) *Estimate {
 	snap.Aggregate()
 	// A pipeline has started once a member has opened or a blocking-output
 	// source feeding it has begun emitting: one scan of the rows in order.
@@ -266,7 +266,7 @@ func (e *Estimator) estimateFrom(dst *Estimate, snap *dmv.Snapshot, degraded boo
 // derived, and its operator progress. Then one pipeline loop folds every
 // pass's pipeline progress; the passes agree on InternalCounters (off in
 // the ensemble), so done is computed once.
-func (e *Estimator) walk(snap *dmv.Snapshot, degraded bool, reason string, cs ...*pass) {
+func (e *Estimator) walk(snap *dmv.Snapshot, degraded bool, reason Reason, cs ...*pass) {
 	for _, c := range cs {
 		e.begin(c, snap, degraded, reason)
 	}
@@ -321,7 +321,7 @@ func (e *Estimator) walk(snap *dmv.Snapshot, degraded bool, reason string, cs ..
 // begin readies pass c for a poll: its estimate's Op, N and PipelineProg
 // zeroed and of the plan's shape (cut from one new array when they are
 // not), its bounds sized if computed, its other fields and α memo reset.
-func (e *Estimator) begin(c *pass, snap *dmv.Snapshot, degraded bool, reason string) {
+func (e *Estimator) begin(c *pass, snap *dmv.Snapshot, degraded bool, reason Reason) {
 	est, nodes, pipes := c.est, len(e.Plan.Nodes), len(e.Decomp.Pipelines)
 	if len(est.Op) == nodes && len(est.N) == nodes && len(est.PipelineProg) == pipes {
 		clear(est.Op)

@@ -176,7 +176,7 @@ func (e *Estimator) Explain(snap *dmv.Snapshot) (*Explanation, *Estimate) {
 		QueryMonotoneClamped: e.own.queryClamped,
 		PipelineProg:         est.PipelineProg,
 		Degraded:             est.Degraded,
-		DegradeReason:        est.DegradeReason,
+		DegradeReason:        est.DegradeReason.String(),
 	}
 	// attr is the pass whose N̂ derivation the terms carry.
 	attr := &e.own

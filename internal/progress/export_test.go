@@ -9,6 +9,6 @@ import "lqs/internal/engine/dmv"
 var DOP2Trace = dop2Trace
 
 // Prepare is the repair pass.
-func (e *Estimator) Prepare(snap *dmv.Snapshot) (*dmv.Snapshot, bool, string) {
+func (e *Estimator) Prepare(snap *dmv.Snapshot) (*dmv.Snapshot, bool, Reason) {
 	return e.prepare(snap)
 }

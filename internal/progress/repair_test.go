@@ -250,7 +250,7 @@ func checkRepairMatchesReference(t *testing.T, tag string, p *plan.Plan, cat *ca
 		before := fmt.Sprintf("%+v", s.Threads)
 		fs, fdeg, freason := fast.prepare(s)
 		rs, rdeg, rreason := ref.prepareReference(s)
-		if fdeg != rdeg || freason != rreason {
+		if fdeg != rdeg || freason.String() != rreason {
 			t.Fatalf("%s snap %d: degraded %v %q, reference %v %q", tag, si, fdeg, freason, rdeg, rreason)
 		}
 		if (fs == s) != (rs == s) {
@@ -265,7 +265,7 @@ func checkRepairMatchesReference(t *testing.T, tag string, p *plan.Plan, cat *ca
 			t.Fatalf("%s snap %d: repair mutated the caller's snapshot", tag, si)
 		}
 		got := estimateString(fast.estimateFrom(new(Estimate), fs, fdeg, freason))
-		if want := estimateString(slow.estimateFrom(new(Estimate), rs, rdeg, rreason)); got != want {
+		if want := estimateString(slow.estimateFrom(new(Estimate), rs, rdeg, Reason{Incoming: rreason})); got != want {
 			t.Fatalf("%s snap %d: estimate\n got %s\nwant %s", tag, si, got, want)
 		}
 	}
@@ -453,7 +453,7 @@ func TestRepairWalkMatchesMerge(t *testing.T) {
 				}
 				ws, wdeg, wreason := walked.prepare(s)
 				ms, mdeg, mreason := ref.prepareReference(s)
-				if wdeg != mdeg || wreason != mreason || (ws == s) != (ms == s) {
+				if wdeg != mdeg || wreason.String() != mreason || (ws == s) != (ms == s) {
 					t.Fatalf("%s poll %d: walk %v %q (copy %v), merge %v %q (copy %v)", tag, si, wdeg, wreason, ws != s, mdeg, mreason, ms != s)
 				}
 				if got, want := fmt.Sprintf("%+v", ws.Threads), fmt.Sprintf("%+v", ms.Threads); got != want {

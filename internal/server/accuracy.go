@@ -12,7 +12,7 @@ package server
 //     per-mode server/accuracy_mean_abs_err_* histograms aggregating over
 //     every query the server has finished.
 //
-// The computation happens once, on the watcher goroutine before it
+// The computation happens once, on the query's goroutine before it
 // publishes the terminal poll, which carries the report: a reader sees
 // the terminal state and the report together or neither.
 
@@ -59,7 +59,7 @@ var accErrBuckets = []float64{0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5}
 
 // score replays the finished query's trace through every estimator mode
 // and returns the per-mode report, feeding the aggregate server histograms
-// as it goes. The watcher calls it once per query, before it publishes the
+// as it goes. The query's goroutine calls it once, before it publishes the
 // terminal poll that carries the report.
 func (h *hostedQuery) score(tr *dmv.Trace) []accuracy.QueryAccuracy {
 	var acc []accuracy.QueryAccuracy
@@ -90,7 +90,7 @@ func (s *Server) handleAccuracy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := AccuracyResponse{
-		ID:           int64(h.id),
+		ID:           h.id,
 		Name:         h.name,
 		Workload:     h.spec.Workload,
 		Query:        h.spec.Query,

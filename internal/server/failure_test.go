@@ -53,7 +53,8 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("cancelled query state: %+v", st)
 	}
 
-	// The watcher releases the slot asynchronously after the runner exits.
+	// The query's goroutine releases the slot just after it publishes the
+	// terminal poll.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		var sub SubmitResponse

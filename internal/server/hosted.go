@@ -22,16 +22,20 @@ import (
 
 // hostedQuery is one monitored query the server hosts: the session over its
 // private view of the cached tables and the virtual-time DMV poller (flight
-// recorder), the query's one capturer. The registry's runner goroutine
-// steps the query; each poll the poller records is estimated on that
-// goroutine and published; a watcher goroutine publishes the terminal poll
-// and closes terminal. Readers only load the latest publication.
+// recorder), the query's one capturer. One goroutine steps the query; each
+// poll the poller records is estimated on it and published, and once the
+// query is terminal it publishes the terminal poll, drops the session,
+// poller and view, and closes terminal. Readers only load the latest
+// publication.
 type hostedQuery struct {
-	id   lqs.QueryID
+	id   int64
 	name string
 	spec QuerySpec
 	srv  *Server
 
+	// The live state, nil once the terminal poll is published. Only the
+	// query's goroutine writes them; other goroutines read them under
+	// estMu.
 	sess   *lqs.Session
 	poller *dmv.Poller
 	db     *storage.Database // the query's view: shared tables, private pool
@@ -44,15 +48,16 @@ type hostedQuery struct {
 	pub   atomic.Pointer[publication]
 	estMu sync.Mutex
 
-	// terminal closes once the terminal poll is published (the runner
-	// goroutine has finished and the query's accuracy is scored).
+	// terminal closes once the terminal poll is published (the query has
+	// finished and its accuracy is scored).
 	terminal chan struct{}
 }
 
 // publication is one published poll of a hosted query: the display state
 // estimated from one recorded capture, the capture itself, and the rows
 // and pool counters read at that tick, plus the flight recorder as it
-// stood then. Everything a status, frame, scrape or history read serves
+// stood then. The terminal publication also carries the explanation of its
+// own estimate. Everything a status, frame, scrape or history read serves
 // comes from one publication, and nothing in it is written once published
 // but the memoized encodings.
 type publication struct {
@@ -184,49 +189,69 @@ func newHosted(srv *Server, spec QuerySpec) (*hostedQuery, error) {
 // counters publish reads belong to the capture's instant.
 func (h *hostedQuery) record(snap *dmv.Snapshot) {
 	hist, dropped := h.poller.History()
-	h.publish(&publication{Poll: lqs.Poll{Capture: snap}, history: hist, dropped: dropped})
-}
-
-// finish publishes the terminal poll once the runner goroutine has
-// finished: the final capture estimated after every recorded one — the
-// terminal estimate a replay of the trace computes — with the accuracy
-// report scored from that trace.
-func (h *hostedQuery) finish() {
-	tr := h.poller.Finish()
-	h.publish(&publication{Poll: lqs.Poll{Capture: tr.Final}, history: tr.Snapshots, dropped: tr.DroppedSnapshots, acc: h.score(tr)})
-}
-
-// publish estimates p's capture, with the query's lifecycle state, error,
-// rows returned and pool counters read now, and makes p the latest
-// publication.
-func (h *hostedQuery) publish(p *publication) {
-	q := h.sess.Query
-	p.Pool = h.db.Pool.StatsSnapshot()
 	h.estMu.Lock()
 	defer h.estMu.Unlock()
-	p.Snapshot, _ = h.sess.Estimate(p.Capture, q.State(), q.Err(), q.RowsReturned(), false)
+	h.publishLocked(&publication{Poll: lqs.Poll{Capture: snap}, history: hist, dropped: dropped}, false)
+}
+
+// finish publishes the terminal poll once the query has finished: the
+// final capture estimated after every recorded one — the terminal estimate
+// a replay of the trace computes — with its explanation and the accuracy
+// report scored from that trace. Then it drops the live state: the
+// terminal publication is all a finished query serves.
+func (h *hostedQuery) finish() {
+	tr := h.poller.Finish()
+	p := &publication{Poll: lqs.Poll{Capture: tr.Final}, history: tr.Snapshots, dropped: tr.DroppedSnapshots, acc: h.score(tr)}
+	h.estMu.Lock()
+	defer h.estMu.Unlock()
+	h.publishLocked(p, true)
+	h.sess, h.poller, h.db = nil, nil, nil
+}
+
+// publishLocked estimates p's capture, with the query's lifecycle state,
+// error, rows returned and pool counters read now, and makes p the latest
+// publication; with explain, p carries the pass's decomposition. estMu is
+// held.
+func (h *hostedQuery) publishLocked(p *publication, explain bool) {
+	q := h.sess.Query
+	p.Pool = h.db.Pool.StatsSnapshot()
+	p.Snapshot, p.Explanation = h.sess.Estimate(p.Capture, q.State(), q.Err(), q.RowsReturned(), explain)
 	h.pub.Store(p)
 }
 
+// cancel requests cooperative cancellation and reports whether the query
+// was still running.
+func (h *hostedQuery) cancel(reason string) bool {
+	h.estMu.Lock()
+	defer h.estMu.Unlock()
+	if h.sess == nil || h.sess.State().Terminal() {
+		return false
+	}
+	h.sess.Cancel(reason)
+	return true
+}
+
 // status renders the latest publication as a wire status. With explain it
-// also re-runs the estimator on that publication's capture — the capture
-// the estimator saw last, so the pass changes none of its state — and
-// attaches the decomposition: explain.at_us is virtual_us and
+// attaches the decomposition of that publication's estimate: the terminal
+// publication's own, or, while the query runs, a re-run of the estimator
+// on the latest capture — the capture the estimator saw last, so the pass
+// changes none of its state. explain.at_us is virtual_us and
 // explain.query is progress. A PENDING query has no estimate to explain.
 func (h *hostedQuery) status(withOps, withExplain bool) StatusJSON {
-	var x *progress.Explanation
 	p := h.pub.Load()
-	if withExplain {
+	x := p.Explanation
+	if withExplain && x == nil {
 		h.estMu.Lock()
 		p = h.pub.Load()
-		if qs := p.Snapshot; qs.State != exec.StatePending {
+		x = p.Explanation
+		if qs := p.Snapshot; x == nil && qs.State != exec.StatePending {
 			_, x = h.sess.Estimate(p.Capture, qs.State, qs.Err, qs.Rows, true)
 		}
 		h.estMu.Unlock()
 	}
 	snap := p.Snapshot
 	st := StatusJSON{
-		ID:            int64(h.id),
+		ID:            h.id,
 		Name:          h.name,
 		Workload:      h.spec.Workload,
 		Query:         h.spec.Query,
@@ -247,7 +272,7 @@ func (h *hostedQuery) status(withOps, withExplain bool) StatusJSON {
 	if withOps {
 		st.Ops = opsJSON(snap.Ops)
 	}
-	if x != nil {
+	if withExplain && x != nil {
 		st.Explain = explainJSON(x)
 	}
 	return st

@@ -17,7 +17,7 @@ package server
 // Every series carries qid/query/workload/tenant labels; the progress
 // series adds degraded="true|false" so a chaos-degraded estimate shows up
 // as a labeled sample, never as a gap in the scrape. The obs registry
-// (server/, lqs/, dmv/ namespaces) is appended as unlabeled families. The
+// (server/ and dmv/ namespaces) is appended as unlabeled families. The
 // whole exposition is sorted, so identical states render byte-identically
 // — the property the golden test pins.
 
@@ -55,7 +55,7 @@ func (s *Server) collectPoints() []obs.Point {
 }
 
 // qidLabel renders the query's ID label value.
-func (h *hostedQuery) qidLabel() string { return strconv.FormatInt(int64(h.id), 10) }
+func (h *hostedQuery) qidLabel() string { return strconv.FormatInt(h.id, 10) }
 
 // points returns the query's exposition points, built once per
 // publication: a scrape rebuilds a query's points only when it has

@@ -2,7 +2,7 @@ package server
 
 // Golden test for the Prometheus exposition. Everything on /metrics
 // derives from virtual time and deterministic workloads, so after the
-// server quiesces (all queries terminal, watcher goroutines drained) the
+// server quiesces (all queries terminal, their goroutines drained) the
 // scrape is byte-for-byte reproducible — the golden file pins it. Run with
 // -update to regenerate after an intentional format or counter change.
 //
@@ -45,8 +45,8 @@ func scrape(t *testing.T, ts string) string {
 }
 
 // scrapeQuiesced waits until the server reports no active queries and two
-// consecutive scrapes agree (watcher decrements land asynchronously after
-// the terminal poll), then returns the stable exposition.
+// consecutive scrapes agree (slot releases land asynchronously after the
+// terminal poll), then returns the stable exposition.
 func scrapeQuiesced(t *testing.T, ts string) string {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

@@ -20,7 +20,6 @@ import (
 
 	"lqs/internal/accuracy"
 	"lqs/internal/engine/dmv"
-	"lqs/internal/lqs"
 	"lqs/internal/workload"
 )
 
@@ -29,7 +28,7 @@ func hostedByID(t *testing.T, srv *Server, id int64) *hostedQuery {
 	t.Helper()
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	h := srv.queries[lqs.QueryID(id)]
+	h := srv.queries[id]
 	if h == nil {
 		t.Fatalf("query %d is not hosted", id)
 	}
@@ -203,15 +202,21 @@ func readHistory(t *testing.T, ts *httptest.Server, id int64) {
 
 // checkLiveEqualsReplay replays the query's flight recorder as its
 // terminal publication holds it and matches every read against it.
-// It returns how many reads caught the query running.
+// It returns how many reads caught the query running. A finished query
+// keeps no plan or catalog, so the replay runs on those of a twin built
+// from the same spec and never launched.
 func checkLiveEqualsReplay(t *testing.T, label string, h *hostedQuery, mode accuracy.Mode, seen []observed) int {
 	t.Helper()
 	p := h.pub.Load()
 	if p.dropped != 0 {
 		t.Fatalf("%s: the flight recorder dropped %d polls", label, p.dropped)
 	}
-	tr := &dmv.Trace{Plan: h.sess.Query.Plan, Snapshots: p.history, Final: p.Capture}
-	traj := accuracy.Record(tr.Plan, h.db.Catalog, tr, mode)
+	twin, err := newHosted(h.srv, h.spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &dmv.Trace{Plan: twin.sess.Query.Plan, Snapshots: p.history, Final: p.Capture}
+	traj := accuracy.Record(tr.Plan, twin.db.Catalog, tr, mode)
 	want := make(map[int64]float64, len(traj.Points))
 	for _, pt := range traj.Points {
 		want[us(pt.At)] = pt.Estimate
@@ -259,7 +264,10 @@ func TestReadsNeverTakeCounterLock(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	q := hostedByID(t, srv, sub.ID).sess.Query
+	h := hostedByID(t, srv, sub.ID)
+	h.estMu.Lock()
+	q := h.sess.Query
+	h.estMu.Unlock()
 	q.LockCounters()
 	locked := true
 	defer func() {

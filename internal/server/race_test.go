@@ -88,7 +88,7 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Drain: every watcher goroutine must exit. Cancel-raced
+	// Drain: every hosted query's goroutine must exit. Cancel-raced
 	// queries may still be finishing; give them the graceful window.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

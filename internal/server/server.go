@@ -4,8 +4,8 @@
 // /metrics endpoint exposing the obs registry and per-query DMV counter
 // classes. It is the network surface the paper assumes — a server whose
 // progress estimates are consumed remotely by many observers — built from
-// the existing blocks: lqs.QueryRegistry for lifecycle, one dmv.Poller per
-// query whose recorded polls are estimated and published for every read,
+// the existing blocks: one lqs.Session and one dmv.Poller per query, whose
+// recorded polls are estimated and published for every read,
 // Estimator.Explain for per-node terms, and the chaos-harness degradation
 // path (a degraded snapshot renders as a degraded="true" label, never a
 // gap).
@@ -13,7 +13,7 @@
 // Routes:
 //
 //	POST   /queries              submit a QuerySpec; 201 with the query ID
-//	GET    /queries              registry listing (?tenant= filters)
+//	GET    /queries              hosted queries in launch order (?tenant= filters)
 //	GET    /queries/{id}         progress snapshot (?explain=1 adds terms)
 //	GET    /queries/{id}/stream  SSE progress frames (?interval_ms=)
 //	GET    /queries/{id}/history DMV flight-recorder snapshots
@@ -28,13 +28,16 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"path"
+	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"lqs/internal/chaos"
-	"lqs/internal/lqs"
 	"lqs/internal/obs"
 	"lqs/internal/sim"
 )
@@ -68,8 +71,8 @@ type Config struct {
 	PaceInterval sim.Duration
 	// MaxDOP bounds the per-query degree of parallelism. Default 8.
 	MaxDOP int
-	// Metrics receives every server, registry, poller, and per-query
-	// counter. Default: a fresh private registry.
+	// Metrics receives every server, poller, and per-query counter.
+	// Default: a fresh private registry.
 	Metrics *obs.Registry
 	// Chaos, when non-nil, installs the cross-layer fault injectors on
 	// every hosted query (per-query derived seeds), for fault drills
@@ -108,22 +111,25 @@ func (cfg Config) Default() Config {
 
 // Server hosts monitored queries behind HTTP. Create with New; it is an
 // http.Handler.
+//
+// Lock order: s.mu before a hosted query's estMu; nothing holding estMu
+// takes s.mu.
 type Server struct {
 	cfg Config
 	obs *obs.Registry
-	reg *lqs.QueryRegistry
 	mux *http.ServeMux
 
 	// tables caches generated workloads; every hosted query runs on a view.
 	tables *tableCache
 
 	mu       sync.Mutex
-	queries  map[lqs.QueryID]*hostedQuery
-	order    []lqs.QueryID
-	active   int // queries not yet terminal (admission accounting)
+	nextID   int64
+	queries  map[int64]*hostedQuery
+	order    []int64 // launch order
+	active   int     // queries not yet terminal (admission accounting)
 	draining bool
 
-	// wg tracks watcher goroutines; Shutdown drains it.
+	// wg tracks the hosted queries' goroutines; Shutdown drains it.
 	wg sync.WaitGroup
 
 	// chaosOrdinal numbers submissions for per-query chaos seed derivation.
@@ -134,8 +140,9 @@ type Server struct {
 	scrapeCacheHits   atomic.Int64
 	scrapeCacheMisses atomic.Int64
 
-	// beforeTerminal, when a test sets it, runs in each watcher between
-	// the terminal publication and the close of its terminal channel.
+	// beforeTerminal, when a test sets it, runs on each query's goroutine
+	// between the terminal publication and the close of its terminal
+	// channel.
 	beforeTerminal func()
 }
 
@@ -152,11 +159,9 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		obs:     cfg.Metrics,
-		reg:     lqs.NewQueryRegistry(),
-		queries: make(map[lqs.QueryID]*hostedQuery),
+		queries: make(map[int64]*hostedQuery),
 		tables:  newTableCache(cfg.Metrics),
 	}
-	s.reg.SetMetrics(s.obs)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /queries", s.handleSubmit)
 	mux.HandleFunc("GET /queries", s.handleList)
@@ -171,11 +176,17 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Registry exposes the underlying query registry (tests and tools).
-func (s *Server) Registry() *lqs.QueryRegistry { return s.reg }
+// ServeHTTP implements http.Handler. A request no route serves (an unknown
+// path or method, or a path the mux would redirect to its canonical form)
+// gets a typed 404, so every reply is a success or an APIError.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	p := r.URL.EscapedPath()
+	if _, pattern := s.mux.Handler(r); pattern == "" || !strings.HasPrefix(p, "/") || path.Clean(p) != p {
+		writeErr(w, http.StatusNotFound, APIError{Code: CodeNotFound, Message: fmt.Sprintf("no route for %s %s", r.Method, r.URL.Path)})
+		return
+	}
+	s.mux.ServeHTTP(w, r)
+}
 
 // handleSubmit is POST /queries: validate, admit, launch.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -228,25 +239,53 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mu.Lock()
-	if err := s.admissibleLocked(); err != nil {
-		s.mu.Unlock()
+	if err := s.launch(h); err != nil {
 		s.rejectSubmit(w, err)
 		return
 	}
+	w.Header().Set("Location", fmt.Sprintf("/queries/%d", h.id))
+	writeJSON(w, http.StatusCreated, SubmitResponse{
+		ID: h.id, Name: h.name, Location: fmt.Sprintf("/queries/%d", h.id),
+	})
+}
+
+// launch admits h, gives it the next ID and starts its goroutine, which
+// steps the query to a terminal state, publishes the terminal poll and
+// releases the admission slot. It returns the typed rejection instead when
+// the server is draining or full.
+func (s *Server) launch(h *hostedQuery) error {
+	s.mu.Lock()
+	if err := s.admissibleLocked(); err != nil {
+		s.mu.Unlock()
+		return err
+	}
 	s.reapFinishedLocked()
-	h.id = s.reg.Launch(h.name, h.sess)
+	s.nextID++
+	h.id = s.nextID
 	s.queries[h.id] = h
 	s.order = append(s.order, h.id)
 	s.active++
 	s.obs.Gauge("server/active").Set(int64(s.active))
+	// Added under the lock that admitted the query, so a Shutdown that
+	// starts draining after this admission waits for this goroutine.
+	s.wg.Add(1)
 	s.mu.Unlock()
 
 	s.obs.Counter("server/queries_submitted").Inc()
-	s.wg.Add(1)
-	go func() { // watcher: publish the terminal poll, release the admission slot
+	sess := h.sess
+	go func() {
 		defer s.wg.Done()
-		_, _ = s.reg.Wait(h.id)
+		// A goroutine runs next on the processor of the handler that
+		// started it. Yield once, so the executor queues behind the work
+		// already waiting (the submit reply, the client's next request)
+		// instead of holding that processor while the client waits for
+		// its first frame.
+		runtime.Gosched()
+		more := true
+		var err error
+		for more && err == nil {
+			more, err = sess.Step(256)
+		}
 		// Scored and published before the slot releases: scrapes observe
 		// the active-gauge decrement only after the accuracy family and
 		// histograms are in place, keeping quiesced scrapes stable.
@@ -260,11 +299,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.obs.Gauge("server/active").Set(int64(s.active))
 		s.mu.Unlock()
 	}()
-
-	w.Header().Set("Location", fmt.Sprintf("/queries/%d", h.id))
-	writeJSON(w, http.StatusCreated, SubmitResponse{
-		ID: int64(h.id), Name: h.name, Location: fmt.Sprintf("/queries/%d", h.id),
-	})
+	return nil
 }
 
 // errDraining and errAdmission are the typed submit rejections.
@@ -302,40 +337,33 @@ func (s *Server) rejectSubmit(w http.ResponseWriter, err error) {
 }
 
 // reapFinishedLocked removes the oldest finished queries beyond the
-// MaxFinished retention cap; with the registry Remove fix this pins server
-// memory under submit/complete churn.
+// MaxFinished retention cap, which bounds server memory under
+// submit/complete churn.
 func (s *Server) reapFinishedLocked() {
-	finished := 0
+	extra := -s.cfg.MaxFinished
 	for _, id := range s.order {
 		if s.queries[id].done() {
-			finished++
+			extra++
 		}
 	}
-	for _, id := range append([]lqs.QueryID(nil), s.order...) {
-		if finished <= s.cfg.MaxFinished {
-			break
-		}
-		h := s.queries[id]
-		if !h.done() {
+	keep := s.order[:0]
+	for _, id := range s.order {
+		if extra > 0 && s.queries[id].done() {
+			delete(s.queries, id)
+			extra--
+			s.obs.Counter("server/queries_reaped").Inc()
 			continue
 		}
-		if err := s.reg.Remove(id); err != nil {
-			continue
-		}
-		s.dropLocked(id)
-		finished--
-		s.obs.Counter("server/queries_reaped").Inc()
+		keep = append(keep, id)
 	}
+	s.order = keep
 }
 
-// dropLocked removes a hosted query from the server's own maps.
-func (s *Server) dropLocked(id lqs.QueryID) {
+// dropLocked removes a finished query from the server's maps.
+func (s *Server) dropLocked(id int64) {
 	delete(s.queries, id)
-	for i, x := range s.order {
-		if x == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
+	if i := slices.Index(s.order, id); i >= 0 {
+		s.order = slices.Delete(s.order, i, i+1)
 	}
 }
 
@@ -347,7 +375,7 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *hostedQuery {
 		return nil
 	}
 	s.mu.Lock()
-	h := s.queries[lqs.QueryID(id)]
+	h := s.queries[id]
 	s.mu.Unlock()
 	if h == nil {
 		writeErr(w, http.StatusNotFound, APIError{Code: CodeNotFound, Message: fmt.Sprintf("no query with id %d", id)})
@@ -399,34 +427,24 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // handleDelete is DELETE /queries/{id}: cooperative cancel while running
 // (202; the SSE terminal frame follows), removal once finished (204). A
 // query whose state is terminal is finished: the delete waits the moment
-// its watcher takes to publish the terminal poll and close h.terminal.
+// its goroutine takes to publish the terminal poll and close h.terminal.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	h := s.lookup(w, r)
 	if h == nil {
 		return
 	}
-	if !h.done() {
-		if !h.sess.State().Terminal() {
-			_ = s.reg.Cancel(h.id, "cancelled via DELETE")
-			writeJSON(w, http.StatusAccepted, map[string]string{"state": "cancelling"})
-			return
-		}
-		select {
-		case <-h.terminal:
-		case <-r.Context().Done():
-			return
-		}
-	}
-	s.mu.Lock()
-	err := s.reg.Remove(h.id)
-	if err == nil {
-		s.dropLocked(h.id)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		writeErr(w, http.StatusConflict, APIError{Code: CodeBadRequest, Message: err.Error()})
+	if h.cancel("cancelled via DELETE") {
+		writeJSON(w, http.StatusAccepted, map[string]string{"state": "cancelling"})
 		return
 	}
+	select {
+	case <-h.terminal:
+	case <-r.Context().Done():
+		return
+	}
+	s.mu.Lock()
+	s.dropLocked(h.id)
+	s.mu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -444,7 +462,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 // Shutdown gracefully drains the server: new submissions get typed 503s,
 // running queries finish (or are cooperatively cancelled once ctx
-// expires), and every watcher goroutine exits before it returns.
+// expires), and every query's goroutine exits before it returns.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -466,9 +484,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// operator charge boundary).
 	s.mu.Lock()
 	for _, h := range s.queries {
-		if !h.done() {
-			h.sess.Cancel("server draining")
-		}
+		h.cancel("server draining")
 	}
 	s.mu.Unlock()
 	<-done

@@ -12,14 +12,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"lqs/internal/accuracy"
+	"lqs/internal/engine/storage"
 	"lqs/internal/lqs"
 )
 
@@ -191,7 +195,7 @@ func TestSubmitStatusDeleteRoundTrip(t *testing.T) {
 
 // TestDeleteOfTerminalQueryRemoves: a DELETE after a status read showed a
 // terminal state removes the query (204), even when it lands before the
-// watcher has closed the query's terminal channel. The watcher here waits
+// query's goroutine has closed its terminal channel. The goroutine here waits
 // for the test's word, so the DELETE always lands in that window; a handler
 // that cancels whenever the channel is still open answers 202.
 func TestDeleteOfTerminalQueryRemoves(t *testing.T) {
@@ -215,7 +219,7 @@ func TestDeleteOfTerminalQueryRemoves(t *testing.T) {
 	}()
 	var code int
 	select {
-	case code = <-codes: // answered before the watcher finished
+	case code = <-codes: // answered before the goroutine finished
 		close(release)
 	case <-time.After(50 * time.Millisecond):
 		close(release)
@@ -226,6 +230,33 @@ func TestDeleteOfTerminalQueryRemoves(t *testing.T) {
 	}
 	if code := getJSON(t, fmt.Sprintf("%s/queries/%d", ts.URL, sub.ID), nil); code != http.StatusNotFound {
 		t.Fatalf("status after delete: %d", code)
+	}
+}
+
+// TestUnroutedRequestsAreTyped: a request no route serves — an unknown
+// path, a method its path does not take, or a path the mux would redirect
+// to its canonical form — gets a typed 404, not the mux's plain-text reply
+// or a redirect.
+func TestUnroutedRequestsAreTyped(t *testing.T) {
+	srv := New(Config{})
+	for _, r := range [][2]string{
+		{"GET", "/nope"},
+		{"PUT", "/queries"},
+		{"POST", "/metrics"},
+		{"GET", "//queries"},
+		{"GET", "/queries/1/.."},
+		{"GET", "queries"},
+	} {
+		req, err := http.NewRequest(r[0], r[1], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		var e errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusNotFound || err != nil || e.Err.Code != CodeNotFound {
+			t.Errorf("%s %s: status %d, body %q", r[0], r[1], rec.Code, rec.Body.String())
+		}
 	}
 }
 
@@ -288,14 +319,14 @@ func TestHistoryFlightRecorder(t *testing.T) {
 
 // waitFinished waits until the server itself counts a query finished and,
 // the query being the only one running, has released every admission slot.
-// Its watcher marks the query done a moment after status first reports it
+// Its goroutine marks the query done a moment after status first reports it
 // terminal, and only a done query can be reaped by the next submit; it
 // releases the slot only after scoring the query's accuracy, and a submit
 // while a slow scorer still holds it can be refused.
 func waitFinished(t *testing.T, srv *Server, id int64) {
 	t.Helper()
 	srv.mu.Lock()
-	h := srv.queries[lqs.QueryID(id)]
+	h := srv.queries[id]
 	srv.mu.Unlock()
 	deadline := time.After(15 * time.Second)
 	select {
@@ -319,8 +350,7 @@ func waitFinished(t *testing.T, srv *Server, id int64) {
 }
 
 // TestServerRetentionUnderChurn: finished queries beyond MaxFinished are
-// reaped (server map and lqs registry both bounded) — the server-side face
-// of the registry Remove/Reap fix.
+// reaped, so the server's map stays bounded under churn.
 func TestServerRetentionUnderChurn(t *testing.T) {
 	srv, ts := newTestServer(t, Config{MaxFinished: 3, MaxConcurrent: 2})
 	for i := 0; i < 10; i++ {
@@ -339,13 +369,50 @@ func TestServerRetentionUnderChurn(t *testing.T) {
 	if hosted > 3+1 {
 		t.Fatalf("server retains %d queries, cap 3", hosted)
 	}
-	if n := srv.reg.Len(); n > 3+1 {
-		t.Fatalf("registry retains %d entries, cap 3", n)
-	}
 	var list ListResponse
 	getJSON(t, ts.URL+"/queries", &list)
 	if len(list.Queries) != hosted {
 		t.Fatalf("list renders %d, server holds %d", len(list.Queries), hosted)
+	}
+}
+
+// TestFinishedQueryReleasesLiveState: once its terminal poll is published,
+// a finished query that is still listed keeps its publications and nothing
+// else. Its session and its view database become unreachable, and
+// ?explain=1 answers from the terminal publication.
+func TestFinishedQueryReleasesLiveState(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	h, err := newHosted(srv, QuerySpec{Workload: "tpch", Query: "Q3", Seed: 42, DOP: 1, Mode: "ens"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sessGone, viewGone atomic.Bool
+	runtime.SetFinalizer(h.sess, func(*lqs.Session) { sessGone.Store(true) })
+	runtime.SetFinalizer(h.db, func(*storage.Database) { viewGone.Store(true) })
+	if err := srv.launch(h); err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, ts, h.id)
+	<-h.terminal
+	for deadline := time.Now().Add(10 * time.Second); !sessGone.Load() || !viewGone.Load(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("a finished query still holds its live state: session collected %v, view collected %v", sessGone.Load(), viewGone.Load())
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+
+	var st StatusJSON
+	if code := getJSON(t, fmt.Sprintf("%s/queries/%d?explain=1", ts.URL, h.id), &st); code != http.StatusOK {
+		t.Fatalf("explain of a finished query: status %d", code)
+	}
+	if x := st.Explain; !st.Terminal || x == nil || x.AtUS != st.VirtualUS || math.Float64bits(x.Query) != math.Float64bits(st.Progress) || len(x.Candidates) == 0 {
+		t.Fatalf("explain of a finished query: %+v beside %s at %d µs, progress %v", x, st.State, st.VirtualUS, st.Progress)
+	}
+	var list ListResponse
+	getJSON(t, ts.URL+"/queries", &list)
+	if len(list.Queries) != 1 || list.Queries[0].ID != h.id {
+		t.Fatalf("listing %+v, want query %d alone", list.Queries, h.id)
 	}
 }
 

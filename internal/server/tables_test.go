@@ -26,7 +26,6 @@ import (
 	"lqs/internal/chaos"
 	"lqs/internal/engine/dmv"
 	"lqs/internal/engine/exec"
-	"lqs/internal/lqs"
 	"lqs/internal/sim"
 )
 
@@ -53,7 +52,7 @@ func submitLocal(t *testing.T, srv *Server, spec QuerySpec) int64 {
 func hosted(srv *Server, id int64) *hostedQuery {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	return srv.queries[lqs.QueryID(id)]
+	return srv.queries[id]
 }
 
 // cacheCounts reads the table-cache counters.
@@ -118,11 +117,12 @@ func TestSharedTablesAreInvisible(t *testing.T) {
 		}
 	}
 
-	srv.cfg.Chaos = &chaos.Config{
+	faults := &chaos.Config{
 		Seed:    3,
 		Storage: chaos.StorageFaults{TransientProb: 0.2, MaxRetries: 8},
 		Exec:    chaos.ExecFaults{StallProb: 0.002},
 	}
+	srv.cfg.Chaos = faults
 	faulty := submitLocal(t, srv, spec)
 	srv.cfg.Chaos = nil
 	clean := submitLocal(t, srv, spec)
@@ -133,23 +133,35 @@ func TestSharedTablesAreInvisible(t *testing.T) {
 		t.Fatalf("fault-injected query: want a successful run that differs from the solo one (retries, stalls), got:\n%s", got)
 	}
 
-	fdb, cdb := hosted(srv, faulty).db, hosted(srv, clean).db
-	if fdb.Pool == cdb.Pool {
+	// A finished query keeps no view, so the per-query stacks are checked
+	// on two more built the same way and never launched.
+	full := QuerySpec{Workload: "tpch", Query: spec.Query, Seed: spec.Seed, DOP: 1}
+	srv.cfg.Chaos = faults
+	fh, err := newHosted(srv, full)
+	srv.cfg.Chaos = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := newHosted(srv, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fh.db.Pool == ch.db.Pool {
 		t.Fatal("fault-injected and clean query share a buffer pool")
 	}
-	if fdb.Pool.FaultInjector() == nil || cdb.Pool.FaultInjector() != nil {
-		t.Fatalf("fault injectors: injected query %v, clean query %v", fdb.Pool.FaultInjector(), cdb.Pool.FaultInjector())
+	if fh.db.Pool.FaultInjector() == nil || ch.db.Pool.FaultInjector() != nil {
+		t.Fatalf("fault injectors: injected query %v, clean query %v", fh.db.Pool.FaultInjector(), ch.db.Pool.FaultInjector())
 	}
-	if hosted(srv, clean).sess.Query.Ctx.Chaos != nil {
-		t.Fatal("clean query carries an exec fault injector")
+	if fh.sess.Query.Ctx.Chaos == nil || ch.sess.Query.Ctx.Chaos != nil {
+		t.Fatal("exec fault injector on the wrong query")
 	}
 	// Nobody runs on the cached workload itself, only on views of it.
 	base := srv.tables.entries[0].w.DB
 	if hits, misses := base.Pool.Stats(); hits+misses != 0 || base.Pool.FaultInjector() != nil {
 		t.Fatalf("the cached database's own pool was used: %d hits, %d misses, injector %v", hits, misses, base.Pool.FaultInjector())
 	}
-	if hits, misses, _ := cacheCounts(srv); misses != 1 || hits != 5 {
-		t.Fatalf("six submissions of one (workload, seed): %d misses, %d hits", misses, hits)
+	if hits, misses, _ := cacheCounts(srv); misses != 1 || hits != 7 {
+		t.Fatalf("eight views of one (workload, seed): %d misses, %d hits", misses, hits)
 	}
 }
 
@@ -167,9 +179,24 @@ func TestTableCacheBound(t *testing.T) {
 		return id
 	}
 
+	// The first query is held before its first step, so it still runs
+	// while newer seeds evict its database.
+	first, err := newHosted(srv, QuerySpec{Workload: "real1", Query: "REAL-1-Q000", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := first.sess.Query
+	held.LockCounters()
+	defer func() {
+		if held != nil {
+			held.UnlockCounters()
+		}
+	}()
+	if err := srv.launch(first); err != nil {
+		t.Fatal(err)
+	}
 	// The first database gets a finalizer on its largest heap: the heap is
-	// reachable from the cache entry and from every view, nothing else.
-	first := run(1)
+	// reachable from the cache entry and from every live view, nothing else.
 	collected := make(chan struct{})
 	func() {
 		e := srv.tables.entries[0]
@@ -194,25 +221,19 @@ func TestTableCacheBound(t *testing.T) {
 		t.Fatalf("%d hits, %d misses, %d evictions", hits, misses, evictions)
 	}
 
-	// Evicted, but query `first` is still hosted on a view of it.
+	// Evicted, but query `first` still runs on a view of it.
 	for i := 0; i < 3; i++ {
 		runtime.GC()
 	}
 	select {
 	case <-collected:
-		t.Fatal("an evicted database was collected while a hosted query still referenced it")
+		t.Fatal("an evicted database was collected while a hosted query still ran on it")
 	default:
 	}
-	waitTerminal(t, ts, first) // and still answers
-	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/queries/%d", ts.URL, first), nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("delete: status %d", resp.StatusCode)
-	}
+	held.UnlockCounters()
+	held = nil
+	waitTerminal(t, ts, first.id)
+	// Finished, still listed and still answering, the query holds no view.
 	deadline := time.Now().Add(10 * time.Second)
 	for gone := false; !gone; {
 		runtime.GC()
@@ -221,9 +242,12 @@ func TestTableCacheBound(t *testing.T) {
 			gone = true
 		case <-time.After(10 * time.Millisecond):
 			if time.Now().After(deadline) {
-				t.Fatal("an evicted database stayed reachable after its last query was deleted")
+				t.Fatal("an evicted database stayed reachable from a finished query")
 			}
 		}
+	}
+	if st := waitTerminal(t, ts, first.id); st.State != "SUCCEEDED" {
+		t.Fatalf("first query after its database was collected: %+v", st)
 	}
 
 	// Concurrent first submissions of an unseen seed: one build.
