@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet sort-guard build test race bench bench-check bench-build bench-replay trace-smoke fuzz-smoke chaos-smoke serve-smoke acc-json acc-smoke ci
+.PHONY: all vet sort-guard build test race bench bench-check bench-build bench-replay trace-smoke examples-smoke fuzz-smoke chaos-smoke serve-smoke acc-json acc-smoke ci
 
 all: ci
 
@@ -22,10 +22,11 @@ build:
 test:
 	$(GO) test ./...
 
-# The concurrency-sensitive packages: registry-driven concurrent queries,
-# cross-goroutine snapshot capture, the buffer-pool latch, the parallel
-# tracing harness (worker pool + ordered merge), the intra-query parallel
-# executor (gather workers + per-thread counters + estimator), the chaos
+# The concurrency-sensitive packages: concurrent monitored queries over one
+# database and a cancel from another goroutine, the counter-lock capture
+# (dmv.CaptureSync), the buffer-pool latch, the parallel tracing harness
+# (worker pool + ordered merge), the intra-query parallel executor
+# (gather workers + per-thread counters + estimator), the chaos
 # harness (fault injection into parallel workers and the poller), the
 # expression compiler (compiled predicates run on every parallel worker),
 # the string intern table (lock-free reads beside interning), the shared
@@ -70,8 +71,19 @@ bench:
 trace-smoke:
 	rm -rf .trace-smoke && $(GO) run ./cmd/lqsbench -run none -trace-dir .trace-smoke -trace-limit 2
 	$(GO) run ./cmd/lqsmon -plain -explain -interval 5ms -q Q1 > /dev/null
+	$(GO) run ./cmd/lqsmon -plain -explain -chaos 0.05 -q Q5 > /dev/null
 	@ls .trace-smoke/*.trace.json .trace-smoke/*.explain.txt .trace-smoke/metrics.txt > /dev/null
 	@rm -rf .trace-smoke && echo "trace-smoke: OK"
+
+# Run every example end to end; each must exit 0. The multiquery dashboard
+# reads frames that per-query goroutines publish and cancels one query from
+# its own goroutine, so it runs under the race detector.
+examples-smoke:
+	$(GO) run ./examples/quickstart > /dev/null
+	$(GO) run ./examples/troubleshoot > /dev/null
+	$(GO) run ./examples/columnstore > /dev/null
+	$(GO) run -race ./examples/multiquery > /dev/null
+	@echo "examples-smoke: OK"
 
 # End-to-end smoke of the monitoring server binary: start lqsd on a local
 # port at its default poll interval, submit one query over HTTP, wait for
@@ -143,4 +155,4 @@ bench-build:
 bench-replay:
 	$(GO) test ./internal/accuracy -run '^$$' -bench 'Record|Explain' -benchtime 1x -benchmem
 
-ci: vet sort-guard build test race trace-smoke fuzz-smoke chaos-smoke serve-smoke acc-smoke bench-check bench-build bench-replay
+ci: vet sort-guard build test race trace-smoke examples-smoke fuzz-smoke chaos-smoke serve-smoke acc-smoke bench-check bench-build bench-replay

@@ -220,7 +220,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// Virtual-time speedups from intra-query parallelism: each query of
 		// the -trace-workload runs serially and at -dop on the simulated
 		// clock, so the ratio is deterministic and independent of host load.
-		w, err := workloadByName(*traceWl, *seed)
+		w, err := workload.ByName(*traceWl, *seed)
 		if err != nil {
 			return err
 		}
@@ -260,32 +260,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return os.WriteFile(*benchOut, buf, 0o644)
 }
 
-// workloadByName builds the named workload at the given seed.
-func workloadByName(name string, seed uint64) (*workload.Workload, error) {
-	switch strings.ToLower(name) {
-	case "tpch":
-		return workload.TPCH(seed, workload.TPCHRowstore), nil
-	case "tpch-cs":
-		return workload.TPCH(seed, workload.TPCHColumnstore), nil
-	case "tpcds":
-		return workload.TPCDS(seed), nil
-	case "real1":
-		return workload.REAL1(seed), nil
-	case "real2":
-		return workload.REAL2(seed), nil
-	case "real3":
-		return workload.REAL3(seed), nil
-	}
-	return nil, fmt.Errorf("unknown workload %q", name)
-}
-
 // emitTraces runs the workload with event tracing on and writes, per query,
 // a validated Chrome trace-event file (<workload>-<query>.trace.json, opens
 // directly in Perfetto) and the estimator's mid-query decomposition
 // (<workload>-<query>.explain.txt), then the run's buffer-pool counters and
 // estimator-error histogram (metrics.txt).
 func emitTraces(stdout io.Writer, dir, wname string, seed uint64, limit, parallel, dop int) error {
-	w, err := workloadByName(wname, seed)
+	w, err := workload.ByName(wname, seed)
 	if err != nil {
 		return err
 	}

@@ -41,38 +41,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	var w *workload.Workload
-	switch strings.ToLower(*wname) {
-	case "tpch":
-		w = workload.TPCH(*seed, workload.TPCHRowstore)
-	case "tpch-cs":
-		w = workload.TPCH(*seed, workload.TPCHColumnstore)
-	case "tpcds":
-		w = workload.TPCDS(*seed)
-	case "real1":
-		w = workload.REAL1(*seed)
-	case "real2":
-		w = workload.REAL2(*seed)
-	case "real3":
-		w = workload.REAL3(*seed)
-	default:
-		return fmt.Errorf("unknown workload %q", *wname)
+	w, err := workload.ByName(*wname, *seed)
+	if err != nil {
+		return err
 	}
 
 	if *explain != "" {
-		for _, q := range w.Queries {
-			if strings.EqualFold(q.Name, *explain) {
-				p := plan.Finalize(q.Build(w.Builder()))
-				opt.NewEstimator(w.DB.Catalog).Estimate(p)
-				fmt.Fprintf(stdout, "%s %s:\n%s\n", w.Name, q.Name, p)
-				p.Walk(func(n *plan.Node) {
-					fmt.Fprintf(stdout, "  node %-3d est_rows=%-10.1f cpu/row=%-8.0f io/row=%-8.0f rebinds=%.0f\n",
-						n.ID, n.EstRows, n.EstCPUPerRow, n.EstIOPerRow, n.EstRebinds)
-				})
-				return nil
-			}
+		q := w.Query(*explain)
+		if q == nil {
+			return fmt.Errorf("no query %q in %s", *explain, w.Name)
 		}
-		return fmt.Errorf("no query %q in %s", *explain, w.Name)
+		p := plan.Finalize(q.Build(w.Builder()))
+		opt.NewEstimator(w.DB.Catalog).Estimate(p)
+		fmt.Fprintf(stdout, "%s %s:\n%s\n", w.Name, q.Name, p)
+		p.Walk(func(n *plan.Node) {
+			fmt.Fprintf(stdout, "  node %-3d est_rows=%-10.1f cpu/row=%-8.0f io/row=%-8.0f rebinds=%.0f\n",
+				n.ID, n.EstRows, n.EstCPUPerRow, n.EstIOPerRow, n.EstRebinds)
+		})
+		return nil
 	}
 
 	fmt.Fprintf(stdout, "workload %s: %d tables, %d queries\n\ntables:\n", w.Name, len(w.DB.Catalog.Tables()), len(w.Queries))

@@ -22,10 +22,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"lqs/internal/chaos"
+	"lqs/internal/engine/dmv"
 	"lqs/internal/engine/exec"
 	"lqs/internal/lqs"
 	"lqs/internal/progress"
@@ -63,22 +63,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	var w *workload.Workload
-	switch strings.ToLower(*wname) {
-	case "tpch":
-		w = workload.TPCH(*seed, workload.TPCHRowstore)
-	case "tpch-cs":
-		w = workload.TPCH(*seed, workload.TPCHColumnstore)
-	case "tpcds":
-		w = workload.TPCDS(*seed)
-	case "real1":
-		w = workload.REAL1(*seed)
-	case "real2":
-		w = workload.REAL2(*seed)
-	case "real3":
-		w = workload.REAL3(*seed)
-	default:
-		return fmt.Errorf("unknown workload %q", *wname)
+	w, err := workload.ByName(*wname, *seed)
+	if err != nil {
+		return err
 	}
 
 	if *list {
@@ -88,12 +75,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	var query *workload.Query
-	for i := range w.Queries {
-		if strings.EqualFold(w.Queries[i].Name, *qname) {
-			query = &w.Queries[i]
-		}
-	}
+	query := w.Query(*qname)
 	if query == nil {
 		return fmt.Errorf("no query %q in %s (use -list)", *qname, w.Name)
 	}
@@ -104,17 +86,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 		w.DB.Pool.SetFaultInjector(plan.StorageInjector())
 	}
 	s := lqs.StartDOP(w.DB, query.Build(w.Builder()), *dop, progress.LQSOptions())
-	if plan != nil {
-		s.Query.Ctx.Chaos = plan.ExecInjector()
-		s.SetSnapshotFault(plan.PollFault())
-	}
 	if *deadline > 0 {
 		s.Query.Ctx.Deadline = *deadline
 	}
-	// Monitor delivers every running poll and then exactly one terminal
-	// frame, even when the query ended between polls or before the first.
+	// The query's one capturer, as in lqsd: a poller on the query's clock
+	// records a capture at every tick of -interval, on the goroutine that
+	// steps the query, and every frame is the estimate of one recorded
+	// capture. lqsmon draws each capture once, so the poller keeps only
+	// the latest.
+	poller := dmv.NewPoller(s.Query, *interval)
+	poller.SetHistoryCap(1)
+	if plan != nil {
+		s.Query.Ctx.Chaos = plan.ExecInjector()
+		poller.SetFault(plan.PollFault())
+	}
 	frames := 0
-	rows, err := s.Monitor(*interval, func(q *lqs.QuerySnapshot) {
+	show := func(snap *dmv.Snapshot) {
+		// The frame and its explanation come from one estimating pass.
+		q, x := s.Estimate(snap, s.State(), s.Err(), s.Query.RowsReturned(), *explain)
 		frames++
 		if !*plain {
 			fmt.Fprint(stdout, "\033[H\033[2J") // clear screen, home cursor
@@ -129,12 +118,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		if *explain {
 			fmt.Fprintln(stdout)
-			fmt.Fprint(stdout, s.Explain().Render())
+			fmt.Fprint(stdout, x.Render())
 		}
 		if !*plain && q.State == exec.StateRunning {
 			time.Sleep(40 * time.Millisecond) // pace the animation for humans
 		}
-	})
+	}
+	poller.OnRecord(show)
+	for more := true; more && err == nil; {
+		more, err = s.Step(256)
+	}
+	// Every recorded poll is drawn; the terminal frame is the final
+	// capture, taken once the query has ended, even before the first tick.
+	show(poller.Finish().Final)
+	rows := s.Query.RowsReturned()
 	if err != nil {
 		fmt.Fprintf(stdout, "\nquery %s after %d rows in %v virtual time (%d frames): %v\n",
 			s.State(), rows, s.Query.Ctx.Clock.Now(), frames, err)

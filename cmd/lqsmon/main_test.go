@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestRunTerminalFrameBeforeFirstPoll: at an hour-long poll interval Q6
@@ -56,5 +58,50 @@ func TestRunRejectsUnknownQuery(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-q", "Q999"}, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), "Q999") {
 		t.Fatalf("run with an unknown query: err = %v", err)
+	}
+}
+
+// TestRunFramesAreRecordedPolls: under chaos, every frame is one recorded
+// poll. A running frame is stamped at its poll tick, a multiple of the
+// interval, and the explanation drawn under a frame decomposes that
+// frame's own estimate: same instant, same query progress.
+func TestRunFramesAreRecordedPolls(t *testing.T) {
+	const interval = time.Millisecond
+	var stdout, stderr bytes.Buffer
+	args := []string{"-plain", "-explain", "-chaos", "0.05", "-interval", interval.String(), "-q", "Q5"}
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
+	}
+	frameRE := regexp.MustCompile(`^query progress:\s+([0-9.]+)%\s+t=(\S+)`)
+	explainRE := regexp.MustCompile(`^progress explain @ (\S+)  mode=\S+  query=([0-9.]+)%`)
+	var state, at, prog string
+	frames, running, explained := 0, 0, 0
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if strings.HasPrefix(line, "TPC-H Q5  ") {
+			state = strings.Fields(line)[2]
+			continue
+		}
+		if m := frameRE.FindStringSubmatch(line); m != nil {
+			frames++
+			prog, at = m[1], m[2]
+			if state != "RUNNING" {
+				continue
+			}
+			running++
+			d, err := time.ParseDuration(at)
+			if err != nil || d%interval != 0 {
+				t.Errorf("frame %d: running frame stamped t=%s, not at a poll tick", frames, at)
+			}
+			continue
+		}
+		if m := explainRE.FindStringSubmatch(line); m != nil {
+			explained++
+			if m[1] != at || m[2] != prog {
+				t.Errorf("frame %d: explanation @ %s query=%s%% under a frame at t=%s with progress %s%%", frames, m[1], m[2], at, prog)
+			}
+		}
+	}
+	if running < 10 || explained != frames {
+		t.Fatalf("%d frames (%d running), %d explanations:\n%s", frames, running, explained, stdout.String())
 	}
 }

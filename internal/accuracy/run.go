@@ -97,19 +97,6 @@ type Report struct {
 	Summary []ModeSummary   `json:"summary"`
 }
 
-// suiteWorkload builds one of the suite's named workloads.
-func suiteWorkload(name string, seed uint64) (*workload.Workload, error) {
-	switch strings.ToLower(name) {
-	case "tpch":
-		return workload.TPCH(seed, workload.TPCHRowstore), nil
-	case "tpch-cs":
-		return workload.TPCH(seed, workload.TPCHColumnstore), nil
-	case "tpcds":
-		return workload.TPCDS(seed), nil
-	}
-	return nil, fmt.Errorf("accuracy: unknown workload %q", name)
-}
-
 // Run executes the suite: trace once per query, replay per mode, measure.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.defaulted()
@@ -119,9 +106,9 @@ func Run(cfg Config) (*Report, error) {
 		rep.Modes = append(rep.Modes, m.Name)
 	}
 	for _, name := range cfg.Workloads {
-		w, err := suiteWorkload(name, cfg.Seed)
+		w, err := workload.ByName(name, cfg.Seed)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("accuracy: %w", err)
 		}
 		limit := cfg.Limit
 		if cfg.Full {

@@ -24,6 +24,7 @@ import (
 	"lqs/internal/opt"
 	"lqs/internal/plan"
 	"lqs/internal/sim"
+	"lqs/internal/workload"
 )
 
 // SnapshotFile is one serialized poll: the raw per-thread profile rows and
@@ -127,9 +128,9 @@ func (sf *SnapshotFile) snapshot(numNodes int) *dmv.Snapshot {
 // executed; a node-count mismatch means a planner change invalidated the
 // trace, and the caller should regenerate the corpus.
 func (tf *TraceFile) Rebuild() (*plan.Plan, *catalog.Catalog, error) {
-	w, err := suiteWorkload(tf.Workload, tf.Seed)
+	w, err := workload.ByName(tf.Workload, tf.Seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("accuracy: %w", err)
 	}
 	for _, q := range w.Queries {
 		if q.Name != tf.Query {

@@ -254,7 +254,7 @@ func regenerateCorpus(t *testing.T) {
 
 // capture executes one corpus recipe and serializes the resulting trace.
 func capture(spec corpusSpec) (*TraceFile, error) {
-	w, err := suiteWorkload(spec.workload, spec.seed)
+	w, err := workload.ByName(spec.workload, spec.seed)
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +353,7 @@ func TestFindChaosSeed(t *testing.T) {
 		}
 	}
 	for seed := uint64(1); seed <= 64; seed++ {
-		w, err := suiteWorkload(spec.workload, spec.seed)
+		w, err := workload.ByName(spec.workload, spec.seed)
 		if err != nil {
 			t.Fatal(err)
 		}

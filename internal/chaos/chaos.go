@@ -176,8 +176,9 @@ func (p *Plan) ExecInjector() exec.OpChaos {
 }
 
 // PollFault builds the DMV-layer snapshot fault hook, or nil when the DMV
-// rates are all zero. Install it with Poller.SetFault (watchdog path) or
-// Session.SetSnapshotFault (direct monitoring path).
+// rates are all zero. Install it with Poller.SetFault: every monitor (the
+// battery, lqsd, lqsmon) records its captures through a poller and its
+// watchdog.
 func (p *Plan) PollFault() dmv.PollFault {
 	dc := p.cfg.DMV
 	if dc.DropRowProb <= 0 && dc.DupRowProb <= 0 && dc.StaleProb <= 0 && dc.StallProb <= 0 {

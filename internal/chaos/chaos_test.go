@@ -13,6 +13,7 @@ import (
 
 	"lqs/internal/engine/exec"
 	"lqs/internal/sim"
+	"lqs/internal/workload"
 )
 
 const testInterval = 200 * sim.Duration(1e3)
@@ -80,7 +81,7 @@ func TestBatteryDeterminism(t *testing.T) {
 // never a raw panic or an untyped error — with all worker goroutines
 // cleaned up afterwards.
 func TestWorkerCrashTypedError(t *testing.T) {
-	w, err := gridWorkload("tpch", 1)
+	w, err := workload.ByName("tpch", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestWorkerCrashTypedError(t *testing.T) {
 // coordinator never crashes, so a serial run under crash-only chaos must
 // complete identically to the fault-free run.
 func TestCrashInertAtDOP1(t *testing.T) {
-	w, err := gridWorkload("tpch", 1)
+	w, err := workload.ByName("tpch", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestCrashInertAtDOP1(t *testing.T) {
 // perturb query results, must be flagged as degraded polls by the
 // estimator, and must not breach any invariant during replay.
 func TestDMVFaultsDegradeGracefully(t *testing.T) {
-	w, err := gridWorkload("tpch", 1)
+	w, err := workload.ByName("tpch", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestDMVFaultsDegradeGracefully(t *testing.T) {
 // seeded query-level retry loop must actually retry (attempt-salted seeds)
 // and still land on a contract-conforming outcome.
 func TestRetryOnCrashConsumesBudget(t *testing.T) {
-	w, err := gridWorkload("tpch", 1)
+	w, err := workload.ByName("tpch", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"lqs/internal/engine/dmv"
 	"lqs/internal/engine/exec"
@@ -84,19 +83,6 @@ func (g GridConfig) pollInterval() sim.Duration {
 	return 200 * sim.Duration(1e3)
 }
 
-// gridWorkload builds one named workload at the battery seed.
-func gridWorkload(name string, seed uint64) (*workload.Workload, error) {
-	switch strings.ToLower(name) {
-	case "tpch":
-		return workload.TPCH(seed, workload.TPCHRowstore), nil
-	case "tpch-cs":
-		return workload.TPCH(seed, workload.TPCHColumnstore), nil
-	case "tpcds":
-		return workload.TPCDS(seed), nil
-	}
-	return nil, fmt.Errorf("chaos: unknown workload %q", name)
-}
-
 // Run executes the battery and returns its report. Execution is serial and
 // deterministic: the report for a given GridConfig is identical across
 // runs and hosts.
@@ -104,9 +90,9 @@ func Run(cfg GridConfig) (*Report, error) {
 	rep := &Report{Config: cfg}
 	interval := cfg.pollInterval()
 	for _, wname := range cfg.workloads() {
-		w, err := gridWorkload(wname, cfg.Seed)
+		w, err := workload.ByName(wname, cfg.Seed)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("chaos: %w", err)
 		}
 		queries := w.Queries
 		if limit := cfg.queries(); limit > 0 && limit < len(queries) {

@@ -211,9 +211,10 @@ type Ctx struct {
 
 	// lock serializes counter and clock mutation against concurrent DMV
 	// captures. The executing goroutine holds it for the duration of each
-	// Step batch, yielding every yieldEvery charges so pollers on other
-	// goroutines (dmv.CaptureSync, the lqs registry) can take a consistent
-	// snapshot even while a blocking operator works.
+	// Step batch, yielding every yieldEvery charges so a capture from
+	// another goroutine (dmv.CaptureSync, its only taker outside tests) is
+	// consistent even while a blocking operator works. Monitors capture on
+	// the executing goroutine instead and never take it.
 	//
 	// It is a one-slot channel, not a sync.Mutex, because the yield must be
 	// a hand-off: a send acquires, a receive releases, and a receive with

@@ -95,7 +95,7 @@ func (e *QueryError) State() QueryState {
 }
 
 // QueryState is the lifecycle state of a Query. It is readable concurrently
-// with execution (the registry and monitors poll it).
+// with execution (a dashboard reads it while the query steps).
 type QueryState int32
 
 const (

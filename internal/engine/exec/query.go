@@ -211,7 +211,7 @@ func (q *Query) RowsReturned() int64 { return q.rows.Load() }
 
 // LockCounters acquires the query's counter lock so another goroutine can
 // read a consistent snapshot of operator counters and the clock while the
-// query executes. The executor hands the lock over at its next yield
+// query executes; dmv.CaptureSync is its one caller outside tests. The executor hands the lock over at its next yield
 // point, at most yieldEvery charges away, and is next in line the moment
 // the caller unlocks (see Ctx.lock), so hold it only for the read. Do not
 // call from the executing goroutine (the clock-observer / poller path

@@ -56,10 +56,11 @@ func (c *IOCounts) Add(other IOCounts) {
 // seeded transient or permanent faults, reported through IOCounts.
 //
 // The pool is the one piece of storage state shared by concurrently
-// executing queries (registry-launched sessions against one Database), so
-// its LRU bookkeeping is guarded by an internal latch. Fault sequences stay
-// deterministic for a given seed as long as one query drives the pool at a
-// time — the discrete-event engine's single-threaded-per-query model.
+// executing queries (sessions stepped on their own goroutines against one
+// Database), so its LRU bookkeeping is guarded by an internal latch. Fault
+// sequences stay deterministic for a given seed as long as one query drives
+// the pool at a time — the discrete-event engine's single-threaded-per-query
+// model.
 type BufferPool struct {
 	mu        sync.Mutex
 	capacity  int

@@ -8,7 +8,6 @@ package lqs
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"lqs/internal/engine/dmv"
 	"lqs/internal/engine/exec"
@@ -30,23 +29,8 @@ type Session struct {
 	plan *plan.Plan
 	db   *storage.Database
 
-	// shared marks the session as observed from goroutines other than the
-	// executor (registry-launched queries); Poll then captures through the
-	// query's counter lock. snapMu serializes estimates: the estimator keeps
-	// per-session state across them. It is never held while waiting for
-	// the counter lock, because a dmv.Poller callback takes it on the
-	// executing goroutine, which holds the counter lock.
-	shared bool
-	snapMu sync.Mutex
-
-	// fault, when non-nil, intercepts each DMV capture exactly as a
-	// dmv.Poller's fault hook does — the chaos harness uses it to make
-	// snapshot-layer faults visible on the lqsmon monitoring path, which
-	// captures directly instead of going through a Poller.
-	fault dmv.PollFault
-
-	// est is the Estimate every plain poll estimates into (under snapMu):
-	// display copies what it shows, so nothing outlives the poll.
+	// est is the Estimate every plain poll estimates into: display copies
+	// what it shows, so nothing outlives the poll.
 	est progress.Estimate
 }
 
@@ -152,34 +136,6 @@ type QuerySnapshot struct {
 	DegradeReason string
 }
 
-// SetSnapshotFault installs a capture interceptor on the session's own
-// Poll path (the chaos harness's DMV-layer injector). A stall
-// reported by the hook marks the capture Degraded rather than dropping it —
-// the session has no watchdog ticks to skip, so the degradation surfaces
-// directly on the poll. Nil removes the hook.
-func (s *Session) SetSnapshotFault(f dmv.PollFault) {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	s.fault = f
-}
-
-// applyFault runs the installed capture interceptor over a fresh capture.
-func (s *Session) applyFault(snap *dmv.Snapshot) *dmv.Snapshot {
-	if s.fault == nil {
-		return snap
-	}
-	out, stalled := s.fault.OnPoll(snap.At, snap)
-	if stalled {
-		snap.Degraded = true
-		snap.DegradeReason = "dmv poll stalled past interval"
-		return snap
-	}
-	if out != nil {
-		return out
-	}
-	return snap
-}
-
 // Poll is one look at a running query. Every part of it derives from a
 // single DMV capture, so a consumer that needs more than the display
 // snapshot (the server's /metrics) reads them all at one virtual instant.
@@ -196,28 +152,12 @@ type Poll struct {
 }
 
 // Poll captures the DMV surface right now and estimates it (Estimate),
-// recording the estimator's decomposition too when explain is set. On a
-// shared session (registry-launched) it synchronizes with the executor, so
-// it is safe to call concurrently with the query running: counters, pool
-// counters, state, error and rows returned are read under one hold of the
-// counter lock — the executor finishes and fails under that lock — so a
-// terminal state is never paired with pre-terminal counters. The estimator
-// lock is taken before the counter lock is released, so captures reach
-// the estimator in the order they were taken, and the counter lock is
-// released before the estimate is computed.
+// recording the estimator's decomposition too when explain is set. Call it
+// on the goroutine that steps the query, between steps or from one of its
+// clock observers, where the counters hold still.
 func (s *Session) Poll(explain bool) Poll {
-	if s.shared {
-		s.Query.LockCounters()
-	}
-	snap, pool := dmv.Capture(s.Query), s.db.Pool.StatsSnapshot()
-	state, err, rows := s.Query.State(), s.Query.Err(), s.Query.RowsReturned()
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if s.shared {
-		s.Query.UnlockCounters()
-	}
-	p := Poll{Capture: s.applyFault(snap), Pool: pool}
-	p.Snapshot, p.Explanation = s.estimate(p.Capture, state, err, rows, explain)
+	p := Poll{Capture: dmv.Capture(s.Query), Pool: s.db.Pool.StatsSnapshot()}
+	p.Snapshot, p.Explanation = s.Estimate(p.Capture, s.Query.State(), s.Query.Err(), s.Query.RowsReturned(), explain)
 	return p
 }
 
@@ -225,19 +165,13 @@ func (s *Session) Poll(explain bool) Poll {
 // estimator over one capture — state, err and rows are the lifecycle state,
 // terminal error and rows returned read with it — and renders the display
 // state; with explain it also returns the pass's decomposition. Poll calls
-// it on a capture of its own; a consumer that captures elsewhere (a
-// dmv.Poller's OnRecord callback) calls it on each capture, in order.
+// it on a capture of its own; a consumer that records captures elsewhere
+// (a dmv.Poller's OnRecord callback) calls it on each capture, in order.
 // Estimating the capture the estimator last saw again changes nothing,
-// so a reader may Explain the latest capture between two polls. Safe from
-// any goroutine: it serializes with every other Poll and Estimate.
+// so a reader may Explain the latest capture between two polls. The
+// estimator keeps state across calls, so calls must not overlap: make them
+// on one goroutine or under one lock.
 func (s *Session) Estimate(snap *dmv.Snapshot, state exec.QueryState, err error, rows int64, explain bool) (*QuerySnapshot, *progress.Explanation) {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	return s.estimate(snap, state, err, rows, explain)
-}
-
-// estimate is Estimate with snapMu held.
-func (s *Session) estimate(snap *dmv.Snapshot, state exec.QueryState, err error, rows int64, explain bool) (*QuerySnapshot, *progress.Explanation) {
 	var x *progress.Explanation
 	var est *progress.Estimate
 	if explain {
@@ -409,11 +343,14 @@ func bar(frac float64, width int) string {
 
 // Monitor steps the query to a terminal state, invoking observe at every
 // poll interval of virtual time, and returns the number of result rows plus
-// the terminal error (nil on success). It is the loop cmd/lqsmon and the
-// examples drive. Observation stops the moment the query leaves the Running
-// state: a cancelled or failed query gets one final snapshot — carrying the
-// terminal State and Err — and no further polls. A nil observe runs the
-// query to completion without snapshots.
+// the terminal error (nil on success). It is the loop the examples drive;
+// cmd/lqsmon and lqsd record through a dmv.Poller and Estimate each
+// recorded capture instead. Every poll and observe call runs on the
+// calling goroutine, which steps the query; another goroutine that wants
+// the frames reads what observe publishes. Observation stops the moment
+// the query leaves the Running state: a cancelled or failed query gets one
+// final snapshot — carrying the terminal State and Err — and no further
+// polls. A nil observe runs the query to completion without snapshots.
 func (s *Session) Monitor(interval sim.Duration, observe func(*QuerySnapshot)) (int64, error) {
 	if observe == nil {
 		observe = func(*QuerySnapshot) {}

@@ -3,6 +3,8 @@ package lqs
 import (
 	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -209,5 +211,81 @@ func TestMonitorSurfacesDeadline(t *testing.T) {
 	}
 	if s.State() != exec.StateCancelled {
 		t.Fatalf("state %v", s.State())
+	}
+}
+
+// TestCancelFromAnotherGoroutine: a DBA's cancel arrives from a goroutine
+// other than the one stepping the query under Monitor. The handshake
+// holds the executor at its first running frame until the cancel is in,
+// so the query is mid-flight whatever the scheduling. Monitor ends with
+// one terminal frame, CANCELLED and carrying the reason.
+func TestCancelFromAnotherGoroutine(t *testing.T) {
+	db := testDB(t)
+	s := Start(db, testPlan(db), progress.LQSOptions())
+	running, killed := make(chan struct{}), make(chan struct{})
+	go func() {
+		<-running
+		s.Cancel("DBA kill")
+		close(killed)
+	}()
+	var frames []*QuerySnapshot
+	_, err := s.Monitor(50*time.Microsecond, func(q *QuerySnapshot) {
+		if len(frames) == 0 {
+			close(running)
+			<-killed
+		}
+		frames = append(frames, q)
+	})
+	var qe *exec.QueryError
+	if !errors.As(err, &qe) || qe.Kind != exec.KindCancelled || !strings.Contains(err.Error(), "DBA kill") {
+		t.Fatalf("monitor returned %v, want a KindCancelled QueryError with the reason", err)
+	}
+	last := frames[len(frames)-1]
+	if frames[0].State != exec.StateRunning || len(frames) != 2 {
+		t.Fatalf("frames %d, first %v; want one running frame and the terminal one", len(frames), frames[0].State)
+	}
+	if last.State != exec.StateCancelled || last.Err == nil || !strings.Contains(last.Err.Error(), "DBA kill") {
+		t.Fatalf("terminal frame: state %v, err %v", last.State, last.Err)
+	}
+}
+
+// TestConcurrentMonitorsShareDatabase: two queries over one database, each
+// monitored on its own goroutine that publishes its frames through an
+// atomic pointer, while a dashboard goroutine loads them. Run with -race:
+// the queries share tables and the buffer pool, and a frame crosses
+// goroutines only through its publication.
+func TestConcurrentMonitorsShareDatabase(t *testing.T) {
+	db := testDB(t)
+	var latest [2]atomic.Pointer[QuerySnapshot]
+	var rows [2]int64
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range latest {
+		s := Start(db, testPlan(db), progress.LQSOptions())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rows[i], errs[i] = s.Monitor(50*time.Microsecond, func(q *QuerySnapshot) { latest[i].Store(q) })
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		for i := range latest {
+			if q := latest[i].Load(); q != nil && (q.Progress < 0 || q.Progress > 1 || q.Rows < 0) {
+				t.Errorf("query %d: frame out of range: progress %v, rows %d", i, q.Progress, q.Rows)
+			}
+		}
+	}
+	for i := range latest {
+		q := latest[i].Load()
+		if errs[i] != nil || rows[i] != 16 || q.State != exec.StateSucceeded || q.Progress < 0.99 {
+			t.Fatalf("query %d: rows %d, err %v, final frame %v at %v", i, rows[i], errs[i], q.State, q.Progress)
+		}
 	}
 }

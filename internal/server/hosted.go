@@ -17,7 +17,6 @@ import (
 	"lqs/internal/obs"
 	"lqs/internal/progress"
 	"lqs/internal/sim"
-	"lqs/internal/workload"
 )
 
 // hostedQuery is one monitored query the server hosts: the session over its
@@ -114,13 +113,7 @@ func newHosted(srv *Server, spec QuerySpec) (*hostedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	var query *workload.Query
-	for i := range w.Queries {
-		if strings.EqualFold(w.Queries[i].Name, spec.Query) {
-			query = &w.Queries[i]
-			break
-		}
-	}
+	query := w.Query(spec.Query)
 	if query == nil {
 		return nil, fmt.Errorf("no query %q in workload %s", spec.Query, w.Name)
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -56,24 +55,14 @@ func newTableCache(reg *obs.Registry) *tableCache {
 	}
 }
 
-// generators maps a canonical workload name to its seeded constructor.
-var generators = map[string]func(seed uint64) *workload.Workload{
-	"tpch":    func(seed uint64) *workload.Workload { return workload.TPCH(seed, workload.TPCHRowstore) },
-	"tpch-cs": func(seed uint64) *workload.Workload { return workload.TPCH(seed, workload.TPCHColumnstore) },
-	"tpcds":   workload.TPCDS,
-	"real1":   workload.REAL1,
-	"real2":   workload.REAL2,
-	"real3":   workload.REAL3,
-}
-
 // view returns a private view of the named workload at the seed, generating
 // the workload only if the cache does not hold it.
 func (c *tableCache) view(name string, seed uint64) (*workload.Workload, error) {
-	key := tableKey{name: strings.ToLower(name), seed: seed}
-	gen := generators[key.name]
-	if gen == nil {
-		return nil, fmt.Errorf("unknown workload %q", name)
+	gen, err := workload.Generator(name)
+	if err != nil {
+		return nil, err
 	}
+	key := tableKey{name: strings.ToLower(name), seed: seed}
 
 	c.mu.Lock()
 	var e *tableEntry

@@ -17,6 +17,9 @@
 package workload
 
 import (
+	"fmt"
+	"strings"
+
 	"lqs/internal/engine/catalog"
 	"lqs/internal/engine/storage"
 	"lqs/internal/engine/types"
@@ -50,6 +53,46 @@ func (w *Workload) View() *Workload {
 
 // Builder returns a plan builder over the workload's catalog.
 func (w *Workload) Builder() *plan.Builder { return plan.NewBuilder(w.DB.Catalog) }
+
+// Query returns the suite's query with the given name, compared
+// case-insensitively, or nil.
+func (w *Workload) Query(name string) *Query {
+	for i := range w.Queries {
+		if strings.EqualFold(w.Queries[i].Name, name) {
+			return &w.Queries[i]
+		}
+	}
+	return nil
+}
+
+// generators maps each workload's lower-cased name to its seeded
+// constructor.
+var generators = map[string]func(seed uint64) *Workload{
+	"tpch":    func(seed uint64) *Workload { return TPCH(seed, TPCHRowstore) },
+	"tpch-cs": func(seed uint64) *Workload { return TPCH(seed, TPCHColumnstore) },
+	"tpcds":   TPCDS,
+	"real1":   REAL1,
+	"real2":   REAL2,
+	"real3":   REAL3,
+}
+
+// Generator returns the seeded constructor of the named workload — tpch,
+// tpch-cs, tpcds, real1, real2 or real3, in any case — without building it.
+func Generator(name string) (func(seed uint64) *Workload, error) {
+	if gen := generators[strings.ToLower(name)]; gen != nil {
+		return gen, nil
+	}
+	return nil, fmt.Errorf("unknown workload %q", name)
+}
+
+// ByName builds the named workload (see Generator) at the seed.
+func ByName(name string, seed uint64) (*Workload, error) {
+	gen, err := Generator(name)
+	if err != nil {
+		return nil, err
+	}
+	return gen(seed), nil
+}
 
 // colSpec describes how to generate one column of a table.
 type colSpec struct {

@@ -225,3 +225,23 @@ func BenchmarkTPCHQ1(b *testing.B) {
 		runQuery(b, w, w.Queries[0])
 	}
 }
+
+// TestNamesResolveCaseInsensitively: every binary resolves workload and
+// query names through Generator and Workload.Query.
+func TestNamesResolveCaseInsensitively(t *testing.T) {
+	for _, name := range []string{"tpch", "TPCH-CS", "TpcDs", "real1", "REAL2", "real3"} {
+		if gen, err := Generator(name); err != nil || gen == nil {
+			t.Errorf("Generator(%q): %v", name, err)
+		}
+	}
+	if _, err := Generator("martian"); err == nil || err.Error() != `unknown workload "martian"` {
+		t.Errorf("Generator(martian): %v", err)
+	}
+	w := &Workload{Queries: []Query{{Name: "Q1"}, {Name: "Q5"}}}
+	if q := w.Query("q5"); q != &w.Queries[1] {
+		t.Errorf("Query(q5) = %v", q)
+	}
+	if q := w.Query("Q9"); q != nil {
+		t.Errorf("Query(Q9) = %v, want nil", q)
+	}
+}

@@ -18,9 +18,9 @@
 // Monitor returns a non-nil *exec.QueryError when the query was cancelled
 // (s.Cancel, or a virtual-time deadline) or failed (injected I/O faults,
 // memory-grant exhaustion, internal errors); operator panics never escape
-// the executor. Concurrent queries run under internal/lqs's QueryRegistry,
-// which lists, polls, and cancels them from any goroutine while they
-// execute.
+// the executor. Concurrent queries each run Monitor on a goroutine of
+// their own, publishing frames for a dashboard to read; s.Cancel is safe
+// from any goroutine (examples/multiquery).
 //
 // See examples/ for runnable scenarios, internal/progress for the paper's
 // techniques (§4.1-§4.7), and internal/experiments for the evaluation
