@@ -77,12 +77,22 @@ trace-smoke:
 
 # Run every example end to end; each must exit 0. The multiquery dashboard
 # reads frames that per-query goroutines publish and cancels one query from
-# its own goroutine, so it runs under the race detector.
+# its own goroutine, so it runs under the race detector. It runs twice, and
+# the summary lines of the two queries it lets finish must be identical:
+# each query reads its own view of the database, so its virtual time does
+# not depend on how the goroutines were scheduled. (The cancelled query
+# stops wherever the dashboard's real-time cancel finds it.)
 examples-smoke:
 	$(GO) run ./examples/quickstart > /dev/null
 	$(GO) run ./examples/troubleshoot > /dev/null
 	$(GO) run ./examples/columnstore > /dev/null
-	$(GO) run -race ./examples/multiquery > /dev/null
+	$(GO) run -race ./examples/multiquery > .multiquery-1.txt
+	$(GO) run ./examples/multiquery > .multiquery-2.txt
+	@trap "rm -f .multiquery-1.txt .multiquery-2.txt" EXIT; \
+	a=$$(grep -E '^  (filter-scan|merge-join) ' .multiquery-1.txt); \
+	b=$$(grep -E '^  (filter-scan|merge-join) ' .multiquery-2.txt); \
+	test "$$(echo "$$a" | wc -l)" = 2 && test "$$a" = "$$b" || \
+		{ echo "examples-smoke: multiquery summaries differ between runs:"; echo "$$a"; echo "$$b"; exit 1; }
 	@echo "examples-smoke: OK"
 
 # End-to-end smoke of the monitoring server binary: start lqsd on a local
@@ -142,11 +152,15 @@ acc-smoke:
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test -short .
 
-# Run each database-build benchmark once so they cannot rot, with
-# -benchmem so the log shows a rise in build allocations; the numbers that
-# matter are taken with -benchtime 5x -count 3 (see CHANGES.md).
+# Run each database-build benchmark so they cannot rot, with -benchmem so
+# the log shows a rise in build allocations; the numbers that matter are
+# taken with -benchtime 5x -count 3 (see CHANGES.md). -cpu 1,2 puts the
+# serial build (the task graph run inline on one worker) beside the
+# parallel one. It is 2x, not 1x: at 1x the testing package reports its
+# one-iteration probe run, which it makes before it sets GOMAXPROCS to the
+# first -cpu value, so the "serial" line would time the parallel build.
 bench-build:
-	$(GO) test ./internal/workload -run '^$$' -bench Build -benchtime 1x -benchmem
+	$(GO) test ./internal/workload -run '^$$' -bench Build -benchtime 2x -benchmem -cpu 1,2
 
 # Run the replay benchmarks once per estimator mode so they cannot rot,
 # with -benchmem so the log shows ns/op and allocs/op of the replay hot

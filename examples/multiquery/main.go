@@ -3,12 +3,12 @@
 // display of progress estimates for multiple, concurrently executing
 // queries, each of them being given their own dedicated window").
 //
-// Each query runs on its own virtual clock and its own goroutine (separate
-// connections, as a real server would hold them), monitored there by
-// Session.Monitor, which publishes every frame through an atomic pointer.
-// The dashboard goroutine loads the latest frame of each query — it never
-// touches a running executor — and the slowest query is cancelled
-// mid-flight, exactly as a DBA would kill a session.
+// Each query runs on its own virtual clock, its own view of the database
+// and its own goroutine (separate connections, as a real server would hold
+// them), monitored there by Session.Monitor, which publishes every frame
+// through an atomic pointer. The dashboard goroutine loads the latest frame
+// of each query — it never touches a running executor — and the slowest
+// query is cancelled mid-flight, exactly as a DBA would kill a session.
 package main
 
 import (
@@ -40,7 +40,10 @@ func main() {
 
 	var wg sync.WaitGroup
 	launch := func(name string, build func(b *plan.Builder) *plan.Node) *watched {
-		q := &watched{name: name, sess: lqs.Start(w.DB, build(w.Builder()), progress.LQSOptions())}
+		// A view per query: its own buffer pool over the shared tables, so
+		// its reads, and with them its virtual times, are its own.
+		v := w.View()
+		q := &watched{name: name, sess: lqs.Start(v.DB, build(v.Builder()), progress.LQSOptions())}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

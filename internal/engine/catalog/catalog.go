@@ -183,47 +183,49 @@ type ColumnStats struct {
 }
 
 // BuildStats computes statistics for the table from its rows in storage
-// order, given back to back in vals with one value per column each.
-// buckets controls histogram resolution (SQL Server uses up to 200 steps;
-// tests use fewer). The statistics sample every row — sampling error is
-// not a phenomenon the paper studies, while skew-induced estimation error
-// (which it does study) survives full scans intact.
+// order, given back to back in vals with one value per column each:
+// StartStats, then BuildColumnStats for every column. buckets controls
+// histogram resolution (SQL Server uses up to 200 steps; tests use fewer).
+// The statistics sample every row — sampling error is not a phenomenon the
+// paper studies, while skew-induced estimation error (which it does study)
+// survives full scans intact.
 func (t *Table) BuildStats(buckets int, vals []types.Value) {
-	// One row-major pass extracts every column at once: the rows are read
-	// sequentially instead of once per column at a row-wide stride.
-	w := len(t.Columns)
-	n := 0
-	if w > 0 {
-		n = len(vals) / w
-	}
-	keys := make([]columnKeys, w)
-	for c := range keys {
-		keys[c].hint = n
-	}
-	for o := 0; w > 0 && o < len(vals); o += w {
-		row := vals[o : o+w]
-		for c := range keys {
-			keys[c].add(row[c])
-		}
-	}
-	st := &TableStats{Rows: float64(t.RowCount), Cols: make([]*ColumnStats, len(t.Columns))}
+	t.StartStats()
 	var sorter types.CodeSorter
-	for c := range keys {
-		k := &keys[c]
-		hist := k.histogram(buckets, &sorter, func() []types.Value {
-			col := make([]types.Value, 0, n-k.nulls)
-			for i := c; i < len(vals); i += w {
-				if !vals[i].IsNull() {
-					col = append(col, vals[i])
-				}
-			}
-			return col
-		})
-		cs := &ColumnStats{Hist: hist, Distinct: hist.DistinctTotal}
-		if n > 0 {
-			cs.NullFrac = float64(k.nulls) / float64(n)
-		}
-		st.Cols[c] = cs
+	for c := range t.Columns {
+		t.BuildColumnStats(c, buckets, vals, &sorter)
 	}
-	t.Stats = st
+}
+
+// StartStats gives the table statistics for its loaded row count with no
+// column's collected yet.
+func (t *Table) StartStats() {
+	t.Stats = &TableStats{Rows: float64(t.RowCount), Cols: make([]*ColumnStats, len(t.Columns))}
+}
+
+// BuildColumnStats computes column c's statistics from the table's rows
+// vals, as BuildStats takes them, into t.Stats.Cols[c], sorting with s.
+// It writes nothing else, so after StartStats the columns of one table may
+// be built on different goroutines, each with its own sorter.
+func (t *Table) BuildColumnStats(c, buckets int, vals []types.Value, s *types.CodeSorter) {
+	w := len(t.Columns)
+	n := len(vals) / w
+	k := columnKeys{codes: s.Codes(n)[:0]}
+	for i := c; i < len(vals); i += w {
+		k.add(vals[i])
+	}
+	hist := k.histogram(buckets, s, func() []types.Value {
+		col := make([]types.Value, 0, n-k.nulls)
+		for i := c; i < len(vals); i += w {
+			if !vals[i].IsNull() {
+				col = append(col, vals[i])
+			}
+		}
+		return col
+	})
+	cs := &ColumnStats{Hist: hist, Distinct: hist.DistinctTotal}
+	if n > 0 {
+		cs.NullFrac = float64(k.nulls) / float64(n)
+	}
+	t.Stats.Cols[c] = cs
 }

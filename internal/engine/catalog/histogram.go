@@ -89,8 +89,7 @@ type columnKeys struct {
 	// the comparator sort's tie order, which only that sort reproduces.
 	negZero bool
 	nulls   int
-	hint    int // expected number of values
-	codes   []uint64
+	codes   []uint64 // appended to; the caller sizes its capacity
 }
 
 func (k *columnKeys) add(v types.Value) {
@@ -100,7 +99,6 @@ func (k *columnKeys) add(v types.Value) {
 		return
 	case k.kind == types.KindNull:
 		k.kind = v.K
-		k.codes = make([]uint64, 0, k.hint)
 	case v.K != k.kind:
 		k.mixed = true
 		return
@@ -142,11 +140,12 @@ func genericHistogram(vals []types.Value, maxBuckets int) *Histogram {
 // BuildHistogram builds an equi-depth histogram with at most maxBuckets
 // steps over the non-NULL values; values itself is left untouched.
 func BuildHistogram(values []types.Value, maxBuckets int) *Histogram {
-	k := columnKeys{hint: len(values)}
+	var s types.CodeSorter
+	k := columnKeys{codes: s.Codes(len(values))[:0]}
 	for _, v := range values {
 		k.add(v)
 	}
-	return k.histogram(maxBuckets, &types.CodeSorter{}, func() []types.Value {
+	return k.histogram(maxBuckets, &s, func() []types.Value {
 		return slices.DeleteFunc(slices.Clone(values), types.Value.IsNull)
 	})
 }

@@ -3,6 +3,8 @@ package storage
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -271,4 +273,107 @@ func appendToEveryView(db *Database, tb *catalog.Table) error {
 		}
 	}
 	return err
+}
+
+// TestBuildMatchesLoadValues: the task graph's database is the one
+// LoadValues per table in catalog order and BuildAllStats make — the same
+// object IDs, heaps, index layouts, catalog metadata and statistics —
+// at one worker and at several, over columns that take the generic paths
+// too (NULLs, mixed kinds, composite keys) and a columnstore. An empty
+// catalog builds an empty database.
+func TestBuildMatchesLoadValues(t *testing.T) {
+	newCatalog := func() *catalog.Catalog {
+		cat := catalog.NewCatalog()
+		a := cat.Add(catalog.NewTable("a",
+			catalog.Column{Name: "id", Kind: types.KindInt},
+			catalog.Column{Name: "k", Kind: types.KindInt},
+			catalog.Column{Name: "f", Kind: types.KindFloat},
+			catalog.Column{Name: "s", Kind: types.KindString},
+			catalog.Column{Name: "m", Kind: types.KindInt}))
+		a.AddIndex(&catalog.Index{Name: "pk", KeyCols: []int{0}, Clustered: true})
+		a.AddIndex(&catalog.Index{Name: "ix_k", KeyCols: []int{1}})
+		a.AddIndex(&catalog.Index{Name: "ix_sf", KeyCols: []int{3, 2}})
+		a.AddIndex(&catalog.Index{Name: "ix_m", KeyCols: []int{4}})
+		b := cat.Add(catalog.NewTable("b",
+			catalog.Column{Name: "x", Kind: types.KindInt},
+			catalog.Column{Name: "y", Kind: types.KindFloat}))
+		b.AddIndex(&catalog.Index{Name: "cs", Kind: catalog.ColumnStore})
+		return cat
+	}
+	words := []string{"", "a", "ab", "b", "zz"}
+	gen := func(seed uint64, n, w int, col func(rng *sim.RNG, c int) types.Value) func() []types.Value {
+		return func() []types.Value {
+			rng := sim.NewRNG(seed)
+			vals := make([]types.Value, n*w)
+			for i := range vals {
+				vals[i] = col(rng, i%w)
+			}
+			return vals
+		}
+	}
+	gens := []func() []types.Value{
+		gen(1, 3000, 5, func(rng *sim.RNG, c int) types.Value {
+			switch c {
+			case 0:
+				return types.Int(rng.Int63n(1 << 40))
+			case 1:
+				if rng.Intn(5) == 0 {
+					return types.Null()
+				}
+				return types.Int(rng.Int63n(300))
+			case 2:
+				return types.Float(float64(rng.Intn(50)) / 4)
+			case 3:
+				return types.Str(words[rng.Intn(len(words))])
+			}
+			if rng.Intn(2) == 0 {
+				return types.Float(float64(rng.Intn(20)) + 0.5)
+			}
+			return types.Int(rng.Int63n(20))
+		}),
+		gen(2, 2500, 2, func(rng *sim.RNG, c int) types.Value {
+			if c == 0 {
+				return types.Int(rng.Int63n(100))
+			}
+			return types.Float(rng.Float64())
+		}),
+	}
+
+	ref := NewDatabase(newCatalog(), 64)
+	for i, tb := range ref.Catalog.Tables() {
+		ref.LoadValues(tb.Name, gens[i]())
+	}
+	ref.BuildAllStats(16)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		db := Build(newCatalog(), 64, 16, gens)
+		if db.nextObj != ref.nextObj {
+			t.Errorf("GOMAXPROCS %d: next object ID %d, want %d", procs, db.nextObj, ref.nextObj)
+		}
+		for _, tb := range ref.Catalog.Tables() {
+			got := db.Catalog.MustTable(tb.Name)
+			if !reflect.DeepEqual(got, tb) {
+				t.Errorf("GOMAXPROCS %d: table %s's catalog entry or statistics differ", procs, tb.Name)
+			}
+			if !reflect.DeepEqual(db.Heap(tb.Name), ref.Heap(tb.Name)) {
+				t.Errorf("GOMAXPROCS %d: heap %s differs", procs, tb.Name)
+			}
+			for _, ix := range tb.Indexes {
+				var g, w any
+				if ix.Kind == catalog.BTree {
+					g, w = db.BTree(tb.Name, ix.Name), ref.BTree(tb.Name, ix.Name)
+				} else {
+					g, w = db.ColumnStore(tb.Name, ix.Name), ref.ColumnStore(tb.Name, ix.Name)
+				}
+				if !reflect.DeepEqual(g, w) {
+					t.Errorf("GOMAXPROCS %d: index %s.%s differs", procs, tb.Name, ix.Name)
+				}
+			}
+		}
+	}
+
+	if db := Build(catalog.NewCatalog(), 64, 16, nil); len(db.heaps) != 0 {
+		t.Errorf("empty catalog: %d heaps", len(db.heaps))
+	}
 }

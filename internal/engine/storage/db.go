@@ -2,6 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"lqs/internal/engine/catalog"
 	"lqs/internal/engine/types"
@@ -33,12 +36,6 @@ func NewDatabase(cat *catalog.Catalog, poolPages int) *Database {
 	}
 }
 
-func (db *Database) allocObj() uint32 {
-	id := db.nextObj
-	db.nextObj++
-	return id
-}
-
 // Load stores rows into the named table: it copies them into one value
 // arena and loads that with LoadValues. It panics if a row has the wrong
 // arity — a loader bug, not a runtime condition.
@@ -61,23 +58,165 @@ func (db *Database) Load(table string, rows []types.Row) {
 // and nothing writes to it from here on. It panics if the table is unknown
 // or the arena is not whole rows.
 func (db *Database) LoadValues(table string, vals []types.Value) {
-	t := db.Catalog.MustTable(table)
-	h := NewHeap(db.allocObj(), len(t.Columns), vals)
-	db.heaps[table] = h
-	t.RowCount = h.NumRows()
-	t.Pages = h.NumPages()
+	l := db.reserve(db.Catalog.MustTable(table))
+	l.loadHeap(vals)
 	var sorter types.CodeSorter
-	for _, ix := range t.Indexes {
-		switch ix.Kind {
-		case catalog.BTree:
-			bt := BuildBTree(db.allocObj(), h, ix.KeyCols, ix.Clustered, &sorter)
-			ix.LeafPages = bt.NumLeafPages()
-			ix.Height = bt.Height()
-			db.btrees[t.Name+"."+ix.Name] = bt
-		case catalog.ColumnStore:
-			cs := BuildColumnStore(db.allocObj(), h)
-			ix.RowGroups = int64(cs.NumRowGroups())
-			db.colstores[t.Name+"."+ix.Name] = cs
+	for j := range l.indexes {
+		l.buildIndex(j, &sorter)
+	}
+	db.install(l)
+}
+
+// Build creates a database over cat with a buffer pool of poolPages pages
+// and loads every table: gen[i] returns the value arena of the catalog's
+// i-th table, as LoadValues takes it, and the statistics are built at
+// buckets resolution. The result is the one NewDatabase, LoadValues of
+// each table in catalog order and BuildAllStats produce, bit for bit.
+//
+// The build is a task graph run on GOMAXPROCS workers, each with its own
+// sorter: generating a table's rows and making its heap is one task, and
+// once it is done each of the table's indexes and each of its columns'
+// statistics is another. Object IDs are reserved in LoadValues' order
+// before any task runs, and every task writes only its own structure, so
+// no result depends on the schedule. With one worker the graph runs on the
+// caller's goroutine.
+func Build(cat *catalog.Catalog, poolPages, buckets int, gen []func() []types.Value) *Database {
+	db := NewDatabase(cat, poolPages)
+	tables := cat.Tables()
+	if len(gen) != len(tables) {
+		panic(fmt.Sprintf("storage: %d generators for %d tables", len(gen), len(tables)))
+	}
+	if len(tables) == 0 {
+		return db // no task would close the queue
+	}
+	loads := make([]*tableLoad, len(tables))
+	tasks := 0
+	for i, t := range tables {
+		loads[i] = db.reserve(t)
+		tasks += 1 + len(t.Indexes) + len(t.Columns)
+	}
+	// The queue holds every task the graph will ever have, so no send
+	// blocks; the worker that finishes the last task closes it. The
+	// generations are queued last table first: schemas declare their large
+	// fact tables after the dimensions they reference, and the largest
+	// table's generation heads the longest chain of tasks.
+	queue := make(chan buildTask, tasks)
+	for i := len(loads) - 1; i >= 0; i-- {
+		queue <- buildTask{l: loads[i], gen: gen[i]}
+	}
+	var left atomic.Int64
+	left.Store(int64(tasks))
+	work := func() {
+		var sorter types.CodeSorter
+		for task := range queue {
+			task.run(queue, buckets, &sorter)
+			if left.Add(-1) == 0 {
+				close(queue)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), tasks) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, l := range loads {
+		db.install(l)
+	}
+	return db
+}
+
+// buildTask is one task of Build's graph. With gen set it generates the
+// table's rows, makes its heap and queues the table's other tasks.
+// Otherwise step names the table's index step or, past its indexes, the
+// statistics of column step-len(indexes).
+type buildTask struct {
+	l    *tableLoad
+	gen  func() []types.Value
+	step int
+}
+
+func (task buildTask) run(queue chan<- buildTask, buckets int, s *types.CodeSorter) {
+	l, t := task.l, task.l.t
+	switch {
+	case task.gen != nil:
+		l.loadHeap(task.gen())
+		t.StartStats()
+		for step := range len(t.Indexes) + len(t.Columns) {
+			queue <- buildTask{l: l, step: step}
+		}
+	case task.step < len(t.Indexes):
+		l.buildIndex(task.step, s)
+	default:
+		t.BuildColumnStats(task.step-len(t.Indexes), buckets, l.heap.vals, s)
+	}
+}
+
+// tableLoad is one table's physical structures under construction. Each
+// build step writes only its own fields, so once the heap is made the
+// table's indexes (and its columns' statistics) may be built on different
+// goroutines.
+type tableLoad struct {
+	t       *catalog.Table
+	heapID  uint32 // index j's object ID is heapID+1+j
+	heap    *Heap
+	indexes []builtIndex // by ordinal in t.Indexes
+}
+
+// builtIndex is the structure built for one index: a B-tree or a
+// columnstore.
+type builtIndex struct {
+	bt *BTree
+	cs *ColumnStore
+}
+
+// reserve starts loading table t: it takes the next object IDs, the heap's
+// first and then one per index in declaration order.
+func (db *Database) reserve(t *catalog.Table) *tableLoad {
+	l := &tableLoad{t: t, heapID: db.nextObj, indexes: make([]builtIndex, len(t.Indexes))}
+	db.nextObj += 1 + uint32(len(t.Indexes))
+	return l
+}
+
+// loadHeap makes the table's heap of vals and records its row and page
+// counts in the catalog.
+func (l *tableLoad) loadHeap(vals []types.Value) {
+	l.heap = NewHeap(l.heapID, len(l.t.Columns), vals)
+	l.t.RowCount = l.heap.NumRows()
+	l.t.Pages = l.heap.NumPages()
+}
+
+// buildIndex builds the table's index j over its heap, sorting with s, and
+// records the index's physical metadata in the catalog.
+func (l *tableLoad) buildIndex(j int, s *types.CodeSorter) {
+	ix, id := l.t.Indexes[j], l.heapID+1+uint32(j)
+	switch ix.Kind {
+	case catalog.BTree:
+		bt := BuildBTree(id, l.heap, ix.KeyCols, ix.Clustered, s)
+		ix.LeafPages = bt.NumLeafPages()
+		ix.Height = bt.Height()
+		l.indexes[j].bt = bt
+	case catalog.ColumnStore:
+		cs := BuildColumnStore(id, l.heap)
+		ix.RowGroups = int64(cs.NumRowGroups())
+		l.indexes[j].cs = cs
+	}
+}
+
+// install makes the table's loaded structures the database's.
+func (db *Database) install(l *tableLoad) {
+	db.heaps[l.t.Name] = l.heap
+	for j, ix := range l.t.Indexes {
+		switch built := l.indexes[j]; {
+		case built.bt != nil:
+			db.btrees[l.t.Name+"."+ix.Name] = built.bt
+		case built.cs != nil:
+			db.colstores[l.t.Name+"."+ix.Name] = built.cs
 		}
 	}
 }
@@ -113,8 +252,8 @@ func (db *Database) ColumnStore(table, index string) *ColumnStore {
 // catalog and the physical structures (heaps, b-trees, columnstores) and
 // carries a private, cold buffer pool of the same capacity and no fault
 // injector. Sharing is safe because rows are immutable once loaded and
-// the catalog is read-only after BuildAllStats; take views only after
-// both.
+// the catalog is read-only once its statistics are built (by Build, or
+// by BuildAllStats); take views only after both.
 // Parallel workers and concurrently hosted queries each run on a view:
 // private pools keep every user's logical/physical read split a pure
 // function of its own page access sequence — sharing one LRU would make

@@ -148,18 +148,25 @@ func newEnsemble(p *plan.Plan, opt Options, d *Decomposition) *ensemble {
 		return newPass(o, nodes, pipes)
 	}
 	prior := [numCands]float64{0.25, 0.25, 0.5}
+	// The candidates' estimates are sized here, not on the first poll: one
+	// array holds DNE's fold, the hints and both estimates' vectors, one
+	// more the LQS candidate's bounds and its degraded-poll bounds.
+	f := make([]float64, 2*nodes+2*(2*nodes+pipes))
 	en := &ensemble{
 		names:      []string{"TGN", "DNE", "LQS"},
 		tgn:        cand(TGNOptions()),
 		lqs:        cand(LQSOptions()),
-		dne:        queryFold{num: make([]float64, nodes)},
-		hints:      newNHints(d, nodes, opt.minRefine()),
+		dne:        queryFold{num: f[:nodes:nodes]},
+		hints:      newNHints(d, f[nodes:2*nodes:2*nodes], opt.minRefine()),
 		prior:      prior,
 		weights:    prior,
 		selected:   candLQS,
 		challenger: -1,
 	}
 	en.tgn.est, en.lqs.est = &en.ests[0], &en.ests[1]
+	cutEstimate(en.lqs.est, cutEstimate(en.tgn.est, f[2*nodes:], nodes, pipes), nodes, pipes)
+	b := make([]Bounds, 2*nodes)
+	en.lqs.est.Bounds, en.lqs.rawBounds = b[:nodes:nodes], b[nodes:]
 	return en
 }
 

@@ -44,8 +44,9 @@ func committedTrace(t *testing.T, name string) (*plan.Plan, *catalog.Catalog, *d
 // repaired capture, its merged rows and its aggregation are built in
 // buffers the estimator keeps, and the repair's reason is carried as
 // counts, not text. The first poll sizes those buffers (at most 1, 1, 6
-// and 11 allocations in TGN, DNE, LQS and ENS); every later poll stays
-// under 0.1 allocations per poll in every mode.
+// and 6 allocations in TGN, DNE, LQS and ENS: NewEstimator has sized the
+// ensemble's candidate estimates); every later poll stays under 0.1
+// allocations per poll in every mode.
 //
 // NewEstimator on TPC-H Q9 allocates a fixed count per mode: Decompose
 // takes seven allocations whatever the plan's size.
@@ -112,9 +113,10 @@ func TestEstimateAllocations(t *testing.T) {
 		s.Aggregate() // a capture's own aggregation is the capture's
 	}
 	// The first poll sizes the caller's estimate and, in the modes that
-	// repair, the bounds and repair buffers; every later poll must not
+	// repair, the bounds and repair buffers; an ensemble's candidate
+	// estimates are sized by NewEstimator. Every later poll must not
 	// allocate but where a capture grows past them.
-	first := map[string]uint64{"TGN": 1, "DNE": 1, "LQS": 6, "ENS": 11}
+	first := map[string]uint64{"TGN": 1, "DNE": 1, "LQS": 6, "ENS": 6}
 	for _, m := range accuracy.Modes() {
 		e := progress.NewEstimator(cp, ccat, m.Opts)
 		var dst progress.Estimate

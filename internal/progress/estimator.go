@@ -269,6 +269,11 @@ func (e *Estimator) estimateFrom(dst *Estimate, snap *dmv.Snapshot, degraded boo
 func (e *Estimator) walk(snap *dmv.Snapshot, degraded bool, reason Reason, cs ...*pass) {
 	for _, c := range cs {
 		e.begin(c, snap, degraded, reason)
+		// Raw bounds are the walk's scratch: begin, which the ensemble's
+		// blend also calls, leaves them alone.
+		if c.opt.Bound && degraded {
+			c.rawBounds = zeroed(c.rawBounds, len(e.Plan.Nodes))
+		}
 	}
 	for _, n := range e.Decomp.postorder {
 		if e.hints != nil {
@@ -328,21 +333,25 @@ func (e *Estimator) begin(c *pass, snap *dmv.Snapshot, degraded bool, reason Rea
 		clear(est.N)
 		clear(est.PipelineProg)
 	} else {
-		vals := make([]float64, 2*nodes+pipes)
-		est.Op, est.N, est.PipelineProg = vals[:nodes:nodes], vals[nodes:2*nodes:2*nodes], vals[2*nodes:]
+		cutEstimate(est, make([]float64, 2*nodes+pipes), nodes, pipes)
 	}
 	bounds := est.Bounds
 	est.At, est.Query, est.Bounds = snap.At, 0, nil
 	est.Degraded, est.DegradeReason, est.Ensemble = degraded, reason, nil
 	if c.opt.Bound {
 		est.Bounds = zeroed(bounds, nodes)
-		if degraded {
-			c.rawBounds = zeroed(c.rawBounds, nodes)
-		}
 	}
 	for i := range c.alpha {
 		c.alpha[i] = -1
 	}
+}
+
+// cutEstimate points est's Op, N and PipelineProg at consecutive windows of
+// vals, which holds at least 2*nodes+pipes values, and returns the rest.
+func cutEstimate(est *Estimate, vals []float64, nodes, pipes int) []float64 {
+	end := 2*nodes + pipes
+	est.Op, est.N, est.PipelineProg = vals[:nodes:nodes], vals[nodes:2*nodes:2*nodes], vals[2*nodes:end:end]
+	return vals[end:]
 }
 
 // finish applies the display contract to the pass's query progress:

@@ -151,10 +151,11 @@ type NHints struct {
 	has     []bool
 }
 
-// newNHints is an empty hint store for a plan of nodes nodes. minRows is
+// newNHints is an empty hint store over vals, one value per plan node, which
+// it takes as its own. minRows is
 // the §4.1-style guard: a hint from live counters needs that many rows.
-func newNHints(d *Decomposition, nodes int, minRows int64) NHints {
-	return NHints{decomp: d, minRows: minRows, vals: make([]float64, nodes), has: make([]bool, nodes)}
+func newNHints(d *Decomposition, vals []float64, minRows int64) NHints {
+	return NHints{decomp: d, minRows: minRows, vals: vals, has: make([]bool, len(vals))}
 }
 
 // For returns the refined-N̂ hint for a node, or ok=false when no hint

@@ -11,8 +11,9 @@ import (
 
 // tableCacheCap is how many generated workloads a server keeps. A
 // generated database is immutable and some 22 MB, and building one takes
-// some twenty-five times as long as the rest of a submission (about 30 ms
-// against 1.2 ms for TPC-H on a 2-CPU x86 VM), so repeat traffic on a
+// some ten times as long as the rest of a submission (about 30 ms against
+// 1–3 ms for TPC-H, a cold and a warm POST /queries to lqsd on a 2-CPU x86
+// VM, the database built on both processors), so repeat traffic on a
 // (workload, seed) must find it built — but every distinct seed is another
 // database, so the set is bounded. Four covers the two or three databases
 // monitoring traffic alternates between with room for a newcomer to

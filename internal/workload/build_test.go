@@ -5,9 +5,12 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"lqs/internal/engine/catalog"
+	"lqs/internal/engine/storage"
 	"lqs/internal/engine/types"
 )
 
@@ -152,11 +155,88 @@ func TestWorkloadBuildFingerprint(t *testing.T) {
 		{"tpch-columnstore", func(s uint64) *Workload { return TPCH(s, TPCHColumnstore) }, [2]uint64{0xe9897d1003689b25, 0xd58f493ccad481ce}},
 		{"tpcds", TPCDS, [2]uint64{0x675c5bccb5a2e564, 0xe2c186bfe4cddf72}},
 		{"real1", REAL1, [2]uint64{0x1330e139ac316245, 0x19c77841dabfebcf}},
+		{"real2", REAL2, [2]uint64{0x248bcaf67921ea88, 0x7f2c22735768627b}},
+		{"real3", REAL3, [2]uint64{0x33fce16d51d7b893, 0x282d4719a548f86d}},
 	}
 	for _, c := range cases {
 		for i, seed := range []uint64{1, 42} {
 			if got := buildFingerprint(c.gen(seed)); got != c.want[i] {
 				t.Errorf("%s seed %d: fingerprint %#x, want %#x", c.name, seed, got, c.want[i])
+			}
+		}
+	}
+}
+
+// TestObjectIDsFollowCatalogOrder pins the object IDs the build gives the
+// physical structures: 1, 2, 3, ... per table in catalog order, the heap
+// first, then each index in declaration order. Page identities, and so
+// buffer-pool contents and seeded page faults, are keyed by them. Each
+// object's ID is observed through the page its first read charges: on a
+// cold pool, after that read, its page 0 is the one resident page.
+func TestObjectIDsFollowCatalogOrder(t *testing.T) {
+	for _, w := range []*Workload{TPCH(1, TPCHRowstore), TPCH(1, TPCHColumnstore), TPCDS(1), REAL1(1)} {
+		db := w.DB
+		want := uint32(1)
+		check := func(what string, read func(pool *storage.BufferPool)) {
+			t.Helper()
+			v := db.View()
+			read(v.Pool)
+			if v.Pool.Resident() != 1 || v.Pool.Access(storage.PageID{Object: want, Page: 0}) {
+				t.Errorf("%s %s: first page is not object %d's page 0", w.Name, what, want)
+			}
+			want++
+		}
+		for _, tb := range db.Catalog.Tables() {
+			check(tb.Name, func(pool *storage.BufferPool) { db.Heap(tb.Name).Cursor(pool).Next() })
+			for _, ix := range tb.Indexes {
+				switch ix.Kind {
+				case catalog.BTree:
+					check(tb.Name+"."+ix.Name, func(pool *storage.BufferPool) { db.BTree(tb.Name, ix.Name).ScanAll(pool).Next() })
+				case catalog.ColumnStore:
+					check(tb.Name+"."+ix.Name, func(pool *storage.BufferPool) {
+						db.ColumnStore(tb.Name, ix.Name).ReadRowGroup(0, []int{0}, pool, &storage.IOCounts{})
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestBuildIsScheduleIndependent: the build's result does not depend on how
+// many processors run it or on what else runs beside it. Each workload is
+// built at GOMAXPROCS 1 (the inline path) and 4, and three times at once,
+// and every build must have the same fingerprint.
+func TestBuildIsScheduleIndependent(t *testing.T) {
+	gens := []struct {
+		name string
+		gen  func(seed uint64) *Workload
+	}{
+		{"tpch-rowstore", func(s uint64) *Workload { return TPCH(s, TPCHRowstore) }},
+		{"tpch-columnstore", func(s uint64) *Workload { return TPCH(s, TPCHColumnstore) }},
+		{"tpcds", TPCDS},
+		{"real1", REAL1},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, g := range gens {
+		runtime.GOMAXPROCS(1)
+		want := buildFingerprint(g.gen(7))
+		runtime.GOMAXPROCS(4)
+		if got := buildFingerprint(g.gen(7)); got != want {
+			t.Errorf("%s: fingerprint %#x at GOMAXPROCS 4, %#x at 1", g.name, got, want)
+		}
+		var got [3]uint64
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = buildFingerprint(g.gen(7))
+			}()
+		}
+		wg.Wait()
+		for i, f := range got {
+			if f != want {
+				t.Errorf("%s: concurrent build %d fingerprint %#x, want %#x", g.name, i, f, want)
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"lqs/internal/engine/catalog"
 	"lqs/internal/engine/expr"
-	"lqs/internal/engine/storage"
 	"lqs/internal/engine/types"
 	"lqs/internal/plan"
 	"lqs/internal/sim"
@@ -77,10 +76,8 @@ type synthTable struct {
 // random filters, join strategies, and tops.
 func Synth(cfg SynthConfig) *Workload {
 	rng := sim.NewRNG(cfg.Seed)
-	cat := catalog.NewCatalog()
 	tables := make([]*synthTable, cfg.NumTables)
-
-	var load []func(db *storage.Database)
+	var ts tableSet
 	for i := 0; i < cfg.NumTables; i++ {
 		st := &synthTable{name: fmt.Sprintf("t%02d", i)}
 		// Later tables are bigger (facts) and reference earlier ones.
@@ -127,24 +124,15 @@ func Synth(cfg SynthConfig) *Workload {
 		st.measure = len(cols)
 		cols = append(cols, colSpec{"m", types.KindFloat, uniformFloat(1000)})
 
-		t, vals := genTable(rng.Fork(), st.name, st.rows, cols)
+		t := ts.add(rng.Fork(), st.name, st.rows, cols)
 		t.AddIndex(&catalog.Index{Name: "pk", KeyCols: []int{0}, Clustered: true})
 		for _, fc := range st.fkCols {
 			t.AddIndex(&catalog.Index{Name: fmt.Sprintf("ix_c%d", fc), KeyCols: []int{fc}})
 		}
-		cat.Add(t)
 		tables[i] = st
-		name, v := st.name, vals
-		load = append(load, func(db *storage.Database) { db.LoadValues(name, v) })
 	}
 
-	db := storage.NewDatabase(cat, 1<<18)
-	for _, f := range load {
-		f(db)
-	}
-	db.BuildAllStats(histogramBuckets)
-
-	w := &Workload{Name: cfg.Name, DB: db}
+	w := &Workload{Name: cfg.Name, DB: ts.database()}
 	qrng := rng.Fork()
 	for q := 0; q < cfg.NumQueries; q++ {
 		seed := qrng.Uint64()

@@ -3,7 +3,6 @@ package workload
 import (
 	"lqs/internal/engine/catalog"
 	"lqs/internal/engine/expr"
-	"lqs/internal/engine/storage"
 	"lqs/internal/engine/types"
 	"lqs/internal/plan"
 	"lqs/internal/sim"
@@ -27,8 +26,6 @@ const (
 // Q36 (Fig. 13).
 func TPCDS(seed uint64) *Workload {
 	rng := sim.NewRNG(seed)
-	cat := catalog.NewCatalog()
-
 	specs := []struct {
 		name string
 		n    int64
@@ -83,20 +80,11 @@ func TPCDS(seed uint64) *Workload {
 		}},
 	}
 
-	var load []func(db *storage.Database)
+	var ts tableSet
 	for _, s := range specs {
-		t, vals := genTable(rng.Fork(), s.name, s.n, s.cols)
-		addTPCDSIndexes(t)
-		cat.Add(t)
-		name, v := s.name, vals
-		load = append(load, func(db *storage.Database) { db.LoadValues(name, v) })
+		addTPCDSIndexes(ts.add(rng.Fork(), s.name, s.n, s.cols))
 	}
-	db := storage.NewDatabase(cat, 1<<18)
-	for _, f := range load {
-		f(db)
-	}
-	db.BuildAllStats(histogramBuckets)
-	return &Workload{Name: "TPC-DS", DB: db, Queries: tpcdsQueries()}
+	return &Workload{Name: "TPC-DS", DB: ts.database(), Queries: tpcdsQueries()}
 }
 
 func addTPCDSIndexes(t *catalog.Table) {

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"lqs/internal/engine/catalog"
-	"lqs/internal/engine/storage"
 	"lqs/internal/engine/types"
 	"lqs/internal/sim"
 )
@@ -39,8 +38,6 @@ const (
 // design. The same seed generates identical data for both designs.
 func TPCH(seed uint64, design TPCHDesign) *Workload {
 	rng := sim.NewRNG(seed)
-	cat := catalog.NewCatalog()
-
 	specs := []struct {
 		name string
 		n    int64
@@ -100,22 +97,12 @@ func TPCH(seed uint64, design TPCHDesign) *Workload {
 		}},
 	}
 
-	var load []func(db *storage.Database)
+	var ts tableSet
 	for _, s := range specs {
-		t, vals := genTable(rng.Fork(), s.name, s.n, s.cols)
-		addTPCHIndexes(t, design)
-		cat.Add(t)
-		name, v := s.name, vals
-		load = append(load, func(db *storage.Database) { db.LoadValues(name, v) })
+		addTPCHIndexes(ts.add(rng.Fork(), s.name, s.n, s.cols), design)
 	}
 
-	db := storage.NewDatabase(cat, 1<<18)
-	for _, f := range load {
-		f(db)
-	}
-	db.BuildAllStats(histogramBuckets)
-
-	w := &Workload{Name: "TPC-H", DB: db}
+	w := &Workload{Name: "TPC-H", DB: ts.database()}
 	if design == TPCHColumnstore {
 		w.Name = "TPC-H ColumnStore"
 		w.Queries = tpchColumnstoreQueries()

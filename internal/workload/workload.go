@@ -144,24 +144,44 @@ func dateInt(lo, hi int64) func(*sim.RNG, int64) types.Value {
 	return func(rng *sim.RNG, _ int64) types.Value { return types.Int(lo + rng.Int63n(hi-lo)) }
 }
 
-// genTable creates the catalog table and its rows from column specs. The
-// rows come back to back in one value arena, one value per column each,
-// which Database.LoadValues takes as the table's heap without a copy.
-func genTable(rng *sim.RNG, name string, n int64, cols []colSpec) (*catalog.Table, []types.Value) {
+// tableSet declares a workload's generated tables and builds their database.
+type tableSet struct {
+	cat *catalog.Catalog
+	gen []func() []types.Value
+}
+
+// add declares the table name of n rows with the given columns and returns
+// it for the caller to declare its indexes on. Its rows are drawn from rng
+// when the database is built, back to back in one value arena, one value
+// per column each, which the table's heap takes without a copy. The caller
+// forks rng for the table alone, in table order.
+func (ts *tableSet) add(rng *sim.RNG, name string, n int64, cols []colSpec) *catalog.Table {
 	cc := make([]catalog.Column, len(cols))
 	for i, c := range cols {
 		cc[i] = catalog.Column{Name: c.name, Kind: c.kind}
 	}
-	t := catalog.NewTable(name, cc...)
-	w := int64(len(cols))
-	vals := make([]types.Value, n*w)
-	for i := int64(0); i < n; i++ {
-		row := vals[i*w : (i+1)*w]
-		for j, c := range cols {
-			row[j] = c.gen(rng, i)
-		}
+	if ts.cat == nil {
+		ts.cat = catalog.NewCatalog()
 	}
-	return t, vals
+	t := ts.cat.Add(catalog.NewTable(name, cc...))
+	ts.gen = append(ts.gen, func() []types.Value {
+		w := int64(len(cols))
+		vals := make([]types.Value, n*w)
+		for i := int64(0); i < n; i++ {
+			row := vals[i*w : (i+1)*w]
+			for j, c := range cols {
+				row[j] = c.gen(rng, i)
+			}
+		}
+		return vals
+	})
+	return t
+}
+
+// database builds the declared tables, their indexes and their statistics
+// (storage.Build).
+func (ts *tableSet) database() *storage.Database {
+	return storage.Build(ts.cat, 1<<18, histogramBuckets, ts.gen)
 }
 
 // histogramBuckets is the statistics resolution used by every workload.
