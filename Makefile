@@ -30,11 +30,13 @@ test:
 # harness (fault injection into parallel workers and the poller), the
 # expression compiler (compiled predicates run on every parallel worker),
 # the string intern table (lock-free reads beside interning), the shared
-# table storage (concurrent queries read views of one cached table set) and
-# the generators that build it, and the monitoring server (concurrent
+# table storage (concurrent queries read views of one cached table set),
+# the generators that build it, the indexes and column statistics the first
+# reader of any view builds (storage, catalog, and opt, whose estimates
+# read them), and the monitoring server (concurrent
 # submit/poll/stream/cancel over HTTP).
 race:
-	$(GO) test -race ./internal/engine/types/... ./internal/engine/storage/... ./internal/workload/... ./internal/lqs/... ./internal/engine/dmv/... ./internal/metrics/... ./internal/trace/... ./internal/obs/... ./internal/engine/exec/... ./internal/engine/expr/... ./internal/progress/... ./internal/chaos/... ./internal/server/... ./internal/accuracy/...
+	$(GO) test -race ./internal/engine/types/... ./internal/engine/storage/... ./internal/engine/catalog/... ./internal/opt/... ./internal/workload/... ./internal/lqs/... ./internal/engine/dmv/... ./internal/metrics/... ./internal/trace/... ./internal/obs/... ./internal/engine/exec/... ./internal/engine/expr/... ./internal/progress/... ./internal/chaos/... ./internal/server/... ./internal/accuracy/...
 
 # Short coverage-guided runs of every native fuzz target: the value order
 # codes the database build sorts on, the key hash and key compares of the
@@ -154,9 +156,11 @@ bench-check:
 
 # Run each database-build benchmark so they cannot rot, with -benchmem so
 # the log shows a rise in build allocations; the numbers that matter are
-# taken with -benchtime 5x -count 3 (see CHANGES.md). -cpu 1,2 puts the
-# serial build (the task graph run inline on one worker) beside the
-# parallel one. It is 2x, not 1x: at 1x the testing package reports its
+# taken with -benchtime 5x -count 3 (see CHANGES.md). Each has a /heaps
+# half (the tables generated, as a generator returns the database) and an
+# /all half (every index and every column's statistics then built too, as
+# first use builds them). -cpu 1,2 puts the serial generation (run inline
+# on one worker) beside the parallel one. It is 2x, not 1x: at 1x the testing package reports its
 # one-iteration probe run, which it makes before it sets GOMAXPROCS to the
 # first -cpu value, so the "serial" line would time the parallel build.
 bench-build:

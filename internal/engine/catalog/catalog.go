@@ -6,6 +6,7 @@ package catalog
 
 import (
 	"fmt"
+	"sync"
 
 	"lqs/internal/engine/types"
 )
@@ -35,8 +36,9 @@ type Index struct {
 	KeyCols   []int // ordinals into the table schema; empty for columnstores
 	Clustered bool  // clustered B-tree: leaf level stores full rows
 
-	// Physical metadata recorded at build time; the cost model and the
-	// client-side progress estimator (paper §4.3, §4.7) both read these.
+	// Physical metadata recorded when the table is loaded, before the
+	// structure itself is built; the cost model and the client-side
+	// progress estimator (paper §4.3, §4.7) both read these.
 	LeafPages int64 // B-tree leaf pages
 	Height    int   // B-tree levels including leaves
 	RowGroups int64 // columnstore row groups
@@ -54,7 +56,8 @@ type Table struct {
 	// Pages is the heap page count; the storage layer sets it. The §4.3
 	// logical-I/O progress fraction uses it as its denominator.
 	Pages int64
-	// Stats holds per-column histograms; BuildStats populates it.
+	// Stats holds the table's statistics once StartStats has given them;
+	// ColStats reads a column's.
 	Stats *TableStats
 
 	byName map[string]int
@@ -169,10 +172,20 @@ func (c *Catalog) Tables() []*Table {
 	return out
 }
 
-// TableStats carries optimizer statistics for a table.
+// TableStats carries optimizer statistics for a table: the row count they
+// describe and, built on first read (Table.ColStats), each column's.
 type TableStats struct {
 	Rows float64
-	Cols []*ColumnStats // indexed by column ordinal; nil if not collected
+
+	buckets int
+	vals    []types.Value // the table's rows in storage order
+	cols    []lazyColumnStats
+}
+
+// lazyColumnStats is one column's statistics, built by the first ColStats.
+type lazyColumnStats struct {
+	once sync.Once
+	cs   *ColumnStats
 }
 
 // ColumnStats carries statistics for one column.
@@ -182,39 +195,51 @@ type ColumnStats struct {
 	NullFrac float64
 }
 
-// BuildStats computes statistics for the table from its rows in storage
-// order, given back to back in vals with one value per column each:
-// StartStats, then BuildColumnStats for every column. buckets controls
-// histogram resolution (SQL Server uses up to 200 steps; tests use fewer).
-// The statistics sample every row — sampling error is not a phenomenon the
+// StartStats gives the table statistics over its rows vals, given back to
+// back with one value per column each, at buckets histogram resolution
+// (SQL Server uses up to 200 steps; tests use fewer). No histogram is
+// built here: ColStats builds a column's from vals the first time it is
+// read, as SQL Server creates single-column statistics on first use. The
+// table keeps vals, so nothing may write to them afterwards. The
+// statistics sample every row — sampling error is not a phenomenon the
 // paper studies, while skew-induced estimation error (which it does study)
 // survives full scans intact.
-func (t *Table) BuildStats(buckets int, vals []types.Value) {
-	t.StartStats()
-	var sorter types.CodeSorter
-	for c := range t.Columns {
-		t.BuildColumnStats(c, buckets, vals, &sorter)
+func (t *Table) StartStats(buckets int, vals []types.Value) {
+	t.Stats = &TableStats{Rows: float64(t.RowCount), buckets: buckets, vals: vals, cols: make([]lazyColumnStats, len(t.Columns))}
+}
+
+// ColStats returns column c's statistics, building them on the first call,
+// or nil if the table has no statistics or c is not a column ordinal. It
+// is safe for concurrent use: concurrent first calls build once.
+func (t *Table) ColStats(c int) *ColumnStats {
+	st := t.Stats
+	if st == nil || c < 0 || c >= len(st.cols) {
+		return nil
 	}
+	l := &st.cols[c]
+	l.once.Do(func() {
+		s := types.TakeSorter()
+		l.cs = st.build(c, len(t.Columns), s)
+		types.PutSorter(s)
+	})
+	return l.cs
 }
 
-// StartStats gives the table statistics for its loaded row count with no
-// column's collected yet.
-func (t *Table) StartStats() {
-	t.Stats = &TableStats{Rows: float64(t.RowCount), Cols: make([]*ColumnStats, len(t.Columns))}
+// StatsBuilt reports whether column c's statistics have been built. It is
+// for tests, which call it while nothing else reads the table.
+func (t *Table) StatsBuilt(c int) bool {
+	return t.Stats != nil && c >= 0 && c < len(t.Stats.cols) && t.Stats.cols[c].cs != nil
 }
 
-// BuildColumnStats computes column c's statistics from the table's rows
-// vals, as BuildStats takes them, into t.Stats.Cols[c], sorting with s.
-// It writes nothing else, so after StartStats the columns of one table may
-// be built on different goroutines, each with its own sorter.
-func (t *Table) BuildColumnStats(c, buckets int, vals []types.Value, s *types.CodeSorter) {
-	w := len(t.Columns)
+// build computes column c of w's statistics, sorting with s.
+func (st *TableStats) build(c, w int, s *types.CodeSorter) *ColumnStats {
+	vals := st.vals
 	n := len(vals) / w
 	k := columnKeys{codes: s.Codes(n)[:0]}
 	for i := c; i < len(vals); i += w {
 		k.add(vals[i])
 	}
-	hist := k.histogram(buckets, s, func() []types.Value {
+	hist := k.histogram(st.buckets, s, func() []types.Value {
 		col := make([]types.Value, 0, n-k.nulls)
 		for i := c; i < len(vals); i += w {
 			if !vals[i].IsNull() {
@@ -227,5 +252,5 @@ func (t *Table) BuildColumnStats(c, buckets int, vals []types.Value, s *types.Co
 	if n > 0 {
 		cs.NullFrac = float64(k.nulls) / float64(n)
 	}
-	t.Stats.Cols[c] = cs
+	return cs
 }

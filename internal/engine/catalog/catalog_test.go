@@ -204,19 +204,33 @@ func TestBuildStats(t *testing.T) {
 		types.Int(2), types.Str("b"), types.Float(3),
 		types.Int(3), types.Null(), types.Float(4),
 	}
-	tb.BuildStats(8, vals)
+	if tb.ColStats(0) != nil {
+		t.Fatal("a table without statistics returned a column's")
+	}
+	tb.StartStats(8, vals)
 	st := tb.Stats
 	if st == nil || st.Rows != 4 {
 		t.Fatalf("stats rows = %+v", st)
 	}
-	if st.Cols[0].Distinct != 3 {
-		t.Errorf("id distinct = %v", st.Cols[0].Distinct)
+	for c := range tb.Columns {
+		if tb.StatsBuilt(c) {
+			t.Fatalf("column %d's statistics built before any read", c)
+		}
 	}
-	if math.Abs(st.Cols[1].NullFrac-0.25) > 1e-9 {
-		t.Errorf("name null frac = %v", st.Cols[1].NullFrac)
+	if tb.ColStats(0).Distinct != 3 {
+		t.Errorf("id distinct = %v", tb.ColStats(0).Distinct)
 	}
-	if st.Cols[1].Distinct != 2 {
-		t.Errorf("name distinct = %v (nulls must be excluded)", st.Cols[1].Distinct)
+	if math.Abs(tb.ColStats(1).NullFrac-0.25) > 1e-9 {
+		t.Errorf("name null frac = %v", tb.ColStats(1).NullFrac)
+	}
+	if tb.ColStats(1).Distinct != 2 {
+		t.Errorf("name distinct = %v (nulls must be excluded)", tb.ColStats(1).Distinct)
+	}
+	if !tb.StatsBuilt(0) || !tb.StatsBuilt(1) || tb.StatsBuilt(2) {
+		t.Error("reading columns 0 and 1 must build exactly their statistics")
+	}
+	if tb.ColStats(-1) != nil || tb.ColStats(len(tb.Columns)) != nil {
+		t.Error("an ordinal outside the table returned statistics")
 	}
 }
 
@@ -325,8 +339,8 @@ func TestTypedHistogramMatchesGenericPath(t *testing.T) {
 
 			tb := NewTable("t", Column{"c", types.KindInt})
 			tb.RowCount = int64(len(vals))
-			tb.BuildStats(buckets, vals)
-			cs := tb.Stats.Cols[0]
+			tb.StartStats(buckets, vals)
+			cs := tb.ColStats(0)
 			sameHistogram(t, name+"/stats", cs.Hist, want)
 			if cs.Distinct != want.DistinctTotal {
 				t.Errorf("%s: distinct %v, want %v", name, cs.Distinct, want.DistinctTotal)

@@ -120,13 +120,11 @@ func keyCodes(h *Heap, c int, s *types.CodeSorter) (codes []uint64, ok bool) {
 
 // BuildBTree bulk-builds the index of heap h on the columns keyCols: it
 // sorts the RIDs into index order and copies the keys into one arena in
-// that order. The leaf packing factor derives from the average entry width
-// — the key, an 8-byte RID and, for a clustered index, the full row — so
-// clustered indexes occupy proportionally more pages than narrow secondary
-// indexes. s is the sort's scratch, shared by the indexes of one table.
+// that order. Its page geometry is btreeShape's. s is the sort's scratch.
 func BuildBTree(objectID uint32, h *Heap, keyCols []int, clustered bool, s *types.CodeSorter) *BTree {
 	nk := len(keyCols)
-	t := &BTree{objectID: objectID, nk: nk, perLeaf: 1}
+	t := &BTree{objectID: objectID, nk: nk}
+	t.perLeaf, t.nLeaves, t.levels = btreeShape(h, keyCols, clustered)
 	if h.n == 0 {
 		return t
 	}
@@ -138,19 +136,39 @@ func BuildBTree(objectID uint32, h *Heap, keyCols []int, clustered bool, s *type
 			t.keys = append(t.keys, row[c])
 		}
 	}
-	width := 8*h.n + types.Row(t.keys).Width()
+	return t
+}
+
+// btreeShape returns the page geometry of the index of heap h on keyCols:
+// entries per leaf, leaf pages, and internal page counts per level,
+// bottom-up, until a single root. The leaf packing factor derives from the
+// average entry width — the key, an 8-byte RID and, for a clustered index,
+// the full row — so clustered indexes occupy proportionally more pages
+// than narrow secondary indexes. The width is a sum over the rows, so the
+// geometry is known without sorting them: a database records it in the
+// catalog when the table is loaded, before the tree is built.
+func btreeShape(h *Heap, keyCols []int, clustered bool) (perLeaf, leaves int, levels []int) {
+	if h.n == 0 {
+		return 1, 0, nil
+	}
+	width := 8 * h.n
+	for i := range h.n {
+		row := h.row(i)
+		for _, c := range keyCols {
+			width += row[c].Width()
+		}
+	}
 	if clustered {
 		width += h.bytes
 	}
 	avg := max(width/h.n, 1)
-	t.perLeaf = max(PageSize/avg, 2)
-	t.nLeaves = (h.n + t.perLeaf - 1) / t.perLeaf
-	// Internal level page counts, bottom-up, until a single root.
-	for n := t.nLeaves; n > 1; {
+	perLeaf = max(PageSize/avg, 2)
+	leaves = (h.n + perLeaf - 1) / perLeaf
+	for n := leaves; n > 1; {
 		n = (n + btreeFanout - 1) / btreeFanout
-		t.levels = append(t.levels, n)
+		levels = append(levels, n)
 	}
-	return t
+	return perLeaf, leaves, levels
 }
 
 // key returns the view of entry i's key.

@@ -275,12 +275,13 @@ func appendToEveryView(db *Database, tb *catalog.Table) error {
 	return err
 }
 
-// TestBuildMatchesLoadValues: the task graph's database is the one
-// LoadValues per table in catalog order and BuildAllStats make — the same
-// object IDs, heaps, index layouts, catalog metadata and statistics —
-// at one worker and at several, over columns that take the generic paths
-// too (NULLs, mixed kinds, composite keys) and a columnstore. An empty
-// catalog builds an empty database.
+// TestBuildMatchesLoadValues: Build's database is the one LoadValues per
+// table in catalog order and BuildAllStats make — the same object IDs,
+// heaps, index layouts, catalog metadata and statistics — at one worker
+// and at several, over columns that take the generic paths too (NULLs,
+// mixed kinds, composite keys) and a columnstore. Neither side builds an
+// index or a statistic before it is read, so both are forced before they
+// are compared. An empty catalog builds an empty database.
 func TestBuildMatchesLoadValues(t *testing.T) {
 	newCatalog := func() *catalog.Catalog {
 		cat := catalog.NewCatalog()
@@ -344,10 +345,12 @@ func TestBuildMatchesLoadValues(t *testing.T) {
 		ref.LoadValues(tb.Name, gens[i]())
 	}
 	ref.BuildAllStats(16)
+	forceAll(t, ref)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 3} {
 		runtime.GOMAXPROCS(procs)
 		db := Build(newCatalog(), 64, 16, gens)
+		forceAll(t, db)
 		if db.nextObj != ref.nextObj {
 			t.Errorf("GOMAXPROCS %d: next object ID %d, want %d", procs, db.nextObj, ref.nextObj)
 		}
@@ -375,5 +378,26 @@ func TestBuildMatchesLoadValues(t *testing.T) {
 
 	if db := Build(catalog.NewCatalog(), 64, 16, nil); len(db.heaps) != 0 {
 		t.Errorf("empty catalog: %d heaps", len(db.heaps))
+	}
+}
+
+// forceAll builds every index and every column's statistics of db, which
+// must have built none of them yet.
+func forceAll(t *testing.T, db *Database) {
+	t.Helper()
+	if built := db.Built(); len(built) != 0 {
+		t.Fatalf("built before any read: %v", built)
+	}
+	for _, tb := range db.Catalog.Tables() {
+		for _, ix := range tb.Indexes {
+			if ix.Kind == catalog.BTree {
+				db.BTree(tb.Name, ix.Name)
+			} else {
+				db.ColumnStore(tb.Name, ix.Name)
+			}
+		}
+		for c := range tb.Columns {
+			tb.ColStats(c)
+		}
 	}
 }

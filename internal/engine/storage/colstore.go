@@ -39,7 +39,8 @@ type rowGroup struct {
 func BuildColumnStore(objectID uint32, h *Heap) *ColumnStore {
 	numCols := h.width
 	cs := &ColumnStore{objectID: objectID, numRows: int64(h.n), numCols: numCols}
-	for start := 0; start < h.n; start += RowGroupSize {
+	for gi := range numRowGroups(h.n) {
+		start := gi * RowGroupSize
 		end := min(start+RowGroupSize, h.n)
 		n := end - start
 		g := rowGroup{rows: n, segs: make([]Segment, numCols)}
@@ -65,6 +66,9 @@ func BuildColumnStore(objectID uint32, h *Heap) *ColumnStore {
 	}
 	return cs
 }
+
+// numRowGroups returns how many row groups a columnstore of n rows has.
+func numRowGroups(n int) int { return (n + RowGroupSize - 1) / RowGroupSize }
 
 // NumRows returns the stored row count.
 func (cs *ColumnStore) NumRows() int64 { return cs.numRows }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"lqs/internal/engine/catalog"
 	"lqs/internal/engine/types"
@@ -12,27 +11,53 @@ import (
 
 // Database ties a catalog to its physical structures: one heap per table,
 // plus whatever B-tree and columnstore indexes the catalog declares. It is
-// the "server side" state the execution engine runs against.
+// the "server side" state the execution engine runs against. A table's
+// heap is made when it is loaded; each index is built from the heap the
+// first time something reads it, as the table's column statistics are
+// (catalog.Table.ColStats).
 type Database struct {
 	Catalog *catalog.Catalog
 	Pool    *BufferPool
 
-	heaps     map[string]*Heap
-	btrees    map[string]*BTree
-	colstores map[string]*ColumnStore
-	nextObj   uint32
+	heaps   map[string]*Heap
+	indexes map[string]*index // by "table.index"
+	nextObj uint32
+}
+
+// index is one declared index: the heap it is built from, its object ID
+// and, once the first read has built it, its B-tree or columnstore. Every
+// view of the database shares it, so it is built once.
+type index struct {
+	def  *catalog.Index
+	heap *Heap
+	id   uint32
+	once sync.Once
+	bt   *BTree
+	cs   *ColumnStore
+}
+
+// build builds the index on the first call; later calls return at once.
+func (x *index) build() {
+	x.once.Do(func() {
+		if x.def.Kind == catalog.ColumnStore {
+			x.cs = BuildColumnStore(x.id, x.heap)
+			return
+		}
+		s := types.TakeSorter()
+		x.bt = BuildBTree(x.id, x.heap, x.def.KeyCols, x.def.Clustered, s)
+		types.PutSorter(s)
+	})
 }
 
 // NewDatabase creates an empty database over the given catalog with a
 // buffer pool of poolPages pages.
 func NewDatabase(cat *catalog.Catalog, poolPages int) *Database {
 	return &Database{
-		Catalog:   cat,
-		Pool:      NewBufferPool(poolPages),
-		heaps:     make(map[string]*Heap),
-		btrees:    make(map[string]*BTree),
-		colstores: make(map[string]*ColumnStore),
-		nextObj:   1,
+		Catalog: cat,
+		Pool:    NewBufferPool(poolPages),
+		heaps:   make(map[string]*Heap),
+		indexes: make(map[string]*index),
+		nextObj: 1,
 	}
 }
 
@@ -52,71 +77,51 @@ func (db *Database) Load(table string, rows []types.Row) {
 }
 
 // LoadValues stores the named table's rows, given back to back in one
-// value arena of one value per column each, as its heap; builds every
-// declared index; and records the row and page counts in the catalog. The
-// heap takes the arena without copying it: the caller transfers ownership,
-// and nothing writes to it from here on. It panics if the table is unknown
-// or the arena is not whole rows.
+// value arena of one value per column each, as its heap; declares every
+// index the catalog lists for it, each built on first use; and records
+// the row and page counts and each index's geometry in the catalog. The
+// heap takes the arena without copying it: the caller transfers
+// ownership, and nothing writes to it from here on. It panics if the
+// table is unknown or the arena is not whole rows.
 func (db *Database) LoadValues(table string, vals []types.Value) {
 	l := db.reserve(db.Catalog.MustTable(table))
-	l.loadHeap(vals)
-	var sorter types.CodeSorter
-	for j := range l.indexes {
-		l.buildIndex(j, &sorter)
-	}
+	l.load(vals)
 	db.install(l)
 }
 
 // Build creates a database over cat with a buffer pool of poolPages pages
 // and loads every table: gen[i] returns the value arena of the catalog's
-// i-th table, as LoadValues takes it, and the statistics are built at
+// i-th table, as LoadValues takes it, and the statistics are given at
 // buckets resolution. The result is the one NewDatabase, LoadValues of
 // each table in catalog order and BuildAllStats produce, bit for bit.
 //
-// The build is a task graph run on GOMAXPROCS workers, each with its own
-// sorter: generating a table's rows and making its heap is one task, and
-// once it is done each of the table's indexes and each of its columns'
-// statistics is another. Object IDs are reserved in LoadValues' order
-// before any task runs, and every task writes only its own structure, so
-// no result depends on the schedule. With one worker the graph runs on the
-// caller's goroutine.
+// The tables are generated on GOMAXPROCS workers, last table first:
+// schemas declare their large fact tables after the dimensions they
+// reference. Object IDs are reserved in LoadValues' order before any table
+// is generated, and each generation writes only its own table, so no
+// result depends on the schedule. With one worker the tables are generated
+// on the caller's goroutine. No index or histogram is built here.
 func Build(cat *catalog.Catalog, poolPages, buckets int, gen []func() []types.Value) *Database {
 	db := NewDatabase(cat, poolPages)
 	tables := cat.Tables()
 	if len(gen) != len(tables) {
 		panic(fmt.Sprintf("storage: %d generators for %d tables", len(gen), len(tables)))
 	}
-	if len(tables) == 0 {
-		return db // no task would close the queue
-	}
 	loads := make([]*tableLoad, len(tables))
-	tasks := 0
+	queue := make(chan int, len(tables))
 	for i, t := range tables {
 		loads[i] = db.reserve(t)
-		tasks += 1 + len(t.Indexes) + len(t.Columns)
+		queue <- len(tables) - 1 - i
 	}
-	// The queue holds every task the graph will ever have, so no send
-	// blocks; the worker that finishes the last task closes it. The
-	// generations are queued last table first: schemas declare their large
-	// fact tables after the dimensions they reference, and the largest
-	// table's generation heads the longest chain of tasks.
-	queue := make(chan buildTask, tasks)
-	for i := len(loads) - 1; i >= 0; i-- {
-		queue <- buildTask{l: loads[i], gen: gen[i]}
-	}
-	var left atomic.Int64
-	left.Store(int64(tasks))
+	close(queue)
 	work := func() {
-		var sorter types.CodeSorter
-		for task := range queue {
-			task.run(queue, buckets, &sorter)
-			if left.Add(-1) == 0 {
-				close(queue)
-			}
+		for i := range queue {
+			loads[i].load(gen[i]())
+			loads[i].t.StartStats(buckets, loads[i].heap.vals)
 		}
 	}
 	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), tasks) - 1 {
+	for range min(runtime.GOMAXPROCS(0), len(tables)) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -131,93 +136,47 @@ func Build(cat *catalog.Catalog, poolPages, buckets int, gen []func() []types.Va
 	return db
 }
 
-// buildTask is one task of Build's graph. With gen set it generates the
-// table's rows, makes its heap and queues the table's other tasks.
-// Otherwise step names the table's index step or, past its indexes, the
-// statistics of column step-len(indexes).
-type buildTask struct {
-	l    *tableLoad
-	gen  func() []types.Value
-	step int
-}
-
-func (task buildTask) run(queue chan<- buildTask, buckets int, s *types.CodeSorter) {
-	l, t := task.l, task.l.t
-	switch {
-	case task.gen != nil:
-		l.loadHeap(task.gen())
-		t.StartStats()
-		for step := range len(t.Indexes) + len(t.Columns) {
-			queue <- buildTask{l: l, step: step}
-		}
-	case task.step < len(t.Indexes):
-		l.buildIndex(task.step, s)
-	default:
-		t.BuildColumnStats(task.step-len(t.Indexes), buckets, l.heap.vals, s)
-	}
-}
-
-// tableLoad is one table's physical structures under construction. Each
-// build step writes only its own fields, so once the heap is made the
-// table's indexes (and its columns' statistics) may be built on different
-// goroutines.
+// tableLoad is one table being loaded: its catalog entry, its reserved
+// object IDs and, once loaded, its heap.
 type tableLoad struct {
-	t       *catalog.Table
-	heapID  uint32 // index j's object ID is heapID+1+j
-	heap    *Heap
-	indexes []builtIndex // by ordinal in t.Indexes
-}
-
-// builtIndex is the structure built for one index: a B-tree or a
-// columnstore.
-type builtIndex struct {
-	bt *BTree
-	cs *ColumnStore
+	t      *catalog.Table
+	heapID uint32 // index j's object ID is heapID+1+j
+	heap   *Heap
 }
 
 // reserve starts loading table t: it takes the next object IDs, the heap's
 // first and then one per index in declaration order.
 func (db *Database) reserve(t *catalog.Table) *tableLoad {
-	l := &tableLoad{t: t, heapID: db.nextObj, indexes: make([]builtIndex, len(t.Indexes))}
+	l := &tableLoad{t: t, heapID: db.nextObj}
 	db.nextObj += 1 + uint32(len(t.Indexes))
 	return l
 }
 
-// loadHeap makes the table's heap of vals and records its row and page
-// counts in the catalog.
-func (l *tableLoad) loadHeap(vals []types.Value) {
-	l.heap = NewHeap(l.heapID, len(l.t.Columns), vals)
-	l.t.RowCount = l.heap.NumRows()
-	l.t.Pages = l.heap.NumPages()
-}
-
-// buildIndex builds the table's index j over its heap, sorting with s, and
-// records the index's physical metadata in the catalog.
-func (l *tableLoad) buildIndex(j int, s *types.CodeSorter) {
-	ix, id := l.t.Indexes[j], l.heapID+1+uint32(j)
-	switch ix.Kind {
-	case catalog.BTree:
-		bt := BuildBTree(id, l.heap, ix.KeyCols, ix.Clustered, s)
-		ix.LeafPages = bt.NumLeafPages()
-		ix.Height = bt.Height()
-		l.indexes[j].bt = bt
-	case catalog.ColumnStore:
-		cs := BuildColumnStore(id, l.heap)
-		ix.RowGroups = int64(cs.NumRowGroups())
-		l.indexes[j].cs = cs
+// load makes the table's heap of vals and records in the catalog its row
+// and page counts and the geometry each index will have once built: a
+// B-tree's leaf pages and height (btreeShape, which BuildBTree also uses)
+// and a columnstore's row groups.
+func (l *tableLoad) load(vals []types.Value) {
+	h := NewHeap(l.heapID, len(l.t.Columns), vals)
+	l.heap = h
+	l.t.RowCount = h.NumRows()
+	l.t.Pages = h.NumPages()
+	for _, ix := range l.t.Indexes {
+		switch ix.Kind {
+		case catalog.BTree:
+			_, leaves, levels := btreeShape(h, ix.KeyCols, ix.Clustered)
+			ix.LeafPages, ix.Height = int64(leaves), len(levels)+1
+		case catalog.ColumnStore:
+			ix.RowGroups = int64(numRowGroups(h.n))
+		}
 	}
 }
 
-// install makes the table's loaded structures the database's.
+// install makes the table's heap the database's and declares its indexes.
 func (db *Database) install(l *tableLoad) {
 	db.heaps[l.t.Name] = l.heap
 	for j, ix := range l.t.Indexes {
-		switch built := l.indexes[j]; {
-		case built.bt != nil:
-			db.btrees[l.t.Name+"."+ix.Name] = built.bt
-		case built.cs != nil:
-			db.colstores[l.t.Name+"."+ix.Name] = built.cs
-		}
+		db.indexes[l.t.Name+"."+ix.Name] = &index{def: ix, heap: l.heap, id: l.heapID + 1 + uint32(j)}
 	}
 }
 
@@ -230,53 +189,79 @@ func (db *Database) Heap(table string) *Heap {
 	return h
 }
 
-// BTree returns the named B-tree index of a table.
-func (db *Database) BTree(table, index string) *BTree {
-	t := db.btrees[table+"."+index]
-	if t == nil {
-		panic(fmt.Sprintf("storage: no btree %s.%s", table, index))
+// BTree returns the named B-tree index of a table, building it on the
+// first call.
+func (db *Database) BTree(table, name string) *BTree {
+	x := db.indexes[table+"."+name]
+	if x == nil || x.def.Kind != catalog.BTree {
+		panic(fmt.Sprintf("storage: no btree %s.%s", table, name))
 	}
-	return t
+	x.build()
+	return x.bt
 }
 
-// ColumnStore returns the named columnstore index of a table.
-func (db *Database) ColumnStore(table, index string) *ColumnStore {
-	cs := db.colstores[table+"."+index]
-	if cs == nil {
-		panic(fmt.Sprintf("storage: no columnstore %s.%s", table, index))
+// ColumnStore returns the named columnstore index of a table, building it
+// on the first call.
+func (db *Database) ColumnStore(table, name string) *ColumnStore {
+	x := db.indexes[table+"."+name]
+	if x == nil || x.def.Kind != catalog.ColumnStore {
+		panic(fmt.Sprintf("storage: no columnstore %s.%s", table, name))
 	}
-	return cs
+	x.build()
+	return x.cs
+}
+
+// Built lists what has been built beyond the heaps, in catalog order: each
+// built index as "index table.name" and each built column's statistics as
+// "stats table.column". It is for tests, which call it while nothing else
+// reads the database.
+func (db *Database) Built() []string {
+	var out []string
+	for _, t := range db.Catalog.Tables() {
+		for _, ix := range t.Indexes {
+			if x := db.indexes[t.Name+"."+ix.Name]; x != nil && (x.bt != nil || x.cs != nil) {
+				out = append(out, "index "+t.Name+"."+ix.Name)
+			}
+		}
+		for c, col := range t.Columns {
+			if t.StatsBuilt(c) {
+				out = append(out, "stats "+t.Name+"."+col.Name)
+			}
+		}
+	}
+	return out
 }
 
 // View returns a second handle on the same loaded database: it shares the
-// catalog and the physical structures (heaps, b-trees, columnstores) and
-// carries a private, cold buffer pool of the same capacity and no fault
-// injector. Sharing is safe because rows are immutable once loaded and
-// the catalog is read-only once its statistics are built (by Build, or
-// by BuildAllStats); take views only after both.
+// catalog and the physical structures (heaps, and the indexes, built or
+// not) and carries a private, cold buffer pool of the same capacity and no
+// fault injector. Sharing is safe because rows are immutable once loaded
+// and every index and column statistic is a pure function of its heap,
+// built once, under a sync.Once every view shares, by whichever view reads
+// it first. Take views once the tables are loaded (Build has returned, or
+// the last LoadValues and BuildAllStats have).
 // Parallel workers and concurrently hosted queries each run on a view:
 // private pools keep every user's logical/physical read split a pure
 // function of its own page access sequence — sharing one LRU would make
 // eviction order, and therefore physical-read counts, schedule-dependent.
 func (db *Database) View() *Database {
 	return &Database{
-		Catalog:   db.Catalog,
-		Pool:      NewBufferPool(db.Pool.Capacity()),
-		heaps:     db.heaps,
-		btrees:    db.btrees,
-		colstores: db.colstores,
-		nextObj:   db.nextObj,
+		Catalog: db.Catalog,
+		Pool:    NewBufferPool(db.Pool.Capacity()),
+		heaps:   db.heaps,
+		indexes: db.indexes,
+		nextObj: db.nextObj,
 	}
 }
 
-// BuildAllStats computes histograms for every loaded table.
+// BuildAllStats gives every loaded table its statistics at buckets
+// resolution; each column's histogram is built on first read
+// (catalog.Table.ColStats).
 func (db *Database) BuildAllStats(buckets int) {
 	for _, t := range db.Catalog.Tables() {
-		h := db.heaps[t.Name]
-		if h == nil {
-			continue
+		if h := db.heaps[t.Name]; h != nil {
+			t.StartStats(buckets, h.vals)
 		}
-		t.BuildStats(buckets, h.vals)
 	}
 }
 

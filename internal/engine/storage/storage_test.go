@@ -397,12 +397,12 @@ func TestDatabaseSecondaryIndexSeekToHeap(t *testing.T) {
 func TestDatabaseStats(t *testing.T) {
 	cat, db := testCatalogAndDB(t)
 	db.BuildAllStats(16)
-	st := cat.MustTable("items").Stats
-	if st == nil || st.Rows != 500 {
+	items := cat.MustTable("items")
+	if st := items.Stats; st == nil || st.Rows != 500 {
 		t.Fatal("stats not built")
 	}
-	if st.Cols[1].Distinct != 7 {
-		t.Fatalf("grp distinct = %v, want 7", st.Cols[1].Distinct)
+	if d := items.ColStats(1).Distinct; d != 7 {
+		t.Fatalf("grp distinct = %v, want 7", d)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // OrderCode maps a non-NULL int or non-NaN float to a uint64 whose
@@ -52,6 +53,17 @@ type CodeSorter struct {
 	perm  []int64  // the radix sort's other permutation buffer
 	rank  []uint32 // RankStrings' scratch by intern id: a seen mark, then the rank
 }
+
+// sorters holds idle sorters, so builds that run at different times share
+// their scratch instead of each growing its own.
+var sorters = sync.Pool{New: func() any { return new(CodeSorter) }}
+
+// TakeSorter returns an idle sorter; hand it back with PutSorter once its
+// buffers are no longer read.
+func TakeSorter() *CodeSorter { return sorters.Get().(*CodeSorter) }
+
+// PutSorter returns s to the idle sorters.
+func PutSorter(s *CodeSorter) { sorters.Put(s) }
 
 // Codes returns a code buffer of length n, reused by the next call.
 func (s *CodeSorter) Codes(n int) []uint64 {

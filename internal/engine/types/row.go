@@ -107,14 +107,20 @@ func (r Row) String() string {
 func (r Row) Width() int {
 	w := 0
 	for _, v := range r {
-		switch v.K {
-		case KindNull:
-			w++
-		case KindString:
-			w += 2 + len(v.Str())
-		default:
-			w += 8
-		}
+		w += v.Width()
 	}
 	return w
+}
+
+// Width returns the approximate stored width of v in bytes, as Row.Width
+// counts it.
+func (v Value) Width() int {
+	switch v.K {
+	case KindNull:
+		return 1
+	case KindString:
+		return 2 + len(v.Str())
+	default:
+		return 8
+	}
 }

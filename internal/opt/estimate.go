@@ -110,12 +110,8 @@ func (e *Estimator) Estimate(p *plan.Plan) {
 	distinct := func(n *plan.Node, col int) float64 {
 		pr := provOf(n)
 		if col < len(pr) && pr[col].tab != nil {
-			t := pr[col].tab
-			if t.Stats != nil && pr[col].col < len(t.Stats.Cols) && t.Stats.Cols[pr[col].col] != nil {
-				d := t.Stats.Cols[pr[col].col].Distinct
-				if d > 0 {
-					return d
-				}
+			if cs := pr[col].tab.ColStats(pr[col].col); cs != nil && cs.Distinct > 0 {
+				return cs.Distinct
 			}
 		}
 		nrows := perExec[n]
@@ -280,10 +276,10 @@ func (e *Estimator) seekRows(n *plan.Node, provOf func(*plan.Node) []colRef) flo
 	keyCol := ix.KeyCols[0]
 	var hist *catalog.Histogram
 	var dv float64 = math.Sqrt(total)
-	if t.Stats != nil && keyCol < len(t.Stats.Cols) && t.Stats.Cols[keyCol] != nil {
-		hist = t.Stats.Cols[keyCol].Hist
-		if t.Stats.Cols[keyCol].Distinct > 0 {
-			dv = t.Stats.Cols[keyCol].Distinct
+	if cs := t.ColStats(keyCol); cs != nil {
+		hist = cs.Hist
+		if cs.Distinct > 0 {
+			dv = cs.Distinct
 		}
 	}
 	if correlated(n.SeekLo) || correlated(n.SeekHi) {

@@ -188,11 +188,7 @@ func (e *Estimator) statsFor(pr []colRef, idx int) *catalog.ColumnStats {
 	if idx < 0 || idx >= len(pr) || pr[idx].tab == nil {
 		return nil
 	}
-	t := pr[idx].tab
-	if t.Stats == nil || pr[idx].col >= len(t.Stats.Cols) {
-		return nil
-	}
-	return t.Stats.Cols[pr[idx].col]
+	return pr[idx].tab.ColStats(pr[idx].col)
 }
 
 func (e *Estimator) histFor(pr []colRef, idx int) *catalog.Histogram {

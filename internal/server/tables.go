@@ -10,12 +10,16 @@ import (
 )
 
 // tableCacheCap is how many generated workloads a server keeps. A
-// generated database is immutable and some 22 MB, and building one takes
-// some ten times as long as the rest of a submission (about 30 ms against
-// 1–3 ms for TPC-H, a cold and a warm POST /queries to lqsd on a 2-CPU x86
-// VM, the database built on both processors), so repeat traffic on a
-// (workload, seed) must find it built — but every distinct seed is another
-// database, so the set is bounded. Four covers the two or three databases
+// generated database is immutable, and building one takes about five times
+// as long as the rest of a submission (medians of 14–17 ms against about
+// 3 ms for TPC-H Q6, a cold and a warm POST /queries to lqsd at -pace 0 on
+// a 2-CPU x86 VM), so repeat traffic on a (workload, seed) must find it
+// built — but every distinct seed is another database, so the set is
+// bounded. A cached TPC-H database holds 5.2 MB of live heap before its
+// first query, about as much after one (Q1, Q3 or Q6), and 7.5 MB once
+// every suite query has built the indexes and statistics it reads
+// (runtime.MemStats.HeapAlloc after a forced collection, less the same
+// before the build; seed 42). Four covers the two or three databases
 // monitoring traffic alternates between with room for a newcomer to
 // displace the least recently used one instead of a live one.
 const tableCacheCap = 4

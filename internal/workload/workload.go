@@ -178,8 +178,8 @@ func (ts *tableSet) add(rng *sim.RNG, name string, n int64, cols []colSpec) *cat
 	return t
 }
 
-// database builds the declared tables, their indexes and their statistics
-// (storage.Build).
+// database generates the declared tables (storage.Build); their indexes
+// and statistics are built on first use.
 func (ts *tableSet) database() *storage.Database {
 	return storage.Build(ts.cat, 1<<18, histogramBuckets, ts.gen)
 }
