@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet sort-guard build test race bench bench-check bench-build bench-replay trace-smoke examples-smoke fuzz-smoke chaos-smoke serve-smoke acc-json acc-smoke ci
+.PHONY: all vet sort-guard build test race bench-check bench-build bench-replay trace-smoke examples-smoke fuzz-smoke chaos-smoke serve-smoke acc-json acc-smoke ci
 
 all: ci
 
@@ -59,19 +59,14 @@ fuzz-smoke:
 # with estimator invariants checked at every poll. Exits non-zero on any
 # contract violation.
 chaos-smoke:
-	$(GO) run ./cmd/lqsbench -chaos -seed 7
-
-# Quick-mode suite with parallel tracing; machine-readable timings (with
-# speedup vs a serial reference pass) land in bench.json.
-bench:
-	$(GO) run ./cmd/lqsbench -parallel 0 -bench-json bench.json
+	$(GO) run ./cmd/lqsbench chaos -seed 7
 
 # Tiny tracing smoke test: run a few queries with event tracing on, emit
 # Chrome trace-event JSON, and validate it against the schema (ValidateChrome
-# runs inside lqsbench before each file is written; the python step checks
-# the files parse as the JSON-object trace format Perfetto expects).
+# runs inside lqsbench before each file is written); then require every
+# artifact to exist, and run lqsmon's explain path with and without chaos.
 trace-smoke:
-	rm -rf .trace-smoke && $(GO) run ./cmd/lqsbench -run none -trace-dir .trace-smoke -trace-limit 2
+	rm -rf .trace-smoke && $(GO) run ./cmd/lqsbench trace -dir .trace-smoke -limit 2
 	$(GO) run ./cmd/lqsmon -plain -explain -interval 5ms -q Q1 > /dev/null
 	$(GO) run ./cmd/lqsmon -plain -explain -chaos 0.05 -q Q5 > /dev/null
 	@ls .trace-smoke/*.trace.json .trace-smoke/*.explain.txt .trace-smoke/metrics.txt > /dev/null
@@ -137,13 +132,13 @@ serve-smoke:
 # error ceiling. Override the label per PR: `make acc-json ACC_LABEL=pr10`.
 ACC_LABEL ?= pr10
 acc-json:
-	$(GO) run ./cmd/lqsbench -accuracy -acc-label $(ACC_LABEL) -acc-json ACC_$(ACC_LABEL).json
+	$(GO) run ./cmd/lqsbench accuracy -label $(ACC_LABEL) -json ACC_$(ACC_LABEL).json
 
 # Quick accuracy gate for CI: same suite, artifact to a scratch file, plus
 # the in-tree threshold test (the per-mode ceilings also run under plain
 # `make test` via TestQuickSuiteWithinCeilings).
 acc-smoke:
-	$(GO) run ./cmd/lqsbench -accuracy -acc-label ci -acc-json .acc-smoke.json
+	$(GO) run ./cmd/lqsbench accuracy -label ci -json .acc-smoke.json
 	@rm -f .acc-smoke.json && echo "acc-smoke: OK"
 
 # The repo benchmark (bench/, driven by BENCHMARK.json) is a module of its

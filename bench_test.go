@@ -6,7 +6,7 @@
 //	go test -bench=. -benchmem
 //
 // The figure benchmarks use the Quick configuration (the large REAL
-// workloads are strided); cmd/lqsbench -full runs everything untrimmed.
+// workloads are strided); `lqsbench figures -full` runs everything untrimmed.
 package lqs_test
 
 import (

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,13 +12,13 @@ import (
 	"lqs/internal/experiments"
 )
 
-// TestRunTraceDir drives the -trace-dir path for one query: it must write
-// the Chrome trace and the mid-query explain, and the explain must be a
+// TestRunTraceDir drives the trace job for one query: it must write the
+// Chrome trace and the mid-query explain, and the explain must be a
 // rendered estimator decomposition.
 func TestRunTraceDir(t *testing.T) {
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-run", "none", "-trace-dir", dir, "-trace-limit", "1"}, &stdout, &stderr); err != nil {
+	if err := run([]string{"trace", "-dir", dir, "-limit", "1"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "wrote 2 trace artifacts") {
@@ -38,59 +39,59 @@ func TestRunTraceDir(t *testing.T) {
 
 func TestRunBadFlag(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-no-such-flag"}, &stdout, &stderr); err == nil {
+	if err := run([]string{"figures", "-no-such-flag"}, &stdout, &stderr); err == nil {
 		t.Fatal("run accepted an unknown flag")
 	}
 }
 
-// TestRunList: -list prints every experiment ID, one a line, in order, and
+// TestRunList: list prints every experiment ID, one a line, in order, and
 // runs nothing.
 func TestRunList(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-list"}, &stdout, &stderr); err != nil {
+	if err := run([]string{"list"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
 	}
 	if want := strings.Join(experiments.IDs(), "\n") + "\n"; stdout.String() != want {
-		t.Fatalf("-list printed\n%s\nwant\n%s", stdout.String(), want)
+		t.Fatalf("list printed\n%s\nwant\n%s", stdout.String(), want)
 	}
 }
 
-// TestRunFig14: -run Fig14 renders that one figure, a row per workload,
-// and reports its completion.
+// TestRunFig14: figures -run Fig14 renders that one figure, a row per
+// workload, and reports its completion.
 func TestRunFig14(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-run", "Fig14"}, &stdout, &stderr); err != nil {
+	if err := run([]string{"figures", "-run", "Fig14"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
 	}
 	out := stdout.String()
 	if !strings.HasPrefix(out, "=== Fig14: ") || strings.Count(out, "=== ") != 1 || !strings.Contains(out, "(Fig14 completed in ") {
-		t.Fatalf("-run Fig14 printed:\n%s", out)
+		t.Fatalf("figures -run Fig14 printed:\n%s", out)
 	}
 	for _, w := range []string{"TPC-H", "TPC-DS", "REAL-1", "REAL-2", "REAL-3"} {
 		if !strings.Contains(out, "\n"+w+" ") {
-			t.Errorf("-run Fig14 has no %s row:\n%s", w, out)
+			t.Errorf("figures -run Fig14 has no %s row:\n%s", w, out)
 		}
 	}
 }
 
-// TestRunChaos: -chaos -seed 7 runs the quick battery and prints a
-// verdict with no contract violation.
+// TestRunChaos: chaos -seed 7 runs the quick battery and prints a verdict
+// with no contract violation.
 func TestRunChaos(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-chaos", "-seed", "7"}, &stdout, &stderr); err != nil {
+	if err := run([]string{"chaos", "-seed", "7"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "verdict: ") || !strings.Contains(stdout.String(), ", 0 violation(s)\n") {
-		t.Fatalf("-chaos printed no clean verdict:\n%s", stdout.String())
+		t.Fatalf("chaos printed no clean verdict:\n%s", stdout.String())
 	}
 }
 
-// TestRunAccuracy: -accuracy -acc-json writes a report that parses and
-// grades all four estimator modes.
+// TestRunAccuracy: accuracy -json writes a report that parses and grades
+// all four estimator modes.
 func TestRunAccuracy(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "acc.json")
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-accuracy", "-acc-label", "test", "-acc-json", path}, &stdout, &stderr); err != nil {
+	if err := run([]string{"accuracy", "-label", "test", "-json", path}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
 	}
 	data, err := os.ReadFile(path)
@@ -116,13 +117,13 @@ func TestRunAccuracy(t *testing.T) {
 	}
 }
 
-// TestRunTraceMetrics: a -trace-dir run writes metrics.txt beside its
-// traces, with the buffer pool's counters and the estimator-error
-// histogram the traces fed.
+// TestRunTraceMetrics: a trace run writes metrics.txt beside its traces,
+// with the buffer pool's counters and the estimator-error histogram the
+// traces fed.
 func TestRunTraceMetrics(t *testing.T) {
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-run", "none", "-trace-dir", dir, "-trace-limit", "1"}, &stdout, &stderr); err != nil {
+	if err := run([]string{"trace", "-dir", dir, "-limit", "1"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "metrics.txt"))
@@ -136,26 +137,45 @@ func TestRunTraceMetrics(t *testing.T) {
 	}
 }
 
-// TestRunBenchJSON: -run Fig14 -bench-json writes timings that parse, one
-// phase for the one figure.
-func TestRunBenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs Fig14 (seconds)")
+// TestJobsRejectForeignFlags: a job refuses a flag that only another job
+// reads, before it runs anything or writes a file, and prints its own
+// usage. With no job, or an unknown one, lqsbench prints the job list.
+func TestJobsRejectForeignFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"chaos", "-json", filepath.Join(dir, "x")},
+		{"figures", "-dir", filepath.Join(dir, "x")},
+		{"accuracy", "-run", "Fig14"},
+		{"list", "-seed", "7"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(args, &stdout, &stderr)
+		var ue *usageError
+		if !errors.As(err, &ue) {
+			t.Errorf("%v: error %v, want a usage error", args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v wrote to stdout:\n%s", args, stdout.String())
+		}
+		if !strings.HasPrefix(stderr.String(), "usage: lqsbench "+args[0]+" [flags]\n") {
+			t.Errorf("%v printed no usage of its job:\n%s", args, stderr.String())
+		}
 	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-run", "Fig14", "-bench-json", path}, &stdout, &stderr); err != nil {
-		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("refused jobs left %v in their directory (err %v)", entries, err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("%s does not parse: %v", path, err)
-	}
-	if len(rep.Phases) != 1 || rep.Phases[0].ID != "Fig14" || rep.Phases[0].WallSeconds <= 0 {
-		t.Fatalf("phases %+v, want one for Fig14", rep.Phases)
+	for _, args := range [][]string{nil, {"-chaos"}, {"bench"}} {
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err == nil {
+			t.Errorf("%v: run succeeded, want an error", args)
+		}
+		for _, j := range jobs {
+			if !strings.Contains(stderr.String(), "\n  "+j.name+" ") {
+				t.Errorf("%v: job list lacks %s:\n%s", args, j.name, stderr.String())
+			}
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v wrote to stdout:\n%s", args, stdout.String())
+		}
 	}
 }

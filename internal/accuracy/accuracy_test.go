@@ -129,7 +129,7 @@ func TestReportDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("traces the TPC-H quick suite twice; skipped under -short")
 	}
-	cfg := Config{Label: "det", Seed: 7, Workloads: []string{"tpch"}, Limit: 4}
+	cfg := Config{Label: "det", Seed: 7, Workloads: []string{"tpch"}, Limit: 4, Parallel: 1}
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -60,9 +60,6 @@ func (cfg Config) defaulted() Config {
 	if cfg.Limit <= 0 {
 		cfg.Limit = DefaultQuickLimit
 	}
-	if cfg.Parallel == 0 {
-		cfg.Parallel = 1
-	}
 	return cfg
 }
 

@@ -67,26 +67,30 @@ func batchNative(n *plan.Node) bool {
 // whose consumer keeps rows or not (see buildOperator). Nodes without a
 // native batch implementation are built as row operators behind a
 // rowToBatch adapter (their own children recurse through buildOperator and
-// re-enter batch-native subtrees below).
+// re-enter batch-native subtrees below). Each operator built is recorded
+// with ctx.
 func buildBatchOperator(n *plan.Node, ctx *Ctx, keep bool) BatchOperator {
+	var b BatchOperator
 	switch n.Physical {
 	case plan.TableScan:
-		return newBatchTableScan(n)
+		b = newBatchTableScan(n)
 	case plan.ConstantScan:
-		return newBatchConstantScan(n)
+		b = newBatchConstantScan(n)
 	case plan.ColumnstoreIndexScan:
-		return newBatchColumnstoreScan(n, keep)
+		b = newBatchColumnstoreScan(n, keep)
 	case plan.Filter:
-		return newBatchFilter(n, buildBatchOperator(n.Children[0], ctx, keep))
+		b = newBatchFilter(n, buildBatchOperator(n.Children[0], ctx, keep))
 	case plan.ComputeScalar:
-		return newBatchCompute(n, buildBatchOperator(n.Children[0], ctx, false), keep)
+		b = newBatchCompute(n, buildBatchOperator(n.Children[0], ctx, false), keep)
 	case plan.StreamAggregate:
-		return newBatchStreamAgg(n, buildBatchOperator(n.Children[0], ctx, false))
+		b = newBatchStreamAgg(n, buildBatchOperator(n.Children[0], ctx, false))
 	default:
 		// Above batch size 1 the adapter holds a whole batch of its row
 		// child's output before its consumer reads the first row.
 		return &rowToBatch{op: buildRowOperator(n, ctx, keep || ctx.BatchSize > 1)}
 	}
+	ctx.record(b.Counters())
+	return b
 }
 
 // batchRampInitial is the batch size a batchToRow adapter starts at,

@@ -203,11 +203,12 @@ type Ctx struct {
 	// where operator Close is not called.
 	cleanups []func()
 
-	// threadCounters are the per-(node, thread) counter sets of parallel
-	// worker operator instances, registered at build time by the gather so
-	// DMV captures see every thread row from the first poll. Coordinator
-	// instances live in Query.ops instead.
-	threadCounters []*Counters
+	// counters and ops are what the build recorded (see record and index):
+	// every (node, thread) counter row, worker rows included, so DMV
+	// captures see each from the first poll, and the operator each
+	// coordinator plan node runs as. NewQueryBatch moves them to the Query.
+	counters []*Counters
+	ops      map[int]Operator
 
 	// lock serializes counter and clock mutation against concurrent DMV
 	// captures. The executing goroutine holds it for the duration of each
@@ -263,6 +264,29 @@ func (ctx *Ctx) CancelCause(reason string) {
 // onCleanup registers f to run once when the query reaches any terminal
 // state. Called on the executing goroutine only.
 func (ctx *Ctx) onCleanup(f func()) { ctx.cleanups = append(ctx.cleanups, f) }
+
+// record registers the counter row of an operator as it is built. A worker
+// context stamps the row with its thread and hands it to its coordinator.
+func (ctx *Ctx) record(c *Counters) {
+	if ctx.parent != nil {
+		c.Thread = ctx.Thread
+		ctx = ctx.parent
+	}
+	ctx.counters = append(ctx.counters, c)
+}
+
+// index makes op the operator coordinator plan node id runs as: a row
+// operator, or the adapter over a batch one. Worker operators (DOP of them
+// per node) are not indexed.
+func (ctx *Ctx) index(id int, op Operator) {
+	if ctx.parent != nil {
+		return
+	}
+	if ctx.ops == nil {
+		ctx.ops = make(map[int]Operator)
+	}
+	ctx.ops[id] = op
+}
 
 // runCleanups runs and clears the registered cleanup hooks; idempotent.
 func (ctx *Ctx) runCleanups() {

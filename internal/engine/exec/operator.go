@@ -111,10 +111,12 @@ func BuildOperator(n *plan.Node, ctx *Ctx) Operator { return buildOperator(n, ct
 // buildOperator is BuildOperator for an edge whose consumer keeps rows or
 // not.
 func buildOperator(n *plan.Node, ctx *Ctx, keep bool) Operator {
-	if batchNative(n) {
-		return newBatchToRow(buildBatchOperator(n, ctx, keep))
+	if !batchNative(n) {
+		return buildRowOperator(n, ctx, keep)
 	}
-	return buildRowOperator(n, ctx, keep)
+	a := newBatchToRow(buildBatchOperator(n, ctx, keep))
+	ctx.index(n.ID, a)
+	return a
 }
 
 // returnsLeftRows reports whether a join returns the rows of its first
@@ -124,50 +126,55 @@ func returnsLeftRows(n *plan.Node) bool {
 }
 
 // buildRowOperator constructs the row-at-a-time operator for a node with
-// no batch-native implementation. Children recurse through buildOperator.
+// no batch-native implementation and records it with ctx. Children recurse
+// through buildOperator.
 func buildRowOperator(n *plan.Node, ctx *Ctx, keep bool) Operator {
 	child := func(i int, k bool) Operator { return buildOperator(n.Children[i], ctx, k) }
+	var op Operator
 	switch n.Physical {
 	case plan.ClusteredIndexScan, plan.IndexScan:
-		return newIndexScan(n)
+		op = newIndexScan(n)
 	case plan.ClusteredIndexSeek, plan.IndexSeek:
-		return newIndexSeek(n, keep)
+		op = newIndexSeek(n, keep)
 	case plan.RIDLookup:
-		return newRIDLookup(n, child(0, false))
+		op = newRIDLookup(n, child(0, false))
 	case plan.SegmentOp:
-		return newSegment(n, child(0, keep))
+		op = newSegment(n, child(0, keep))
 	case plan.Concatenation:
 		kids := make([]Operator, len(n.Children))
 		for i := range n.Children {
 			kids[i] = child(i, keep)
 		}
-		return newConcat(n, kids)
+		op = newConcat(n, kids)
 	case plan.Sort, plan.DistinctSort:
-		return newSort(n, child(0, true))
+		op = newSort(n, child(0, true))
 	case plan.TopNSort:
-		return newTopNSort(n, child(0, false))
+		op = newTopNSort(n, child(0, false))
 	case plan.HashAggregate:
-		return newHashAgg(n, child(0, false))
+		op = newHashAgg(n, child(0, false))
 	case plan.HashJoin:
-		return newHashJoin(n, child(0, keep && returnsLeftRows(n)), child(1, true), keep)
+		op = newHashJoin(n, child(0, keep && returnsLeftRows(n)), child(1, true), keep)
 	case plan.MergeJoin:
-		return newMergeJoin(n, child(0, keep && returnsLeftRows(n)), child(1, false), keep)
+		op = newMergeJoin(n, child(0, keep && returnsLeftRows(n)), child(1, false), keep)
 	case plan.NestedLoops:
-		return newNestedLoops(n, child(0, false), child(1, false), keep)
+		op = newNestedLoops(n, child(0, false), child(1, false), keep)
 	case plan.TableSpool:
-		return newSpool(n, child(0, true))
+		op = newSpool(n, child(0, true))
 	case plan.BitmapCreate:
 		if ctx.Bitmaps == nil {
 			ctx.Bitmaps = make(map[int]*bitmapFilter)
 		}
 		bf := &bitmapFilter{}
 		ctx.Bitmaps[n.ID] = bf
-		return newBitmap(n, child(0, keep), bf)
+		op = newBitmap(n, child(0, keep), bf)
 	case plan.Exchange:
-		return newExchangeOrGather(n, ctx)
+		op = newExchangeOrGather(n, ctx)
 	default:
 		panic(fmt.Sprintf("exec: no operator for %v", n.Physical))
 	}
+	ctx.record(op.Counters())
+	ctx.index(n.ID, op)
+	return op
 }
 
 // joinOutput makes a join's output rows in one buffer the join owns. The

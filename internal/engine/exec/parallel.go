@@ -304,28 +304,34 @@ func parseZone(n *plan.Node) (rep *plan.Node, ok bool) {
 }
 
 // buildStage2 rebuilds the zone spine above the repartition for one worker,
-// grafting the worker's bucket source where the repartition sits. The
-// spine's output crosses the gather, which keeps it.
-func buildStage2(n, rep *plan.Node, src Operator) Operator {
+// grafting the worker's bucket source where the repartition sits, and
+// records each operator with the worker's context. The spine's output
+// crosses the gather, which keeps it.
+func buildStage2(n, rep *plan.Node, src Operator, wctx *Ctx) Operator {
 	if n == rep {
 		return src
 	}
-	child := buildStage2(n.Children[0], rep, src)
+	child := buildStage2(n.Children[0], rep, src, wctx)
+	var op Operator
 	switch n.Physical {
 	case plan.Filter:
-		return newBatchToRow(newBatchFilter(n, asBatch(child)))
+		op = newBatchToRow(newBatchFilter(n, asBatch(child)))
 	case plan.ComputeScalar:
-		return newBatchToRow(newBatchCompute(n, asBatch(child), true))
+		op = newBatchToRow(newBatchCompute(n, asBatch(child), true))
 	case plan.HashAggregate:
-		return newHashAgg(n, child)
+		op = newHashAgg(n, child)
+	default:
+		panic(fmt.Sprintf("exec: unexpected stage-2 operator %v", n.Physical))
 	}
-	panic(fmt.Sprintf("exec: unexpected stage-2 operator %v", n.Physical))
+	wctx.record(op.Counters())
+	return op
 }
 
 // tryNewGather builds the parallel gather for an Exchange node, or returns
-// nil when the subtree is not a safe zone. Worker trees (and therefore all
-// per-thread counter rows) are built eagerly so the DMV sees every (node,
-// thread) row from the first poll, long before the zone starts.
+// nil when the subtree is not a safe zone. Worker trees are built eagerly,
+// each on its worker's context, which records every (node, thread) counter
+// row with the coordinator, so the DMV sees them from the first poll, long
+// before the zone starts.
 func tryNewGather(n *plan.Node, ctx *Ctx, dop int) *gather {
 	rep, ok := parseZone(n.Children[0])
 	if !ok {
@@ -333,7 +339,6 @@ func tryNewGather(n *plan.Node, ctx *Ctx, dop int) *gather {
 	}
 	g := &gather{rootCtx: ctx, rep: rep}
 	g.init(n)
-	seen := make(map[*Counters]bool)
 	for w := 0; w < dop; w++ {
 		wctx := &Ctx{
 			DB:        ctx.DB.View(),
@@ -350,75 +355,21 @@ func tryNewGather(n *plan.Node, ctx *Ctx, dop int) *gather {
 			req:  make(chan int),
 			resp: make(chan workerResp, 1),
 		}
-		prodCtr := &Counters{
-			NodeID: n.ID, Thread: w + 1,
-			Physical: n.Physical, Logical: n.Logical, EstRows: n.EstRows,
-		}
+		prodCtr := &Counters{NodeID: n.ID, Physical: n.Physical, Logical: n.Logical, EstRows: n.EstRows}
+		wctx.record(prodCtr)
 		if rep == nil {
 			zw.root = &producerWrap{node: n, c: prodCtr, child: buildOperator(n.Children[0], wctx, true)}
 		} else {
-			repCtr := &Counters{
-				NodeID: rep.ID, Thread: w + 1,
-				Physical: rep.Physical, Logical: rep.Logical, EstRows: rep.EstRows,
-			}
+			repCtr := &Counters{NodeID: rep.ID, Physical: rep.Physical, Logical: rep.Logical, EstRows: rep.EstRows}
+			wctx.record(repCtr)
 			zw.root = &producerWrap{node: rep, c: repCtr, child: buildOperator(rep.Children[0], wctx, true)}
 			bs := &bucketSource{c: repCtr}
-			zw.stage2 = &producerWrap{node: n, c: prodCtr, child: buildStage2(n.Children[0], rep, bs)}
+			zw.stage2 = &producerWrap{node: n, c: prodCtr, child: buildStage2(n.Children[0], rep, bs, wctx)}
 			g.bsrcs = append(g.bsrcs, bs)
 		}
 		g.workers = append(g.workers, zw)
-		registerWorkerCounters(ctx, zw.root, w+1, seen)
-		if zw.stage2 != nil {
-			registerWorkerCounters(ctx, zw.stage2, w+1, seen)
-		}
 	}
 	return g
-}
-
-// registerWorkerCounters walks a worker tree, stamps every counter set
-// with the worker's thread ordinal (buildOperator-built zone operators
-// default to thread 0), and registers each distinct set with the
-// coordinator context for DMV capture.
-func registerWorkerCounters(ctx *Ctx, op Operator, thread int, seen map[*Counters]bool) {
-	if op == nil {
-		return
-	}
-	if c := op.Counters(); !seen[c] {
-		seen[c] = true
-		c.Thread = thread
-		ctx.threadCounters = append(ctx.threadCounters, c)
-	}
-	switch t := op.(type) {
-	case *producerWrap:
-		registerWorkerCounters(ctx, t.child, thread, seen)
-	case *hashAgg:
-		registerWorkerCounters(ctx, t.child, thread, seen)
-	case *batchToRow:
-		registerBatchWorkerCounters(ctx, t.b, thread, seen)
-	}
-}
-
-// registerBatchWorkerCounters is registerWorkerCounters over a batch
-// subtree inside a worker tree.
-func registerBatchWorkerCounters(ctx *Ctx, b BatchOperator, thread int, seen map[*Counters]bool) {
-	if b == nil {
-		return
-	}
-	if c := b.Counters(); !seen[c] {
-		seen[c] = true
-		c.Thread = thread
-		ctx.threadCounters = append(ctx.threadCounters, c)
-	}
-	switch t := b.(type) {
-	case *batchFilter:
-		registerBatchWorkerCounters(ctx, t.child, thread, seen)
-	case *batchCompute:
-		registerBatchWorkerCounters(ctx, t.child, thread, seen)
-	case *batchStreamAgg:
-		registerBatchWorkerCounters(ctx, t.child, thread, seen)
-	case *rowToBatch:
-		registerWorkerCounters(ctx, t.op, thread, seen)
-	}
 }
 
 func (g *gather) Open(ctx *Ctx) {

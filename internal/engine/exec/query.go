@@ -24,10 +24,9 @@ type Query struct {
 	Root Operator
 	Ctx  *Ctx
 
-	ops     map[int]Operator  // by node ID
-	ctrs    map[int]*Counters // coordinator counters by node ID, incl. batch-native operators
-	all     []*Counters       // every (node, thread) counter row, sorted
-	state   atomic.Int32      // QueryState
+	ops     map[int]Operator // coordinator operators by node ID
+	all     []*Counters      // every (node, thread) counter row, sorted
+	state   atomic.Int32     // QueryState
 	failure atomic.Pointer[QueryError]
 	rows    atomic.Int64
 	started atomic.Int64 // sim.Duration
@@ -64,17 +63,14 @@ func NewQueryBatch(p *plan.Plan, db *storage.Database, cm *opt.CostModel, clock 
 	}
 	q := &Query{
 		Plan: p,
-		Ctx:  &Ctx{Clock: clock, DB: db, CM: cm, DOP: dop, BatchSize: batchSize, lock: make(chan struct{}, 1)},
-		ops:  make(map[int]Operator, len(p.Nodes)),
-		ctrs: make(map[int]*Counters, len(p.Nodes)),
+		Ctx: &Ctx{
+			Clock: clock, DB: db, CM: cm, DOP: dop, BatchSize: batchSize, lock: make(chan struct{}, 1),
+			counters: make([]*Counters, 0, len(p.Nodes)), ops: make(map[int]Operator, len(p.Nodes)),
+		},
 	}
 	q.Root = BuildOperator(p.Root, q.Ctx)
-	q.index(q.Root)
-	q.all = make([]*Counters, 0, len(q.ctrs)+len(q.Ctx.threadCounters))
-	for _, c := range q.ctrs {
-		q.all = append(q.all, c)
-	}
-	q.all = append(q.all, q.Ctx.threadCounters...)
+	q.ops, q.all = q.Ctx.ops, q.Ctx.counters
+	q.Ctx.ops, q.Ctx.counters = nil, nil
 	slices.SortFunc(q.all, func(a, b *Counters) int {
 		if c := cmp.Compare(a.NodeID, b.NodeID); c != 0 {
 			return c
@@ -84,68 +80,6 @@ func NewQueryBatch(p *plan.Plan, db *storage.Database, cm *opt.CostModel, clock 
 	return q
 }
 
-func (q *Query) index(op Operator) {
-	c := op.Counters()
-	q.ops[c.NodeID] = op
-	q.ctrs[c.NodeID] = c
-	switch t := op.(type) {
-	case *batchToRow:
-		q.indexBatch(t.b)
-	case *ridLookup:
-		q.index(t.child)
-	case *segment:
-		q.index(t.child)
-	case *concat:
-		for _, k := range t.kids {
-			q.index(k)
-		}
-	case *sortOp:
-		q.index(t.child)
-	case *topNSort:
-		q.index(t.child)
-	case *hashAgg:
-		q.index(t.child)
-	case *hashJoin:
-		q.index(t.probe)
-		q.index(t.build)
-	case *mergeJoin:
-		q.index(t.left)
-		q.index(t.right)
-	case *nestedLoops:
-		q.index(t.outer)
-		q.index(t.inner)
-	case *spool:
-		q.index(t.child)
-	case *bitmap:
-		q.index(t.child)
-	case *exchange:
-		q.index(t.child)
-	case *gather:
-		// Worker operator instances are not indexed by node ID (there are
-		// DOP of them per node); their counter rows are registered in
-		// ctx.threadCounters at build time and surface via AllCounters.
-	}
-}
-
-// indexBatch registers coordinator batch-native operators' counters so DMV
-// captures see them. Batch operators are not Operators, so they do not
-// enter q.ops (the root of a batch subtree is reachable there through its
-// batchToRow adapter, which shares its counters).
-func (q *Query) indexBatch(b BatchOperator) {
-	c := b.Counters()
-	q.ctrs[c.NodeID] = c
-	switch t := b.(type) {
-	case *batchFilter:
-		q.indexBatch(t.child)
-	case *batchCompute:
-		q.indexBatch(t.child)
-	case *batchStreamAgg:
-		q.indexBatch(t.child)
-	case *rowToBatch:
-		q.index(t.op)
-	}
-}
-
 // Operator returns the operator for a plan node ID.
 func (q *Query) Operator(id int) Operator { return q.ops[id] }
 
@@ -153,9 +87,11 @@ func (q *Query) Operator(id int) Operator { return q.ops[id] }
 // ID (the thread-0 rows). Parallel worker rows are reached through
 // AllCounters.
 func (q *Query) Counters() map[int]*Counters {
-	out := make(map[int]*Counters, len(q.ctrs))
-	for id, c := range q.ctrs {
-		out[id] = c
+	out := make(map[int]*Counters, len(q.ops))
+	for _, c := range q.all {
+		if c.Thread == 0 {
+			out[c.NodeID] = c
+		}
 	}
 	return out
 }

@@ -17,7 +17,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"lqs/internal/engine/catalog"
 	"lqs/internal/engine/dmv"
@@ -39,16 +38,6 @@ const DefaultInterval = 100 * sim.Duration(1000) // 100µs
 // MinSnapshots is the minimum number of observations for a query to count
 // toward an average (ultra-short queries carry no progress signal).
 const MinSnapshots = 3
-
-// tracedQueries counts TraceQuery calls process-wide, for the benchmark
-// harness's throughput reporting.
-var tracedQueries atomic.Int64
-
-// TracedQueries returns the number of queries traced since the last reset.
-func TracedQueries() int64 { return tracedQueries.Load() }
-
-// ResetTracedQueries zeroes the traced-query counter.
-func ResetTracedQueries() { tracedQueries.Store(0) }
 
 // TraceQuery executes one workload query serially, row at a time, under
 // the DMV poller and returns its finalized plan and trace.
@@ -76,7 +65,6 @@ func TraceQuery(w *workload.Workload, q workload.Query, interval sim.Duration) (
 // batch size 1 are boundedly skewed relative to it (see the exec
 // batch-size equivalence battery).
 func TraceQueryEventsBatch(w *workload.Workload, q workload.Query, interval sim.Duration, eventCap, dop, batch int) (*plan.Plan, *dmv.Trace, *trace.Recorder) {
-	tracedQueries.Add(1)
 	root := q.Build(w.Builder())
 	root = plan.Parallelize(root, dop)
 	p := plan.Finalize(root)

@@ -140,16 +140,3 @@ func TestWorkloadViewTracesIdentically(t *testing.T) {
 		}
 	}
 }
-
-func TestTracedQueriesCounter(t *testing.T) {
-	w := parallelTestWorkload(t)
-	ResetTracedQueries()
-	Runner{Parallel: 1, Limit: 3}.ForEach(w, func(workload.Query, *plan.Plan, *dmv.Trace) {})
-	if n := TracedQueries(); n < 3 {
-		t.Fatalf("counter %d after tracing at least 3 queries", n)
-	}
-	ResetTracedQueries()
-	if n := TracedQueries(); n != 0 {
-		t.Fatalf("counter %d after reset", n)
-	}
-}
