@@ -145,9 +145,12 @@ acc-smoke:
 # own that imports internal/ through a replace directive, so `go build
 # ./...` and `go test ./...` above never compile it. Vet it and run its
 # short tests here, so an internal/ API change that breaks it fails CI
-# rather than the next benchmark run.
+# rather than the next benchmark run. TestTraced (skipped under -short)
+# runs one traced run and requires the whole per-layer probe set, so a
+# probe that stops printing fails here too.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test -short .
+	cd bench && $(GO) test -run 'TestTraced$$' .
 
 # Run each database-build benchmark so they cannot rot, with -benchmem so
 # the log shows a rise in build allocations; the numbers that matter are

@@ -1,8 +1,11 @@
 // Columnstore: batch-mode execution with segment-based progress (§4.7).
 // The same aggregation runs against the row-store and the columnstore
 // physical designs of the TPC-H workload; the columnstore plan is far
-// faster (batch mode) and its scan progress is driven by the fraction of
-// column segments processed rather than GetNext counts.
+// faster in virtual time (its batch-mode operators are costed per row
+// group and at batch-rate CPU) and its scan progress is driven by the
+// fraction of column segments processed rather than GetNext counts.
+// "Batch mode" is this plan-level property of §4.7: the host still moves
+// one row per GetNext call.
 package main
 
 import (
@@ -37,7 +40,7 @@ func main() {
 	run(rw, "Q1")
 	run(cw, "Q1")
 
-	// Show the batch scan's segment counters explicitly.
+	// Show the columnstore scan's segment counters explicitly.
 	var q *workload.Query
 	for i := range cw.Queries {
 		if cw.Queries[i].Name == "Q6" {

@@ -73,8 +73,9 @@ type manifest struct {
 //
 // It also pins the engine to the corpus: each capture recipe is re-executed
 // live and must reproduce the committed poll stream exactly. The captures
-// were recorded by the row-mode engine that batch size 1 replaced, so this
-// is the check that the two are the same engine.
+// are four rowstore queries and one chaos run at DOP 2, none with a
+// columnstore scan; exec's TestPollStreamFingerprint fences the poll
+// streams of every workload query, columnstore ones included.
 func TestCommittedTraceCorpus(t *testing.T) {
 	if *regen {
 		regenerateCorpus(t)
@@ -289,7 +290,7 @@ func capture(spec corpusSpec) (*TraceFile, error) {
 			return nil, fmt.Errorf("chaos capture %s produced no degraded polls; re-pin chaosSeed (see findChaosSeed)", spec.name)
 		}
 	} else {
-		_, tr, _ = metrics.TraceQueryEventsBatch(w, q, metrics.DefaultInterval, 0, dop, 1)
+		_, tr, _ = metrics.TraceQueryEvents(w, q, metrics.DefaultInterval, 0, dop)
 	}
 	tf := NewTraceFile(tr)
 	tf.Workload = spec.workload

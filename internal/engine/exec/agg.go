@@ -23,6 +23,97 @@ func aggRow(slab *valueSlab, key types.Row, aggs expr.Aggs, states []expr.AggSta
 	return out
 }
 
+// streamAgg aggregates input already ordered on the group columns, with
+// one group in flight: its key and aggregate states live in buffers reused
+// group after group, so within a group the boundary comparison and the
+// folds allocate nothing. It takes one checkpoint per input row; the row
+// that opens a group returns the group it closes.
+type streamAgg struct {
+	base
+	child  Operator
+	aggs   expr.Aggs
+	key    types.Row
+	states []expr.AggState
+	slab   valueSlab // output rows
+	idCols []int
+	open   bool
+	done   bool
+}
+
+func newStreamAgg(n *plan.Node, child Operator) *streamAgg {
+	s := &streamAgg{child: child, aggs: expr.CompileAggs(n.Aggs)}
+	s.init(n)
+	s.key = make(types.Row, len(n.GroupCols))
+	s.states = make([]expr.AggState, len(n.Aggs))
+	s.idCols = identityCols(len(n.GroupCols))
+	return s
+}
+
+func (s *streamAgg) Open(ctx *Ctx) {
+	s.opened(ctx)
+	s.child.Open(ctx)
+}
+
+func (s *streamAgg) Rewind(ctx *Ctx) {
+	s.c.Rebinds++
+	s.open = false
+	s.done = false
+	s.child.Rewind(ctx)
+}
+
+func (s *streamAgg) Next(ctx *Ctx) (types.Row, bool) {
+	if s.done {
+		return nil, false
+	}
+	gcols := s.node.GroupCols
+	perRow := ctx.CM.CPUTuple + float64(len(s.node.Aggs))*ctx.CM.CPUAggUpdate
+	for {
+		row, ok := s.child.Next(ctx)
+		if !ok {
+			s.done = true
+			// Emit the final group; a scalar aggregate emits one row even
+			// over empty input.
+			if !s.open && len(gcols) > 0 {
+				return nil, false
+			}
+			if !s.open {
+				clear(s.states)
+			}
+			s.emit()
+			return aggRow(&s.slab, s.key, s.aggs, s.states), true
+		}
+		s.c.InputRows++
+		ctx.chargeCPURow(&s.c, perRow)
+		var out types.Row
+		closed := s.open && !types.EqualCols(row, s.key, gcols, s.idCols)
+		if closed {
+			s.emit()
+			out = aggRow(&s.slab, s.key, s.aggs, s.states)
+		}
+		if closed || !s.open {
+			s.open = true
+			for i, c := range gcols {
+				s.key[i] = row[c]
+			}
+			clear(s.states)
+		}
+		s.aggs.Add(s.states, row)
+		ctx.checkpoint(&s.c)
+		if closed {
+			return out, true
+		}
+	}
+}
+
+func (s *streamAgg) Close(ctx *Ctx) {
+	if s.c.Closed {
+		return
+	}
+	s.child.Close(ctx)
+	s.slab = valueSlab{}
+	s.closed(ctx)
+}
+
 // hashAgg is the blocking Hash Aggregate: Open builds the hash table from
 // the entire input; Next streams the groups out. This is the canonical
 // two-phase operator of the paper's §4.5 (Fig. 10): under the unmodified

@@ -51,7 +51,7 @@ func TestRowPathAllocations(t *testing.T) {
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, tr, _ := metrics.TraceQueryEventsBatch(c.w, q, time.Hour, 0, 1, 0)
+		_, tr, _ := metrics.TraceQueryEvents(c.w, q, time.Hour, 0, 1)
 		runtime.ReadMemStats(&after)
 		var rows int64
 		for _, n := range tr.TrueRows {

@@ -178,13 +178,6 @@ type Ctx struct {
 	// shaped by it.
 	DOP int
 
-	// BatchSize is how many rows the batch-native operators (scans, filter,
-	// compute scalar, stream aggregate) produce per NextBatch call, with
-	// one checkpoint per batch; always at least 1, and 1 is row-at-a-time
-	// execution. Set at query construction (NewQueryBatch), which sizes the
-	// operators' buffers from it.
-	BatchSize int
-
 	// Thread is this context's DMV thread ordinal (0 = coordinator, w+1 =
 	// parallel worker w); Part/Parts are the range partition a worker's
 	// scans claim (Parts 0 means unpartitioned). Worker contexts are
@@ -206,7 +199,7 @@ type Ctx struct {
 	// counters and ops are what the build recorded (see record and index):
 	// every (node, thread) counter row, worker rows included, so DMV
 	// captures see each from the first poll, and the operator each
-	// coordinator plan node runs as. NewQueryBatch moves them to the Query.
+	// coordinator plan node runs as. NewQueryDOP moves them to the Query.
 	counters []*Counters
 	ops      map[int]Operator
 
@@ -275,9 +268,8 @@ func (ctx *Ctx) record(c *Counters) {
 	ctx.counters = append(ctx.counters, c)
 }
 
-// index makes op the operator coordinator plan node id runs as: a row
-// operator, or the adapter over a batch one. Worker operators (DOP of them
-// per node) are not indexed.
+// index makes op the operator coordinator plan node id runs as. Worker
+// operators (DOP of them per node) are not indexed.
 func (ctx *Ctx) index(id int, op Operator) {
 	if ctx.parent != nil {
 		return
@@ -324,19 +316,17 @@ func (ctx *Ctx) interrupted() *QueryError {
 // it records the operator currently doing work, periodically yields the
 // counter lock so concurrent snapshots can drain, and aborts execution (by
 // typed panic, converted to a QueryError at the Step recovery boundary)
-// when a cancellation or deadline is pending. Row-at-a-time operators take
-// it on every charge, so their cancellation latency is bounded by one
+// when a cancellation or deadline is pending. Operators take it on every
+// charge or every row, so their cancellation latency is bounded by one
 // row's work — even inside blocking Sort/Hash phases that produce no output
 // for a long time.
 func (ctx *Ctx) checkpoint(c *Counters) { ctx.checkpointBatch(c, 1) }
 
-// checkpointBatch is the checkpoint of batch operators: one call covers
-// `charges` preceding chargeCPURow calls. The yield cadence follows the
-// real charge count (chargeOps accumulates it, so concurrent pollers wait
-// no longer at a large batch size than at batch size 1), while the chaos
-// consultation and the cancellation/deadline check run once per batch —
-// cancellation latency is one batch's work, which at batch size 1 is one
-// row's (DESIGN §4g).
+// checkpointBatch is one checkpoint covering `charges` preceding
+// chargeCPURow calls, as a heap scan takes for an emitted row and the rows
+// it rejected before it. The yield cadence follows the real charge count
+// (chargeOps accumulates it), while the chaos consultation and the
+// cancellation/deadline check run once per call.
 func (ctx *Ctx) checkpointBatch(c *Counters, charges int) {
 	if charges <= 0 {
 		return
@@ -454,11 +444,10 @@ func (ctx *Ctx) chargeCPU(c *Counters, ns float64) {
 	}
 }
 
-// chargeCPURow is chargeCPU without the trailing checkpoint: batch
-// operators advance the clock and the counters row by row — so the virtual
-// timeline of every charge is the same at any batch size — and take the
-// checkpoint (poller yield, chaos, cancellation) once per batch through
-// checkpointBatch.
+// chargeCPURow is chargeCPU without the trailing checkpoint: the scans,
+// Filter, Compute Scalar and Stream Aggregate charge with it and take the
+// checkpoint (poller yield, chaos, cancellation) once per row, through
+// checkpoint or checkpointBatch.
 func (ctx *Ctx) chargeCPURow(c *Counters, ns float64) {
 	if ns <= 0 {
 		return

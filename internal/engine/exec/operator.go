@@ -103,21 +103,8 @@ func (b *base) emit() {
 
 // BuildOperator constructs the operator tree for a finalized, estimated
 // plan. The ctx must be the one later used to run the query (bitmap
-// registration happens here). Subtrees rooted at batch-native nodes are
-// built as BatchOperators behind a batchToRow adapter, so row-at-a-time
-// parents (and the query root) see an ordinary Operator.
+// registration happens here).
 func BuildOperator(n *plan.Node, ctx *Ctx) Operator { return buildOperator(n, ctx, false) }
-
-// buildOperator is BuildOperator for an edge whose consumer keeps rows or
-// not.
-func buildOperator(n *plan.Node, ctx *Ctx, keep bool) Operator {
-	if !batchNative(n) {
-		return buildRowOperator(n, ctx, keep)
-	}
-	a := newBatchToRow(buildBatchOperator(n, ctx, keep))
-	ctx.index(n.ID, a)
-	return a
-}
 
 // returnsLeftRows reports whether a join returns the rows of its first
 // (probe, left or outer) input as its own output instead of joined rows.
@@ -125,19 +112,30 @@ func returnsLeftRows(n *plan.Node) bool {
 	return n.Logical == plan.LogicalLeftSemiJoin || n.Logical == plan.LogicalLeftAntiSemiJoin
 }
 
-// buildRowOperator constructs the row-at-a-time operator for a node with
-// no batch-native implementation and records it with ctx. Children recurse
-// through buildOperator.
-func buildRowOperator(n *plan.Node, ctx *Ctx, keep bool) Operator {
+// buildOperator is BuildOperator for an edge whose consumer keeps rows or
+// not. It records each operator it builds with ctx.
+func buildOperator(n *plan.Node, ctx *Ctx, keep bool) Operator {
 	child := func(i int, k bool) Operator { return buildOperator(n.Children[i], ctx, k) }
 	var op Operator
 	switch n.Physical {
+	case plan.TableScan:
+		op = newTableScan(n)
+	case plan.ConstantScan:
+		op = newConstantScan(n)
+	case plan.ColumnstoreIndexScan:
+		op = newColumnstoreScan(n, keep)
 	case plan.ClusteredIndexScan, plan.IndexScan:
 		op = newIndexScan(n)
 	case plan.ClusteredIndexSeek, plan.IndexSeek:
 		op = newIndexSeek(n, keep)
 	case plan.RIDLookup:
 		op = newRIDLookup(n, child(0, false))
+	case plan.Filter:
+		op = newFilter(n, child(0, keep))
+	case plan.ComputeScalar:
+		op = newCompute(n, child(0, false), keep)
+	case plan.StreamAggregate:
+		op = newStreamAgg(n, child(0, false))
 	case plan.SegmentOp:
 		op = newSegment(n, child(0, keep))
 	case plan.Concatenation:

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -188,41 +187,6 @@ func TestColumnstoreAllocsDoNotGrowWithRowGroups(t *testing.T) {
 	small, large := allocs("c4"), allocs("c32")
 	if large > small+8 {
 		t.Errorf("columnstore scan under a hash aggregate: %.0f allocations at 4 row groups, %.0f at 32", small, large)
-	}
-}
-
-// TestColumnstoreBatchSpanningGroups: at batch size 1024 a selective
-// pushed predicate (one row in seven passes) makes one batch span several
-// row groups. Compute Scalar does not keep its input rows but reads a whole
-// batch before its consumer asks again, so the scan must not overwrite a
-// group whose rows are already in the batch it is filling. Results must be
-// identical to batch size 1.
-func TestColumnstoreBatchSpanningGroups(t *testing.T) {
-	db := columnstoreDB(t)
-	bb := plan.NewBuilder(db.Catalog)
-	pushed := expr.Eq(expr.ModBy(expr.C(0, "id"), expr.KInt(7)), expr.KInt(0))
-	scan := bb.ColumnstoreScan("c32", "cs", []int{0, 1, 2}, pushed)
-	compute := bb.ComputeScalar(scan, expr.Times(expr.C(0, "id"), expr.KInt(2)))
-	p := plan.Finalize(bb.Sort(compute, []int{2, 1, 0}, []bool{true, false, false}))
-	opt.NewEstimator(db.Catalog).Estimate(p)
-	run := func(batch int) []types.Row {
-		rows, err := NewQueryBatch(p, db, opt.DefaultCostModel(), sim.NewClock(), 1, batch).RunCollect()
-		if err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
-		return rows
-	}
-	want, got := run(1), run(1024)
-	if n := (32*storage.RowGroupSize + 6) / 7; len(want) != n {
-		t.Fatalf("batch 1 returned %d rows, want %d", len(want), n)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("batch 1024 returned %d rows, batch 1 %d", len(got), len(want))
-	}
-	for i := range want {
-		if !slices.Equal(got[i], want[i]) || got[i][3].I != 2*got[i][0].I {
-			t.Fatalf("row %d: batch 1024 %v, batch 1 %v", i, got[i], want[i])
-		}
 	}
 }
 

@@ -315,9 +315,9 @@ func buildStage2(n, rep *plan.Node, src Operator, wctx *Ctx) Operator {
 	var op Operator
 	switch n.Physical {
 	case plan.Filter:
-		op = newBatchToRow(newBatchFilter(n, asBatch(child)))
+		op = newFilter(n, child)
 	case plan.ComputeScalar:
-		op = newBatchToRow(newBatchCompute(n, asBatch(child), true))
+		op = newCompute(n, child, true)
 	case plan.HashAggregate:
 		op = newHashAgg(n, child)
 	default:
@@ -341,13 +341,12 @@ func tryNewGather(n *plan.Node, ctx *Ctx, dop int) *gather {
 	g.init(n)
 	for w := 0; w < dop; w++ {
 		wctx := &Ctx{
-			DB:        ctx.DB.View(),
-			CM:        ctx.CM,
-			BatchSize: ctx.BatchSize,
-			Thread:    w + 1,
-			Part:      w,
-			Parts:     dop,
-			parent:    ctx,
+			DB:     ctx.DB.View(),
+			CM:     ctx.CM,
+			Thread: w + 1,
+			Part:   w,
+			Parts:  dop,
+			parent: ctx,
 		}
 		zw := &zoneWorker{
 			id:   w,

@@ -45,26 +45,13 @@ func NewQuery(p *plan.Plan, db *storage.Database, cm *opt.CostModel, clock *sim.
 // aggregated counters, and the virtual-time stream stay deterministic at
 // any DOP; only the simulated elapsed time changes.
 func NewQueryDOP(p *plan.Plan, db *storage.Database, cm *opt.CostModel, clock *sim.Clock, dop int) *Query {
-	return NewQueryBatch(p, db, cm, clock, dop, 1)
-}
-
-// NewQueryBatch is NewQueryDOP at an explicit batch size: the batch-native
-// operators (scans, filter, compute scalar, stream aggregate) produce up to
-// batchSize rows per call with one checkpoint per batch. Batch size 1 —
-// what any batchSize below 1 means, and what NewQuery and NewQueryDOP run —
-// is row-at-a-time execution. Results and final counters are identical at
-// any batch size; see DESIGN §4g.
-func NewQueryBatch(p *plan.Plan, db *storage.Database, cm *opt.CostModel, clock *sim.Clock, dop, batchSize int) *Query {
 	if dop < 1 {
 		dop = 1
-	}
-	if batchSize < 1 {
-		batchSize = 1
 	}
 	q := &Query{
 		Plan: p,
 		Ctx: &Ctx{
-			Clock: clock, DB: db, CM: cm, DOP: dop, BatchSize: batchSize, lock: make(chan struct{}, 1),
+			Clock: clock, DB: db, CM: cm, DOP: dop, lock: make(chan struct{}, 1),
 			counters: make([]*Counters, 0, len(p.Nodes)), ops: make(map[int]Operator, len(p.Nodes)),
 		},
 	}

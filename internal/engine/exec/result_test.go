@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
-	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -55,18 +54,18 @@ func (d *resultDigest) row(r types.Row) {
 	}
 }
 
-// resultFingerprint runs every query of w at (dop, batch) and digests the
-// query names and their result rows in returned order.
-func resultFingerprint(t *testing.T, w *workload.Workload, dop, batch int) uint64 {
+// resultFingerprint runs every query of w at dop and digests the query
+// names and their result rows in returned order.
+func resultFingerprint(t *testing.T, w *workload.Workload, dop int) uint64 {
 	t.Helper()
 	d := &resultDigest{h: fnv.New64a()}
 	for _, q := range w.Queries {
 		p := plan.Finalize(plan.Parallelize(q.Build(w.Builder()), dop))
 		opt.NewEstimator(w.DB.Catalog).Estimate(p)
 		w.DB.ColdStart()
-		rows, err := exec.NewQueryBatch(p, w.DB, opt.DefaultCostModel(), sim.NewClock(), dop, batch).RunCollect()
+		rows, err := exec.NewQueryDOP(p, w.DB, opt.DefaultCostModel(), sim.NewClock(), dop).RunCollect()
 		if err != nil {
-			t.Fatalf("%s/%s dop=%d batch=%d: %v", w.Name, q.Name, dop, batch, err)
+			t.Fatalf("%s/%s dop=%d: %v", w.Name, q.Name, dop, err)
 		}
 		d.str(q.Name)
 		d.u64(uint64(len(rows)))
@@ -78,10 +77,10 @@ func resultFingerprint(t *testing.T, w *workload.Workload, dop, batch int) uint6
 }
 
 // TestQueryResultFingerprint pins what every workload query returns, row
-// for row and bit for bit, at both batch sizes and DOPs. The constants were
-// computed before joins began writing into reused buffers and values
-// shrank to 32 bytes: a row an operator keeps past its child's next call
-// without that child knowing moves them.
+// for row and bit for bit, at both DOPs. The constants were computed
+// before joins began writing into reused buffers and values shrank to 32
+// bytes: a row an operator keeps past its child's next call without that
+// child knowing moves them.
 func TestQueryResultFingerprint(t *testing.T) {
 	cases := []struct {
 		name string
@@ -99,10 +98,8 @@ func TestQueryResultFingerprint(t *testing.T) {
 				t.Parallel()
 				w := c.gen(seed)
 				for _, dop := range []int{1, 2} {
-					for _, batch := range []int{1, 1024} {
-						if got := resultFingerprint(t, w, dop, batch); got != c.want[i] {
-							t.Errorf("dop %d batch %d: fingerprint %#x, want %#x", dop, batch, got, c.want[i])
-						}
+					if got := resultFingerprint(t, w, dop); got != c.want[i] {
+						t.Errorf("dop %d: fingerprint %#x, want %#x", dop, got, c.want[i])
 					}
 				}
 			})
@@ -199,7 +196,11 @@ func pollStreamFingerprint(t *testing.T, w *workload.Workload, dop, stride int) 
 		d.snapshot(tr.Final)
 		for _, c := range *chaos.all {
 			d.u64(uint64(c.thread))
-			nodes := slices.Sorted(maps.Keys(c.counts))
+			nodes := make([]int, 0, len(c.counts))
+			for id := range c.counts {
+				nodes = append(nodes, id)
+			}
+			slices.Sort(nodes)
 			d.u64(uint64(len(nodes)))
 			for _, id := range nodes {
 				d.u64(uint64(id))

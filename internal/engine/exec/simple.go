@@ -1,9 +1,141 @@
 package exec
 
 import (
+	"lqs/internal/engine/expr"
 	"lqs/internal/engine/types"
 	"lqs/internal/plan"
 )
+
+// filter passes the rows that satisfy its predicate, with one checkpoint
+// per input row.
+type filter struct {
+	base
+	child    Operator
+	pred     expr.PredFn
+	predCost float64
+	eof      bool
+}
+
+func newFilter(n *plan.Node, child Operator) *filter {
+	f := &filter{child: child}
+	f.init(n)
+	f.predCost = float64(expr.Cost(n.Pred))
+	f.pred = expr.CompilePred(n.Pred)
+	return f
+}
+
+func (f *filter) Open(ctx *Ctx) {
+	f.opened(ctx)
+	f.child.Open(ctx)
+}
+
+func (f *filter) Rewind(ctx *Ctx) {
+	f.c.Rebinds++
+	f.eof = false
+	f.child.Rewind(ctx)
+}
+
+func (f *filter) Next(ctx *Ctx) (types.Row, bool) {
+	if f.eof {
+		return nil, false
+	}
+	perRow := ctx.CM.CPUTuple + f.predCost*ctx.CM.CPUExprUnit
+	for {
+		row, ok := f.child.Next(ctx)
+		if !ok {
+			f.eof = true
+			return nil, false
+		}
+		ctx.chargeCPURow(&f.c, perRow)
+		if f.pred == nil || f.pred(row) {
+			f.emit()
+			ctx.checkpoint(&f.c)
+			return row, true
+		}
+		ctx.checkpoint(&f.c)
+	}
+}
+
+func (f *filter) Close(ctx *Ctx) {
+	if f.c.Closed {
+		return
+	}
+	f.child.Close(ctx)
+	f.closed(ctx)
+}
+
+// compute appends computed expressions to each row of its child. Output
+// rows are carved from a slab. When the consumer keeps rows (keep) the
+// slab only moves on, so a kept row stays as it is; otherwise the slab is
+// reset row after row, since the consumer is done with a row before it
+// asks for the next.
+type compute struct {
+	base
+	child Operator
+	exprs []func(types.Row) types.Value
+	cost  float64
+	eof   bool
+	keep  bool
+	slab  valueSlab
+}
+
+func newCompute(n *plan.Node, child Operator, keep bool) *compute {
+	c := &compute{child: child, keep: keep}
+	c.init(n)
+	total := 0
+	for _, e := range n.Exprs {
+		total += expr.Cost(e)
+	}
+	c.cost = float64(total)
+	c.exprs = make([]func(types.Row) types.Value, len(n.Exprs))
+	for i, e := range n.Exprs {
+		c.exprs[i] = expr.CompileExpr(e)
+	}
+	return c
+}
+
+func (c *compute) Open(ctx *Ctx) {
+	c.opened(ctx)
+	c.child.Open(ctx)
+}
+
+func (c *compute) Rewind(ctx *Ctx) {
+	c.c.Rebinds++
+	c.eof = false
+	c.child.Rewind(ctx)
+}
+
+func (c *compute) Next(ctx *Ctx) (types.Row, bool) {
+	if c.eof {
+		return nil, false
+	}
+	row, ok := c.child.Next(ctx)
+	if !ok {
+		c.eof = true
+		return nil, false
+	}
+	ctx.chargeCPURow(&c.c, ctx.CM.CPUTuple+c.cost*ctx.CM.CPUExprUnit)
+	if !c.keep {
+		c.slab.reset()
+	}
+	out := c.slab.row(len(row) + len(c.exprs))
+	copy(out, row)
+	for i, f := range c.exprs {
+		out[len(row)+i] = f(row)
+	}
+	c.emit()
+	ctx.checkpoint(&c.c)
+	return out, true
+}
+
+func (c *compute) Close(ctx *Ctx) {
+	if c.c.Closed {
+		return
+	}
+	c.child.Close(ctx)
+	c.slab = valueSlab{}
+	c.closed(ctx)
+}
 
 // segment passes rows through; consumers observe the groups on its
 // grouping columns positionally.

@@ -42,12 +42,12 @@ const MinSnapshots = 3
 // TraceQuery executes one workload query serially, row at a time, under
 // the DMV poller and returns its finalized plan and trace.
 func TraceQuery(w *workload.Workload, q workload.Query, interval sim.Duration) (*plan.Plan, *dmv.Trace) {
-	p, tr, _ := TraceQueryEventsBatch(w, q, interval, 0, 1, 1)
+	p, tr, _ := TraceQueryEvents(w, q, interval, 0, 1)
 	return p, tr
 }
 
-// TraceQueryEventsBatch is TraceQuery with the operator event recorder
-// attached, at an explicit degree of parallelism and batch size.
+// TraceQueryEvents is TraceQuery with the operator event recorder attached,
+// at an explicit degree of parallelism.
 //
 // eventCap bounds the per-query event ring (trace.DefaultCapacity when
 // negative; 0 disables event tracing entirely and returns a nil recorder).
@@ -59,19 +59,14 @@ func TraceQuery(w *workload.Workload, q workload.Query, interval sim.Duration) (
 // finalization and executed with dop workers per gather. Result rows and
 // final aggregated counters are byte-identical to the serial run; only the
 // simulated elapsed time (and the per-thread DMV rows) differ.
-//
-// A batch below 1 means 1, row-at-a-time execution. Result rows and final
-// counters are byte-identical at any batch size; mid-run snapshots above
-// batch size 1 are boundedly skewed relative to it (see the exec
-// batch-size equivalence battery).
-func TraceQueryEventsBatch(w *workload.Workload, q workload.Query, interval sim.Duration, eventCap, dop, batch int) (*plan.Plan, *dmv.Trace, *trace.Recorder) {
+func TraceQueryEvents(w *workload.Workload, q workload.Query, interval sim.Duration, eventCap, dop int) (*plan.Plan, *dmv.Trace, *trace.Recorder) {
 	root := q.Build(w.Builder())
 	root = plan.Parallelize(root, dop)
 	p := plan.Finalize(root)
 	opt.NewEstimator(w.DB.Catalog).Estimate(p)
 	clock := sim.NewClock()
 	w.DB.ColdStart()
-	query := exec.NewQueryBatch(p, w.DB, opt.DefaultCostModel(), clock, dop, batch)
+	query := exec.NewQueryDOP(p, w.DB, opt.DefaultCostModel(), clock, dop)
 	poller := dmv.NewPoller(query, interval)
 	var rec *trace.Recorder
 	if eventCap != 0 {
@@ -83,6 +78,14 @@ func TraceQueryEventsBatch(w *workload.Workload, q workload.Query, interval sim.
 	}
 	query.Run()
 	return p, poller.Finish(), rec
+}
+
+// TraceQueryEventsBatch is TraceQueryEvents; batch is ignored, since every
+// query runs row at a time.
+//
+// Deprecated: use TraceQueryEvents.
+func TraceQueryEventsBatch(w *workload.Workload, q workload.Query, interval sim.Duration, eventCap, dop, batch int) (*plan.Plan, *dmv.Trace, *trace.Recorder) {
+	return TraceQueryEvents(w, q, interval, eventCap, dop)
 }
 
 // Runner iterates a workload's queries, tracing each once.
@@ -102,7 +105,7 @@ type Runner struct {
 	// invoked serially in query order.
 	Parallel int
 	// EventCap enables operator event tracing on every query: the ring
-	// capacity passed to TraceQueryEventsBatch (negative for the default;
+	// capacity passed to TraceQueryEvents (negative for the default;
 	// 0 leaves event tracing off).
 	EventCap int
 	// DOP is each traced query's degree of parallelism (0/1 = serial):
@@ -177,7 +180,7 @@ func (r Runner) ForEachArtifacts(w *workload.Workload, fn func(a TraceArtifacts)
 				break
 			}
 			q := w.Queries[i]
-			p, tr, rec := TraceQueryEventsBatch(w, q, interval, r.EventCap, r.dop(), 1)
+			p, tr, rec := TraceQueryEvents(w, q, interval, r.EventCap, r.dop())
 			if len(tr.Snapshots) < MinSnapshots {
 				continue
 			}
@@ -209,7 +212,7 @@ func (r Runner) ForEachArtifacts(w *workload.Workload, fn func(a TraceArtifacts)
 			defer wg.Done()
 			local := w.View()
 			for pos := range jobs {
-				p, tr, rec := TraceQueryEventsBatch(local, local.Queries[idx[pos]], interval, r.EventCap, r.dop(), 1)
+				p, tr, rec := TraceQueryEvents(local, local.Queries[idx[pos]], interval, r.EventCap, r.dop())
 				results[pos] <- result{p, tr, rec}
 			}
 		}()

@@ -131,7 +131,7 @@ func structureOf(db *storage.Database, tb *catalog.Table, ix *catalog.Index) any
 func runDigest(t *testing.T, db *storage.Database, q *Query, dop int) string {
 	p := plan.Finalize(plan.Parallelize(q.Build(plan.NewBuilder(db.Catalog)), dop))
 	opt.NewEstimator(db.Catalog).Estimate(p)
-	query := exec.NewQueryBatch(p, db, opt.DefaultCostModel(), sim.NewClock(), dop, 1)
+	query := exec.NewQueryDOP(p, db, opt.DefaultCostModel(), sim.NewClock(), dop)
 	rows, err := query.RunCollect()
 	if err != nil {
 		t.Errorf("%s: %v", q.Name, err)
