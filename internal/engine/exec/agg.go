@@ -84,13 +84,12 @@ func (s *streamAgg) Next(ctx *Ctx) (types.Row, bool) {
 		}
 		s.c.InputRows++
 		ctx.chargeCPURow(&s.c, perRow)
-		var out types.Row
-		closed := s.open && !types.EqualCols(row, s.key, gcols, s.idCols)
-		if closed {
-			s.emit()
-			out = aggRow(&s.slab, s.key, s.aggs, s.states)
-		}
-		if closed || !s.open {
+		var out types.Row // the group this row closes; never nil when set, as its key has a column
+		if !s.open || !types.EqualCols(row, s.key, gcols, s.idCols) {
+			if s.open {
+				s.emit()
+				out = aggRow(&s.slab, s.key, s.aggs, s.states)
+			}
 			s.open = true
 			for i, c := range gcols {
 				s.key[i] = row[c]
@@ -99,7 +98,7 @@ func (s *streamAgg) Next(ctx *Ctx) (types.Row, bool) {
 		}
 		s.aggs.Add(s.states, row)
 		ctx.checkpoint(&s.c)
-		if closed {
+		if out != nil {
 			return out, true
 		}
 	}
