@@ -253,7 +253,7 @@ func runTrace(args []string, stdout io.Writer) error {
 		return err
 	}
 	w.DB.Pool.Publish(reg)
-	if err := os.WriteFile(filepath.Join(*dir, "metrics.txt"), []byte(reg.Dump()), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(*dir, "metrics.txt"), []byte(reg.PromText()), 0o644); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "wrote %d trace artifacts for %s to %s\n\n", files, w.Name, *dir)

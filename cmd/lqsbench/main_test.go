@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,8 @@ import (
 
 	"lqs/internal/experiments"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestRunTraceDir drives the trace job for one query: it must write the
 // Chrome trace and the mid-query explain, and the explain must be a
@@ -75,14 +78,31 @@ func TestRunFig14(t *testing.T) {
 }
 
 // TestRunChaos: chaos -seed 7 runs the quick battery and prints a verdict
-// with no contract violation.
+// with no contract violation, byte for byte the output in
+// testdata/chaos-seed7.golden (re-run with -update after an intentional
+// change). The quick grid holds a worker-crash cell, so the golden also
+// pins the gather's crash path.
 func TestRunChaos(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"chaos", "-seed", "7"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "verdict: ") || !strings.Contains(stdout.String(), ", 0 violation(s)\n") {
-		t.Fatalf("chaos printed no clean verdict:\n%s", stdout.String())
+	got := stdout.String()
+	if !strings.Contains(got, "verdict: ") || !strings.Contains(got, ", 0 violation(s)\n") {
+		t.Fatalf("chaos printed no clean verdict:\n%s", got)
+	}
+	golden := filepath.Join("testdata", "chaos-seed7.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("chaos output diverged from golden (re-run with -update if intentional)\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
 
@@ -118,8 +138,8 @@ func TestRunAccuracy(t *testing.T) {
 }
 
 // TestRunTraceMetrics: a trace run writes metrics.txt beside its traces,
-// with the buffer pool's counters and the estimator-error histogram the
-// traces fed.
+// in the Prometheus text format, with the buffer pool's counters and the
+// estimator-error histogram the traces fed.
 func TestRunTraceMetrics(t *testing.T) {
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
@@ -130,7 +150,7 @@ func TestRunTraceMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"bufferpool/", "estimator/error_count/"} {
+	for _, want := range []string{"bufferpool_", "estimator_error_count_"} {
 		if !strings.Contains("\n"+string(data), "\n"+want) {
 			t.Errorf("metrics.txt has no %q line:\n%s", want, data)
 		}

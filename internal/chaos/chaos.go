@@ -3,8 +3,7 @@
 // injectors for every layer of the progress pipeline behind one
 // configuration: storage page-read faults (the PR-1 injector), exec-layer
 // operator faults (slow-operator stalls, spill-write failures,
-// memory-grant denials, worker-goroutine crashes inside parallel gather
-// zones), DMV snapshot faults (dropped/duplicated/stale per-thread rows,
+// memory-grant denials, worker crashes inside parallel gather zones), DMV snapshot faults (dropped/duplicated/stale per-thread rows,
 // poller stalls), and session-layer faults (monitor detach/reattach).
 // Same seed ⇒ same fault sequence: every injector draws from its own
 // layer-derived RNG and all timing rides the virtual clock, so a failing
@@ -52,7 +51,7 @@ type ExecFaults struct {
 	// abort with KindMemory.
 	MemDenyProb float64
 	// CrashProb is the per-charge probability that a parallel worker
-	// goroutine crashes (KindWorkerCrash). Only worker threads crash — the
+	// crashes (KindWorkerCrash). Only worker threads crash — the
 	// coordinator surfaces worker crashes, it does not die itself — so the
 	// fault is inert at DOP 1.
 	CrashProb float64

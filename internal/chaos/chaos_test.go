@@ -78,8 +78,8 @@ func TestBatteryDeterminism(t *testing.T) {
 
 // TestWorkerCrashTypedError injects crash-only exec faults at DOP 4 and
 // requires the failure to surface as a typed KindWorkerCrash QueryError —
-// never a raw panic or an untyped error — with all worker goroutines
-// cleaned up afterwards.
+// never a raw panic or an untyped error — and no goroutine left behind
+// afterwards.
 func TestWorkerCrashTypedError(t *testing.T) {
 	w, err := workload.ByName("tpch", 1)
 	if err != nil {
@@ -113,8 +113,8 @@ func TestWorkerCrashTypedError(t *testing.T) {
 		t.Fatal("crash injection at DOP 4 never fired across 20 seeds")
 	}
 
-	// Worker goroutines must drain after the crash: supervision runs the
-	// zone shutdown cleanups on the terminal state.
+	// Nothing the crashed query started may outlive it. (The gather steps
+	// its workers on the query's goroutine, so none is started for them.)
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 		runtime.Gosched()

@@ -276,22 +276,6 @@ func (s *Snapshot) opsAliasThreads() bool {
 	return len(s.Ops) > 0 && len(s.Ops) == len(s.Threads) && &s.Ops[0] == &s.Threads[0]
 }
 
-// NodeProfiles adapts the snapshot into the plan package's annotation
-// profiles (indexed by node ID), for plan.ExplainWithProfile.
-func (s *Snapshot) NodeProfiles() []plan.NodeProfile {
-	s.Aggregate()
-	out := make([]plan.NodeProfile, len(s.Ops))
-	for i, op := range s.Ops {
-		out[i] = plan.NodeProfile{
-			ActualRows: op.ActualRows,
-			Rebinds:    op.Rebinds,
-			Opened:     op.Opened,
-			Closed:     op.Closed,
-		}
-	}
-	return out
-}
-
 // Capture snapshots a query's counters right now: one Threads row per
 // (node, thread) counter set — serial operators contribute their single
 // thread-0 row, parallel zones one row per worker — pre-aggregated into

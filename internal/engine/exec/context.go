@@ -102,14 +102,13 @@ type ChargeFault struct {
 	Stall sim.Duration
 	// Crash kills the executing thread with a typed KindWorkerCrash panic.
 	// On a parallel worker the gather's supervision converts it into a
-	// coordinator-side QueryError after releasing every worker goroutine.
+	// coordinator-side QueryError once every worker has run its batch.
 	Crash bool
 }
 
 // OpChaos is the exec-layer fault injector interface implemented by
-// internal/chaos. All methods are called from the single goroutine that
-// owns the Ctx (coordinator or one worker), so implementations need no
-// locking; Fork derives an independent deterministic injector for a
+// internal/chaos. All methods are called from the query's executing
+// goroutine, so implementations need no locking; Fork derives an independent deterministic injector for a
 // parallel worker thread. A nil Ctx.Chaos disables injection at the cost
 // of one pointer check per charge.
 type OpChaos interface {
@@ -191,9 +190,9 @@ type Ctx struct {
 	parent *Ctx
 
 	// cleanups run exactly once when the query reaches a terminal state —
-	// success, failure, or cancellation. Parallel gathers register worker
-	// shutdown here so goroutines never leak even on the failure path,
-	// where operator Close is not called.
+	// success, failure, or cancellation. Parallel gathers register their
+	// worker trace merge here so it runs even on the failure path, where
+	// operator Close is not called.
 	cleanups []func()
 
 	// counters and ops are what the build recorded (see record and index):
@@ -337,9 +336,9 @@ func (ctx *Ctx) checkpointBatch(c *Counters, charges int) {
 	ctx.chargeOps += charges
 	if ctx.chargeOps >= yieldEvery {
 		ctx.chargeOps = 0
-		// Only the coordinator holds (and may yield) the counter mutex;
-		// worker contexts synchronize with snapshots through the gather's
-		// batch protocol instead.
+		// Only the coordinator yields the counter mutex; a worker runs
+		// inside the coordinator's hold, so a snapshot never lands in the
+		// middle of a worker batch.
 		if ctx.parent == nil {
 			ctx.release()
 			ctx.acquire()

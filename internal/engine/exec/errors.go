@@ -31,9 +31,9 @@ const (
 	// chaos harness; a real engine surfaces the same condition when tempdb
 	// runs out of room under a spilled sort.
 	KindSpill
-	// KindWorkerCrash is a parallel-zone worker goroutine dying mid-batch.
-	// The gather's supervision converts it into this typed error on the
-	// coordinator, after every worker goroutine has been released.
+	// KindWorkerCrash is a parallel-zone worker dying mid-batch. The
+	// gather's supervision converts it into this typed error on the
+	// coordinator, once every worker has run its batch of the round.
 	KindWorkerCrash
 )
 

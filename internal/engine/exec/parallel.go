@@ -12,21 +12,21 @@ import (
 )
 
 // This file implements intra-query parallelism: the gather operator runs a
-// GatherStreams exchange's subtree on DOP worker goroutines, each scanning
-// a disjoint contiguous partition of the input object against a private
-// sub-clock, and merges their output deterministically on the coordinator.
+// GatherStreams exchange's subtree as DOP workers, each scanning a disjoint
+// contiguous partition of the input object against a private sub-clock,
+// and merges their output deterministically on the coordinator.
 //
 // Determinism at any DOP is the design center, because the whole repo's
 // experiment methodology rests on bit-reproducible runs:
 //
-//   - Workers only compute inside a fork-join batch round: the coordinator
-//     sends a batch request to each worker's channel and blocks until every
-//     response arrives. Channel receives are the happens-before edges, so
-//     there is no data race and no schedule-dependent interleaving —
-//     workers never touch shared state between rounds.
+//   - A worker is a private context and an operator tree, not a thread of
+//     the host: the coordinator steps each worker itself, a batch of rows
+//     at a time, in fixed worker order. Parallelism lives in the virtual
+//     clocks and the per-(node, thread) counters the DMV reports, which is
+//     all the estimator sees; the whole query runs on one goroutine.
 //   - Each worker charges its work to a private sim.Clock seeded at the
 //     zone's start time. The shared query clock is advanced only by the
-//     coordinator, while all workers are parked, using max(now, row time):
+//     coordinator, between worker batches, using max(now, row time):
 //     virtual time flows from worker sub-clocks into the query clock in a
 //     fixed worker order, so poller observations are identical run to run.
 //   - The gather is order-preserving: worker 0's rows are emitted before
@@ -39,13 +39,12 @@ import (
 // Exchange node in the workloads) fall back to the serial exchange in
 // spool.go.
 
-// GatherBatchRows is how many rows a coordinator batch request asks a
-// worker for. Larger batches amortize channel round-trips; the value has
-// no effect on results or on virtual time of fully-consumed zones, only on
-// real-time constant factors — and it bounds the run-ahead of a zone whose
-// consumer stops early (at most DOP batches of extra rows are produced,
-// exactly as the serial exchange runs ahead of its consumer). Exported so
-// differential tests can state that bound.
+// GatherBatchRows is how many rows the coordinator steps a worker for at a
+// time. The value has no effect on results or on virtual time of fully
+// consumed zones, but it fixes the run-ahead that polls see and bounds that
+// of a zone whose consumer stops early (at most DOP batches of extra rows
+// are produced, exactly as the serial exchange runs ahead of its consumer).
+// Exported so differential tests can state that bound.
 const GatherBatchRows = 512
 
 // timedRow is a worker output row stamped with the worker's virtual time
@@ -58,7 +57,7 @@ type timedRow struct {
 
 // workerResp is one batch of rows from a worker: done marks the worker's
 // current root as exhausted (and closed); err carries a typed failure that
-// the coordinator re-panics on its own goroutine.
+// the coordinator re-panics once the round's other workers have run.
 type workerResp struct {
 	rows []timedRow
 	done bool
@@ -67,21 +66,17 @@ type workerResp struct {
 
 // zoneWorker is one parallel worker: a private context (clock, buffer-pool
 // view, partition assignment) plus the operator tree it drives. The
-// coordinator requests batches over req and receives them over resp;
-// outside an in-flight request the worker goroutine is parked and its
-// state may be read (trace merge) or mutated (stage swap) freely.
+// coordinator steps it with serve; between batches its state may be read
+// (trace merge) or mutated (stage swap) freely.
 type zoneWorker struct {
 	id   int
 	ctx  *Ctx
 	root Operator
 	// stage2 is the post-repartition tree of a two-stage aggregate zone,
 	// swapped in as root once stage 1 is drained and routed.
-	stage2  *producerWrap
-	req     chan int
-	resp    chan workerResp
-	running bool
+	stage2 *producerWrap
 
-	// opened/srvDone are goroutine-local to serve().
+	// opened/srvDone are serve's view of the worker's root.
 	opened  bool
 	srvDone bool
 
@@ -91,23 +86,10 @@ type zoneWorker struct {
 	done  bool
 }
 
-func (w *zoneWorker) start() {
-	if !w.running {
-		w.running = true
-		go w.run()
-	}
-}
-
-func (w *zoneWorker) run() {
-	for n := range w.req {
-		w.resp <- w.serve(n)
-	}
-}
-
 // serve produces up to n rows from the worker's current root on the
 // worker's own clock. Panics — typed lifecycle aborts and engine bugs
 // alike — are converted to a QueryError blamed on the worker's current
-// operator, stamped with the worker clock, and shipped to the coordinator.
+// operator, stamped with the worker clock, and returned to the coordinator.
 func (w *zoneWorker) serve(n int) (resp workerResp) {
 	defer func() {
 		r := recover()
@@ -146,8 +128,7 @@ func (w *zoneWorker) serve(n int) (resp workerResp) {
 }
 
 // setRoot swaps the worker's tree for the next stage. Called by the
-// coordinator while the worker is parked between rounds; the next req send
-// publishes the change.
+// coordinator between rounds.
 func (w *zoneWorker) setRoot(op Operator) {
 	w.root = op
 	w.opened = false
@@ -248,7 +229,7 @@ type gather struct {
 	cur      int // worker currently being drained (order-preserving merge)
 	started  bool
 	zoneDone bool
-	shutDown bool
+	merged   bool
 }
 
 // newExchangeOrGather builds the operator for an Exchange plan node: a
@@ -348,12 +329,7 @@ func tryNewGather(n *plan.Node, ctx *Ctx, dop int) *gather {
 			Parts:  dop,
 			parent: ctx,
 		}
-		zw := &zoneWorker{
-			id:   w,
-			ctx:  wctx,
-			req:  make(chan int),
-			resp: make(chan workerResp, 1),
-		}
+		zw := &zoneWorker{id: w, ctx: wctx}
 		prodCtr := &Counters{NodeID: n.ID, Physical: n.Physical, Logical: n.Logical, EstRows: n.EstRows}
 		wctx.record(prodCtr)
 		if rep == nil {
@@ -373,16 +349,15 @@ func tryNewGather(n *plan.Node, ctx *Ctx, dop int) *gather {
 
 func (g *gather) Open(ctx *Ctx) {
 	g.opened(ctx)
-	// Shutdown must run even on the failure path, where Close is never
-	// called; the cleanup hooks fire at any terminal state.
-	ctx.onCleanup(g.shutdown)
+	// The worker traces must be merged even on the failure path, where
+	// Close is never called; the cleanup hooks fire at any terminal state.
+	ctx.onCleanup(g.mergeTraces)
 }
 
 // zoneStart is the lazy fork point, run at the first Next: worker clocks
 // are seeded with the zone's start time, late-bound context (deadline,
-// memory grant, tracing — all settable after NewQuery) is copied down, the
-// goroutines launch, and a repartition zone runs its stage-1 to the
-// barrier.
+// memory grant, tracing — all settable after NewQuery) is copied down, and
+// a repartition zone runs its stage-1 to the barrier.
 func (g *gather) zoneStart(ctx *Ctx) {
 	g.started = true
 	t0 := ctx.Clock.Now()
@@ -396,32 +371,26 @@ func (g *gather) zoneStart(ctx *Ctx) {
 		if ctx.Trace != nil {
 			w.ctx.Trace = trace.NewRecorder(w.ctx.Clock, 0)
 		}
-		w.start()
 	}
 	if g.rep != nil {
 		g.repartition(ctx)
 	}
-	// Initial round: one batch request to every worker, so all DOP
-	// goroutines genuinely compute concurrently; refills after this go to
-	// the worker currently being drained, bounding buffered memory.
+	// Initial round: one batch from every worker, so every worker has
+	// started its partition; refills after this go to the worker currently
+	// being drained, bounding buffered memory.
 	g.roundAll()
 }
 
-// roundAll sends a batch request to every non-exhausted worker and absorbs
-// all responses before surfacing the first error (in worker order), so no
-// request is left in flight when the coordinator panics.
+// roundAll steps every non-exhausted worker for one batch, in worker order,
+// and absorbs every response before surfacing the first error, so each
+// worker's clock and counters are the same whichever of them failed.
 func (g *gather) roundAll() {
-	var sent []*zoneWorker
-	for _, w := range g.workers {
-		if !w.done {
-			w.req <- GatherBatchRows
-			sent = append(sent, w)
-		}
-	}
 	var firstErr *QueryError
-	for _, w := range sent {
-		r := <-w.resp
-		if err := g.absorb(w, r); err != nil && firstErr == nil {
+	for _, w := range g.workers {
+		if w.done {
+			continue
+		}
+		if err := g.absorb(w, w.serve(GatherBatchRows)); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -439,9 +408,7 @@ func (g *gather) absorb(w *zoneWorker, r workerResp) *QueryError {
 }
 
 func (g *gather) refill(w *zoneWorker) {
-	w.req <- GatherBatchRows
-	r := <-w.resp
-	if err := g.absorb(w, r); err != nil {
+	if err := g.absorb(w, w.serve(GatherBatchRows)); err != nil {
 		panic(err)
 	}
 }
@@ -453,32 +420,14 @@ func (g *gather) refill(w *zoneWorker) {
 func (g *gather) repartition(ctx *Ctx) {
 	nw := len(g.workers)
 	buckets := make([][]types.Row, nw)
-	active := nw
-	for active > 0 {
-		var sent []*zoneWorker
+	for slices.ContainsFunc(g.workers, func(w *zoneWorker) bool { return !w.done }) {
+		g.roundAll()
 		for _, w := range g.workers {
-			if !w.done {
-				w.req <- GatherBatchRows
-				sent = append(sent, w)
-			}
-		}
-		var firstErr *QueryError
-		for _, w := range sent {
-			r := <-w.resp
-			for _, tr := range r.rows {
+			for _, tr := range w.queue {
 				b := int(tr.row.HashCols(g.rep.ExchangeHashCols) % uint64(nw))
 				buckets[b] = append(buckets[b], tr.row)
 			}
-			if r.done {
-				w.done = true
-				active--
-			}
-			if r.err != nil && firstErr == nil {
-				firstErr = r.err
-			}
-		}
-		if firstErr != nil {
-			panic(firstErr)
+			w.queue = w.queue[:0]
 		}
 	}
 	var barrier sim.Duration
@@ -542,8 +491,8 @@ func (g *gather) Next(ctx *Ctx) (types.Row, bool) {
 }
 
 // finishZone advances the shared clock to the fork-join barrier — the
-// maximum worker end time, scanned in fixed worker order — and releases
-// the worker goroutines.
+// maximum worker end time, scanned in fixed worker order — and merges the
+// worker traces.
 func (g *gather) finishZone(ctx *Ctx) {
 	if g.zoneDone {
 		return
@@ -559,7 +508,7 @@ func (g *gather) finishZone(ctx *Ctx) {
 		ctx.Clock.Advance(d)
 	}
 	g.c.BufferedRows = 0
-	g.shutdown()
+	g.mergeTraces()
 }
 
 func (g *gather) Close(ctx *Ctx) {
@@ -584,33 +533,20 @@ func (g *gather) Close(ctx *Ctx) {
 			}
 		}
 	}
-	g.shutdown()
-	g.closed(ctx)
-}
-
-// shutdown releases worker goroutines and merges worker trace streams into
-// the query recorder; idempotent, and run from the query's terminal-state
-// cleanup hooks so the failure path leaks neither goroutines nor events.
-func (g *gather) shutdown() {
-	if g.shutDown {
-		return
-	}
-	g.shutDown = true
-	for _, w := range g.workers {
-		if w.running {
-			close(w.req)
-		}
-	}
 	g.mergeTraces()
+	g.closed(ctx)
 }
 
 // mergeTraces folds the per-worker event streams into the query's
 // recorder, tagging each event with its thread and interleaving across
-// workers by (time, thread) — a total, deterministic order.
+// workers by (time, thread) — a total, deterministic order. Idempotent,
+// and run from the query's terminal-state cleanup hooks too, so the
+// failure path loses no events.
 func (g *gather) mergeTraces() {
-	if g.rootCtx.Trace == nil {
+	if g.merged || g.rootCtx.Trace == nil {
 		return
 	}
+	g.merged = true
 	var all []trace.Event
 	for _, w := range g.workers {
 		if w.ctx.Trace == nil {

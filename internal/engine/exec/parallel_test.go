@@ -11,7 +11,9 @@ package exec_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"lqs/internal/engine/dmv"
 	"lqs/internal/engine/exec"
@@ -273,6 +275,64 @@ func TestTwoStageAggregate(t *testing.T) {
 				t.Fatalf("dop=%d: unexpected group row %v", dop, r)
 			}
 			want[k]--
+		}
+	}
+}
+
+// TestGatherStartsNoGoroutine pins that a parallel zone runs on the query's
+// own goroutine: the gather steps its workers itself. A clock observer on
+// the query clock samples runtime.NumGoroutine while the gather is open,
+// for a scan zone (TPC-H Q6) and a two-stage aggregate zone, at DOP 4, and
+// no sample may exceed the count taken before the query ran.
+func TestGatherStartsNoGoroutine(t *testing.T) {
+	w := workload.TPCH(1, workload.TPCHRowstore)
+	const dop = 4
+	twoStage := func(b *plan.Builder) *plan.Node {
+		return b.HashAgg(
+			b.TableScan("lineitem", nil, nil),
+			[]int{7}, // l_returnflag
+			[]expr.AggSpec{{Kind: expr.CountStar}},
+		)
+	}
+	zones := []struct {
+		name string
+		root *plan.Node
+	}{
+		{"Q6", plan.Parallelize(w.Query("Q6").Build(w.Builder()), dop)},
+		{"two-stage", plan.ParallelizeWith(twoStage(w.Builder()), dop, plan.ParallelizeOptions{TwoStageAgg: true})},
+	}
+	for _, z := range zones {
+		p := plan.Finalize(z.root)
+		opt.NewEstimator(w.DB.Catalog).Estimate(p)
+		gatherID := -1
+		for _, n := range p.Nodes {
+			if n.Physical == plan.Exchange && n.ExchangeKind == plan.GatherStreams {
+				gatherID = n.ID
+			}
+		}
+		if gatherID < 0 {
+			t.Fatalf("%s: the rewrite produced no gather", z.name)
+		}
+		w.DB.ColdStart()
+		q := exec.NewQueryDOP(p, w.DB, opt.DefaultCostModel(), sim.NewClock(), dop)
+		before := runtime.NumGoroutine()
+		peak, samples := before, 0
+		q.Ctx.Clock.Observe(10*time.Microsecond, func(sim.Duration) {
+			// Mid-zone: the gather is open and not yet closed.
+			if g := dmv.Capture(q).Op(gatherID); !g.Opened || g.Closed {
+				return
+			}
+			samples++
+			peak = max(peak, runtime.NumGoroutine())
+		})
+		if _, err := q.Run(); err != nil {
+			t.Fatalf("%s: %v", z.name, err)
+		}
+		if samples == 0 {
+			t.Fatalf("%s: the observer never fired inside the zone", z.name)
+		}
+		if peak != before {
+			t.Errorf("%s dop=%d: %d goroutines mid-zone, %d before the query ran", z.name, dop, peak, before)
 		}
 	}
 }

@@ -72,7 +72,7 @@ func TestPoolPublish(t *testing.T) {
 	if got := reg.Gauge("bufferpool/evictions").Value(); got != 1 {
 		t.Fatalf("published evictions = %d, want 1", got)
 	}
-	if !strings.Contains(reg.Dump(), "bufferpool/hits") {
+	if !strings.Contains(reg.PromText(), "bufferpool_hits") {
 		t.Fatal("dump missing bufferpool gauges")
 	}
 	bp.Publish(nil) // nil registry must not panic

@@ -2,19 +2,16 @@
 // metrics surface, the analog of SQL Server's performance counters sitting
 // next to the DMV views. Components feed it live (buffer-pool traffic,
 // poller sampling, registry occupancy, estimator-error distributions) and
-// tools dump it as sorted expvar-style text.
+// tools render it in the Prometheus text format (PromText).
 //
 // Counters and gauges are lock-free atomics so hot paths pay one atomic
-// add; the registry lock is taken only on metric creation and dump. The
-// text dump is sorted by name, so identical metric values always render
+// add; the registry lock is taken only on metric creation and snapshot.
+// The text is sorted by name, so identical metric values always render
 // byte-identically regardless of registration order.
 package obs
 
 import (
-	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -139,16 +136,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.n)
 }
 
-func (h *Histogram) dump(sb *strings.Builder) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	fmt.Fprintf(sb, "count=%d sum=%g", h.n, h.sum)
-	for i, b := range h.bounds {
-		fmt.Fprintf(sb, " le%g:%d", b, h.counts[i])
-	}
-	fmt.Fprintf(sb, " inf:%d", h.counts[len(h.bounds)])
-}
-
 // Registry holds named metrics. The zero value is not usable; construct
 // with NewRegistry. All methods are safe for concurrent use.
 type Registry struct {
@@ -217,35 +204,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		r.histograms[name] = h
 	}
 	return h
-}
-
-// Dump renders every metric as one line of expvar-style text, sorted by
-// name: identical metric values produce byte-identical dumps.
-func (r *Registry) Dump() string {
-	if r == nil {
-		return ""
-	}
-	r.mu.Lock()
-	lines := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for name, c := range r.counters {
-		lines = append(lines, fmt.Sprintf("%s counter %d", name, c.Value()))
-	}
-	for name, g := range r.gauges {
-		lines = append(lines, fmt.Sprintf("%s gauge %d", name, g.Value()))
-	}
-	hists := make(map[string]*Histogram, len(r.histograms))
-	for name, h := range r.histograms {
-		hists[name] = h
-	}
-	r.mu.Unlock()
-	for name, h := range hists {
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "%s histogram ", name)
-		h.dump(&sb)
-		lines = append(lines, sb.String())
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n") + "\n"
 }
 
 // Reset drops every metric — tests and benchmark harnesses use it to start

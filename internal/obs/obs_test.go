@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -45,21 +46,24 @@ func TestDumpSortedAndDeterministic(t *testing.T) {
 		}
 		r.Gauge("g/x").Set(1)
 		r.Histogram("h/x", []float64{1}).Observe(0.5)
-		return r.Dump()
+		return r.PromText()
 	}
 	a := mk([]string{"z", "a", "m"})
 	b := mk([]string{"m", "z", "a"})
 	if a != b {
 		t.Fatalf("dump depends on registration order:\n%s\nvs\n%s", a, b)
 	}
-	lines := strings.Split(strings.TrimSpace(a), "\n")
-	for i := 1; i < len(lines); i++ {
-		if lines[i-1] > lines[i] {
-			t.Fatalf("dump not sorted: %q > %q", lines[i-1], lines[i])
+	var families []string
+	for _, line := range strings.Split(a, "\n") {
+		if fam, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, fam)
 		}
 	}
-	if !strings.Contains(a, "h/x histogram count=1 sum=0.5 le1:1 inf:0") {
-		t.Fatalf("unexpected histogram line in dump:\n%s", a)
+	if !slices.IsSorted(families) {
+		t.Fatalf("dump families not sorted: %q", families)
+	}
+	if !strings.Contains(a, "h_x_bucket{le=\"1\"} 1\nh_x_bucket{le=\"+Inf\"} 1\nh_x_sum 0.5\nh_x_count 1\n") {
+		t.Fatalf("unexpected histogram series in dump:\n%s", a)
 	}
 }
 
@@ -68,7 +72,7 @@ func TestNilRegistryAndMetricsTolerated(t *testing.T) {
 	r.Counter("x").Inc()
 	r.Gauge("x").Set(1)
 	r.Histogram("x", nil).Observe(1)
-	if r.Dump() != "" {
+	if r.PromText() != "" {
 		t.Fatal("nil registry dump should be empty")
 	}
 	var c *Counter

@@ -370,16 +370,6 @@ func (n *Node) String() string {
 }
 
 func (n *Node) format(sb *strings.Builder, depth int) {
-	n.formatLine(sb, depth)
-	sb.WriteByte('\n')
-	for _, c := range n.Children {
-		c.format(sb, depth+1)
-	}
-}
-
-// formatLine renders one node's showplan line without the trailing newline,
-// so annotating renderers (ExplainWithProfile) can append to it.
-func (n *Node) formatLine(sb *strings.Builder, depth int) {
 	sb.WriteString(strings.Repeat("  ", depth))
 	fmt.Fprintf(sb, "[%d] %s", n.ID, n.Physical)
 	if n.Logical != LogicalUnknown && n.Logical.String() != n.Physical.String() {
@@ -400,6 +390,10 @@ func (n *Node) formatLine(sb *strings.Builder, depth int) {
 	}
 	if n.PushedPred != nil {
 		fmt.Fprintf(sb, " pushed=%s", n.PushedPred)
+	}
+	sb.WriteByte('\n')
+	for _, c := range n.Children {
+		c.format(sb, depth+1)
 	}
 }
 

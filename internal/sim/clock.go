@@ -118,16 +118,11 @@ func (c *Clock) cross(d Duration) {
 // sitting exactly on a grid point fires at the *next* point: boundaries are
 // crossed by work, and no work has been charged yet at registration).
 // It returns a handle whose Stop method deregisters the observer; any
-// number of observers may be registered at once. Passing a nil cb removes
-// every observer (legacy detach-all) and returns nil.
+// number of observers may be registered at once. A nil cb or a
+// non-positive interval panics.
 func (c *Clock) Observe(interval Duration, cb func(now Duration)) *Observation {
 	if cb == nil {
-		for _, o := range c.observers {
-			o.clock = nil
-			o.cb = nil
-		}
-		c.observers = nil
-		return nil
+		panic("sim: nil observer callback")
 	}
 	if interval <= 0 {
 		panic("sim: non-positive observe interval")

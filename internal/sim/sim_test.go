@@ -337,15 +337,13 @@ func TestClockObserveOnGridBoundary(t *testing.T) {
 	}
 }
 
-// TestClockObserveNilDetachesAll preserves the legacy detach-all contract.
-func TestClockObserveNilDetachesAll(t *testing.T) {
-	c := NewClock()
-	c.Observe(time.Second, func(Duration) { t.Fatal("observer survived nil detach") })
-	c.Observe(2*time.Second, func(Duration) { t.Fatal("observer survived nil detach") })
-	if h := c.Observe(time.Second, nil); h != nil {
-		t.Fatal("nil-cb Observe returned a handle")
-	}
-	c.Advance(5 * time.Second)
+func TestClockObserveNilPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on nil observer callback")
+		}
+	}()
+	NewClock().Observe(time.Second, nil)
 }
 
 func TestClockNegativeAdvancePanics(t *testing.T) {
