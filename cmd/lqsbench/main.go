@@ -224,7 +224,7 @@ func runTrace(args []string, stdout io.Writer) error {
 		return err
 	}
 	reg := obs.NewRegistry()
-	errHist := reg.Histogram("estimator/error_count/"+w.Name, nil)
+	errHist := reg.Histogram(obs.Labeled("estimator/error_count", "workload", w.Name), nil)
 	r := metrics.Runner{Limit: *limit, Parallel: sh.parallel, EventCap: -1, DOP: *dop}
 	pid := 0
 	var files int

@@ -64,3 +64,68 @@ func TestRowPathAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestExchangePlanBytes is the byte fence of plans with a serial exchange:
+// at seed 42 with polling off, a query allocates at most 60 bytes per row
+// its operators charge for. The exchange copies the rows it buffers into
+// chunks of values and, while its consumer does not keep them, reuses a
+// drained chunk, so it allocates about what it holds at its peak, not a
+// row header and a slab row for each row that crosses it (89-103 B per
+// row). It is measured as TestRowPathAllocations measures, in bytes, on a
+// second run, so that the indexes and statistics the first run builds on
+// first use are not counted.
+func TestExchangePlanBytes(t *testing.T) {
+	tpch, tpchcs, tpcds := workload.TPCH(42, workload.TPCHRowstore), workload.TPCH(42, workload.TPCHColumnstore), workload.TPCDS(42)
+	const ceiling = 60.0
+	for _, c := range []struct {
+		w     *workload.Workload
+		query string
+	}{{tpch, "Q1"}, {tpchcs, "Q1"}, {tpch, "Q7"}, {tpcds, "DS-EXCH"}} {
+		q := c.w.Query(c.query)
+		if q == nil {
+			t.Fatalf("%s has no query %s", c.w.Name, c.query)
+		}
+		metrics.TraceQueryEvents(c.w, *q, time.Hour, 0, 1)
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, tr, _ := metrics.TraceQueryEvents(c.w, *q, time.Hour, 0, 1)
+		runtime.ReadMemStats(&after)
+		var rows int64
+		for _, n := range tr.TrueRows {
+			rows += n
+		}
+		perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(rows)
+		t.Logf("%s/%s: %.1f bytes per charged row (%d rows)", c.w.Name, c.query, perRow, rows)
+		if perRow > ceiling {
+			t.Errorf("%s/%s: %.1f bytes per charged row, want at most %v", c.w.Name, c.query, perRow, ceiling)
+		}
+	}
+}
+
+// BenchmarkExchangePlans runs the plans TestExchangePlanBytes fences, one
+// sub-benchmark each, as the benchmark's exec probes run them: traced with
+// polling off at DOP 1. One op is one query; a run before the timer starts
+// builds what the query builds on first use, so B/op and allocs/op are the
+// row path's.
+func BenchmarkExchangePlans(b *testing.B) {
+	tpch, tpchcs, tpcds := workload.TPCH(42, workload.TPCHRowstore), workload.TPCH(42, workload.TPCHColumnstore), workload.TPCDS(42)
+	for _, c := range []struct {
+		name  string
+		w     *workload.Workload
+		query string
+	}{{"Q1", tpch, "Q1"}, {"Q1cs", tpchcs, "Q1"}, {"Q7", tpch, "Q7"}, {"DS-EXCH", tpcds, "DS-EXCH"}} {
+		q := c.w.Query(c.query)
+		if q == nil {
+			b.Fatalf("%s has no query %s", c.w.Name, c.query)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			metrics.TraceQueryEvents(c.w, *q, time.Hour, 0, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				metrics.TraceQueryEvents(c.w, *q, time.Hour, 0, 1)
+			}
+		})
+	}
+}

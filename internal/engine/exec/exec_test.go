@@ -560,14 +560,18 @@ func BenchmarkHashJoinExec(bm *testing.B) {
 }
 
 // The exchange must retain what it buffers, not everything that ever
-// crossed it: consumed slots are released and the queue is sized by its
-// high-water occupancy.
+// crossed it. While its consumer does not keep rows, its chunks hold at most
+// the buffered values plus two chunks: drained chunks are reused or
+// dropped, and the length ring is sized by the occupancy. A closed
+// exchange holds no chunk at all.
 func TestExchangeReleasesEmittedRows(t *testing.T) {
-	const total = 3000 // rows in u
+	const total, width = 3000, 6 // u joined to t: three chunks of values
 	build := func(startup, ahead int) (*Query, *exchange) {
 		db := testDB(t)
 		bb := b(db)
-		ex := bb.ExchangeNode(bb.TableScan("u", nil, nil), plan.GatherStreams)
+		hj := bb.HashJoinNode(plan.LogicalInnerJoin,
+			bb.TableScan("t", nil, nil), bb.TableScan("u", nil, nil), []int{0}, []int{1}, nil)
+		ex := bb.ExchangeNode(hj, plan.GatherStreams)
 		ex.ExchangeStartup = startup
 		ex.ExchangeAhead = ahead
 		p := plan.Finalize(ex)
@@ -575,47 +579,58 @@ func TestExchangeReleasesEmittedRows(t *testing.T) {
 		q := NewQuery(p, db, opt.DefaultCostModel(), sim.NewClock())
 		return q, q.Operator(ex.ID).(*exchange)
 	}
+	check := func(e *exchange, emitted int) {
+		t.Helper()
+		held := cap(e.spare)
+		for _, c := range e.chunks {
+			held += cap(c)
+		}
+		if e.c.BufferedRows != int64(e.n) {
+			t.Fatalf("after %d rows: BufferedRows %d, %d rows buffered", emitted, e.c.BufferedRows, e.n)
+		}
+		if live := e.n * width; held > live+2*exchangeChunk {
+			t.Fatalf("after %d rows: chunks hold %d values for %d buffered", emitted, held, live)
+		}
+	}
 
 	// Whole input buffered by the start-up burst: after N of M rows the
-	// live window is M-N, and the slice holds no more than twice that.
+	// exchange buffers M-N.
 	q, e := build(2*total, 1)
 	for _, n := range []int{1, 1000, 2500, 2999} {
 		q.Step(n - int(q.RowsReturned()))
-		live := len(e.queue) - e.head
-		if live != total-n || e.c.BufferedRows != int64(live) {
-			t.Fatalf("after %d rows: live window %d, BufferedRows %d, want %d", n, live, e.c.BufferedRows, total-n)
+		if e.n != total-n {
+			t.Fatalf("after %d rows: %d rows buffered, want %d", n, e.n, total-n)
 		}
-		if len(e.queue) > 2*live+1 {
-			t.Fatalf("after %d rows: queue still spans %d slots for %d live rows", n, len(e.queue), live)
-		}
+		check(e, n)
 	}
 
 	// Steady state (one row pulled per row emitted): occupancy never
-	// exceeds the start-up burst, so neither may the queue's capacity
-	// scale with the rows that have passed through.
+	// exceeds the start-up burst, and a growing one (two pulled per row):
+	// the chunks follow the occupancy either way.
 	const startup = 100
-	q, e = build(startup, 1)
-	highWater := 0
-	for {
-		if more, err := q.Step(1); err != nil || !more {
-			break
+	for _, ahead := range []int{1, 2} {
+		q, e = build(startup, ahead)
+		highWater := 0
+		for {
+			if more, err := q.Step(1); err != nil || !more {
+				break
+			}
+			highWater = max(highWater, e.n)
+			if !e.c.Closed {
+				check(e, int(q.RowsReturned()))
+			}
 		}
-		if live := len(e.queue) - e.head; live > highWater {
-			highWater = live
+		if q.RowsReturned() != total {
+			t.Fatalf("ahead %d: exchange delivered %d rows, want %d", ahead, q.RowsReturned(), total)
 		}
-	}
-	if q.RowsReturned() != total {
-		t.Fatalf("exchange delivered %d rows, want %d", q.RowsReturned(), total)
-	}
-	if highWater > startup+1 {
-		t.Fatalf("high-water occupancy %d, want <= %d", highWater, startup+1)
-	}
-	if cap(e.queue) > 4*highWater {
-		t.Fatalf("queue capacity %d after %d rows with high-water occupancy %d", cap(e.queue), total, highWater)
-	}
-	// A closed exchange holds no queue array at all: a finished query that
-	// stays listed must not pin its peak buffer.
-	if !e.c.Closed || e.queue != nil {
-		t.Fatalf("finished query: exchange closed %v, queue capacity %d; want closed with no queue", e.c.Closed, cap(e.queue))
+		if ahead == 1 && highWater > startup+1 {
+			t.Fatalf("ahead 1: high-water occupancy %d, want <= %d", highWater, startup+1)
+		}
+		// A closed exchange holds nothing: a finished query that stays
+		// listed must not pin its peak buffer.
+		if !e.c.Closed || e.chunks != nil || e.spare != nil || e.lens != nil {
+			t.Fatalf("ahead %d: finished query: exchange closed %v with %d chunks, spare %d, ring %d; want closed, holding none",
+				ahead, e.c.Closed, len(e.chunks), cap(e.spare), len(e.lens))
+		}
 	}
 }

@@ -66,7 +66,7 @@ func (h *hashJoin) Open(ctx *Ctx) {
 func (h *hashJoin) Rewind(ctx *Ctx) {
 	// Hash joins never sit on the inner side of a nested loop in the
 	// plans this engine produces; a rebind would need a full re-open.
-	panic("exec: hash join cannot be rewound")
+	panic(&QueryError{Kind: KindInternal, NodeID: h.c.NodeID, Reason: "hash join cannot be rewound"})
 }
 
 // lookup collects the positions of the build entries whose keys equal the

@@ -38,7 +38,7 @@ func (m *mergeJoin) Open(ctx *Ctx) {
 }
 
 func (m *mergeJoin) Rewind(ctx *Ctx) {
-	panic("exec: merge join cannot be rewound")
+	panic(&QueryError{Kind: KindInternal, NodeID: m.c.NodeID, Reason: "merge join cannot be rewound"})
 }
 
 // cmpKeys orders a left row against a right row on the join keys.

@@ -91,15 +91,17 @@ func (b *base) emit() {
 // (types.Row states the rule). The keep argument of the build functions
 // answers it for the edge above the operator being built: true when that
 // operator's consumer holds rows past its next call on it. Dense keepers
-// (sort, spool, exchange, hash-join build) ask for true; sparse keepers
-// (Top N Sort, merge-join run, nested-loops outer buffer) copy what they
-// keep into their own slab and ask for false, as do consumers that read a
+// (sort, spool, parallel gather, hash-join build) ask for true; sparse
+// keepers (Top N Sort, merge-join run, nested-loops outer buffer) copy what
+// they keep into their own slab and ask for false, as do the serial
+// exchange, which copies every row it buffers, and consumers that read a
 // row and move on; pass-through operators (filter, segment, concatenation,
 // bitmap, and the side of a semi or anti join whose rows it returns as its
-// own) hand their own answer down. Only joins and Compute Scalar act on
-// it: they reuse one buffer unless the consumer keeps, and then carve rows
-// from a slab. The query root's consumer does not keep: Step and Run drop
-// each row, and RunCollect copies the rows it returns.
+// own) hand their own answer down. Joins and Compute Scalar act on it: they
+// reuse one buffer unless the consumer keeps, and then carve rows from a
+// slab. So does the serial exchange: it reuses a drained chunk unless the
+// consumer keeps. The query root's consumer does not keep: Step and Run
+// drop each row, and RunCollect copies the rows it returns.
 
 // BuildOperator constructs the operator tree for a finalized, estimated
 // plan. The ctx must be the one later used to run the query (bitmap
@@ -166,7 +168,7 @@ func buildOperator(n *plan.Node, ctx *Ctx, keep bool) Operator {
 		ctx.Bitmaps[n.ID] = bf
 		op = newBitmap(n, child(0, keep), bf)
 	case plan.Exchange:
-		op = newExchangeOrGather(n, ctx)
+		op = newExchangeOrGather(n, ctx, keep)
 	default:
 		panic(fmt.Sprintf("exec: no operator for %v", n.Physical))
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -283,6 +284,68 @@ func TestBufferingOperatorsReleaseRowsAtClose(t *testing.T) {
 			}
 		}
 		runtime.KeepAlive(q)
+	}
+}
+
+// TestExchangeCopiesReusedRows: a consumer that keeps rows gets rows from
+// the exchange that later Next calls never overwrite, although the join
+// under the exchange writes every row into one buffer: the exchange copies
+// each and never reuses a chunk. Under a root that does not keep, the
+// exchange reuses its chunks and each row is intact when returned, even
+// when every row fills a chunk of its own and the pulls after a pop start
+// a chunk. Every result equals the plan's without the exchange.
+func TestExchangeCopiesReusedRows(t *testing.T) {
+	db := testDB(t)
+	wide := make([]types.Row, 16) // one row per chunk
+	for i := range wide {
+		wide[i] = make(types.Row, exchangeChunk/2+1)
+		for j := range wide[i] {
+			wide[i][j] = types.Int(int64(i*len(wide[i]) + j))
+		}
+	}
+	for _, c := range []struct {
+		name           string
+		input          func(bb *plan.Builder) *plan.Node
+		startup, ahead int
+		sortCols       []int
+	}{
+		// One row pulled per row emitted, so the occupancy stays small and
+		// the chunks cycle while the input still arrives.
+		{"join", func(bb *plan.Builder) *plan.Node {
+			return bb.HashJoinNode(plan.LogicalInnerJoin,
+				bb.TableScan("t", nil, nil), bb.TableScan("u", nil, nil), []int{0}, []int{1}, nil)
+		}, 16, 1, []int{5, 3}},
+		{"wide rows", func(bb *plan.Builder) *plan.Node { return bb.ConstantScanRows(wide) }, 1, 2, []int{0}},
+	} {
+		plans := func(withExchange bool) (sorted, streamed *plan.Node) {
+			bb := b(db)
+			in := func() *plan.Node {
+				if !withExchange {
+					return c.input(bb)
+				}
+				ex := bb.ExchangeNode(c.input(bb), plan.GatherStreams)
+				ex.ExchangeStartup, ex.ExchangeAhead = c.startup, c.ahead
+				return ex
+			}
+			return bb.Sort(in(), c.sortCols, nil), in()
+		}
+		sortedEx, streamedEx := plans(true)
+		sorted, streamed := plans(false)
+		for _, p := range []struct {
+			name      string
+			got, want *plan.Node
+		}{{"sort over exchange", sortedEx, sorted}, {"exchange at the root", streamedEx, streamed}} {
+			_, got := runPlan(t, db, p.got)
+			_, want := runPlan(t, db, p.want)
+			if len(got) != len(want) || len(got) == 0 {
+				t.Fatalf("%s, %s: %d rows, want %d", c.name, p.name, len(got), len(want))
+			}
+			for i := range want {
+				if !slices.Equal(got[i], want[i]) {
+					t.Fatalf("%s, %s: row %d differs from the plan's without the exchange", c.name, p.name, i)
+				}
+			}
+		}
 	}
 }
 

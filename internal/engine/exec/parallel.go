@@ -236,14 +236,16 @@ type gather struct {
 // parallel gather when the query runs at DOP > 1 and the subtree is a
 // provably safe zone, the serial exchange otherwise (including every
 // repartition without a two-stage shape and all pre-existing workload
-// exchanges).
-func newExchangeOrGather(n *plan.Node, ctx *Ctx) Operator {
+// exchanges). The serial exchange copies what its child returns, so the
+// child may reuse its rows; keep, whether the exchange's consumer keeps
+// rows, decides whether the exchange may reuse its own chunks.
+func newExchangeOrGather(n *plan.Node, ctx *Ctx, keep bool) Operator {
 	if ctx.DOP > 1 && n.ExchangeKind == plan.GatherStreams {
 		if g := tryNewGather(n, ctx, ctx.DOP); g != nil {
 			return g
 		}
 	}
-	return newExchange(n, buildOperator(n.Children[0], ctx, true))
+	return newExchange(n, buildOperator(n.Children[0], ctx, false), keep)
 }
 
 // parseZone checks that the subtree under a gather is a safe parallel

@@ -186,30 +186,23 @@ func TestBatchModeJoinAndAggCheaper(t *testing.T) {
 func TestJoinRewindPanics(t *testing.T) {
 	db := testDB(t)
 	bb := b(db)
-	for _, mk := range []func() Operator{
-		func() Operator {
-			n := bb.HashJoinNode(plan.LogicalInnerJoin,
-				bb.TableScan("t", nil, nil), bb.TableScan("u", nil, nil), []int{0}, []int{1}, nil)
-			plan.Finalize(n)
-			return BuildOperator(n, &Ctx{})
-		},
-		func() Operator {
-			n := bb.MergeJoinNode(plan.LogicalInnerJoin,
-				bb.TableScan("t", nil, nil), bb.TableScan("u", nil, nil), []int{0}, []int{1}, nil)
-			plan.Finalize(n)
-			return BuildOperator(n, &Ctx{})
-		},
-		func() Operator {
-			n := bb.ExchangeNode(bb.TableScan("t", nil, nil), plan.GatherStreams)
-			plan.Finalize(n)
-			return BuildOperator(n, &Ctx{})
-		},
+	for _, n := range []*plan.Node{
+		bb.HashJoinNode(plan.LogicalInnerJoin,
+			bb.TableScan("t", nil, nil), bb.TableScan("u", nil, nil), []int{0}, []int{1}, nil),
+		bb.MergeJoinNode(plan.LogicalInnerJoin,
+			bb.TableScan("t", nil, nil), bb.TableScan("u", nil, nil), []int{0}, []int{1}, nil),
+		bb.ExchangeNode(bb.TableScan("t", nil, nil), plan.GatherStreams),
 	} {
-		op := mk()
+		// Under a filter, so the operator's node ID is not the root's 0.
+		plan.Finalize(bb.Filter(n, expr.Eq(expr.C(0, "id"), expr.KInt(1))))
+		op := BuildOperator(n, &Ctx{})
 		func() {
+			// A typed panic names the operator that cannot rewind, not
+			// whichever operator charged last.
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%T.Rewind did not panic", op)
+				r := recover()
+				if qe, ok := r.(*QueryError); !ok || qe.Kind != KindInternal || qe.NodeID != n.ID {
+					t.Errorf("%T.Rewind panicked with %#v, want a %v QueryError at node %d", op, r, KindInternal, n.ID)
 				}
 			}()
 			op.Rewind(&Ctx{})

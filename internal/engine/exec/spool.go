@@ -109,11 +109,27 @@ func (s *spool) Close(ctx *Ctx) {
 // the exchange's by the buffer occupancy — up to orders of magnitude early
 // in execution. The simulation pulls `startup` child rows before emitting
 // anything, then `ahead` child rows per row emitted.
+//
+// The exchange is a copying keeper: it asks its child for rows it may not
+// keep and copies each into a FIFO of its own, made of chunks of
+// exchangeChunk values (a row never spans two), with the row lengths in a
+// ring. Next returns the head row in place. When the consumer does not
+// keep rows, a fully consumed head chunk becomes the one spare chunk that
+// later pushes fill; it is released at the next pop, so the row just
+// returned stays valid until the consumer's next call. When the consumer
+// keeps rows, chunks are never reused and serve as its slab.
 type exchange struct {
 	base
-	child     Operator
-	queue     []types.Row
-	head      int
+	child Operator
+	keep  bool // the consumer keeps rows: never reuse a chunk
+
+	chunks [][]types.Value // oldest first; pushes append to the last
+	off    int             // values of chunks[0] already popped
+	spare  []types.Value   // a drained chunk for the next push to fill
+	lens   []int32         // ring of the buffered rows' lengths, a power of two long
+	first  int             // ring index of the head row's length
+	n      int             // rows buffered
+
 	childDone bool
 	started   bool
 }
@@ -121,10 +137,13 @@ type exchange struct {
 const (
 	defaultExchangeStartup = 2048
 	defaultExchangeAhead   = 2
+	// exchangeChunk is the values in one FIFO chunk (128 KiB), unless a
+	// row is wider.
+	exchangeChunk = 8192
 )
 
-func newExchange(n *plan.Node, child Operator) *exchange {
-	e := &exchange{child: child}
+func newExchange(n *plan.Node, child Operator, keep bool) *exchange {
+	e := &exchange{child: child, keep: keep}
 	e.init(n)
 	return e
 }
@@ -135,7 +154,7 @@ func (e *exchange) Open(ctx *Ctx) {
 }
 
 func (e *exchange) Rewind(ctx *Ctx) {
-	panic("exec: exchange cannot be rewound")
+	panic(&QueryError{Kind: KindInternal, NodeID: e.c.NodeID, Reason: "exchange cannot be rewound"})
 }
 
 func (e *exchange) pull(ctx *Ctx, n int) {
@@ -143,29 +162,57 @@ func (e *exchange) pull(ctx *Ctx, n int) {
 		row, ok := e.child.Next(ctx)
 		if !ok {
 			e.childDone = true
+			e.spare = nil // no push is left to fill it
 			break
 		}
 		e.c.InputRows++
 		ctx.chargeCPU(&e.c, ctx.CM.CPUExchangeRow)
-		e.queue = append(e.queue, row)
+		e.push(row)
 	}
-	e.c.BufferedRows = int64(len(e.queue) - e.head)
+	e.c.BufferedRows = int64(e.n)
 }
 
-// popRow removes the head of the queue. The consumed slot is cleared and,
-// once the consumed prefix outgrows the live window, the window slides to
-// the front, so the queue retains (and is sized by) what is buffered, not
-// everything that ever crossed the exchange.
-func (e *exchange) popRow() types.Row {
-	row := e.queue[e.head]
-	e.queue[e.head] = nil
-	e.head++
-	if e.head > len(e.queue)/2 {
-		n := copy(e.queue, e.queue[e.head:])
-		clear(e.queue[n:])
-		e.queue = e.queue[:n]
-		e.head = 0
+// push copies row to the tail of the FIFO, starting a chunk (the spare, if
+// there is one) when the last has no room for it.
+func (e *exchange) push(row types.Row) {
+	last := len(e.chunks) - 1
+	if last < 0 || len(e.chunks[last])+len(row) > cap(e.chunks[last]) {
+		c := e.spare
+		if c == nil || len(row) > cap(c) {
+			c = make([]types.Value, 0, max(exchangeChunk, len(row)))
+		}
+		e.spare = nil
+		e.chunks = append(e.chunks, c)
+		last++
 	}
+	e.chunks[last] = append(e.chunks[last], row...)
+	if e.n == len(e.lens) {
+		lens := make([]int32, max(2*len(e.lens), 64))
+		copy(lens, e.lens[e.first:])
+		copy(lens[len(e.lens)-e.first:], e.lens[:e.first])
+		e.lens, e.first = lens, 0
+	}
+	e.lens[(e.first+e.n)&(len(e.lens)-1)] = int32(len(row))
+	e.n++
+}
+
+// pop returns the head row in place. It first releases a head chunk the
+// previous pop drained, which holds that pop's row, so a row stays intact
+// until the pop after the one that returned it.
+func (e *exchange) pop() types.Row {
+	if e.off == len(e.chunks[0]) && len(e.chunks) > 1 {
+		if !e.keep && !e.childDone {
+			e.spare = e.chunks[0][:0]
+		}
+		e.chunks[0] = nil
+		e.chunks = e.chunks[1:]
+		e.off = 0
+	}
+	n := int(e.lens[e.first])
+	e.first = (e.first + 1) & (len(e.lens) - 1)
+	e.n--
+	row := types.Row(e.chunks[0][e.off : e.off+n : e.off+n])
+	e.off += n
 	return row
 }
 
@@ -178,16 +225,16 @@ func (e *exchange) Next(ctx *Ctx) (types.Row, bool) {
 		}
 		e.pull(ctx, startup)
 	}
-	if e.head >= len(e.queue) {
+	if e.n == 0 {
 		if e.childDone {
 			return nil, false
 		}
 		e.pull(ctx, 1)
-		if e.head >= len(e.queue) {
+		if e.n == 0 {
 			return nil, false
 		}
 	}
-	row := e.popRow()
+	row := e.pop()
 	ahead := e.node.ExchangeAhead
 	if ahead == 0 {
 		ahead = defaultExchangeAhead
@@ -198,13 +245,13 @@ func (e *exchange) Next(ctx *Ctx) (types.Row, bool) {
 	return row, true
 }
 
-// Close drops the queue: popRow clears consumed slots, but the array keeps
-// its peak capacity, which a finished query still listed would pin.
+// Close drops the FIFO, so a finished query still listed does not pin its
+// peak buffer.
 func (e *exchange) Close(ctx *Ctx) {
 	if e.c.Closed {
 		return
 	}
-	e.queue, e.head = nil, 0
+	e.chunks, e.spare, e.lens, e.off, e.first, e.n = nil, nil, nil, 0, 0, 0
 	e.child.Close(ctx)
 	e.closed(ctx)
 }

@@ -9,12 +9,13 @@ import (
 //
 // Who may hold a row is decided per plan edge when the executor builds the
 // operator tree. A consumer that keeps most of what it reads past its next
-// call on a child (sorts, spools, exchanges, hash-join builds) tells that
-// child so, and the child hands it rows nobody overwrites, carved from a
+// call on a child (sorts, spools, parallel gathers, hash-join builds) tells
+// that child so, and the child hands it rows nobody overwrites, carved from a
 // slab of pointer-free chunks when it has to make them. A consumer that
 // keeps a few rows of many (top-N sorts, merge-join right runs,
 // nested-loops outer buffers) copies them into its own slab instead, so no
-// row it keeps pins a producer's chunk. Every other consumer may read a row
+// row it keeps pins a producer's chunk; the serial exchange copies every
+// row it buffers the same way. Every other consumer may read a row
 // only until its next call on the same child: the child may reuse the
 // row's backing array for the next one. Heap rows and index entries are
 // immutable and may be held anywhere; rows a columnstore scan materializes
