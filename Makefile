@@ -65,11 +65,13 @@ chaos-smoke:
 # Tiny tracing smoke test: run a few queries with event tracing on, emit
 # Chrome trace-event JSON, and validate it against the schema (ValidateChrome
 # runs inside lqsbench before each file is written); then require every
-# artifact to exist, and run lqsmon's explain path with and without chaos.
+# artifact to exist, and run lqsmon's explain path with and without chaos
+# and its per-thread drill-down of a parallel plan.
 trace-smoke:
 	rm -rf .trace-smoke && $(GO) run ./cmd/lqsbench trace -dir .trace-smoke -limit 2
 	$(GO) run ./cmd/lqsmon -plain -explain -interval 5ms -q Q1 > /dev/null
 	$(GO) run ./cmd/lqsmon -plain -explain -chaos 0.05 -q Q5 > /dev/null
+	$(GO) run ./cmd/lqsmon -plain -dop 2 -threads -q Q6 > /dev/null
 	@ls .trace-smoke/*.trace.json .trace-smoke/*.explain.txt .trace-smoke/metrics.txt > /dev/null
 	@rm -rf .trace-smoke && echo "trace-smoke: OK"
 

@@ -111,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "%s %s  %s  (virtual poll every %v, dop=%d)\n\n", w.Name, query.Name, q.State, *interval, *dop)
 		fmt.Fprint(stdout, s.Render(q))
 		if *threads {
-			if drill := s.RenderThreads(q); drill != "" {
+			if drill := s.RenderThreads(snap); drill != "" {
 				fmt.Fprintln(stdout)
 				fmt.Fprint(stdout, drill)
 			}

@@ -2,11 +2,38 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
 )
+
+// TestRunThreadsGolden: -threads draws the per-thread DMV drill-down under
+// every frame of a parallel plan. Q6 at DOP 2 is pinned byte for byte
+// against testdata/q6-dop2-threads.golden: every frame's plan, its
+// per-(node, thread) rows and the closing summary. After an intentional
+// change, rewrite it with
+//
+//	go run ./cmd/lqsmon -plain -dop 2 -threads -q Q6 > cmd/lqsmon/testdata/q6-dop2-threads.golden
+func TestRunThreadsGolden(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-plain", "-dop", "2", "-threads", "-q", "Q6"}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
+	}
+	got := stdout.String()
+	if !strings.Contains(got, "threads=3") || !strings.Contains(got, "   thread 2: rows=") {
+		t.Fatalf("no per-thread drill-down in the output:\n%s", got)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "q6-dop2-threads.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("lqsmon -threads output diverged from the golden\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
 
 // TestRunTerminalFrameBeforeFirstPoll: at an hour-long poll interval Q6
 // ends before its first poll, so the only frame is the terminal one

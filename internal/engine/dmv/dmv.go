@@ -1,14 +1,16 @@
 // Package dmv is the server-side observability surface of the engine: the
 // analog of SQL Server's dynamic management views the paper's client polls
-// (§2.1-2.2). QueryProfiles snapshots mirror sys.dm_exec_query_profiles
+// (§2.1-2.2). Capture snapshots mirror sys.dm_exec_query_profiles
 // (per-operator estimated/actual rows, elapsed and CPU time, reads, and
 // columnstore segment counts); the Poller samples them on a fixed
-// virtual-time interval (the paper's client polls every 500 ms).
+// virtual-time interval of the query's clock.
 //
 // Deliberately absent, matching the paper's §7 list of counters the real
-// DMV does not expose: internal state of Sort/Hash operators, and buffered
-// row counts inside semi-blocking operators. The client-side estimator
-// must work without them, exactly as LQS does.
+// DMV does not expose: buffered row counts inside semi-blocking operators,
+// workspace memory and stop-and-go input counts. They live outside the
+// executor's DMV row (exec.Counters beside exec.Profile), so no capture
+// carries them. The client-side estimator must work without them, exactly
+// as LQS does.
 package dmv
 
 import (
@@ -18,53 +20,13 @@ import (
 	"lqs/internal/sim"
 )
 
-// PollInterval is the default sampling interval, matching the 500 ms used
-// by the SSMS client.
-const PollInterval = 500 * sim.Duration(1e6)
-
 // OpProfile is one row of the query-profiles view: one operator instance's
-// counters at the snapshot instant. Serial operators contribute one row
-// (ThreadID 0); an operator running under a parallel gather contributes one
-// row per worker thread, exactly as sys.dm_exec_query_profiles emits one
-// row per (node, thread). Snapshot.Ops holds the per-node aggregation.
-type OpProfile struct {
-	NodeID int
-	// ThreadID is the DMV thread ordinal: 0 for the coordinator instance,
-	// w+1 for parallel worker w. Aggregated rows report 0.
-	ThreadID int
-	Physical plan.PhysicalOp
-	Logical  plan.LogicalOp
-
-	EstimateRows float64
-	ActualRows   int64 // k_i: GetNext calls that returned a row
-	Rebinds      int64
-
-	OpenedAt      sim.Duration
-	FirstActiveAt sim.Duration
-	FirstActive   bool
-	LastActive    sim.Duration
-	ClosedAt      sim.Duration
-	Opened        bool
-	Closed        bool
-	CPUTime       sim.Duration
-	IOTime        sim.Duration
-
-	LogicalReads  int64
-	PhysicalReads int64
-	PagesTotal    int64
-	// IORetries counts transient page-read faults the storage layer retried
-	// while serving this operator (fault-injection harness).
-	IORetries int64
-
-	SegmentsProcessed int64
-	SegmentsTotal     int64
-
-	// InternalDone/InternalTotal are the §7 extended counters for the
-	// internal state of blocking operators (spilled-sort merge progress);
-	// zero unless the operator spilled.
-	InternalDone  int64
-	InternalTotal int64
-}
+// counters at the snapshot instant, the executor's own row (exec.Profile)
+// as it was when captured. Serial operators contribute one row (ThreadID
+// 0); an operator running under a parallel gather contributes one row per
+// worker thread, exactly as sys.dm_exec_query_profiles emits one row per
+// (node, thread). Snapshot.Ops holds the per-node aggregation.
+type OpProfile = exec.Profile
 
 // Snapshot is one poll of a single query: all operator profiles at a
 // common instant. Threads holds the raw per-(node, thread) rows, sorted by
@@ -277,10 +239,11 @@ func (s *Snapshot) opsAliasThreads() bool {
 }
 
 // Capture snapshots a query's counters right now: one Threads row per
-// (node, thread) counter set — serial operators contribute their single
-// thread-0 row, parallel zones one row per worker — pre-aggregated into
-// Ops so consumers that never look at threads see the familiar per-node
-// view.
+// (node, thread) counter set, its DMV row copied whole — serial operators
+// contribute their single thread-0 row, parallel zones one row per worker —
+// pre-aggregated into Ops so consumers that never look at threads see the
+// familiar per-node view. The counters the DMV does not expose stay behind:
+// they are not part of the row.
 func Capture(q *exec.Query) *Snapshot {
 	all := q.AllCounters()
 	snap := &Snapshot{
@@ -289,32 +252,7 @@ func Capture(q *exec.Query) *Snapshot {
 		Threads:  make([]OpProfile, 0, len(all)),
 	}
 	for _, c := range all {
-		snap.Threads = append(snap.Threads, OpProfile{
-			NodeID:            c.NodeID,
-			ThreadID:          c.Thread,
-			Physical:          c.Physical,
-			Logical:           c.Logical,
-			EstimateRows:      c.EstRows,
-			ActualRows:        c.Rows,
-			Rebinds:           c.Rebinds,
-			OpenedAt:          c.OpenedAt,
-			FirstActiveAt:     c.FirstActiveAt,
-			FirstActive:       c.FirstActive,
-			LastActive:        c.LastActive,
-			ClosedAt:          c.ClosedAt,
-			Opened:            c.Opened,
-			Closed:            c.Closed,
-			CPUTime:           c.CPUTime,
-			IOTime:            c.IOTime,
-			LogicalReads:      c.LogicalReads,
-			PhysicalReads:     c.PhysicalReads,
-			PagesTotal:        c.PagesTotal,
-			IORetries:         c.IORetries,
-			SegmentsProcessed: c.SegmentsProcessed,
-			SegmentsTotal:     c.SegmentsTotal,
-			InternalDone:      c.InternalDone,
-			InternalTotal:     c.InternalTotal,
-		})
+		snap.Threads = append(snap.Threads, c.Profile)
 	}
 	snap.Aggregate()
 	return snap
@@ -603,20 +541,8 @@ func (p *Poller) Finish() *Trace {
 	tr.StartedAt, _ = q.Started()
 	tr.EndedAt, _ = q.Ended()
 	tr.TrueRows = make([]int64, len(q.Plan.Nodes))
-	for id, n := range q.TrueCardinalities() {
-		tr.TrueRows[id] = n
+	for _, c := range q.AllCounters() {
+		tr.TrueRows[c.NodeID] += c.ActualRows
 	}
 	return tr
-}
-
-// ColumnStoreSegments reports the total segment count for a columnstore
-// index — the analog of counting rows in sys.column_store_segments, which
-// the client uses as the denominator of batch-mode progress (§4.7).
-// It is exposed on the snapshot ops as SegmentsTotal as well; this helper
-// serves clients that want it before the scan opens.
-func ColumnStoreSegments(rowGroups int64, accessedCols int) int64 {
-	if accessedCols < 1 {
-		accessedCols = 1
-	}
-	return rowGroups * int64(accessedCols)
 }

@@ -1,6 +1,7 @@
 package dmv
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -121,9 +122,32 @@ func TestPollerDetach(t *testing.T) {
 	}
 }
 
-func TestColumnStoreSegments(t *testing.T) {
-	if ColumnStoreSegments(10, 3) != 30 || ColumnStoreSegments(10, 0) != 10 {
-		t.Fatal("segment math wrong")
+// TestCounterRowDeclaredOnce: the DMV row is the executor's own row type,
+// so no capture can expose a counter the DMV must not (§7: internal buffer
+// occupancy, workspace memory, stop-and-go input), and the executor's
+// counters are that row plus exactly those three.
+func TestCounterRowDeclaredOnce(t *testing.T) {
+	row := reflect.TypeOf(OpProfile{})
+	if row != reflect.TypeOf(exec.Profile{}) {
+		t.Fatalf("OpProfile is %v, not exec.Profile", row)
+	}
+	hidden := []string{"InputRows", "MemRows", "BufferedRows"}
+	for _, name := range hidden {
+		if _, ok := row.FieldByName(name); ok {
+			t.Errorf("OpProfile exposes %s", name)
+		}
+	}
+	var outside []string
+	ct := reflect.TypeOf(exec.Counters{})
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		if f.Anonymous && f.Type == row {
+			continue
+		}
+		outside = append(outside, f.Name)
+	}
+	if !reflect.DeepEqual(outside, hidden) {
+		t.Fatalf("Counters holds %v outside its Profile, want %v", outside, hidden)
 	}
 }
 

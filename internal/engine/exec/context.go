@@ -17,35 +17,28 @@ import (
 	"lqs/internal/trace"
 )
 
-// Counters is the per-operator instrumentation, mirroring the columns of
-// sys.dm_exec_query_profiles the paper's client polls (§2.1): actual and
-// estimated rows, elapsed/CPU time, logical and physical reads, and the
-// columnstore segment counts of §4.7.
-type Counters struct {
+// Profile is one row of sys.dm_exec_query_profiles, the view the paper's
+// client polls (§2.1): one operator instance's actual and estimated rows,
+// lifecycle, elapsed/CPU time, logical and physical reads, and the
+// columnstore segment counts of §4.7. The executor counts into it and the
+// DMV (dmv.OpProfile) reports it as it is; it is declared here once.
+type Profile struct {
 	NodeID int
-	// Thread is the DMV thread ordinal this counter set belongs to: 0 for
-	// the coordinator (serial) instance of an operator, w+1 for parallel
-	// worker w's instance. The DMV emits one profile row per (node,
-	// thread), matching sys.dm_exec_query_profiles' shape.
-	Thread   int
+	// ThreadID is the DMV thread ordinal: 0 for the coordinator instance,
+	// w+1 for parallel worker w. Serial operators contribute one row
+	// (ThreadID 0); an operator running under a parallel gather contributes
+	// one row per worker, exactly as sys.dm_exec_query_profiles emits one
+	// row per (node, thread). Aggregated rows report 0.
+	ThreadID int
 	Physical plan.PhysicalOp
 	Logical  plan.LogicalOp
-	EstRows  float64
 
-	// Rows is k_i: the number of rows output so far (GetNext calls that
-	// returned a row).
-	Rows int64
-	// InputRows counts rows consumed by stop-and-go phases (sort input,
-	// hash build) — internal instrumentation; the DMV derives input counts
-	// from child operators just as the paper's client does.
-	InputRows int64
+	EstimateRows float64
+	ActualRows   int64 // k_i: GetNext calls that returned a row
 	// Rebinds counts executions of this operator (inner side of nested
 	// loops re-opens once per outer row).
 	Rebinds int64
 
-	CPUTime sim.Duration
-	// IOTime is the virtual time this operator spent on page/segment I/O.
-	IOTime sim.Duration
 	// OpenedAt is when Open was entered. For operators whose Open
 	// recursively opens a deep subtree this long precedes any actual
 	// work; FirstActiveAt records the first instant the operator itself
@@ -57,6 +50,9 @@ type Counters struct {
 	ClosedAt      sim.Duration
 	Opened        bool
 	Closed        bool
+	CPUTime       sim.Duration
+	// IOTime is the virtual time this operator spent on page/segment I/O.
+	IOTime sim.Duration
 
 	LogicalReads  int64
 	PhysicalReads int64
@@ -64,32 +60,46 @@ type Counters struct {
 	// input object requires, known when the scan opens; the denominator of
 	// the §4.3 I/O-fraction progress estimate.
 	PagesTotal int64
-
-	SegmentsProcessed int64
-	SegmentsTotal     int64
-
 	// IORetries counts transient page-read faults this operator absorbed:
 	// each one is a re-issued physical read plus a backoff charged to the
 	// virtual clock by the fault-injection harness.
 	IORetries int64
 
-	// MemRows is the operator's current simulated workspace reservation in
-	// rows, charged against the query's memory grant.
-	MemRows int64
+	SegmentsProcessed int64
+	SegmentsTotal     int64
 
 	// InternalDone/InternalTotal expose a blocking operator's internal
 	// (neither-input-nor-output) work — e.g. a spilled sort's external
-	// merge rows. The real DMV does not expose these; the paper's §7
-	// names them as the first future-work item, and the extended
-	// estimator option InternalCounters consumes them.
+	// merge rows; zero unless the operator spilled. The real DMV does not
+	// expose these; the paper's §7 names them as the first future-work
+	// item, and the extended estimator option InternalCounters consumes
+	// them.
 	InternalDone  int64
 	InternalTotal int64
+}
 
+// Counters is the per-operator instrumentation: the DMV row (Profile) and
+// three counters the DMV does not expose, which sit outside the row so
+// that no capture can copy them.
+type Counters struct {
+	Profile
+	// InputRows counts rows consumed by stop-and-go phases (sort input,
+	// hash build); the DMV derives input counts from child operators just
+	// as the paper's client does.
+	InputRows int64
+	// MemRows is the operator's current simulated workspace reservation in
+	// rows, charged against the query's memory grant.
+	MemRows int64
 	// BufferedRows is the operator's current internal buffer occupancy
-	// (exchanges, NL outer batches). The paper notes (§7) this is NOT
-	// exposed by the real DMV; the DMV layer here omits it likewise, but
-	// tests use it to validate semi-blocking behavior.
+	// (exchanges, NL outer batches). The paper notes (§7) the real DMV does
+	// not expose it; tests use it to validate semi-blocking behavior.
 	BufferedRows int64
+}
+
+// newCounters is the counter row of an operator instance of plan node n,
+// before it runs: thread 0 until a worker context records it.
+func newCounters(n *plan.Node) Counters {
+	return Counters{Profile: Profile{NodeID: n.ID, Physical: n.Physical, Logical: n.Logical, EstimateRows: n.EstRows}}
 }
 
 // ChargeFault is what an OpChaos injector asks a charge checkpoint to do:
@@ -261,7 +271,7 @@ func (ctx *Ctx) onCleanup(f func()) { ctx.cleanups = append(ctx.cleanups, f) }
 // context stamps the row with its thread and hands it to its coordinator.
 func (ctx *Ctx) record(c *Counters) {
 	if ctx.parent != nil {
-		c.Thread = ctx.Thread
+		c.ThreadID = ctx.Thread
 		ctx = ctx.parent
 	}
 	ctx.counters = append(ctx.counters, c)

@@ -75,8 +75,8 @@ func TestTableScanAll(t *testing.T) {
 		t.Fatalf("scan returned %d rows", len(rows))
 	}
 	c := q.Root.Counters()
-	if c.Rows != 1000 {
-		t.Fatalf("k_i = %d", c.Rows)
+	if c.ActualRows != 1000 {
+		t.Fatalf("k_i = %d", c.ActualRows)
 	}
 	if c.PagesTotal == 0 || c.LogicalReads != c.PagesTotal {
 		t.Fatalf("reads %d, pages %d", c.LogicalReads, c.PagesTotal)
@@ -99,8 +99,8 @@ func TestScanResidualVsPushedPredicate(t *testing.T) {
 	}
 	// Pushed: same output, and k_i likewise counts only survivors.
 	q2, rows2 := runPlan(t, db, b(db).TableScan("t", nil, pred))
-	if len(rows2) != 100 || q2.Root.Counters().Rows != 100 {
-		t.Fatalf("pushed filter: %d rows, k=%d", len(rows2), q2.Root.Counters().Rows)
+	if len(rows2) != 100 || q2.Root.Counters().ActualRows != 100 {
+		t.Fatalf("pushed filter: %d rows, k=%d", len(rows2), q2.Root.Counters().ActualRows)
 	}
 	// Pushed predicate still reads the whole table's pages.
 	if q2.Root.Counters().LogicalReads != q2.Root.Counters().PagesTotal {
@@ -362,8 +362,8 @@ func TestNestedLoopsRebindCounting(t *testing.T) {
 	if ic.Rebinds != 50 {
 		t.Fatalf("inner rebinds = %d, want 50", ic.Rebinds)
 	}
-	if ic.Rows != 50 {
-		t.Fatalf("inner k = %d, want 50", ic.Rows)
+	if ic.ActualRows != 50 {
+		t.Fatalf("inner k = %d, want 50", ic.ActualRows)
 	}
 }
 
@@ -383,14 +383,14 @@ func TestSpoolReplayUnderNL(t *testing.T) {
 		t.Fatalf("NL-over-spool returned %d, want 100", len(rows))
 	}
 	sc := q.Operator(sp.ID).Counters()
-	if sc.Rows != 100 {
-		t.Fatalf("spool k = %d (replays must count), want 100", sc.Rows)
+	if sc.ActualRows != 100 {
+		t.Fatalf("spool k = %d (replays must count), want 100", sc.ActualRows)
 	}
 	if sc.InputRows != 5 {
 		t.Fatalf("spool input = %d, want 5 (child runs once)", sc.InputRows)
 	}
 	// The spooled child must have executed exactly once.
-	if q.Operator(innerScan.ID).Counters().Rows != 5 {
+	if q.Operator(innerScan.ID).Counters().ActualRows != 5 {
 		t.Fatal("spooled child re-executed")
 	}
 }
@@ -406,8 +406,8 @@ func TestExchangeBufferingRunsAhead(t *testing.T) {
 	opt.NewEstimator(db.Catalog).Estimate(p)
 	q := NewQuery(p, db, opt.DefaultCostModel(), sim.NewClock())
 	q.Step(1)
-	ck := q.Operator(child.ID).Counters().Rows
-	ek := q.Operator(ex.ID).Counters().Rows
+	ck := q.Operator(child.ID).Counters().ActualRows
+	ek := q.Operator(ex.ID).Counters().ActualRows
 	if ck < 500 {
 		t.Fatalf("child k = %d after one exchange row, want >= startup burst", ck)
 	}
@@ -438,7 +438,7 @@ func TestBitmapFilterReducesProbeOutput(t *testing.T) {
 	if len(rows) != 300 {
 		t.Fatalf("bitmap join returned %d, want 300", len(rows))
 	}
-	pk := q.Operator(probe.ID).Counters().Rows
+	pk := q.Operator(probe.ID).Counters().ActualRows
 	if pk >= 3000 || pk < 300 {
 		t.Fatalf("probe scan k = %d; bitmap should filter most rows in-scan", pk)
 	}

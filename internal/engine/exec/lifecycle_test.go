@@ -155,7 +155,7 @@ func (o *boomOp) Next(ctx *Ctx) (types.Row, bool) {
 	ctx.chargeCPU(&o.c, 10)
 	if ok {
 		o.emit()
-		if o.c.Rows > o.after {
+		if o.c.ActualRows > o.after {
 			panic("boom: synthetic operator failure")
 		}
 	}
@@ -289,7 +289,7 @@ func TestFaultInjectionIsDeterministic(t *testing.T) {
 			t.Fatalf("faulty run failed: %v", err)
 		}
 		var retries int64
-		for _, c := range q.Counters() {
+		for _, c := range q.AllCounters() {
 			retries += c.IORetries
 		}
 		return trace{clock: q.Ctx.Clock.Now(), rows: rows, retries: retries, stats: fi.Stats()}

@@ -41,12 +41,7 @@ type base struct {
 
 func (b *base) init(n *plan.Node) {
 	b.node = n
-	b.c = Counters{
-		NodeID:   n.ID,
-		Physical: n.Physical,
-		Logical:  n.Logical,
-		EstRows:  n.EstRows,
-	}
+	b.c = newCounters(n)
 }
 
 // Counters returns the operator's counters.
@@ -74,16 +69,16 @@ func (b *base) closed(ctx *Ctx) {
 		b.c.Closed = true
 		b.c.ClosedAt = ctx.Clock.Now()
 		if b.tr != nil {
-			b.tr.Record(trace.KindClose, b.c.NodeID, "", b.c.Rows)
+			b.tr.Record(trace.KindClose, b.c.NodeID, "", b.c.ActualRows)
 		}
 	}
 }
 
 // emit counts an output row.
 func (b *base) emit() {
-	b.c.Rows++
+	b.c.ActualRows++
 	if b.tr != nil {
-		b.tr.RowBatch(b.c.NodeID, b.c.Rows)
+		b.tr.RowBatch(b.c.NodeID, b.c.ActualRows)
 	}
 }
 

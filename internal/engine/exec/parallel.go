@@ -55,15 +55,6 @@ type timedRow struct {
 	at  sim.Duration
 }
 
-// workerResp is one batch of rows from a worker: done marks the worker's
-// current root as exhausted (and closed); err carries a typed failure that
-// the coordinator re-panics once the round's other workers have run.
-type workerResp struct {
-	rows []timedRow
-	done bool
-	err  *QueryError
-}
-
 // zoneWorker is one parallel worker: a private context (clock, buffer-pool
 // view, partition assignment) plus the operator tree it drives. The
 // coordinator steps it with serve; between batches its state may be read
@@ -76,21 +67,23 @@ type zoneWorker struct {
 	// swapped in as root once stage 1 is drained and routed.
 	stage2 *producerWrap
 
-	// opened/srvDone are serve's view of the worker's root.
-	opened  bool
-	srvDone bool
+	// opened and done say whether the current root has been opened and
+	// whether it is exhausted (and closed) or failed.
+	opened bool
+	done   bool
 
-	// Coordinator-side view of the worker's stream.
+	// queue holds the rows served and not yet emitted, from head on.
 	queue []timedRow
 	head  int
-	done  bool
 }
 
-// serve produces up to n rows from the worker's current root on the
-// worker's own clock. Panics — typed lifecycle aborts and engine bugs
-// alike — are converted to a QueryError blamed on the worker's current
-// operator, stamped with the worker clock, and returned to the coordinator.
-func (w *zoneWorker) serve(n int) (resp workerResp) {
+// serve steps the worker's current root for up to n rows on the worker's
+// own clock, appending each to the queue stamped with the worker time after
+// producing it. Panics — typed lifecycle aborts and engine bugs alike — end
+// the worker: they are converted to a QueryError blamed on the worker's
+// current operator, stamped with the worker clock, and returned to the
+// coordinator.
+func (w *zoneWorker) serve(n int) (err *QueryError) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -104,27 +97,22 @@ func (w *zoneWorker) serve(n int) (resp workerResp) {
 			qe.NodeID = w.ctx.cur.NodeID
 		}
 		qe.At = w.ctx.Clock.Now()
-		w.srvDone = true
-		resp = workerResp{err: qe, done: true}
+		w.done, err = true, qe
 	}()
-	if w.srvDone {
-		return workerResp{done: true}
-	}
 	if !w.opened {
 		w.opened = true
 		w.root.Open(w.ctx)
 	}
-	rows := make([]timedRow, 0, n)
-	for len(rows) < n {
+	for ; n > 0; n-- {
 		row, ok := w.root.Next(w.ctx)
 		if !ok {
 			w.root.Close(w.ctx)
-			w.srvDone = true
-			return workerResp{rows: rows, done: true}
+			w.done = true
+			return nil
 		}
-		rows = append(rows, timedRow{row: row, at: w.ctx.Clock.Now()})
+		w.queue = append(w.queue, timedRow{row: row, at: w.ctx.Clock.Now()})
 	}
-	return workerResp{rows: rows}
+	return nil
 }
 
 // setRoot swaps the worker's tree for the next stage. Called by the
@@ -132,7 +120,6 @@ func (w *zoneWorker) serve(n int) (resp workerResp) {
 func (w *zoneWorker) setRoot(op Operator) {
 	w.root = op
 	w.opened = false
-	w.srvDone = false
 	w.done = false
 }
 
@@ -205,7 +192,7 @@ func (b *bucketSource) Next(ctx *Ctx) (types.Row, bool) {
 	row := b.rows[b.pos]
 	b.pos++
 	ctx.chargeCPU(b.c, ctx.CM.CPUTuple)
-	b.c.Rows++
+	b.c.ActualRows++
 	return row, true
 }
 
@@ -332,12 +319,14 @@ func tryNewGather(n *plan.Node, ctx *Ctx, dop int) *gather {
 			parent: ctx,
 		}
 		zw := &zoneWorker{id: w, ctx: wctx}
-		prodCtr := &Counters{NodeID: n.ID, Physical: n.Physical, Logical: n.Logical, EstRows: n.EstRows}
+		prodCtr := new(Counters)
+		*prodCtr = newCounters(n)
 		wctx.record(prodCtr)
 		if rep == nil {
 			zw.root = &producerWrap{node: n, c: prodCtr, child: buildOperator(n.Children[0], wctx, true)}
 		} else {
-			repCtr := &Counters{NodeID: rep.ID, Physical: rep.Physical, Logical: rep.Logical, EstRows: rep.EstRows}
+			repCtr := new(Counters)
+			*repCtr = newCounters(rep)
 			wctx.record(repCtr)
 			zw.root = &producerWrap{node: rep, c: repCtr, child: buildOperator(rep.Children[0], wctx, true)}
 			bs := &bucketSource{c: repCtr}
@@ -384,15 +373,15 @@ func (g *gather) zoneStart(ctx *Ctx) {
 }
 
 // roundAll steps every non-exhausted worker for one batch, in worker order,
-// and absorbs every response before surfacing the first error, so each
-// worker's clock and counters are the same whichever of them failed.
+// and runs every batch before surfacing the first error, so each worker's
+// clock and counters are the same whichever of them failed.
 func (g *gather) roundAll() {
 	var firstErr *QueryError
 	for _, w := range g.workers {
 		if w.done {
 			continue
 		}
-		if err := g.absorb(w, w.serve(GatherBatchRows)); err != nil && firstErr == nil {
+		if err := w.serve(GatherBatchRows); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -401,18 +390,14 @@ func (g *gather) roundAll() {
 	}
 }
 
-func (g *gather) absorb(w *zoneWorker, r workerResp) *QueryError {
-	w.queue = append(w.queue, r.rows...)
-	if r.done {
-		w.done = true
+// barrier is the fork-join barrier: the latest worker clock, scanned in
+// fixed worker order.
+func (g *gather) barrier() sim.Duration {
+	var end sim.Duration
+	for _, w := range g.workers {
+		end = max(end, w.ctx.Clock.Now())
 	}
-	return r.err
-}
-
-func (g *gather) refill(w *zoneWorker) {
-	if err := g.absorb(w, w.serve(GatherBatchRows)); err != nil {
-		panic(err)
-	}
+	return end
 }
 
 // repartition drains every worker's stage-1 tree, routes each produced row
@@ -432,12 +417,7 @@ func (g *gather) repartition(ctx *Ctx) {
 			w.queue = w.queue[:0]
 		}
 	}
-	var barrier sim.Duration
-	for _, w := range g.workers {
-		if t := w.ctx.Clock.Now(); t > barrier {
-			barrier = t
-		}
-	}
+	barrier := g.barrier()
 	for i, w := range g.workers {
 		if d := barrier - w.ctx.Clock.Now(); d > 0 {
 			w.ctx.Clock.Advance(d)
@@ -488,7 +468,9 @@ func (g *gather) Next(ctx *Ctx) (types.Row, bool) {
 			g.cur++
 			continue
 		}
-		g.refill(w)
+		if err := w.serve(GatherBatchRows); err != nil {
+			panic(err)
+		}
 	}
 }
 
@@ -500,13 +482,7 @@ func (g *gather) finishZone(ctx *Ctx) {
 		return
 	}
 	g.zoneDone = true
-	var end sim.Duration
-	for _, w := range g.workers {
-		if t := w.ctx.Clock.Now(); t > end {
-			end = t
-		}
-	}
-	if d := end - ctx.Clock.Now(); d > 0 {
+	if d := g.barrier() - ctx.Clock.Now(); d > 0 {
 		ctx.Clock.Advance(d)
 	}
 	g.c.BufferedRows = 0

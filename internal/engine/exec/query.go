@@ -62,7 +62,7 @@ func NewQueryDOP(p *plan.Plan, db *storage.Database, cm *opt.CostModel, clock *s
 		if c := cmp.Compare(a.NodeID, b.NodeID); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.Thread, b.Thread)
+		return cmp.Compare(a.ThreadID, b.ThreadID)
 	})
 	return q
 }
@@ -70,23 +70,10 @@ func NewQueryDOP(p *plan.Plan, db *storage.Database, cm *opt.CostModel, clock *s
 // Operator returns the operator for a plan node ID.
 func (q *Query) Operator(id int) Operator { return q.ops[id] }
 
-// Counters returns every coordinator operator's counters indexed by node
-// ID (the thread-0 rows). Parallel worker rows are reached through
-// AllCounters.
-func (q *Query) Counters() map[int]*Counters {
-	out := make(map[int]*Counters, len(q.ops))
-	for _, c := range q.all {
-		if c.Thread == 0 {
-			out[c.NodeID] = c
-		}
-	}
-	return out
-}
-
 // AllCounters returns every (node, thread) counter row of the query —
 // coordinator and parallel-worker instances alike — sorted by (NodeID,
-// Thread). This is the DMV's source of truth: one profile row per entry,
-// exactly like sys.dm_exec_query_profiles' per-thread rows. The slice is
+// ThreadID). This is the DMV's source of truth: each row's Profile is one
+// row of sys.dm_exec_query_profiles, per thread. The slice is
 // built at query construction and stable thereafter; callers must not
 // mutate it.
 func (q *Query) AllCounters() []*Counters { return q.all }
@@ -291,15 +278,4 @@ func (q *Query) RunCollect() (rows []types.Row, err error) {
 	}
 	q.finish()
 	return rows, nil
-}
-
-// TrueCardinalities returns each operator's final row count (N_i^true),
-// available after the query completes; the experiment harness uses these
-// as the oracle denominators in the paper's error metrics.
-func (q *Query) TrueCardinalities() map[int]int64 {
-	out := make(map[int]int64, len(q.ops))
-	for _, c := range q.all {
-		out[c.NodeID] += c.Rows
-	}
-	return out
 }

@@ -77,8 +77,8 @@ func TestRewindLazySpoolContinuesChild(t *testing.T) {
 		t.Fatalf("lazy spool NL returned %d rows, want 12", len(rows))
 	}
 	// The lazy spool's child executed exactly once.
-	if q.Operator(scan.ID).Counters().Rows != 4 {
-		t.Fatalf("spooled child produced %d rows", q.Operator(scan.ID).Counters().Rows)
+	if q.Operator(scan.ID).Counters().ActualRows != 4 {
+		t.Fatalf("spooled child produced %d rows", q.Operator(scan.ID).Counters().ActualRows)
 	}
 }
 

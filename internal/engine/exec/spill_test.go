@@ -39,8 +39,8 @@ func TestSortSpillsAboveMemoryBudget(t *testing.T) {
 	if c.InternalDone != c.InternalTotal {
 		t.Fatalf("merge incomplete: %d/%d", c.InternalDone, c.InternalTotal)
 	}
-	if c.Rows != 3000 {
-		t.Fatalf("spilled sort lost rows: %d", c.Rows)
+	if c.ActualRows != 3000 {
+		t.Fatalf("spilled sort lost rows: %d", c.ActualRows)
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 // spool caches its child's rows and replays them on rewind, so the child
 // executes once even when the spool sits on the inner side of a nested
 // loop. Eager spools (blocking) drain the child at Open; lazy spools cache
-// incrementally. A spool's Rows counter counts every emitted row including
-// replays, which is why Appendix A bounds it by UB_child × UB_outer when
-// it sits under a join.
+// incrementally. A spool's ActualRows counter counts every emitted row
+// including replays, which is why Appendix A bounds it by UB_child ×
+// UB_outer when it sits under a join.
 type spool struct {
 	base
 	child     Operator

@@ -86,3 +86,19 @@ func TestSessionExplainMatchesSnapshot(t *testing.T) {
 		t.Fatalf("Σ contributions %v != raw %v", sum, x.RawQuery)
 	}
 }
+
+// TestPollAllocations: a mid-flight Session.Poll(false) allocates the
+// capture (snapshot and its per-(node, thread) rows) and the display state
+// (snapshot, operator and pipeline slices), and nothing else: the display
+// copies no thread row, and the estimator estimates in place.
+func TestPollAllocations(t *testing.T) {
+	db := testDB(t)
+	s := Start(db, testPlan(db), progress.LQSOptions())
+	if _, err := s.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	s.Poll(false)
+	if a := testing.AllocsPerRun(50, func() { s.Poll(false) }); a > 5 {
+		t.Fatalf("Session.Poll(false) allocates %v objects per poll, want at most 5", a)
+	}
+}

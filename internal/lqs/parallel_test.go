@@ -5,12 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"lqs/internal/engine/dmv"
 	"lqs/internal/progress"
 	"lqs/internal/sim"
 )
 
 // TestStartDOPMonitorsParallelQuery: a StartDOP session runs the rewritten
-// parallel plan to completion under Monitor, every snapshot carries the
+// parallel plan to completion under Monitor, every capture carries the
 // per-thread drill-down rows, and progress behaves exactly as on a serial
 // session — the estimator sees only aggregated counters.
 func TestStartDOPMonitorsParallelQuery(t *testing.T) {
@@ -22,14 +23,10 @@ func TestStartDOPMonitorsParallelQuery(t *testing.T) {
 	}
 
 	sawWorkers := false
-	var snaps []*QuerySnapshot
-	_, err := s.Monitor(200*time.Microsecond, func(q *QuerySnapshot) {
-		snaps = append(snaps, q)
-		if q.Progress < 0 || q.Progress > 1 {
-			t.Fatalf("progress out of range: %v", q.Progress)
-		}
+	poller := dmv.NewPoller(s.Query, 200*time.Microsecond)
+	poller.OnRecord(func(snap *dmv.Snapshot) {
 		perNode := make(map[int]int)
-		for _, th := range q.Threads {
+		for _, th := range snap.Threads {
 			perNode[th.NodeID]++
 		}
 		for id, n := range perNode {
@@ -41,11 +38,18 @@ func TestStartDOPMonitorsParallelQuery(t *testing.T) {
 			}
 		}
 	})
+	var snaps []*QuerySnapshot
+	_, err := s.Monitor(200*time.Microsecond, func(q *QuerySnapshot) {
+		snaps = append(snaps, q)
+		if q.Progress < 0 || q.Progress > 1 {
+			t.Fatalf("progress out of range: %v", q.Progress)
+		}
+	})
 	if err != nil {
 		t.Fatalf("monitor: %v", err)
 	}
 	if !sawWorkers {
-		t.Fatal("no snapshot exposed per-worker thread rows")
+		t.Fatal("no capture exposed per-worker thread rows")
 	}
 	final := snaps[len(snaps)-1]
 	if final.Progress < 0.99 {
@@ -54,17 +58,16 @@ func TestStartDOPMonitorsParallelQuery(t *testing.T) {
 
 	// The drill-down renders one block per multi-threaded operator with a
 	// line per worker; a serial session renders nothing.
-	out := s.RenderThreads(final)
+	out := s.RenderThreads(poller.Finish().Final)
 	if !strings.Contains(out, "threads=") || !strings.Contains(out, "thread 1:") {
 		t.Fatalf("thread drill-down missing workers:\n%s", out)
 	}
 
 	serial := Start(testDB(t), testPlan(db), progress.LQSOptions())
-	var last *QuerySnapshot
-	if _, err := serial.Monitor(200*time.Microsecond, func(q *QuerySnapshot) { last = q }); err != nil {
+	if _, err := serial.Monitor(200*time.Microsecond, nil); err != nil {
 		t.Fatalf("serial monitor: %v", err)
 	}
-	if out := serial.RenderThreads(last); out != "" {
+	if out := serial.RenderThreads(serial.Poll(false).Capture); out != "" {
 		t.Fatalf("serial drill-down not empty:\n%s", out)
 	}
 }

@@ -99,22 +99,6 @@ type OpStatus struct {
 	Done      bool
 }
 
-// ThreadStatus is one raw per-thread DMV row's display state: the
-// drill-down behind an operator's aggregated counters on a parallel plan,
-// the analog of expanding a node's per-thread rows in
-// sys.dm_exec_query_profiles. Thread 0 is the coordinator instance of an
-// operator; threads 1..DOP are gather workers.
-type ThreadStatus struct {
-	NodeID    int
-	ThreadID  int
-	Name      string
-	RowsSoFar int64
-	CPUTime   sim.Duration
-	IOTime    sim.Duration
-	Active    bool
-	Done      bool
-}
-
 // QuerySnapshot is one poll's worth of display state.
 type QuerySnapshot struct {
 	At       sim.Duration
@@ -123,10 +107,6 @@ type QuerySnapshot struct {
 	Err      error      // terminal error, if State is CANCELLED or FAILED
 	Rows     int64      // result rows returned, read with the capture
 	Ops      []OpStatus // indexed by node ID
-	// Threads holds the raw per-(node, thread) rows behind Ops, sorted by
-	// (NodeID, ThreadID). Serial plans contribute one thread-0 row per node;
-	// operators inside a parallel zone contribute one row per worker.
-	Threads []ThreadStatus
 	// ActivePipelines marks pipelines with work in flight — the animated
 	// dotted arrows of the SSMS visualization.
 	ActivePipelines []bool
@@ -243,19 +223,6 @@ func (s *Session) display(snap *dmv.Snapshot, est *progress.Estimate, state exec
 		prog := est.PipelineProg[pl.ID]
 		out.ActivePipelines[pl.ID] = prog > 0 && prog < 1
 	}
-	out.Threads = make([]ThreadStatus, 0, len(snap.Threads))
-	for _, th := range snap.Threads {
-		out.Threads = append(out.Threads, ThreadStatus{
-			NodeID:    th.NodeID,
-			ThreadID:  th.ThreadID,
-			Name:      th.Physical.String(),
-			RowsSoFar: th.ActualRows,
-			CPUTime:   th.CPUTime,
-			IOTime:    th.IOTime,
-			Active:    th.Opened && !th.Closed,
-			Done:      th.Closed,
-		})
-	}
 	return out
 }
 
@@ -295,13 +262,16 @@ func (s *Session) Render(q *QuerySnapshot) string {
 	return sb.String()
 }
 
-// RenderThreads draws the per-thread drill-down for every operator that
-// runs on more than one thread in the snapshot — the text analog of
-// expanding a parallel operator's per-thread rows in the SSMS grid. Serial
-// snapshots (one thread-0 row everywhere) render as an empty string.
-func (s *Session) RenderThreads(q *QuerySnapshot) string {
-	perNode := make(map[int][]ThreadStatus)
-	for _, th := range q.Threads {
+// RenderThreads draws the per-thread drill-down of a capture for every
+// operator that runs on more than one thread in it — the text analog of
+// expanding a parallel operator's per-thread rows of
+// sys.dm_exec_query_profiles in the SSMS grid. Thread 0 is the coordinator
+// instance of an operator; threads 1..DOP are gather workers. Serial
+// captures (one thread-0 row everywhere) render as an empty string.
+func (s *Session) RenderThreads(snap *dmv.Snapshot) string {
+	perNode := make(map[int][]*dmv.OpProfile)
+	for i := range snap.Threads {
+		th := &snap.Threads[i]
 		perNode[th.NodeID] = append(perNode[th.NodeID], th)
 	}
 	var sb strings.Builder
@@ -312,19 +282,19 @@ func (s *Session) RenderThreads(q *QuerySnapshot) string {
 		}
 		var total int64
 		for _, th := range rows {
-			total += th.RowsSoFar
+			total += th.ActualRows
 		}
 		fmt.Fprintf(&sb, "[%d] %s  threads=%d  rows=%d\n", n.ID, n.Physical, len(rows), total)
 		for _, th := range rows {
 			state := "pending"
 			switch {
-			case th.Done:
+			case th.Closed:
 				state = "done"
-			case th.Active:
+			case th.Opened:
 				state = "active"
 			}
 			fmt.Fprintf(&sb, "   thread %d: rows=%-8d cpu=%-12v io=%-12v %s\n",
-				th.ThreadID, th.RowsSoFar, th.CPUTime, th.IOTime, state)
+				th.ThreadID, th.ActualRows, th.CPUTime, th.IOTime, state)
 		}
 	}
 	return sb.String()

@@ -41,9 +41,9 @@ func runAll(t *testing.T, w *Workload, queries []Query) {
 			t.Errorf("%s: consumed no virtual time", q.Name)
 		}
 		// Every opened operator must be closed at completion.
-		for id, c := range query.Counters() {
+		for _, c := range query.AllCounters() {
 			if c.Opened && !c.Closed {
-				t.Errorf("%s: node %d left open", q.Name, id)
+				t.Errorf("%s: node %d left open", q.Name, c.NodeID)
 			}
 		}
 	}
