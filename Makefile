@@ -174,10 +174,12 @@ bench-build:
 bench-replay:
 	$(GO) test ./internal/accuracy -run '^$$' -bench 'Record|Explain' -benchtime 1x -benchmem
 
-# Run the exchange plans' benchmark once (TPC-H Q1 on both designs, Q7 and
-# TPC-DS DS-EXCH, each a traced run with polling off) so it cannot rot,
-# with -benchmem so the log shows the row path's B/op and allocs/op.
+# Run the plans' benchmark once (the exchange plans TPC-H Q1 on both
+# designs, Q7 and TPC-DS DS-EXCH, and TPC-H columnstore Q4, the plan
+# nearest TestPlanBytes' ceiling; each a traced run with polling off) so it
+# cannot rot, with -benchmem so the log shows the row path's B/op and
+# allocs/op.
 bench-exec:
-	$(GO) test ./internal/engine/exec -run '^$$' -bench ExchangePlans -benchtime 1x -benchmem
+	$(GO) test ./internal/engine/exec -run '^$$' -bench '^BenchmarkPlans$$' -benchtime 1x -benchmem
 
 ci: vet sort-guard build test race trace-smoke examples-smoke fuzz-smoke chaos-smoke serve-smoke acc-smoke bench-check bench-build bench-replay bench-exec

@@ -23,8 +23,9 @@ type IndexKind uint8
 const (
 	// BTree is a row-store B-tree index (clustered or nonclustered).
 	BTree IndexKind = iota
-	// ColumnStore is a columnar index stored as per-column segments and
-	// scanned in batch mode (paper §4.7).
+	// ColumnStore is a columnar index of row groups, each charged as one
+	// segment per column, whose values are read from the table's heap; it
+	// is scanned in batch mode (paper §4.7).
 	ColumnStore
 )
 

@@ -65,15 +65,46 @@ func TestRowPathAllocations(t *testing.T) {
 	}
 }
 
-// TestExchangePlanBytes is the byte fence of plans with a serial exchange:
-// at seed 42 with polling off, a query allocates at most 60 bytes per row
-// its operators charge for. The exchange copies the rows it buffers into
-// chunks of values and, while its consumer does not keep them, reuses a
-// drained chunk, so it allocates about what it holds at its peak, not a
-// row header and a slab row for each row that crosses it (89-103 B per
-// row). It is measured as TestRowPathAllocations measures, in bytes, on a
-// second run, so that the indexes and statistics the first run builds on
-// first use are not counted.
+// bytesPerRow is what a query allocates per row its operators charge for,
+// traced at seed 42 with polling off. It is measured as
+// TestRowPathAllocations measures, in bytes, on a second run, so that the
+// indexes and statistics the first run builds on first use are not counted.
+func bytesPerRow(w *workload.Workload, q workload.Query) (perRow float64, rows int64) {
+	metrics.TraceQueryEvents(w, q, time.Hour, 0, 1)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, tr, _ := metrics.TraceQueryEvents(w, q, time.Hour, 0, 1)
+	runtime.ReadMemStats(&after)
+	for _, n := range tr.TrueRows {
+		rows += n
+	}
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(rows), rows
+}
+
+// TestPlanBytes is the byte ceiling of every plan: no TPC-H, TPC-H
+// columnstore or TPC-DS query allocates more than 220 bytes per charged
+// row. A columnstore scan that read each row group into a fresh arena
+// under a keeping consumer put columnstore Q4 at 529.
+func TestPlanBytes(t *testing.T) {
+	const ceiling = 220.0
+	for _, w := range []*workload.Workload{workload.TPCH(42, workload.TPCHRowstore), workload.TPCH(42, workload.TPCHColumnstore), workload.TPCDS(42)} {
+		for _, q := range w.Queries {
+			perRow, rows := bytesPerRow(w, q)
+			t.Logf("%s/%s: %.1f bytes per charged row (%d rows)", w.Name, q.Name, perRow, rows)
+			if perRow > ceiling {
+				t.Errorf("%s/%s: %.1f bytes per charged row, want at most %v", w.Name, q.Name, perRow, ceiling)
+			}
+		}
+	}
+}
+
+// TestExchangePlanBytes is the tighter byte fence of plans with a serial
+// exchange: at most 60 bytes per charged row. The exchange copies the rows
+// it buffers into chunks of values and, while its consumer does not keep
+// them, reuses a drained chunk, so it allocates about what it holds at its
+// peak, not a row header and a slab row for each row that crosses it
+// (89-103 B per row).
 func TestExchangePlanBytes(t *testing.T) {
 	tpch, tpchcs, tpcds := workload.TPCH(42, workload.TPCHRowstore), workload.TPCH(42, workload.TPCHColumnstore), workload.TPCDS(42)
 	const ceiling = 60.0
@@ -85,17 +116,7 @@ func TestExchangePlanBytes(t *testing.T) {
 		if q == nil {
 			t.Fatalf("%s has no query %s", c.w.Name, c.query)
 		}
-		metrics.TraceQueryEvents(c.w, *q, time.Hour, 0, 1)
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, tr, _ := metrics.TraceQueryEvents(c.w, *q, time.Hour, 0, 1)
-		runtime.ReadMemStats(&after)
-		var rows int64
-		for _, n := range tr.TrueRows {
-			rows += n
-		}
-		perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(rows)
+		perRow, rows := bytesPerRow(c.w, *q)
 		t.Logf("%s/%s: %.1f bytes per charged row (%d rows)", c.w.Name, c.query, perRow, rows)
 		if perRow > ceiling {
 			t.Errorf("%s/%s: %.1f bytes per charged row, want at most %v", c.w.Name, c.query, perRow, ceiling)
@@ -103,18 +124,19 @@ func TestExchangePlanBytes(t *testing.T) {
 	}
 }
 
-// BenchmarkExchangePlans runs the plans TestExchangePlanBytes fences, one
+// BenchmarkPlans runs the plans TestExchangePlanBytes fences and TPC-H
+// columnstore Q4, the plan nearest TestPlanBytes' ceiling, one
 // sub-benchmark each, as the benchmark's exec probes run them: traced with
 // polling off at DOP 1. One op is one query; a run before the timer starts
 // builds what the query builds on first use, so B/op and allocs/op are the
 // row path's.
-func BenchmarkExchangePlans(b *testing.B) {
+func BenchmarkPlans(b *testing.B) {
 	tpch, tpchcs, tpcds := workload.TPCH(42, workload.TPCHRowstore), workload.TPCH(42, workload.TPCHColumnstore), workload.TPCDS(42)
 	for _, c := range []struct {
 		name  string
 		w     *workload.Workload
 		query string
-	}{{"Q1", tpch, "Q1"}, {"Q1cs", tpchcs, "Q1"}, {"Q7", tpch, "Q7"}, {"DS-EXCH", tpcds, "DS-EXCH"}} {
+	}{{"Q1", tpch, "Q1"}, {"Q1cs", tpchcs, "Q1"}, {"Q7", tpch, "Q7"}, {"DS-EXCH", tpcds, "DS-EXCH"}, {"Q4cs", tpchcs, "Q4"}} {
 		q := c.w.Query(c.query)
 		if q == nil {
 			b.Fatalf("%s has no query %s", c.w.Name, c.query)

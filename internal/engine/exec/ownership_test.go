@@ -169,25 +169,38 @@ func columnstoreDB(tb testing.TB) *storage.Database {
 
 // TestColumnstoreAllocsDoNotGrowWithRowGroups: a columnstore scan whose
 // consumer does not keep its rows (here a hash aggregate) reads every row
-// group into the same arena, so a query's allocations do not depend on how
-// many groups it reads (4 or 32).
+// group into the same arena, and one of every column hands out the heap's
+// rows even to a consumer that keeps them (here a sort), so a query's
+// allocations do not depend on how many groups it reads (4 or 32).
 func TestColumnstoreAllocsDoNotGrowWithRowGroups(t *testing.T) {
 	db := columnstoreDB(t)
-	allocs := func(table string) float64 {
-		bb := plan.NewBuilder(db.Catalog)
-		scan := bb.ColumnstoreScan(table, "cs", []int{1, 2}, nil)
-		p := plan.Finalize(bb.HashAgg(scan, []int{1, 2}, []expr.AggSpec{{Kind: expr.CountStar}}))
-		opt.NewEstimator(db.Catalog).Estimate(p)
-		return testing.AllocsPerRun(5, func() {
-			rows, err := NewQuery(p, db, opt.DefaultCostModel(), sim.NewClock()).RunCollect()
-			if err != nil || len(rows) != 24 {
-				t.Fatalf("%s: %d groups, %v", table, len(rows), err)
-			}
-		})
-	}
-	small, large := allocs("c4"), allocs("c32")
-	if large > small+8 {
-		t.Errorf("columnstore scan under a hash aggregate: %.0f allocations at 4 row groups, %.0f at 32", small, large)
+	for _, c := range []struct {
+		name string
+		in   func(bb *plan.Builder, table string) *plan.Node
+	}{
+		{"two columns under a hash aggregate", func(bb *plan.Builder, table string) *plan.Node {
+			return bb.ColumnstoreScan(table, "cs", []int{1, 2}, nil)
+		}},
+		{"every column under a sort", func(bb *plan.Builder, table string) *plan.Node {
+			return bb.Sort(bb.ColumnstoreScan(table, "cs", nil, nil), []int{1}, nil)
+		}},
+	} {
+		allocs := func(table string) float64 {
+			bb := plan.NewBuilder(db.Catalog)
+			p := plan.Finalize(bb.HashAgg(c.in(bb, table), []int{1, 2}, []expr.AggSpec{{Kind: expr.CountStar}}))
+			opt.NewEstimator(db.Catalog).Estimate(p)
+			return testing.AllocsPerRun(5, func() {
+				rows, err := NewQuery(p, db, opt.DefaultCostModel(), sim.NewClock()).RunCollect()
+				if err != nil || len(rows) != 24 {
+					t.Fatalf("%s over %s: %d groups, %v", c.name, table, len(rows), err)
+				}
+			})
+		}
+		small, large := allocs("c4"), allocs("c32")
+		t.Logf("%s: %.0f allocations at 4 row groups, %.0f at 32", c.name, small, large)
+		if large > small+8 {
+			t.Errorf("%s: %.0f allocations at 4 row groups, %.0f at 32", c.name, small, large)
+		}
 	}
 }
 

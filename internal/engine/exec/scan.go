@@ -242,9 +242,9 @@ func (s *constantScan) Close(ctx *Ctx) {
 // rows that passed the filters in the last one are all returned, so the
 // demand that finds the buffer empty pays for the next group.
 //
-// A row group is read into one value arena. Unless the consumer keeps rows
-// (keep), the next group is read into the same arena: the consumer is done
-// with the last group's rows before it asks for a row of the next.
+// A full-width scan hands out the heap's own rows, which a consumer may
+// keep. A narrower one copies a group into the last group's value arena,
+// which the consumer is done with, unless it keeps rows (keep).
 type columnstoreScan struct {
 	base
 	cs    *storage.ColumnStore
@@ -254,7 +254,7 @@ type columnstoreScan struct {
 	// serially, one contiguous partition per parallel worker.
 	gLo, gHi int
 	keep     bool
-	rows     []types.Row // the current group as read, over its arena
+	rows     []types.Row // the current group as read
 	buf      []types.Row // the current group's rows that passed the filters
 	pos      int
 	bf       *bitmapFilter
@@ -306,7 +306,7 @@ func (s *columnstoreScan) Next(ctx *Ctx) (types.Row, bool) {
 		}
 		var io storage.IOCounts
 		reuse := s.rows
-		if s.keep {
+		if s.keep && len(s.cols) < s.cs.NumColumns() {
 			reuse = nil
 		}
 		s.rows = s.cs.ReadRowGroupInto(s.group, s.cols, ctx.DB.Pool, &io, reuse)

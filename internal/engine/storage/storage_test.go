@@ -295,7 +295,8 @@ func TestBTreePropertySeekFindsAll(t *testing.T) {
 }
 
 func TestColumnStoreBuildAndRead(t *testing.T) {
-	cs := BuildColumnStore(5, heapOf(1, makeRows(10000)))
+	h := heapOf(1, makeRows(10000))
+	cs := BuildColumnStore(5, h)
 	if cs.NumRows() != 10000 {
 		t.Fatalf("NumRows = %d", cs.NumRows())
 	}
@@ -321,13 +322,23 @@ func TestColumnStoreBuildAndRead(t *testing.T) {
 	if !batch[5][1].IsNull() {
 		t.Fatal("unread column should be NULL")
 	}
-}
 
-func TestColumnStoreSegmentMinMax(t *testing.T) {
-	cs := BuildColumnStore(6, heapOf(1, makeRows(RowGroupSize*2)))
-	s := cs.Segment(1, 0) // second group, int column
-	if s.Min.I != RowGroupSize || s.Max.I != RowGroupSize*2-1 {
-		t.Fatalf("segment min/max = %v/%v", s.Min, s.Max)
+	// A read of every column hands out the heap's own capacity-clipped
+	// rows, with no copy; into the headers of an earlier read it allocates
+	// nothing.
+	last := cs.NumRowGroups() - 1
+	io = IOCounts{}
+	rows := cs.ReadRowGroup(last, []int{0, 1, 2}, bp, &io)
+	if len(rows) != 10000-last*RowGroupSize || io.Logical != 3 {
+		t.Fatalf("last group: %d rows, %d logical IOs", len(rows), io.Logical)
+	}
+	for i, r := range rows {
+		if want := h.RowNoIO(int64(last*RowGroupSize + i)); &r[0] != &want[0] || cap(r) != 3 {
+			t.Fatalf("row %d is not the heap's row %d", i, last*RowGroupSize+i)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { cs.ReadRowGroupInto(last, []int{0, 1, 2}, bp, &io, rows) }); n != 0 {
+		t.Errorf("a whole read into an earlier read's headers allocates %.0f objects", n)
 	}
 }
 

@@ -60,12 +60,34 @@ func (d *digest) vals(vs []types.Value) {
 
 func (d *digest) f64(f float64) { d.u64(math.Float64bits(f)) }
 
+// segment digests column c of a row group's rows as a segment: its values,
+// then their non-NULL min and max.
+func (d *digest) segment(rows []types.Row, c int) {
+	var lo, hi types.Value
+	d.u64(uint64(len(rows)))
+	for _, r := range rows {
+		v := r[c]
+		d.val(v)
+		if !v.IsNull() {
+			if lo.IsNull() || types.Compare(v, lo) < 0 {
+				lo = v
+			}
+			if hi.IsNull() || types.Compare(v, hi) > 0 {
+				hi = v
+			}
+		}
+	}
+	d.val(lo)
+	d.val(hi)
+}
+
 // buildFingerprint digests everything Load and BuildAllStats produce: per
 // table the cardinality, page count and heap rows in storage order; per
 // B-tree the catalog's LeafPages/Height and every leaf entry (key, RID,
 // clustered row) in index order — which subsumes the first and last leaf
-// keys; per columnstore every segment with its min/max; per column the
-// histogram, distinct count and null fraction.
+// keys; per columnstore every segment, read through ReadRowGroup, with its
+// non-NULL min/max; per column the histogram, distinct count and null
+// fraction.
 func buildFingerprint(w *Workload) uint64 {
 	d := &digest{h: fnv.New64a()}
 	db := w.DB
@@ -107,13 +129,15 @@ func buildFingerprint(w *Workload) uint64 {
 			case catalog.ColumnStore:
 				d.u64(uint64(ix.RowGroups))
 				cs := db.ColumnStore(t.Name, ix.Name)
+				cols := make([]int, cs.NumColumns())
+				for c := range cols {
+					cols[c] = c
+				}
 				for g := 0; g < cs.NumRowGroups(); g++ {
 					d.u64(uint64(cs.RowGroupRows(g)))
-					for c := 0; c < cs.NumColumns(); c++ {
-						seg := cs.Segment(g, c)
-						d.vals(seg.Values)
-						d.val(seg.Min)
-						d.val(seg.Max)
+					rows := cs.ReadRowGroup(g, cols, db.Pool, &storage.IOCounts{})
+					for _, c := range cols {
+						d.segment(rows, c)
 					}
 				}
 			}

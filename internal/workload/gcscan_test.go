@@ -45,16 +45,31 @@ func TestDatabasesAreNotScanned(t *testing.T) {
 	}
 }
 
-// TestStorageSlicesHoldNoPointers: no slice in a heap or a B-tree has an
-// element type the collector has to scan.
+// TestStorageSlicesHoldNoPointers: no slice in a heap, a B-tree or a
+// columnstore has an element type the collector has to scan.
 func TestStorageSlicesHoldNoPointers(t *testing.T) {
-	for _, typ := range []reflect.Type{reflect.TypeOf(storage.Heap{}), reflect.TypeOf(storage.BTree{})} {
+	for _, typ := range []reflect.Type{reflect.TypeOf(storage.Heap{}), reflect.TypeOf(storage.BTree{}), reflect.TypeOf(storage.ColumnStore{})} {
 		for i := 0; i < typ.NumField(); i++ {
 			f := typ.Field(i)
 			if f.Type.Kind() == reflect.Slice && holdsPointers(f.Type.Elem()) {
 				t.Errorf("%s.%s is a slice of %s, which holds pointers", typ.Name(), f.Name, f.Type.Elem())
 			}
 		}
+	}
+}
+
+// TestColumnStoreStoresNoValues: a columnstore reads its values from the
+// table's heap, so building one allocates a few words whatever the table's
+// size. A columnstore that copied lineitem's values into segments would
+// allocate about 4.3 MB at seed 42.
+func TestColumnStoreStoresNoValues(t *testing.T) {
+	w := TPCH(42, TPCHColumnstore)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w.DB.ColumnStore("lineitem", "cs")
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<10 {
+		t.Errorf("building lineitem's columnstore allocated %d B, want at most %d", grew, 4<<10)
 	}
 }
 
