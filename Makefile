@@ -24,10 +24,11 @@ test:
 
 # The concurrency-sensitive packages: concurrent monitored queries over one
 # database and a cancel from another goroutine, the counter-lock capture
-# (dmv.CaptureSync), the buffer-pool latch, the parallel tracing harness
-# (worker pool + ordered merge), the executor (the counter lock a capture
-# on another goroutine takes, and a cancel set from one; a gather steps
-# its workers on the query's own goroutine), the chaos
+# (dmv.CaptureSync, which lands between two steps of the query), the
+# buffer-pool latch, the parallel tracing harness (worker pool + ordered
+# merge), the executor (the counter lock it holds for a whole step, and a
+# cancel set from another goroutine; a gather steps its workers on the
+# query's own goroutine), the chaos
 # harness (fault injection into parallel workers and the poller), the
 # expression compiler (compiled predicates run on every parallel worker),
 # the string intern table (lock-free reads beside interning), the shared

@@ -125,9 +125,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	poller.OnRecord(show)
-	for more := true; more && err == nil; {
-		more, err = s.Step(256)
-	}
+	_, err = s.Query.Run()
 	// Every recorded poll is drawn; the terminal frame is the final
 	// capture, taken once the query has ended, even before the first tick.
 	show(poller.Finish().Final)

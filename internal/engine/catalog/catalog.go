@@ -111,26 +111,6 @@ func (t *Table) Index(name string) *Index {
 	return nil
 }
 
-// ClusteredIndex returns the table's clustered index if one exists.
-func (t *Table) ClusteredIndex() *Index {
-	for _, ix := range t.Indexes {
-		if ix.Clustered && ix.Kind == BTree {
-			return ix
-		}
-	}
-	return nil
-}
-
-// ColumnStoreIndex returns the table's columnstore index if one exists.
-func (t *Table) ColumnStoreIndex() *Index {
-	for _, ix := range t.Indexes {
-		if ix.Kind == ColumnStore {
-			return ix
-		}
-	}
-	return nil
-}
-
 // Catalog is a named collection of tables.
 type Catalog struct {
 	tables map[string]*Table

@@ -64,14 +64,11 @@ func TestIndexRegistrationAndLookup(t *testing.T) {
 	ci := tb.AddIndex(&Index{Name: "pk", KeyCols: []int{0}, Clustered: true})
 	nc := tb.AddIndex(&Index{Name: "ix_name", KeyCols: []int{1}})
 	cs := tb.AddIndex(&Index{Name: "cs", Kind: ColumnStore})
-	if tb.Index("pk") != ci || tb.Index("zz") != nil {
+	if tb.Index("pk") != ci || tb.Index("ix_name") != nc || tb.Index("cs") != cs || tb.Index("zz") != nil {
 		t.Error("Index lookup wrong")
 	}
-	if tb.ClusteredIndex() != ci {
-		t.Error("ClusteredIndex wrong")
-	}
-	if tb.ColumnStoreIndex() != cs {
-		t.Error("ColumnStoreIndex wrong")
+	if !ci.Clustered || ci.Kind != BTree || cs.Kind != ColumnStore {
+		t.Error("index kinds wrong")
 	}
 	if nc.Table != "t" {
 		t.Error("AddIndex did not set table name")

@@ -2,55 +2,76 @@ package dmv
 
 import (
 	"testing"
+	"time"
 
+	"lqs/internal/engine/catalog"
+	"lqs/internal/engine/exec"
+	"lqs/internal/engine/storage"
+	"lqs/internal/engine/types"
+	"lqs/internal/opt"
+	"lqs/internal/plan"
 	"lqs/internal/sim"
 )
 
-// TestCaptureSyncWhileRunning polls a query's counters from a second
-// goroutine while the executor runs it to completion. Run with -race: the
-// capture path must acquire the query's counter lock, the executor yields
-// it at charge checkpoints, and the lifecycle fields it touches are
-// atomics. Row counts observed across successive synchronized snapshots
-// must be consistent (never decreasing, never beyond the final total).
-func TestCaptureSyncWhileRunning(t *testing.T) {
+// TestCaptureSyncLandsBetweenSteps: the executing goroutine holds the
+// counter lock for a whole Step, so a capture from another goroutine sees
+// the query between two steps, never inside one. The root is a table scan
+// stepped 1000 rows at a time; every 20 µs of virtual time a clock
+// observer on the executing goroutine signals a reader, without waiting
+// for it, and the reader captures at once. The root's rows (the rows
+// returned) in every capture are a multiple of the step, or all of them.
+func TestCaptureSyncLandsBetweenSteps(t *testing.T) {
+	const total, step = 20000, 1000
+	cat := catalog.NewCatalog()
+	cat.Add(catalog.NewTable("t", catalog.Column{Name: "id", Kind: types.KindInt}))
+	db := storage.NewDatabase(cat, 1<<20)
+	rows := make([]types.Row, total)
+	for i := range rows {
+		rows[i] = types.Row{types.Int(int64(i))}
+	}
+	db.Load("t", rows)
+	db.BuildAllStats(16)
+	bb := plan.NewBuilder(cat)
+	scan := bb.TableScan("t", nil, nil)
+	p := plan.Finalize(scan)
+	opt.NewEstimator(cat).Estimate(p)
 	clock := sim.NewClock()
-	q, scan := testQuery(t, clock)
-	done := make(chan error, 1)
-	go func() {
-		_, err := q.Run()
-		done <- err
-	}()
+	q := exec.NewQuery(p, db, opt.DefaultCostModel(), clock)
 
-	var lastRows int64
-	polls := 0
-	for {
+	poke := make(chan struct{}, 1)
+	clock.Observe(sim.Duration(20*time.Microsecond), func(sim.Duration) {
 		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("query failed: %v", err)
-			}
-			final := CaptureSync(q)
-			fp := final.Op(scan.ID)
-			if fp.ActualRows != 5000 || !fp.Closed {
-				t.Fatalf("final scan profile: %+v", fp)
-			}
-			if polls == 0 {
-				t.Log("query finished before any concurrent poll landed")
-			}
-			return
+		case poke <- struct{}{}:
 		default:
-			snap := CaptureSync(q)
-			rows := snap.Op(scan.ID).ActualRows
-			if rows < lastRows {
-				t.Fatalf("rows went backwards across polls: %d -> %d", lastRows, rows)
-			}
-			if rows > 5000 {
-				t.Fatalf("snapshot overshot the table: %d rows", rows)
-			}
-			lastRows = rows
-			polls++
+		}
+	})
+	seen := make(chan []int64, 1)
+	go func() {
+		var got []int64
+		for range poke {
+			got = append(got, CaptureSync(q).Op(scan.ID).ActualRows)
+		}
+		seen <- got
+	}()
+	for more := true; more; {
+		var err error
+		if more, err = q.Step(step); err != nil {
+			t.Fatal(err)
 		}
 	}
+	close(poke)
+
+	got := <-seen
+	mid := 0
+	for _, n := range got {
+		if n%step != 0 && n != total {
+			t.Fatalf("a capture saw %d rows returned, inside a step of %d: %v", n, step, got)
+		}
+		if n < total {
+			mid++
+		}
+	}
+	t.Logf("%d captures, %d while the query ran: %v", len(got), mid, got)
 }
 
 // Out-of-range node IDs — a stale snapshot from a different plan shape —

@@ -259,11 +259,12 @@ func Capture(q *exec.Query) *Snapshot {
 }
 
 // CaptureSync snapshots a query's counters from a goroutine other than the
-// one executing the query. It acquires the query's counter lock, so the
-// snapshot observes a quiescent batch boundary rather than a torn update.
-// Observers running on the executor goroutine itself (clock observers fired
-// inside Advance) must use Capture instead: the executor already holds the
-// lock there, and re-acquiring it would self-deadlock.
+// one executing the query. It acquires the query's counter lock, which the
+// executor holds for a whole Step, so the snapshot waits for the step in
+// progress and lands between two steps, never on a torn update. Observers
+// running on the executor goroutine itself (clock observers fired inside
+// Advance) must use Capture instead: the executor already holds the lock
+// there, and re-acquiring it would self-deadlock.
 func CaptureSync(q *exec.Query) *Snapshot {
 	q.LockCounters()
 	defer q.UnlockCounters()

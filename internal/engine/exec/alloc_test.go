@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -82,22 +83,51 @@ func bytesPerRow(w *workload.Workload, q workload.Query) (perRow float64, rows i
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(rows), rows
 }
 
+// planReading is one plan's bytesPerRow reading.
+type planReading struct {
+	name   string // workload/query
+	perRow float64
+	rows   int64
+}
+
+// planBytes reads bytesPerRow of every TPC-H, TPC-H columnstore and TPC-DS
+// plan once, for TestPlanBytes and TestExchangePlanBytes both.
+var planBytes = sync.OnceValue(func() []planReading {
+	var out []planReading
+	for _, w := range []*workload.Workload{workload.TPCH(42, workload.TPCHRowstore), workload.TPCH(42, workload.TPCHColumnstore), workload.TPCDS(42)} {
+		for _, q := range w.Queries {
+			perRow, rows := bytesPerRow(w, q)
+			out = append(out, planReading{w.Name + "/" + q.Name, perRow, rows})
+		}
+	}
+	return out
+})
+
+// checkPlanBytes fails each reading over ceiling, of the plans named
+// (workload/query), or of every plan when names is nil.
+func checkPlanBytes(t *testing.T, ceiling float64, names map[string]bool) {
+	t.Helper()
+	n := 0
+	for _, r := range planBytes() {
+		if names != nil && !names[r.name] {
+			continue
+		}
+		n++
+		t.Logf("%s: %.1f bytes per charged row (%d rows)", r.name, r.perRow, r.rows)
+		if r.perRow > ceiling {
+			t.Errorf("%s: %.1f bytes per charged row, want at most %v", r.name, r.perRow, ceiling)
+		}
+	}
+	if names != nil && n != len(names) {
+		t.Fatalf("read %d of the %d plans %v", n, len(names), names)
+	}
+}
+
 // TestPlanBytes is the byte ceiling of every plan: no TPC-H, TPC-H
 // columnstore or TPC-DS query allocates more than 220 bytes per charged
 // row. A columnstore scan that read each row group into a fresh arena
 // under a keeping consumer put columnstore Q4 at 529.
-func TestPlanBytes(t *testing.T) {
-	const ceiling = 220.0
-	for _, w := range []*workload.Workload{workload.TPCH(42, workload.TPCHRowstore), workload.TPCH(42, workload.TPCHColumnstore), workload.TPCDS(42)} {
-		for _, q := range w.Queries {
-			perRow, rows := bytesPerRow(w, q)
-			t.Logf("%s/%s: %.1f bytes per charged row (%d rows)", w.Name, q.Name, perRow, rows)
-			if perRow > ceiling {
-				t.Errorf("%s/%s: %.1f bytes per charged row, want at most %v", w.Name, q.Name, perRow, ceiling)
-			}
-		}
-	}
-}
+func TestPlanBytes(t *testing.T) { checkPlanBytes(t, 220, nil) }
 
 // TestExchangePlanBytes is the tighter byte fence of plans with a serial
 // exchange: at most 60 bytes per charged row. The exchange copies the rows
@@ -106,22 +136,7 @@ func TestPlanBytes(t *testing.T) {
 // peak, not a row header and a slab row for each row that crosses it
 // (89-103 B per row).
 func TestExchangePlanBytes(t *testing.T) {
-	tpch, tpchcs, tpcds := workload.TPCH(42, workload.TPCHRowstore), workload.TPCH(42, workload.TPCHColumnstore), workload.TPCDS(42)
-	const ceiling = 60.0
-	for _, c := range []struct {
-		w     *workload.Workload
-		query string
-	}{{tpch, "Q1"}, {tpchcs, "Q1"}, {tpch, "Q7"}, {tpcds, "DS-EXCH"}} {
-		q := c.w.Query(c.query)
-		if q == nil {
-			t.Fatalf("%s has no query %s", c.w.Name, c.query)
-		}
-		perRow, rows := bytesPerRow(c.w, *q)
-		t.Logf("%s/%s: %.1f bytes per charged row (%d rows)", c.w.Name, c.query, perRow, rows)
-		if perRow > ceiling {
-			t.Errorf("%s/%s: %.1f bytes per charged row, want at most %v", c.w.Name, c.query, perRow, ceiling)
-		}
-	}
+	checkPlanBytes(t, 60, map[string]bool{"TPC-H/Q1": true, "TPC-H ColumnStore/Q1": true, "TPC-H/Q7": true, "TPC-DS/DS-EXCH": true})
 }
 
 // BenchmarkPlans runs the plans TestExchangePlanBytes fences and TPC-H

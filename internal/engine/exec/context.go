@@ -212,23 +212,10 @@ type Ctx struct {
 	counters []*Counters
 	ops      map[int]Operator
 
-	// lock serializes counter and clock mutation against concurrent DMV
-	// captures. The executing goroutine holds it for the duration of each
-	// Step batch, yielding every yieldEvery charges so a capture from
-	// another goroutine (dmv.CaptureSync, its only taker outside tests) is
-	// consistent even while a blocking operator works. Monitors capture on
-	// the executing goroutine instead and never take it.
-	//
-	// It is a one-slot channel, not a sync.Mutex, because the yield must be
-	// a hand-off: a send acquires, a receive releases, and a receive with
-	// senders parked passes the slot to the longest-waiting one before it
-	// returns. So a reader waiting at a yield owns the lock the moment the
-	// executor releases it, the executor queues behind the readers that
-	// were already waiting and no others, and gets the lock straight back
-	// from the last of them. Unlock();Lock() on a sync.Mutex is not a
-	// yield: the running goroutine re-locks before the woken waiter is
-	// scheduled, and the mutex only hands over after starving it for 1 ms.
-	// Nil on worker contexts, which never take it (see checkpointBatch).
+	// lock serializes counter and clock mutation against dmv.CaptureSync:
+	// the executing goroutine holds it for a whole Step, and as a one-slot
+	// channel it passes to a reader waiting at the end of a step before the
+	// next step starts. Nil on worker contexts, which never take it.
 	lock chan struct{}
 
 	// cancel carries a pending cancellation request, set from any
@@ -239,15 +226,8 @@ type Ctx struct {
 	// untyped panic or an interrupt surfaces.
 	cur *Counters
 
-	memUsed   int64
-	chargeOps int
+	memUsed int64
 }
-
-// yieldEvery is how many charge checkpoints pass between yields of the
-// counter lock: small enough that concurrent pollers wait microseconds,
-// large enough that the lock traffic (two uncontended channel operations
-// per yield) is invisible in benchmarks.
-const yieldEvery = 256
 
 // acquire takes the counter lock, queueing first-come first-served.
 func (ctx *Ctx) acquire() { ctx.lock <- struct{}{} }
@@ -321,40 +301,16 @@ func (ctx *Ctx) interrupted() *QueryError {
 	return nil
 }
 
-// checkpoint is the interrupt and yield point every charge funnels through:
-// it records the operator currently doing work, periodically yields the
-// counter lock so concurrent snapshots can drain, and aborts execution (by
-// typed panic, converted to a QueryError at the Step recovery boundary)
-// when a cancellation or deadline is pending. Operators take it on every
-// charge or every row, so their cancellation latency is bounded by one
-// row's work — even inside blocking Sort/Hash phases that produce no output
-// for a long time.
-func (ctx *Ctx) checkpoint(c *Counters) { ctx.checkpointBatch(c, 1) }
-
-// checkpointBatch is one checkpoint covering `charges` preceding
-// chargeCPURow calls, as a heap scan takes for an emitted row and the rows
-// it rejected before it. The yield cadence follows the real charge count
-// (chargeOps accumulates it), while the chaos consultation and the
-// cancellation/deadline check run once per call.
-func (ctx *Ctx) checkpointBatch(c *Counters, charges int) {
-	if charges <= 0 {
-		return
-	}
-	if c != nil {
-		ctx.cur = c
-	}
-	ctx.chargeOps += charges
-	if ctx.chargeOps >= yieldEvery {
-		ctx.chargeOps = 0
-		// Only the coordinator yields the counter mutex; a worker runs
-		// inside the coordinator's hold, so a snapshot never lands in the
-		// middle of a worker batch.
-		if ctx.parent == nil {
-			ctx.release()
-			ctx.acquire()
-		}
-	}
-	if ctx.Chaos != nil && c != nil {
+// checkpoint is the interrupt point every charge funnels through: it
+// records the operator currently doing work, consults the chaos injector,
+// and aborts execution (by typed panic, converted to a QueryError at the
+// Step recovery boundary) when a cancellation or deadline is pending.
+// Operators take it on every charge or every row, so their cancellation
+// latency is bounded by one row's work — even inside blocking Sort/Hash
+// phases that produce no output for a long time.
+func (ctx *Ctx) checkpoint(c *Counters) {
+	ctx.cur = c
+	if ctx.Chaos != nil {
 		ctx.chaosCharge(c)
 	}
 	if qe := ctx.interrupted(); qe != nil {
@@ -455,8 +411,7 @@ func (ctx *Ctx) chargeCPU(c *Counters, ns float64) {
 
 // chargeCPURow is chargeCPU without the trailing checkpoint: the scans,
 // Filter, Compute Scalar and Stream Aggregate charge with it and take the
-// checkpoint (poller yield, chaos, cancellation) once per row, through
-// checkpoint or checkpointBatch.
+// checkpoint (chaos, cancellation) once per row.
 func (ctx *Ctx) chargeCPURow(c *Counters, ns float64) {
 	if ns <= 0 {
 		return

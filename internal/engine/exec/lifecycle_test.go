@@ -245,7 +245,8 @@ func TestMemoryGrantDegradesSortToSpill(t *testing.T) {
 
 func TestTransientFaultRetryExhaustionFailsQuery(t *testing.T) {
 	db := testDB(t)
-	fi := db.InjectFaults(storage.FaultConfig{Seed: 7, TransientProb: 1, MaxRetries: 3})
+	fi := storage.NewFaultInjector(storage.FaultConfig{Seed: 7, TransientProb: 1, MaxRetries: 3})
+	db.Pool.SetFaultInjector(fi)
 	scan := b(db).TableScan("t", nil, nil)
 	q := buildQuery(t, db, scan)
 
@@ -279,7 +280,8 @@ func TestFaultInjectionIsDeterministic(t *testing.T) {
 	}
 	run := func() trace {
 		db := testDB(t)
-		fi := db.InjectFaults(storage.FaultConfig{Seed: 99, TransientProb: 0.9, MaxRetries: 50})
+		fi := storage.NewFaultInjector(storage.FaultConfig{Seed: 99, TransientProb: 0.9, MaxRetries: 50})
+		db.Pool.SetFaultInjector(fi)
 		bb := b(db)
 		root := bb.Sort(bb.HashAgg(bb.TableScan("t", nil, nil), []int{1},
 			[]expr.AggSpec{{Kind: expr.CountStar}}), []int{0}, nil)

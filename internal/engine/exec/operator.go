@@ -96,7 +96,7 @@ func (b *base) emit() {
 // reuse one buffer unless the consumer keeps, and then carve rows from a
 // slab. So does the serial exchange: it reuses a drained chunk unless the
 // consumer keeps. The query root's consumer does not keep: Step and Run
-// drop each row, and RunCollect copies the rows it returns.
+// drop each row, and RunCollect copies the rows it returns into a slab.
 
 // BuildOperator constructs the operator tree for a finalized, estimated
 // plan. The ctx must be the one later used to run the query (bitmap

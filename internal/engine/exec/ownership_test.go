@@ -204,6 +204,31 @@ func TestColumnstoreAllocsDoNotGrowWithRowGroups(t *testing.T) {
 	}
 }
 
+// TestRunCollectAllocsDoNotGrowWithRows: RunCollect keeps a copy of every
+// result row, carved from one slab, so collecting eight times the rows
+// costs a few more slab chunks and result-slice growths, not an allocation
+// per row. The root is a sort over a columnstore scan of 4 096 and of
+// 32 768 rows.
+func TestRunCollectAllocsDoNotGrowWithRows(t *testing.T) {
+	db := columnstoreDB(t)
+	allocs := func(table string, want int) float64 {
+		bb := plan.NewBuilder(db.Catalog)
+		p := plan.Finalize(bb.Sort(bb.ColumnstoreScan(table, "cs", nil, nil), []int{1}, nil))
+		opt.NewEstimator(db.Catalog).Estimate(p)
+		return testing.AllocsPerRun(5, func() {
+			rows, err := NewQuery(p, db, opt.DefaultCostModel(), sim.NewClock()).RunCollect()
+			if err != nil || len(rows) != want {
+				t.Fatalf("over %s: %d rows, %v", table, len(rows), err)
+			}
+		})
+	}
+	small, large := allocs("c4", 4*storage.RowGroupSize), allocs("c32", 32*storage.RowGroupSize)
+	t.Logf("%.0f allocations over %d rows, %.0f over %d", small, 4*storage.RowGroupSize, large, 32*storage.RowGroupSize)
+	if large > small+64 {
+		t.Errorf("%.0f allocations over %d rows, %.0f over %d: want at most 64 more", small, 4*storage.RowGroupSize, large, 32*storage.RowGroupSize)
+	}
+}
+
 // finalizeLast wraps a hash aggregate and, at the end of its output, sets a
 // finalizer on the slab chunk its last row was carved from: the chunk stays
 // reachable while that row, or the aggregate's slab, does.

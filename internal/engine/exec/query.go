@@ -121,11 +121,11 @@ func (q *Query) RowsReturned() int64 { return q.rows.Load() }
 
 // LockCounters acquires the query's counter lock so another goroutine can
 // read a consistent snapshot of operator counters and the clock while the
-// query executes; dmv.CaptureSync is its one caller outside tests. The executor hands the lock over at its next yield
-// point, at most yieldEvery charges away, and is next in line the moment
-// the caller unlocks (see Ctx.lock), so hold it only for the read. Do not
-// call from the executing goroutine (the clock-observer / poller path
-// already sees quiescent counters without locking).
+// query executes; dmv.CaptureSync is its one caller outside tests. The
+// executor holds the lock for a whole Step, so the caller gets it between
+// two steps and the next step waits until it unlocks: hold it only for the
+// read. Do not call from the executing goroutine (a clock observer or
+// poller there already sees quiescent counters without locking).
 func (q *Query) LockCounters() { q.Ctx.acquire() }
 
 // UnlockCounters releases the counter lock taken by LockCounters.
@@ -192,90 +192,83 @@ func (q *Query) finish() {
 	q.traceState(StateSucceeded)
 }
 
-// Step advances execution by up to n result rows. It returns (true, nil)
-// while the query can still make progress, (false, nil) on successful
-// completion, and (false, err) when execution terminated with a
-// QueryError. It opens the plan on first call. A non-positive n is a no-op
-// progress report: it performs no work (and does not open the plan), it
-// only reports whether the query is still runnable — callers looping on
-// Step(0) no longer spin forever on a query that can never finish.
-func (q *Query) Step(n int) (more bool, err error) {
+// settled reports whether the query can run no further, with its terminal
+// error when it failed or was cancelled.
+func (q *Query) settled() (bool, error) {
 	if qe := q.failure.Load(); qe != nil {
-		return false, qe
+		return true, qe
 	}
-	if q.State() == StateSucceeded {
-		return false, nil
-	}
+	return q.State() == StateSucceeded, nil
+}
+
+// Step advances execution by up to n result rows, holding the counter lock
+// throughout. It returns (true, nil) while the query can still make
+// progress, (false, nil) on successful completion, and (false, err) when
+// execution terminated with a QueryError. It opens the plan on first call.
+// A non-positive n is a no-op progress report: it performs no work (and
+// does not open the plan), it only reports whether the query is still
+// runnable — callers looping on Step(0) no longer spin forever on a query
+// that can never finish.
+func (q *Query) Step(n int) (more bool, err error) {
 	if n <= 0 {
-		return true, nil
+		done, err := q.settled()
+		return !done, err
 	}
+	return q.step(n, nil)
+}
+
+// step is the one stepping core of Step, Run and RunCollect: under the
+// counter lock it opens the plan on first use and pulls up to n result
+// rows, handing each to keep when keep is non-nil.
+func (q *Query) step(n int, keep func(types.Row)) (more bool, err error) {
 	q.Ctx.acquire()
 	defer q.Ctx.release()
 	defer q.recoverStep(&err)
-	// Re-check under the lock: a concurrent Step may have finished or
-	// failed the query while we waited.
-	if qe := q.failure.Load(); qe != nil {
-		return false, qe
-	}
-	if q.State() == StateSucceeded {
-		return false, nil
+	if done, err := q.settled(); done {
+		return false, err
 	}
 	if qe := q.Ctx.interrupted(); qe != nil {
 		panic(qe)
 	}
 	q.open()
 	for i := 0; i < n; i++ {
-		_, ok := q.Root.Next(q.Ctx)
+		row, ok := q.Root.Next(q.Ctx)
 		if !ok {
 			q.finish()
 			return false, nil
+		}
+		if keep != nil {
+			keep(row)
 		}
 		q.rows.Add(1)
 	}
 	return true, nil
 }
 
-// Run executes the query to completion and returns the result row count
-// together with the terminal error, if any.
-func (q *Query) Run() (int64, error) {
+// run steps the query to a terminal state, handing each result row to keep
+// when keep is non-nil, and returns the terminal error, if any.
+func (q *Query) run(keep func(types.Row)) error {
 	for {
-		more, err := q.Step(1 << 12)
-		if err != nil {
-			return q.rows.Load(), err
-		}
-		if !more {
-			return q.rows.Load(), nil
+		if more, err := q.step(1<<12, keep); !more {
+			return err
 		}
 	}
 }
 
+// Run executes the query to completion and returns the result row count
+// together with the terminal error, if any.
+func (q *Query) Run() (int64, error) {
+	err := q.run(nil)
+	return q.rows.Load(), err
+}
+
 // RunCollect executes to completion collecting result rows (tests and
 // examples; result sets in experiments are discarded by Run instead). It
-// keeps every row, so it keeps copies: the root may reuse a row's backing
-// array for the next one. On abnormal termination the rows produced so far
-// are returned alongside the error.
+// keeps every row, so it keeps copies, carved from one slab: the root may
+// reuse a row's backing array for the next one. On abnormal termination
+// the rows produced so far are returned alongside the error.
 func (q *Query) RunCollect() (rows []types.Row, err error) {
-	if qe := q.failure.Load(); qe != nil {
-		return nil, qe
-	}
-	if q.State() == StateSucceeded {
-		return nil, nil
-	}
-	q.Ctx.acquire()
-	defer q.Ctx.release()
-	defer q.recoverStep(&err)
-	if qe := q.Ctx.interrupted(); qe != nil {
-		panic(qe)
-	}
-	q.open()
-	for {
-		row, ok := q.Root.Next(q.Ctx)
-		if !ok {
-			break
-		}
-		rows = append(rows, row.Clone())
-		q.rows.Add(1)
-	}
-	q.finish()
-	return rows, nil
+	var slab valueSlab
+	err = q.run(func(r types.Row) { rows = append(rows, slab.copyRow(r)) })
+	return rows, err
 }

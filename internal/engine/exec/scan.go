@@ -163,12 +163,14 @@ func (s *tableScan) Rewind(ctx *Ctx) {
 func (s *tableScan) Next(ctx *Ctx) (types.Row, bool) {
 	perRow := ctx.CM.CPUTuple + s.pushCost*ctx.CM.CPUExprUnit
 	predNS := s.predCost * ctx.CM.CPUExprUnit
-	charges := 0
+	charged := false // a row was charged in this call, so end of input checkpoints
 	for {
 		if len(s.page) == 0 {
 			rows, ok := s.cur.NextPageRows()
 			if !ok {
-				ctx.checkpointBatch(&s.c, charges)
+				if charged {
+					ctx.checkpoint(&s.c)
+				}
 				return nil, false
 			}
 			ctx.chargeIO(&s.c, s.cur.DrainIO())
@@ -177,19 +179,18 @@ func (s *tableScan) Next(ctx *Ctx) (types.Row, bool) {
 		row := types.Row(s.page[:s.width:s.width])
 		s.page = s.page[s.width:]
 		ctx.chargeCPURow(&s.c, perRow)
-		charges++
+		charged = true
 		if !storageFilterCompiled(s.node, s.bf, s.pushed, row) {
 			continue
 		}
 		if s.pred != nil {
 			ctx.chargeCPURow(&s.c, predNS)
-			charges++
 			if !s.pred(row) {
 				continue
 			}
 		}
 		s.emit()
-		ctx.checkpointBatch(&s.c, charges)
+		ctx.checkpoint(&s.c)
 		return row, true
 	}
 }

@@ -146,7 +146,7 @@ func TestTraceSpillAndMemDegradeEvents(t *testing.T) {
 
 func TestTraceIORetryEvents(t *testing.T) {
 	db := testDB(t)
-	db.InjectFaults(storage.FaultConfig{Seed: 11, TransientProb: 0.5, MaxRetries: 50})
+	db.Pool.SetFaultInjector(storage.NewFaultInjector(storage.FaultConfig{Seed: 11, TransientProb: 0.5, MaxRetries: 50}))
 	db.ColdStart() // faults fire on physical reads only: evict the pool
 	scan := b(db).TableScan("u", nil, nil)
 	q := buildQuery(t, db, scan)

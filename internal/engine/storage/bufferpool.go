@@ -166,15 +166,6 @@ type PoolStats struct {
 	Capacity  int64 // configured cache capacity in pages
 }
 
-// HitRatio is hits / (hits+misses), or 0 before any access.
-func (s PoolStats) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // StatsSnapshot returns the pool's cumulative counters.
 func (bp *BufferPool) StatsSnapshot() PoolStats {
 	bp.mu.Lock()

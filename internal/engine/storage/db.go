@@ -268,13 +268,3 @@ func (db *Database) BuildAllStats(buckets int) {
 // ColdStart clears the buffer pool, simulating a cold cache so successive
 // experiment queries see identical I/O behavior.
 func (db *Database) ColdStart() { db.Pool.Clear() }
-
-// InjectFaults attaches a seeded fault injector to the buffer pool and
-// returns it (for stats); physical page reads may then suffer transient or
-// permanent failures. Pass a zero-probability config — or call
-// db.Pool.SetFaultInjector(nil) — to disable.
-func (db *Database) InjectFaults(cfg FaultConfig) *FaultInjector {
-	fi := NewFaultInjector(cfg)
-	db.Pool.SetFaultInjector(fi)
-	return fi
-}

@@ -66,7 +66,9 @@ func StartDOP(db *storage.Database, root *plan.Node, dop int, o progress.Options
 // Step advances the query by up to n result rows; more=false once the
 // query reaches a terminal state. A failed or cancelled query reports its
 // terminal *exec.QueryError; operator panics are recovered inside the
-// executor and surface here as errors, never as panics.
+// executor and surface here as errors, never as panics. The step holds the
+// query's counter lock throughout, so a dmv.CaptureSync from another
+// goroutine lands before or after it. Monitor and Query.Run step for you.
 func (s *Session) Step(n int) (more bool, err error) { return s.Query.Step(n) }
 
 // Done reports whether the query has reached a terminal state (succeeded,
@@ -330,11 +332,7 @@ func (s *Session) Monitor(interval sim.Duration, observe func(*QuerySnapshot)) (
 			observe(s.Snapshot())
 		}
 	})
-	more := true
-	var err error
-	for more && err == nil {
-		more, err = s.Step(256)
-	}
+	_, err := s.Query.Run()
 	// Detach only Monitor's own poll observer before the final capture so a
 	// terminal snapshot is delivered exactly once. Other observers sharing
 	// the clock — an attached dmv.Poller, most commonly — stay registered.

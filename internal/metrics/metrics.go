@@ -326,19 +326,6 @@ func (oe OpErrors) Add(op plan.PhysicalOp, err float64) {
 	a.N++
 }
 
-// Merge folds other into oe.
-func (oe OpErrors) Merge(other OpErrors) {
-	for op, a := range other {
-		t := oe[op]
-		if t == nil {
-			t = &OpAccum{}
-			oe[op] = t
-		}
-		t.Sum += a.Sum
-		t.N += a.N
-	}
-}
-
 // AccumOpErrorCount accumulates the per-operator Errorcount of tr replayed
 // under o: the gap between estimated operator progress (k/N̂ under the
 // configuration) and true operator progress (k/N_true), over observations

@@ -92,12 +92,14 @@ func TestOpErrorTimeAccumulation(t *testing.T) {
 	}
 }
 
-func TestOpErrorsMerge(t *testing.T) {
-	a := OpErrors{plan.Sort: &OpAccum{Sum: 1, N: 2}}
-	b := OpErrors{plan.Sort: &OpAccum{Sum: 3, N: 2}, plan.Filter: &OpAccum{Sum: 0.5, N: 1}}
-	a.Merge(b)
-	if a[plan.Sort].Avg() != 1 || a[plan.Filter].N != 1 {
-		t.Fatalf("merge wrong: %+v", a)
+func TestOpErrorsAdd(t *testing.T) {
+	a := OpErrors{}
+	for _, err := range []float64{0.5, 0.5, 1.5, 1.5} {
+		a.Add(plan.Sort, err)
+	}
+	a.Add(plan.Filter, 0.5)
+	if a[plan.Sort].Avg() != 1 || a[plan.Sort].N != 4 || a[plan.Filter].N != 1 || a[plan.Filter].Sum != 0.5 {
+		t.Fatalf("accumulation wrong: sort %+v, filter %+v", *a[plan.Sort], *a[plan.Filter])
 	}
 }
 

@@ -123,19 +123,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Mean returns the mean observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
 // Registry holds named metrics. The zero value is not usable; construct
 // with NewRegistry. All methods are safe for concurrent use.
 type Registry struct {

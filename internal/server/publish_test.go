@@ -246,16 +246,43 @@ func checkLiveEqualsReplay(t *testing.T, label string, h *hostedQuery, mode accu
 	return mid
 }
 
-// TestReadsNeverTakeCounterLock: with the executor's counter lock held by
-// someone else, every read of a running query still answers — status,
-// explain, the first stream frame, history, the listing and a scrape.
+// TestReadsNeverTakeCounterLock: while the executor holds its counter
+// lock, every read of a running query still answers — status, explain,
+// the first stream frame, history, the listing and a scrape. The executor
+// holds the lock for a whole step, through each pacing sleep: here 2 s of
+// wall time per millisecond of virtual time, against reads that each give
+// up after 1 s. The wait for RUNNING reads status the same way.
 func TestReadsNeverTakeCounterLock(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Pace: 5 * time.Millisecond}) // Q1 ~200ms wall
+	srv, ts := newTestServer(t, Config{Pace: 2 * time.Second})
 	sub := submit(t, ts, QuerySpec{Query: "Q1"})
+	h := hostedByID(t, srv, sub.ID)
+	h.estMu.Lock()
+	q := h.sess.Query
+	h.estMu.Unlock()
+	// However the test ends, the query stops at its next pacing sleep's
+	// end, not 80 s later at Q1's, and so does a read waiting for the lock.
+	t.Cleanup(func() { q.Cancel("test over") })
 	url := fmt.Sprintf("%s/queries/%d", ts.URL, sub.ID)
+	client := &http.Client{Timeout: time.Second}
+	get := func(path string) *http.Response {
+		t.Helper()
+		resp, err := client.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s while the executor holds the counter lock: %v", path, err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		return resp
+	}
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		var st StatusJSON
-		getJSON(t, url, &st)
+		resp := get(fmt.Sprintf("/queries/%d", sub.ID))
+		err := json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if st.State == "RUNNING" {
 			break
 		}
@@ -264,30 +291,7 @@ func TestReadsNeverTakeCounterLock(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	h := hostedByID(t, srv, sub.ID)
-	h.estMu.Lock()
-	q := h.sess.Query
-	h.estMu.Unlock()
-	q.LockCounters()
-	locked := true
-	defer func() {
-		if locked {
-			q.UnlockCounters()
-		}
-	}()
 
-	client := &http.Client{Timeout: time.Second}
-	get := func(path string) *http.Response {
-		t.Helper()
-		resp, err := client.Get(ts.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s with the counter lock held: %v", path, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		return resp
-	}
 	resp := get(fmt.Sprintf("/queries/%d?explain=1", sub.ID))
 	var st StatusJSON
 	err := json.NewDecoder(resp.Body).Decode(&st)
@@ -303,7 +307,7 @@ func TestReadsNeverTakeCounterLock(t *testing.T) {
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/queries/%d/stream", ts.URL, sub.ID), nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("stream with the counter lock held: %v", err)
+		t.Fatalf("stream while the executor holds the counter lock: %v", err)
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -314,11 +318,9 @@ func TestReadsNeverTakeCounterLock(t *testing.T) {
 	cancel()
 	resp.Body.Close()
 	if !gotFrame {
-		t.Fatalf("no first stream frame with the counter lock held: %v", sc.Err())
+		t.Fatalf("no first stream frame while the executor holds the counter lock: %v", sc.Err())
 	}
 
-	q.UnlockCounters()
-	locked = false
 	req, _ = http.NewRequest(http.MethodDelete, url, nil)
 	if resp, err := http.DefaultClient.Do(req); err == nil {
 		resp.Body.Close()

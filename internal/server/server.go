@@ -272,7 +272,6 @@ func (s *Server) launch(h *hostedQuery) error {
 	s.mu.Unlock()
 
 	s.obs.Counter("server/queries_submitted").Inc()
-	sess := h.sess
 	go func() {
 		defer s.wg.Done()
 		// A goroutine runs next on the processor of the handler that
@@ -281,11 +280,7 @@ func (s *Server) launch(h *hostedQuery) error {
 		// instead of holding that processor while the client waits for
 		// its first frame.
 		runtime.Gosched()
-		more := true
-		var err error
-		for more && err == nil {
-			more, err = sess.Step(256)
-		}
+		h.sess.Query.Run()
 		// Scored and published before the slot releases: scrapes observe
 		// the active-gauge decrement only after the accuracy family and
 		// histograms are in place, keeping quiesced scrapes stable.

@@ -24,8 +24,8 @@ const (
 	KindOpen Kind = iota
 	// KindClose marks an operator's Close; Rows carries its final count.
 	KindClose
-	// KindRowBatch is emitted every BatchEvery output rows; Rows carries
-	// the cumulative count.
+	// KindRowBatch is emitted every DefaultBatchEvery output rows; Rows
+	// carries the cumulative count.
 	KindRowBatch
 	// KindSpillBegin/KindSpillEnd bracket a blocking operator's spill work
 	// (external sort merge); Rows carries the internal row total.
@@ -88,9 +88,9 @@ type Event struct {
 	Rows   int64
 }
 
-// DefaultBatchEvery is the default row-batch granularity: one KindRowBatch
-// event per this many output rows keeps the ring small while still drawing
-// a useful rows-over-time counter track.
+// DefaultBatchEvery is the row-batch granularity: one KindRowBatch event
+// per this many output rows keeps the ring small while still drawing a
+// useful rows-over-time counter track.
 const DefaultBatchEvery = 256
 
 // DefaultCapacity is the default ring size. At the default batch
@@ -101,12 +101,11 @@ const DefaultCapacity = 1 << 14
 
 // Recorder is a bounded ring buffer of events for one query.
 type Recorder struct {
-	clock      *sim.Clock
-	batchEvery int64
-	buf        []Event
-	head       int // index of oldest event
-	n          int // live events
-	dropped    int64
+	clock   *sim.Clock
+	buf     []Event
+	head    int // index of oldest event
+	n       int // live events
+	dropped int64
 }
 
 // NewRecorder returns a recorder of the given capacity stamping events from
@@ -115,12 +114,8 @@ func NewRecorder(clock *sim.Clock, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{clock: clock, batchEvery: DefaultBatchEvery, buf: make([]Event, 0, capacity)}
+	return &Recorder{clock: clock, buf: make([]Event, 0, capacity)}
 }
-
-// SetBatchEvery sets the row-batch granularity (rows per KindRowBatch
-// event); non-positive values disable batch events.
-func (r *Recorder) SetBatchEvery(n int64) { r.batchEvery = n }
 
 // Record appends an event stamped with the current virtual time, dropping
 // the oldest event when the ring is full.
@@ -140,11 +135,11 @@ func (r *Recorder) Record(k Kind, nodeID int, name string, rows int64) {
 	r.dropped++
 }
 
-// RowBatch records a KindRowBatch event when rows crosses a BatchEvery
-// boundary. The caller invokes it once per emitted row; the common case is
-// one modulo and a compare.
+// RowBatch records a KindRowBatch event when rows crosses a
+// DefaultBatchEvery boundary. The caller invokes it once per emitted row;
+// the common case is one modulo and a compare.
 func (r *Recorder) RowBatch(nodeID int, rows int64) {
-	if r.batchEvery <= 0 || rows%r.batchEvery != 0 {
+	if rows%DefaultBatchEvery != 0 {
 		return
 	}
 	r.Record(KindRowBatch, nodeID, "", rows)

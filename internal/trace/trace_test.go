@@ -51,23 +51,17 @@ func TestRecorderRingDropsOldest(t *testing.T) {
 func TestRowBatchGranularity(t *testing.T) {
 	clock := sim.NewClock()
 	r := NewRecorder(clock, 64)
-	r.SetBatchEvery(10)
-	for rows := int64(1); rows <= 35; rows++ {
+	for rows := int64(1); rows <= 3*DefaultBatchEvery+10; rows++ {
 		r.RowBatch(3, rows)
 	}
 	evs := r.Events()
 	if len(evs) != 3 {
-		t.Fatalf("got %d batch events, want 3 (at 10, 20, 30)", len(evs))
+		t.Fatalf("got %d batch events, want 3 (every %d rows)", len(evs), DefaultBatchEvery)
 	}
-	for i, want := range []int64{10, 20, 30} {
-		if evs[i].Rows != want {
-			t.Fatalf("batch %d at rows=%d, want %d", i, evs[i].Rows, want)
+	for i, ev := range evs {
+		if want := int64(i+1) * DefaultBatchEvery; ev.Rows != want || ev.Kind != KindRowBatch || ev.NodeID != 3 {
+			t.Fatalf("batch %d = %+v, want rows=%d", i, ev, want)
 		}
-	}
-	r.SetBatchEvery(0)
-	r.RowBatch(3, 40)
-	if r.Len() != 3 {
-		t.Fatal("disabled batch granularity still recorded")
 	}
 }
 
