@@ -9,7 +9,6 @@ package dmv
 // pin the generalized behavior.
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -178,49 +177,56 @@ func TestPollerParallelMidFlight(t *testing.T) {
 	}
 }
 
-// TestCaptureSyncParallelWhileRunning is the cross-goroutine variant: a
-// monitor hammers CaptureSync while the executor runs the query, serial
-// and parallel. Run with -race: the capture takes the query's counter
-// lock, which the executor holds for each step, and the lifecycle fields
-// it touches are atomics. Synchronized snapshots must observe quiescent
-// step boundaries — consistent thread rows, monotone aggregates, no
-// overshoot.
-func TestCaptureSyncParallelWhileRunning(t *testing.T) {
-	for _, dop := range []int{1, 4} {
-		t.Run(fmt.Sprintf("dop=%d", dop), func(t *testing.T) {
-			q, scan := parallelTestQuery(t, sim.NewClock(), dop)
-			done := make(chan error, 1)
-			go func() {
-				_, err := q.Run()
-				done <- err
-			}()
+// TestCaptureSyncWhileRunning polls a serial query's counters from a second
+// goroutine while the executor runs it to completion. Run with -race: the
+// capture takes the query's counter lock, which the executor holds for each
+// step, and the lifecycle fields it touches are atomics.
+func TestCaptureSyncWhileRunning(t *testing.T) {
+	q, scan := parallelTestQuery(t, sim.NewClock(), 1)
+	captureSyncWhileRunning(t, q, scan)
+}
 
-			var lastRows int64
-			for {
-				select {
-				case err := <-done:
-					if err != nil {
-						t.Fatalf("query failed: %v", err)
-					}
-					final := CaptureSync(q)
-					checkThreadConsistency(t, final)
-					if fp := final.Op(scan.ID); fp.ActualRows != 5000 || !fp.Closed {
-						t.Fatalf("final scan profile: %+v", fp)
-					}
-					return
-				default:
-					snap := CaptureSync(q)
-					checkThreadConsistency(t, snap)
-					rows := snap.Op(scan.ID).ActualRows
-					if rows < lastRows {
-						t.Fatalf("rows went backwards across polls: %d -> %d", lastRows, rows)
-					}
-					if rows > 5000 {
-						t.Fatalf("snapshot overshot the table: %d rows", rows)
-					}
-					lastRows = rows
-				}
+// TestCaptureSyncParallelWhileRunning is the cross-goroutine variant at DOP 4.
+func TestCaptureSyncParallelWhileRunning(t *testing.T) {
+	q, scan := parallelTestQuery(t, sim.NewClock(), 4)
+	captureSyncWhileRunning(t, q, scan)
+}
+
+// captureSyncWhileRunning hammers CaptureSync while the executor runs q.
+// Synchronized snapshots must observe quiescent step boundaries —
+// consistent thread rows, monotone aggregates, no overshoot.
+func captureSyncWhileRunning(t *testing.T, q *exec.Query, scan *plan.Node) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := q.Run()
+		done <- err
+	}()
+
+	var lastRows int64
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("query failed: %v", err)
 			}
-		})
+			final := CaptureSync(q)
+			checkThreadConsistency(t, final)
+			if fp := final.Op(scan.ID); fp.ActualRows != 5000 || !fp.Closed {
+				t.Fatalf("final scan profile: %+v", fp)
+			}
+			return
+		default:
+			snap := CaptureSync(q)
+			checkThreadConsistency(t, snap)
+			rows := snap.Op(scan.ID).ActualRows
+			if rows < lastRows {
+				t.Fatalf("rows went backwards across polls: %d -> %d", lastRows, rows)
+			}
+			if rows > 5000 {
+				t.Fatalf("snapshot overshot the table: %d rows", rows)
+			}
+			lastRows = rows
+		}
 	}
 }
