@@ -51,8 +51,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if q == nil {
 			return fmt.Errorf("no query %q in %s", *explain, w.Name)
 		}
-		p := plan.Finalize(q.Build(w.Builder()))
-		opt.NewEstimator(w.DB.Catalog).Estimate(p)
+		p := opt.Prepare(q.Build(w.Builder()), w.DB.Catalog, 1)
 		fmt.Fprintf(stdout, "%s %s:\n%s\n", w.Name, q.Name, p)
 		p.Walk(func(n *plan.Node) {
 			fmt.Fprintf(stdout, "  node %-3d est_rows=%-10.1f cpu/row=%-8.0f io/row=%-8.0f rebinds=%.0f\n",

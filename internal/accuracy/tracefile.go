@@ -136,12 +136,7 @@ func (tf *TraceFile) Rebuild() (*plan.Plan, *catalog.Catalog, error) {
 		if q.Name != tf.Query {
 			continue
 		}
-		dop := tf.DOP
-		if dop < 1 {
-			dop = 1
-		}
-		p := plan.Finalize(plan.Parallelize(q.Build(w.Builder()), dop))
-		opt.NewEstimator(w.DB.Catalog).Estimate(p)
+		p := opt.Prepare(q.Build(w.Builder()), w.DB.Catalog, tf.DOP)
 		if len(p.Nodes) != tf.NumNodes {
 			return nil, nil, fmt.Errorf("trace %s/%s: rebuilt plan has %d nodes, capture had %d — regenerate the corpus",
 				tf.Workload, tf.Query, len(p.Nodes), tf.NumNodes)

@@ -8,7 +8,6 @@ import (
 	"lqs/internal/engine/exec"
 	"lqs/internal/engine/types"
 	"lqs/internal/opt"
-	"lqs/internal/plan"
 	"lqs/internal/progress"
 	"lqs/internal/sim"
 	"lqs/internal/workload"
@@ -194,8 +193,7 @@ func runCell(w *workload.Workload, q workload.Query, dop int, pl *Plan, interval
 	w.DB.Pool.SetFaultInjector(pl.StorageInjector())
 	defer w.DB.Pool.SetFaultInjector(nil)
 
-	p := plan.Finalize(plan.Parallelize(q.Build(w.Builder()), dop))
-	opt.NewEstimator(w.DB.Catalog).Estimate(p)
+	p := opt.Prepare(q.Build(w.Builder()), w.DB.Catalog, dop)
 	query := exec.NewQueryDOP(p, w.DB, opt.DefaultCostModel(), sim.NewClock(), dop)
 	query.Ctx.Chaos = pl.ExecInjector()
 	poller := dmv.NewPoller(query, interval)

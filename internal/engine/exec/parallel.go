@@ -58,17 +58,14 @@ type timedRow struct {
 // zoneWorker is one parallel worker: a private context (clock, buffer-pool
 // view, partition assignment) plus the operator tree it drives. The
 // coordinator steps it with serve; between batches its state may be read
-// (trace merge) or mutated (stage swap) freely.
+// freely (trace merge).
 type zoneWorker struct {
 	id   int
 	ctx  *Ctx
 	root Operator
-	// stage2 is the post-repartition tree of a two-stage aggregate zone,
-	// swapped in as root once stage 1 is drained and routed.
-	stage2 *producerWrap
 
-	// opened and done say whether the current root has been opened and
-	// whether it is exhausted (and closed) or failed.
+	// opened and done say whether the root has been opened and whether it
+	// is exhausted (and closed) or failed.
 	opened bool
 	done   bool
 
@@ -77,7 +74,7 @@ type zoneWorker struct {
 	head  int
 }
 
-// serve steps the worker's current root for up to n rows on the worker's
+// serve steps the worker's root for up to n rows on the worker's
 // own clock, appending each to the queue stamped with the worker time after
 // producing it. Panics — typed lifecycle aborts and engine bugs alike — end
 // the worker: they are converted to a QueryError blamed on the worker's
@@ -115,20 +112,11 @@ func (w *zoneWorker) serve(n int) (err *QueryError) {
 	return nil
 }
 
-// setRoot swaps the worker's tree for the next stage. Called by the
-// coordinator between rounds.
-func (w *zoneWorker) setRoot(op Operator) {
-	w.root = op
-	w.opened = false
-	w.done = false
-}
-
 // producerWrap sits at the top of each worker tree, charging the exchange's
 // producer-side cost (CPUExchangeRow per row crossing the exchange) to a
 // per-thread counter row for the exchange node — the worker's half of the
 // serial exchange's accounting, so aggregated totals match serial runs.
 type producerWrap struct {
-	node  *plan.Node
 	c     *Counters
 	child Operator
 }
@@ -172,46 +160,12 @@ func (p *producerWrap) Rewind(ctx *Ctx) {
 	panic(&QueryError{Kind: KindInternal, NodeID: p.c.NodeID, Reason: "exchange cannot be rewound"})
 }
 
-// bucketSource replays the hash bucket routed to one worker during a
-// repartition's stage-2, charging consumer-side CPU to the same per-thread
-// exchange counter row its stage-1 producer used.
-type bucketSource struct {
-	c    *Counters
-	rows []types.Row
-	pos  int
-}
-
-func (b *bucketSource) Counters() *Counters { return b.c }
-
-func (b *bucketSource) Open(ctx *Ctx) {}
-
-func (b *bucketSource) Next(ctx *Ctx) (types.Row, bool) {
-	if b.pos >= len(b.rows) {
-		return nil, false
-	}
-	row := b.rows[b.pos]
-	b.pos++
-	ctx.chargeCPU(b.c, ctx.CM.CPUTuple)
-	b.c.ActualRows++
-	return row, true
-}
-
-func (b *bucketSource) Close(ctx *Ctx) {}
-func (b *bucketSource) Rewind(ctx *Ctx) {
-	panic(&QueryError{Kind: KindInternal, NodeID: b.c.NodeID, Reason: "exchange cannot be rewound"})
-}
-
 // gather is the parallel GatherStreams exchange: DOP workers over disjoint
 // partitions, order-preserving deterministic merge on the coordinator.
 type gather struct {
 	base
 	rootCtx *Ctx
 	workers []*zoneWorker
-	// rep is the RepartitionStreams node of a two-stage aggregate zone, nil
-	// for a plain scan zone; bsrcs are the per-worker stage-2 sources its
-	// routed buckets are loaded into.
-	rep   *plan.Node
-	bsrcs []*bucketSource
 
 	cur      int // worker currently being drained (order-preserving merge)
 	started  bool
@@ -220,10 +174,10 @@ type gather struct {
 }
 
 // newExchangeOrGather builds the operator for an Exchange plan node: a
-// parallel gather when the query runs at DOP > 1 and the subtree is a
-// provably safe zone, the serial exchange otherwise (including every
-// repartition without a two-stage shape and all pre-existing workload
-// exchanges). The serial exchange copies what its child returns, so the
+// parallel gather when the query runs at DOP > 1 and the subtree is a zone
+// (a Filter/Compute Scalar chain over one partitionable scan), the serial
+// exchange otherwise (every repartition and every exchange a workload
+// builds itself). The serial exchange copies what its child returns, so the
 // child may reuse its rows; keep, whether the exchange's consumer keeps
 // rows, decides whether the exchange may reuse its own chunks.
 func newExchangeOrGather(n *plan.Node, ctx *Ctx, keep bool) Operator {
@@ -235,79 +189,16 @@ func newExchangeOrGather(n *plan.Node, ctx *Ctx, keep bool) Operator {
 	return newExchange(n, buildOperator(n.Children[0], ctx, false), keep)
 }
 
-// parseZone checks that the subtree under a gather is a safe parallel
-// zone and locates its repartition point, if any. Safe shapes are either a
-// partitionable scan chain, or Filter/ComputeScalar over a grouped
-// HashAggregate directly over a hash repartition (on exactly the group
-// columns — the invariant that makes per-worker aggregation exact) over a
-// partitionable scan chain.
-func parseZone(n *plan.Node) (rep *plan.Node, ok bool) {
-	if plan.Partitionable(n) {
-		return nil, true
-	}
-	cur := n
-	for cur.Physical == plan.Filter || cur.Physical == plan.ComputeScalar {
-		if len(cur.Children) != 1 {
-			return nil, false
-		}
-		cur = cur.Children[0]
-	}
-	if cur.Physical != plan.HashAggregate || len(cur.GroupCols) == 0 || len(cur.Children) != 1 {
-		return nil, false
-	}
-	rep = cur.Children[0]
-	if rep.Physical != plan.Exchange || rep.ExchangeKind != plan.RepartitionStreams {
-		return nil, false
-	}
-	if len(rep.ExchangeHashCols) != len(cur.GroupCols) {
-		return nil, false
-	}
-	for i, c := range rep.ExchangeHashCols {
-		if c != cur.GroupCols[i] {
-			return nil, false
-		}
-	}
-	if len(rep.Children) != 1 || !plan.Partitionable(rep.Children[0]) {
-		return nil, false
-	}
-	return rep, true
-}
-
-// buildStage2 rebuilds the zone spine above the repartition for one worker,
-// grafting the worker's bucket source where the repartition sits, and
-// records each operator with the worker's context. The spine's output
-// crosses the gather, which keeps it.
-func buildStage2(n, rep *plan.Node, src Operator, wctx *Ctx) Operator {
-	if n == rep {
-		return src
-	}
-	child := buildStage2(n.Children[0], rep, src, wctx)
-	var op Operator
-	switch n.Physical {
-	case plan.Filter:
-		op = newFilter(n, child)
-	case plan.ComputeScalar:
-		op = newCompute(n, child, true)
-	case plan.HashAggregate:
-		op = newHashAgg(n, child)
-	default:
-		panic(fmt.Sprintf("exec: unexpected stage-2 operator %v", n.Physical))
-	}
-	wctx.record(op.Counters())
-	return op
-}
-
 // tryNewGather builds the parallel gather for an Exchange node, or returns
 // nil when the subtree is not a safe zone. Worker trees are built eagerly,
 // each on its worker's context, which records every (node, thread) counter
 // row with the coordinator, so the DMV sees them from the first poll, long
 // before the zone starts.
 func tryNewGather(n *plan.Node, ctx *Ctx, dop int) *gather {
-	rep, ok := parseZone(n.Children[0])
-	if !ok {
+	if !plan.Partitionable(n.Children[0]) {
 		return nil
 	}
-	g := &gather{rootCtx: ctx, rep: rep}
+	g := &gather{rootCtx: ctx}
 	g.init(n)
 	for w := 0; w < dop; w++ {
 		wctx := &Ctx{
@@ -318,22 +209,11 @@ func tryNewGather(n *plan.Node, ctx *Ctx, dop int) *gather {
 			Parts:  dop,
 			parent: ctx,
 		}
-		zw := &zoneWorker{id: w, ctx: wctx}
 		prodCtr := new(Counters)
 		*prodCtr = newCounters(n)
 		wctx.record(prodCtr)
-		if rep == nil {
-			zw.root = &producerWrap{node: n, c: prodCtr, child: buildOperator(n.Children[0], wctx, true)}
-		} else {
-			repCtr := new(Counters)
-			*repCtr = newCounters(rep)
-			wctx.record(repCtr)
-			zw.root = &producerWrap{node: rep, c: repCtr, child: buildOperator(rep.Children[0], wctx, true)}
-			bs := &bucketSource{c: repCtr}
-			zw.stage2 = &producerWrap{node: n, c: prodCtr, child: buildStage2(n.Children[0], rep, bs, wctx)}
-			g.bsrcs = append(g.bsrcs, bs)
-		}
-		g.workers = append(g.workers, zw)
+		root := &producerWrap{c: prodCtr, child: buildOperator(n.Children[0], wctx, true)}
+		g.workers = append(g.workers, &zoneWorker{id: w, ctx: wctx, root: root})
 	}
 	return g
 }
@@ -348,7 +228,7 @@ func (g *gather) Open(ctx *Ctx) {
 // zoneStart is the lazy fork point, run at the first Next: worker clocks
 // are seeded with the zone's start time, late-bound context (deadline,
 // memory grant, tracing — all settable after NewQuery) is copied down, and
-// a repartition zone runs its stage-1 to the barrier.
+// every worker serves its first batch.
 func (g *gather) zoneStart(ctx *Ctx) {
 	g.started = true
 	t0 := ctx.Clock.Now()
@@ -362,9 +242,6 @@ func (g *gather) zoneStart(ctx *Ctx) {
 		if ctx.Trace != nil {
 			w.ctx.Trace = trace.NewRecorder(w.ctx.Clock, 0)
 		}
-	}
-	if g.rep != nil {
-		g.repartition(ctx)
 	}
 	// Initial round: one batch from every worker, so every worker has
 	// started its partition; refills after this go to the worker currently
@@ -387,43 +264,6 @@ func (g *gather) roundAll() {
 	}
 	if firstErr != nil {
 		panic(firstErr)
-	}
-}
-
-// barrier is the fork-join barrier: the latest worker clock, scanned in
-// fixed worker order.
-func (g *gather) barrier() sim.Duration {
-	var end sim.Duration
-	for _, w := range g.workers {
-		end = max(end, w.ctx.Clock.Now())
-	}
-	return end
-}
-
-// repartition drains every worker's stage-1 tree, routes each produced row
-// to its hash bucket in deterministic (worker, sequence) order, then
-// advances all workers to the stage barrier — the maximum stage-1 end time
-// — and swaps in the stage-2 trees over the routed buckets.
-func (g *gather) repartition(ctx *Ctx) {
-	nw := len(g.workers)
-	buckets := make([][]types.Row, nw)
-	for slices.ContainsFunc(g.workers, func(w *zoneWorker) bool { return !w.done }) {
-		g.roundAll()
-		for _, w := range g.workers {
-			for _, tr := range w.queue {
-				b := int(tr.row.HashCols(g.rep.ExchangeHashCols) % uint64(nw))
-				buckets[b] = append(buckets[b], tr.row)
-			}
-			w.queue = w.queue[:0]
-		}
-	}
-	barrier := g.barrier()
-	for i, w := range g.workers {
-		if d := barrier - w.ctx.Clock.Now(); d > 0 {
-			w.ctx.Clock.Advance(d)
-		}
-		g.bsrcs[i].rows = buckets[i]
-		w.setRoot(w.stage2)
 	}
 }
 
@@ -482,7 +322,11 @@ func (g *gather) finishZone(ctx *Ctx) {
 		return
 	}
 	g.zoneDone = true
-	if d := g.barrier() - ctx.Clock.Now(); d > 0 {
+	var end sim.Duration
+	for _, w := range g.workers {
+		end = max(end, w.ctx.Clock.Now())
+	}
+	if d := end - ctx.Clock.Now(); d > 0 {
 		ctx.Clock.Advance(d)
 	}
 	g.c.BufferedRows = 0
@@ -505,10 +349,6 @@ func (g *gather) Close(ctx *Ctx) {
 			w.ctx.Clock = sim.NewClockAt(t0)
 			w.root.Open(w.ctx)
 			w.root.Close(w.ctx)
-			if w.stage2 != nil {
-				w.stage2.Open(w.ctx)
-				w.stage2.Close(w.ctx)
-			}
 		}
 	}
 	g.mergeTraces()

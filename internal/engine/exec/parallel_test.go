@@ -17,7 +17,6 @@ import (
 
 	"lqs/internal/engine/dmv"
 	"lqs/internal/engine/exec"
-	"lqs/internal/engine/expr"
 	"lqs/internal/engine/types"
 	"lqs/internal/opt"
 	"lqs/internal/plan"
@@ -29,10 +28,7 @@ import (
 // result rows, final DMV snapshot, finalized plan, and end-of-run clock.
 func runOnce(t *testing.T, w *workload.Workload, q workload.Query, dop int) ([]types.Row, *dmv.Snapshot, *plan.Plan, sim.Duration) {
 	t.Helper()
-	root := q.Build(w.Builder())
-	root = plan.Parallelize(root, dop)
-	p := plan.Finalize(root)
-	opt.NewEstimator(w.DB.Catalog).Estimate(p)
+	p := opt.Prepare(q.Build(w.Builder()), w.DB.Catalog, dop)
 	w.DB.ColdStart()
 	query := exec.NewQueryDOP(p, w.DB, opt.DefaultCostModel(), sim.NewClock(), dop)
 	rows, err := query.RunCollect()
@@ -143,9 +139,8 @@ func compareCounterTotals(t *testing.T, name string, dop int, sp, pp *plan.Plan,
 				name, pn.ID, pn.Physical, po.Opened, po.Closed)
 		}
 		for i := range sn.Children {
-			// Tandem children: the parallel plan's repartition rewrite only
-			// triggers under TwoStageAgg, which this test does not enable,
-			// so child counts match once inserted gathers are stepped over.
+			// Tandem children: the rewrite inserts only gathers, so child
+			// counts match once inserted gathers are stepped over.
 			walk(sn.Children[i], pn.Children[i], inZone)
 		}
 	}
@@ -221,89 +216,24 @@ func TestParallelSpeedsUpScanHeavyQueries(t *testing.T) {
 	}
 }
 
-// TestTwoStageAggregate exercises the opt-in repartition rewrite: a grouped
-// hash aggregate over a partitionable scan runs as a two-stage parallel
-// plan whose result is multiset-equal (order may differ — groups are
-// emitted in worker order) and whose group aggregates are exact.
-func TestTwoStageAggregate(t *testing.T) {
-	w := workload.TPCH(1, workload.TPCHRowstore)
-	// SELECT l_returnflag, count(*), sum(l_quantity) FROM lineitem GROUP BY l_returnflag
-	build := func(b *plan.Builder) *plan.Node {
-		return b.HashAgg(
-			b.TableScan("lineitem", nil, nil),
-			[]int{7}, // l_returnflag
-			[]expr.AggSpec{{Kind: expr.CountStar}, {Kind: expr.Sum, Arg: expr.C(3, "l_quantity")}},
-		)
-	}
-	serialP := plan.Finalize(build(w.Builder()))
-	opt.NewEstimator(w.DB.Catalog).Estimate(serialP)
-	w.DB.ColdStart()
-	sq := exec.NewQuery(serialP, w.DB, opt.DefaultCostModel(), sim.NewClock())
-	sRows, err := sq.RunCollect()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, dop := range []int{2, 4} {
-		root := plan.ParallelizeWith(build(w.Builder()), dop, plan.ParallelizeOptions{TwoStageAgg: true})
-		p := plan.Finalize(root)
-		// The rewrite must have produced Gather ← HashAgg ← Repartition.
-		if p.Root.Physical != plan.Exchange || p.Root.ExchangeKind != plan.GatherStreams {
-			t.Fatalf("dop=%d: root is %v, want gather exchange", dop, p.Root.Physical)
-		}
-		agg := p.Root.Children[0]
-		if agg.Physical != plan.HashAggregate || agg.Children[0].ExchangeKind != plan.RepartitionStreams {
-			t.Fatalf("dop=%d: missing two-stage shape under gather", dop)
-		}
-		opt.NewEstimator(w.DB.Catalog).Estimate(p)
-		w.DB.ColdStart()
-		pq := exec.NewQueryDOP(p, w.DB, opt.DefaultCostModel(), sim.NewClock(), dop)
-		pRows, err := pq.RunCollect()
-		if err != nil {
-			t.Fatalf("dop=%d: %v", dop, err)
-		}
-		if len(pRows) != len(sRows) {
-			t.Fatalf("dop=%d: %d groups vs %d serial", dop, len(pRows), len(sRows))
-		}
-		want := make(map[string]int, len(sRows))
-		for _, r := range sRows {
-			want[fmt.Sprint(r)]++
-		}
-		for _, r := range pRows {
-			k := fmt.Sprint(r)
-			if want[k] == 0 {
-				t.Fatalf("dop=%d: unexpected group row %v", dop, r)
-			}
-			want[k]--
-		}
-	}
-}
-
 // TestGatherStartsNoGoroutine pins that a parallel zone runs on the query's
 // own goroutine: the gather steps its workers itself. A clock observer on
 // the query clock samples runtime.NumGoroutine while the gather is open,
-// for a scan zone (TPC-H Q6) and a two-stage aggregate zone, at DOP 4, and
-// no sample may exceed the count taken before the query ran.
+// for a heap scan zone (TPC-H Q6) and a columnstore scan zone (TPC-H
+// columnstore Q6), at DOP 4, and no sample may exceed the count taken
+// before the query ran.
 func TestGatherStartsNoGoroutine(t *testing.T) {
-	w := workload.TPCH(1, workload.TPCHRowstore)
 	const dop = 4
-	twoStage := func(b *plan.Builder) *plan.Node {
-		return b.HashAgg(
-			b.TableScan("lineitem", nil, nil),
-			[]int{7}, // l_returnflag
-			[]expr.AggSpec{{Kind: expr.CountStar}},
-		)
-	}
 	zones := []struct {
 		name string
-		root *plan.Node
+		w    *workload.Workload
 	}{
-		{"Q6", plan.Parallelize(w.Query("Q6").Build(w.Builder()), dop)},
-		{"two-stage", plan.ParallelizeWith(twoStage(w.Builder()), dop, plan.ParallelizeOptions{TwoStageAgg: true})},
+		{"Q6", workload.TPCH(1, workload.TPCHRowstore)},
+		{"Q6cs", workload.TPCH(1, workload.TPCHColumnstore)},
 	}
 	for _, z := range zones {
-		p := plan.Finalize(z.root)
-		opt.NewEstimator(w.DB.Catalog).Estimate(p)
+		w := z.w
+		p := opt.Prepare(w.Query("Q6").Build(w.Builder()), w.DB.Catalog, dop)
 		gatherID := -1
 		for _, n := range p.Nodes {
 			if n.Physical == plan.Exchange && n.ExchangeKind == plan.GatherStreams {

@@ -88,7 +88,7 @@ func randExpr(rng *rand.Rand, depth int) Expr {
 func mixArgs(args []types.Value) types.Value {
 	var h uint64
 	for _, v := range args {
-		h = h*31 + v.Hash()
+		h = h*31 + types.Row{v}.KeyHash([]int{0})
 	}
 	return types.Int(int64(h % 5))
 }

@@ -42,16 +42,15 @@ func equalUnhashable(a, b Value) bool {
 
 // checkKeyHashPair checks KeyHash on one pair of values: values Equal calls
 // equal hash equal, wherever Equal is an equivalence, and KeyHash puts two
-// values in one class exactly when Hash does, so a table keyed on KeyHash
-// matches the pairs one keyed on Hash matched.
+// values in one class exactly when their hash words agree.
 func checkKeyHashPair(t *testing.T, a, b Value) {
 	t.Helper()
 	ka, kb := Row{a}.KeyHash([]int{0}), Row{b}.KeyHash([]int{0})
 	if Equal(a, b) && !equalUnhashable(a, b) && ka != kb {
 		t.Errorf("Equal(%v, %v) but KeyHash %#x != %#x", a, b, ka, kb)
 	}
-	if (ka == kb) != (a.Hash() == b.Hash()) {
-		t.Errorf("%v, %v: KeyHash equal %v, Hash equal %v", a, b, ka == kb, a.Hash() == b.Hash())
+	if (ka == kb) != (a.hashWord() == b.hashWord()) {
+		t.Errorf("%v, %v: KeyHash equal %v, hashWord equal %v", a, b, ka == kb, a.hashWord() == b.hashWord())
 	}
 }
 

@@ -29,23 +29,12 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// HashCols hashes the values at the given ordinals with Value.Hash. It
-// routes a row to its partition at a repartitioning exchange, where the
-// partition shows in per-thread counters; hash tables key on KeyHash.
-func (r Row) HashCols(cols []int) uint64 {
-	var h uint64 = 1469598103934665603
-	for _, c := range cols {
-		h = h*1099511628211 ^ r[c].Hash()
-	}
-	return h
-}
-
 // KeyHash hashes the values at the given ordinals for the engine's hash
 // tables (hash join, hash aggregate, bitmap filter): each value's
 // hashWord folded in by a multiply per column, then one xorshift: a
 // multiply-xorshift mix that is a bijection of a lone column's word.
 // Values with one word hash alike, so rows EqualCols calls equal share a
-// KeyHash wherever their Hash agrees too. A product's top bits depend on
+// KeyHash wherever Equal is an equivalence (see hashWord). A product's top bits depend on
 // every bit of the words, and hashIndex homes a hash by its top bits.
 func (r Row) KeyHash(cols []int) uint64 {
 	h := uint64(fnvOffset64)

@@ -228,9 +228,9 @@ func Equal(a, b Value) bool {
 	return a.I == b.I || a.K == KindNull
 }
 
-// hashWord is the 64-bit word Hash and KeyHash take v over. Equal numbers
-// share one: an integral float has its int64's word, any other float its
-// IEEE bits. A string's word is the FNV-1a hash of its bytes, taken once
+// hashWord is the 64-bit word KeyHash takes v over. Equal numbers share
+// one: an integral float has its int64's word, any other float its IEEE
+// bits. A string's word is the FNV-1a hash of its bytes, taken once
 // when it is interned, and every NULL's is nullWord. Equal is not an
 // equivalence on every number (NaN equals every number, and an int a
 // float64 cannot hold exactly equals the float it rounds to), and there
@@ -251,20 +251,3 @@ func (v Value) hashWord() uint64 {
 
 // nullWord is FNV-1a over the kind tag 0, a constant no generated int is.
 const nullWord = 0xaf63bd4c8601b7df
-
-// Hash returns a 64-bit hash of v, consistent with Equal for values in the
-// same comparison class (ints and floats holding the same number hash
-// identically). A NULL's or a string's hash is its hashWord, a number's
-// the FNV-1a hash of its hashWord's bytes. It fixes the partition a
-// repartitioning exchange routes a row to; hash tables key on KeyHash.
-func (v Value) Hash() uint64 {
-	u := v.hashWord()
-	if v.K == KindNull || v.K == KindString {
-		return u
-	}
-	h := uint64(fnvOffset64)
-	for i := 0; i < 8; i++ {
-		h = (h ^ (u >> (8 * i) & 0xff)) * fnvPrime64
-	}
-	return h
-}

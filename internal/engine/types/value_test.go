@@ -65,8 +65,8 @@ func TestValueIsPointerFree(t *testing.T) {
 	}
 }
 
-// TestStringHashUnchanged: interning moved a string's hash to intern time
-// without changing it. The reference is the byte loop Hash ran on the
+// TestStringHashUnchanged: interning moved a string's hash word to intern
+// time without changing it. The reference is the byte loop once run on the
 // string itself: FNV-1a over a kind tag 2, then the bytes.
 func TestStringHashUnchanged(t *testing.T) {
 	ref := func(s string) uint64 {
@@ -79,8 +79,8 @@ func TestStringHashUnchanged(t *testing.T) {
 		return h
 	}
 	for _, s := range []string{"", "ASIA", "MIDDLE EAST", "Brand#33", "Ünïcödé", "日本語", "a\x00b"} {
-		if got, want := Str(s).Hash(), ref(s); got != want {
-			t.Errorf("Str(%q).Hash() = %#x, want %#x", s, got, want)
+		if got, want := Str(s).hashWord(), ref(s); got != want {
+			t.Errorf("Str(%q).hashWord() = %#x, want %#x", s, got, want)
 		}
 	}
 }
@@ -118,7 +118,7 @@ func TestInternConcurrent(t *testing.T) {
 				if got := v.Str(); got != s {
 					t.Errorf("Str(%q).Str() = %q", s, got)
 				}
-				if v.Hash() != Str(s).Hash() || !Equal(v, Str(s)) {
+				if v.hashWord() != Str(s).hashWord() || !Equal(v, Str(s)) {
 					t.Errorf("re-interning %q changed its value", s)
 				}
 			}
@@ -174,7 +174,7 @@ func TestCompareIntFloatEquality(t *testing.T) {
 	if Compare(Int(7), Float(7)) != 0 {
 		t.Error("Int(7) != Float(7)")
 	}
-	if Int(7).Hash() != Float(7).Hash() {
+	if Int(7).hashWord() != Float(7).hashWord() {
 		t.Error("equal numerics hash differently")
 	}
 }
@@ -214,12 +214,12 @@ func TestComparePropertyTransitiveViaSort(t *testing.T) {
 
 func TestHashEqualImpliesSameHash(t *testing.T) {
 	f := func(i int64, s string) bool {
-		return Int(i).Hash() == Int(i).Hash() && Str(s).Hash() == Str(s).Hash()
+		return Int(i).hashWord() == Int(i).hashWord() && Str(s).hashWord() == Str(s).hashWord()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	if Str("ab").Hash() == Str("ba").Hash() {
+	if Str("ab").hashWord() == Str("ba").hashWord() {
 		t.Error("suspicious collision on permuted strings")
 	}
 }
@@ -239,7 +239,7 @@ func TestRowHashAndEqualCols(t *testing.T) {
 	if !EqualCols(a, b, []int{0, 1}, []int{1, 2}) {
 		t.Error("EqualCols false on matching projection")
 	}
-	if a.HashCols([]int{0, 1}) != b.HashCols([]int{1, 2}) {
+	if a.KeyHash([]int{0, 1}) != b.KeyHash([]int{1, 2}) {
 		t.Error("matching projections hash differently")
 	}
 	if EqualCols(a, b, []int{0}, []int{0}) {

@@ -57,8 +57,7 @@ func Start(db *storage.Database, root *plan.Node, o progress.Options) *Session {
 // consumes aggregated counters, exactly as LQS estimates parallel plans
 // from the per-thread DMV rows the server emits.
 func StartDOP(db *storage.Database, root *plan.Node, dop int, o progress.Options) *Session {
-	p := plan.Finalize(plan.Parallelize(root, dop))
-	opt.NewEstimator(db.Catalog).Estimate(p)
+	p := opt.Prepare(root, db.Catalog, dop)
 	q := exec.NewQueryDOP(p, db, opt.DefaultCostModel(), sim.NewClock(), dop)
 	return Attach(q, db, o)
 }

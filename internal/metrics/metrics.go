@@ -60,10 +60,7 @@ func TraceQuery(w *workload.Workload, q workload.Query, interval sim.Duration) (
 // final aggregated counters are byte-identical to the serial run; only the
 // simulated elapsed time (and the per-thread DMV rows) differ.
 func TraceQueryEvents(w *workload.Workload, q workload.Query, interval sim.Duration, eventCap, dop int) (*plan.Plan, *dmv.Trace, *trace.Recorder) {
-	root := q.Build(w.Builder())
-	root = plan.Parallelize(root, dop)
-	p := plan.Finalize(root)
-	opt.NewEstimator(w.DB.Catalog).Estimate(p)
+	p := opt.Prepare(q.Build(w.Builder()), w.DB.Catalog, dop)
 	clock := sim.NewClock()
 	w.DB.ColdStart()
 	query := exec.NewQueryDOP(p, w.DB, opt.DefaultCostModel(), clock, dop)

@@ -27,6 +27,16 @@ func NewEstimator(cat *catalog.Catalog) *Estimator {
 	return &Estimator{Cat: cat, CM: DefaultCostModel()}
 }
 
+// Prepare is the planning recipe of every surface that runs or shows a
+// workload query: insert the parallel zones at dop (plan.Parallelize; dop
+// <= 1 keeps the plan serial), assign node IDs (plan.Finalize), then fill
+// every node's estimates with the default estimator over cat.
+func Prepare(root *plan.Node, cat *catalog.Catalog, dop int) *plan.Plan {
+	p := plan.Finalize(plan.Parallelize(root, dop))
+	NewEstimator(cat).Estimate(p)
+	return p
+}
+
 // Guessed selectivities for predicates the optimizer cannot model, the
 // same magic-constant approach real optimizers fall back to.
 const (

@@ -186,15 +186,6 @@ func (b *Builder) HashAgg(child *Node, groupCols []int, aggs []expr.AggSpec) *No
 	}
 }
 
-// PartialAgg is a pre-aggregation below an exchange; execution is
-// identical to HashAgg but the logical label (and its bounding rule)
-// differs.
-func (b *Builder) PartialAgg(child *Node, groupCols []int, aggs []expr.AggSpec) *Node {
-	n := b.HashAgg(child, groupCols, aggs)
-	n.Logical = LogicalPartialAggregate
-	return n
-}
-
 // Concat unions children (UNION ALL).
 func (b *Builder) Concat(children ...*Node) *Node {
 	if len(children) == 0 {

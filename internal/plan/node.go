@@ -95,6 +95,8 @@ const (
 	LogicalTopNSort
 	LogicalBitmapCreate
 	LogicalAggregate
+	// LogicalPartialAggregate is built by no plan; it keeps its place so
+	// the later values, which result fingerprints hash, keep theirs.
 	LogicalPartialAggregate
 	LogicalComputeScalar
 	LogicalRIDLookup
@@ -238,11 +240,6 @@ type Node struct {
 	// simulation). The executor only honors it when the query's own DOP
 	// allows and the subtree is range-partitionable.
 	ExchangeDOP int
-	// ExchangeHashCols, on a RepartitionStreams exchange, are the
-	// child-output ordinals rows are hash-distributed on; rows with equal
-	// hash keys land on the same consumer thread, which is what makes a
-	// per-thread aggregate above the repartition exact.
-	ExchangeHashCols []int
 	// NLBuffer is how many outer rows a nested-loops join batches before
 	// probing the inner side (0 = executor default). Large values
 	// reproduce §4.4's "all outer rows consumed and buffered before any

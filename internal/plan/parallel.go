@@ -9,23 +9,8 @@ package plan
 // ranges the parallel plan's result rows are byte-identical to the serial
 // plan's.
 //
-// Call Parallelize (or ParallelizeWith) on the root BEFORE Finalize: the
-// rewrite inserts nodes, so IDs are assigned afterwards.
-
-// ParallelizeOptions tunes the rewrite.
-type ParallelizeOptions struct {
-	// TwoStageAgg additionally rewrites grouped hash aggregates whose
-	// input is partitionable into the repartition form
-	//
-	//	Gather ← HashAggregate ← Repartition(hash on group cols) ← scan…
-	//
-	// where each worker aggregates the hash partition routed to it. The
-	// partition-by-group-columns guarantee makes every per-worker group
-	// exact (no global combine phase), but groups are emitted in worker
-	// order rather than serial first-seen order, so the result is
-	// order-equivalent, not byte-identical — which is why it is opt-in.
-	TwoStageAgg bool
-}
+// Call Parallelize on the root BEFORE Finalize: the rewrite inserts nodes,
+// so IDs are assigned afterwards.
 
 // Parallelize inserts GatherStreams exchanges with the given DOP over every
 // maximal parallel-safe subtree of the plan rooted at root, returning the
@@ -34,11 +19,6 @@ type ParallelizeOptions struct {
 // range-partitionable scan, outside nested-loops inner sides and existing
 // exchanges.
 func Parallelize(root *Node, dop int) *Node {
-	return ParallelizeWith(root, dop, ParallelizeOptions{})
-}
-
-// ParallelizeWith is Parallelize with explicit options.
-func ParallelizeWith(root *Node, dop int, o ParallelizeOptions) *Node {
 	if dop <= 1 || root == nil {
 		return root
 	}
@@ -52,36 +32,15 @@ func ParallelizeWith(root *Node, dop int, o ParallelizeOptions) *Node {
 			if n.Physical == Exchange {
 				childBarred = true
 			}
-			if !childBarred {
-				if o.TwoStageAgg && c.Physical == HashAggregate && len(c.GroupCols) > 0 && Partitionable(c.Children[0]) {
-					rep := &Node{
-						Physical: Exchange, Logical: LogicalRepartitionStreams,
-						Children:         []*Node{c.Children[0]},
-						ExchangeKind:     RepartitionStreams,
-						ExchangeDOP:      dop,
-						ExchangeHashCols: append([]int(nil), c.GroupCols...),
-						Width:            c.Children[0].Width,
-					}
-					c.Children[0] = rep
-					n.Children[i] = &Node{
-						Physical: Exchange, Logical: LogicalGatherStreams,
-						Children:     []*Node{c},
-						ExchangeKind: GatherStreams,
-						ExchangeDOP:  dop,
-						Width:        c.Width,
-					}
-					continue
+			if !childBarred && Partitionable(c) {
+				n.Children[i] = &Node{
+					Physical: Exchange, Logical: LogicalGatherStreams,
+					Children:     []*Node{c},
+					ExchangeKind: GatherStreams,
+					ExchangeDOP:  dop,
+					Width:        c.Width,
 				}
-				if Partitionable(c) {
-					n.Children[i] = &Node{
-						Physical: Exchange, Logical: LogicalGatherStreams,
-						Children:     []*Node{c},
-						ExchangeKind: GatherStreams,
-						ExchangeDOP:  dop,
-						Width:        c.Width,
-					}
-					continue
-				}
+				continue
 			}
 			walk(c, childBarred)
 		}

@@ -112,38 +112,18 @@ func TestParallelizeBarsBitmapCoupledScan(t *testing.T) {
 	}
 }
 
-// TestParallelizeTwoStageAggShape: with TwoStageAgg, a grouped hash
-// aggregate over a partitionable input becomes
-// Gather ← HashAgg ← Repartition(hash on group cols) ← scan, and the
-// repartition carries the group columns and DOP.
-func TestParallelizeTwoStageAggShape(t *testing.T) {
+// TestParallelizeGathersBelowGroupedAggregate: a grouped hash aggregate is
+// not a zone, so the gather goes below it, over its partitionable input.
+func TestParallelizeGathersBelowGroupedAggregate(t *testing.T) {
 	b := NewBuilder(testCatalog())
 	agg := b.HashAgg(b.TableScan("b", nil, nil), []int{1}, []expr.AggSpec{{Kind: expr.CountStar}})
-	root := ParallelizeWith(b.Sort(agg, []int{0}, nil), 4, ParallelizeOptions{TwoStageAgg: true})
-	g := root.Children[0]
-	if g.Physical != Exchange || g.ExchangeKind != GatherStreams {
-		t.Fatalf("no gather over the aggregate: %v", g.Physical)
-	}
-	a := g.Children[0]
+	root := Parallelize(b.Sort(agg, []int{0}, nil), 4)
+	a := root.Children[0]
 	if a.Physical != HashAggregate {
-		t.Fatalf("gather child is %v", a.Physical)
+		t.Fatalf("sort child is %v, want the aggregate", a.Physical)
 	}
-	rep := a.Children[0]
-	if rep.Physical != Exchange || rep.ExchangeKind != RepartitionStreams || rep.ExchangeDOP != 4 {
-		t.Fatalf("aggregate input is not a repartition: %+v", rep)
-	}
-	if len(rep.ExchangeHashCols) != 1 || rep.ExchangeHashCols[0] != 1 {
-		t.Fatalf("repartition hash cols %v, want [1]", rep.ExchangeHashCols)
-	}
-	if rep.Children[0].Physical != TableScan {
-		t.Fatalf("repartition child is %v", rep.Children[0].Physical)
-	}
-	// Without the option, the same tree gets a plain gather under the agg.
-	b2 := NewBuilder(testCatalog())
-	agg2 := b2.HashAgg(b2.TableScan("b", nil, nil), []int{1}, []expr.AggSpec{{Kind: expr.CountStar}})
-	root2 := Parallelize(b2.Sort(agg2, []int{0}, nil), 4)
-	if root2.Children[0].Physical != HashAggregate || root2.Children[0].Children[0].ExchangeKind != GatherStreams {
-		t.Fatal("default rewrite should gather below the aggregate")
+	if g := a.Children[0]; g.Physical != Exchange || g.ExchangeKind != GatherStreams || g.Children[0].Physical != TableScan {
+		t.Fatalf("aggregate input is %v (kind %v), want a gather over the scan", g.Physical, g.ExchangeKind)
 	}
 }
 

@@ -245,14 +245,6 @@ func TestExchangeKindsAndLogical(t *testing.T) {
 	}
 }
 
-func TestPartialAggLogical(t *testing.T) {
-	b := NewBuilder(testCatalog())
-	pa := b.PartialAgg(b.TableScan("a", nil, nil), []int{0}, nil)
-	if pa.Logical != LogicalPartialAggregate || pa.Physical != HashAggregate {
-		t.Errorf("partial agg classification: %v/%v", pa.Physical, pa.Logical)
-	}
-}
-
 func TestKindStringsExhaustive(t *testing.T) {
 	for p := TableScan; p <= Exchange; p++ {
 		if s := p.String(); s == "" || s[0] == 'P' && s != "Parallelism" {

@@ -82,19 +82,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// NormFloat64 returns a normally distributed value with mean 0 and
-// standard deviation 1, using the Box-Muller transform.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		v := r.Float64()
-		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-	}
-}
-
 // ExpFloat64 returns an exponentially distributed value with rate 1.
 func (r *RNG) ExpFloat64() float64 {
 	for {

@@ -82,25 +82,6 @@ func TestRNGPerm(t *testing.T) {
 	}
 }
 
-func TestRNGNormFloat64Moments(t *testing.T) {
-	r := NewRNG(13)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance = %v, want ~1", variance)
-	}
-}
-
 func TestRNGForkIndependence(t *testing.T) {
 	a := NewRNG(5)
 	child := a.Fork()
@@ -423,9 +404,6 @@ func TestZipfProbSumsToOne(t *testing.T) {
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("theta=%v: probabilities sum to %v", theta, sum)
-		}
-		if z.N() != 50 || z.Theta() != theta {
-			t.Fatal("accessors wrong")
 		}
 	}
 }

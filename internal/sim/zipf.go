@@ -82,12 +82,6 @@ func (z *Zipf) invert(u float64) int {
 	return i
 }
 
-// N returns the domain size.
-func (z *Zipf) N() int64 { return z.n }
-
-// Theta returns the skew parameter.
-func (z *Zipf) Theta() float64 { return z.theta }
-
 // Prob returns the probability of drawing v, for tests and analytical
 // checks. It returns 0 for v outside [1, N].
 func (z *Zipf) Prob(v int64) float64 {

@@ -104,7 +104,6 @@ type Recorder struct {
 	clock   *sim.Clock
 	buf     []Event
 	head    int // index of oldest event
-	n       int // live events
 	dropped int64
 }
 
@@ -120,13 +119,16 @@ func NewRecorder(clock *sim.Clock, capacity int) *Recorder {
 // Record appends an event stamped with the current virtual time, dropping
 // the oldest event when the ring is full.
 func (r *Recorder) Record(k Kind, nodeID int, name string, rows int64) {
-	ev := Event{Kind: k, At: r.clock.Now(), NodeID: nodeID, Name: name, Rows: rows}
+	r.push(Event{Kind: k, At: r.clock.Now(), NodeID: nodeID, Name: name, Rows: rows})
+}
+
+// push appends ev to the ring, overwriting the oldest event when it is
+// full.
+func (r *Recorder) push(ev Event) {
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, ev)
-		r.n++
 		return
 	}
-	// Ring is full: overwrite the oldest slot.
 	r.buf[r.head] = ev
 	r.head++
 	if r.head == len(r.buf) {
@@ -152,29 +154,19 @@ func (r *Recorder) RowBatch(nodeID int, rows int64) {
 // per-thread streams only need to be monotone within themselves.
 func (r *Recorder) Ingest(evs []Event) {
 	for _, ev := range evs {
-		if len(r.buf) < cap(r.buf) {
-			r.buf = append(r.buf, ev)
-			r.n++
-			continue
-		}
-		r.buf[r.head] = ev
-		r.head++
-		if r.head == len(r.buf) {
-			r.head = 0
-		}
-		r.dropped++
+		r.push(ev)
 	}
 }
 
 // Len returns the number of retained events.
-func (r *Recorder) Len() int { return r.n }
+func (r *Recorder) Len() int { return len(r.buf) }
 
 // Dropped returns how many events were evicted by ring overflow.
 func (r *Recorder) Dropped() int64 { return r.dropped }
 
 // Events returns the retained events, oldest first.
 func (r *Recorder) Events() []Event {
-	out := make([]Event, 0, r.n)
+	out := make([]Event, 0, len(r.buf))
 	out = append(out, r.buf[r.head:]...)
 	out = append(out, r.buf[:r.head]...)
 	return out
